@@ -3,8 +3,12 @@
 Assumes every inequality family exposes smooth convex values / gradients /
 Hessians (see program.py). Inequalities get slacks (g(x) + s = 0, s > 0);
 Newton steps on the perturbed KKT conditions with a fraction-to-boundary rule
-and a residual-norm backtracking line search. The reduced KKT system is
-assembled in COO form with per-family dense blocks and factored sparse.
+and a residual-norm backtracking line search. The reduced KKT system has a
+fixed sparsity pattern per program: its CSC structure and the scatter map of
+the per-family dense blocks into it are built once per solve, so each Newton
+step only sums block values into place before the sparse factorization.
+Constraint gradients are evaluated once per iterate and shared by the dual
+residual, the KKT assembly and the slack step.
 
 Deterministic: no randomness anywhere, so identical programs produce
 bit-identical solutions on one platform.
@@ -12,6 +16,7 @@ bit-identical solutions on one platform.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -41,8 +46,22 @@ class Solution:
     nu: np.ndarray = field(repr=False, default=None)
 
 
+class _Point(NamedTuple):
+    """Scaled residual pieces at one primal-dual point."""
+
+    g: np.ndarray  # row-scaled inequality values
+    r_eq: np.ndarray  # row-scaled equality residual
+    grads: list  # per family: row- and column-scaled local gradients
+    obj_grad: np.ndarray  # column-scaled objective gradient
+    r_dual: np.ndarray  # obj_grad + J' lam + E' nu
+
+
+def _residual_norm(parts) -> float:
+    return float(np.sqrt(sum(float(r @ r) for r in parts)))
+
+
 class _Work:
-    """Per-solve cached structure: scalings and COO index layout."""
+    """Per-solve cached structure: scalings and the KKT sparsity pattern."""
 
     def __init__(self, program: ConvexProgram, x0: np.ndarray):
         self.program = program
@@ -104,7 +123,13 @@ class _Work:
             cols.append(dual_idx)
         self.kkt_rows = np.concatenate(rows)
         self.kkt_cols = np.concatenate(cols)
-        self.kkt_shape = (n + self.p, n + self.p)
+        size = n + self.p
+        self.kkt_shape = (size, size)
+        # CSC pattern with duplicates merged (column-major keys sort into CSC
+        # order) and the slot of every COO entry in its data array.
+        keys, self.kkt_slot = np.unique(self.kkt_cols * size + self.kkt_rows, return_inverse=True)
+        self.kkt_indices = (keys % size).astype(np.int32)
+        self.kkt_indptr = np.searchsorted(keys // size, np.arange(size + 1)).astype(np.int32)
 
         # Scaled equality Jacobian values are constant.
         self.eq_vals = []
@@ -124,12 +149,16 @@ class _Work:
     def scaled_obj_grad(self, x):
         return self.program.objective.grad(x) * self.sc
 
-    def dual_residual(self, x, lam, nu):
-        """r_dual = scaled objective gradient + J' lam + E' nu."""
-        r = self.scaled_obj_grad(x)
+    def point(self, xs, lam, nu) -> _Point:
+        """Values, gradients and dual residual at the scaled point xs."""
+        x = xs * self.sc
+        grads = [
+            fam.grad_loc(x) * self.sc[fam.cols] * rho[:, None] for fam, rho in zip(self.fams, self.rho)
+        ]
+        obj_grad = self.scaled_obj_grad(x)
+        r = obj_grad.copy()
         off = 0
-        for fam, rho in zip(self.fams, self.rho):
-            g = fam.grad_loc(x) * self.sc[fam.cols] * rho[:, None]
+        for fam, g in zip(self.fams, grads):
             np.add.at(r, fam.cols.ravel(), (g * lam[off : off + fam.m, None]).ravel())
             off += fam.m
         off = 0
@@ -137,7 +166,12 @@ class _Work:
             g = vals.reshape(fam.m, fam.nloc)
             np.add.at(r, fam.cols.ravel(), (g * nu[off : off + fam.m, None]).ravel())
             off += fam.m
-        return r
+        return _Point(self.ineq_values(x), self.eq_residual(x), grads, obj_grad, r)
+
+    def kkt_matrix(self, coo_vals):
+        """CSC KKT matrix from values in COO entry order, duplicates summed."""
+        data = np.bincount(self.kkt_slot, weights=coo_vals, minlength=self.kkt_indices.size)
+        return sp.csc_matrix((data, self.kkt_indices, self.kkt_indptr), shape=self.kkt_shape)
 
 
 def _objective_hessian_blocks(program: ConvexProgram, x, sc):
@@ -163,7 +197,6 @@ def solve(
     tol: float = 1e-7,
     max_iter: int = 200,
     x0: np.ndarray | None = None,
-    trace: bool = False,
 ) -> Solution:
     """Solve the program to KKT residuals <= tol (scaled), or report failure."""
     n = program.space.dimension
@@ -173,14 +206,11 @@ def solve(
     x = x_orig / sc  # internal scaled coordinates
     m, p = work.m, work.p
 
-    def eval_at(xs):
-        return work.ineq_values(xs * sc), work.eq_residual(xs * sc)
-
-    g0, r_eq = eval_at(x)
-    s = np.maximum(-g0, 1.0)
+    s = np.maximum(-work.ineq_values(x * sc), 1.0)
     obj_scale = max(1.0, float(np.max(np.abs(work.scaled_obj_grad(x_orig)))) if n else 1.0)
     lam = np.full(m, obj_scale) / s
     nu = np.zeros(p)
+    pt = work.point(x, lam, nu)
 
     delta = 1e-10
     best_prim = np.inf
@@ -189,21 +219,10 @@ def solve(
     status = "max_iter"
     it = 0
 
-    def residual_norm(xs, ss, ls, ns, mu):
-        gg, re = eval_at(xs)
-        rr = [work.dual_residual(xs * sc, ls, ns)]
-        if m:
-            rr.append(gg + ss)
-            rr.append(ls * ss - mu)
-        if p:
-            rr.append(re)
-        return float(np.sqrt(sum(float(r @ r) for r in rr)))
-
     for it in range(1, max_iter + 1):
         x_phys = x * sc
-        g, r_eq = eval_at(x)
-        r_prim = g + s
-        r_dual = work.dual_residual(x_phys, lam, nu)
+        r_prim = pt.g + s
+        r_dual = pt.r_dual
         gap = float(s @ lam) if m else 0.0
 
         # Convergence on the scaled system.
@@ -211,27 +230,13 @@ def solve(
         stat = float(np.max(np.abs(r_dual))) if n else 0.0
         prim = max(
             float(np.max(np.abs(r_prim))) if m else 0.0,
-            float(np.max(np.abs(r_eq))) if p else 0.0,
+            float(np.max(np.abs(pt.r_eq))) if p else 0.0,
         )
         # Keep the barrier from collapsing while still infeasible, so that
         # multipliers of violated constraints stay live.
         mu = _SIGMA * max(gap / max(m, 1), 0.1 * prim)
         r_cent = lam * s - mu
-        grad_scale = max(1.0, float(np.max(np.abs(work.scaled_obj_grad(x_phys)))))
-        if trace:
-            worst = int(np.argmax(np.abs(r_prim))) if m else -1
-            wf = ""
-            if m:
-                off_t = 0
-                for fam in work.fams:
-                    if worst < off_t + fam.m:
-                        wf = f"{fam.tag}[{worst - off_t}]"
-                        break
-                    off_t += fam.m
-            print(
-                f"  it={it:3d} comp={comp:.3e} stat={stat:.3e} prim={prim:.3e} "
-                f"gap={gap:.3e} delta={delta:.1e} worst={wf} mu={mu:.2e}"
-            )
+        grad_scale = max(1.0, float(np.max(np.abs(pt.obj_grad))))
         if comp <= tol and stat <= tol * grad_scale and prim <= tol:
             status = "optimal"
             break
@@ -247,33 +252,30 @@ def solve(
             status = "infeasible"
             break
 
+        # M = H_obj + sum lam H_i + J' diag(lam/s) J + delta I; every block
+        # but the regularization is fixed per iterate.
+        blocks = _objective_hessian_blocks(program, x_phys, sc)
+        rhs_x = -r_dual
+        off = 0
+        for fam, rho, grad_sc in zip(work.fams, work.rho, pt.grads):
+            lam_f = lam[off : off + fam.m]
+            s_f = s[off : off + fam.m]
+            colscale = sc[fam.cols]
+            hess = fam.hess_loc(x_phys, lam_f * rho) * colscale[:, :, None] * colscale[:, None, :]
+            hess += (lam_f / s_f)[:, None, None] * np.einsum("ml,mk->mlk", grad_sc, grad_sc)
+            blocks.append(hess.ravel())
+            coeff = (lam_f / s_f) * r_prim[off : off + fam.m] - r_cent[off : off + fam.m] / s_f
+            np.add.at(rhs_x, fam.cols.ravel(), -(grad_sc * coeff[:, None]).ravel())
+            off += fam.m
+        blocks.extend(work.eq_vals)  # E block
+        blocks.extend(work.eq_vals)  # E' block
+        rhs = np.concatenate([rhs_x, -pt.r_eq]) if p else rhs_x
+        base = _residual_norm([r_dual, r_prim, r_cent, pt.r_eq])
+
         accepted = False
         for _attempt in range(10):
-            # Assemble M = H_obj + sum lam H_i + J' diag(lam/s) J + delta I.
-            vals = [np.full(n, delta * max(1.0, obj_scale))]
-            vals.extend(_objective_hessian_blocks(program, x_phys, sc))
-            rhs_x = -r_dual.copy()
-            off = 0
-            for fam, rho in zip(work.fams, work.rho):
-                lam_f = lam[off : off + fam.m]
-                s_f = s[off : off + fam.m]
-                colscale = sc[fam.cols]
-                grad_sc = fam.grad_loc(x_phys) * colscale * rho[:, None]
-                hess = fam.hess_loc(x_phys, lam_f * rho) * colscale[:, :, None] * colscale[:, None, :]
-                hess += (lam_f / s_f)[:, None, None] * np.einsum("ml,mk->mlk", grad_sc, grad_sc)
-                vals.append(hess.ravel())
-                coeff = (lam_f / s_f) * r_prim[off : off + fam.m] - r_cent[off : off + fam.m] / s_f
-                np.add.at(rhs_x, fam.cols.ravel(), -(grad_sc * coeff[:, None]).ravel())
-                off += fam.m
-            vals.extend(work.eq_vals)  # E block
-            vals.extend(work.eq_vals)  # E' block
-            if p:
-                vals.append(np.full(p, -delta * max(1.0, obj_scale)))
-
-            kkt = sp.coo_matrix(
-                (np.concatenate(vals), (work.kkt_rows, work.kkt_cols)), shape=work.kkt_shape
-            ).tocsc()
-            rhs = np.concatenate([rhs_x, -r_eq]) if p else rhs_x
+            reg = delta * max(1.0, obj_scale)
+            kkt = work.kkt_matrix(np.concatenate([np.full(n, reg), *blocks, np.full(p, -reg)]))
             try:
                 step = spla.splu(kkt).solve(rhs)
             except (RuntimeError, ValueError):
@@ -287,8 +289,7 @@ def solve(
             dnu = step[n:] if p else np.zeros(0)
             jdx = np.zeros(m)
             off = 0
-            for fam, rho in zip(work.fams, work.rho):
-                grad_sc = fam.grad_loc(x_phys) * sc[fam.cols] * rho[:, None]
+            for fam, grad_sc in zip(work.fams, pt.grads):
                 jdx[off : off + fam.m] = np.einsum("ml,ml->m", grad_sc, dx[fam.cols])
                 off += fam.m
             ds = -r_prim - jdx
@@ -309,13 +310,14 @@ def solve(
                     )
 
             alpha = alpha_bound
-            base = residual_norm(x, s, lam, nu, mu)
             for _ in range(30):
                 x_t = x + alpha * dx
                 s_t = s + alpha * ds
                 lam_t = lam + alpha * dlam
                 nu_t = nu + alpha * dnu
-                if residual_norm(x_t, s_t, lam_t, nu_t, mu) <= (1.0 - _ARMIJO * alpha) * base:
+                trial = work.point(x_t, lam_t, nu_t)
+                norm_t = _residual_norm([trial.r_dual, trial.g + s_t, lam_t * s_t - mu, trial.r_eq])
+                if norm_t <= (1.0 - _ARMIJO * alpha) * base:
                     accepted = True
                     break
                 alpha *= _BACKTRACK
@@ -332,7 +334,7 @@ def solve(
             else:
                 status = "max_iter"
             break
-        x, s, lam, nu = x_t, s_t, lam_t, nu_t
+        x, s, lam, nu, pt = x_t, s_t, lam_t, nu_t, trial
         # Persistent crawling (backtracked far below the boundary step on
         # consecutive iterations) marks a flat direction the Newton model
         # mishandles; Levenberg-style stiffening restores progress.
@@ -346,19 +348,17 @@ def solve(
 
     x_phys = x * sc
     obj = program.objective.value(x_phys)
-    g, r_eq = eval_at(x)
-    r_dual = work.dual_residual(x_phys, lam, nu)
     kkt_report = {
-        "stationarity": float(np.max(np.abs(r_dual))) if n else 0.0,
+        "stationarity": float(np.max(np.abs(pt.r_dual))) if n else 0.0,
         "primal_feas": max(
-            float(np.max(g)) if m else 0.0, float(np.max(np.abs(r_eq))) if p else 0.0, 0.0
+            float(np.max(pt.g)) if m else 0.0, float(np.max(np.abs(pt.r_eq))) if p else 0.0, 0.0
         ),
         "dual_feas": float(max(0.0, -np.min(lam))) if m else 0.0,
         "complementarity": float(np.max(np.abs(lam * s))) if m else 0.0,
     }
     dual_bound = obj - (float(s @ lam) if m else 0.0)
     if p:
-        dual_bound -= float(np.abs(r_eq) @ np.abs(nu))
+        dual_bound -= float(np.abs(pt.r_eq) @ np.abs(nu))
     return Solution(
         values=program.space.unpack(x_phys),
         x=x_phys,

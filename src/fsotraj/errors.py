@@ -30,12 +30,16 @@ class InfeasibleScenarioError(FsoTrajError, RuntimeError):
 
 
 class BracketError(FsoTrajError, RuntimeError):
-    """Fractional-programming bisection bracket does not change sign."""
+    """Fractional-programming bisection failed: no sign change on the bracket,
+    or the iteration budget ran out before |F| <= tol_f."""
 
-    def __init__(self, msg, f_lo=None, f_hi=None):
+    def __init__(self, msg, f_lo=None, f_hi=None, lam=None, f=None, tol_f=None):
         super().__init__(msg)
         self.f_lo = f_lo
         self.f_hi = f_hi
+        self.lam = lam
+        self.f = f
+        self.tol_f = tol_f
 
 
 class SolverError(FsoTrajError, RuntimeError):

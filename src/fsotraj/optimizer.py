@@ -1,6 +1,6 @@
-"""Outer trajectory optimization: fractional bisection inside, successive
-convex restriction outside, plus the honest (non-surrogate) energy-efficiency
-evaluation used to judge results.
+"""Outer trajectory optimization: a Dinkelbach step with bisection fallback
+inside, successive convex restriction outside, plus the honest (non-surrogate)
+energy-efficiency evaluation used to judge results.
 """
 from __future__ import annotations
 
@@ -12,7 +12,8 @@ import numpy as np
 
 from .channel import mc_ergodic_capacity, quadrature_ergodic_capacity
 from .convex import check_feasible, solve
-from .errors import BracketError, InfeasibleScenarioError, SolverError
+from .convex.solver import require_optimal
+from .errors import BracketError, InfeasibleScenarioError
 from .jitter import hoyt_params
 from .kinematics import TrajectoryPlan, differentiate_trajectory, flight_power
 from .mission import (
@@ -34,6 +35,8 @@ class DinkelbachResult:
     c_tot: float
     p_tot: float
     solves: int
+    newton_iters: int  # summed over the search's solves
+    bisection_fallback: bool  # the Dinkelbach step missed |F| <= tol or was skipped
 
 
 @dataclass
@@ -46,6 +49,8 @@ class IterationRecord:
     step_norm: float
     max_violation: float
     solves: int
+    newton_iters: int
+    bisection_fallback: bool
 
 
 @dataclass
@@ -74,35 +79,44 @@ def bisect_tradeoff(evaluate, lam_lo, lam_hi, tol_f, max_iter, f_lo=None, doubli
 
     ``evaluate(lam)`` returns (F value, payload); the root is where the
     fractional objective's numerator and weighted denominator balance.
+    ``f_lo`` is F(lam_lo) when already known, which saves its solve.
     Returns (lam, F, payload) of the last solve, with |F| <= tol_f.
+    Raises BracketError when F does not change sign on the bracket, or when
+    ``max_iter`` bisection solves end with |F| > tol_f.
     """
     if f_lo is None:
         f_lo, _ = evaluate(lam_lo)
-    f_hi, payload_hi = evaluate(lam_hi)
+    f_hi, _ = evaluate(lam_hi)
     for _ in range(doublings):
         if f_hi > 0.0:
             break
         lam_hi *= 2.0
-        f_hi, payload_hi = evaluate(lam_hi)
+        f_hi, _ = evaluate(lam_hi)
     if not (f_lo < 0.0 < f_hi):
         raise BracketError(
             f"no sign change on [{lam_lo:.3g}, {lam_hi:.3g}]: F = ({f_lo:.3g}, {f_hi:.3g})",
             f_lo=f_lo,
             f_hi=f_hi,
         )
-    lam = 0.5 * (lam_lo + lam_hi)
-    best = None
+    lam, f_val = 0.5 * (lam_lo + lam_hi), None
     for _ in range(max_iter):
+        lam = 0.5 * (lam_lo + lam_hi)
         f_val, payload = evaluate(lam)
-        best = (lam, f_val, payload)
         if abs(f_val) <= tol_f:
-            break
+            return lam, f_val, payload
         if f_val > 0.0:
             lam_hi = lam
         else:
             lam_lo = lam
-        lam = 0.5 * (lam_lo + lam_hi)
-    return best
+    raise BracketError(
+        f"bisection ended after {max_iter} solves at lam = {lam:.6g} with F = {f_val}, "
+        f"not within tol_f = {tol_f:.3g}",
+        f_lo=f_lo,
+        f_hi=f_hi,
+        lam=lam,
+        f=f_val,
+        tol_f=tol_f,
+    )
 
 
 def dinkelbach_solve(
@@ -111,11 +125,20 @@ def dinkelbach_solve(
     config: OptimizerConfig | None = None,
     subproblem: Subproblem | None = None,
 ) -> DinkelbachResult:
-    """Bisection on the trade-off weight until |min(-C + lam P)| <= tol.
+    """Trade-off weight lam with |F(lam)| <= tol, F(lam) = min(-C + lam P).
 
-    The bracket endpoints move toward the root exactly as the branch rule
-    prescribes (F > 0 tightens from above, F < 0 from below); the root is the
-    efficiency of the restricted problem.
+    The root is the efficiency of the restricted problem. The search first
+    takes one Dinkelbach step (Dinkelbach 1967): a solve at the anchor's
+    surrogate efficiency C_anchor / P_anchor, warm-started from the anchor.
+    The anchor is feasible for its own restriction, so F(C_anchor / P_anchor)
+    <= 0, and near a fixed point of the restriction loop this one solve
+    already meets the tolerance. Otherwise the search falls back to bisection
+    with C_anchor / P_anchor as the lower bracket end. When C_anchor / P_anchor
+    lies outside the configured bracket [lambda_min, lambda_max], the step is
+    skipped and the configured bracket is bisected.
+
+    Every solve must end ``optimal``; any other status raises SolverError
+    naming the status, the trade-off weight and the KKT residuals.
     """
     config = config or OptimizerConfig()
     sub = subproblem or Subproblem(iterate, scenario, config)
@@ -130,14 +153,15 @@ def dinkelbach_solve(
 
     warm = anchor_x
     solves = 0
+    newton_iters = 0
 
     def f_at(lam):
-        nonlocal warm, solves
+        nonlocal warm, solves, newton_iters
         sub.set_tradeoff(lam)
         sol = solve(sub.program, tol=config.solver_tol, max_iter=config.solver_max_iter, x0=warm)
-        if sol.status == "infeasible":
-            raise SolverError(f"subproblem infeasible at trade-off {lam:.3g}: {sol.kkt}")
         solves += 1
+        newton_iters += sol.iterations
+        require_optimal(sol, f"at trade-off {lam:.6g}")
         warm = sol.x
         return sol.objective, sol
 
@@ -145,9 +169,17 @@ def dinkelbach_solve(
     lam_hi = config.lambda_max if config.lambda_max is not None else 2.0 * c_anchor / p_anchor
     # A feasible anchor certifies F(0) <= -C_anchor < 0 without a solve.
     f_lo = -c_anchor if lam_lo == 0.0 else None
-    lam_star, f_val, sol = bisect_tradeoff(
-        f_at, lam_lo, lam_hi, tol_f, config.max_inner, f_lo=f_lo, doublings=config.bracket_doublings
-    )
+    lam_star = c_anchor / p_anchor
+    fallback = True
+    if lam_lo < lam_star < lam_hi:
+        f_val, sol = f_at(lam_star)
+        fallback = abs(f_val) > tol_f
+        # F(lam_star) <= 0 bounds the root from below.
+        lam_lo, f_lo = lam_star, f_val
+    if fallback:
+        lam_star, f_val, sol = bisect_tradeoff(
+            f_at, lam_lo, lam_hi, tol_f, config.max_inner, f_lo=f_lo, doublings=config.bracket_doublings
+        )
 
     c_tot, p_tot = sub.surrogate_totals(sol.values)
     return DinkelbachResult(
@@ -157,6 +189,8 @@ def dinkelbach_solve(
         c_tot=c_tot,
         p_tot=p_tot,
         solves=solves,
+        newton_iters=newton_iters,
+        bisection_fallback=fallback,
     )
 
 
@@ -189,6 +223,8 @@ def optimize(
             step_norm=step,
             max_violation=worst,
             solves=result.solves,
+            newton_iters=result.newton_iters,
+            bisection_fallback=result.bisection_fallback,
         )
         history.append(record)
         if callback is not None:

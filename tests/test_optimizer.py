@@ -1,11 +1,13 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fsotraj import optimizer as optimizer_mod
 from fsotraj.channel import LinkParams
 from fsotraj.convex import ConvexProgram, VariableSpace, solve
-from fsotraj.errors import BracketError, InfeasibleScenarioError, UnsupportedReductionError
+from fsotraj.errors import BracketError, InfeasibleScenarioError, SolverError, UnsupportedReductionError
 from fsotraj.jitter import JitterCovariance
 from fsotraj.mission import CircularInit, OptimizerConfig, Scenario, initialize_iterate
 from fsotraj.optimizer import (
@@ -14,9 +16,11 @@ from fsotraj.optimizer import (
     energy_efficiency,
     optimize,
 )
+from fsotraj.scenario import load_scenario
 from fsotraj.subproblem import Subproblem
 
 H = 600.0
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def moving_scenario(n=12, delta=2.0, **kw):
@@ -136,6 +140,109 @@ class TestBisection:
         assert err.value.f_lo == pytest.approx(11.0)
         assert err.value.f_hi == pytest.approx(12.0)
 
+    def test_exhausted_budget_raises_with_last_point(self):
+        def evaluate(lam):
+            return lam - 1.0 / 3.0, None
+
+        with pytest.raises(BracketError) as err:
+            bisect_tradeoff(evaluate, 0.0, 1.0, tol_f=1e-12, max_iter=5)
+        # Five halvings of [0, 1] end at 11/32, the last point solved.
+        assert err.value.lam == pytest.approx(11.0 / 32.0)
+        assert err.value.f == pytest.approx(11.0 / 32.0 - 1.0 / 3.0)
+        assert err.value.tol_f == 1e-12
+
+    def test_zero_budget_raises(self):
+        def evaluate(lam):
+            return lam - 0.5, None
+
+        with pytest.raises(BracketError) as err:
+            bisect_tradeoff(evaluate, 0.0, 1.0, tol_f=1e-6, max_iter=0)
+        assert err.value.f is None
+        assert err.value.tol_f == 1e-6
+
+    def test_known_lower_end_skips_its_solve(self):
+        calls = []
+
+        def evaluate(lam):
+            calls.append(lam)
+            return lam - 0.5, None
+
+        lam, f_val, _ = bisect_tradeoff(evaluate, 0.0, 1.0, tol_f=1e-6, max_iter=10, f_lo=-0.5)
+        assert calls == [1.0, 0.5]
+        assert (lam, f_val) == (0.5, 0.0)
+
+
+def _counting_solve(monkeypatch):
+    """Record the Newton iterations of every solve dinkelbach_solve makes."""
+    iterations = []
+    inner = optimizer_mod.solve
+
+    def counted(*args, **kwargs):
+        sol = inner(*args, **kwargs)
+        iterations.append(sol.iterations)
+        return sol
+
+    monkeypatch.setattr(optimizer_mod, "solve", counted)
+    return iterations
+
+
+def _tol_f(sub, config):
+    _, p_anchor = sub.surrogate_totals(sub.space.unpack(sub.anchor_x()))
+    return config.tol_dinkelbach_rel * p_anchor
+
+
+class TestDinkelbach:
+    @pytest.mark.parametrize("name", ["moving", "hover_pitch_jitter"])
+    def test_one_solve_from_bundled_initial_iterate(self, name, monkeypatch):
+        settings = load_scenario(str(SCENARIOS / f"{name}.ini"))
+        sc, cfg = settings.scenario, settings.optimizer
+        sub = Subproblem(initialize_iterate(sc), sc, cfg)
+        iterations = _counting_solve(monkeypatch)
+        result = dinkelbach_solve(sub.iterate, sc, cfg, subproblem=sub)
+        assert result.solves == len(iterations) == 1
+        assert result.newton_iters == sum(iterations)
+        assert not result.bisection_fallback
+        assert abs(result.f_value) <= _tol_f(sub, cfg)
+
+    def test_missed_step_falls_back_to_bisection(self, monkeypatch):
+        # At tol 1e-6 the first solve at C_anchor / P_anchor misses |F| <= tol_f
+        # (F is about -0.42 against tol_f 0.05), so the bisection must take over.
+        sc = moving_scenario()
+        cfg = OptimizerConfig(tol_dinkelbach_rel=1e-6)
+        sub = Subproblem(initialize_iterate(sc), sc, cfg)
+        iterations = _counting_solve(monkeypatch)
+        result = dinkelbach_solve(sub.iterate, sc, cfg, subproblem=sub)
+        assert result.bisection_fallback
+        assert result.solves == len(iterations) >= 2
+        assert result.newton_iters == sum(iterations)
+        tol_f = _tol_f(sub, cfg)
+        assert abs(result.f_value) <= tol_f
+        assert abs(result.lam_star - result.c_tot / result.p_tot) * result.p_tot <= 10.0 * tol_f
+
+    def test_anchor_efficiency_outside_bracket_skips_step(self):
+        # lambda_max below C_anchor / P_anchor: the search must stay inside the
+        # configured bracket, so the first solve is at lambda_max, not at C/P.
+        sc = moving_scenario()
+        sub = Subproblem(initialize_iterate(sc), sc, OptimizerConfig())
+        c_anchor, p_anchor = sub.surrogate_totals(sub.space.unpack(sub.anchor_x()))
+        cfg = OptimizerConfig(lambda_max=0.5 * c_anchor / p_anchor)
+        sub = Subproblem(initialize_iterate(sc), sc, cfg)
+        lams = []
+        set_tradeoff = sub.set_tradeoff
+        sub.set_tradeoff = lambda lam: (lams.append(lam), set_tradeoff(lam))
+        result = dinkelbach_solve(sub.iterate, sc, cfg, subproblem=sub)
+        assert lams[0] == cfg.lambda_max
+        assert result.bisection_fallback
+        assert result.solves == len(lams) >= 2
+        assert abs(result.f_value) <= _tol_f(sub, cfg)
+
+    def test_nonoptimal_solve_raises(self):
+        sc = moving_scenario()
+        cfg = OptimizerConfig(solver_max_iter=2)
+        with pytest.raises(SolverError, match="max_iter") as err:
+            dinkelbach_solve(initialize_iterate(sc), sc, cfg)
+        assert "trade-off" in str(err.value) and "stationarity" in str(err.value)
+
 
 class TestOptimize:
     def test_moving_mission_improves_and_stays_feasible(self):
@@ -143,6 +250,8 @@ class TestOptimize:
         res = optimize(sc, OptimizerConfig(max_outer=12))
         assert len(res.history) >= 1
         assert max(r.max_violation for r in res.history) <= 1e-6
+        assert all(r.newton_iters >= r.solves >= 1 for r in res.history)
+        assert all(r.solves == 1 for r in res.history if not r.bisection_fallback)
         effs = [r.efficiency for r in res.history]
         assert effs[-1] >= effs[0] - 1e-12
         init = initialize_iterate(sc).plan(sc.delta, sc.altitude)

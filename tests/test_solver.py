@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from fsotraj.convex import ConvexProgram, VariableSpace, check_feasible, solve
+from fsotraj.convex import solver as solver_mod
+from fsotraj.mission import OptimizerConfig, Scenario, initialize_iterate
+from fsotraj.subproblem import Subproblem
 from reference_subgradient import projected_subgradient_batch, random_box_programs
 
 
@@ -177,6 +181,41 @@ class TestSolverContract:
         b = solve(prog, tol=1e-8)
         assert np.array_equal(a.x, b.x)
         assert a.objective == b.objective
+
+
+class TestKktAssembly:
+    def test_fixed_pattern_matches_coo_conversion(self, monkeypatch):
+        # Capture the KKT systems of a real trajectory subproblem solve and
+        # rebuild each from its COO triplets, the reference assembly.
+        sc = Scenario(
+            start=np.array([54.0, 200.0, 600.0]),
+            end=np.array([450.0, 200.0, 600.0]),
+            n_slots=12,
+            delta=2.0,
+            altitude=600.0,
+            launch_cost=1e5,
+        )
+        sub = Subproblem(initialize_iterate(sc), sc, OptimizerConfig())
+        c_anchor, p_anchor = sub.surrogate_totals(sub.space.unpack(sub.anchor_x()))
+        sub.set_tradeoff(c_anchor / p_anchor)
+        captured = []
+        assemble = solver_mod._Work.kkt_matrix
+
+        def spy(work, coo_vals):
+            kkt = assemble(work, coo_vals)
+            captured.append((work, coo_vals.copy(), kkt))
+            return kkt
+
+        monkeypatch.setattr(solver_mod._Work, "kkt_matrix", spy)
+        sol = solve(sub.program, tol=1e-8, x0=sub.anchor_x())
+        assert sol.status == "optimal"
+        assert len(captured) >= sol.iterations - 1
+        for work, coo_vals, kkt in captured[:: max(1, len(captured) // 4)]:
+            ref = sp.coo_matrix((coo_vals, (work.kkt_rows, work.kkt_cols)), shape=work.kkt_shape).tocsc()
+            assert kkt.format == "csc"
+            assert np.array_equal(kkt.indptr, ref.indptr)
+            assert np.array_equal(kkt.indices, ref.indices)
+            assert np.max(np.abs(kkt.data - ref.data)) <= 1e-14 * np.max(np.abs(ref.data))
 
 
 class TestCheckFeasible:
