@@ -4,11 +4,15 @@ Assumes every inequality family exposes smooth convex values / gradients /
 Hessians (see program.py). Inequalities get slacks (g(x) + s = 0, s > 0);
 Newton steps on the perturbed KKT conditions with a fraction-to-boundary rule
 and a residual-norm backtracking line search. The reduced KKT system has a
-fixed sparsity pattern per program: its CSC structure and the scatter map of
-the per-family dense blocks into it are built once per solve, so each Newton
-step only sums block values into place before the sparse factorization.
-Constraint gradients are evaluated once per iterate and shared by the dual
-residual, the KKT assembly and the slack step.
+fixed sparsity pattern per program. Once per solve, its variables are put in
+reverse Cuthill-McKee order, which gives the trajectory programs a small
+half-bandwidth independent of the slot count, and every COO entry is mapped
+to its merged entry and that entry to its slot in LAPACK band storage. Each
+Newton step sums the per-family dense block values into the merged entries,
+scatters them into the band, factors it with banded LU (``dgbtrf``) and
+refines the solution once with the same factors. Constraint gradients are
+evaluated once per iterate and shared by the dual residual, the KKT assembly
+and the slack step.
 
 Deterministic: no randomness anywhere, so identical programs produce
 bit-identical solutions on one platform.
@@ -20,7 +24,9 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+import scipy.sparse.linalg as spla  # noqa: F401  (bench/tracer.py wraps spla.splu from outside)
+from scipy.linalg.lapack import dgbtrf, dgbtrs
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from ..errors import SolverError
 from .program import ConvexProgram
@@ -61,7 +67,7 @@ def _residual_norm(parts) -> float:
 
 
 class _Work:
-    """Per-solve cached structure: scalings and the KKT sparsity pattern."""
+    """Per-solve cached structure: scalings and the banded KKT layout."""
 
     def __init__(self, program: ConvexProgram, x0: np.ndarray):
         self.program = program
@@ -125,11 +131,31 @@ class _Work:
         self.kkt_cols = np.concatenate(cols)
         size = n + self.p
         self.kkt_shape = (size, size)
-        # CSC pattern with duplicates merged (column-major keys sort into CSC
-        # order) and the slot of every COO entry in its data array.
-        keys, self.kkt_slot = np.unique(self.kkt_cols * size + self.kkt_rows, return_inverse=True)
-        self.kkt_indices = (keys % size).astype(np.int32)
-        self.kkt_indptr = np.searchsorted(keys // size, np.arange(size + 1)).astype(np.int32)
+        # Reverse Cuthill-McKee order of the pattern. Permuted entry (i, j)
+        # sits at row kl + ku + i - j, column j of a Fortran-ordered
+        # (2 kl + ku + 1) x size band, the layout dgbtrf factors in place.
+        # The bool pattern and the int32 lookup below keep the set-up's
+        # scratch memory small.
+        present = np.ones(self.kkt_rows.size, dtype=bool)
+        pattern = sp.csr_matrix((present, (self.kkt_rows, self.kkt_cols)), shape=self.kkt_shape)
+        self.perm = reverse_cuthill_mckee(pattern, symmetric_mode=True)
+        inv = np.empty(size, dtype=np.intp)
+        inv[self.perm] = np.arange(size)
+        # Merged entries in row-major order, their band slots, and the merged
+        # entry of every COO entry (the band slot is a collision-free key).
+        # The refinement residual multiplies by the merged entries, the
+        # matrix that is factored.
+        self.entry_rows = np.repeat(np.arange(size), np.diff(pattern.indptr))
+        self.entry_cols = pattern.indices
+        ei, ej = inv[self.entry_rows], inv[self.entry_cols]
+        self.kl = int(np.max(ei - ej, initial=0))
+        self.ku = int(np.max(ej - ei, initial=0))
+        self.band_rows = 2 * self.kl + self.ku + 1
+        self.entry_band = self.kl + self.ku + ei - ej + self.band_rows * ej
+        lookup = np.empty(self.band_rows * size, dtype=np.int32)
+        lookup[self.entry_band] = np.arange(self.entry_band.size)
+        ci, cj = inv[self.kkt_rows], inv[self.kkt_cols]
+        self.entry_slot = lookup[self.kl + self.ku + ci - cj + self.band_rows * cj].astype(np.intp)
 
         # Scaled equality Jacobian values are constant.
         self.eq_vals = []
@@ -168,10 +194,37 @@ class _Work:
             off += fam.m
         return _Point(self.ineq_values(x), self.eq_residual(x), grads, obj_grad, r)
 
-    def kkt_matrix(self, coo_vals):
-        """CSC KKT matrix from values in COO entry order, duplicates summed."""
-        data = np.bincount(self.kkt_slot, weights=coo_vals, minlength=self.kkt_indices.size)
-        return sp.csc_matrix((data, self.kkt_indices, self.kkt_indptr), shape=self.kkt_shape)
+    def kkt_entries(self, coo_vals):
+        """Merged KKT entries from values in COO entry order, duplicates summed."""
+        return np.bincount(self.entry_slot, weights=coo_vals, minlength=self.entry_band.size)
+
+    def kkt_band(self, entries):
+        """The RCM-ordered KKT matrix in LAPACK band storage."""
+        band = np.zeros(self.band_rows * self.kkt_shape[0])
+        band[self.entry_band] = entries
+        return band.reshape((self.band_rows, self.kkt_shape[0]), order="F")
+
+    def kkt_step(self, coo_vals, rhs):
+        """Solve the KKT system with values coo_vals for rhs: banded LU plus
+        one step of iterative refinement. None when a pivot is exactly zero."""
+        entries = self.kkt_entries(coo_vals)
+        lu, piv, info = dgbtrf(self.kkt_band(entries), self.kl, self.ku, overwrite_ab=1)
+        if info < 0:
+            raise ValueError(f"dgbtrf rejected argument {-info}")
+        if info > 0:
+            return None
+
+        def band_solve(b):
+            y, info = dgbtrs(lu, self.kl, self.ku, b[self.perm], piv, overwrite_b=1)
+            if info:
+                raise ValueError(f"dgbtrs rejected argument {-info}")
+            x = np.empty_like(y)
+            x[self.perm] = y
+            return x
+
+        step = band_solve(rhs)
+        product = np.bincount(self.entry_rows, weights=entries * step[self.entry_cols], minlength=rhs.size)
+        return step + band_solve(rhs - product)
 
 
 def _objective_hessian_blocks(program: ConvexProgram, x, sc):
@@ -275,13 +328,8 @@ def solve(
         accepted = False
         for _attempt in range(10):
             reg = delta * max(1.0, obj_scale)
-            kkt = work.kkt_matrix(np.concatenate([np.full(n, reg), *blocks, np.full(p, -reg)]))
-            try:
-                step = spla.splu(kkt).solve(rhs)
-            except (RuntimeError, ValueError):
-                delta = max(delta * 100.0, 1e-8)
-                continue
-            if not np.all(np.isfinite(step)) or np.max(np.abs(step)) > 1e9:
+            step = work.kkt_step(np.concatenate([np.full(n, reg), *blocks, np.full(p, -reg)]), rhs)
+            if step is None or not np.all(np.isfinite(step)) or np.max(np.abs(step)) > 1e9:
                 delta = max(delta * 100.0, 1e-8)
                 continue
 

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from fsotraj.convex import ConvexProgram, VariableSpace, check_feasible, solve
 from fsotraj.convex import solver as solver_mod
@@ -183,39 +185,107 @@ class TestSolverContract:
         assert a.objective == b.objective
 
 
+def moving_subproblem(n_slots=12, delta=2.0):
+    sc = Scenario(
+        start=np.array([54.0, 200.0, 600.0]),
+        end=np.array([450.0, 200.0, 600.0]),
+        n_slots=n_slots,
+        delta=delta,
+        altitude=600.0,
+        launch_cost=1e5,
+    )
+    sub = Subproblem(initialize_iterate(sc), sc, OptimizerConfig())
+    c_anchor, p_anchor = sub.surrogate_totals(sub.space.unpack(sub.anchor_x()))
+    sub.set_tradeoff(c_anchor / p_anchor)
+    return sub
+
+
+def band_to_dense(work, band):
+    """The KKT matrix in its original order, read back from band storage."""
+    size = work.kkt_shape[0]
+    i, j = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
+    inside = (i - j <= work.kl) & (j - i <= work.ku)
+    permuted = np.zeros((size, size))
+    permuted[inside] = band[work.kl + work.ku + i[inside] - j[inside], j[inside]]
+    dense = np.empty_like(permuted)
+    dense[np.ix_(work.perm, work.perm)] = permuted
+    return dense
+
+
 class TestKktAssembly:
     def test_fixed_pattern_matches_coo_conversion(self, monkeypatch):
         # Capture the KKT systems of a real trajectory subproblem solve and
-        # rebuild each from its COO triplets, the reference assembly.
-        sc = Scenario(
-            start=np.array([54.0, 200.0, 600.0]),
-            end=np.array([450.0, 200.0, 600.0]),
-            n_slots=12,
-            delta=2.0,
-            altitude=600.0,
-            launch_cost=1e5,
-        )
-        sub = Subproblem(initialize_iterate(sc), sc, OptimizerConfig())
-        c_anchor, p_anchor = sub.surrogate_totals(sub.space.unpack(sub.anchor_x()))
-        sub.set_tradeoff(c_anchor / p_anchor)
+        # check each against its COO triplets, the reference assembly, and
+        # against a SuperLU solve of the same system.
+        sub = moving_subproblem()
         captured = []
-        assemble = solver_mod._Work.kkt_matrix
+        kkt_step = solver_mod._Work.kkt_step
 
-        def spy(work, coo_vals):
-            kkt = assemble(work, coo_vals)
-            captured.append((work, coo_vals.copy(), kkt))
-            return kkt
+        def spy(work, coo_vals, rhs):
+            step = kkt_step(work, coo_vals, rhs)
+            captured.append((work, coo_vals.copy(), rhs.copy(), step))
+            return step
 
-        monkeypatch.setattr(solver_mod._Work, "kkt_matrix", spy)
+        monkeypatch.setattr(solver_mod._Work, "kkt_step", spy)
         sol = solve(sub.program, tol=1e-8, x0=sub.anchor_x())
         assert sol.status == "optimal"
         assert len(captured) >= sol.iterations - 1
-        for work, coo_vals, kkt in captured[:: max(1, len(captured) // 4)]:
-            ref = sp.coo_matrix((coo_vals, (work.kkt_rows, work.kkt_cols)), shape=work.kkt_shape).tocsc()
-            assert kkt.format == "csc"
-            assert np.array_equal(kkt.indptr, ref.indptr)
-            assert np.array_equal(kkt.indices, ref.indices)
-            assert np.max(np.abs(kkt.data - ref.data)) <= 1e-14 * np.max(np.abs(ref.data))
+        for work, coo_vals, rhs, step in captured:
+            ref = sp.coo_matrix((coo_vals, (work.kkt_rows, work.kkt_cols)), shape=work.kkt_shape).toarray()
+            band = work.kkt_band(work.kkt_entries(coo_vals))
+            assert band.flags.f_contiguous
+            assert not band[: work.kl].any()  # rows dgbtrf fills in
+            assert np.max(np.abs(band_to_dense(work, band) - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+            kkt = sp.csc_matrix(ref)
+            ref_step = spla.splu(kkt).solve(rhs)
+            residual = np.linalg.norm(kkt @ step - rhs) / np.linalg.norm(rhs)
+            ref_residual = np.linalg.norm(kkt @ ref_step - rhs) / np.linalg.norm(rhs)
+            assert residual <= 4.0 * ref_residual
+
+    def test_rcm_bandwidth_does_not_grow_with_slots(self):
+        # Each banded step costs O(N b^2) only while b stays fixed; a
+        # constraint family coupling distant slots would widen the band.
+        bandwidths = set()
+        for n_slots, delta in ((12, 2.0), (100, 0.2), (400, 0.2)):
+            sub = moving_subproblem(n_slots, delta)
+            work = solver_mod._Work(sub.program, sub.anchor_x())
+            assert work.kkt_shape[0] > 15 * n_slots
+            bandwidths.add((work.kl, work.ku))
+        assert len(bandwidths) == 1, bandwidths
+
+
+class TestBandFactorStatus:
+    def test_zero_pivot_retries_with_more_regularization(self, monkeypatch):
+        vs, prog = build_equality_qp()
+        calls = []
+
+        def singular_once(ab, kl, ku, **kw):
+            lu, piv, info = lapack.dgbtrf(ab, kl, ku, **kw)
+            calls.append(info)
+            return lu, piv, (1 if len(calls) == 1 else info)
+
+        monkeypatch.setattr(solver_mod, "dgbtrf", singular_once)
+        sol = solve(prog, tol=1e-9)
+        assert sol.status == "optimal"
+        # The last iteration only tests convergence; the first step was
+        # factored twice.
+        assert len(calls) == sol.iterations
+        assert sol.values["x"] == pytest.approx(1.0, abs=1e-8)
+
+    def test_illegal_argument_raises(self, monkeypatch):
+        vs, prog = build_equality_qp()
+        calls = []
+
+        def illegal(ab, kl, ku, **kw):
+            calls.append(kl)
+            lu, piv, _ = lapack.dgbtrf(ab, kl, ku, **kw)
+            return lu, piv, -2
+
+        monkeypatch.setattr(solver_mod, "dgbtrf", illegal)
+        with pytest.raises(ValueError, match="argument 2"):
+            solve(prog, tol=1e-9)
+        assert len(calls) == 1
 
 
 class TestCheckFeasible:
