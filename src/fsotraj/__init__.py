@@ -18,6 +18,7 @@ from .jitter import (
     HoytParams,
     JitterCovariance,
     hoyt_cdf,
+    hoyt_eigenvalues,
     hoyt_params,
     hoyt_pdf,
     reduce_jitter_dof,
@@ -53,6 +54,7 @@ __all__ = [
     "expected_log_gamma",
     "flight_power",
     "hoyt_cdf",
+    "hoyt_eigenvalues",
     "hoyt_params",
     "hoyt_pdf",
     "initialize_iterate",

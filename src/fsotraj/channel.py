@@ -3,9 +3,14 @@ log-normal scintillation, and the link's instantaneous / ergodic capacity.
 
 The electrical SNR argument is Gamma = e P^2 / (2 pi sigma^2) with received
 power P = h_a h_l h_p R P_T; capacity is 0.5 log2(1 + Gamma) per channel use.
+
+The ergodic capacity of one slot is one Gauss-Hermite sum whose rules are
+built once per node count and cached read-only; `log_bound_params` takes the
+anchors of all slots as one array.
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -13,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NearFieldWarning
+from .errors import NearFieldWarning, slot_suffix
 from .jitter import HoytParams, JitterCovariance, sample_error_angles
 
 _REFERENCE_WAVELENGTH = 550e-9  # meters, anchor of the visibility scattering law
@@ -202,16 +207,20 @@ def expected_log_gamma(link: LinkParams, z: float, hoyt: HoytParams) -> float:
     )
 
 
-def log_bound_params(gamma_l: float) -> tuple[float, float]:
+def log_bound_params(gamma_l):
     """Slope and intercept of the log-domain tangent bound at the anchor gamma_l.
 
     log(1 + Gamma) >= grad * log(Gamma) + delta for every Gamma > 0, with
-    equality at Gamma = gamma_l.
+    equality at Gamma = gamma_l. A scalar anchor gives two floats; an (N,)
+    array of per-slot anchors gives two (N,) arrays.
     """
-    if gamma_l <= 0.0:
-        raise ValueError("anchor must be positive")
-    grad = gamma_l / (1.0 + gamma_l)
-    delta = math.log1p(gamma_l) - grad * math.log(gamma_l)
+    g = np.asarray(gamma_l, dtype=float)
+    if np.any(g <= 0.0):
+        raise ValueError(f"anchor must be positive{slot_suffix(g <= 0.0)}")
+    grad = g / (1.0 + g)
+    delta = np.log1p(g) - grad * np.log(g)
+    if g.ndim == 0:
+        return float(grad), float(delta)
     return grad, delta
 
 
@@ -284,7 +293,8 @@ def quadrature_ergodic_capacity(
 
     Integrates 0.5 log2(1 + exp(t)) over t = const + 2 log h_a - theta_p^2 /
     sigma_div^2, with the scintillation and the two pointing-error axes each
-    carrying one Hermite rule.
+    carrying one Hermite rule. The jitter axes enter only through x^2, so
+    each axis uses the rule folded onto its nonnegative nodes.
     """
     const = (
         math.log(
@@ -293,16 +303,44 @@ def quadrature_ergodic_capacity(
         - 2.0 * link.sigma_b * z
         + 2.0 * math.log(link.aperture**2 / (2.0 * z * link.sigma_div))
     )
-    x_s, w_s = np.polynomial.hermite_e.hermegauss(nodes_scint)
-    w_s = w_s / math.sqrt(2.0 * math.pi)
-    x_j, w_j = np.polynomial.hermite_e.hermegauss(nodes_jitter)
-    w_j = w_j / math.sqrt(2.0 * math.pi)
+    x_s, w_s = _hermite_rule(nodes_scint)
+    x_sq, w_j = _folded_hermite_rule(nodes_jitter)
 
     scint = -4.0 * link.sigma_i**2 + 4.0 * link.sigma_i * x_s  # 2 log h_a at the nodes
-    theta_sq = hoyt.lam1 * np.square(x_j)[:, None] + hoyt.lam2 * np.square(x_j)[None, :]
+    theta_sq = hoyt.lam1 * x_sq[:, None] + hoyt.lam2 * x_sq[None, :]
     jitter = -(theta_sq / link.sigma_div**2).ravel()
     w_jit = (w_j[:, None] * w_j[None, :]).ravel()
 
     t = const + scint[:, None] + jitter[None, :]
     cap = 0.5 * np.logaddexp(0.0, t) / math.log(2.0)
     return float(w_s @ cap @ w_jit)
+
+
+@functools.lru_cache(maxsize=None)
+def _hermite_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Hermite nodes and weights for the standard normal density, built once per count.
+
+    The cached arrays are read-only.
+    """
+    x, w = np.polynomial.hermite_e.hermegauss(nodes)
+    w = w / math.sqrt(2.0 * math.pi)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+@functools.lru_cache(maxsize=None)
+def _folded_hermite_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Hermite rule for an even integrand, as (x^2, weight) on the nonnegative nodes.
+
+    The nodes come in +-x pairs of equal weight, so each pair folds into one
+    node carrying twice the weight; a zero node (odd counts) keeps its own.
+    """
+    x, w = _hermite_rule(nodes)
+    half = nodes // 2
+    x_sq = np.square(x[half:])
+    w_fold = w[half:].copy()
+    w_fold[nodes % 2 :] *= 2.0
+    x_sq.flags.writeable = False
+    w_fold.flags.writeable = False
+    return x_sq, w_fold

@@ -1,5 +1,15 @@
 """Exception and warning types shared across the package."""
 
+import numpy as np
+
+
+def slot_suffix(bad) -> str:
+    """" at slot k" naming the first True entry of a per-slot mask; "" for one slot."""
+    bad = np.asarray(bad)
+    if bad.ndim == 0:
+        return ""
+    return f" at slot {int(np.argmax(bad))}"
+
 
 class FsoTrajError(Exception):
     """Base class for all package errors."""

@@ -4,7 +4,10 @@ Roll/pitch/yaw perturbations (alpha, beta, gamma) are zero-mean jointly
 Gaussian with covariance ``Sigma``. Projected onto the plane orthogonal to the
 UAV-to-GS pointing vector they produce a pointing-error angle whose law is
 Hoyt (Nakagami-q); the two nonzero eigenvalues of ``Sigma^1/2 A Sigma^1/2``
-are the squared semi-axes of that law.
+are the squared semi-axes of that law. `hoyt_eigenvalues` computes them for
+every slot of a trajectory at once from the projected 2x2 matrix
+``E^T Sigma E`` (E an orthonormal basis of the error plane); `hoyt_params`
+is its one-direction case.
 
 Pure functions throughout; the sampler takes an explicit seed or Generator,
 so parallel Monte Carlo runs on independently seeded streams merge
@@ -19,7 +22,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateGeometryError, DegenerateHoytWarning, InvalidCovarianceError, UnsupportedReductionError
+from .errors import (
+    DegenerateGeometryError,
+    DegenerateHoytWarning,
+    InvalidCovarianceError,
+    UnsupportedReductionError,
+    slot_suffix,
+)
 from .kinematics import rotation_matrix
 from .numerics import eig3_symmetric, i0e, sqrtm_psd3
 
@@ -122,18 +131,60 @@ def error_projection_matrix(u_hat: np.ndarray) -> np.ndarray:
     return np.eye(3) - np.outer(u, u) / z_sq
 
 
-def hoyt_params(cov: JitterCovariance, u_hat: np.ndarray) -> HoytParams:
-    """Pointing-error law for a given jitter covariance and pointing direction.
+def hoyt_eigenvalues(cov: JitterCovariance, u_hat: np.ndarray) -> np.ndarray:
+    """Hoyt semi-axis variances (lam1, lam2) for every pointing direction, shape (N, 2).
 
-    lam1, lam2 are the two largest eigenvalues of Sigma^1/2 A Sigma^1/2 (the
-    third vanishes because the projector has rank 2); their sum equals
+    ``u_hat`` is an (N, 3) array of pointing vectors, one per slot. With E an
+    orthonormal basis of the plane orthogonal to u, the projector is
+    A = E E^T, so the two nonzero eigenvalues of Sigma^1/2 A Sigma^1/2 are those
+    of the 2x2 matrix E^T Sigma E = [[p, r], [r, q]]:
+    (p + q)/2 +- hypot((p - q)/2, r). Their sum equals Tr(Sigma A).
+    """
+    u = np.asarray(u_hat, dtype=float)
+    if u.ndim != 2 or u.shape[1] != 3:
+        raise ValueError(f"expected an (N, 3) array of pointing vectors, got {u.shape}")
+    norm = np.sqrt(np.einsum("ki,ki->k", u, u))
+    if np.any(norm == 0.0):
+        raise DegenerateGeometryError(f"pointing vector has zero norm{slot_suffix(norm == 0.0)}")
+    e1, e2 = _plane_basis(u / norm[:, None])
+    sigma = cov.matrix
+    sigma_e1 = e1 @ sigma
+    p = np.einsum("ki,ki->k", sigma_e1, e1)
+    r = np.einsum("ki,ki->k", sigma_e1, e2)
+    q = np.einsum("ki,ki->k", e2 @ sigma, e2)
+    mid = 0.5 * (p + q)
+    rad = np.hypot(0.5 * (p - q), r)
+    return np.column_stack([mid + rad, np.maximum(mid - rad, 0.0)])
+
+
+def _plane_basis(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal vectors e1, e2 spanning the plane orthogonal to each unit row of n.
+
+    With (a, b, c) the components of n reordered so that |c| is the smallest,
+    e1 = (b, -a, 0) / h and e2 = n x e1 = (c a / h, c b / h, -h), h = hypot(a, b).
+    Every component is a product or quotient, so no cancellation occurs.
+    """
+    k = np.argmin(np.abs(n), axis=1)
+    order = np.column_stack([(k + 1) % 3, (k + 2) % 3, k])
+    a, b, c = np.take_along_axis(n, order, axis=1).T
+    h = np.hypot(a, b)
+    zero = np.zeros_like(h)
+    e1 = np.empty_like(n)
+    e2 = np.empty_like(n)
+    np.put_along_axis(e1, order, np.column_stack([b / h, -a / h, zero]), axis=1)
+    np.put_along_axis(e2, order, np.column_stack([c * a / h, c * b / h, -h]), axis=1)
+    return e1, e2
+
+
+def hoyt_params(cov: JitterCovariance, u_hat: np.ndarray) -> HoytParams:
+    """Pointing-error law for a given jitter covariance and one pointing direction.
+
+    The one-direction case of `hoyt_eigenvalues`: lam1, lam2 are the two
+    nonzero eigenvalues of Sigma^1/2 A Sigma^1/2, and their sum equals
     Tr(Sigma A).
     """
-    a_mat = error_projection_matrix(u_hat)
-    root = sqrtm_psd3(cov.matrix)
-    evals = eig3_symmetric(root @ a_mat @ root)
-    lam1, lam2 = float(evals[0]), float(max(evals[1], 0.0))
-    return HoytParams(lam1=max(lam1, lam2), lam2=lam2)
+    lam1, lam2 = hoyt_eigenvalues(cov, np.asarray(u_hat, dtype=float)[None, :])[0]
+    return HoytParams(lam1=float(lam1), lam2=float(lam2))
 
 
 def expected_square_error(params: HoytParams) -> float:
@@ -214,7 +265,8 @@ def sample_error_angles(
     """Monte Carlo draws of the pointing-error angle theta_p (radians).
 
     ``exact`` applies the full perturbation rotation to the pointing vector and
-    measures the resulting angle; ``small_angle`` evaluates sqrt(x^T A x).
+    measures the resulting angle; ``small_angle`` evaluates sqrt(x^T A x) as
+    sqrt(|x|^2 - (x.u)^2 / |u|^2).
     Deterministic for a given seed (an int or a numpy Generator).
     """
     if n < 1:
@@ -222,12 +274,16 @@ def sample_error_angles(
     if mode not in ("exact", "small_angle"):
         raise ValueError(f"unknown mode {mode!r}")
     u = np.asarray(u_hat, dtype=float)
-    a_mat = error_projection_matrix(u)
+    z_sq = float(np.dot(u, u))
+    if z_sq == 0.0:
+        raise DegenerateGeometryError("pointing vector has zero norm")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     x = rng.standard_normal((n, 3)) @ _covariance_factor(cov).T
 
     if mode == "small_angle":
-        return np.sqrt(np.maximum(np.einsum("ni,ij,nj->n", x, a_mat, x), 0.0))
+        # x^T A x with A = I - u u^T / |u|^2, without forming A.
+        xu = x @ u
+        return np.sqrt(np.maximum(np.einsum("ni,ni->n", x, x) - xu * xu / z_sq, 0.0))
 
     ca, sa = np.cos(x[:, 0]), np.sin(x[:, 0])
     cb, sb = np.cos(x[:, 1]), np.sin(x[:, 1])

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGeometryError, DegenerateVelocityError, InvalidTrajectoryError
+from .errors import DegenerateGeometryError, DegenerateVelocityError, InvalidTrajectoryError, slot_suffix
 
 Vec3 = np.ndarray  # shape (3,), meters / m/s / m/s^2 by context
 
@@ -160,15 +160,20 @@ def posture_from_motion(v: Vec3, a: Vec3, g: float) -> Posture:
     return Posture(roll=roll_from_motion(v, a, g), pitch=0.0, yaw=yaw_from_velocity(v))
 
 
-def flight_power(v: Vec3, a: Vec3, params: AircraftParams) -> float:
-    """Fixed-wing propulsion power c1 |v|^3 + (c2/|v|) (1 + |a|^2/g^2), watts."""
+def flight_power(v, a, params: AircraftParams):
+    """Fixed-wing propulsion power c1 |v|^3 + (c2/|v|) (1 + |a|^2/g^2), watts.
+
+    ``v`` and ``a`` are one state of shape (3,), giving a float, or one state
+    per slot, shape (N, 3), giving an (N,) array.
+    """
     v = np.asarray(v, dtype=float)
     a = np.asarray(a, dtype=float)
-    speed = np.linalg.norm(v)
-    if speed == 0.0:
-        raise DegenerateVelocityError("flight power model diverges at zero speed")
-    acc_sq = float(np.dot(a, a))
-    return params.c1 * speed**3 + (params.c2 / speed) * (1.0 + acc_sq / params.g**2)
+    speed = np.sqrt(np.einsum("...i,...i->...", v, v))
+    if np.any(speed == 0.0):
+        raise DegenerateVelocityError(f"flight power model diverges at zero speed{slot_suffix(speed == 0.0)}")
+    acc_sq = np.einsum("...i,...i->...", a, a)
+    out = params.c1 * speed**3 + (params.c2 / speed) * (1.0 + acc_sq / params.g**2)
+    return float(out) if out.ndim == 0 else out
 
 
 def kinetic_energy_delta(v_first: Vec3, v_last: Vec3, mass: float) -> float:

@@ -4,7 +4,8 @@ An `Iterate` carries the discrete trajectory together with the auxiliary
 quantities the convex restriction is anchored at: per-slot range S, projected
 jitter penalty U, log-distance V, and per-interval flight power P with its
 speed/drag split Q, R. A freshly initialized iterate sets every auxiliary to
-the value that makes its constraint an equality.
+the value that makes its constraint an equality. The pointing geometry of all
+slots comes from one batched `delta_u_coefficients` call.
 """
 from __future__ import annotations
 
@@ -147,15 +148,14 @@ class Iterate:
 
 
 def pointing_geometry(s, v, a, g):
-    """Pointing vectors and Jacobians for every slot of a trajectory."""
-    n = s.shape[0]
-    u_hat = np.empty((n, 3))
-    u_jac = np.empty((n, 3, 6))
-    for k in range(n):
-        anchor = delta_u_coefficients(s[k], v[k], a[min(k, a.shape[0] - 1)], g)
-        u_hat[k] = anchor.u_hat
-        u_jac[k] = anchor.jac
-    return u_hat, u_jac
+    """Pointing vectors (N, 3) and Jacobians (N, 3, 6) for every slot of a trajectory.
+
+    The trailing slot reuses the last acceleration; all slots go through one
+    batched `delta_u_coefficients` call.
+    """
+    a_slot = a[np.minimum(np.arange(s.shape[0]), a.shape[0] - 1)]
+    anchor = delta_u_coefficients(s, v, a_slot, g)
+    return anchor.u_hat, anchor.jac
 
 
 def tight_iterate(scenario: Scenario, positions: np.ndarray) -> Iterate:

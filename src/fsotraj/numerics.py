@@ -1,7 +1,8 @@
 """Small numerical kernels: 3x3 symmetric eigensolves, scaled Bessel I0, KS distance.
 
-Kept dependency-light on purpose; `numpy.linalg` is used only as a test oracle,
-not on these paths.
+Kept dependency-light on purpose: the only `numpy.linalg` call on these paths
+is the 3x3 determinant in `eig3_symmetric`; the tests use `numpy.linalg` and
+scipy as oracles.
 """
 from __future__ import annotations
 
@@ -59,6 +60,28 @@ def jacobi_eigvals3(mat: np.ndarray, sweeps: int = 32) -> np.ndarray:
     scale = np.max(np.abs(a))
     if scale == 0.0:
         return np.zeros(3)
+    lam, _ = _jacobi3(a, scale, sweeps)
+    return np.sort(lam)[::-1].copy()
+
+
+def sqrtm_psd3(mat: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    """Symmetric PSD square root of a 3x3 PSD matrix via Jacobi diagonalization."""
+    a = np.array(mat, dtype=float)
+    scale = max(np.max(np.abs(a)), 1.0e-300)
+    lam, vecs = _jacobi3(a, scale, 32)
+    if np.any(lam < -tol * scale):
+        raise ValueError(f"matrix is not PSD within tolerance: eigenvalues {lam}")
+    lam = np.clip(lam, 0.0, None)
+    return (vecs * np.sqrt(lam)) @ vecs.T
+
+
+def _jacobi3(a: np.ndarray, scale: float, sweeps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cyclic Jacobi diagonalization of a symmetric 3x3 matrix.
+
+    Returns the diagonal after the sweeps (unsorted eigenvalues) and the
+    accumulated rotation whose columns are the matching eigenvectors.
+    """
+    vecs = np.eye(3)
     for _ in range(sweeps):
         off = a[0, 1] ** 2 + a[0, 2] ** 2 + a[1, 2] ** 2
         if off <= (1e-30 * scale) ** 2:
@@ -80,41 +103,8 @@ def jacobi_eigvals3(mat: np.ndarray, sweeps: int = 32) -> np.ndarray:
             rot[p_idx, q_idx] = s
             rot[q_idx, p_idx] = -s
             a = rot.T @ a @ rot
-    return np.sort(np.diag(a))[::-1].copy()
-
-
-def sqrtm_psd3(mat: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Symmetric PSD square root of a 3x3 PSD matrix via Jacobi diagonalization."""
-    a = np.array(mat, dtype=float)
-    scale = max(np.max(np.abs(a)), 1.0e-300)
-    vecs = np.eye(3)
-    for _ in range(32):
-        off = a[0, 1] ** 2 + a[0, 2] ** 2 + a[1, 2] ** 2
-        if off <= (1e-30 * scale) ** 2:
-            break
-        for p_idx, q_idx in ((0, 1), (0, 2), (1, 2)):
-            apq = a[p_idx, q_idx]
-            if apq == 0.0:
-                continue
-            diff = a[q_idx, q_idx] - a[p_idx, p_idx]
-            if abs(apq) * 1e150 < abs(diff):  # tangent underflows; use the limit
-                t = apq / diff
-            else:
-                theta = diff / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
-            c = 1.0 / math.sqrt(t * t + 1.0)
-            s = t * c
-            rot = np.eye(3)
-            rot[p_idx, p_idx] = rot[q_idx, q_idx] = c
-            rot[p_idx, q_idx] = s
-            rot[q_idx, p_idx] = -s
-            a = rot.T @ a @ rot
             vecs = vecs @ rot
-    lam = np.diag(a).copy()
-    if np.any(lam < -tol * scale):
-        raise ValueError(f"matrix is not PSD within tolerance: eigenvalues {lam}")
-    lam = np.clip(lam, 0.0, None)
-    return (vecs * np.sqrt(lam)) @ vecs.T
+    return np.diag(a).copy(), vecs
 
 
 # --- scaled modified Bessel function of order zero ------------------------------

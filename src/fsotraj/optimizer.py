@@ -14,7 +14,9 @@ from .channel import mc_ergodic_capacity, quadrature_ergodic_capacity
 from .convex import check_feasible, solve
 from .convex.solver import require_optimal
 from .errors import BracketError, InfeasibleScenarioError
-from .jitter import hoyt_params
+# hoyt_params stays bound here because bench/tracer.py installs its
+# jitter.hoyt_params span on this name; the evaluation uses hoyt_eigenvalues.
+from .jitter import HoytParams, hoyt_eigenvalues, hoyt_params  # noqa: F401
 from .kinematics import TrajectoryPlan, differentiate_trajectory, flight_power
 from .mission import (
     Iterate,
@@ -282,18 +284,27 @@ def energy_efficiency(
 
     u_hat, _ = pointing_geometry(s, v, a, scenario.aircraft.g)
     n = plan.n_slots
-    rng = np.random.default_rng(scenario.seed if seed is None else seed)
-    capacity = np.empty(n)
-    for k in range(n):
-        z = float(np.linalg.norm(s[k]))
-        if mode == "closed_form":
-            hoyt = hoyt_params(scenario.jitter, u_hat[k])
-            capacity[k] = quadrature_ergodic_capacity(scenario.link, z, hoyt)
-        else:
-            capacity[k] = mc_ergodic_capacity(
-                scenario.link, z, scenario.jitter, u_hat[k], n=samples_per_slot, seed=rng
-            ).value
-    power = np.array([flight_power(v[k], a[k], scenario.aircraft) for k in range(n - 1)])
+    z = np.linalg.norm(s, axis=1)
+    if mode == "closed_form":
+        lam = hoyt_eigenvalues(scenario.jitter, u_hat)
+        capacity = np.array(
+            [
+                quadrature_ergodic_capacity(scenario.link, z[k], HoytParams(lam1=lam[k, 0], lam2=lam[k, 1]))
+                for k in range(n)
+            ]
+        )
+    else:
+        # One call per slot: the seeded stream is consumed slot by slot.
+        rng = np.random.default_rng(scenario.seed if seed is None else seed)
+        capacity = np.array(
+            [
+                mc_ergodic_capacity(
+                    scenario.link, z[k], scenario.jitter, u_hat[k], n=samples_per_slot, seed=rng
+                ).value
+                for k in range(n)
+            ]
+        )
+    power = flight_power(v[:-1], a, scenario.aircraft)
     power_total = float(np.sum(power)) + n * scenario.link.transmit_power + scenario.launch_cost / plan.delta
     capacity_total = float(np.sum(capacity))
     return EfficiencyReport(

@@ -41,10 +41,7 @@ def log_anchor(iterate: Iterate, scenario: Scenario) -> AnchorData:
         offset, scenario.link.sigma_b, scenario.link.sigma_div, s_norm, iterate.U, iterate.V
     )
     gamma_l = np.exp(log_gamma)
-    grads = np.empty_like(gamma_l)
-    deltas = np.empty_like(gamma_l)
-    for k, g in enumerate(gamma_l):
-        grads[k], deltas[k] = log_bound_params(float(g))
+    grads, deltas = log_bound_params(gamma_l)
     return AnchorData(gamma_l=gamma_l, grad_l=grads, delta_l=deltas)
 
 
@@ -193,11 +190,6 @@ class Subproblem:
                 a_idx[np.minimum(np.arange(n), n - 2), 1],
             ]
         )
-        a_jit = np.zeros((n, 3, 8))
-        b_jit = np.zeros((n, 3))
-        c_jit = np.zeros((n, 8))
-        lin_jit = np.zeros((n, 8))
-        off_jit = np.zeros(n)
         x_anchor6 = np.column_stack(
             [
                 sp,
@@ -205,22 +197,21 @@ class Subproblem:
                 iterate.a[np.minimum(np.arange(n), n - 2), :2],
             ]
         )
-        for k in range(n):
-            jac = iterate.u_jac[k]  # (3, 6)
-            dj = d_root @ jac
-            a_jit[k, :, 2:] = dj
-            b_jit[k] = d_root @ iterate.u_hat[k] - dj @ x_anchor6[k]
-            c_jit[k, 0] = iterate.U[k]
-            c_jit[k, 1] = iterate.S[k]
-            w = math.sqrt(float(iterate.u_hat[k] @ d_mat @ iterate.u_hat[k]))
-            if w > 1e-15:
-                tau = jac.T @ (d_mat @ iterate.u_hat[k]) / w  # (6,)
-            else:
-                tau = np.zeros(6)
-            lin_jit[k, 0] = -iterate.U[k]
-            lin_jit[k, 1] = -iterate.S[k]
-            lin_jit[k, 2:] = tau
-            off_jit[k] = iterate.S[k] * iterate.U[k] + w - tau @ x_anchor6[k]
+        dj = np.einsum("ij,kjl->kil", d_root, iterate.u_jac)  # (n, 3, 6)
+        a_jit = np.zeros((n, 3, 8))
+        a_jit[:, :, 2:] = dj
+        b_jit = iterate.u_hat @ d_root.T - np.einsum("kil,kl->ki", dj, x_anchor6)
+        c_jit = np.zeros((n, 8))
+        c_jit[:, 0] = iterate.U
+        c_jit[:, 1] = iterate.S
+        d_u = iterate.u_hat @ d_mat.T  # D u_hat per slot
+        w = np.sqrt(np.einsum("ki,ki->k", iterate.u_hat, d_u))
+        tau = np.einsum("kil,ki->kl", iterate.u_jac, d_u)  # (n, 6)
+        live = w > 1e-15
+        tau[live] /= w[live, None]
+        tau[~live] = 0.0
+        lin_jit = np.column_stack([-iterate.U, -iterate.S, tau])
+        off_jit = iterate.S * iterate.U + w - np.einsum("kl,kl->k", tau, x_anchor6)
         prog.add_soc(
             "jitter_cone", cols_jit, a_jit, b_jit, c_jit, -iterate.S * iterate.U
         )
