@@ -40,13 +40,12 @@ class InfeasibleScenarioError(FsoTrajError, RuntimeError):
 
 
 class BracketError(FsoTrajError, RuntimeError):
-    """Fractional-programming bisection failed: no sign change on the bracket,
-    or the iteration budget ran out before |F| <= tol_f."""
+    """The trade-off search failed: a solve returned F > tol_f, which the
+    feasible previous point rules out, or the solve budget ran out before
+    |F| <= tol_f. Carries the last trade-off weight ``lam``, its ``f`` and ``tol_f``."""
 
-    def __init__(self, msg, f_lo=None, f_hi=None, lam=None, f=None, tol_f=None):
+    def __init__(self, msg, lam=None, f=None, tol_f=None):
         super().__init__(msg)
-        self.f_lo = f_lo
-        self.f_hi = f_hi
         self.lam = lam
         self.f = f
         self.tol_f = tol_f

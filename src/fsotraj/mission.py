@@ -78,10 +78,7 @@ class OptimizerConfig:
     tol_outer: float = 1e-2  # combined variable-change norm
     tol_dinkelbach_rel: float = 1e-4  # scaled by total power
     max_outer: int = 50
-    max_inner: int = 40
-    lambda_min: float = 0.0
-    lambda_max: float | None = None  # None: 2x the initial efficiency
-    bracket_doublings: int = 4
+    max_inner: int = 40  # cap on the solves of one trade-off search
     solver_tol: float = 1e-8
     solver_max_iter: int = 100
     printed_drag_cone: bool = False  # literal cone transcription instead of the exact one
@@ -95,8 +92,8 @@ class OptimizerConfig:
     def __post_init__(self):
         if not (self.tol_outer > 0 and self.tol_dinkelbach_rel > 0):
             raise ValueError("tolerances must be positive")
-        if self.lambda_max is not None and self.lambda_max <= self.lambda_min:
-            raise ValueError("need lambda_min < lambda_max")
+        if self.max_inner < 1:
+            raise ValueError(f"max_inner must be at least 1, got {self.max_inner}")
 
 
 @dataclass
@@ -118,10 +115,6 @@ class Iterate:
     @property
     def n_slots(self) -> int:
         return self.s.shape[0]
-
-    def motion_accel(self, k: int) -> np.ndarray:
-        """Acceleration paired with slot k (the trailing slot reuses the last one)."""
-        return self.a[min(k, self.a.shape[0] - 1)]
 
     def validate(self, delta: float, g: float, tol: float = 1e-6) -> None:
         """Assert kinematic consistency and auxiliary-variable sanity."""
@@ -147,14 +140,19 @@ class Iterate:
         return TrajectoryPlan(positions=self.s.copy(), delta=delta, altitude=altitude)
 
 
+def accel_slots(n: int) -> np.ndarray:
+    """Index into the N-1 accelerations for each of n slots: the trailing slot
+    reuses the last acceleration."""
+    return np.minimum(np.arange(n), n - 2)
+
+
 def pointing_geometry(s, v, a, g):
     """Pointing vectors (N, 3) and Jacobians (N, 3, 6) for every slot of a trajectory.
 
-    The trailing slot reuses the last acceleration; all slots go through one
+    Slots pair with accelerations by `accel_slots`; all slots go through one
     batched `delta_u_coefficients` call.
     """
-    a_slot = a[np.minimum(np.arange(s.shape[0]), a.shape[0] - 1)]
-    anchor = delta_u_coefficients(s, v, a_slot, g)
+    anchor = delta_u_coefficients(s, v, a[accel_slots(s.shape[0])], g)
     return anchor.u_hat, anchor.jac
 
 

@@ -1,6 +1,6 @@
-"""Outer trajectory optimization: a Dinkelbach step with bisection fallback
-inside, successive convex restriction outside, plus the honest (non-surrogate)
-energy-efficiency evaluation used to judge results.
+"""Outer trajectory optimization: Dinkelbach's iteration inside, successive
+convex restriction outside, plus the honest (non-surrogate) energy-efficiency
+evaluation used to judge results.
 """
 from __future__ import annotations
 
@@ -38,7 +38,6 @@ class DinkelbachResult:
     p_tot: float
     solves: int
     newton_iters: int  # summed over the search's solves
-    bisection_fallback: bool  # the Dinkelbach step missed |F| <= tol or was skipped
 
 
 @dataclass
@@ -52,7 +51,6 @@ class IterationRecord:
     max_violation: float
     solves: int
     newton_iters: int
-    bisection_fallback: bool
 
 
 @dataclass
@@ -76,45 +74,35 @@ class EfficiencyReport:
     mode: str
 
 
-def bisect_tradeoff(evaluate, lam_lo, lam_hi, tol_f, max_iter, f_lo=None, doublings=0):
-    """Root-find F(lam) = 0 by bisection, F nondecreasing in lam.
+def dinkelbach_iterate(evaluate, lam0, tol_f, max_iter):
+    """Dinkelbach's iteration for the root of F(lam) = min(-C + lam P).
 
-    ``evaluate(lam)`` returns (F value, payload); the root is where the
-    fractional objective's numerator and weighted denominator balance.
-    ``f_lo`` is F(lam_lo) when already known, which saves its solve.
-    Returns (lam, F, payload) of the last solve, with |F| <= tol_f.
-    Raises BracketError when F does not change sign on the bracket, or when
-    ``max_iter`` bisection solves end with |F| > tol_f.
+    ``evaluate(lam)`` solves at lam and returns (F, C/P at the solution,
+    payload). Each pass moves lam to that ratio (Dinkelbach 1967), which never
+    decreases lam and converges superlinearly (Schaible 1976). Returns
+    (lam, F, payload) of the first solve with |F| <= tol_f.
+    Raises BracketError when a solve gives F > tol_f (a feasible previous
+    point certifies F <= 0, so the solve is wrong), or when ``max_iter``
+    solves end with |F| > tol_f.
     """
-    if f_lo is None:
-        f_lo, _ = evaluate(lam_lo)
-    f_hi, _ = evaluate(lam_hi)
-    for _ in range(doublings):
-        if f_hi > 0.0:
-            break
-        lam_hi *= 2.0
-        f_hi, _ = evaluate(lam_hi)
-    if not (f_lo < 0.0 < f_hi):
-        raise BracketError(
-            f"no sign change on [{lam_lo:.3g}, {lam_hi:.3g}]: F = ({f_lo:.3g}, {f_hi:.3g})",
-            f_lo=f_lo,
-            f_hi=f_hi,
-        )
-    lam, f_val = 0.5 * (lam_lo + lam_hi), None
-    for _ in range(max_iter):
-        lam = 0.5 * (lam_lo + lam_hi)
-        f_val, payload = evaluate(lam)
+    lam, f_val = lam0, None
+    for k in range(max_iter):
+        if k:
+            lam = ratio
+        f_val, ratio, payload = evaluate(lam)
         if abs(f_val) <= tol_f:
             return lam, f_val, payload
-        if f_val > 0.0:
-            lam_hi = lam
-        else:
-            lam_lo = lam
+        if f_val > tol_f:
+            raise BracketError(
+                f"F = {f_val:.6g} > tol_f = {tol_f:.3g} at lam = {lam:.6g}; "
+                "the feasible previous point certifies F <= 0",
+                lam=lam,
+                f=f_val,
+                tol_f=tol_f,
+            )
     raise BracketError(
-        f"bisection ended after {max_iter} solves at lam = {lam:.6g} with F = {f_val}, "
+        f"Dinkelbach's iteration ended after {max_iter} solves at lam = {lam:.6g} with F = {f_val}, "
         f"not within tol_f = {tol_f:.3g}",
-        f_lo=f_lo,
-        f_hi=f_hi,
         lam=lam,
         f=f_val,
         tol_f=tol_f,
@@ -129,15 +117,13 @@ def dinkelbach_solve(
 ) -> DinkelbachResult:
     """Trade-off weight lam with |F(lam)| <= tol, F(lam) = min(-C + lam P).
 
-    The root is the efficiency of the restricted problem. The search first
-    takes one Dinkelbach step (Dinkelbach 1967): a solve at the anchor's
-    surrogate efficiency C_anchor / P_anchor, warm-started from the anchor.
-    The anchor is feasible for its own restriction, so F(C_anchor / P_anchor)
-    <= 0, and near a fixed point of the restriction loop this one solve
-    already meets the tolerance. Otherwise the search falls back to bisection
-    with C_anchor / P_anchor as the lower bracket end. When C_anchor / P_anchor
-    lies outside the configured bracket [lambda_min, lambda_max], the step is
-    skipped and the configured bracket is bisected.
+    The root is the efficiency of the restricted problem. Dinkelbach's
+    iteration starts at the anchor's surrogate efficiency C_anchor / P_anchor,
+    warm-started from the anchor, and moves lam to C / P at each solution,
+    warm-starting the next solve from it, at most ``max_inner`` solves. The
+    anchor is feasible for its own restriction, so F(C_anchor / P_anchor) <= 0,
+    and near a fixed point of the restriction loop the first solve already
+    meets the tolerance.
 
     Every solve must end ``optimal``; any other status raises SolverError
     naming the status, the trade-off weight and the KKT residuals.
@@ -154,45 +140,29 @@ def dinkelbach_solve(
     tol_f = config.tol_dinkelbach_rel * p_anchor
 
     warm = anchor_x
-    solves = 0
-    newton_iters = 0
+    newton = []
 
     def f_at(lam):
-        nonlocal warm, solves, newton_iters
+        nonlocal warm
         sub.set_tradeoff(lam)
         sol = solve(sub.program, tol=config.solver_tol, max_iter=config.solver_max_iter, x0=warm)
-        solves += 1
-        newton_iters += sol.iterations
+        newton.append(sol.iterations)
         require_optimal(sol, f"at trade-off {lam:.6g}")
         warm = sol.x
-        return sol.objective, sol
+        c_tot, p_tot = sub.surrogate_totals(sol.values)
+        return sol.objective, c_tot / p_tot, (sol, c_tot, p_tot)
 
-    lam_lo = config.lambda_min
-    lam_hi = config.lambda_max if config.lambda_max is not None else 2.0 * c_anchor / p_anchor
-    # A feasible anchor certifies F(0) <= -C_anchor < 0 without a solve.
-    f_lo = -c_anchor if lam_lo == 0.0 else None
-    lam_star = c_anchor / p_anchor
-    fallback = True
-    if lam_lo < lam_star < lam_hi:
-        f_val, sol = f_at(lam_star)
-        fallback = abs(f_val) > tol_f
-        # F(lam_star) <= 0 bounds the root from below.
-        lam_lo, f_lo = lam_star, f_val
-    if fallback:
-        lam_star, f_val, sol = bisect_tradeoff(
-            f_at, lam_lo, lam_hi, tol_f, config.max_inner, f_lo=f_lo, doublings=config.bracket_doublings
-        )
-
-    c_tot, p_tot = sub.surrogate_totals(sol.values)
+    lam_star, f_val, (sol, c_tot, p_tot) = dinkelbach_iterate(
+        f_at, c_anchor / p_anchor, tol_f, config.max_inner
+    )
     return DinkelbachResult(
         iterate=sub.solution_iterate(sol.values),
         lam_star=lam_star,
         f_value=f_val,
         c_tot=c_tot,
         p_tot=p_tot,
-        solves=solves,
-        newton_iters=newton_iters,
-        bisection_fallback=fallback,
+        solves=len(newton),
+        newton_iters=sum(newton),
     )
 
 
@@ -226,7 +196,6 @@ def optimize(
             max_violation=worst,
             solves=result.solves,
             newton_iters=result.newton_iters,
-            bisection_fallback=result.bisection_fallback,
         )
         history.append(record)
         if callback is not None:

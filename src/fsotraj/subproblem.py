@@ -21,7 +21,7 @@ from .convex import ConvexProgram, VariableSpace
 from .errors import DegenerateVelocityError
 from .jitter import pointing_weight_matrix
 from .linearize import anchor_log_gamma
-from .mission import Iterate, OptimizerConfig, Scenario
+from .mission import Iterate, OptimizerConfig, Scenario, accel_slots
 
 
 @dataclass
@@ -178,6 +178,7 @@ class Subproblem:
         # linearized (Taylor) form, both anchored at the iterate.
         d_mat = pointing_weight_matrix(scenario.jitter)
         d_root = np.sqrt(d_mat)
+        a_slot = accel_slots(n)
         cols_jit = np.column_stack(
             [
                 S_idx,
@@ -186,15 +187,15 @@ class Subproblem:
                 s_idx[:, 1],
                 v_idx[:, 0],
                 v_idx[:, 1],
-                a_idx[np.minimum(np.arange(n), n - 2), 0],
-                a_idx[np.minimum(np.arange(n), n - 2), 1],
+                a_idx[a_slot, 0],
+                a_idx[a_slot, 1],
             ]
         )
         x_anchor6 = np.column_stack(
             [
                 sp,
                 iterate.v[:, :2],
-                iterate.a[np.minimum(np.arange(n), n - 2), :2],
+                iterate.a[a_slot, :2],
             ]
         )
         dj = np.einsum("ij,kjl->kil", d_root, iterate.u_jac)  # (n, 3, 6)
@@ -371,12 +372,3 @@ class Subproblem:
         n = self.iterate.n_slots
         s = np.column_stack([values["s"], np.full(n, self.scenario.altitude)])
         return tight_iterate(self.scenario, s)
-
-
-def assemble_subproblem(
-    iterate: Iterate, lam: float, scenario: Scenario, config: OptimizerConfig | None = None
-) -> ConvexProgram:
-    """Convenience wrapper returning the assembled program at one trade-off."""
-    sub = Subproblem(iterate, scenario, config)
-    sub.set_tradeoff(lam)
-    return sub.program

@@ -11,7 +11,7 @@ from fsotraj.errors import BracketError, InfeasibleScenarioError, SolverError, U
 from fsotraj.jitter import JitterCovariance
 from fsotraj.mission import CircularInit, OptimizerConfig, Scenario, initialize_iterate
 from fsotraj.optimizer import (
-    bisect_tradeoff,
+    dinkelbach_iterate,
     dinkelbach_solve,
     energy_efficiency,
     optimize,
@@ -86,7 +86,22 @@ class TestInitialization:
             initialize_iterate(sc)
 
 
-class TestBisection:
+def discrete_tradeoff(capacity, power):
+    """Toy evaluate for dinkelbach_iterate: min(-C + lam P) over a finite set of
+    (C, P) pairs, returning (F, C/P of the minimizer, its index)."""
+    capacity, power = np.asarray(capacity, float), np.asarray(power, float)
+    lams = []
+
+    def evaluate(lam):
+        lams.append(lam)
+        values = -capacity + lam * power
+        k = int(np.argmin(values))
+        return float(values[k]), capacity[k] / power[k], k
+
+    return evaluate, lams
+
+
+class TestTradeoffSearch:
     def test_calculus_oracle_fraction(self):
         # maximize (1 - x^2) / (1 + x) on [0, 1]: the analytic optimum is
         # x* = 0 with ratio 1, so the balance weight must come out 1.
@@ -102,11 +117,44 @@ class TestBisection:
             prog.add_linear_ineq("hi", cols, np.ones((1, 1)), -np.ones(1))
             sol = solve(prog, tol=1e-10)
             assert sol.status == "optimal"
-            return sol.objective, sol
+            x = float(sol.x[0])
+            return sol.objective, (1.0 - x**2) / (1.0 + x), sol
 
-        lam_star, f_val, _ = bisect_tradeoff(evaluate, 0.0, 4.0, tol_f=1e-9, max_iter=60)
+        lam_star, f_val, _ = dinkelbach_iterate(evaluate, 0.0, tol_f=1e-9, max_iter=3)
         assert abs(f_val) <= 1e-9
         assert lam_star == pytest.approx(1.0, abs=1e-8)
+
+    def test_lambda_nondecreasing_to_best_ratio(self):
+        # Ratios 1, 1.5, 1.25: from 0 the iteration visits 1.25, then 1.5.
+        evaluate, lams = discrete_tradeoff([1.0, 3.0, 5.0], [1.0, 2.0, 4.0])
+        lam, f_val, k = dinkelbach_iterate(evaluate, 0.0, tol_f=1e-12, max_iter=10)
+        assert lams == [0.0, 1.25, 1.5]
+        assert np.all(np.diff(lams) >= 0.0)
+        assert (lam, f_val, k) == (1.5, 0.0, 1)
+
+    def test_positive_f_raises_with_last_point(self):
+        # A feasible previous point certifies F <= 0; F > tol_f means a bad solve.
+        def evaluate(lam):
+            return lam + 10.0, 0.5, None
+
+        with pytest.raises(BracketError) as err:
+            dinkelbach_iterate(evaluate, 1.0, tol_f=1e-6, max_iter=10)
+        assert err.value.lam == 1.0
+        assert err.value.f == pytest.approx(11.0)
+        assert err.value.tol_f == 1e-6
+
+    def test_exhausted_budget_raises_with_last_point(self):
+        evaluate, lams = discrete_tradeoff([1.0, 3.0, 5.0], [1.0, 2.0, 4.0])
+        with pytest.raises(BracketError) as err:
+            dinkelbach_iterate(evaluate, 0.0, tol_f=1e-12, max_iter=2)
+        assert lams == [0.0, 1.25]
+        assert err.value.lam == 1.25
+        assert err.value.f == pytest.approx(-0.5)
+        assert err.value.tol_f == 1e-12
+
+    def test_zero_inner_budget_rejected(self):
+        with pytest.raises(ValueError, match="max_inner"):
+            OptimizerConfig(max_inner=0)
 
     def test_f_nondecreasing_in_lambda(self):
         sc = moving_scenario()
@@ -130,46 +178,6 @@ class TestBisection:
         tol_f = cfg.tol_dinkelbach_rel * p_anchor
         assert abs(result.f_value) <= tol_f
         assert abs(result.lam_star - result.c_tot / result.p_tot) * result.p_tot <= 10.0 * tol_f
-
-    def test_bracket_error_reports_values(self):
-        def evaluate(lam):
-            return lam + 10.0, None  # never negative
-
-        with pytest.raises(BracketError) as err:
-            bisect_tradeoff(evaluate, 1.0, 2.0, tol_f=1e-6, max_iter=10)
-        assert err.value.f_lo == pytest.approx(11.0)
-        assert err.value.f_hi == pytest.approx(12.0)
-
-    def test_exhausted_budget_raises_with_last_point(self):
-        def evaluate(lam):
-            return lam - 1.0 / 3.0, None
-
-        with pytest.raises(BracketError) as err:
-            bisect_tradeoff(evaluate, 0.0, 1.0, tol_f=1e-12, max_iter=5)
-        # Five halvings of [0, 1] end at 11/32, the last point solved.
-        assert err.value.lam == pytest.approx(11.0 / 32.0)
-        assert err.value.f == pytest.approx(11.0 / 32.0 - 1.0 / 3.0)
-        assert err.value.tol_f == 1e-12
-
-    def test_zero_budget_raises(self):
-        def evaluate(lam):
-            return lam - 0.5, None
-
-        with pytest.raises(BracketError) as err:
-            bisect_tradeoff(evaluate, 0.0, 1.0, tol_f=1e-6, max_iter=0)
-        assert err.value.f is None
-        assert err.value.tol_f == 1e-6
-
-    def test_known_lower_end_skips_its_solve(self):
-        calls = []
-
-        def evaluate(lam):
-            calls.append(lam)
-            return lam - 0.5, None
-
-        lam, f_val, _ = bisect_tradeoff(evaluate, 0.0, 1.0, tol_f=1e-6, max_iter=10, f_lo=-0.5)
-        assert calls == [1.0, 0.5]
-        assert (lam, f_val) == (0.5, 0.0)
 
 
 def _counting_solve(monkeypatch):
@@ -201,40 +209,23 @@ class TestDinkelbach:
         result = dinkelbach_solve(sub.iterate, sc, cfg, subproblem=sub)
         assert result.solves == len(iterations) == 1
         assert result.newton_iters == sum(iterations)
-        assert not result.bisection_fallback
         assert abs(result.f_value) <= _tol_f(sub, cfg)
 
-    def test_missed_step_falls_back_to_bisection(self, monkeypatch):
+    def test_missed_first_solve_takes_dinkelbach_steps(self, monkeypatch):
         # At tol 1e-6 the first solve at C_anchor / P_anchor misses |F| <= tol_f
-        # (F is about -0.42 against tol_f 0.05), so the bisection must take over.
+        # (F is about -0.42 against tol_f 0.05); Dinkelbach's iteration then
+        # needs one or two more solves.
         sc = moving_scenario()
         cfg = OptimizerConfig(tol_dinkelbach_rel=1e-6)
         sub = Subproblem(initialize_iterate(sc), sc, cfg)
         iterations = _counting_solve(monkeypatch)
         result = dinkelbach_solve(sub.iterate, sc, cfg, subproblem=sub)
-        assert result.bisection_fallback
-        assert result.solves == len(iterations) >= 2
+        assert 2 <= result.solves <= 3
+        assert result.solves == len(iterations)
         assert result.newton_iters == sum(iterations)
         tol_f = _tol_f(sub, cfg)
         assert abs(result.f_value) <= tol_f
         assert abs(result.lam_star - result.c_tot / result.p_tot) * result.p_tot <= 10.0 * tol_f
-
-    def test_anchor_efficiency_outside_bracket_skips_step(self):
-        # lambda_max below C_anchor / P_anchor: the search must stay inside the
-        # configured bracket, so the first solve is at lambda_max, not at C/P.
-        sc = moving_scenario()
-        sub = Subproblem(initialize_iterate(sc), sc, OptimizerConfig())
-        c_anchor, p_anchor = sub.surrogate_totals(sub.space.unpack(sub.anchor_x()))
-        cfg = OptimizerConfig(lambda_max=0.5 * c_anchor / p_anchor)
-        sub = Subproblem(initialize_iterate(sc), sc, cfg)
-        lams = []
-        set_tradeoff = sub.set_tradeoff
-        sub.set_tradeoff = lambda lam: (lams.append(lam), set_tradeoff(lam))
-        result = dinkelbach_solve(sub.iterate, sc, cfg, subproblem=sub)
-        assert lams[0] == cfg.lambda_max
-        assert result.bisection_fallback
-        assert result.solves == len(lams) >= 2
-        assert abs(result.f_value) <= _tol_f(sub, cfg)
 
     def test_nonoptimal_solve_raises(self):
         sc = moving_scenario()
@@ -251,7 +242,7 @@ class TestOptimize:
         assert len(res.history) >= 1
         assert max(r.max_violation for r in res.history) <= 1e-6
         assert all(r.newton_iters >= r.solves >= 1 for r in res.history)
-        assert all(r.solves == 1 for r in res.history if not r.bisection_fallback)
+        assert all(r.solves == 1 for r in res.history)
         effs = [r.efficiency for r in res.history]
         assert effs[-1] >= effs[0] - 1e-12
         init = initialize_iterate(sc).plan(sc.delta, sc.altitude)

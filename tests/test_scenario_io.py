@@ -48,6 +48,13 @@ def test_negative_divergence_rejected_with_path():
     assert "link" in str(err.value)
 
 
+def test_zero_inner_budget_rejected_with_path():
+    with pytest.raises(ScenarioParseError) as err:
+        load_scenario("[optimizer]\nmax_inner = 0\n")
+    assert err.value.field == "optimizer"
+    assert "max_inner" in str(err.value)
+
+
 def test_unknown_key_rejected():
     with pytest.raises(ScenarioParseError, match="unknown key"):
         load_scenario("[link]\nfrobnication = 3 m\n")

@@ -15,7 +15,7 @@ from fsotraj.mission import (
     tight_iterate,
 )
 from fsotraj.optimizer import anchored_feasibility, restriction_tightness
-from fsotraj.subproblem import Subproblem, assemble_subproblem, log_anchor
+from fsotraj.subproblem import Subproblem, log_anchor
 
 H = 600.0
 
@@ -74,7 +74,9 @@ class TestCensus:
 
     def test_constraint_kinds_present(self):
         sc = moving_scenario()
-        prog = assemble_subproblem(initialize_iterate(sc), 1e-4, sc)
+        sub = Subproblem(initialize_iterate(sc), sc)
+        sub.set_tradeoff(1e-4)
+        prog = sub.program
         kinds = {f.kind for f in [*prog.families, *prog.eq_families]}
         assert kinds == {"linear_eq", "linear_ineq", "soc", "log_epigraph", "cubic_epigraph"}
 
