@@ -38,6 +38,7 @@ class DinkelbachResult:
     p_tot: float
     solves: int
     newton_iters: int  # summed over the search's solves
+    multipliers: np.ndarray  # physical inequality multipliers of the accepted solve
 
 
 @dataclass
@@ -58,8 +59,13 @@ class OptimizeResult:
     plan: TrajectoryPlan
     iterate: Iterate
     history: list[IterationRecord]
-    converged: bool
+    stop_reason: str  # step | plateau | max_outer
     wall_time: float = 0.0
+
+    @property
+    def converged(self) -> bool:
+        """A stopping rule fired before ``max_outer`` ran out."""
+        return self.stop_reason != "max_outer"
 
 
 @dataclass
@@ -114,6 +120,7 @@ def dinkelbach_solve(
     scenario: Scenario,
     config: OptimizerConfig | None = None,
     subproblem: Subproblem | None = None,
+    multipliers: np.ndarray | None = None,
 ) -> DinkelbachResult:
     """Trade-off weight lam with |F(lam)| <= tol, F(lam) = min(-C + lam P).
 
@@ -124,6 +131,11 @@ def dinkelbach_solve(
     anchor is feasible for its own restriction, so F(C_anchor / P_anchor) <= 0,
     and near a fixed point of the restriction loop the first solve already
     meets the tolerance.
+
+    ``multipliers`` (physical inequality multipliers, such as the previous
+    search's ``DinkelbachResult.multipliers``) warm-start the duals of the
+    first solve; each later solve starts from the multipliers of the one
+    before. Without them the first solve starts cold.
 
     Every solve must end ``optimal``; any other status raises SolverError
     naming the status, the trade-off weight and the KKT residuals.
@@ -139,16 +151,18 @@ def dinkelbach_solve(
         )
     tol_f = config.tol_dinkelbach_rel * p_anchor
 
-    warm = anchor_x
+    warm, warm_lam = anchor_x, multipliers
     newton = []
 
     def f_at(lam):
-        nonlocal warm
+        nonlocal warm, warm_lam
         sub.set_tradeoff(lam)
-        sol = solve(sub.program, tol=config.solver_tol, max_iter=config.solver_max_iter, x0=warm)
+        sol = solve(
+            sub.program, tol=config.solver_tol, max_iter=config.solver_max_iter, x0=warm, lam0=warm_lam
+        )
         newton.append(sol.iterations)
         require_optimal(sol, f"at trade-off {lam:.6g}")
-        warm = sol.x
+        warm, warm_lam = sol.x, sol.lam
         c_tot, p_tot = sub.surrogate_totals(sol.values)
         return sol.objective, c_tot / p_tot, (sol, c_tot, p_tot)
 
@@ -163,22 +177,30 @@ def dinkelbach_solve(
         p_tot=p_tot,
         solves=len(newton),
         newton_iters=sum(newton),
+        multipliers=sol.lam,
     )
 
 
 def optimize(
     scenario: Scenario, config: OptimizerConfig | None = None, callback=None
 ) -> OptimizeResult:
-    """Run the full restriction loop from the scenario's initial trajectory."""
+    """Run the full restriction loop from the scenario's initial trajectory.
+
+    Every restriction of one scenario has the same constraint rows, so each
+    trade-off search warm-starts its duals from the multipliers that the
+    previous search ended with; the first search starts cold.
+    """
     config = config or OptimizerConfig()
     t0 = time.perf_counter()
     current = initialize_iterate(scenario)
     history: list[IterationRecord] = []
-    converged = False
+    stop_reason = "max_outer"
+    multipliers = None
 
     for p in range(1, config.max_outer + 1):
         sub = Subproblem(current, scenario, config)
-        result = dinkelbach_solve(current, scenario, config, subproblem=sub)
+        result = dinkelbach_solve(current, scenario, config, subproblem=sub, multipliers=multipliers)
+        multipliers = result.multipliers
         nxt = result.iterate
 
         step = float(
@@ -208,13 +230,13 @@ def optimize(
             )
         current = nxt
         if step < config.tol_outer:
-            converged = True
+            stop_reason = "step"
             break
         if len(history) >= config.plateau_window + 1:
             recent = [r.efficiency for r in history[-(config.plateau_window + 1) :]]
             spread = (max(recent) - min(recent)) / max(abs(recent[-1]), 1e-300)
             if spread < config.tol_efficiency_rel:
-                converged = True
+                stop_reason = "plateau"
                 break
 
     plan = current.plan(scenario.delta, scenario.altitude)
@@ -222,7 +244,7 @@ def optimize(
         plan=plan,
         iterate=current,
         history=history,
-        converged=converged,
+        stop_reason=stop_reason,
         wall_time=time.perf_counter() - t0,
     )
 

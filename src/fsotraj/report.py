@@ -60,6 +60,8 @@ TRACE_HEADER = [
     "efficiency",
     "step_norm",
     "max_violation",
+    "solves",
+    "newton_iters",
 ]
 VALIDATION_HEADER = ["check", "reference", "estimate", "abs_error", "rel_error", "passed"]
 
@@ -172,6 +174,8 @@ def write_outputs(report: RunReport, out_dir) -> list[str]:
                 r.efficiency,
                 r.step_norm,
                 r.max_violation,
+                r.solves,
+                r.newton_iters,
             )
             for r in report.history
         ),

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from fsotraj.cli import main
-from fsotraj.report import TRAJECTORY_HEADER, read_csv
+from fsotraj.optimizer import optimize
+from fsotraj.report import TRACE_HEADER, TRAJECTORY_HEADER, read_csv
+from fsotraj.scenario import load_scenario
 
 TINY_MOVING = """
 [mission]
@@ -78,6 +80,13 @@ class TestOptimize:
         assert data.shape[0] == 10  # N rows
         report_text = (out / "report").read_text()
         assert "efficiency:" in report_text
+        # The trace records each outer iteration's solves and Newton steps.
+        header, trace = read_csv(out / "efficiency_trace.csv")
+        assert header == TRACE_HEADER
+        settings = load_scenario(scenario)
+        history = optimize(settings.scenario, settings.optimizer).history
+        assert trace[:, header.index("solves")].tolist() == [r.solves for r in history]
+        assert trace[:, header.index("newton_iters")].tolist() == [r.newton_iters for r in history]
 
     def test_byte_identical_reruns(self, tmp_path):
         scenario = write_scenario(tmp_path, TINY_MOVING)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -234,6 +235,36 @@ class TestDinkelbach:
             dinkelbach_solve(initialize_iterate(sc), sc, cfg)
         assert "trade-off" in str(err.value) and "stationarity" in str(err.value)
 
+    def test_nonoptimal_warm_solve_raises_without_retry(self, monkeypatch):
+        sc = moving_scenario()
+        multipliers = dinkelbach_solve(initialize_iterate(sc), sc).multipliers
+        iterations = _counting_solve(monkeypatch)
+        with pytest.raises(SolverError, match="max_iter"):
+            dinkelbach_solve(
+                initialize_iterate(sc), sc, OptimizerConfig(solver_max_iter=2), multipliers=multipliers
+            )
+        assert len(iterations) == 1
+
+
+class TestWarmStartChain:
+    def test_each_solve_starts_from_the_previous_multipliers(self, monkeypatch):
+        # At tol 1e-6 the searches take several solves, so the chain runs both
+        # inside a search and from one search to the next.
+        calls = []
+        inner = optimizer_mod.solve
+
+        def spy(*args, lam0=None, **kwargs):
+            sol = inner(*args, lam0=lam0, **kwargs)
+            calls.append((lam0, sol))
+            return sol
+
+        monkeypatch.setattr(optimizer_mod, "solve", spy)
+        res = optimize(moving_scenario(), OptimizerConfig(max_outer=3, tol_dinkelbach_rel=1e-6))
+        assert sum(r.solves for r in res.history) == len(calls) > len(res.history)
+        assert calls[0][0] is None
+        for (_, previous), (lam0, _) in zip(calls, calls[1:]):
+            assert lam0 is previous.lam
+
 
 class TestOptimize:
     def test_moving_mission_improves_and_stays_feasible(self):
@@ -257,6 +288,15 @@ class TestOptimize:
         assert np.allclose(res.plan.positions[-1], sc.end, atol=1e-6)
         assert max(r.max_violation for r in res.history) <= 1e-6
         res.iterate.validate(sc.delta, sc.aircraft.g)
+
+    def test_stop_reason(self):
+        settings = load_scenario(str(SCENARIOS / "moving.ini"))
+        sc, cfg = settings.scenario, settings.optimizer
+        res = optimize(sc, cfg)
+        assert res.stop_reason == "plateau" and res.converged
+        res = optimize(sc, replace(cfg, max_outer=2))
+        assert res.stop_reason == "max_outer" and not res.converged
+        assert len(res.history) == 2
 
     def test_jitter_direction_changes_trajectory(self):
         pitch = hover_scenario(jitter=JitterCovariance.from_mrad((0.1, 1.0, 0.1)))

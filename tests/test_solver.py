@@ -255,6 +255,32 @@ class TestKktAssembly:
         assert len(bandwidths) == 1, bandwidths
 
 
+class TestWarmStart:
+    def test_resolve_from_own_multipliers_takes_fewer_steps(self):
+        sub = moving_subproblem()
+        first = solve(sub.program, tol=1e-8, x0=sub.anchor_x())
+        assert first.status == "optimal"
+        cold = solve(sub.program, tol=1e-8, x0=first.x)
+        warm = solve(sub.program, tol=1e-8, x0=first.x, lam0=first.lam)
+        assert cold.status == warm.status == "optimal"
+        assert warm.iterations < cold.iterations
+        for key in ("stationarity", "primal_feas", "dual_feas", "complementarity"):
+            assert warm.kkt[key] <= 1e-7
+        assert abs(warm.objective - cold.objective) <= 1e-5 * (1.0 + abs(cold.objective))
+
+    def test_multipliers_are_physical(self):
+        # The row scaling is internal: the returned multipliers must be
+        # complementary to the unscaled constraint values.
+        sub = moving_subproblem()
+        tol = 1e-8
+        sol = solve(sub.program, tol=tol, x0=sub.anchor_x())
+        assert sol.status == "optimal"
+        g = np.concatenate([fam.values(sol.x) for fam in sub.program.families])
+        assert sol.lam.shape == g.shape
+        assert np.all(sol.lam >= 0.0)
+        assert np.max(np.abs(sol.lam * g)) <= tol
+
+
 class TestBandFactorStatus:
     def test_zero_pivot_retries_with_more_regularization(self, monkeypatch):
         vs, prog = build_equality_qp()
