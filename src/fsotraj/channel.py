@@ -7,19 +7,27 @@ power P = h_a h_l h_p R P_T; capacity is 0.5 log2(1 + Gamma) per channel use.
 The ergodic capacity of one slot is one Gauss-Hermite sum whose rules are
 built once per node count and cached read-only; `log_bound_params` takes the
 anchors of all slots as one array.
+
+The Monte Carlo oracle `mc_ergodic_capacity` estimates one slot.
+`mc_capacities` estimates every slot of a plan, bit-identically to calling it
+slot by slot on one stream: one worker thread draws the seeded normals ahead
+while the calling thread reduces each slot in place, and both share one copy
+of the per-sample arithmetic.
 """
 from __future__ import annotations
 
 import functools
 import math
 import warnings
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NearFieldWarning, slot_suffix
-from .jitter import HoytParams, JitterCovariance, sample_error_angles
+from .errors import DegenerateGeometryError, NearFieldWarning, slot_suffix
+from .jitter import HoytParams, JitterCovariance, _covariance_factor, _small_angle_error, sample_error_angles
 
 _REFERENCE_WAVELENGTH = 550e-9  # meters, anchor of the visibility scattering law
 _GAMMA_FLOOR = 1e-300  # keeps log(Gamma) finite on pathological inputs
@@ -262,9 +270,65 @@ def mc_ergodic_capacity(
 
     The oracle against which every closed form in this module is checked.
     """
-    gammas = _sample_gamma(link, z, cov, u_hat, n, seed, mode)
-    caps = 0.5 * np.log2(1.0 + gammas)
+    caps = _capacity_samples(_sample_gamma(link, z, cov, u_hat, n, seed, mode))
     return MCEstimate(float(np.mean(caps)), float(np.std(caps) / math.sqrt(n)), n)
+
+
+def mc_capacities(
+    link: LinkParams,
+    z: np.ndarray,
+    cov: JitterCovariance,
+    u_hat: np.ndarray,
+    n: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Monte Carlo ergodic capacity of every slot of a plan, bits/channel use, shape (N,).
+
+    ``z`` holds the N propagation distances and ``u_hat`` the (N, 3) pointing
+    vectors. Slot k's value is bit-identical to
+    ``mc_ergodic_capacity(link, z[k], cov, u_hat[k], n, rng).value`` called
+    for k = 0, 1, ... in turn, and ``rng`` ends in the same state.
+
+    Every slot is checked before anything is drawn. One worker thread fills
+    each slot's (n, 3) jitter normals, then its n scintillation normals, into a
+    ring of three buffer pairs, at most two slots ahead, while the calling
+    thread reduces the slot in place. On a raise the pending draws are
+    cancelled and the worker is joined before the error propagates.
+    """
+    if n < 1:
+        raise ValueError("need at least one sample")
+    z = np.asarray(z, dtype=float)
+    u = np.asarray(u_hat, dtype=float)
+    z_sq = np.array([np.dot(uk, uk) for uk in u])  # per row, as the per-slot sampler computes it
+    if np.any(z_sq == 0.0):
+        raise DegenerateGeometryError(f"pointing vector has zero norm{slot_suffix(z_sq == 0.0)}")
+    if np.any(z <= 0.0):
+        raise DegenerateGeometryError(f"propagation distance must be positive{slot_suffix(z <= 0.0)}")
+
+    slots = len(z)
+    factor_t = _covariance_factor(cov).T
+    x, xu, work = np.empty((n, 3)), np.empty(n), np.empty(n)
+    ring = [(np.empty((n, 3)), np.empty(n)) for _ in range(min(3, slots))]
+    capacity = np.empty(slots)
+
+    def draw(d, e):
+        rng.standard_normal(out=d)
+        rng.standard_normal(out=e)
+        return d, e
+
+    pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="fsotraj-mc-draw")
+    try:
+        pending = deque(pool.submit(draw, d, e) for d, e in ring)
+        for k in range(slots):
+            d, e = pending.popleft().result()
+            np.matmul(d, factor_t, out=x)
+            theta_p = _small_angle_error(x, u[k], z_sq[k], xu, work)
+            capacity[k] = np.mean(_capacity_samples(_gamma_from_draws(link, z[k], theta_p, e)))
+            if k + len(ring) < slots:
+                pending.append(pool.submit(draw, d, e))
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+    return capacity
 
 
 def _sample_gamma(link, z, cov, u_hat, n, seed, mode) -> np.ndarray:
@@ -272,14 +336,38 @@ def _sample_gamma(link, z, cov, u_hat, n, seed, mode) -> np.ndarray:
         raise ValueError("need at least one sample")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     theta_p = sample_error_angles(cov, u_hat, n, seed=rng, mode=mode)
-    # log h_a ~ N(-2 sigma_i^2, 4 sigma_i^2), which makes E[h_a] = 1.
-    h_a = np.exp(-2.0 * link.sigma_i**2 + 2.0 * link.sigma_i * rng.standard_normal(n))
-    h_l = atmospheric_loss(link.sigma_b, z)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", NearFieldWarning)
-        h_p = pointing_loss(theta_p, z, link)
-    p_rx = h_a * h_l * h_p * link.responsivity * link.transmit_power
-    return math.e * p_rx * p_rx / (2.0 * math.pi * link.noise_std**2)
+    return _gamma_from_draws(link, z, theta_p, rng.standard_normal(n))
+
+
+def _gamma_from_draws(link: LinkParams, z: float, theta_p: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Gamma of each sample from its pointing-error angle and scintillation normal, in place.
+
+    log h_a = -2 sigma_i^2 + 2 sigma_i e ~ N(-2 sigma_i^2, 4 sigma_i^2), which
+    makes E[h_a] = 1; h_p is `pointing_loss` without its near-field warning.
+    The result overwrites ``theta_p``; ``e`` is used as work space.
+    """
+    h_a = np.multiply(2.0 * link.sigma_i, e, out=e)
+    np.add(-2.0 * link.sigma_i**2, h_a, out=h_a)
+    np.exp(h_a, out=h_a)
+    h_p = np.multiply(theta_p, theta_p, out=theta_p)
+    np.negative(h_p, out=h_p)
+    np.divide(h_p, 2.0 * link.sigma_div**2, out=h_p)
+    np.exp(h_p, out=h_p)
+    np.multiply(max_pointing_gain(z, link), h_p, out=h_p)
+    p_rx = np.multiply(h_a, atmospheric_loss(link.sigma_b, z), out=h_a)
+    np.multiply(p_rx, h_p, out=p_rx)
+    np.multiply(p_rx, link.responsivity, out=p_rx)
+    np.multiply(p_rx, link.transmit_power, out=p_rx)
+    gamma = np.multiply(math.e, p_rx, out=h_p)
+    np.multiply(gamma, p_rx, out=gamma)
+    return np.divide(gamma, 2.0 * math.pi * link.noise_std**2, out=gamma)
+
+
+def _capacity_samples(gamma: np.ndarray) -> np.ndarray:
+    """0.5 log2(1 + Gamma) of each sample, in place."""
+    np.add(1.0, gamma, out=gamma)
+    np.log2(gamma, out=gamma)
+    return np.multiply(0.5, gamma, out=gamma)
 
 
 def quadrature_ergodic_capacity(

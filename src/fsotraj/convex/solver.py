@@ -57,8 +57,9 @@ _WARM_LAM_FLOOR = 1e-4
 class Solution:
     """Solver result: primal values, objective, status, and KKT residuals.
 
-    ``lam`` holds the inequality multipliers in physical units, in the
-    program's family order; ``solve(..., lam0=lam)`` warm-starts from them.
+    ``lam`` holds the inequality multipliers and ``nu`` the equality
+    multipliers, both in physical units and in the program's family order;
+    ``solve(..., lam0=lam)`` warm-starts from ``lam``.
     """
 
     values: dict
@@ -106,13 +107,14 @@ class _Work:
             grads = fam.grad_loc(x0) * self.sc[fam.cols]
             mag = np.maximum(np.abs(vals), np.max(np.abs(grads), axis=1))
             self.rho.append(1.0 / np.maximum(1.0, mag))
-        # Internal multiplier times row_scale is the physical multiplier.
+        # An internal multiplier times its row scale is the physical multiplier.
         self.row_scale = np.concatenate(self.rho) if self.rho else np.zeros(0)
         self.rho_eq = []
         for fam in self.eqs:
             grads = fam.grad_loc(x0) * self.sc[fam.cols]
             mag = np.max(np.abs(grads), axis=1)
             self.rho_eq.append(1.0 / np.maximum(1.0, mag))
+        self.eq_row_scale = np.concatenate(self.rho_eq) if self.rho_eq else np.zeros(0)
 
         # COO structure of the KKT matrix [[M, E'], [E, -delta I]].
         rows, cols = [np.arange(n)], [np.arange(n)]  # primal regularization diag
@@ -447,7 +449,7 @@ def solve(
         dual_bound=dual_bound,
         iterations=it,
         lam=lam * work.row_scale,
-        nu=nu,
+        nu=nu * work.eq_row_scale,
     )
 
 

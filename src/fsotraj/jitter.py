@@ -255,6 +255,22 @@ def _covariance_factor(cov: JitterCovariance) -> np.ndarray:
         return root
 
 
+def _small_angle_error(x: np.ndarray, u: np.ndarray, z_sq: float, xu: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Small-angle pointing-error angles of the attitude draws ``x`` (n, 3), in place.
+
+    theta_p = sqrt(x^T A x) with A = I - u u^T / |u|^2, evaluated as
+    sqrt(max(|x|^2 - (x.u)^2 / z_sq, 0)) without forming A; ``z_sq`` is
+    ``np.dot(u, u)``. ``xu`` and ``out`` are (n,) work arrays; returns ``out``.
+    """
+    np.matmul(x, u, out=xu)
+    np.multiply(xu, xu, out=xu)
+    np.divide(xu, z_sq, out=xu)
+    np.einsum("ni,ni->n", x, x, out=out)
+    np.subtract(out, xu, out=out)
+    np.maximum(out, 0.0, out=out)
+    return np.sqrt(out, out=out)
+
+
 def sample_error_angles(
     cov: JitterCovariance,
     u_hat: np.ndarray,
@@ -281,9 +297,7 @@ def sample_error_angles(
     x = rng.standard_normal((n, 3)) @ _covariance_factor(cov).T
 
     if mode == "small_angle":
-        # x^T A x with A = I - u u^T / |u|^2, without forming A.
-        xu = x @ u
-        return np.sqrt(np.maximum(np.einsum("ni,ni->n", x, x) - xu * xu / z_sq, 0.0))
+        return _small_angle_error(x, u, z_sq, np.empty(n), np.empty(n))
 
     ca, sa = np.cos(x[:, 0]), np.sin(x[:, 0])
     cb, sb = np.cos(x[:, 1]), np.sin(x[:, 1])

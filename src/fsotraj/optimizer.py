@@ -10,7 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import mc_ergodic_capacity, quadrature_ergodic_capacity
+# mc_ergodic_capacity stays bound here because bench/tracer.py installs its
+# channel.mc_capacity span on this name; the evaluation uses mc_capacities.
+from .channel import mc_capacities, mc_ergodic_capacity, quadrature_ergodic_capacity  # noqa: F401
 from .convex import check_feasible, solve
 from .convex.solver import require_optimal
 from .errors import BracketError, InfeasibleScenarioError
@@ -260,7 +262,10 @@ def energy_efficiency(
     """Mission efficiency under the true channel model (no surrogate).
 
     closed_form evaluates the ergodic capacity by deterministic quadrature;
-    monte_carlo replaces it with per-slot sampling estimates.
+    monte_carlo replaces it with `mc_capacities`: samples_per_slot draws per
+    slot from one stream seeded by ``seed`` (an int or a Generator; default
+    ``scenario.seed``), bit-identical to `mc_ergodic_capacity` called slot by
+    slot on that stream.
     """
     if mode not in ("closed_form", "monte_carlo"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -285,16 +290,8 @@ def energy_efficiency(
             ]
         )
     else:
-        # One call per slot: the seeded stream is consumed slot by slot.
         rng = np.random.default_rng(scenario.seed if seed is None else seed)
-        capacity = np.array(
-            [
-                mc_ergodic_capacity(
-                    scenario.link, z[k], scenario.jitter, u_hat[k], n=samples_per_slot, seed=rng
-                ).value
-                for k in range(n)
-            ]
-        )
+        capacity = mc_capacities(scenario.link, z, scenario.jitter, u_hat, samples_per_slot, rng)
     power = flight_power(v[:-1], a, scenario.aircraft)
     power_total = float(np.sum(power)) + n * scenario.link.transmit_power + scenario.launch_cost / plan.delta
     capacity_total = float(np.sum(capacity))

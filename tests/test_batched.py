@@ -2,6 +2,8 @@
 that name the offending slot, and guards on how often the batched code does
 its set-up work."""
 import math
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -45,9 +47,28 @@ def wobbly_trajectory(rng, n=400, delta=0.5):
     return s, v, a
 
 
+def bundled_scenario(name="hover"):
+    """A bundled mission; hover is the N=400 hovering one."""
+    return load_scenario(str(Path(__file__).resolve().parents[1] / "scenarios" / f"{name}.ini")).scenario
+
+
 def hover_scenario():
-    """The bundled N=400 hovering mission."""
-    return load_scenario(str(Path(__file__).resolve().parents[1] / "scenarios" / "hover.ini")).scenario
+    return bundled_scenario("hover")
+
+
+def initial_geometry(sc):
+    """The initial plan with its per-slot distances and pointing vectors, as energy_efficiency forms them."""
+    plan = initialize_iterate(sc).plan(sc.delta, sc.altitude)
+    v, a = differentiate_trajectory(plan)
+    u_hat, _ = pointing_geometry(plan.positions, v, a, sc.aircraft.g)
+    return plan, np.linalg.norm(plan.positions, axis=1), u_hat
+
+
+def mc_slot_loop(sc, z, u_hat, samples, rng):
+    """The per-slot oracle: one mc_ergodic_capacity call per slot on one stream."""
+    return np.array(
+        [channel.mc_ergodic_capacity(sc.link, z[k], sc.jitter, u_hat[k], n=samples, seed=rng).value for k in range(len(z))]
+    )
 
 
 def random_directions(rng, n):
@@ -156,6 +177,97 @@ class TestAgainstPerSlotReference:
         assert max_rel(cone.b_loc, b_norm) <= 1e-13
         assert max_rel(lin.coef[:, 2:], tau) <= 1e-13
         assert max_rel(lin.offset, offset) <= 1e-13
+
+
+class TestMonteCarloPerPlan:
+    SAMPLES = 1500
+
+    @pytest.mark.parametrize("name", ["moving", "hover_pitch_jitter"])
+    def test_int_seed_matches_slot_loop(self, name):
+        sc = bundled_scenario(name)
+        plan, z, u_hat = initial_geometry(sc)
+        report = energy_efficiency(plan, sc, mode="monte_carlo", samples_per_slot=self.SAMPLES, seed=11)
+        want = mc_slot_loop(sc, z, u_hat, self.SAMPLES, np.random.default_rng(11))
+        assert np.array_equal(report.capacity_per_slot, want)
+
+    def test_generator_matches_slot_loop_and_ends_in_the_same_state(self):
+        sc = bundled_scenario("moving")
+        plan, z, u_hat = initial_geometry(sc)
+        got_rng, want_rng = np.random.default_rng(5), np.random.default_rng(5)
+        report = energy_efficiency(plan, sc, mode="monte_carlo", samples_per_slot=self.SAMPLES, seed=got_rng)
+        want = mc_slot_loop(sc, z, u_hat, self.SAMPLES, want_rng)
+        assert np.array_equal(report.capacity_per_slot, want)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    @pytest.mark.parametrize("samples", [64, 1500])
+    def test_fast_thread_switching_keeps_slots_apart(self, samples):
+        # A short switch interval interleaves the draws with the reduction; a
+        # buffer redrawn before its slot is reduced would change a value.
+        sc = bundled_scenario("hover_pitch_jitter")
+        _, z, u_hat = initial_geometry(sc)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = channel.mc_capacities(sc.link, z, sc.jitter, u_hat, samples, np.random.default_rng(2))
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(got, mc_slot_loop(sc, z, u_hat, samples, np.random.default_rng(2)))
+
+    @pytest.mark.parametrize("slot", [0, 7])
+    def test_zero_pointing_vector_raises_before_any_draw(self, slot):
+        sc = bundled_scenario("moving")
+        _, z, u_hat = initial_geometry(sc)
+        u_hat[slot] = 0.0
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        threads = threading.active_count()
+        with pytest.raises(DegenerateGeometryError, match=f"at slot {slot}$"):
+            channel.mc_capacities(sc.link, z, sc.jitter, u_hat, self.SAMPLES, rng)
+        assert rng.bit_generator.state == state
+        assert threading.active_count() == threads
+
+    def test_no_thread_outlives_a_return(self):
+        sc = bundled_scenario("moving")
+        plan, _, _ = initial_geometry(sc)
+        threads = threading.active_count()
+        energy_efficiency(plan, sc, mode="monte_carlo", samples_per_slot=self.SAMPLES, seed=1)
+        assert threading.active_count() == threads
+
+    def test_no_thread_outlives_a_raise_in_the_reduction(self, monkeypatch):
+        sc = bundled_scenario("moving")
+        plan, _, _ = initial_geometry(sc)
+        real, seen = channel._gamma_from_draws, []
+
+        def fail_at_slot_2(*args):
+            seen.append(1)
+            if len(seen) == 3:
+                raise RuntimeError("reduction failed")
+            return real(*args)
+
+        monkeypatch.setattr(channel, "_gamma_from_draws", fail_at_slot_2)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="reduction failed"):
+            energy_efficiency(plan, sc, mode="monte_carlo", samples_per_slot=self.SAMPLES, seed=1)
+        assert threading.active_count() == threads
+
+    def test_no_thread_outlives_a_raise_in_the_draws(self):
+        sc = bundled_scenario("moving")
+        _, z, u_hat = initial_geometry(sc)
+
+        class FailingStream:
+            def __init__(self):
+                self.rng, self.calls = np.random.default_rng(0), 0
+
+            def standard_normal(self, out):
+                self.calls += 1
+                if self.calls == 5:
+                    raise RuntimeError("stream failed")
+                return self.rng.standard_normal(out=out)
+
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="stream failed"):
+            channel.mc_capacities(sc.link, z, sc.jitter, u_hat, self.SAMPLES, FailingStream())
+        assert threading.active_count() == threads
 
 
 class TestErrorsNameTheSlot:

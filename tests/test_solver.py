@@ -29,11 +29,11 @@ def build_projection_problem():
     return vs, prog
 
 
-def build_equality_qp():
+def build_equality_qp(scale=1.0):
     # minimize x^2 + y^2  s.t.  x + y = 2
     vs = VariableSpace()
-    vs.add("x", ())
-    vs.add("y", ())
+    vs.add("x", (), scale=scale)
+    vs.add("y", (), scale=scale)
     prog = ConvexProgram(vs)
     prog.objective.quad_diag[:] = 2.0
     prog.add_linear_eq("sum", np.array([[0, 1]]), np.array([[1.0, 1.0]]), np.array([2.0]))
@@ -63,6 +63,16 @@ class TestToyProblems:
         assert sol.values["x"] == pytest.approx(1.0, abs=1e-8)
         assert sol.values["y"] == pytest.approx(1.0, abs=1e-8)
         assert sol.objective == pytest.approx(2.0, abs=1e-8)
+
+    @pytest.mark.parametrize("scale", [1.0, 10.0])
+    def test_equality_multiplier_is_physical(self, scale):
+        # Stationarity 2x + nu = 0 at x = y = 1 gives nu = -2 whatever the
+        # variable scale; scale 10 makes the internal row scaling 0.1.
+        vs, prog = build_equality_qp(scale)
+        sol = solve(prog, tol=1e-9)
+        assert sol.status == "optimal"
+        assert sol.values["x"] == pytest.approx(1.0, abs=1e-8)
+        assert sol.nu == pytest.approx([-2.0], abs=1e-7)
 
     def test_infeasible_program(self):
         vs = VariableSpace()
