@@ -65,7 +65,8 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
             env = json.loads(line[4:])
         match = _ROW.match(line)
         if match:
-            rows[match.group(1)] = None if match.group(2) == "n/a" else float(match.group(2))
+            token = match.group(2)
+            rows[match.group(1)] = None if token == "n/a" else int(token) if token.isdigit() else float(token)
     return {"result": json.loads(lines[-1]), "rows": rows, "env": env}
 
 
