@@ -1,25 +1,27 @@
 #!/usr/bin/env python3
-"""Measure a parent revision against a change with alternating benchmark pairs.
+"""Measure a parent revision against HEAD with alternating benchmark pairs.
 
-    python3 scripts/bench_pairs.py PARENT [--change REV] [--pairs 10]
-        [--first-seed 301] [--workloads moving,hover_pitch_jitter,evaluate]
-        [--seconds 12] [--held-out-first-seed 501 --held-out-workloads evaluate]
-        [--workdir DIR] [--out BENCH_N.json]
+    python3 scripts/bench_pairs.py PARENT --out BENCH_N.json [--pairs 10]
+        [--first-seed 301] [--held-out-first-seed 501] [--workdir DIR]
 
-Both revisions are exported with ``git archive`` into fresh directories under
+PARENT and HEAD are exported with ``git archive`` into fresh directories under
 ``--workdir`` (the system temporary directory by default), so each side runs
 the committed files of its revision, and the directories are removed at the
-end. For each workload, pair i runs ``python3 bench/run.py --workload W --seed
-S --seconds T --trace 0`` on both sides with seed S = first_seed + i; even
-pairs run the parent first, odd pairs the change first. The held-out set
-repeats this on its own seeds for the workloads named.
+end. The workloads, the run length T and the end-to-end metrics with their
+bounds are read from HEAD's ``BENCHMARK.json``. For each workload, pair i runs
+``python3 bench/run.py --workload W --seed S --seconds T --trace 0`` on both
+sides with seed S = first_seed + i; even pairs run the parent first, odd pairs
+HEAD first. With ``--held-out-first-seed``, every workload on which HEAD shows
+a gain (better in at least nine of ten pairs on some metric, with the median
+gap above the parent's interquartile range) is measured again on as many pairs
+from those seeds.
 
 The output holds, per side and workload, every run's end-to-end metrics with
 their median and quartiles (inclusive method), the largest ``fail_frac`` and
 the work counts; and per metric the comparison: medians, relative change, the
 pairs the change won, the parent's interquartile range, whether the median
-gap exceeds it, and whether the change stays within the metric's bound in
-``BENCHMARK.json``. Progress goes to stderr.
+gap exceeds it, and whether the change stays within the metric's bound.
+Progress goes to stderr.
 """
 from __future__ import annotations
 
@@ -136,16 +138,24 @@ def measure(trees: dict, workloads: list[str], seeds: list[int], seconds: float,
     return out, env
 
 
+def shows_gain(comparison: dict) -> bool:
+    """Whether the change is better on some metric in at least nine of ten pairs, by a median
+    gap above the parent's interquartile range."""
+    for result in comparison.values():
+        if "error" in result:
+            continue
+        wins, pairs = map(int, result["change_better_pairs"].split("/"))
+        if 10 * wins >= 9 * pairs and result["median_gap_exceeds_parent_iqr"]:
+            return True
+    return False
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", help="parent revision")
-    parser.add_argument("--change", default="HEAD", help="changed revision (default HEAD)")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, default=301)
-    parser.add_argument("--workloads", default="moving,hover_pitch_jitter,evaluate")
-    parser.add_argument("--seconds", type=float, default=12.0)
     parser.add_argument("--held-out-first-seed", type=int, default=None)
-    parser.add_argument("--held-out-workloads", default="evaluate")
     parser.add_argument("--workdir", default=None, help="where the two exported trees live while measuring")
     parser.add_argument("--out", required=True, help="JSON file to write")
     args = parser.parse_args(argv)
@@ -154,15 +164,17 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory(prefix="bench-pairs-", dir=args.workdir) as tmp:
         parent_tree, parent_commit = export(args.parent, Path(tmp) / "parent")
-        change_tree, change_commit = export(args.change, Path(tmp) / "change")
+        change_tree, change_commit = export("HEAD", Path(tmp) / "change")
         trees = {"parent": parent_tree, "change": change_tree}
-        specs = json.loads((change_tree / "BENCHMARK.json").read_text())["end_to_end"]
+        bench = json.loads((change_tree / "BENCHMARK.json").read_text())
+        workloads, seconds, specs = [w["name"] for w in bench["workloads"]], bench["run_seconds"], bench["end_to_end"]
         seeds = list(range(args.first_seed, args.first_seed + args.pairs))
-        main_set, env = measure(trees, args.workloads.split(","), seeds, args.seconds, specs)
+        main_set, env = measure(trees, workloads, seeds, seconds, specs)
         held_out = None
         if args.held_out_first_seed is not None:
             held_seeds = list(range(args.held_out_first_seed, args.held_out_first_seed + args.pairs))
-            held_out, _ = measure(trees, args.held_out_workloads.split(","), held_seeds, args.seconds, specs)
+            gained = [w for w in workloads if shows_gain(main_set["comparison"][w])]
+            held_out, _ = measure(trees, gained, held_seeds, seconds, specs)
 
     caps = env.get("thread_caps", {})
     report = {
@@ -170,7 +182,7 @@ def main(argv=None) -> int:
             f"Parent and change measured in one session on a {env.get('usable_cores')}-core host "
             f"(Python {env.get('python')}, numpy {env.get('numpy')}, scipy {env.get('scipy')}, "
             f"BLAS/OpenMP capped at {caps.get('OPENBLAS_NUM_THREADS')} threads): for each workload "
-            f"{args.pairs} pairs of `python3 bench/run.py --workload W --seed S --seconds {args.seconds:g} "
+            f"{args.pairs} pairs of `python3 bench/run.py --workload W --seed S --seconds {seconds:g} "
             f"--trace 0`, seeds {seeds[0]}-{seeds[-1]}, alternating which side runs first, each side "
             "run from a `git archive` export of its commit. Timings are the harness's reference seconds."
         ),

@@ -141,20 +141,45 @@ def pointing_loss(theta_p, z: float, link: LinkParams):
             NearFieldWarning,
             stacklevel=2,
         )
-    out = max_pointing_gain(z, link) * np.exp(-th * th / (2.0 * link.sigma_div**2))
+    out = _beam_gain(th.copy(), z, link)
     return float(out) if np.ndim(theta_p) == 0 else out
 
 
 def gamma_from_gains(h_a, h_l, h_p, link: LinkParams):
     """Electrical SNR argument e P^2 / (2 pi sigma^2)."""
-    p_rx = h_a * h_l * h_p * link.responsivity * link.transmit_power
-    return math.e * p_rx * p_rx / (2.0 * math.pi * link.noise_std**2)
+    shape = np.broadcast(h_a, h_l, h_p).shape
+    out = _gamma_from_gains(h_a, h_l, h_p, link, np.empty(shape), np.empty(shape))
+    return float(out) if out.ndim == 0 else out
 
 
 def instantaneous_capacity(h_a, h_l, h_p, link: LinkParams):
     """Capacity 0.5 log2(1 + Gamma) for one channel realization, bits/channel use."""
-    out = 0.5 * np.log2(1.0 + gamma_from_gains(h_a, h_l, h_p, link))
-    return float(out) if np.ndim(out) == 0 else out
+    out = _capacity_samples(np.asarray(gamma_from_gains(h_a, h_l, h_p, link), dtype=float))
+    return float(out) if out.ndim == 0 else out
+
+
+def _beam_gain(theta_p: np.ndarray, z: float, link: LinkParams) -> np.ndarray:
+    """A0 exp(-theta_p^2 / (2 sigma_div^2)) of each angle, in place over ``theta_p``."""
+    h_p = np.multiply(theta_p, theta_p, out=theta_p)
+    np.negative(h_p, out=h_p)
+    np.divide(h_p, 2.0 * link.sigma_div**2, out=h_p)
+    np.exp(h_p, out=h_p)
+    return np.multiply(max_pointing_gain(z, link), h_p, out=h_p)
+
+
+def _gamma_from_gains(h_a, h_l, h_p, link: LinkParams, p_rx: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """e P^2 / (2 pi sigma^2) with P = h_a h_l h_p R P_T, into ``gamma``.
+
+    ``p_rx`` holds P on the way and may be ``h_a``'s buffer; ``gamma`` may be
+    any gain's buffer other than ``p_rx``.
+    """
+    np.multiply(h_a, h_l, out=p_rx)
+    np.multiply(p_rx, h_p, out=p_rx)
+    np.multiply(p_rx, link.responsivity, out=p_rx)
+    np.multiply(p_rx, link.transmit_power, out=p_rx)
+    np.multiply(math.e, p_rx, out=gamma)
+    np.multiply(gamma, p_rx, out=gamma)
+    return np.divide(gamma, 2.0 * math.pi * link.noise_std**2, out=gamma)
 
 
 class LogGammaTerms(NamedTuple):
@@ -343,24 +368,15 @@ def _gamma_from_draws(link: LinkParams, z: float, theta_p: np.ndarray, e: np.nda
     """Gamma of each sample from its pointing-error angle and scintillation normal, in place.
 
     log h_a = -2 sigma_i^2 + 2 sigma_i e ~ N(-2 sigma_i^2, 4 sigma_i^2), which
-    makes E[h_a] = 1; h_p is `pointing_loss` without its near-field warning.
+    makes E[h_a] = 1; h_p is `pointing_loss` without its near-field warning,
+    and Gamma is `gamma_from_gains`, both through the same in-place kernels.
     The result overwrites ``theta_p``; ``e`` is used as work space.
     """
     h_a = np.multiply(2.0 * link.sigma_i, e, out=e)
     np.add(-2.0 * link.sigma_i**2, h_a, out=h_a)
     np.exp(h_a, out=h_a)
-    h_p = np.multiply(theta_p, theta_p, out=theta_p)
-    np.negative(h_p, out=h_p)
-    np.divide(h_p, 2.0 * link.sigma_div**2, out=h_p)
-    np.exp(h_p, out=h_p)
-    np.multiply(max_pointing_gain(z, link), h_p, out=h_p)
-    p_rx = np.multiply(h_a, atmospheric_loss(link.sigma_b, z), out=h_a)
-    np.multiply(p_rx, h_p, out=p_rx)
-    np.multiply(p_rx, link.responsivity, out=p_rx)
-    np.multiply(p_rx, link.transmit_power, out=p_rx)
-    gamma = np.multiply(math.e, p_rx, out=h_p)
-    np.multiply(gamma, p_rx, out=gamma)
-    return np.divide(gamma, 2.0 * math.pi * link.noise_std**2, out=gamma)
+    h_p = _beam_gain(theta_p, z, link)
+    return _gamma_from_gains(h_a, atmospheric_loss(link.sigma_b, z), h_p, link, h_a, h_p)
 
 
 def _capacity_samples(gamma: np.ndarray) -> np.ndarray:
