@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import analysis_geometry
+from fsotraj import channel
 from fsotraj.channel import (
     LinkParams,
     atmospheric_loss,
@@ -216,19 +217,19 @@ class TestMonteCarloCapacity:
     def test_sampler_arithmetic_is_the_public_link_budget(self, default_link, rng):
         # The Monte Carlo sampler and the public gain, SNR and capacity functions
         # must compute each sample bit for bit alike, in the formulas' own order.
-        from fsotraj import channel
-
         link, z = default_link, 1500.0
         theta = np.abs(rng.normal(0.0, link.sigma_div, 4096))
         e = rng.standard_normal(4096)
         h_a = np.exp(-2.0 * link.sigma_i**2 + 2.0 * link.sigma_i * e)
         h_l = atmospheric_loss(link.sigma_b, z)
         h_p = pointing_loss(theta, z, link)
-        np.testing.assert_array_equal(h_p, max_pointing_gain(z, link) * np.exp(-theta * theta / (2.0 * link.sigma_div**2)))
+        beam = max_pointing_gain(z, link) * np.exp(-theta * theta / (2.0 * link.sigma_div**2))
+        np.testing.assert_array_equal(h_p, beam)
         gamma = gamma_from_gains(h_a, h_l, h_p, link)
         p_rx = h_a * h_l * h_p * link.responsivity * link.transmit_power
         np.testing.assert_array_equal(gamma, math.e * p_rx * p_rx / (2.0 * math.pi * link.noise_std**2))
         sampled = channel._gamma_from_draws(link, z, theta.copy(), e.copy())
         np.testing.assert_array_equal(sampled, gamma)
-        np.testing.assert_array_equal(channel._capacity_samples(sampled), instantaneous_capacity(h_a, h_l, h_p, link))
+        capacity = instantaneous_capacity(h_a, h_l, h_p, link)
+        np.testing.assert_array_equal(channel._capacity_samples(sampled), capacity)
         assert instantaneous_capacity(h_a[0], h_l, h_p[0], link) == 0.5 * math.log2(1.0 + gamma[0])
