@@ -274,10 +274,9 @@ def mc_log_gamma(
     u_hat: np.ndarray,
     n: int = 10**6,
     seed=0,
-    mode: str = "small_angle",
 ) -> MCEstimate:
     """Monte Carlo estimate of E[log Gamma], the oracle for expected_log_gamma."""
-    gammas = _sample_gamma(link, z, cov, u_hat, n, seed, mode)
+    gammas = _sample_gamma(link, z, cov, u_hat, n, seed)
     logs = np.log(np.maximum(gammas, _GAMMA_FLOOR))
     return MCEstimate(float(np.mean(logs)), float(np.std(logs) / math.sqrt(n)), n)
 
@@ -289,13 +288,13 @@ def mc_ergodic_capacity(
     u_hat: np.ndarray,
     n: int = 10**6,
     seed=0,
-    mode: str = "small_angle",
 ) -> MCEstimate:
     """Monte Carlo estimate of the true ergodic capacity E[0.5 log2(1 + Gamma)].
 
-    The oracle against which every closed form in this module is checked.
+    The oracle against which every closed form in this module is checked. The
+    pointing errors are drawn by the small-angle sampler, as in `mc_capacities`.
     """
-    caps = _capacity_samples(_sample_gamma(link, z, cov, u_hat, n, seed, mode))
+    caps = _capacity_samples(_sample_gamma(link, z, cov, u_hat, n, seed))
     return MCEstimate(float(np.mean(caps)), float(np.std(caps) / math.sqrt(n)), n)
 
 
@@ -356,11 +355,11 @@ def mc_capacities(
     return capacity
 
 
-def _sample_gamma(link, z, cov, u_hat, n, seed, mode) -> np.ndarray:
+def _sample_gamma(link, z, cov, u_hat, n, seed) -> np.ndarray:
     if n < 1:
         raise ValueError("need at least one sample")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    theta_p = sample_error_angles(cov, u_hat, n, seed=rng, mode=mode)
+    theta_p = sample_error_angles(cov, u_hat, n, seed=rng, mode="small_angle")
     return _gamma_from_draws(link, z, theta_p, rng.standard_normal(n))
 
 

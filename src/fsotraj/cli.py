@@ -86,7 +86,7 @@ def cmd_pointing(args) -> int:
 
 
 def cmd_capacity(args) -> int:
-    settings = _apply_overrides(_load(args), args)
+    settings = _load(args)
     sc = settings.scenario
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -112,7 +112,7 @@ def cmd_capacity(args) -> int:
 
 
 def cmd_power(args) -> int:
-    settings = _apply_overrides(_load(args), args)
+    settings = _load(args)
     craft = settings.scenario.aircraft
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -272,27 +272,31 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fsotraj", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, help_text, seed=False, samples=False, mode=False):
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--scenario", type=str, default=None, help="scenario file path")
         p.add_argument("--out", type=str, default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-        p.add_argument("--samples", type=int, default=None, help="Monte Carlo sample count")
-        p.add_argument(
-            "--mode",
-            choices=("closed_form", "monte_carlo"),
-            default="closed_form",
-            help="efficiency evaluation mode",
-        )
+        if seed:
+            p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+        if samples:
+            p.add_argument("--samples", type=int, default=None, help="Monte Carlo sample count")
+        if mode:
+            p.add_argument(
+                "--mode",
+                choices=("closed_form", "monte_carlo"),
+                default="closed_form",
+                help="efficiency evaluation mode",
+            )
+        return p
 
-    common(sub.add_parser("pointing", help="pointing-error law for a fixed geometry"))
-    p_cap = sub.add_parser("capacity", help="ergodic capacity over a position grid")
-    common(p_cap)
+    command("pointing", "pointing-error law for a fixed geometry", seed=True, samples=True)
+    p_cap = command("capacity", "ergodic capacity over a position grid")
     p_cap.add_argument("--extent", type=float, default=500.0, help="half-width of the grid, m")
     p_cap.add_argument("--grid", type=int, default=21, help="points per axis")
-    common(sub.add_parser("power", help="flight-power sweep over speed and acceleration"))
-    common(sub.add_parser("optimize", help="run the trajectory optimization"))
-    common(sub.add_parser("validate", help="closed forms vs Monte Carlo, plus output round-trip"))
-    common(sub.add_parser("compare-dof", help="optimize under reduced jitter models"))
+    command("power", "flight-power sweep over speed and acceleration")
+    command("optimize", "run the trajectory optimization", seed=True, mode=True)
+    command("validate", "closed forms vs Monte Carlo, plus output round-trip", seed=True, samples=True)
+    command("compare-dof", "optimize under reduced jitter models", seed=True, mode=True)
     return parser
 
 

@@ -51,20 +51,10 @@ class VariableSpace:
     def dimension(self) -> int:
         return self._size
 
-    @property
-    def names(self) -> list[str]:
-        return list(self._vars)
-
     def scales(self) -> np.ndarray:
         if not self._scales:
             return np.ones(0)
         return np.concatenate(self._scales)
-
-    def offset(self, name: str) -> int:
-        return self._vars[name][0]
-
-    def shape(self, name: str) -> tuple[int, ...]:
-        return self._vars[name][1]
 
     def index(self, name: str, *idx) -> int:
         off, shape = self._vars[name]
@@ -438,26 +428,6 @@ class ConvexProgram:
             v = fam.violation(x)
             out[fam.tag] = np.concatenate([out[fam.tag], v]) if fam.tag in out else v
         return out
-
-    def canonical_text(self, precision: int = 9) -> str:
-        """One constraint member per line, stable ordering, for regression diffs."""
-        lines = [f"variables {self.space.dimension}"]
-        for name in self.space.names:
-            lines.append(f"var {name} shape={self.space.shape(name)}")
-        for fam in [*self.eq_families, *self.families]:
-            for i in range(fam.m):
-                cols = ",".join(str(c) for c in fam.cols[i])
-                if isinstance(fam, (LinearEqFamily,)):
-                    data = np.array2string(fam.coef[i], precision=precision, separator=",")
-                    lines.append(f"{fam.tag}[{i}] {fam.kind} cols=[{cols}] a={data} rhs={fam.rhs[i]:.{precision}g}")
-                elif isinstance(fam, LinearIneqFamily):
-                    data = np.array2string(fam.coef[i], precision=precision, separator=",")
-                    lines.append(f"{fam.tag}[{i}] {fam.kind} cols=[{cols}] a={data} b={fam.offset[i]:.{precision}g}")
-                else:
-                    a = np.array2string(fam.a_loc[i], precision=precision, separator=",")
-                    b = np.array2string(fam.b_loc[i], precision=precision, separator=",")
-                    lines.append(f"{fam.tag}[{i}] {fam.kind} cols=[{cols}] A={a} b={b}")
-        return "\n".join(lines) + "\n"
 
 
 @dataclass

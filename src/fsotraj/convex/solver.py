@@ -36,7 +36,7 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from ..errors import SolverError
-from .program import ConvexProgram
+from .program import _NORM_EPS, ConvexProgram
 
 _SIGMA = 0.1  # centering parameter
 _BOUNDARY_FRACTION = 0.99
@@ -259,7 +259,7 @@ def _objective_hessian_blocks(program: ConvexProgram, x, sc):
         vals.append(qv * sc[qi] * sc[qj])
     for term in program.objective.norms:
         u = np.einsum("mrl,ml->mr", term.a_loc, x[term.cols]) + term.b_loc
-        r = np.sqrt(np.einsum("mr,mr->m", u, u) + 1e-20)
+        r = np.sqrt(np.einsum("mr,mr->m", u, u) + _NORM_EPS**2)
         a_sc = term.a_loc * sc[term.cols][:, None, :]
         ata = np.einsum("mrl,mrk->mlk", a_sc, a_sc)
         atu = np.einsum("mrl,mr->ml", a_sc, u)

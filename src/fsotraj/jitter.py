@@ -30,7 +30,7 @@ from .errors import (
     slot_suffix,
 )
 from .kinematics import rotation_matrix
-from .numerics import eig3_symmetric, i0e, sqrtm_psd3
+from .numerics import i0e
 
 # Below this axis ratio the Hoyt density is evaluated in its folded-normal
 # limit to dodge overflow in the Bessel argument.
@@ -55,9 +55,9 @@ class JitterCovariance:
         if any(abs(r) > 1.0 for r in self.rho):
             raise InvalidCovarianceError("correlations must lie in [-1, 1]")
         m = self.matrix
-        evals = eig3_symmetric(m)
+        evals = np.linalg.eigvalsh(m)
         tol = max(1e-12, 1e-12 * float(np.trace(m)))
-        if evals[-1] < -tol:
+        if evals[0] < -tol:
             raise InvalidCovarianceError(f"covariance not PSD: eigenvalues {evals}")
 
     @property
@@ -250,9 +250,9 @@ def _covariance_factor(cov: JitterCovariance) -> np.ndarray:
     try:
         return np.linalg.cholesky(mat)
     except np.linalg.LinAlgError:
-        # Singular (or numerically indefinite-by-rounding) covariance.
-        root = sqrtm_psd3(mat)
-        return root
+        # Singular (or indefinite by rounding) covariance: its symmetric PSD root.
+        evals, vecs = np.linalg.eigh(mat)
+        return (vecs * np.sqrt(np.maximum(evals, 0.0))) @ vecs.T
 
 
 def _small_angle_error(x: np.ndarray, u: np.ndarray, z_sq: float, xu: np.ndarray, out: np.ndarray) -> np.ndarray:

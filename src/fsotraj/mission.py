@@ -81,13 +81,6 @@ class OptimizerConfig:
     max_inner: int = 40  # cap on the solves of one trade-off search
     solver_tol: float = 1e-8
     solver_max_iter: int = 100
-    printed_drag_cone: bool = False  # literal cone transcription instead of the exact one
-    feasibility_tol: float = 1e-6
-    # Secondary stop: the step norm can oscillate near the restriction's fixed
-    # point while the objective is flat, so a sustained efficiency plateau also
-    # counts as convergence.
-    tol_efficiency_rel: float = 1e-7
-    plateau_window: int = 5
 
     def __post_init__(self):
         if not (self.tol_outer > 0 and self.tol_dinkelbach_rel > 0):

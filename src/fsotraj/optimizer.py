@@ -18,7 +18,7 @@ from .convex.solver import require_optimal
 from .errors import BracketError, InfeasibleScenarioError
 # hoyt_params stays bound here because bench/tracer.py installs its
 # jitter.hoyt_params span on this name; the evaluation uses hoyt_eigenvalues.
-from .jitter import HoytParams, hoyt_eigenvalues, hoyt_params  # noqa: F401
+from .jitter import HoytParams, hoyt_eigenvalues, hoyt_params, pointing_weight_matrix  # noqa: F401
 from .kinematics import TrajectoryPlan, differentiate_trajectory, flight_power
 from .mission import (
     Iterate,
@@ -29,6 +29,16 @@ from .mission import (
     pointing_geometry,
 )
 from .subproblem import Subproblem
+
+# Physical-constraint violation above which a plan is infeasible; an outer
+# iterate warns above 100 times this.
+FEASIBILITY_TOL = 1e-6
+# Secondary stop: the step norm can oscillate near the restriction's fixed
+# point while the objective is flat, so a sustained efficiency plateau (a
+# relative spread below TOL_EFFICIENCY_REL over PLATEAU_WINDOW + 1 iterations)
+# also counts as convergence.
+TOL_EFFICIENCY_REL = 1e-7
+PLATEAU_WINDOW = 5
 
 
 @dataclass
@@ -143,7 +153,7 @@ def dinkelbach_solve(
     naming the status, the trade-off weight and the KKT residuals.
     """
     config = config or OptimizerConfig()
-    sub = subproblem or Subproblem(iterate, scenario, config)
+    sub = subproblem or Subproblem(iterate, scenario)
     anchor_x = sub.anchor_x()
 
     c_anchor, p_anchor = sub.surrogate_totals(sub.space.unpack(anchor_x))
@@ -200,7 +210,7 @@ def optimize(
     multipliers = None
 
     for p in range(1, config.max_outer + 1):
-        sub = Subproblem(current, scenario, config)
+        sub = Subproblem(current, scenario)
         result = dinkelbach_solve(current, scenario, config, subproblem=sub, multipliers=multipliers)
         multipliers = result.multipliers
         nxt = result.iterate
@@ -224,7 +234,7 @@ def optimize(
         history.append(record)
         if callback is not None:
             callback(record)
-        if worst > 100.0 * config.feasibility_tol:
+        if worst > 100.0 * FEASIBILITY_TOL:
             warnings.warn(
                 f"iterate {p} violates {max(violations, key=violations.get)} by {worst:.3g}",
                 RuntimeWarning,
@@ -234,10 +244,10 @@ def optimize(
         if step < config.tol_outer:
             stop_reason = "step"
             break
-        if len(history) >= config.plateau_window + 1:
-            recent = [r.efficiency for r in history[-(config.plateau_window + 1) :]]
+        if len(history) >= PLATEAU_WINDOW + 1:
+            recent = [r.efficiency for r in history[-(PLATEAU_WINDOW + 1) :]]
             spread = (max(recent) - min(recent)) / max(abs(recent[-1]), 1e-300)
-            if spread < config.tol_efficiency_rel:
+            if spread < TOL_EFFICIENCY_REL:
                 stop_reason = "plateau"
                 break
 
@@ -257,7 +267,6 @@ def energy_efficiency(
     mode: str = "closed_form",
     samples_per_slot: int = 20_000,
     seed: int | None = None,
-    feasibility_tol: float = 1e-6,
 ) -> EfficiencyReport:
     """Mission efficiency under the true channel model (no surrogate).
 
@@ -273,7 +282,7 @@ def energy_efficiency(
     s = plan.positions
     violations = physical_violations(scenario, s, v, a)
     worst = max(violations, key=violations.get)
-    if violations[worst] > feasibility_tol:
+    if violations[worst] > FEASIBILITY_TOL:
         raise InfeasibleScenarioError(
             f"plan violates {worst} by {violations[worst]:.3g}: {violations}"
         )
@@ -306,18 +315,22 @@ def energy_efficiency(
 
 
 def anchored_feasibility(iterate: Iterate, scenario: Scenario, config=None, tol: float = 1e-8):
-    """check_feasible of the iterate against its own assembled restriction."""
-    sub = Subproblem(iterate, scenario, config)
+    """check_feasible of the iterate against its own assembled restriction.
+
+    ``config`` is accepted for callers that pass the run's OptimizerConfig;
+    the restriction depends only on the iterate and the scenario.
+    """
+    sub = Subproblem(iterate, scenario)
     return check_feasible(sub.program, sub.anchor_x(), tol=tol)
 
 
-def restriction_tightness(iterate: Iterate, scenario: Scenario, config=None) -> dict[str, float]:
+def restriction_tightness(iterate: Iterate, scenario: Scenario) -> dict[str, float]:
     """Max |restriction - original| gap at the anchor for every restricted family.
 
     At the anchor every linearized/conic restriction must coincide with the
     original nonconvex constraint expression.
     """
-    sub = Subproblem(iterate, scenario, config)
+    sub = Subproblem(iterate, scenario)
     x = sub.anchor_x()
     report = sub.program.violations(x)
     craft = scenario.aircraft
@@ -334,13 +347,7 @@ def restriction_tightness(iterate: Iterate, scenario: Scenario, config=None) -> 
         np.max(np.abs(report["speed_sq_floor"] - (iterate.R**2 - speeds**2)))
     )
     # jitter restrictions: both forms reduce to sqrt(u' D u) - S U at anchor.
-    d_mat = np.diag(
-        [
-            scenario.jitter.matrix[1, 1] + scenario.jitter.matrix[2, 2],
-            scenario.jitter.matrix[2, 2] + scenario.jitter.matrix[0, 0],
-            scenario.jitter.matrix[0, 0] + scenario.jitter.matrix[1, 1],
-        ]
-    )
+    d_mat = pointing_weight_matrix(scenario.jitter)
     w = np.sqrt(np.einsum("ki,ij,kj->k", iterate.u_hat, d_mat, iterate.u_hat))
     target = w - iterate.S * iterate.U
     gaps["jitter_cone"] = float(np.max(np.abs(report["jitter_cone"] - target)))

@@ -165,7 +165,6 @@ _FIELDS = {
         "max_outer": ("dimensionless", "max_outer"),
         "max_inner": ("dimensionless", "max_inner"),
         "solver_tol": ("dimensionless", "solver_tol"),
-        "printed_drag_cone": (None, None),
         "seed": ("dimensionless", None),
         "samples": ("dimensionless", None),
     },
@@ -293,9 +292,6 @@ def load_scenario(path_or_text) -> RunSettings:
         raw = get("optimizer", key)
         if raw is not None:
             opt_kwargs[key] = int(float(raw))
-    raw = get("optimizer", "printed_drag_cone")
-    if raw is not None:
-        opt_kwargs["printed_drag_cone"] = raw.strip().lower() in ("1", "true", "yes")
     seed = int(float(get("optimizer", "seed") or 0))
     samples = int(float(get("optimizer", "samples") or 10**6))
     try:
@@ -395,7 +391,6 @@ def dump_scenario(settings: RunSettings) -> str:
         f"max_outer = {opt.max_outer}",
         f"max_inner = {opt.max_inner}",
         f"solver_tol = {_r(opt.solver_tol)}",
-        f"printed_drag_cone = {str(opt.printed_drag_cone).lower()}",
         f"seed = {sc.seed}",
         f"samples = {sc.mc_samples}",
         "",

@@ -21,7 +21,7 @@ from .convex import ConvexProgram, VariableSpace
 from .errors import DegenerateVelocityError
 from .jitter import pointing_weight_matrix
 from .linearize import anchor_log_gamma
-from .mission import Iterate, OptimizerConfig, Scenario, accel_slots
+from .mission import Iterate, Scenario, accel_slots
 
 
 @dataclass
@@ -48,8 +48,7 @@ def log_anchor(iterate: Iterate, scenario: Scenario) -> AnchorData:
 class Subproblem:
     """One assembled convex restriction; the trade-off weight is mutable."""
 
-    def __init__(self, iterate: Iterate, scenario: Scenario, config: OptimizerConfig | None = None):
-        config = config or OptimizerConfig()
+    def __init__(self, iterate: Iterate, scenario: Scenario):
         n = iterate.n_slots
         craft = scenario.aircraft
         link = scenario.link
@@ -70,7 +69,6 @@ class Subproblem:
 
         self.iterate = iterate
         self.scenario = scenario
-        self.config = config
         self.anchor = log_anchor(iterate, scenario)
         self.offset_const = capacity_offset(link)
 
@@ -254,35 +252,17 @@ class Subproblem:
         )
 
         # --- drag cone Q_k R_k >= 1 + |a_k|^2 / g^2
-        if config.printed_drag_cone:
-            qr_p = iterate.Q + iterate.R
-            a_drag = np.zeros((n - 1, 6, 4))
-            b_drag = np.zeros((n - 1, 6))
-            a_drag[:, 0, 0] = 1.0
-            a_drag[:, 0, 1] = -1.0  # Q - R
-            b_drag[:, 1] = qr_p  # anchored constant
-            a_drag[:, 2, 0] = qr_p / 2.0
-            a_drag[:, 2, 1] = qr_p / 2.0
-            b_drag[:, 2] = -1.0  # L - 1 with L = (Q_p + R_p)(Q + R)/2
-            b_drag[:, 3] = 2.0
-            a_drag[:, 4, 2] = 2.0 / g
-            a_drag[:, 5, 3] = 2.0 / g
-            c_drag = np.zeros((n - 1, 4))
-            c_drag[:, 0] = qr_p / 2.0
-            c_drag[:, 1] = qr_p / 2.0
-            d_drag = np.ones(n - 1)
-        else:
-            a_drag = np.zeros((n - 1, 4, 4))
-            b_drag = np.zeros((n - 1, 4))
-            b_drag[:, 0] = 2.0
-            a_drag[:, 1, 2] = 2.0 / g
-            a_drag[:, 2, 3] = 2.0 / g
-            a_drag[:, 3, 0] = 1.0
-            a_drag[:, 3, 1] = -1.0
-            c_drag = np.zeros((n - 1, 4))
-            c_drag[:, 0] = 1.0
-            c_drag[:, 1] = 1.0
-            d_drag = np.zeros(n - 1)
+        a_drag = np.zeros((n - 1, 4, 4))
+        b_drag = np.zeros((n - 1, 4))
+        b_drag[:, 0] = 2.0
+        a_drag[:, 1, 2] = 2.0 / g
+        a_drag[:, 2, 3] = 2.0 / g
+        a_drag[:, 3, 0] = 1.0
+        a_drag[:, 3, 1] = -1.0
+        c_drag = np.zeros((n - 1, 4))
+        c_drag[:, 0] = 1.0
+        c_drag[:, 1] = 1.0
+        d_drag = np.zeros(n - 1)
         cols_drag = np.column_stack([Q_idx, R_idx, a_idx[:, 0], a_idx[:, 1]])
         prog.add_soc("drag_cone", cols_drag, a_drag, b_drag, c_drag, d_drag)
 
@@ -349,13 +329,12 @@ class Subproblem:
 
     def surrogate_totals(self, values: dict) -> tuple[float, float]:
         """(C_tot, P_tot) of the surrogate at a solution point, bits and watts."""
+        link = self.scenario.link
         s_norm = np.sqrt(np.einsum("kc,kc->k", values["s"], values["s"]) + self.scenario.altitude**2)
-        per_slot = self.anchor.grad_l * (
-            self.offset_const
-            - 2.0 * self.scenario.link.sigma_b * s_norm
-            - values["U"] ** 2 / self.scenario.link.sigma_div**2
-            - 2.0 * values["V"]
+        log_gamma = anchor_log_gamma(
+            self.offset_const, link.sigma_b, link.sigma_div, s_norm, values["U"], values["V"]
         )
+        per_slot = self.anchor.grad_l * log_gamma
         c_tot = float(np.sum(per_slot + self.anchor.delta_l)) / (2.0 * math.log(2.0))
         p_tot = float(np.sum(values["P"])) + self._fixed_power
         return c_tot, p_tot

@@ -13,7 +13,6 @@ import numpy as np
 
 from fsotraj.errors import DegenerateVelocityError
 from fsotraj.jitter import error_projection_matrix
-from fsotraj.numerics import eig3_symmetric, sqrtm_psd3
 
 
 def delta_u_coefficients_slot(s, v, a, g: float) -> tuple[np.ndarray, np.ndarray]:
@@ -77,8 +76,9 @@ def pointing_geometry_slots(s, v, a, g) -> tuple[np.ndarray, np.ndarray]:
 
 def hoyt_eigenvalues_slot(cov, u_hat) -> tuple[float, float]:
     """The two largest eigenvalues of Sigma^1/2 A Sigma^1/2 by the 3x3 eigensolve."""
-    root = sqrtm_psd3(cov.matrix)
-    evals = eig3_symmetric(root @ error_projection_matrix(u_hat) @ root)
+    sig_evals, sig_vecs = np.linalg.eigh(cov.matrix)
+    root = (sig_vecs * np.sqrt(np.maximum(sig_evals, 0.0))) @ sig_vecs.T
+    evals = np.linalg.eigvalsh(root @ error_projection_matrix(u_hat) @ root)[::-1]
     lam1, lam2 = float(evals[0]), float(max(evals[1], 0.0))
     return max(lam1, lam2), lam2
 

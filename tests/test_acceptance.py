@@ -194,7 +194,7 @@ def _mission_sanity(scenario, label, budget_s):
 
     # Fractional-programming termination identity on a fresh inner solve.
     it = tight_iterate(scenario, result.plan.positions)
-    sub = Subproblem(it, scenario, config)
+    sub = Subproblem(it, scenario)
     _, p_anchor = sub.surrogate_totals(sub.space.unpack(sub.anchor_x()))
     tol_f = config.tol_dinkelbach_rel * p_anchor
     din = dinkelbach_solve(it, scenario, config, subproblem=sub)

@@ -111,6 +111,21 @@ class TestExitCodes:
         scenario = write_scenario(tmp_path, "[link]\naperture = -5 m\n")
         assert main(["optimize", "--scenario", scenario, "--out", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["power", "--mode", "monte_carlo"],
+            ["capacity", "--seed", "3"],
+            ["optimize", "--samples", "1000"],
+            ["validate", "--mode", "monte_carlo"],
+        ],
+    )
+    def test_flag_the_command_does_not_read_exits_2(self, argv, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_infeasible_exit_3(self, tmp_path, capsys):
         scenario = write_scenario(
             tmp_path, "[mission]\nkind = moving\nduration = 1 s\nslot = 0.2 s\n"

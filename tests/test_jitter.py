@@ -12,6 +12,7 @@ from fsotraj.jitter import (
     HoytParams,
     JitterCovariance,
     JitterSample,
+    _covariance_factor,
     error_projection_matrix,
     expected_square_error,
     hoyt_cdf,
@@ -236,9 +237,16 @@ class TestSampling:
         assert ks_distance(th, lambda x: hoyt_cdf(x, hp)) < 1.628e-3
 
     def test_singular_covariance_sampling(self):
-        cov = JitterCovariance((1e-3, 0.0, 0.0))
-        th = sample_error_angles(cov, np.array([0.0, 0.0, 50.0]), 1000, seed=2)
-        assert np.all(np.isfinite(th))
+        rank_one_diagonal = JitterCovariance((1e-3, 0.0, 0.0))
+        rank_two_correlated = JitterCovariance((1e-3, 2e-3, 5e-4), rho=(1.0, 0.0, 0.0))
+        for cov in (rank_one_diagonal, rank_two_correlated):
+            # Cholesky fails on both, so the sampler takes the PSD-root fallback.
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.cholesky(cov.matrix)
+            factor = _covariance_factor(cov)
+            assert np.allclose(factor @ factor.T, cov.matrix, rtol=0.0, atol=1e-12 * np.max(cov.matrix))
+            th = sample_error_angles(cov, np.array([0.0, 0.0, 50.0]), 1000, seed=2)
+            assert np.all(np.isfinite(th))
 
     def test_bad_mode(self):
         cov, u = analysis_geometry()

@@ -4,56 +4,7 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fsotraj.numerics import eig3_symmetric, i0e, jacobi_eigvals3, ks_distance, sqrtm_psd3
-
-
-def random_symmetric(rng, scale=1.0):
-    m = rng.normal(size=(3, 3)) * scale
-    return (m + m.T) / 2.0
-
-
-def test_eig3_matches_lapack_on_random_matrices(rng):
-    for _ in range(1000):
-        m = random_symmetric(rng, scale=10.0 ** rng.integers(-6, 6))
-        mine = eig3_symmetric(m)
-        ref = np.linalg.eigvalsh(m)[::-1]
-        scale = max(np.max(np.abs(ref)), 1e-300)
-        assert np.max(np.abs(mine - ref)) / scale < 1e-10
-
-
-def test_eig3_diagonal_and_zero():
-    assert np.allclose(eig3_symmetric(np.diag([3.0, 1.0, 2.0])), [3.0, 2.0, 1.0])
-    assert np.allclose(eig3_symmetric(np.zeros((3, 3))), 0.0)
-
-
-def test_eig3_handles_repeated_roots(rng):
-    # Isotropic plus a rank-one bump, which puts the cubic near its degenerate case.
-    for _ in range(200):
-        v = rng.normal(size=3)
-        m = 2.0 * np.eye(3) + 1e-14 * np.outer(v, v)
-        mine = eig3_symmetric(m)
-        ref = np.linalg.eigvalsh(m)[::-1]
-        assert np.max(np.abs(mine - ref)) < 1e-12
-
-
-def test_jacobi_agrees_with_lapack(rng):
-    for _ in range(200):
-        m = random_symmetric(rng)
-        assert np.allclose(jacobi_eigvals3(m), np.linalg.eigvalsh(m)[::-1], atol=1e-12)
-
-
-def test_sqrtm_psd3_squares_back(rng):
-    for _ in range(300):
-        b = rng.normal(size=(3, 3))
-        m = b @ b.T
-        root = sqrtm_psd3(m)
-        assert np.allclose(root @ root, m, atol=1e-10 * max(1.0, np.max(np.abs(m))))
-        assert np.allclose(root, root.T)
-
-
-def test_sqrtm_psd3_rejects_indefinite():
-    with pytest.raises(ValueError):
-        sqrtm_psd3(np.diag([1.0, -1.0, 0.5]))
+from fsotraj.numerics import i0e, ks_distance
 
 
 @given(st.floats(min_value=0.0, max_value=500.0))

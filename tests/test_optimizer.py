@@ -174,7 +174,7 @@ class TestTradeoffSearch:
         cfg = OptimizerConfig()
         it = initialize_iterate(sc)
         result = dinkelbach_solve(it, sc, cfg)
-        sub = Subproblem(it, sc, cfg)
+        sub = Subproblem(it, sc)
         _, p_anchor = sub.surrogate_totals(sub.space.unpack(sub.anchor_x()))
         tol_f = cfg.tol_dinkelbach_rel * p_anchor
         assert abs(result.f_value) <= tol_f
@@ -205,7 +205,7 @@ class TestDinkelbach:
     def test_one_solve_from_bundled_initial_iterate(self, name, monkeypatch):
         settings = load_scenario(str(SCENARIOS / f"{name}.ini"))
         sc, cfg = settings.scenario, settings.optimizer
-        sub = Subproblem(initialize_iterate(sc), sc, cfg)
+        sub = Subproblem(initialize_iterate(sc), sc)
         iterations = _counting_solve(monkeypatch)
         result = dinkelbach_solve(sub.iterate, sc, cfg, subproblem=sub)
         assert result.solves == len(iterations) == 1
@@ -218,7 +218,7 @@ class TestDinkelbach:
         # needs one or two more solves.
         sc = moving_scenario()
         cfg = OptimizerConfig(tol_dinkelbach_rel=1e-6)
-        sub = Subproblem(initialize_iterate(sc), sc, cfg)
+        sub = Subproblem(initialize_iterate(sc), sc)
         iterations = _counting_solve(monkeypatch)
         result = dinkelbach_solve(sub.iterate, sc, cfg, subproblem=sub)
         assert 2 <= result.solves <= 3

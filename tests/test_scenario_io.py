@@ -56,8 +56,9 @@ def test_zero_inner_budget_rejected_with_path():
 
 
 def test_unknown_key_rejected():
-    with pytest.raises(ScenarioParseError, match="unknown key"):
-        load_scenario("[link]\nfrobnication = 3 m\n")
+    for text in ("[link]\nfrobnication = 3 m\n", "[optimizer]\nprinted_drag_cone = true\n"):
+        with pytest.raises(ScenarioParseError, match="unknown key"):
+            load_scenario(text)
 
 
 def test_unknown_section_rejected():

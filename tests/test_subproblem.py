@@ -8,7 +8,6 @@ from fsotraj.convex import solve
 from fsotraj.errors import DegenerateVelocityError
 from fsotraj.jitter import JitterCovariance
 from fsotraj.mission import (
-    OptimizerConfig,
     Scenario,
     initialize_iterate,
     physical_violations,
@@ -107,36 +106,6 @@ class TestAnchorConsistency:
             gaps = restriction_tightness(it, sc)
             worst = max(worst, max(gaps.values()))
         assert worst <= 1e-8
-
-    def test_tightness_includes_printed_drag_cone(self, rng):
-        sc = moving_scenario(n=10)
-        cfg = OptimizerConfig(printed_drag_cone=True)
-        it = random_feasible_iterate(sc, rng)
-        gaps = restriction_tightness(it, sc, cfg)
-        assert max(gaps.values()) <= 1e-8
-
-    def test_printed_cone_is_a_restriction_of_the_exact_cone(self, rng):
-        # Any point satisfying the anchored printed form satisfies Q R >= 1 + |a|^2/g^2.
-        sc = moving_scenario(n=10)
-        it = initialize_iterate(sc)
-        sub = Subproblem(it, sc, OptimizerConfig(printed_drag_cone=True))
-        fam = next(f for f in sub.program.families if f.tag == "drag_cone")
-        x = sub.anchor_x()
-        g = sc.aircraft.g
-        for _ in range(300):
-            trial = x.copy()
-            q_idx = sub.space.indices("Q")
-            r_idx = sub.space.indices("R")
-            a_idx = sub.space.indices("a")
-            trial[q_idx] *= rng.uniform(0.5, 2.0, size=q_idx.shape)
-            trial[r_idx] *= rng.uniform(0.5, 2.0, size=r_idx.shape)
-            trial[a_idx.ravel()] += rng.normal(scale=1.0, size=a_idx.size)
-            if np.all(fam.violation(trial) <= 0.0):
-                vals = sub.space.unpack(trial)
-                acc_sq = np.einsum("kc,kc->k", vals["a"], vals["a"])
-                assert np.all(
-                    vals["Q"] * vals["R"] >= 1.0 + acc_sq / g**2 - 1e-9
-                )
 
     def test_zero_jitter_drops_pointing_penalty(self):
         sc = moving_scenario(jitter=JitterCovariance((0.0, 0.0, 0.0)))
