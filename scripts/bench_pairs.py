@@ -3,18 +3,21 @@
 
     python3 scripts/bench_pairs.py PARENT --out BENCH_N.json [--pairs 10]
         [--first-seed 301] [--held-out-first-seed 501] [--workdir DIR]
+        [--workload W ...] [--seconds T]
 
 PARENT and HEAD are exported with ``git archive`` into fresh directories under
 ``--workdir`` (the system temporary directory by default), so each side runs
 the committed files of its revision, and the directories are removed at the
 end. The workloads, the run length T and the end-to-end metrics with their
-bounds are read from HEAD's ``BENCHMARK.json``. For each workload, pair i runs
-``python3 bench/run.py --workload W --seed S --seconds T --trace 0`` on both
-sides with seed S = first_seed + i; even pairs run the parent first, odd pairs
-HEAD first. With ``--held-out-first-seed``, every workload on which HEAD shows
-a gain (better in at least nine of ten pairs on some metric, with the median
-gap above the parent's interquartile range) is measured again on as many pairs
-from those seeds.
+bounds are read from HEAD's ``BENCHMARK.json``; ``--workload`` (repeatable)
+measures only the named workloads and ``--seconds`` overrides T (a run makes
+at least one call, so a tiny T times one call per process). For each workload,
+pair i runs ``python3 bench/run.py --workload W --seed S --seconds T --trace 0``
+on both sides with seed S = first_seed + i; even pairs run the parent first,
+odd pairs HEAD first. With ``--held-out-first-seed``, every workload on which
+HEAD shows a gain (better in at least nine of ten pairs on some metric, with
+the median gap above the parent's interquartile range) is measured again on
+as many pairs from those seeds.
 
 The output holds, per side and workload, every run's end-to-end metrics with
 their median and quartiles (inclusive method), the largest ``fail_frac`` and
@@ -157,6 +160,8 @@ def main(argv=None) -> int:
     parser.add_argument("--first-seed", type=int, default=301)
     parser.add_argument("--held-out-first-seed", type=int, default=None)
     parser.add_argument("--workdir", default=None, help="where the two exported trees live while measuring")
+    parser.add_argument("--workload", action="append", help="measure only this workload (repeatable)")
+    parser.add_argument("--seconds", type=float, default=None, help="run length T instead of BENCHMARK.json's")
     parser.add_argument("--out", required=True, help="JSON file to write")
     args = parser.parse_args(argv)
     if args.pairs < 1:
@@ -168,6 +173,13 @@ def main(argv=None) -> int:
         trees = {"parent": parent_tree, "change": change_tree}
         bench = json.loads((change_tree / "BENCHMARK.json").read_text())
         workloads, seconds, specs = [w["name"] for w in bench["workloads"]], bench["run_seconds"], bench["end_to_end"]
+        if args.workload:
+            unknown = sorted(set(args.workload) - set(workloads))
+            if unknown:
+                parser.error(f"unknown workload(s) {unknown}; choose from {workloads}")
+            workloads = [w for w in workloads if w in args.workload]
+        if args.seconds is not None:
+            seconds = args.seconds
         seeds = list(range(args.first_seed, args.first_seed + args.pairs))
         main_set, env = measure(trees, workloads, seeds, seconds, specs)
         held_out = None

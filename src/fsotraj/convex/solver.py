@@ -4,15 +4,17 @@ Assumes every inequality family exposes smooth convex values / gradients /
 Hessians (see program.py). Inequalities get slacks (g(x) + s = 0, s > 0);
 Newton steps on the perturbed KKT conditions with a fraction-to-boundary rule
 and a residual-norm backtracking line search. The reduced KKT system has a
-fixed sparsity pattern per program. Once per solve, its variables are put in
+fixed sparsity pattern per program, and every restriction of one trajectory
+optimization has the same pattern. Its layout is built once per pattern and
+reused while the next solve's COO indices equal it: the variables are put in
 reverse Cuthill-McKee order, which gives the trajectory programs a small
 half-bandwidth independent of the slot count, and every COO entry is mapped
 to its merged entry and that entry to its slot in LAPACK band storage. Each
 Newton step sums the per-family dense block values into the merged entries,
 scatters them into the band, factors it with banded LU (``dgbtrf``) and
-refines the solution once with the same factors. Constraint gradients are
-evaluated once per iterate and shared by the dual residual, the KKT assembly
-and the slack step.
+refines the solution once with the same factors, the residual being a CSR
+product with the merged entries. Constraint gradients are evaluated once per
+iterate and shared by the dual residual, the KKT assembly and the slack step.
 
 Warm start: ``Solution.lam`` holds the inequality multipliers in physical
 units (the internal multiplier times the row scaling, which every solve
@@ -22,7 +24,8 @@ the slacks started near the constraint values at x0. Without ``lam0`` the
 duals start cold, centred on the objective's gradient scale.
 
 Deterministic: no randomness anywhere, so identical programs produce
-bit-identical solutions on one platform.
+bit-identical solutions on one platform, whether their layout is built or
+reused.
 """
 from __future__ import annotations
 
@@ -87,18 +90,132 @@ def _residual_norm(parts) -> float:
     return float(np.sqrt(sum(float(r @ r) for r in parts)))
 
 
+def _kkt_structure(program: ConvexProgram):
+    """COO rows and columns of the KKT matrix [[M, E'], [E, -delta I]], in the
+    order the value arrays are concatenated in at every iteration."""
+    n = program.space.dimension
+    rows, cols = [np.arange(n)], [np.arange(n)]  # primal regularization diag
+    quad_idx = np.arange(n)
+    rows.append(quad_idx)
+    cols.append(quad_idx)
+    if program.objective.quad_coo is not None:
+        qi, qj, _ = program.objective.quad_coo
+        rows.append(qi)
+        cols.append(qj)
+    for term in program.objective.norms:
+        i = np.repeat(term.cols[:, :, None], term.cols.shape[1], axis=2)
+        j = np.repeat(term.cols[:, None, :], term.cols.shape[1], axis=1)
+        rows.append(i.ravel())
+        cols.append(j.ravel())
+    for fam in program.families:
+        bi, bj = fam.block_structure()
+        rows.append(bi)
+        cols.append(bj)
+    # E block first (all families), then its transpose.
+    row_off = 0
+    eq_rows, eq_cols = [], []
+    for fam in program.eq_families:
+        jr, jc = fam.jac_structure()
+        eq_rows.append(jr + row_off + n)
+        eq_cols.append(jc)
+        row_off += fam.m
+    rows.extend(eq_rows)
+    cols.extend(eq_cols)
+    rows.extend(eq_cols)
+    cols.extend(eq_rows)
+    if program.n_eq:
+        dual_idx = np.arange(n, n + program.n_eq)
+        rows.append(dual_idx)
+        cols.append(dual_idx)
+    return np.concatenate(rows), np.concatenate(cols)
+
+
+class _Layout:
+    """The banded KKT layout of one sparsity pattern: its reverse
+    Cuthill-McKee order, the merged entries and their band slots."""
+
+    def __init__(self, kkt_rows: np.ndarray, kkt_cols: np.ndarray, size: int):
+        self.kkt_rows = kkt_rows
+        self.kkt_cols = kkt_cols
+        self.kkt_shape = (size, size)
+        # Reverse Cuthill-McKee order of the pattern. Permuted entry (i, j)
+        # sits at row kl + ku + i - j, column j of a Fortran-ordered
+        # (2 kl + ku + 1) x size band, the layout dgbtrf factors in place.
+        # The bool pattern and the int32 lookup below keep the set-up's
+        # scratch memory small.
+        present = np.ones(kkt_rows.size, dtype=bool)
+        pattern = sp.csr_matrix((present, (kkt_rows, kkt_cols)), shape=self.kkt_shape)
+        self.perm = reverse_cuthill_mckee(pattern, symmetric_mode=True)
+        inv = np.empty(size, dtype=np.intp)
+        inv[self.perm] = np.arange(size)
+        # Merged entries in CSR order (row-major), their band slots, and the
+        # merged entry of every COO entry (the band slot is a collision-free
+        # key).
+        self.indptr = pattern.indptr
+        self.entry_cols = pattern.indices
+        entry_rows = np.repeat(np.arange(size), np.diff(self.indptr))
+        ei, ej = inv[entry_rows], inv[self.entry_cols]
+        self.kl = int(np.max(ei - ej, initial=0))
+        self.ku = int(np.max(ej - ei, initial=0))
+        self.band_rows = 2 * self.kl + self.ku + 1
+        self.entry_band = self.kl + self.ku + ei - ej + self.band_rows * ej
+        lookup = np.empty(self.band_rows * size, dtype=np.int32)
+        lookup[self.entry_band] = np.arange(self.entry_band.size)
+        ci, cj = inv[kkt_rows], inv[kkt_cols]
+        self.entry_slot = lookup[self.kl + self.ku + ci - cj + self.band_rows * cj].astype(np.intp)
+
+    def matches(self, kkt_rows: np.ndarray, kkt_cols: np.ndarray, size: int) -> bool:
+        return (
+            self.kkt_shape == (size, size)
+            and np.array_equal(self.kkt_rows, kkt_rows)
+            and np.array_equal(self.kkt_cols, kkt_cols)
+        )
+
+    def entries(self, coo_vals):
+        """Merged KKT entries from values in COO entry order, duplicates summed."""
+        return np.bincount(self.entry_slot, weights=coo_vals, minlength=self.entry_band.size)
+
+    def band(self, entries):
+        """The RCM-ordered KKT matrix in LAPACK band storage."""
+        band = np.zeros(self.band_rows * self.kkt_shape[0])
+        band[self.entry_band] = entries
+        return band.reshape((self.band_rows, self.kkt_shape[0]), order="F")
+
+    def matvec(self, entries, v):
+        """The merged KKT matrix times v, each row summed in entry order."""
+        return sp.csr_matrix((entries, self.entry_cols, self.indptr), shape=self.kkt_shape) @ v
+
+
+# The layout of the most recent solve. Every restriction of one trajectory
+# optimization has the same KKT pattern, so each solve after the first reuses
+# it; a program with another pattern replaces it. Only one is kept, and none
+# is changed after it is built, so concurrent solves may share it.
+_last_layout: _Layout | None = None
+
+
+def _layout(program: ConvexProgram) -> _Layout:
+    """The banded layout of the program's KKT pattern, reused from the last
+    solve when its COO indices and shape are equal to this program's."""
+    global _last_layout
+    rows, cols = _kkt_structure(program)
+    size = program.space.dimension + program.n_eq
+    layout = _last_layout
+    if layout is None or not layout.matches(rows, cols, size):
+        layout = _last_layout = _Layout(rows, cols, size)
+    return layout
+
+
 class _Work:
-    """Per-solve cached structure: scalings and the banded KKT layout."""
+    """Per-solve state: the row scalings from the start point, the scaled
+    equality Jacobian, and the banded layout of the program's KKT pattern."""
 
     def __init__(self, program: ConvexProgram, x0: np.ndarray):
         self.program = program
-        n = program.space.dimension
-        self.n = n
         self.sc = program.space.scales()
         self.fams = program.families
         self.eqs = program.eq_families
-        self.m = program.n_ineq
         self.p = program.n_eq
+        self.layout = _layout(program)
 
         # Row scaling from the start point: 1 / max(1, |g|, |scaled grad|_inf).
         self.rho = []
@@ -109,82 +226,15 @@ class _Work:
             self.rho.append(1.0 / np.maximum(1.0, mag))
         # An internal multiplier times its row scale is the physical multiplier.
         self.row_scale = np.concatenate(self.rho) if self.rho else np.zeros(0)
+        # Scaled equality Jacobian values are constant.
         self.rho_eq = []
+        self.eq_vals = []
         for fam in self.eqs:
             grads = fam.grad_loc(x0) * self.sc[fam.cols]
-            mag = np.max(np.abs(grads), axis=1)
-            self.rho_eq.append(1.0 / np.maximum(1.0, mag))
+            rho = 1.0 / np.maximum(1.0, np.max(np.abs(grads), axis=1))
+            self.rho_eq.append(rho)
+            self.eq_vals.append((grads * rho[:, None]).ravel())
         self.eq_row_scale = np.concatenate(self.rho_eq) if self.rho_eq else np.zeros(0)
-
-        # COO structure of the KKT matrix [[M, E'], [E, -delta I]].
-        rows, cols = [np.arange(n)], [np.arange(n)]  # primal regularization diag
-        quad_idx = np.arange(n)
-        rows.append(quad_idx)
-        cols.append(quad_idx)
-        if program.objective.quad_coo is not None:
-            qi, qj, _ = program.objective.quad_coo
-            rows.append(qi)
-            cols.append(qj)
-        for term in program.objective.norms:
-            i = np.repeat(term.cols[:, :, None], term.cols.shape[1], axis=2)
-            j = np.repeat(term.cols[:, None, :], term.cols.shape[1], axis=1)
-            rows.append(i.ravel())
-            cols.append(j.ravel())
-        for fam in self.fams:
-            bi, bj = fam.block_structure()
-            rows.append(bi)
-            cols.append(bj)
-        # E block first (all families), then its transpose, matching the
-        # order the value arrays are concatenated in at every iteration.
-        row_off = 0
-        eq_rows, eq_cols = [], []
-        for fam in self.eqs:
-            jr, jc = fam.jac_structure()
-            eq_rows.append(jr + row_off + n)
-            eq_cols.append(jc)
-            row_off += fam.m
-        rows.extend(eq_rows)
-        cols.extend(eq_cols)
-        rows.extend(eq_cols)
-        cols.extend(eq_rows)
-        if self.p:
-            dual_idx = np.arange(n, n + self.p)
-            rows.append(dual_idx)
-            cols.append(dual_idx)
-        self.kkt_rows = np.concatenate(rows)
-        self.kkt_cols = np.concatenate(cols)
-        size = n + self.p
-        self.kkt_shape = (size, size)
-        # Reverse Cuthill-McKee order of the pattern. Permuted entry (i, j)
-        # sits at row kl + ku + i - j, column j of a Fortran-ordered
-        # (2 kl + ku + 1) x size band, the layout dgbtrf factors in place.
-        # The bool pattern and the int32 lookup below keep the set-up's
-        # scratch memory small.
-        present = np.ones(self.kkt_rows.size, dtype=bool)
-        pattern = sp.csr_matrix((present, (self.kkt_rows, self.kkt_cols)), shape=self.kkt_shape)
-        self.perm = reverse_cuthill_mckee(pattern, symmetric_mode=True)
-        inv = np.empty(size, dtype=np.intp)
-        inv[self.perm] = np.arange(size)
-        # Merged entries in row-major order, their band slots, and the merged
-        # entry of every COO entry (the band slot is a collision-free key).
-        # The refinement residual multiplies by the merged entries, the
-        # matrix that is factored.
-        self.entry_rows = np.repeat(np.arange(size), np.diff(pattern.indptr))
-        self.entry_cols = pattern.indices
-        ei, ej = inv[self.entry_rows], inv[self.entry_cols]
-        self.kl = int(np.max(ei - ej, initial=0))
-        self.ku = int(np.max(ej - ei, initial=0))
-        self.band_rows = 2 * self.kl + self.ku + 1
-        self.entry_band = self.kl + self.ku + ei - ej + self.band_rows * ej
-        lookup = np.empty(self.band_rows * size, dtype=np.int32)
-        lookup[self.entry_band] = np.arange(self.entry_band.size)
-        ci, cj = inv[self.kkt_rows], inv[self.kkt_cols]
-        self.entry_slot = lookup[self.kl + self.ku + ci - cj + self.band_rows * cj].astype(np.intp)
-
-        # Scaled equality Jacobian values are constant.
-        self.eq_vals = []
-        for fam, rho in zip(self.eqs, self.rho_eq):
-            self.eq_vals.append((fam.grad_loc(x0) * self.sc[fam.cols] * rho[:, None]).ravel())
 
     def eq_residual(self, x):
         if not self.eqs:
@@ -218,37 +268,27 @@ class _Work:
             off += fam.m
         return _Point(self.ineq_values(x), self.eq_residual(x), grads, obj_grad, r)
 
-    def kkt_entries(self, coo_vals):
-        """Merged KKT entries from values in COO entry order, duplicates summed."""
-        return np.bincount(self.entry_slot, weights=coo_vals, minlength=self.entry_band.size)
-
-    def kkt_band(self, entries):
-        """The RCM-ordered KKT matrix in LAPACK band storage."""
-        band = np.zeros(self.band_rows * self.kkt_shape[0])
-        band[self.entry_band] = entries
-        return band.reshape((self.band_rows, self.kkt_shape[0]), order="F")
-
     def kkt_step(self, coo_vals, rhs):
         """Solve the KKT system with values coo_vals for rhs: banded LU plus
         one step of iterative refinement. None when a pivot is exactly zero."""
-        entries = self.kkt_entries(coo_vals)
-        lu, piv, info = dgbtrf(self.kkt_band(entries), self.kl, self.ku, overwrite_ab=1)
+        layout = self.layout
+        entries = layout.entries(coo_vals)
+        lu, piv, info = dgbtrf(layout.band(entries), layout.kl, layout.ku, overwrite_ab=1)
         if info < 0:
             raise ValueError(f"dgbtrf rejected argument {-info}")
         if info > 0:
             return None
 
         def band_solve(b):
-            y, info = dgbtrs(lu, self.kl, self.ku, b[self.perm], piv, overwrite_b=1)
+            y, info = dgbtrs(lu, layout.kl, layout.ku, b[layout.perm], piv, overwrite_b=1)
             if info:
                 raise ValueError(f"dgbtrs rejected argument {-info}")
             x = np.empty_like(y)
-            x[self.perm] = y
+            x[layout.perm] = y
             return x
 
         step = band_solve(rhs)
-        product = np.bincount(self.entry_rows, weights=entries * step[self.entry_cols], minlength=rhs.size)
-        return step + band_solve(rhs - product)
+        return step + band_solve(rhs - layout.matvec(entries, step))
 
 
 def _objective_hessian_blocks(program: ConvexProgram, x, sc):
@@ -283,10 +323,19 @@ def solve(
     """
     n = program.space.dimension
     x_orig = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
+    if x_orig.shape != (n,):
+        raise ValueError(f"x0 has shape {x_orig.shape}; the program has {n} variables, expected ({n},)")
+    m = program.n_ineq
+    if lam0 is not None:
+        lam0 = np.asarray(lam0, dtype=float)
+        if lam0.shape != (m,):
+            raise ValueError(f"lam0 has shape {lam0.shape}; the program has {m} inequality rows, expected ({m},)")
+        if not np.all(np.isfinite(lam0)):
+            raise ValueError("lam0 has non-finite entries")
     work = _Work(program, x_orig)
     sc = work.sc
     x = x_orig / sc  # internal scaled coordinates
-    m, p = work.m, work.p
+    p = work.p
 
     obj_scale = max(1.0, float(np.max(np.abs(work.scaled_obj_grad(x_orig)))) if n else 1.0)
     if lam0 is None:
@@ -294,7 +343,7 @@ def solve(
         lam = np.full(m, obj_scale) / s
     else:
         s = np.maximum(-work.ineq_values(x * sc), _WARM_SLACK_FLOOR)
-        lam = np.maximum(np.asarray(lam0, dtype=float) / work.row_scale, _WARM_LAM_FLOOR * obj_scale)
+        lam = np.maximum(lam0 / work.row_scale, _WARM_LAM_FLOOR * obj_scale)
     nu = np.zeros(p)
     pt = work.point(x, lam, nu)
 

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,12 +10,17 @@ from scipy.linalg import lapack
 from fsotraj.convex import ConvexProgram, VariableSpace, check_feasible, solve
 from fsotraj.convex import solver as solver_mod
 from fsotraj.mission import Scenario, initialize_iterate
+from fsotraj.optimizer import optimize
+from fsotraj.scenario import load_scenario
 from fsotraj.subproblem import Subproblem
 from reference_subgradient import projected_subgradient_batch, random_box_programs
 
 
-def build_projection_problem():
-    # minimize t  s.t.  |(x - 1, y - 2)| <= t
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+
+
+def build_projection_problem(target=(1.0, 2.0)):
+    # minimize t  s.t.  |(x, y) - target| <= t
     vs = VariableSpace()
     vs.add("x", ())
     vs.add("y", ())
@@ -23,7 +29,7 @@ def build_projection_problem():
     prog.objective.lin[vs.index("t")] = 1.0
     cols = np.array([[vs.index("x"), vs.index("y"), vs.index("t")]])
     a = np.array([[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]])
-    b = np.array([[-1.0, -2.0]])
+    b = -np.asarray(target, dtype=float)[None, :]
     c = np.array([[0.0, 0.0, 1.0]])
     prog.add_soc("dist", cols, a, b, c, np.zeros(1))
     return vs, prog
@@ -210,16 +216,35 @@ def moving_subproblem(n_slots=12, delta=2.0):
     return sub
 
 
-def band_to_dense(work, band):
+def band_to_dense(layout, band):
     """The KKT matrix in its original order, read back from band storage."""
-    size = work.kkt_shape[0]
+    size = layout.kkt_shape[0]
     i, j = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
-    inside = (i - j <= work.kl) & (j - i <= work.ku)
+    inside = (i - j <= layout.kl) & (j - i <= layout.ku)
     permuted = np.zeros((size, size))
-    permuted[inside] = band[work.kl + work.ku + i[inside] - j[inside], j[inside]]
+    permuted[inside] = band[layout.kl + layout.ku + i[inside] - j[inside], j[inside]]
     dense = np.empty_like(permuted)
-    dense[np.ix_(work.perm, work.perm)] = permuted
+    dense[np.ix_(layout.perm, layout.perm)] = permuted
     return dense
+
+
+def solve_capturing_kkt_systems(monkeypatch):
+    """Solve a trajectory subproblem and return every KKT system it factored
+    as (work, coo_vals, rhs, step)."""
+    sub = moving_subproblem()
+    captured = []
+    kkt_step = solver_mod._Work.kkt_step
+
+    def spy(work, coo_vals, rhs):
+        step = kkt_step(work, coo_vals, rhs)
+        captured.append((work, coo_vals.copy(), rhs.copy(), step))
+        return step
+
+    monkeypatch.setattr(solver_mod._Work, "kkt_step", spy)
+    sol = solve(sub.program, tol=1e-8, x0=sub.anchor_x())
+    assert sol.status == "optimal"
+    assert len(captured) >= sol.iterations - 1
+    return captured
 
 
 class TestKktAssembly:
@@ -227,25 +252,13 @@ class TestKktAssembly:
         # Capture the KKT systems of a real trajectory subproblem solve and
         # check each against its COO triplets, the reference assembly, and
         # against a SuperLU solve of the same system.
-        sub = moving_subproblem()
-        captured = []
-        kkt_step = solver_mod._Work.kkt_step
-
-        def spy(work, coo_vals, rhs):
-            step = kkt_step(work, coo_vals, rhs)
-            captured.append((work, coo_vals.copy(), rhs.copy(), step))
-            return step
-
-        monkeypatch.setattr(solver_mod._Work, "kkt_step", spy)
-        sol = solve(sub.program, tol=1e-8, x0=sub.anchor_x())
-        assert sol.status == "optimal"
-        assert len(captured) >= sol.iterations - 1
-        for work, coo_vals, rhs, step in captured:
-            ref = sp.coo_matrix((coo_vals, (work.kkt_rows, work.kkt_cols)), shape=work.kkt_shape).toarray()
-            band = work.kkt_band(work.kkt_entries(coo_vals))
+        for work, coo_vals, rhs, step in solve_capturing_kkt_systems(monkeypatch):
+            layout = work.layout
+            ref = sp.coo_matrix((coo_vals, (layout.kkt_rows, layout.kkt_cols)), shape=layout.kkt_shape).toarray()
+            band = layout.band(layout.entries(coo_vals))
             assert band.flags.f_contiguous
-            assert not band[: work.kl].any()  # rows dgbtrf fills in
-            assert np.max(np.abs(band_to_dense(work, band) - ref)) <= 1e-14 * np.max(np.abs(ref))
+            assert not band[: layout.kl].any()  # rows dgbtrf fills in
+            assert np.max(np.abs(band_to_dense(layout, band) - ref)) <= 1e-14 * np.max(np.abs(ref))
 
             kkt = sp.csc_matrix(ref)
             ref_step = spla.splu(kkt).solve(rhs)
@@ -259,10 +272,113 @@ class TestKktAssembly:
         bandwidths = set()
         for n_slots, delta in ((12, 2.0), (100, 0.2), (400, 0.2)):
             sub = moving_subproblem(n_slots, delta)
-            work = solver_mod._Work(sub.program, sub.anchor_x())
-            assert work.kkt_shape[0] > 15 * n_slots
-            bandwidths.add((work.kl, work.ku))
+            layout = solver_mod._layout(sub.program)
+            assert layout.kkt_shape[0] > 15 * n_slots
+            bandwidths.add((layout.kl, layout.ku))
         assert len(bandwidths) == 1, bandwidths
+
+    def test_csr_refinement_product_equals_bincount(self, monkeypatch):
+        # The refinement residual sums each row in entry order from zero, as
+        # the row-wise bincount of the entry products does: the same bits.
+        for work, coo_vals, rhs, step in solve_capturing_kkt_systems(monkeypatch):
+            layout = work.layout
+            entries = layout.entries(coo_vals)
+            size = layout.kkt_shape[0]
+            entry_rows = np.repeat(np.arange(size), np.diff(layout.indptr))
+            product = np.bincount(entry_rows, weights=entries * step[layout.entry_cols], minlength=size)
+            assert np.array_equal(layout.matvec(entries, step), product)
+
+
+class TestLayoutCache:
+    def test_rcm_runs_once_per_structure(self, monkeypatch):
+        shapes = []
+        rcm = solver_mod.reverse_cuthill_mckee
+
+        def spy(graph, symmetric_mode=False):
+            shapes.append(graph.shape)
+            return rcm(graph, symmetric_mode=symmetric_mode)
+
+        monkeypatch.setattr(solver_mod, "reverse_cuthill_mckee", spy)
+        monkeypatch.setattr(solver_mod, "_last_layout", None)
+        settings = load_scenario(str(SCENARIOS / "moving.ini"))
+        assert settings.scenario.n_slots == 100
+        result = optimize(settings.scenario, settings.optimizer)
+        assert sum(rec.solves for rec in result.history) > 1
+        assert len(shapes) == 1
+        # A program of another structure gets a layout of its own.
+        sub = moving_subproblem(n_slots=12)
+        assert solve(sub.program, tol=1e-8, x0=sub.anchor_x()).status == "optimal"
+        assert len(shapes) == 2
+        assert shapes[1] == solver_mod._last_layout.kkt_shape != shapes[0]
+
+    def test_same_shape_other_pattern_gets_its_own_layout(self):
+        vs, cone = build_projection_problem()
+        box = ConvexProgram(vs)
+        box.objective.lin[vs.index("t")] = 1.0
+        add_box(box, [-1.0] * 3, [1.0] * 3)
+        assert solve(cone, tol=1e-8).status == "optimal"
+        cone_layout = solver_mod._last_layout
+        sol = solve(box, tol=1e-8)
+        assert sol.status == "optimal"
+        assert sol.values["t"] == pytest.approx(-1.0, abs=1e-6)
+        assert solver_mod._last_layout is not cone_layout
+        assert solver_mod._last_layout.kkt_shape == cone_layout.kkt_shape
+
+    def test_reused_layout_gives_the_bits_of_a_new_one(self, monkeypatch):
+        # The cached layout comes from a program of the same structure with
+        # another trade-off; emptying the cache must not change any bit.
+        sub = moving_subproblem()
+        first = solve(sub.program, tol=1e-8, x0=sub.anchor_x())
+        assert first.status == "optimal"
+        layout = solver_mod._last_layout
+        sub.set_tradeoff(0.9 * sub.tradeoff)
+        warm = solve(sub.program, tol=1e-8, x0=first.x, lam0=first.lam)
+        assert solver_mod._last_layout is layout
+        monkeypatch.setattr(solver_mod, "_last_layout", None)
+        fresh = solve(sub.program, tol=1e-8, x0=first.x, lam0=first.lam)
+        assert solver_mod._last_layout is not layout
+        assert np.array_equal(warm.x, fresh.x)
+        assert np.array_equal(warm.lam, fresh.lam)
+        assert (warm.iterations, warm.status) == (fresh.iterations, fresh.status)
+
+
+class TestInputValidation:
+    def boxed_projection(self):
+        vs, prog = build_projection_problem()
+        add_box(prog, [-10.0] * 3, [10.0] * 3)
+        return prog
+
+    @pytest.mark.parametrize("length", [1, 6, 8])
+    def test_lam0_of_wrong_length_raises(self, length):
+        prog = self.boxed_projection()
+        assert prog.n_ineq == 7
+        with pytest.raises(ValueError, match=rf"lam0 has shape \({length},\).*expected \(7,\)"):
+            solve(prog, tol=1e-8, lam0=np.full(length, 5.0))
+
+    def test_lam0_of_wrong_rank_raises(self):
+        with pytest.raises(ValueError, match=r"lam0 has shape \(7, 1\)"):
+            solve(self.boxed_projection(), tol=1e-8, lam0=np.ones((7, 1)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_lam0_raises(self, bad):
+        lam0 = np.ones(7)
+        lam0[3] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            solve(self.boxed_projection(), tol=1e-8, lam0=lam0)
+
+    @pytest.mark.parametrize("shape", [(2,), (4,), (3, 1)])
+    def test_x0_of_wrong_shape_raises(self, shape):
+        with pytest.raises(ValueError, match=r"x0 has shape .*expected \(3,\)"):
+            solve(self.boxed_projection(), tol=1e-8, x0=np.zeros(shape))
+
+
+def test_cone_apex_optimal_count():
+    # The projection's optimum sits at the cone apex, where the solver often
+    # stalls and reports infeasible. 29 of these 60 targets end optimal; a
+    # solver change must not lower that count.
+    targets = np.vstack([[1.0, 2.0], np.random.default_rng(0).uniform(-5, 5, (59, 2))])
+    statuses = [solve(build_projection_problem(c)[1], tol=1e-8).status for c in targets]
+    assert statuses.count("optimal") >= 29
 
 
 class TestWarmStart:
