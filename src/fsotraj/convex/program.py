@@ -5,6 +5,12 @@ members: each member touches a fixed small set of columns, with dense local
 coefficient blocks. That keeps assembly of Jacobians and Hessians a handful
 of einsums per family regardless of member count.
 
+Each family evaluates in one pass: ``local(x)`` returns its values, local
+gradients and an ``aux`` tuple (such as r = |u| and A'u), and
+``hess_at(aux, lam)`` builds the weighted local Hessians at that same point
+without recomputing u. ``values``, ``grad_loc`` and ``hess_loc`` remain as
+thin wrappers over these two, so every formula is written once.
+
 Constraint kinds and their smooth internal forms (all convex on the domain
 the trajectory subproblems generate):
 
@@ -113,13 +119,25 @@ class _Family:
         rows = np.repeat(np.arange(self.m), self.nloc)
         return rows, self.cols.ravel()
 
-    # Subclasses implement:
-    #   values(x) -> (m,) smooth constraint values (<= 0 feasible)
-    #   grad_loc(x) -> (m, nloc)
-    #   hess_loc(x, lam) -> (m, nloc, nloc) sum-weighted local Hessians
+    # Subclasses implement one evaluation pass and the Hessian from it:
+    #   local(x) -> (values (m,), grad_loc (m, nloc), aux): smooth constraint
+    #       values (<= 0 feasible), local gradients, and what hess_at needs
+    #   hess_at(aux, lam) -> (m, nloc, nloc) sum-weighted local Hessians at
+    #       the point local's aux came from (zero for linear families)
     #   violation(x) -> (m,) reported violation in natural units
+    # values, grad_loc and hess_loc are views of those two, so each formula
+    # is written once.
+
+    def values(self, x):
+        return self.local(x)[0]
+
+    def grad_loc(self, x):
+        return self.local(x)[1]
 
     def hess_loc(self, x, lam):
+        return self.hess_at(self.local(x)[2], lam)
+
+    def hess_at(self, aux, lam):
         return np.zeros((self.m, self.nloc, self.nloc))
 
     def violation(self, x):
@@ -136,11 +154,8 @@ class LinearEqFamily(_Family):
         self.coef = _as_block(coef, self.m, self.nloc)
         self.rhs = _as_block(rhs, self.m)
 
-    def values(self, x):
-        return np.einsum("ml,ml->m", self.coef, self.gather(x)) - self.rhs
-
-    def grad_loc(self, x):
-        return self.coef
+    def local(self, x):
+        return np.einsum("ml,ml->m", self.coef, self.gather(x)) - self.rhs, self.coef, None
 
     def violation(self, x):
         return np.abs(self.values(x))
@@ -156,11 +171,8 @@ class LinearIneqFamily(_Family):
         self.coef = _as_block(coef, self.m, self.nloc)
         self.offset = _as_block(offset, self.m)
 
-    def values(self, x):
-        return np.einsum("ml,ml->m", self.coef, self.gather(x)) + self.offset
-
-    def grad_loc(self, x):
-        return self.coef
+    def local(self, x):
+        return np.einsum("ml,ml->m", self.coef, self.gather(x)) + self.offset, self.coef, None
 
 
 class _NormMixin:
@@ -195,35 +207,24 @@ class SocFamily(_Family, _NormMixin):
     def _rhs(self, x):
         return np.einsum("ml,ml->m", self.c_loc, self.gather(x)) + self.d
 
-    def values(self, x):
-        u = self._u(x)
-        if self.squared:
-            return np.einsum("mr,mr->m", u, u) - self._rhs(x)
-        if self.const_rhs:
-            # (|u|^2 - d^2) / (2d): same boundary and gradient scale as the
-            # norm form, but smooth through u = 0.
-            return (np.einsum("mr,mr->m", u, u) - self.d**2) / (2.0 * self.d)
-        r = np.sqrt(np.einsum("mr,mr->m", u, u) + _NORM_EPS**2)
-        return r - self._rhs(x)
-
-    def grad_loc(self, x):
+    def local(self, x):
         u = self._u(x)
         atu = np.einsum("mrl,mr->ml", self.a_loc, u)
         if self.squared:
-            return 2.0 * atu - self.c_loc
+            return np.einsum("mr,mr->m", u, u) - self._rhs(x), 2.0 * atu - self.c_loc, None
         if self.const_rhs:
-            return atu / self.d[:, None]
+            # (|u|^2 - d^2) / (2d): same boundary and gradient scale as the
+            # norm form, but smooth through u = 0.
+            return (np.einsum("mr,mr->m", u, u) - self.d**2) / (2.0 * self.d), atu / self.d[:, None], None
         r = np.sqrt(np.einsum("mr,mr->m", u, u) + _NORM_EPS**2)
-        return atu / r[:, None] - self.c_loc
+        return r - self._rhs(x), atu / r[:, None] - self.c_loc, (r, atu)
 
-    def hess_loc(self, x, lam):
+    def hess_at(self, aux, lam):
         if self.squared:
             return 2.0 * lam[:, None, None] * self.ata
         if self.const_rhs:
             return (lam / self.d)[:, None, None] * self.ata
-        u = self._u(x)
-        r = np.sqrt(np.einsum("mr,mr->m", u, u) + _NORM_EPS**2)
-        atu = np.einsum("mrl,mr->ml", self.a_loc, u)
+        r, atu = aux
         outer = np.einsum("ml,mk->mlk", atu, atu)
         return lam[:, None, None] * (self.ata / r[:, None, None] - outer / (r**3)[:, None, None])
 
@@ -249,25 +250,18 @@ class LogEpigraphFamily(_Family, _NormMixin):
         self.offset = _as_block(offset, self.m)
         self.t_pos = np.asarray(t_pos, dtype=np.int64)  # local column of t
 
-    def _w(self, x):
+    def local(self, x):
         u = self._u(x)
-        return u, np.einsum("mr,mr->m", u, u) + self.offset**2
-
-    def values(self, x):
-        u, w = self._w(x)
-        t = self.gather(x)[np.arange(self.m), self.t_pos]
-        return 0.5 * np.log(w) - t
-
-    def grad_loc(self, x):
-        u, w = self._w(x)
-        g = np.einsum("mrl,mr->ml", self.a_loc, u) / w[:, None]
-        g[np.arange(self.m), self.t_pos] -= 1.0
-        return g
-
-    def hess_loc(self, x, lam):
-        u, w = self._w(x)
-        atu = np.einsum("mrl,mr->ml", self.a_loc, u)
         u_sq = np.einsum("mr,mr->m", u, u)
+        w = u_sq + self.offset**2
+        t = self.gather(x)[np.arange(self.m), self.t_pos]
+        atu = np.einsum("mrl,mr->ml", self.a_loc, u)
+        g = atu / w[:, None]
+        g[np.arange(self.m), self.t_pos] -= 1.0
+        return 0.5 * np.log(w) - t, g, (u_sq, w, atu)
+
+    def hess_at(self, aux, lam):
+        u_sq, w, atu = aux
         # Radial coefficient 2/w^2 clamped to 1/(w |u|^2) where curvature would go negative.
         coef = np.where(u_sq <= self.offset**2, 2.0 / w**2, 1.0 / np.maximum(w * u_sq, 1e-300))
         outer = np.einsum("ml,mk->mlk", atu, atu)
@@ -288,25 +282,19 @@ class CubicEpigraphFamily(_Family, _NormMixin):
         self.const = _as_block(const, self.m)
         self.t_pos = np.asarray(t_pos, dtype=np.int64)
 
-    def values(self, x):
+    def local(self, x):
+        x_loc = self.gather(x)
         u = self._u(x)
         r = np.sqrt(np.einsum("mr,mr->m", u, u) + _NORM_EPS**2)
-        lin = np.einsum("ml,ml->m", self.lin_loc, self.gather(x))
-        t = self.gather(x)[np.arange(self.m), self.t_pos]
-        return self.kappa * r**3 + lin + self.const - t
-
-    def grad_loc(self, x):
-        u = self._u(x)
-        r = np.sqrt(np.einsum("mr,mr->m", u, u) + _NORM_EPS**2)
+        lin = np.einsum("ml,ml->m", self.lin_loc, x_loc)
+        t = x_loc[np.arange(self.m), self.t_pos]
         atu = np.einsum("mrl,mr->ml", self.a_loc, u)
         g = 3.0 * self.kappa[:, None] * r[:, None] * atu + self.lin_loc
         g[np.arange(self.m), self.t_pos] -= 1.0
-        return g
+        return self.kappa * r**3 + lin + self.const - t, g, (r, atu)
 
-    def hess_loc(self, x, lam):
-        u = self._u(x)
-        r = np.sqrt(np.einsum("mr,mr->m", u, u) + _NORM_EPS**2)
-        atu = np.einsum("mrl,mr->ml", self.a_loc, u)
+    def hess_at(self, aux, lam):
+        r, atu = aux
         outer = np.einsum("ml,mk->mlk", atu, atu)
         coef = 3.0 * lam * self.kappa
         return coef[:, None, None] * (r[:, None, None] * self.ata + outer / r[:, None, None])

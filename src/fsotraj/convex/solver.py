@@ -13,8 +13,16 @@ to its merged entry and that entry to its slot in LAPACK band storage. Each
 Newton step sums the per-family dense block values into the merged entries,
 scatters them into the band, factors it with banded LU (``dgbtrf``) and
 refines the solution once with the same factors, the residual being a CSR
-product with the merged entries. Constraint gradients are evaluated once per
-iterate and shared by the dual residual, the KKT assembly and the slack step.
+product with the merged entries.
+
+Each visited point (the start point and every line-search trial) evaluates
+every family once through ``local``: values, gradients and the inputs of its
+Hessian, shared by the residuals, the KKT assembly and the slack step. The
+Newton step builds each family's Hessian block from the accepted point's
+``aux``, not from a second pass over x. What stays fixed through a solve is
+computed once in ``_Work``: the column scales of every family, the linear
+families' scaled gradients and their outer products, and the objective's
+scaled quadratic and norm-term A'A.
 
 Warm start: ``Solution.lam`` holds the inequality multipliers in physical
 units (the internal multiplier times the row scaling, which every solve
@@ -39,7 +47,7 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from ..errors import SolverError
-from .program import _NORM_EPS, ConvexProgram
+from .program import _NORM_EPS, ConvexProgram, LinearIneqFamily, _Family
 
 _SIGMA = 0.1  # centering parameter
 _BOUNDARY_FRACTION = 0.99
@@ -77,13 +85,26 @@ class Solution:
 
 
 class _Point(NamedTuple):
-    """Scaled residual pieces at one primal-dual point."""
+    """Scaled residual pieces at one primal point, from one ``local`` call
+    per family."""
 
     g: np.ndarray  # row-scaled inequality values
     r_eq: np.ndarray  # row-scaled equality residual
     grads: list  # per family: row- and column-scaled local gradients
+    aux: list  # per family: what its hess_at needs at this point
     obj_grad: np.ndarray  # column-scaled objective gradient
-    r_dual: np.ndarray  # obj_grad + J' lam + E' nu
+
+
+class _Rows(NamedTuple):
+    """One inequality family's constants for one solve."""
+
+    fam: _Family
+    rows: slice  # its rows in the stacked inequality vector
+    colscale: np.ndarray  # sc[fam.cols]
+    cols: np.ndarray  # fam.cols, flattened
+    rho: np.ndarray  # row scaling from the start point
+    grad: np.ndarray | None  # linear families: the row- and column-scaled gradient
+    outer: np.ndarray | None  # linear families: its per-member outer product
 
 
 def _residual_norm(parts) -> float:
@@ -206,67 +227,104 @@ def _layout(program: ConvexProgram) -> _Layout:
 
 
 class _Work:
-    """Per-solve state: the row scalings from the start point, the scaled
-    equality Jacobian, and the banded layout of the program's KKT pattern."""
+    """Per-solve state: the row scalings from the start point, what stays
+    constant through the solve (column scales, the linear families' scaled
+    gradients, the objective's constant Hessian parts, the scaled equality
+    Jacobian), and the banded layout of the program's KKT pattern."""
 
     def __init__(self, program: ConvexProgram, x0: np.ndarray):
         self.program = program
-        self.sc = program.space.scales()
-        self.fams = program.families
+        sc = self.sc = program.space.scales()
         self.eqs = program.eq_families
         self.p = program.n_eq
         self.layout = _layout(program)
 
         # Row scaling from the start point: 1 / max(1, |g|, |scaled grad|_inf).
-        self.rho = []
-        for fam in self.fams:
-            vals = fam.values(x0)
-            grads = fam.grad_loc(x0) * self.sc[fam.cols]
+        # It is taken at x0 itself. The first iterate x0 / sc * sc differs
+        # from x0 in the last bit of some entries, so this evaluation is not
+        # shared with the first point's.
+        self.fams = []
+        off = 0
+        for fam in program.families:
+            colscale = sc[fam.cols]
+            vals, grad, _ = fam.local(x0)
+            grads = grad * colscale
             mag = np.maximum(np.abs(vals), np.max(np.abs(grads), axis=1))
-            self.rho.append(1.0 / np.maximum(1.0, mag))
+            rho = 1.0 / np.maximum(1.0, mag)
+            const = outer = None
+            if isinstance(fam, LinearIneqFamily):
+                const = grads * rho[:, None]
+                outer = np.einsum("ml,mk->mlk", const, const)
+            self.fams.append(_Rows(fam, slice(off, off + fam.m), colscale, fam.cols.ravel(), rho, const, outer))
+            off += fam.m
         # An internal multiplier times its row scale is the physical multiplier.
-        self.row_scale = np.concatenate(self.rho) if self.rho else np.zeros(0)
+        self.row_scale = np.concatenate([f.rho for f in self.fams]) if self.fams else np.zeros(0)
         # Scaled equality Jacobian values are constant.
         self.rho_eq = []
-        self.eq_vals = []
+        self.eq_grads = []
         for fam in self.eqs:
-            grads = fam.grad_loc(x0) * self.sc[fam.cols]
+            grads = fam.local(x0)[1] * sc[fam.cols]
             rho = 1.0 / np.maximum(1.0, np.max(np.abs(grads), axis=1))
             self.rho_eq.append(rho)
-            self.eq_vals.append((grads * rho[:, None]).ravel())
+            self.eq_grads.append(grads * rho[:, None])
+        self.eq_vals = [g.ravel() for g in self.eq_grads]
         self.eq_row_scale = np.concatenate(self.rho_eq) if self.rho_eq else np.zeros(0)
 
-    def eq_residual(self, x):
-        if not self.eqs:
-            return np.zeros(0)
-        return np.concatenate([fam.values(x) * rho for fam, rho in zip(self.eqs, self.rho_eq)])
-
-    def ineq_values(self, x):
-        if not self.fams:
-            return np.zeros(0)
-        return np.concatenate([fam.values(x) * rho for fam, rho in zip(self.fams, self.rho)])
+        # Objective Hessian: the quadratic part is constant; each norm term
+        # keeps its column-scaled A and A'A.
+        obj = program.objective
+        self.obj_blocks = [obj.quad_diag * sc * sc]
+        if obj.quad_coo is not None:
+            qi, qj, qv = obj.quad_coo
+            self.obj_blocks.append(qv * sc[qi] * sc[qj])
+        self.norm_terms = []
+        for term in obj.norms:
+            a_sc = term.a_loc * sc[term.cols][:, None, :]
+            self.norm_terms.append((term, a_sc, np.einsum("mrl,mrk->mlk", a_sc, a_sc)))
 
     def scaled_obj_grad(self, x):
         return self.program.objective.grad(x) * self.sc
 
-    def point(self, xs, lam, nu) -> _Point:
-        """Values, gradients and dual residual at the scaled point xs."""
+    def point(self, xs) -> _Point:
+        """Values, gradients and Hessian inputs at the scaled point xs."""
         x = xs * self.sc
-        grads = [
-            fam.grad_loc(x) * self.sc[fam.cols] * rho[:, None] for fam, rho in zip(self.fams, self.rho)
-        ]
-        obj_grad = self.scaled_obj_grad(x)
-        r = obj_grad.copy()
+        g, grads, aux = [], [], []
+        for f in self.fams:
+            vals, grad, a = f.fam.local(x)
+            g.append(vals * f.rho)
+            grads.append(grad * f.colscale * f.rho[:, None] if f.grad is None else f.grad)
+            aux.append(a)
+        r_eq = [fam.local(x)[0] * rho for fam, rho in zip(self.eqs, self.rho_eq)]
+        return _Point(
+            np.concatenate(g) if g else np.zeros(0),
+            np.concatenate(r_eq) if r_eq else np.zeros(0),
+            grads,
+            aux,
+            self.scaled_obj_grad(x),
+        )
+
+    def dual_residual(self, pt: _Point, lam, nu):
+        """obj_grad + J' lam + E' nu at the point pt."""
+        r = pt.obj_grad.copy()
+        for f, g in zip(self.fams, pt.grads):
+            np.add.at(r, f.cols, (g * lam[f.rows, None]).ravel())
         off = 0
-        for fam, g in zip(self.fams, grads):
-            np.add.at(r, fam.cols.ravel(), (g * lam[off : off + fam.m, None]).ravel())
-            off += fam.m
-        off = 0
-        for fam, vals in zip(self.eqs, self.eq_vals):
-            g = vals.reshape(fam.m, fam.nloc)
+        for fam, g in zip(self.eqs, self.eq_grads):
             np.add.at(r, fam.cols.ravel(), (g * nu[off : off + fam.m, None]).ravel())
             off += fam.m
-        return _Point(self.ineq_values(x), self.eq_residual(x), grads, obj_grad, r)
+        return r
+
+    def objective_hessian_blocks(self, x):
+        """Quadratic + norm-term value arrays matching the static structure order."""
+        vals = list(self.obj_blocks)
+        for term, a_sc, ata in self.norm_terms:
+            u = np.einsum("mrl,ml->mr", term.a_loc, x[term.cols]) + term.b_loc
+            r = np.sqrt(np.einsum("mr,mr->m", u, u) + _NORM_EPS**2)
+            atu = np.einsum("mrl,mr->ml", a_sc, u)
+            outer = np.einsum("ml,mk->mlk", atu, atu)
+            h = term.weight[:, None, None] * (ata / r[:, None, None] - outer / (r**3)[:, None, None])
+            vals.append(h.ravel())
+        return vals
 
     def kkt_step(self, coo_vals, rhs):
         """Solve the KKT system with values coo_vals for rhs: banded LU plus
@@ -289,24 +347,6 @@ class _Work:
 
         step = band_solve(rhs)
         return step + band_solve(rhs - layout.matvec(entries, step))
-
-
-def _objective_hessian_blocks(program: ConvexProgram, x, sc):
-    """Diagonal + norm-term value arrays matching the static structure order."""
-    vals = [program.objective.quad_diag * sc * sc]
-    if program.objective.quad_coo is not None:
-        qi, qj, qv = program.objective.quad_coo
-        vals.append(qv * sc[qi] * sc[qj])
-    for term in program.objective.norms:
-        u = np.einsum("mrl,ml->mr", term.a_loc, x[term.cols]) + term.b_loc
-        r = np.sqrt(np.einsum("mr,mr->m", u, u) + _NORM_EPS**2)
-        a_sc = term.a_loc * sc[term.cols][:, None, :]
-        ata = np.einsum("mrl,mrk->mlk", a_sc, a_sc)
-        atu = np.einsum("mrl,mr->ml", a_sc, u)
-        outer = np.einsum("ml,mk->mlk", atu, atu)
-        h = term.weight[:, None, None] * (ata / r[:, None, None] - outer / (r**3)[:, None, None])
-        vals.append(h.ravel())
-    return vals
 
 
 def solve(
@@ -338,14 +378,15 @@ def solve(
     p = work.p
 
     obj_scale = max(1.0, float(np.max(np.abs(work.scaled_obj_grad(x_orig)))) if n else 1.0)
+    pt = work.point(x)
     if lam0 is None:
-        s = np.maximum(-work.ineq_values(x * sc), 1.0)
+        s = np.maximum(-pt.g, 1.0)
         lam = np.full(m, obj_scale) / s
     else:
-        s = np.maximum(-work.ineq_values(x * sc), _WARM_SLACK_FLOOR)
+        s = np.maximum(-pt.g, _WARM_SLACK_FLOOR)
         lam = np.maximum(lam0 / work.row_scale, _WARM_LAM_FLOOR * obj_scale)
     nu = np.zeros(p)
-    pt = work.point(x, lam, nu)
+    r_dual = work.dual_residual(pt, lam, nu)
 
     delta = 1e-10
     best_prim = np.inf
@@ -355,9 +396,7 @@ def solve(
     it = 0
 
     for it in range(1, max_iter + 1):
-        x_phys = x * sc
         r_prim = pt.g + s
-        r_dual = pt.r_dual
         gap = float(s @ lam) if m else 0.0
 
         # Convergence on the scaled system.
@@ -388,20 +427,23 @@ def solve(
             break
 
         # M = H_obj + sum lam H_i + J' diag(lam/s) J + delta I; every block
-        # but the regularization is fixed per iterate.
-        blocks = _objective_hessian_blocks(program, x_phys, sc)
+        # but the regularization is fixed per iterate. The curvature comes
+        # from the aux the accepted point's local calls left; linear families
+        # have none, and their J' diag(lam/s) J block scales a fixed outer
+        # product.
+        blocks = work.objective_hessian_blocks(x * sc)
         rhs_x = -r_dual
-        off = 0
-        for fam, rho, grad_sc in zip(work.fams, work.rho, pt.grads):
-            lam_f = lam[off : off + fam.m]
-            s_f = s[off : off + fam.m]
-            colscale = sc[fam.cols]
-            hess = fam.hess_loc(x_phys, lam_f * rho) * colscale[:, :, None] * colscale[:, None, :]
-            hess += (lam_f / s_f)[:, None, None] * np.einsum("ml,mk->mlk", grad_sc, grad_sc)
+        for f, grad_sc, aux in zip(work.fams, pt.grads, pt.aux):
+            lam_f = lam[f.rows]
+            s_f = s[f.rows]
+            if f.outer is None:
+                hess = f.fam.hess_at(aux, lam_f * f.rho) * f.colscale[:, :, None] * f.colscale[:, None, :]
+                hess += (lam_f / s_f)[:, None, None] * np.einsum("ml,mk->mlk", grad_sc, grad_sc)
+            else:
+                hess = (lam_f / s_f)[:, None, None] * f.outer
             blocks.append(hess.ravel())
-            coeff = (lam_f / s_f) * r_prim[off : off + fam.m] - r_cent[off : off + fam.m] / s_f
-            np.add.at(rhs_x, fam.cols.ravel(), -(grad_sc * coeff[:, None]).ravel())
-            off += fam.m
+            coeff = (lam_f / s_f) * r_prim[f.rows] - r_cent[f.rows] / s_f
+            np.add.at(rhs_x, f.cols, -(grad_sc * coeff[:, None]).ravel())
         blocks.extend(work.eq_vals)  # E block
         blocks.extend(work.eq_vals)  # E' block
         rhs = np.concatenate([rhs_x, -pt.r_eq]) if p else rhs_x
@@ -418,10 +460,8 @@ def solve(
             dx = step[:n]
             dnu = step[n:] if p else np.zeros(0)
             jdx = np.zeros(m)
-            off = 0
-            for fam, grad_sc in zip(work.fams, pt.grads):
-                jdx[off : off + fam.m] = np.einsum("ml,ml->m", grad_sc, dx[fam.cols])
-                off += fam.m
+            for f, grad_sc in zip(work.fams, pt.grads):
+                jdx[f.rows] = np.einsum("ml,ml->m", grad_sc, dx[f.fam.cols])
             ds = -r_prim - jdx
             dlam = -(lam / s) * ds - r_cent / s if m else np.zeros(0)
 
@@ -445,8 +485,9 @@ def solve(
                 s_t = s + alpha * ds
                 lam_t = lam + alpha * dlam
                 nu_t = nu + alpha * dnu
-                trial = work.point(x_t, lam_t, nu_t)
-                norm_t = _residual_norm([trial.r_dual, trial.g + s_t, lam_t * s_t - mu, trial.r_eq])
+                trial = work.point(x_t)
+                r_dual_t = work.dual_residual(trial, lam_t, nu_t)
+                norm_t = _residual_norm([r_dual_t, trial.g + s_t, lam_t * s_t - mu, trial.r_eq])
                 if norm_t <= (1.0 - _ARMIJO * alpha) * base:
                     accepted = True
                     break
@@ -464,7 +505,7 @@ def solve(
             else:
                 status = "max_iter"
             break
-        x, s, lam, nu, pt = x_t, s_t, lam_t, nu_t, trial
+        x, s, lam, nu, pt, r_dual = x_t, s_t, lam_t, nu_t, trial, r_dual_t
         # Persistent crawling (backtracked far below the boundary step on
         # consecutive iterations) marks a flat direction the Newton model
         # mishandles; Levenberg-style stiffening restores progress.
@@ -479,7 +520,7 @@ def solve(
     x_phys = x * sc
     obj = program.objective.value(x_phys)
     kkt_report = {
-        "stationarity": float(np.max(np.abs(pt.r_dual))) if n else 0.0,
+        "stationarity": float(np.max(np.abs(r_dual))) if n else 0.0,
         "primal_feas": max(
             float(np.max(pt.g)) if m else 0.0, float(np.max(np.abs(pt.r_eq))) if p else 0.0, 0.0
         ),

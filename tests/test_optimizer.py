@@ -266,6 +266,13 @@ class TestWarmStartChain:
             assert lam0 is previous.lam
 
 
+@pytest.fixture(scope="module")
+def bundled_moving():
+    """The bundled moving scenario, its optimizer settings and one optimize run."""
+    settings = load_scenario(str(SCENARIOS / "moving.ini"))
+    return settings.scenario, settings.optimizer, optimize(settings.scenario, settings.optimizer)
+
+
 class TestOptimize:
     def test_moving_mission_improves_and_stays_feasible(self):
         sc = moving_scenario()
@@ -289,14 +296,22 @@ class TestOptimize:
         assert max(r.max_violation for r in res.history) <= 1e-6
         res.iterate.validate(sc.delta, sc.aircraft.g)
 
-    def test_stop_reason(self):
-        settings = load_scenario(str(SCENARIOS / "moving.ini"))
-        sc, cfg = settings.scenario, settings.optimizer
-        res = optimize(sc, cfg)
+    def test_stop_reason(self, bundled_moving):
+        sc, cfg, res = bundled_moving
         assert res.stop_reason == "plateau" and res.converged
         res = optimize(sc, replace(cfg, max_outer=2))
         assert res.stop_reason == "max_outer" and not res.converged
         assert len(res.history) == 2
+
+    def test_bundled_moving_regression_pin(self, bundled_moving):
+        # The work counts and the final plan's true efficiency of the bundled
+        # moving scenario; a solver change that moves them must say why.
+        sc, _, res = bundled_moving
+        assert len(res.history) == 36
+        assert sum(r.solves for r in res.history) == 36
+        assert sum(r.newton_iters for r in res.history) == 596
+        assert res.stop_reason == "plateau"
+        assert energy_efficiency(res.plan, sc).efficiency == pytest.approx(3.717682719944068e-4, rel=1e-12, abs=0.0)
 
     def test_jitter_direction_changes_trajectory(self):
         pitch = hover_scenario(jitter=JitterCovariance.from_mrad((0.1, 1.0, 0.1)))

@@ -8,6 +8,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
 from fsotraj.convex import ConvexProgram, VariableSpace, check_feasible, solve
+from fsotraj.convex import program as program_mod
 from fsotraj.convex import solver as solver_mod
 from fsotraj.mission import Scenario, initialize_iterate
 from fsotraj.optimizer import optimize
@@ -340,6 +341,77 @@ class TestLayoutCache:
         assert np.array_equal(warm.x, fresh.x)
         assert np.array_equal(warm.lam, fresh.lam)
         assert (warm.iterations, warm.status) == (fresh.iterations, fresh.status)
+
+
+class TestEvaluationsPerPoint:
+    def test_one_local_call_per_family_per_point(self, monkeypatch):
+        # Every visited point (the start point and each line-search trial)
+        # evaluates each family once; the Newton loop builds its Hessians
+        # from the accepted point's aux and calls no separate method.
+        sub = moving_subproblem()
+        program = sub.program
+        fams = [*program.families, *program.eq_families]
+        linear = [isinstance(fam, program_mod.LinearIneqFamily) for fam in program.families]
+        assert any(linear) and not all(linear)
+        log = []  # (family index, x) per local call
+        hess_calls = [0] * len(program.families)
+        for k, fam in enumerate(fams):
+
+            def local(x, k=k, inner=fam.local):
+                log.append((k, x))
+                return inner(x)
+
+            monkeypatch.setattr(fam, "local", local)
+        for k, fam in enumerate(program.families):
+
+            def hess_at(aux, lam, k=k, inner=fam.hess_at):
+                hess_calls[k] += 1
+                return inner(aux, lam)
+
+            monkeypatch.setattr(fam, "hess_at", hess_at)
+        separate = []
+        for name in ("values", "grad_loc", "hess_loc"):
+
+            def spy(self, *args, name=name, method=getattr(program_mod._Family, name)):
+                separate.append(name)
+                return method(self, *args)
+
+            monkeypatch.setattr(program_mod._Family, name, spy)
+        points = []
+        point = solver_mod._Work.point
+
+        def point_spy(work, xs):
+            pt = point(work, xs)
+            points.append((work, pt))
+            return pt
+
+        monkeypatch.setattr(solver_mod._Work, "point", point_spy)
+        x0 = sub.anchor_x()
+        sol = solve(program, tol=1e-8, x0=x0)
+        assert sol.status == "optimal"
+        assert separate == []
+
+        nf = len(fams)
+        # _Work.__init__ evaluates every family once at x0 for the row
+        # scaling; then each point evaluates every family once, at one x.
+        assert len(log) == nf * (1 + len(points))
+        chunks = [log[i : i + nf] for i in range(0, len(log), nf)]
+        assert all([k for k, _ in chunk] == list(range(nf)) for chunk in chunks)
+        assert all(np.array_equal(x, x0) for _, x in chunks[0])
+        assert all(x is chunk[0][1] for chunk in chunks[1:] for _, x in chunk)
+
+        # The last iteration only tests convergence; every other one is a
+        # Newton step with at least one line-search trial.
+        steps = sol.iterations - 1
+        assert len(points) >= 1 + steps
+        assert hess_calls == [0 if lin else steps for lin in linear]
+
+        # A linear family's scaled gradient is built once per solve.
+        works = {id(work) for work, _ in points}
+        assert len(works) == 1
+        for work, pt in points:
+            for f, lin, grad in zip(work.fams, linear, pt.grads):
+                assert (grad is f.grad) if lin else (f.grad is None)
 
 
 class TestInputValidation:
