@@ -125,7 +125,7 @@ class _Family:
     #   hess_at(aux, lam) -> (m, nloc, nloc) sum-weighted local Hessians at
     #       the point local's aux came from (zero for linear families)
     #   violation(x) -> (m,) reported violation in natural units
-    # values, grad_loc and hess_loc are views of those two, so each formula
+    # values, grad_loc and hess_loc are wrappers over those two, so each formula
     # is written once.
 
     def values(self, x):

@@ -120,6 +120,9 @@ def families(rng, n):
 def test_fused_evaluation_equals_separate_formulas(rng, index):
     n = 30
     fam, oracle = families(rng, n)[index]
+    if fam.kind == "soc":
+        forms = {"soc": (False, False), "soc_sq": (True, False), "soc_const": (False, True)}
+        assert (fam.squared, fam.const_rhs) == forms[fam.tag]
     inside_clamp = []
     for _ in range(5):
         x = rng.normal(size=n)
@@ -139,7 +142,3 @@ def test_fused_evaluation_equals_separate_formulas(rng, index):
     if fam.kind == "log_epigraph":
         assert 0 < sum(inside_clamp) < len(inside_clamp)  # both branches of the clamp
 
-
-def test_soc_forms():
-    fams = [fam for fam, _ in families(np.random.default_rng(0), 30)[:3]]
-    assert [(f.squared, f.const_rhs) for f in fams] == [(False, False), (True, False), (False, True)]
