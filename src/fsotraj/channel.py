@@ -5,8 +5,10 @@ The electrical SNR argument is Gamma = e P^2 / (2 pi sigma^2) with received
 power P = h_a h_l h_p R P_T; capacity is 0.5 log2(1 + Gamma) per channel use.
 
 The ergodic capacity of one slot is one Gauss-Hermite sum whose rules are
-built once per node count and cached read-only; `log_bound_params` takes the
-anchors of all slots as one array.
+built once per node count and cached read-only. Its integrand log(1 + exp(t))
+is evaluated in factored form: exp(t) is the product of one exponential per
+scintillation node and one per node of each jitter axis, leaving one log1p
+per grid node. `log_bound_params` takes the anchors of all slots as one array.
 
 The Monte Carlo oracle `mc_ergodic_capacity` estimates one slot.
 `mc_capacities` estimates every slot of a plan, bit-identically to calling it
@@ -31,6 +33,7 @@ from .jitter import HoytParams, JitterCovariance, _covariance_factor, _small_ang
 
 _REFERENCE_WAVELENGTH = 550e-9  # meters, anchor of the visibility scattering law
 _GAMMA_FLOOR = 1e-300  # keeps log(Gamma) finite on pathological inputs
+_EXP_SAFE = 709.0  # largest log-SNR whose exp stays finite with room to spare
 
 
 @dataclass(frozen=True)
@@ -398,6 +401,12 @@ def quadrature_ergodic_capacity(
     sigma_div^2, with the scintillation and the two pointing-error axes each
     carrying one Hermite rule. The jitter axes enter only through x^2, so
     each axis uses the rule folded onto its nonnegative nodes.
+
+    exp(t) factors over the three rules into exp(const + 2 log h_a) times
+    exp(-lam1 x_i^2 / sigma_div^2) times exp(-lam2 x_j^2 / sigma_div^2), so the
+    integrand costs one exponential per rule node and one log1p per grid node.
+    A scintillation row whose factor would overflow (log-SNR above
+    _EXP_SAFE, which no physical link reaches) takes logaddexp(0, t) instead.
     """
     const = (
         math.log(
@@ -409,14 +418,18 @@ def quadrature_ergodic_capacity(
     x_s, w_s = _hermite_rule(nodes_scint)
     x_sq, w_j = _folded_hermite_rule(nodes_jitter)
 
-    scint = -4.0 * link.sigma_i**2 + 4.0 * link.sigma_i * x_s  # 2 log h_a at the nodes
-    theta_sq = hoyt.lam1 * x_sq[:, None] + hoyt.lam2 * x_sq[None, :]
-    jitter = -(theta_sq / link.sigma_div**2).ravel()
-    w_jit = (w_j[:, None] * w_j[None, :]).ravel()
+    row = const + (-4.0 * link.sigma_i**2 + 4.0 * link.sigma_i * x_s)  # const + 2 log h_a at the nodes
+    axis1 = -(hoyt.lam1 * x_sq / link.sigma_div**2)
+    axis2 = -(hoyt.lam2 * x_sq / link.sigma_div**2)
+    jitter = np.multiply.outer(np.exp(axis1), np.exp(axis2)).ravel()  # h_p^2 / A0^2 at the nodes
+    w_jit = np.multiply.outer(w_j, w_j).ravel()
 
-    t = const + scint[:, None] + jitter[None, :]
-    cap = 0.5 * np.logaddexp(0.0, t) / math.log(2.0)
-    return float(w_s @ cap @ w_jit)
+    cap = np.multiply.outer(np.exp(np.minimum(row, _EXP_SAFE)), jitter)
+    np.log1p(cap, out=cap)
+    if row.max() > _EXP_SAFE:
+        big = row > _EXP_SAFE
+        cap[big] = np.logaddexp(0.0, row[big, None] + np.add.outer(axis1, axis2).ravel())
+    return float(w_s @ cap @ w_jit) * (0.5 / math.log(2.0))
 
 
 @functools.lru_cache(maxsize=None)

@@ -4,8 +4,11 @@ import numpy as np
 
 
 def slot_suffix(bad) -> str:
-    """" at slot k" naming the first True entry of a per-slot mask; "" for one slot."""
+    """" at slot k" for a slot index k, or naming the first True entry of a
+    per-slot mask; "" for a single boolean."""
     bad = np.asarray(bad)
+    if bad.dtype != bool:
+        return f" at slot {int(bad)}"
     if bad.ndim == 0:
         return ""
     return f" at slot {int(np.argmax(bad))}"

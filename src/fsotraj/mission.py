@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .channel import LinkParams
-from .errors import InfeasibleScenarioError, UnsupportedReductionError
+from .errors import InfeasibleScenarioError, UnsupportedReductionError, slot_suffix
 from .jitter import JitterCovariance, pointing_weight_matrix
 from .kinematics import AircraftParams, TrajectoryPlan, differentiate_trajectory
 from .linearize import delta_u_coefficients
@@ -177,19 +177,44 @@ def tight_iterate(scenario: Scenario, positions: np.ndarray) -> Iterate:
     )
 
 
-def physical_violations(scenario: Scenario, s, v, a) -> dict[str, float]:
-    """Worst-case violation of each original mission constraint (<= 0 is clean)."""
+def _violation_slots(scenario: Scenario, s, v, a) -> dict[str, np.ndarray]:
+    """Violation of each original mission constraint at each slot (<= 0 is clean).
+
+    Entry k is slot k. The endpoint families bind one slot each and read -inf
+    at the others.
+    """
     craft = scenario.aircraft
     speed = np.linalg.norm(v, axis=1)
+    start = np.full(len(s), -np.inf)
+    start[0] = np.max(np.abs(s[0] - scenario.start))
+    end = np.full(len(s), -np.inf)
+    end[-1] = np.max(np.abs(s[-1] - scenario.end))
     return {
-        "speed_min": float(np.max(craft.v_min - speed)),
-        "speed_max": float(np.max(speed - craft.v_max)),
-        "acceleration": float(np.max(np.linalg.norm(a, axis=1) - craft.a_max)) if a.size else 0.0,
-        "start_point": float(np.max(np.abs(s[0] - scenario.start))),
-        "end_point": float(np.max(np.abs(s[-1] - scenario.end))),
-        "altitude": float(np.max(np.abs(s[:, 2] - scenario.altitude))),
-        "elevation": float(np.max(np.linalg.norm(s[:, :2], axis=1) - scenario.altitude)),
+        "speed_min": craft.v_min - speed,
+        "speed_max": speed - craft.v_max,
+        "acceleration": np.linalg.norm(a, axis=1) - craft.a_max if a.size else np.zeros(1),
+        "start_point": start,
+        "end_point": end,
+        "altitude": np.abs(s[:, 2] - scenario.altitude),
+        "elevation": np.linalg.norm(s[:, :2], axis=1) - scenario.altitude,
     }
+
+
+def physical_violations(scenario: Scenario, s, v, a) -> dict[str, float]:
+    """Worst-case violation of each original mission constraint (<= 0 is clean)."""
+    return {name: float(np.max(per_slot)) for name, per_slot in _violation_slots(scenario, s, v, a).items()}
+
+
+def worst_violation(scenario: Scenario, s, v, a) -> tuple[str, int, float]:
+    """Family, slot and amount of the largest original-constraint violation.
+
+    Ties go to the family listed first in `physical_violations`, then to the
+    earliest slot.
+    """
+    per_slot = _violation_slots(scenario, s, v, a)
+    family = max(per_slot, key=lambda name: np.max(per_slot[name]))
+    slot = int(np.argmax(per_slot[family]))
+    return family, slot, float(per_slot[family][slot])
 
 
 def initialize_iterate(scenario: Scenario) -> Iterate:
@@ -237,11 +262,11 @@ def initialize_iterate(scenario: Scenario) -> Iterate:
         positions[:, 2] = scenario.altitude  # kill interpolation round-off
 
     iterate = tight_iterate(scenario, positions)
-    violations = physical_violations(scenario, iterate.s, iterate.v, iterate.a)
-    bad = {name: val for name, val in violations.items() if val > 1e-9}
-    if bad:
-        worst = max(bad, key=bad.get)
+    family, slot, amount = worst_violation(scenario, iterate.s, iterate.v, iterate.a)
+    if amount > 1e-9:
+        violations = physical_violations(scenario, iterate.s, iterate.v, iterate.a)
+        bad = {name: val for name, val in violations.items() if val > 1e-9}
         raise InfeasibleScenarioError(
-            f"initial trajectory violates {worst} by {bad[worst]:.3g} (all: {bad})"
+            f"initial trajectory violates {family} by {amount:.3g}{slot_suffix(slot)} (all: {bad})"
         )
     return iterate

@@ -15,7 +15,7 @@ import numpy as np
 from .channel import mc_capacities, mc_ergodic_capacity, quadrature_ergodic_capacity  # noqa: F401
 from .convex import check_feasible, solve
 from .convex.solver import require_optimal
-from .errors import BracketError, InfeasibleScenarioError
+from .errors import BracketError, InfeasibleScenarioError, slot_suffix
 # hoyt_params stays bound here because bench/tracer.py installs its
 # jitter.hoyt_params span on this name; the evaluation uses hoyt_eigenvalues.
 from .jitter import HoytParams, hoyt_eigenvalues, hoyt_params, pointing_weight_matrix  # noqa: F401
@@ -27,6 +27,7 @@ from .mission import (
     initialize_iterate,
     physical_violations,
     pointing_geometry,
+    worst_violation,
 )
 from .subproblem import Subproblem
 
@@ -218,8 +219,7 @@ def optimize(
         step = float(
             np.linalg.norm(nxt.flat_original() - current.flat_original())
         ) + float(np.linalg.norm(nxt.flat_auxiliary() - current.flat_auxiliary()))
-        violations = physical_violations(scenario, nxt.s, nxt.v, nxt.a)
-        worst = max(violations.values())
+        family, slot, worst = worst_violation(scenario, nxt.s, nxt.v, nxt.a)
         record = IterationRecord(
             iteration=p,
             lam_star=result.lam_star,
@@ -236,7 +236,7 @@ def optimize(
             callback(record)
         if worst > 100.0 * FEASIBILITY_TOL:
             warnings.warn(
-                f"iterate {p} violates {max(violations, key=violations.get)} by {worst:.3g}",
+                f"iterate {p} violates {family} by {worst:.3g}{slot_suffix(slot)}",
                 RuntimeWarning,
                 stacklevel=2,
             )
@@ -280,11 +280,10 @@ def energy_efficiency(
         raise ValueError(f"unknown mode {mode!r}")
     v, a = differentiate_trajectory(plan)
     s = plan.positions
-    violations = physical_violations(scenario, s, v, a)
-    worst = max(violations, key=violations.get)
-    if violations[worst] > FEASIBILITY_TOL:
+    family, slot, amount = worst_violation(scenario, s, v, a)
+    if amount > FEASIBILITY_TOL:
         raise InfeasibleScenarioError(
-            f"plan violates {worst} by {violations[worst]:.3g}: {violations}"
+            f"plan violates {family} by {amount:.3g}{slot_suffix(slot)}: {physical_violations(scenario, s, v, a)}"
         )
 
     u_hat, _ = pointing_geometry(s, v, a, scenario.aircraft.g)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import fsotraj.mission as mission
+import fsotraj.optimizer as optimizer
 from fsotraj import channel
 from fsotraj.channel import LinkParams, log_bound_params, quadrature_ergodic_capacity
 from fsotraj.errors import DegenerateGeometryError, DegenerateVelocityError
@@ -129,18 +130,35 @@ class TestAgainstPerSlotReference:
                 assert np.max(np.abs(lam[k] - ref)) <= 1e-13 * sig[axis] ** 2
 
     def test_folded_quadrature(self, rng):
-        link = LinkParams()
-        for _ in range(40):
-            z = rng.uniform(600.0, 900.0)
-            lam = np.sort(rng.uniform(0.0, 3e-6, 2))[::-1]
-            hoyt = HoytParams(lam1=lam[0], lam2=lam[1])
+        default, faint, blazing = (LinkParams(transmit_power=p) for p in (10e-3, 1e-12, 1e149))
+        cases = [(default, rng.uniform(100.0, 2000.0), *np.sort(rng.uniform(0.0, 1e-5, 2))[::-1]) for _ in range(40)]
+        cases += [(default, rng.uniform(100.0, 2000.0), rng.uniform(0.0, 1e-5), 0.0) for _ in range(5)]
+        cases += [(link, z, 1e-5, 0.0) for link in (default, faint) for z in (100.0, 2000.0)]
+        cases += [(link, z, 0.0, 0.0) for link in (default, faint) for z in (100.0, 2000.0)]
+        # At 100 m the blazing link's largest node log-SNR exceeds 709, where
+        # exp overflows, so those rows take logaddexp. (P_T = 1e160 would
+        # already overflow P_T^2 in the constant.)
+        link, z = blazing, 100.0
+        log_snr = (
+            math.log(math.e * link.responsivity**2 * link.transmit_power**2 / (2.0 * math.pi * link.noise_std**2))
+            - 2.0 * link.sigma_b * z
+            + 2.0 * math.log(link.aperture**2 / (2.0 * z * link.sigma_div))
+            - 4.0 * link.sigma_i**2
+            + 4.0 * link.sigma_i * channel._hermite_rule(48)[0].max()
+        )
+        assert log_snr > 709.0
+        cases += [(blazing, 100.0, 3e-6, 1e-6), (blazing, 100.0, 1e-5, 0.0), (blazing, 100.0, 0.0, 0.0)]
+        for link, z, lam1, lam2 in cases:
+            hoyt = HoytParams(lam1=lam1, lam2=lam2)
             got = quadrature_ergodic_capacity(link, z, hoyt)
+            assert 0.0 < got < math.inf
             assert got == pytest.approx(quadrature_unfolded(link, z, hoyt), rel=1e-14, abs=0.0)
         # An odd jitter rule has a zero node, which folds onto itself.
-        hoyt = HoytParams(lam1=2e-6, lam2=0.5e-6)
-        got = quadrature_ergodic_capacity(link, 700.0, hoyt, nodes_scint=9, nodes_jitter=7)
-        want = quadrature_unfolded(link, 700.0, hoyt, nodes_scint=9, nodes_jitter=7)
-        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+        for link, z in [(default, 700.0), (blazing, 100.0)]:
+            hoyt = HoytParams(lam1=2e-6, lam2=0.5e-6)
+            got = quadrature_ergodic_capacity(link, z, hoyt, nodes_scint=9, nodes_jitter=7)
+            want = quadrature_unfolded(link, z, hoyt, nodes_scint=9, nodes_jitter=7)
+            assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
     def test_flight_power(self, rng):
         craft = AircraftParams()
@@ -314,6 +332,21 @@ class TestStructureGuards:
         second = energy_efficiency(plan, sc)
         assert len(built) == count
         assert second.efficiency == first.efficiency
+
+    def test_closed_form_makes_one_quadrature_call_per_slot(self, monkeypatch):
+        # The bench tracer's channel.quadrature span wraps this name.
+        sc = hover_scenario()
+        plan = initialize_iterate(sc).plan(sc.delta, sc.altitude)
+        calls = []
+        real = optimizer.quadrature_ergodic_capacity
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(optimizer, "quadrature_ergodic_capacity", spy)
+        energy_efficiency(plan, sc)
+        assert len(calls) == plan.n_slots
 
     def test_cached_rules_are_read_only(self):
         for rule in (channel._hermite_rule(48), channel._folded_hermite_rule(32)):

@@ -10,7 +10,15 @@ from fsotraj.channel import LinkParams
 from fsotraj.convex import ConvexProgram, VariableSpace, solve
 from fsotraj.errors import BracketError, InfeasibleScenarioError, SolverError, UnsupportedReductionError
 from fsotraj.jitter import JitterCovariance
-from fsotraj.mission import CircularInit, OptimizerConfig, Scenario, initialize_iterate
+from fsotraj.kinematics import AircraftParams, TrajectoryPlan, differentiate_trajectory
+from fsotraj.mission import (
+    CircularInit,
+    OptimizerConfig,
+    Scenario,
+    initialize_iterate,
+    physical_violations,
+    worst_violation,
+)
 from fsotraj.optimizer import (
     dinkelbach_iterate,
     dinkelbach_solve,
@@ -346,11 +354,25 @@ class TestEnergyEfficiency:
         sc = moving_scenario()
         plan = initialize_iterate(sc).plan(sc.delta, sc.altitude)
         bad = plan.positions.copy()
-        bad[5, 1] += 900.0  # breaks elevation and acceleration
-        from fsotraj.kinematics import TrajectoryPlan
-
-        with pytest.raises(InfeasibleScenarioError):
+        bad[5, 1] += 900.0  # breaks elevation (the worst, at slot 5) and acceleration
+        with pytest.raises(InfeasibleScenarioError, match="violates elevation by .* at slot 5"):
             energy_efficiency(TrajectoryPlan(bad, plan.delta, plan.altitude), sc)
+
+    def test_worst_violation_names_family_and_slot(self):
+        sc = moving_scenario(aircraft=AircraftParams(a_max=1000.0))
+        plan = initialize_iterate(sc).plan(sc.delta, sc.altitude)
+        fast = plan.positions.copy()
+        fast[7, 0] += 200.0  # slot 6 covers 236 m in 2 s, over v_max = 100 m/s
+        v, a = differentiate_trajectory(TrajectoryPlan(fast, plan.delta, plan.altitude))
+        family, slot, amount = worst_violation(sc, fast, v, a)
+        assert (family, slot) == ("speed_max", 6)
+        assert amount == pytest.approx(np.linalg.norm(v[6]) - sc.aircraft.v_max, rel=1e-15)
+        assert amount == max(physical_violations(sc, fast, v, a).values())
+
+    def test_initial_trajectory_error_names_the_slot(self):
+        sc = replace(moving_scenario(), start=np.array([650.0, 0.0, H]))  # 650 m out at 600 m altitude
+        with pytest.raises(InfeasibleScenarioError, match="violates elevation by 50 at slot 0"):
+            initialize_iterate(sc)
 
     def test_unknown_mode(self):
         sc = moving_scenario()
