@@ -11,17 +11,19 @@ scintillation node and one per node of each jitter axis, leaving one log1p
 per grid node. `log_bound_params` takes the anchors of all slots as one array.
 
 The Monte Carlo oracle `mc_ergodic_capacity` estimates one slot.
-`mc_capacities` estimates every slot of a plan, bit-identically to calling it
-slot by slot on one stream: one worker thread draws the seeded normals ahead
-while the calling thread reduces each slot in place, and both share one copy
-of the per-sample arithmetic.
+`mc_capacities` estimates every slot of a plan, each slot on its own child
+stream spawned from the seed, bit-identically to calling the oracle on that
+stream: the calling thread and one worker thread claim slots in turn and draw
+and reduce each in their own buffers, sharing one copy of the per-sample
+arithmetic.
 """
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import threading
 import warnings
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -194,28 +196,28 @@ class LogGammaTerms(NamedTuple):
     pointing: float  # 2 E[log h_p]
 
 
+def _log_snr_base(link: LinkParams) -> float:
+    """log(e R^2 P_T^2 / (2 pi sigma^2)), summed in logs.
+
+    Every log is of a positive finite input, so the constant stays finite for
+    any link; the product form overflows in P_T^2 above about 1.3e154 W.
+    """
+    return 2.0 * (
+        math.log(link.transmit_power) + math.log(link.responsivity) - math.log(link.noise_std)
+    ) + math.log(math.e / (2.0 * math.pi))
+
+
 def capacity_offset(link: LinkParams) -> float:
     """Distance- and jitter-independent constant of E[log Gamma].
 
     log(e R^2 P_T^2 a^4 / (8 pi sigma^2 sigma_div^2)) - 4 sigma_i^2.
     """
-    return (
-        math.log(
-            math.e
-            * link.responsivity**2
-            * link.transmit_power**2
-            * link.aperture**4
-            / (8.0 * math.pi * link.noise_std**2 * link.sigma_div**2)
-        )
-        - 4.0 * link.sigma_i**2
-    )
+    return _log_snr_base(link) + 2.0 * math.log(link.aperture**2 / (2.0 * link.sigma_div)) - 4.0 * link.sigma_i**2
 
 
 def log_gamma_terms(link: LinkParams, z: float, hoyt: HoytParams) -> LogGammaTerms:
     """The four independent additive components of E[log Gamma]."""
-    base = math.log(
-        math.e * link.responsivity**2 * link.transmit_power**2 / (2.0 * math.pi * link.noise_std**2)
-    )
+    base = _log_snr_base(link)
     pointing = (
         2.0 * math.log(link.aperture**2 / (2.0 * link.sigma_div))
         - 2.0 * math.log(z)
@@ -312,15 +314,17 @@ def mc_capacities(
     """Monte Carlo ergodic capacity of every slot of a plan, bits/channel use, shape (N,).
 
     ``z`` holds the N propagation distances and ``u_hat`` the (N, 3) pointing
-    vectors. Slot k's value is bit-identical to
-    ``mc_ergodic_capacity(link, z[k], cov, u_hat[k], n, rng).value`` called
-    for k = 0, 1, ... in turn, and ``rng`` ends in the same state.
+    vectors. Slot k draws from its own child stream, the k-th of
+    ``rng.spawn(N)``: its value is bit-identical to ``mc_ergodic_capacity(link,
+    z[k], cov, u_hat[k], n, seed=rng.spawn(N)[k]).value``, whichever thread ran
+    it. ``rng`` keeps its bit stream; its ``seed_seq`` records N more spawned
+    children.
 
-    Every slot is checked before anything is drawn. One worker thread fills
-    each slot's (n, 3) jitter normals, then its n scintillation normals, into a
-    ring of three buffer pairs, at most two slots ahead, while the calling
-    thread reduces the slot in place. On a raise the pending draws are
-    cancelled and the worker is joined before the error propagates.
+    Every slot is checked before any child is spawned. The calling thread and
+    one worker thread then claim slots from a shared counter; each builds the
+    generator of the slot it claims and draws and reduces it in its own
+    buffers. A raise in either thread stops both, and the worker is joined
+    before the call returns or raises.
     """
     if n < 1:
         raise ValueError("need at least one sample")
@@ -333,28 +337,38 @@ def mc_capacities(
         raise DegenerateGeometryError(f"propagation distance must be positive{slot_suffix(z <= 0.0)}")
 
     slots = len(z)
+    bits = rng.bit_generator
+    children = bits.seed_seq.spawn(slots)  # rng.spawn's seeds; each generator is built by its thread
     factor_t = _covariance_factor(cov).T
-    x, xu, work = np.empty((n, 3)), np.empty(n), np.empty(n)
-    ring = [(np.empty((n, 3)), np.empty(n)) for _ in range(min(3, slots))]
     capacity = np.empty(slots)
+    claim, claim_lock, stop = itertools.count(), threading.Lock(), threading.Event()
 
-    def draw(d, e):
-        rng.standard_normal(out=d)
-        rng.standard_normal(out=e)
-        return d, e
+    def run_slots():
+        d, x = np.empty((n, 3)), np.empty((n, 3))
+        e, xu, work = np.empty(n), np.empty(n), np.empty(n)
+        try:
+            while not stop.is_set():
+                with claim_lock:
+                    k = next(claim)
+                if k >= slots:
+                    return
+                child = np.random.Generator(type(bits)(children[k]))
+                child.standard_normal(out=d)
+                np.matmul(d, factor_t, out=x)
+                theta_p = _small_angle_error(x, u[k], z_sq[k], xu, work)
+                child.standard_normal(out=e)
+                capacity[k] = np.mean(_capacity_samples(_gamma_from_draws(link, z[k], theta_p, e)))
+        except BaseException:
+            stop.set()
+            raise
 
-    pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="fsotraj-mc-draw")
+    pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="fsotraj-mc")
     try:
-        pending = deque(pool.submit(draw, d, e) for d, e in ring)
-        for k in range(slots):
-            d, e = pending.popleft().result()
-            np.matmul(d, factor_t, out=x)
-            theta_p = _small_angle_error(x, u[k], z_sq[k], xu, work)
-            capacity[k] = np.mean(_capacity_samples(_gamma_from_draws(link, z[k], theta_p, e)))
-            if k + len(ring) < slots:
-                pending.append(pool.submit(draw, d, e))
+        worker = pool.submit(run_slots)
+        run_slots()
+        worker.result()
     finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+        pool.shutdown(wait=True)
     return capacity
 
 
@@ -409,9 +423,7 @@ def quadrature_ergodic_capacity(
     _EXP_SAFE, which no physical link reaches) takes logaddexp(0, t) instead.
     """
     const = (
-        math.log(
-            math.e * link.responsivity**2 * link.transmit_power**2 / (2.0 * math.pi * link.noise_std**2)
-        )
+        _log_snr_base(link)
         - 2.0 * link.sigma_b * z
         + 2.0 * math.log(link.aperture**2 / (2.0 * z * link.sigma_div))
     )

@@ -266,15 +266,15 @@ def energy_efficiency(
     scenario: Scenario,
     mode: str = "closed_form",
     samples_per_slot: int = 20_000,
-    seed: int | None = None,
+    seed: int | np.random.Generator | None = None,
 ) -> EfficiencyReport:
     """Mission efficiency under the true channel model (no surrogate).
 
     closed_form evaluates the ergodic capacity by deterministic quadrature;
     monte_carlo replaces it with `mc_capacities`: samples_per_slot draws per
-    slot from one stream seeded by ``seed`` (an int or a Generator; default
-    ``scenario.seed``), bit-identical to `mc_ergodic_capacity` called slot by
-    slot on that stream.
+    slot, slot k from the k-th child stream spawned from ``seed`` (an int or a
+    Generator; default ``scenario.seed``), bit-identical to
+    `mc_ergodic_capacity` on that child stream.
     """
     if mode not in ("closed_form", "monte_carlo"):
         raise ValueError(f"unknown mode {mode!r}")

@@ -86,9 +86,10 @@ def hoyt_eigenvalues_slot(cov, u_hat) -> tuple[float, float]:
 def quadrature_unfolded(link, z: float, hoyt, nodes_scint: int = 48, nodes_jitter: int = 32) -> float:
     """The full nodes_scint x nodes_jitter x nodes_jitter Gauss-Hermite sum, rules rebuilt per call."""
     const = (
-        math.log(
-            math.e * link.responsivity**2 * link.transmit_power**2 / (2.0 * math.pi * link.noise_std**2)
-        )
+        2.0 * math.log(link.transmit_power)
+        + 2.0 * math.log(link.responsivity)
+        - 2.0 * math.log(link.noise_std)
+        + math.log(math.e / (2.0 * math.pi))
         - 2.0 * link.sigma_b * z
         + 2.0 * math.log(link.aperture**2 / (2.0 * z * link.sigma_div))
     )

@@ -66,9 +66,13 @@ def initial_geometry(sc):
 
 
 def mc_slot_loop(sc, z, u_hat, samples, rng):
-    """The per-slot oracle: one mc_ergodic_capacity call per slot on one stream."""
+    """The per-slot oracle: one mc_ergodic_capacity call per slot, slot k on the k-th child of ``rng``."""
+    children = rng.spawn(len(z))
     return np.array(
-        [channel.mc_ergodic_capacity(sc.link, z[k], sc.jitter, u_hat[k], n=samples, seed=rng).value for k in range(len(z))]
+        [
+            channel.mc_ergodic_capacity(sc.link, z[k], sc.jitter, u_hat[k], n=samples, seed=children[k]).value
+            for k in range(len(z))
+        ]
     )
 
 
@@ -209,18 +213,30 @@ class TestMonteCarloPerPlan:
         assert np.array_equal(report.capacity_per_slot, want)
 
     def test_generator_matches_slot_loop_and_ends_in_the_same_state(self):
+        # Spawning children leaves the parent's bit stream alone and only
+        # counts the children on its seed sequence.
         sc = bundled_scenario("moving")
         plan, z, u_hat = initial_geometry(sc)
         got_rng, want_rng = np.random.default_rng(5), np.random.default_rng(5)
+        state = got_rng.bit_generator.state
         report = energy_efficiency(plan, sc, mode="monte_carlo", samples_per_slot=self.SAMPLES, seed=got_rng)
         want = mc_slot_loop(sc, z, u_hat, self.SAMPLES, want_rng)
         assert np.array_equal(report.capacity_per_slot, want)
-        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        assert got_rng.bit_generator.state == state == want_rng.bit_generator.state
+        assert got_rng.bit_generator.seed_seq.n_children_spawned == len(z)
+
+    def test_leading_slots_keep_their_values(self):
+        sc = bundled_scenario("moving")
+        _, z, u_hat = initial_geometry(sc)
+        full = channel.mc_capacities(sc.link, z, sc.jitter, u_hat, self.SAMPLES, np.random.default_rng(8))
+        for k in (1, 7, 40):
+            head = channel.mc_capacities(sc.link, z[:k], sc.jitter, u_hat[:k], self.SAMPLES, np.random.default_rng(8))
+            assert np.array_equal(head, full[:k])
 
     @pytest.mark.parametrize("samples", [64, 1500])
     def test_fast_thread_switching_keeps_slots_apart(self, samples):
-        # A short switch interval interleaves the draws with the reduction; a
-        # buffer redrawn before its slot is reduced would change a value.
+        # A short switch interval interleaves the two threads' slots; a slot
+        # that read the other thread's buffers or stream would change a value.
         sc = bundled_scenario("hover_pitch_jitter")
         _, z, u_hat = initial_geometry(sc)
         interval = sys.getswitchinterval()
@@ -242,6 +258,7 @@ class TestMonteCarloPerPlan:
         with pytest.raises(DegenerateGeometryError, match=f"at slot {slot}$"):
             channel.mc_capacities(sc.link, z, sc.jitter, u_hat, self.SAMPLES, rng)
         assert rng.bit_generator.state == state
+        assert rng.bit_generator.seed_seq.n_children_spawned == 0
         assert threading.active_count() == threads
 
     def test_no_thread_outlives_a_return(self):
@@ -252,39 +269,57 @@ class TestMonteCarloPerPlan:
         assert threading.active_count() == threads
 
     def test_no_thread_outlives_a_raise_in_the_reduction(self, monkeypatch):
+        # The calling thread fails in the reduction of the first slot it
+        # claims. The worker holds its first slot until then, so the caller is
+        # sure to claim one; the worker then stops within a few slots.
         sc = bundled_scenario("moving")
         plan, _, _ = initial_geometry(sc)
-        real, seen = channel._gamma_from_draws, []
+        real, caller_failed, worker_slots = channel._gamma_from_draws, threading.Event(), []
 
-        def fail_at_slot_2(*args):
-            seen.append(1)
-            if len(seen) == 3:
+        def fail_in_the_caller(*args):
+            if threading.current_thread() is threading.main_thread():
+                caller_failed.set()
                 raise RuntimeError("reduction failed")
+            caller_failed.wait(timeout=30.0)
+            worker_slots.append(1)
             return real(*args)
 
-        monkeypatch.setattr(channel, "_gamma_from_draws", fail_at_slot_2)
+        monkeypatch.setattr(channel, "_gamma_from_draws", fail_in_the_caller)
         threads = threading.active_count()
         with pytest.raises(RuntimeError, match="reduction failed"):
             energy_efficiency(plan, sc, mode="monte_carlo", samples_per_slot=self.SAMPLES, seed=1)
+        assert caller_failed.is_set()
+        assert len(worker_slots) < 10
         assert threading.active_count() == threads
 
     def test_no_thread_outlives_a_raise_in_the_draws(self):
+        # The worker fails at the draws of the first slot it claims: building
+        # that slot's generator raises. The caller holds its first slot until
+        # then, so the worker is sure to claim one; the caller then stops
+        # within a few slots.
         sc = bundled_scenario("moving")
         _, z, u_hat = initial_geometry(sc)
+        worker_failed, caller_slots = threading.Event(), []
 
-        class FailingStream:
-            def __init__(self):
-                self.rng, self.calls = np.random.default_rng(0), 0
+        class FailsInTheWorker(np.random.PCG64):
+            armed = False
 
-            def standard_normal(self, out):
-                self.calls += 1
-                if self.calls == 5:
+            def __init__(self, seed=None):
+                if self.armed and threading.current_thread() is not threading.main_thread():
+                    worker_failed.set()
                     raise RuntimeError("stream failed")
-                return self.rng.standard_normal(out=out)
+                if self.armed:
+                    worker_failed.wait(timeout=30.0)
+                    caller_slots.append(1)
+                super().__init__(seed)
 
+        rng = np.random.Generator(FailsInTheWorker(0))
+        FailsInTheWorker.armed = True
         threads = threading.active_count()
         with pytest.raises(RuntimeError, match="stream failed"):
-            channel.mc_capacities(sc.link, z, sc.jitter, u_hat, self.SAMPLES, FailingStream())
+            channel.mc_capacities(sc.link, z, sc.jitter, u_hat, self.SAMPLES, rng)
+        assert worker_failed.is_set()
+        assert len(caller_slots) < 10
         assert threading.active_count() == threads
 
 

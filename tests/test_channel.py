@@ -24,6 +24,7 @@ from fsotraj.channel import (
 )
 from fsotraj.errors import NearFieldWarning
 from fsotraj.jitter import HoytParams, JitterCovariance, hoyt_params
+from reference_slots import quadrature_unfolded
 
 
 class TestAttenuation:
@@ -142,6 +143,28 @@ class TestExpectedLogGamma:
         closed = expected_log_gamma(default_link, z, hp)
         mc = mc_log_gamma(default_link, z, cov, u, n=10**6, seed=42)
         assert closed == pytest.approx(mc.value, rel=0.005)
+
+
+class TestHugeTransmitPower:
+    """The link constant is summed in logs, so LinkParams' whole range stays finite."""
+
+    def test_constants_stay_finite(self, default_link):
+        link = LinkParams(transmit_power=1e160)  # P_T^2 overflows a double
+        hp = HoytParams(0.7e-6, 0.3e-6)
+        z = 700.0
+        assert all(math.isfinite(term) for term in log_gamma_terms(link, z, hp))
+        shift = capacity_offset(link) - capacity_offset(default_link)
+        assert shift == pytest.approx(2.0 * math.log(1e160 / default_link.transmit_power), rel=1e-12)
+
+    def test_quadrature_is_the_log_snr(self):
+        # Every node's log-SNR exceeds 700, where log(1 + Gamma) equals
+        # log Gamma to double precision: the capacity is E[log Gamma] / (2 log 2).
+        link = LinkParams(transmit_power=1e160)
+        hp = HoytParams(0.7e-6, 0.3e-6)
+        z = 700.0
+        want = expected_log_gamma(link, z, hp) / (2.0 * math.log(2.0))
+        assert quadrature_ergodic_capacity(link, z, hp) == pytest.approx(want, rel=1e-12)
+        assert quadrature_unfolded(link, z, hp) == pytest.approx(want, rel=1e-12)
 
 
 class TestErgodicCapacity:
