@@ -10,12 +10,17 @@ is evaluated in factored form: exp(t) is the product of one exponential per
 scintillation node and one per node of each jitter axis, leaving one log1p
 per grid node. `log_bound_params` takes the anchors of all slots as one array.
 
-The Monte Carlo oracle `mc_ergodic_capacity` estimates one slot.
-`mc_capacities` estimates every slot of a plan, each slot on its own child
-stream spawned from the seed, bit-identically to calling the oracle on that
-stream: the calling thread and one worker thread claim slots in turn and draw
-and reduce each in their own buffers, sharing one copy of the per-sample
-arithmetic.
+Every Monte Carlo path works in the log domain. log Gamma is affine in the
+scintillation normal e and in theta_p^2, so a sample's log-SNR is
+t = c0 + 4 sigma_i e - |d M|^2, where d holds the sample's three attitude
+normals and the slot's 3x2 matrix M projects the jitter onto the pointing
+error plane in units of sigma_div; its capacity is log1p(exp(t)) / (2 log 2).
+`_slot_constants` builds c0 and M for every slot with elementwise arithmetic
+and `_log_snr` is the one per-sample kernel. The oracle `mc_ergodic_capacity`
+estimates one slot. `mc_capacities` estimates every slot of a plan, each slot
+on its own child stream spawned from the seed, bit-identically to calling the
+oracle on that stream: the calling thread and one worker thread claim slots
+in turn and draw and reduce each in their own buffers.
 """
 from __future__ import annotations
 
@@ -31,11 +36,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateGeometryError, NearFieldWarning, slot_suffix
-from .jitter import HoytParams, JitterCovariance, _covariance_factor, _small_angle_error, sample_error_angles
+from .jitter import HoytParams, JitterCovariance, _covariance_factor, _error_plane_factor
 
 _REFERENCE_WAVELENGTH = 550e-9  # meters, anchor of the visibility scattering law
-_GAMMA_FLOOR = 1e-300  # keeps log(Gamma) finite on pathological inputs
 _EXP_SAFE = 709.0  # largest log-SNR whose exp stays finite with room to spare
+_HALF_LOG2E = 0.5 / math.log(2.0)  # 0.5 log2(x) = _HALF_LOG2E log(x)
 
 
 @dataclass(frozen=True)
@@ -146,45 +151,21 @@ def pointing_loss(theta_p, z: float, link: LinkParams):
             NearFieldWarning,
             stacklevel=2,
         )
-    out = _beam_gain(th.copy(), z, link)
+    out = max_pointing_gain(z, link) * np.exp(-th * th / (2.0 * link.sigma_div**2))
     return float(out) if np.ndim(theta_p) == 0 else out
 
 
 def gamma_from_gains(h_a, h_l, h_p, link: LinkParams):
     """Electrical SNR argument e P^2 / (2 pi sigma^2)."""
-    shape = np.broadcast(h_a, h_l, h_p).shape
-    out = _gamma_from_gains(h_a, h_l, h_p, link, np.empty(shape), np.empty(shape))
-    return float(out) if out.ndim == 0 else out
+    p_rx = np.asarray(h_a, dtype=float) * h_l * h_p * link.responsivity * link.transmit_power
+    out = math.e * p_rx * p_rx / (2.0 * math.pi * link.noise_std**2)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def instantaneous_capacity(h_a, h_l, h_p, link: LinkParams):
     """Capacity 0.5 log2(1 + Gamma) for one channel realization, bits/channel use."""
-    out = _capacity_samples(np.asarray(gamma_from_gains(h_a, h_l, h_p, link), dtype=float))
-    return float(out) if out.ndim == 0 else out
-
-
-def _beam_gain(theta_p: np.ndarray, z: float, link: LinkParams) -> np.ndarray:
-    """A0 exp(-theta_p^2 / (2 sigma_div^2)) of each angle, in place over ``theta_p``."""
-    h_p = np.multiply(theta_p, theta_p, out=theta_p)
-    np.negative(h_p, out=h_p)
-    np.divide(h_p, 2.0 * link.sigma_div**2, out=h_p)
-    np.exp(h_p, out=h_p)
-    return np.multiply(max_pointing_gain(z, link), h_p, out=h_p)
-
-
-def _gamma_from_gains(h_a, h_l, h_p, link: LinkParams, p_rx: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """e P^2 / (2 pi sigma^2) with P = h_a h_l h_p R P_T, into ``gamma``.
-
-    ``p_rx`` holds P on the way and may be ``h_a``'s buffer; ``gamma`` may be
-    any gain's buffer other than ``p_rx``.
-    """
-    np.multiply(h_a, h_l, out=p_rx)
-    np.multiply(p_rx, h_p, out=p_rx)
-    np.multiply(p_rx, link.responsivity, out=p_rx)
-    np.multiply(p_rx, link.transmit_power, out=p_rx)
-    np.multiply(math.e, p_rx, out=gamma)
-    np.multiply(gamma, p_rx, out=gamma)
-    return np.divide(gamma, 2.0 * math.pi * link.noise_std**2, out=gamma)
+    out = 0.5 * np.log2(1.0 + np.asarray(gamma_from_gains(h_a, h_l, h_p, link), dtype=float))
+    return float(out) if np.ndim(out) == 0 else out
 
 
 class LogGammaTerms(NamedTuple):
@@ -280,10 +261,13 @@ def mc_log_gamma(
     n: int = 10**6,
     seed=0,
 ) -> MCEstimate:
-    """Monte Carlo estimate of E[log Gamma], the oracle for expected_log_gamma."""
-    gammas = _sample_gamma(link, z, cov, u_hat, n, seed)
-    logs = np.log(np.maximum(gammas, _GAMMA_FLOOR))
-    return MCEstimate(float(np.mean(logs)), float(np.std(logs) / math.sqrt(n)), n)
+    """Monte Carlo estimate of E[log Gamma], the oracle for expected_log_gamma.
+
+    The mean of the per-sample log-SNR t that `mc_ergodic_capacity` draws from
+    the same seed; finite for every link, with no floor on Gamma.
+    """
+    t = _sample_log_snr(link, z, cov, u_hat, n, seed)
+    return MCEstimate(float(np.mean(t)), float(np.std(t) / math.sqrt(n)), n)
 
 
 def mc_ergodic_capacity(
@@ -296,11 +280,13 @@ def mc_ergodic_capacity(
 ) -> MCEstimate:
     """Monte Carlo estimate of the true ergodic capacity E[0.5 log2(1 + Gamma)].
 
-    The oracle against which every closed form in this module is checked. The
-    pointing errors are drawn by the small-angle sampler, as in `mc_capacities`.
+    The oracle against which every closed form in this module is checked. It
+    draws n (3,) attitude normals and then n scintillation normals from the
+    seed's stream and reduces them with the log-domain kernel of
+    `mc_capacities`: each sample's capacity is log1p(exp(t)) / (2 log 2).
     """
-    caps = _capacity_samples(_sample_gamma(link, z, cov, u_hat, n, seed))
-    return MCEstimate(float(np.mean(caps)), float(np.std(caps) / math.sqrt(n)), n)
+    caps = _log1p_exp(_sample_log_snr(link, z, cov, u_hat, n, seed))
+    return MCEstimate(float(np.mean(caps) * _HALF_LOG2E), float(np.std(caps) * _HALF_LOG2E / math.sqrt(n)), n)
 
 
 def mc_capacities(
@@ -320,32 +306,24 @@ def mc_capacities(
     it. ``rng`` keeps its bit stream; its ``seed_seq`` records N more spawned
     children.
 
-    Every slot is checked before any child is spawned. The calling thread and
-    one worker thread then claim slots from a shared counter; each builds the
-    generator of the slot it claims and draws and reduces it in its own
-    buffers. A raise in either thread stops both, and the worker is joined
-    before the call returns or raises.
+    Every slot is checked, and its constants c0 and M built, before any child
+    is spawned. The calling thread and one worker thread then claim slots from
+    a shared counter; each builds the generator of the slot it claims, draws
+    its normals and reduces them with `_log_snr` in its own buffers. A raise
+    in either thread stops both, and the worker is joined before the call
+    returns or raises.
     """
     if n < 1:
         raise ValueError("need at least one sample")
-    z = np.asarray(z, dtype=float)
-    u = np.asarray(u_hat, dtype=float)
-    z_sq = np.array([np.dot(uk, uk) for uk in u])  # per row, as the per-slot sampler computes it
-    if np.any(z_sq == 0.0):
-        raise DegenerateGeometryError(f"pointing vector has zero norm{slot_suffix(z_sq == 0.0)}")
-    if np.any(z <= 0.0):
-        raise DegenerateGeometryError(f"propagation distance must be positive{slot_suffix(z <= 0.0)}")
-
-    slots = len(z)
+    c0, proj = _slot_constants(link, z, cov, u_hat)
+    slots = len(c0)
     bits = rng.bit_generator
     children = bits.seed_seq.spawn(slots)  # rng.spawn's seeds; each generator is built by its thread
-    factor_t = _covariance_factor(cov).T
     capacity = np.empty(slots)
     claim, claim_lock, stop = itertools.count(), threading.Lock(), threading.Event()
 
     def run_slots():
-        d, x = np.empty((n, 3)), np.empty((n, 3))
-        e, xu, work = np.empty(n), np.empty(n), np.empty(n)
+        d, e, y = np.empty((n, 3)), np.empty(n), np.empty((n, 2))
         try:
             while not stop.is_set():
                 with claim_lock:
@@ -354,10 +332,8 @@ def mc_capacities(
                     return
                 child = np.random.Generator(type(bits)(children[k]))
                 child.standard_normal(out=d)
-                np.matmul(d, factor_t, out=x)
-                theta_p = _small_angle_error(x, u[k], z_sq[k], xu, work)
                 child.standard_normal(out=e)
-                capacity[k] = np.mean(_capacity_samples(_gamma_from_draws(link, z[k], theta_p, e)))
+                capacity[k] = np.mean(_log1p_exp(_log_snr(d, e, proj[k], c0[k], link.sigma_i, y))) * _HALF_LOG2E
         except BaseException:
             stop.set()
             raise
@@ -372,34 +348,70 @@ def mc_capacities(
     return capacity
 
 
-def _sample_gamma(link, z, cov, u_hat, n, seed) -> np.ndarray:
+def _slot_constants(link: LinkParams, z, cov: JitterCovariance, u_hat) -> tuple[np.ndarray, np.ndarray]:
+    """The Monte Carlo kernel's constants of each slot: c0, shape (N,), and M, shape (N, 3, 2).
+
+    c0 = log(e R^2 P_T^2 / (2 pi sigma^2)) - 4 sigma_i^2 - 2 sigma_b z + 2 log A0(z)
+    is the log-SNR of an on-axis sample with e = 0, and M = L^T [e1 e2] / sigma_div
+    (`_error_plane_factor`, L the covariance factor), so |d M| = theta_p / sigma_div.
+    Both are built slot by slot, with elementwise arithmetic and one math.log
+    per slot, so a slot's constants do not depend on the other slots. A scalar
+    ``z`` with a (3,) ``u_hat`` gives a 0-d c0 and a (3, 2) M.
+
+    Raises DegenerateGeometryError, naming the slot, for a zero pointing
+    vector or a nonpositive distance.
+    """
+    z = np.asarray(z, dtype=float)
+    u = np.asarray(u_hat, dtype=float)
+    z_sq = u[..., 0] * u[..., 0] + u[..., 1] * u[..., 1] + u[..., 2] * u[..., 2]
+    if np.any(z_sq == 0.0):
+        raise DegenerateGeometryError(f"pointing vector has zero norm{slot_suffix(z_sq == 0.0)}")
+    if np.any(z <= 0.0):
+        raise DegenerateGeometryError(f"propagation distance must be positive{slot_suffix(z <= 0.0)}")
+    rows = u.reshape(-1, 3) / np.sqrt(z_sq).reshape(-1, 1)
+    proj = _error_plane_factor(_covariance_factor(cov) / link.sigma_div, rows)
+    base = _log_snr_base(link) - 4.0 * link.sigma_i**2
+    c0 = [base - 2.0 * link.sigma_b * zk + 2.0 * math.log(max_pointing_gain(zk, link)) for zk in z.ravel().tolist()]
+    return np.reshape(c0, z.shape), proj.reshape(u.shape[:-1] + (3, 2))
+
+
+def _sample_log_snr(link, z, cov, u_hat, n, seed) -> np.ndarray:
+    """Log-SNR samples of one slot, drawn from ``seed`` as `mc_capacities` draws a slot."""
     if n < 1:
         raise ValueError("need at least one sample")
+    c0, proj = _slot_constants(link, z, cov, u_hat)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    theta_p = sample_error_angles(cov, u_hat, n, seed=rng, mode="small_angle")
-    return _gamma_from_draws(link, z, theta_p, rng.standard_normal(n))
+    d = rng.standard_normal((n, 3))
+    e = rng.standard_normal(n)
+    return _log_snr(d, e, proj, c0, link.sigma_i, np.empty((n, 2)))
 
 
-def _gamma_from_draws(link: LinkParams, z: float, theta_p: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Gamma of each sample from its pointing-error angle and scintillation normal, in place.
+def _log_snr(d: np.ndarray, e: np.ndarray, proj: np.ndarray, c0: float, sigma_i: float, y: np.ndarray) -> np.ndarray:
+    """Log-SNR t = c0 + 4 sigma_i e - |d M|^2 of each sample, in place over ``e``.
 
-    log h_a = -2 sigma_i^2 + 2 sigma_i e ~ N(-2 sigma_i^2, 4 sigma_i^2), which
-    makes E[h_a] = 1; h_p is `pointing_loss` without its near-field warning,
-    and Gamma is `gamma_from_gains`, both through the same in-place kernels.
-    The result overwrites ``theta_p``; ``e`` is used as work space.
+    ``d`` (n, 3) holds the attitude normals, ``e`` (n,) the scintillation
+    normals (log h_a = -2 sigma_i^2 + 2 sigma_i e, so E[h_a] = 1), and ``proj``
+    is the slot's (3, 2) M from `_slot_constants`, so |d M|^2 = theta_p^2 /
+    sigma_div^2 = -2 log(h_p / A0); ``y`` is (n, 2) work space.
     """
-    h_a = np.multiply(2.0 * link.sigma_i, e, out=e)
-    np.add(-2.0 * link.sigma_i**2, h_a, out=h_a)
-    np.exp(h_a, out=h_a)
-    h_p = _beam_gain(theta_p, z, link)
-    return _gamma_from_gains(h_a, atmospheric_loss(link.sigma_b, z), h_p, link, h_a, h_p)
+    np.matmul(d, proj, out=y)
+    np.square(y, out=y)
+    t = np.multiply(e, 4.0 * sigma_i, out=e)
+    np.subtract(t, y[:, 0], out=t)
+    np.subtract(t, y[:, 1], out=t)
+    return np.add(t, c0, out=t)
 
 
-def _capacity_samples(gamma: np.ndarray) -> np.ndarray:
-    """0.5 log2(1 + Gamma) of each sample, in place."""
-    np.add(1.0, gamma, out=gamma)
-    np.log2(gamma, out=gamma)
-    return np.multiply(0.5, gamma, out=gamma)
+def _log1p_exp(t: np.ndarray) -> np.ndarray:
+    """log(1 + exp(t)) of each sample, in place over ``t``.
+
+    A slot whose largest t exceeds _EXP_SAFE takes logaddexp(0, t), as the
+    quadrature's rows do, so no sample overflows.
+    """
+    if t.max() > _EXP_SAFE:
+        return np.logaddexp(0.0, t, out=t)
+    np.exp(t, out=t)
+    return np.log1p(t, out=t)
 
 
 def quadrature_ergodic_capacity(
@@ -441,7 +453,7 @@ def quadrature_ergodic_capacity(
     if row.max() > _EXP_SAFE:
         big = row > _EXP_SAFE
         cap[big] = np.logaddexp(0.0, row[big, None] + np.add.outer(axis1, axis2).ravel())
-    return float(w_s @ cap @ w_jit) * (0.5 / math.log(2.0))
+    return float(w_s @ cap @ w_jit) * _HALF_LOG2E
 
 
 @functools.lru_cache(maxsize=None)

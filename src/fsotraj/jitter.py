@@ -176,6 +176,23 @@ def _plane_basis(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return e1, e2
 
 
+def _error_plane_factor(factor: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """The (N, 3, 2) matrices F_k = factor^T [e1_k e2_k] for the (N, 3) unit rows of n.
+
+    e1_k, e2_k (`_plane_basis`) span the plane orthogonal to n_k, and
+    A = I - n n^T = E E^T, so an attitude draw x = factor d has the small-angle
+    pointing-error angle sqrt(x^T A x) = |d F_k|, without the cancellation of
+    |x|^2 - (x.n)^2. Each entry is an elementwise sum of three products, so a
+    row's matrix does not depend on the other rows.
+    """
+    basis = np.stack(_plane_basis(n), axis=2)  # basis[k, m, j]: component m of e1_k (j = 0) or e2_k (j = 1)
+    return (
+        factor[0, :, None] * basis[:, None, 0, :]
+        + factor[1, :, None] * basis[:, None, 1, :]
+        + factor[2, :, None] * basis[:, None, 2, :]
+    )
+
+
 def hoyt_params(cov: JitterCovariance, u_hat: np.ndarray) -> HoytParams:
     """Pointing-error law for a given jitter covariance and one pointing direction.
 
@@ -255,22 +272,6 @@ def _covariance_factor(cov: JitterCovariance) -> np.ndarray:
         return (vecs * np.sqrt(np.maximum(evals, 0.0))) @ vecs.T
 
 
-def _small_angle_error(x: np.ndarray, u: np.ndarray, z_sq: float, xu: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Small-angle pointing-error angles of the attitude draws ``x`` (n, 3), in place.
-
-    theta_p = sqrt(x^T A x) with A = I - u u^T / |u|^2, evaluated as
-    sqrt(max(|x|^2 - (x.u)^2 / z_sq, 0)) without forming A; ``z_sq`` is
-    ``np.dot(u, u)``. ``xu`` and ``out`` are (n,) work arrays; returns ``out``.
-    """
-    np.matmul(x, u, out=xu)
-    np.multiply(xu, xu, out=xu)
-    np.divide(xu, z_sq, out=xu)
-    np.einsum("ni,ni->n", x, x, out=out)
-    np.subtract(out, xu, out=out)
-    np.maximum(out, 0.0, out=out)
-    return np.sqrt(out, out=out)
-
-
 def sample_error_angles(
     cov: JitterCovariance,
     u_hat: np.ndarray,
@@ -281,8 +282,9 @@ def sample_error_angles(
     """Monte Carlo draws of the pointing-error angle theta_p (radians).
 
     ``exact`` applies the full perturbation rotation to the pointing vector and
-    measures the resulting angle; ``small_angle`` evaluates sqrt(x^T A x) as
-    sqrt(|x|^2 - (x.u)^2 / |u|^2).
+    measures the resulting angle; ``small_angle`` evaluates sqrt(x^T A x) as the
+    length |d F| of the normals d projected onto the error plane
+    (`_error_plane_factor`), the projection the Monte Carlo capacity uses.
     Deterministic for a given seed (an int or a numpy Generator).
     """
     if n < 1:
@@ -294,10 +296,14 @@ def sample_error_angles(
     if z_sq == 0.0:
         raise DegenerateGeometryError("pointing vector has zero norm")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    x = rng.standard_normal((n, 3)) @ _covariance_factor(cov).T
+    d = rng.standard_normal((n, 3))
+    factor = _covariance_factor(cov)
 
     if mode == "small_angle":
-        return _small_angle_error(x, u, z_sq, np.empty(n), np.empty(n))
+        y = d @ _error_plane_factor(factor, u[None, :] / math.sqrt(z_sq))[0]
+        return np.hypot(y[:, 0], y[:, 1])
+
+    x = d @ factor.T
 
     ca, sa = np.cos(x[:, 0]), np.sin(x[:, 0])
     cb, sb = np.cos(x[:, 1]), np.sin(x[:, 1])

@@ -274,7 +274,7 @@ class TestMonteCarloPerPlan:
         # sure to claim one; the worker then stops within a few slots.
         sc = bundled_scenario("moving")
         plan, _, _ = initial_geometry(sc)
-        real, caller_failed, worker_slots = channel._gamma_from_draws, threading.Event(), []
+        real, caller_failed, worker_slots = channel._log_snr, threading.Event(), []
 
         def fail_in_the_caller(*args):
             if threading.current_thread() is threading.main_thread():
@@ -284,7 +284,7 @@ class TestMonteCarloPerPlan:
             worker_slots.append(1)
             return real(*args)
 
-        monkeypatch.setattr(channel, "_gamma_from_draws", fail_in_the_caller)
+        monkeypatch.setattr(channel, "_log_snr", fail_in_the_caller)
         threads = threading.active_count()
         with pytest.raises(RuntimeError, match="reduction failed"):
             energy_efficiency(plan, sc, mode="monte_carlo", samples_per_slot=self.SAMPLES, seed=1)

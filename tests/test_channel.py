@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +26,21 @@ from fsotraj.channel import (
 from fsotraj.errors import NearFieldWarning
 from fsotraj.jitter import HoytParams, JitterCovariance, hoyt_params
 from reference_slots import quadrature_unfolded
+
+
+def kernel_samples(link, z, theta, e):
+    """The Monte Carlo kernel's log-SNR and capacity samples at the given angles and scintillation normals.
+
+    With the unit covariance (L = I) the slot's M is E / sigma_div, E an
+    orthonormal basis of the error plane. For the pointing vector (0, 0, -z)
+    the first attitude axis lies in that plane, so the draw d = (theta, 0, 0)
+    has the pointing-error angle theta.
+    """
+    c0, proj = channel._slot_constants(link, z, JitterCovariance((1.0, 1.0, 1.0)), np.array([0.0, 0.0, -z]))
+    d = np.zeros((len(theta), 3))
+    d[:, 0] = theta
+    t = channel._log_snr(d, e.copy(), proj, c0, link.sigma_i, np.empty((len(theta), 2)))
+    return t.copy(), channel._log1p_exp(t) * channel._HALF_LOG2E
 
 
 class TestAttenuation:
@@ -166,6 +182,27 @@ class TestHugeTransmitPower:
         assert quadrature_ergodic_capacity(link, z, hp) == pytest.approx(want, rel=1e-12)
         assert quadrature_unfolded(link, z, hp) == pytest.approx(want, rel=1e-12)
 
+    def test_monte_carlo_is_the_log_snr(self):
+        # Every sample's log-SNR exceeds 700 here too, so each Monte Carlo
+        # estimate is a sample mean of log Gamma / (2 log 2): finite, without
+        # an overflow warning, and within 4 standard errors of the exact mean.
+        link = LinkParams(transmit_power=1e160)
+        cov = JitterCovariance.from_mrad((1.0, 0.3, 0.1))
+        z = np.array([500.0, 700.0, 900.0])
+        u = np.array([[0.0, 0.0, -500.0], [300.0, -200.0, -600.0], [-500.0, 400.0, -600.0]])
+        u *= (z / np.linalg.norm(u, axis=1))[:, None]
+        n, seed = 20_000, 4
+        want = [expected_log_gamma(link, z[k], hoyt_params(cov, u[k])) / (2.0 * math.log(2.0)) for k in range(3)]
+        children = np.random.default_rng(seed).spawn(3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            single = [mc_ergodic_capacity(link, z[k], cov, u[k], n=n, seed=children[k]) for k in range(3)]
+            plan = channel.mc_capacities(link, z, cov, u, n, np.random.default_rng(seed))
+        for k, mc in enumerate(single):
+            assert math.isfinite(mc.value) and math.isfinite(mc.stderr) and mc.stderr > 0.0
+            assert abs(mc.value - want[k]) <= 4.0 * mc.stderr
+            assert plan[k] == mc.value
+
 
 class TestErgodicCapacity:
     def test_anchor_tightness(self):
@@ -238,8 +275,10 @@ class TestMonteCarloCapacity:
         assert quad == pytest.approx(mc.value, rel=0.005)
 
     def test_sampler_arithmetic_is_the_public_link_budget(self, default_link, rng):
-        # The Monte Carlo sampler and the public gain, SNR and capacity functions
-        # must compute each sample bit for bit alike, in the formulas' own order.
+        # The public gain, SNR and capacity functions compute each sample bit
+        # for bit alike, in the formulas' own order. The Monte Carlo kernel
+        # works with log Gamma and must match them to rounding on the same
+        # (e, theta) draws, on both sides of _EXP_SAFE.
         link, z = default_link, 1500.0
         theta = np.abs(rng.normal(0.0, link.sigma_div, 4096))
         e = rng.standard_normal(4096)
@@ -251,8 +290,28 @@ class TestMonteCarloCapacity:
         gamma = gamma_from_gains(h_a, h_l, h_p, link)
         p_rx = h_a * h_l * h_p * link.responsivity * link.transmit_power
         np.testing.assert_array_equal(gamma, math.e * p_rx * p_rx / (2.0 * math.pi * link.noise_std**2))
-        sampled = channel._gamma_from_draws(link, z, theta.copy(), e.copy())
-        np.testing.assert_array_equal(sampled, gamma)
         capacity = instantaneous_capacity(h_a, h_l, h_p, link)
-        np.testing.assert_array_equal(channel._capacity_samples(sampled), capacity)
+        np.testing.assert_array_equal(capacity, 0.5 * np.log2(1.0 + gamma))
         assert instantaneous_capacity(h_a[0], h_l, h_p[0], link) == 0.5 * math.log2(1.0 + gamma[0])
+
+        # At 100 W every Gamma of these draws exceeds 0.2, where log2(1 + Gamma)
+        # keeps its full relative precision; every t stays below _EXP_SAFE.
+        strong = LinkParams(transmit_power=100.0)
+        t, sampled = kernel_samples(strong, z, theta, e)
+        assert t.max() < channel._EXP_SAFE
+        want = instantaneous_capacity(h_a, h_l, pointing_loss(theta, z, strong), strong)
+        np.testing.assert_allclose(sampled, want, rtol=1e-13, atol=0.0)
+
+        # An on-axis log-SNR of 709.3 puts the samples on both sides of
+        # _EXP_SAFE while every Gamma stays a finite double, so the kernel's
+        # logaddexp branch meets the product form.
+        on_axis = capacity_offset(link) - 2.0 * link.sigma_b * z - 2.0 * math.log(z)
+        huge = LinkParams(transmit_power=link.transmit_power * math.exp((709.3 - on_axis) / 2.0))
+        theta = rng.uniform(0.0, 0.5 * link.sigma_div, 4096)
+        e = rng.uniform(-0.25, 0.25, 4096)
+        h_a = np.exp(-2.0 * link.sigma_i**2 + 2.0 * link.sigma_i * e)
+        t, sampled = kernel_samples(huge, z, theta, e)
+        assert t.min() < channel._EXP_SAFE < t.max()
+        want = instantaneous_capacity(h_a, h_l, pointing_loss(theta, z, huge), huge)
+        assert np.all(np.isfinite(want))
+        np.testing.assert_allclose(sampled, want, rtol=1e-13, atol=0.0)

@@ -13,6 +13,7 @@ from fsotraj.jitter import (
     JitterCovariance,
     JitterSample,
     _covariance_factor,
+    _error_plane_factor,
     error_projection_matrix,
     expected_square_error,
     hoyt_cdf,
@@ -226,6 +227,25 @@ class TestSampling:
         exact = sample_error_angles(cov, u, 20_000, seed=11, mode="exact")
         small = sample_error_angles(cov, u, 20_000, seed=11, mode="small_angle")
         assert np.max(np.abs(exact - small)) < 1e-6
+
+    def test_plane_projection_is_the_small_angle_formula(self, rng):
+        # |d F| with F = L^T [e1 e2] is sqrt(|x|^2 - (x.u)^2 / |u|^2) for the
+        # attitude draw x = L d, away from the cancellation of that formula,
+        # both from the projection and from the small-angle sampler.
+        for trial in range(20):
+            u = rng.normal(size=3) * rng.uniform(1.0, 1000.0)
+            cov = JitterCovariance(tuple(rng.uniform(1e-4, 2e-3, 3)), tuple(rng.uniform(-0.4, 0.4, 3)))
+            factor = _covariance_factor(cov)
+            d = np.random.default_rng(trial).standard_normal((2000, 3))
+            x = d @ factor.T
+            along = (x @ u) ** 2 / (u @ u)
+            norm_sq = np.einsum("ni,ni->n", x, x)
+            keep = along < 0.5 * norm_sq
+            want = np.sqrt(norm_sq - along)
+            y = d @ _error_plane_factor(factor, (u / np.linalg.norm(u))[None, :])[0]
+            np.testing.assert_allclose(np.hypot(y[:, 0], y[:, 1])[keep], want[keep], rtol=1e-12, atol=0.0)
+            sampled = sample_error_angles(cov, u, 2000, seed=trial, mode="small_angle")
+            np.testing.assert_allclose(sampled[keep], want[keep], rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("yaw,rho", [(0.0, 0.0), (0.0, 0.5), (math.pi / 2, 0.0), (math.pi / 2, 0.5)])
     def test_ks_against_hoyt_cdf(self, yaw, rho):
