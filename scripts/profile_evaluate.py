@@ -9,9 +9,11 @@ M samples per slot) the script runs one warm-up call, then one unprofiled
 call whose wall time it prints, then one call under cProfile, and prints the
 top K functions by self time (tottime). For the Monte Carlo it then splits one
 thread's work into its two layers: it replays every slot on the same child
-stream that ``energy_efficiency`` spawns from the scenario seed and times the
+stream that ``energy_efficiency`` spawns from the scenario seed (two
+error-plane normals and one scintillation normal per sample) and times the
 normal draws and the log-domain arithmetic (constants, kernel and mean)
-separately. It imports the package from this checkout's ``src/``.
+separately, and prints the normals drawn per sample. It imports the package
+from this checkout's ``src/``.
 """
 from __future__ import annotations
 
@@ -35,8 +37,9 @@ from fsotraj.optimizer import energy_efficiency  # noqa: E402
 from fsotraj.scenario import load_scenario  # noqa: E402
 
 
-def monte_carlo_layers(sc, plan, samples: int) -> tuple[float, float, np.ndarray]:
-    """One thread's seconds of normal draws and of arithmetic over every slot, and the capacities.
+def monte_carlo_layers(sc, plan, samples: int) -> tuple[float, float, np.ndarray, int]:
+    """One thread's seconds of normal draws and of arithmetic over every slot, the capacities
+    and the normals drawn per sample.
 
     Slot k draws from the k-th child of the scenario seed, as in
     ``energy_efficiency(mode="monte_carlo")``, so the capacities equal that call's.
@@ -45,23 +48,23 @@ def monte_carlo_layers(sc, plan, samples: int) -> tuple[float, float, np.ndarray
     u_hat, _ = pointing_geometry(plan.positions, v, a, sc.aircraft.g)
     z = np.linalg.norm(plan.positions, axis=1)
     children = np.random.default_rng(sc.seed).spawn(len(z))
-    d, e, y = np.empty((samples, 3)), np.empty(samples), np.empty((samples, 2))
+    w, e, y = np.empty((samples, 2)), np.empty(samples), np.empty((samples, 2))
     capacity = np.empty(len(z))
     t0 = time.perf_counter()
-    c0, proj = channel._slot_constants(sc.link, z, sc.jitter, u_hat)
+    c0, factor = channel._slot_constants(sc.link, z, sc.jitter, u_hat)
     arithmetic = time.perf_counter() - t0
     draws = 0.0
     for k, child in enumerate(children):
         t0 = time.perf_counter()
-        child.standard_normal(out=d)
+        child.standard_normal(out=w)
         child.standard_normal(out=e)
         t1 = time.perf_counter()
-        t = channel._log_snr(d, e, proj[k], c0[k], sc.link.sigma_i, y)
+        t = channel._log_snr(w, e, factor[k], c0[k], sc.link.sigma_i, y)
         capacity[k] = np.mean(channel._log1p_exp(t)) * channel._HALF_LOG2E
         t2 = time.perf_counter()
         draws += t1 - t0
         arithmetic += t2 - t1
-    return draws, arithmetic, capacity
+    return draws, arithmetic, capacity, (w.size + e.size) // samples
 
 
 def main(argv=None) -> int:
@@ -93,10 +96,11 @@ def main(argv=None) -> int:
         print(out.getvalue().split("\n", 3)[-1].strip("\n"))
         print()
 
-    draws, arithmetic, capacity = monte_carlo_layers(sc, plan, args.samples)
+    draws, arithmetic, capacity, normals = monte_carlo_layers(sc, plan, args.samples)
     slots = plan.n_slots
     same = np.array_equal(capacity, report.capacity_per_slot)
     print(f"{args.scenario} monte_carlo layers, one thread, {slots} slots of {args.samples} samples:")
+    print(f"normals drawn per sample: {normals}")
     print(f"draws:      {draws:.4f} s ({1e3 * draws / slots:.3f} ms per slot)")
     print(f"arithmetic: {arithmetic:.4f} s ({1e3 * arithmetic / slots:.3f} ms per slot)")
     print(f"capacities equal to the energy_efficiency call: {same}")

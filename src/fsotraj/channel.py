@@ -12,15 +12,18 @@ per grid node. `log_bound_params` takes the anchors of all slots as one array.
 
 Every Monte Carlo path works in the log domain. log Gamma is affine in the
 scintillation normal e and in theta_p^2, so a sample's log-SNR is
-t = c0 + 4 sigma_i e - |d M|^2, where d holds the sample's three attitude
-normals and the slot's 3x2 matrix M projects the jitter onto the pointing
-error plane in units of sigma_div; its capacity is log1p(exp(t)) / (2 log 2).
-`_slot_constants` builds c0 and M for every slot with elementwise arithmetic
-and `_log_snr` is the one per-sample kernel. The oracle `mc_ergodic_capacity`
-estimates one slot. `mc_capacities` estimates every slot of a plan, each slot
-on its own child stream spawned from the seed, bit-identically to calling the
-oracle on that stream: the calling thread and one worker thread claim slots
-in turn and draw and reduce each in their own buffers.
+t = c0 + 4 sigma_i e - |w B|^2, where w holds the sample's two error-plane
+normals and the slot's 2x2 factor B satisfies B^T B = M^T M for the 3x2
+matrix M that projects the attitude jitter onto the pointing error plane in
+units of sigma_div. w B then has the law N(0, M^T M) of the projected
+attitude draw d M, so a sample draws three normals, not four; its capacity
+is log1p(exp(t)) / (2 log 2). `_slot_constants` builds c0 and B for every
+slot with elementwise arithmetic and `_log_snr` is the one per-sample
+kernel. The oracle `mc_ergodic_capacity` estimates one slot.
+`mc_capacities` estimates every slot of a plan, each slot on its own child
+stream spawned from the seed, bit-identically to calling the oracle on that
+stream: the calling thread and one worker thread claim slots in turn and draw
+and reduce each in their own buffers.
 """
 from __future__ import annotations
 
@@ -163,8 +166,12 @@ def gamma_from_gains(h_a, h_l, h_p, link: LinkParams):
 
 
 def instantaneous_capacity(h_a, h_l, h_p, link: LinkParams):
-    """Capacity 0.5 log2(1 + Gamma) for one channel realization, bits/channel use."""
-    out = 0.5 * np.log2(1.0 + np.asarray(gamma_from_gains(h_a, h_l, h_p, link), dtype=float))
+    """Capacity 0.5 log2(1 + Gamma) for one channel realization, bits/channel use.
+
+    Evaluated as log1p(Gamma) / (2 log 2), which keeps full relative precision
+    for small Gamma, where rounding 1 + Gamma would not.
+    """
+    out = _HALF_LOG2E * np.log1p(np.asarray(gamma_from_gains(h_a, h_l, h_p, link), dtype=float))
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -281,9 +288,10 @@ def mc_ergodic_capacity(
     """Monte Carlo estimate of the true ergodic capacity E[0.5 log2(1 + Gamma)].
 
     The oracle against which every closed form in this module is checked. It
-    draws n (3,) attitude normals and then n scintillation normals from the
-    seed's stream and reduces them with the log-domain kernel of
-    `mc_capacities`: each sample's capacity is log1p(exp(t)) / (2 log 2).
+    draws n (2,) error-plane normals and then n scintillation normals from the
+    seed's stream, three normals per sample, and reduces them with the
+    log-domain kernel of `mc_capacities`: each sample's capacity is
+    log1p(exp(t)) / (2 log 2).
     """
     caps = _log1p_exp(_sample_log_snr(link, z, cov, u_hat, n, seed))
     return MCEstimate(float(np.mean(caps) * _HALF_LOG2E), float(np.std(caps) * _HALF_LOG2E / math.sqrt(n)), n)
@@ -306,16 +314,17 @@ def mc_capacities(
     it. ``rng`` keeps its bit stream; its ``seed_seq`` records N more spawned
     children.
 
-    Every slot is checked, and its constants c0 and M built, before any child
-    is spawned. The calling thread and one worker thread then claim slots from
-    a shared counter; each builds the generator of the slot it claims, draws
-    its normals and reduces them with `_log_snr` in its own buffers. A raise
-    in either thread stops both, and the worker is joined before the call
-    returns or raises.
+    Every slot is checked, and its constants c0 and B built, before any child
+    is spawned; ``z`` and ``u_hat`` must count the same slots. The calling
+    thread and one worker thread then claim slots from a shared counter; each
+    builds the generator of the slot it claims, draws its n (2,) error-plane
+    normals and n scintillation normals and reduces them with `_log_snr` in
+    its own buffers of 5n doubles. A raise in either thread stops both, and
+    the worker is joined before the call returns or raises.
     """
     if n < 1:
         raise ValueError("need at least one sample")
-    c0, proj = _slot_constants(link, z, cov, u_hat)
+    c0, factor = _slot_constants(link, z, cov, u_hat)
     slots = len(c0)
     bits = rng.bit_generator
     children = bits.seed_seq.spawn(slots)  # rng.spawn's seeds; each generator is built by its thread
@@ -323,7 +332,7 @@ def mc_capacities(
     claim, claim_lock, stop = itertools.count(), threading.Lock(), threading.Event()
 
     def run_slots():
-        d, e, y = np.empty((n, 3)), np.empty(n), np.empty((n, 2))
+        w, e, y = np.empty((n, 2)), np.empty(n), np.empty((n, 2))
         try:
             while not stop.is_set():
                 with claim_lock:
@@ -331,9 +340,9 @@ def mc_capacities(
                 if k >= slots:
                     return
                 child = np.random.Generator(type(bits)(children[k]))
-                child.standard_normal(out=d)
+                child.standard_normal(out=w)
                 child.standard_normal(out=e)
-                capacity[k] = np.mean(_log1p_exp(_log_snr(d, e, proj[k], c0[k], link.sigma_i, y))) * _HALF_LOG2E
+                capacity[k] = np.mean(_log1p_exp(_log_snr(w, e, factor[k], c0[k], link.sigma_i, y))) * _HALF_LOG2E
         except BaseException:
             stop.set()
             raise
@@ -349,52 +358,82 @@ def mc_capacities(
 
 
 def _slot_constants(link: LinkParams, z, cov: JitterCovariance, u_hat) -> tuple[np.ndarray, np.ndarray]:
-    """The Monte Carlo kernel's constants of each slot: c0, shape (N,), and M, shape (N, 3, 2).
+    """The Monte Carlo kernel's constants of each slot: c0, shape (N,), and B, shape (N, 2, 2).
 
     c0 = log(e R^2 P_T^2 / (2 pi sigma^2)) - 4 sigma_i^2 - 2 sigma_b z + 2 log A0(z)
-    is the log-SNR of an on-axis sample with e = 0, and M = L^T [e1 e2] / sigma_div
-    (`_error_plane_factor`, L the covariance factor), so |d M| = theta_p / sigma_div.
-    Both are built slot by slot, with elementwise arithmetic and one math.log
-    per slot, so a slot's constants do not depend on the other slots. A scalar
-    ``z`` with a (3,) ``u_hat`` gives a 0-d c0 and a (3, 2) M.
+    is the log-SNR of an on-axis sample with e = 0. B is the upper factor
+    (`_gram_factor`) with B^T B = M^T M of the slot's 3x2 projection
+    M = L^T [e1 e2] / sigma_div (`_error_plane_factor`, L the covariance
+    factor): the attitude normals d give |d M| = theta_p / sigma_div, and two
+    error-plane normals w give w B with the same law as d M. Both are built
+    slot by slot, with elementwise arithmetic and one math.log per slot, so a
+    slot's constants do not depend on the other slots. A scalar ``z`` with a
+    (3,) ``u_hat`` gives a 0-d c0 and a (2, 2) B.
 
-    Raises DegenerateGeometryError, naming the slot, for a zero pointing
-    vector or a nonpositive distance.
+    Raises ValueError when ``z`` and ``u_hat`` count different slots, and
+    DegenerateGeometryError, naming the slot, for a zero pointing vector or a
+    nonpositive distance.
     """
     z = np.asarray(z, dtype=float)
     u = np.asarray(u_hat, dtype=float)
+    if z.shape != u.shape[:-1]:
+        raise ValueError(f"got {z.size} distances and {u.size // 3} pointing vectors; need one of each per slot")
     z_sq = u[..., 0] * u[..., 0] + u[..., 1] * u[..., 1] + u[..., 2] * u[..., 2]
     if np.any(z_sq == 0.0):
         raise DegenerateGeometryError(f"pointing vector has zero norm{slot_suffix(z_sq == 0.0)}")
     if np.any(z <= 0.0):
         raise DegenerateGeometryError(f"propagation distance must be positive{slot_suffix(z <= 0.0)}")
     rows = u.reshape(-1, 3) / np.sqrt(z_sq).reshape(-1, 1)
-    proj = _error_plane_factor(_covariance_factor(cov) / link.sigma_div, rows)
+    factor = _gram_factor(_error_plane_factor(_covariance_factor(cov) / link.sigma_div, rows))
     base = _log_snr_base(link) - 4.0 * link.sigma_i**2
     c0 = [base - 2.0 * link.sigma_b * zk + 2.0 * math.log(max_pointing_gain(zk, link)) for zk in z.ravel().tolist()]
-    return np.reshape(c0, z.shape), proj.reshape(u.shape[:-1] + (3, 2))
+    return np.reshape(c0, z.shape), factor.reshape(u.shape[:-1] + (2, 2))
+
+
+def _gram_factor(proj: np.ndarray) -> np.ndarray:
+    """Upper-triangular B, shape (N, 2, 2), with B^T B = M^T M for each (3, 2) M of ``proj``.
+
+    With the columns m0, m1 of M, B = [[|m0|, m0.m1 / |m0|], [0, |m0 x m1| / |m0|]],
+    the R of M's thin QR; Lagrange's identity |m0.m1|^2 + |m0 x m1|^2 =
+    |m0|^2 |m1|^2 gives the (1, 1) entry of B^T B without cancellation. A zero
+    m0 gives [[0, 0], [0, |m1|]], so a rank-1 or zero M (pitch-only or zero
+    jitter) gives no NaN. Every entry is elementwise arithmetic on one M.
+    """
+    (a0, b0), (a1, b1), (a2, b2) = np.moveaxis(proj, (-2, -1), (0, 1))
+    r11 = np.sqrt(a0 * a0 + a1 * a1 + a2 * a2)
+    x0, x1, x2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0  # m0 x m1
+    area = np.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
+    has_m0 = r11 > 0.0
+    safe = np.where(has_m0, r11, 1.0)
+    out = np.zeros(proj.shape[:-2] + (2, 2))
+    out[..., 0, 0] = r11
+    out[..., 0, 1] = (a0 * b0 + a1 * b1 + a2 * b2) / safe
+    out[..., 1, 1] = np.where(has_m0, area / safe, np.sqrt(b0 * b0 + b1 * b1 + b2 * b2))
+    return out
 
 
 def _sample_log_snr(link, z, cov, u_hat, n, seed) -> np.ndarray:
     """Log-SNR samples of one slot, drawn from ``seed`` as `mc_capacities` draws a slot."""
     if n < 1:
         raise ValueError("need at least one sample")
-    c0, proj = _slot_constants(link, z, cov, u_hat)
+    c0, factor = _slot_constants(link, z, cov, u_hat)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    d = rng.standard_normal((n, 3))
+    w = rng.standard_normal((n, 2))
     e = rng.standard_normal(n)
-    return _log_snr(d, e, proj, c0, link.sigma_i, np.empty((n, 2)))
+    return _log_snr(w, e, factor, c0, link.sigma_i, np.empty((n, 2)))
 
 
-def _log_snr(d: np.ndarray, e: np.ndarray, proj: np.ndarray, c0: float, sigma_i: float, y: np.ndarray) -> np.ndarray:
-    """Log-SNR t = c0 + 4 sigma_i e - |d M|^2 of each sample, in place over ``e``.
+def _log_snr(w: np.ndarray, e: np.ndarray, factor: np.ndarray, c0: float, sigma_i: float, y: np.ndarray) -> np.ndarray:
+    """Log-SNR t = c0 + 4 sigma_i e - |w B|^2 of each sample, in place over ``e``.
 
-    ``d`` (n, 3) holds the attitude normals, ``e`` (n,) the scintillation
-    normals (log h_a = -2 sigma_i^2 + 2 sigma_i e, so E[h_a] = 1), and ``proj``
-    is the slot's (3, 2) M from `_slot_constants`, so |d M|^2 = theta_p^2 /
-    sigma_div^2 = -2 log(h_p / A0); ``y`` is (n, 2) work space.
+    ``w`` (n, 2) holds the error-plane normals, ``e`` (n,) the scintillation
+    normals (log h_a = -2 sigma_i^2 + 2 sigma_i e, so E[h_a] = 1), and
+    ``factor`` is the slot's (2, 2) B from `_slot_constants`, with
+    B^T B = M^T M: w B has the law of the projected attitude draw d M, so
+    |w B|^2 has the law of theta_p^2 / sigma_div^2 = -2 log(h_p / A0);
+    ``y`` is (n, 2) work space.
     """
-    np.matmul(d, proj, out=y)
+    np.matmul(w, factor, out=y)
     np.square(y, out=y)
     t = np.multiply(e, 4.0 * sigma_i, out=e)
     np.subtract(t, y[:, 0], out=t)

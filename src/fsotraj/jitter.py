@@ -284,8 +284,11 @@ def sample_error_angles(
     ``exact`` applies the full perturbation rotation to the pointing vector and
     measures the resulting angle; ``small_angle`` evaluates sqrt(x^T A x) as the
     length |d F| of the normals d projected onto the error plane
-    (`_error_plane_factor`), the projection the Monte Carlo capacity uses.
-    Deterministic for a given seed (an int or a numpy Generator).
+    (`_error_plane_factor`). The Monte Carlo capacity draws the same law, in
+    units of sigma_div, from two error-plane normals w as |w B| with
+    B^T B = F^T F / sigma_div^2. Both modes draw three attitude normals per
+    sample, so the two are paired sample by sample. Deterministic for a given
+    seed (an int or a numpy Generator).
     """
     if n < 1:
         raise ValueError("need at least one sample")

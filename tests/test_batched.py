@@ -261,6 +261,19 @@ class TestMonteCarloPerPlan:
         assert rng.bit_generator.seed_seq.n_children_spawned == 0
         assert threading.active_count() == threads
 
+    @pytest.mark.parametrize("vectors,distances", [(4, 2), (2, 4)])
+    def test_slot_count_mismatch_raises_before_any_spawn(self, vectors, distances):
+        sc = bundled_scenario("moving")
+        _, z, u_hat = initial_geometry(sc)
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match=f"got {distances} distances and {vectors} pointing vectors"):
+            channel.mc_capacities(sc.link, z[:distances], sc.jitter, u_hat[:vectors], self.SAMPLES, rng)
+        assert rng.bit_generator.state == state
+        assert rng.bit_generator.seed_seq.n_children_spawned == 0
+        assert threading.active_count() == threads
+
     def test_no_thread_outlives_a_return(self):
         sc = bundled_scenario("moving")
         plan, _, _ = initial_geometry(sc)

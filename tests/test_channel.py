@@ -24,7 +24,15 @@ from fsotraj.channel import (
     quadrature_ergodic_capacity,
 )
 from fsotraj.errors import NearFieldWarning
-from fsotraj.jitter import HoytParams, JitterCovariance, hoyt_params
+from fsotraj.jitter import (
+    HoytParams,
+    JitterCovariance,
+    _covariance_factor,
+    _error_plane_factor,
+    hoyt_params,
+    sample_error_angles,
+)
+from fsotraj.numerics import ks_distance
 from reference_slots import quadrature_unfolded
 
 
@@ -32,14 +40,14 @@ def kernel_samples(link, z, theta, e):
     """The Monte Carlo kernel's log-SNR and capacity samples at the given angles and scintillation normals.
 
     With the unit covariance (L = I) the slot's M is E / sigma_div, E an
-    orthonormal basis of the error plane. For the pointing vector (0, 0, -z)
-    the first attitude axis lies in that plane, so the draw d = (theta, 0, 0)
-    has the pointing-error angle theta.
+    orthonormal basis of the error plane, so M^T M = I / sigma_div^2 and its
+    factor is B = I / sigma_div: the error-plane draw w = (theta, 0) has the
+    pointing-error angle theta.
     """
-    c0, proj = channel._slot_constants(link, z, JitterCovariance((1.0, 1.0, 1.0)), np.array([0.0, 0.0, -z]))
-    d = np.zeros((len(theta), 3))
-    d[:, 0] = theta
-    t = channel._log_snr(d, e.copy(), proj, c0, link.sigma_i, np.empty((len(theta), 2)))
+    c0, factor = channel._slot_constants(link, z, JitterCovariance((1.0, 1.0, 1.0)), np.array([0.0, 0.0, -z]))
+    w = np.zeros((len(theta), 2))
+    w[:, 0] = theta
+    t = channel._log_snr(w, e.copy(), factor, c0, link.sigma_i, np.empty((len(theta), 2)))
     return t.copy(), channel._log1p_exp(t) * channel._HALF_LOG2E
 
 
@@ -127,6 +135,16 @@ class TestInstantaneousCapacity:
                 0.5 * math.log2(1.0 + gamma), rel=1e-12
             )
             assert gamma_from_gains(h_a, h_l, h_p, default_link) == pytest.approx(gamma, rel=1e-12)
+
+    @pytest.mark.parametrize("target", [1e-7, 1e-11, 1e-15])
+    def test_small_gamma_keeps_full_precision(self, default_link, target):
+        # Rounding 1 + Gamma would cost about 1e-16 / Gamma relative precision
+        # (2.6% at 1e-15); log1p keeps it. The series is exact to 1e-21 here.
+        h_a = math.sqrt(target / gamma_from_gains(1.0, 1.0, 1.0, default_link))
+        gamma = gamma_from_gains(h_a, 1.0, 1.0, default_link)
+        want = (gamma - gamma**2 / 2.0 + gamma**3 / 3.0) / (2.0 * math.log(2.0))
+        got = instantaneous_capacity(h_a, 1.0, 1.0, default_link)
+        assert abs(got - want) <= 1e-15 * want
 
 
 class TestExpectedLogGamma:
@@ -274,6 +292,16 @@ class TestMonteCarloCapacity:
         mc = mc_ergodic_capacity(default_link, z, cov, u, n=10**6, seed=17)
         assert quad == pytest.approx(mc.value, rel=0.005)
 
+    def test_draws_three_normals_per_sample(self, default_link):
+        # Two error-plane normals and one scintillation normal per sample: the
+        # seed's Generator ends where a twin that drew 3 n normals ends.
+        cov, u = analysis_geometry()
+        n = 1000
+        g, twin = np.random.default_rng(21), np.random.default_rng(21)
+        mc_ergodic_capacity(default_link, float(np.linalg.norm(u)), cov, u, n, seed=g)
+        twin.standard_normal(3 * n)
+        assert g.bit_generator.state == twin.bit_generator.state
+
     def test_sampler_arithmetic_is_the_public_link_budget(self, default_link, rng):
         # The public gain, SNR and capacity functions compute each sample bit
         # for bit alike, in the formulas' own order. The Monte Carlo kernel
@@ -291,11 +319,12 @@ class TestMonteCarloCapacity:
         p_rx = h_a * h_l * h_p * link.responsivity * link.transmit_power
         np.testing.assert_array_equal(gamma, math.e * p_rx * p_rx / (2.0 * math.pi * link.noise_std**2))
         capacity = instantaneous_capacity(h_a, h_l, h_p, link)
-        np.testing.assert_array_equal(capacity, 0.5 * np.log2(1.0 + gamma))
-        assert instantaneous_capacity(h_a[0], h_l, h_p[0], link) == 0.5 * math.log2(1.0 + gamma[0])
+        np.testing.assert_array_equal(capacity, channel._HALF_LOG2E * np.log1p(gamma))
+        assert instantaneous_capacity(h_a[0], h_l, h_p[0], link) == channel._HALF_LOG2E * np.log1p(gamma[0])
 
-        # At 100 W every Gamma of these draws exceeds 0.2, where log2(1 + Gamma)
-        # keeps its full relative precision; every t stays below _EXP_SAFE.
+        # At 100 W every Gamma of these draws exceeds 0.2, where the kernel's
+        # exp(t) keeps log1p at full relative precision; every t stays below
+        # _EXP_SAFE.
         strong = LinkParams(transmit_power=100.0)
         t, sampled = kernel_samples(strong, z, theta, e)
         assert t.max() < channel._EXP_SAFE
@@ -315,3 +344,45 @@ class TestMonteCarloCapacity:
         want = instantaneous_capacity(h_a, h_l, pointing_loss(theta, z, huge), huge)
         assert np.all(np.isfinite(want))
         np.testing.assert_allclose(sampled, want, rtol=1e-13, atol=0.0)
+
+
+class TestErrorPlaneDraw:
+    @staticmethod
+    def grams(link, cov, u):
+        """M^T M of each slot's 3x2 projection and B^T B of its kernel factor."""
+        z = np.linalg.norm(u, axis=1)
+        _, factor = channel._slot_constants(link, z, cov, u)
+        proj = _error_plane_factor(_covariance_factor(cov) / link.sigma_div, u / z[:, None])
+        return np.swapaxes(proj, 1, 2) @ proj, np.swapaxes(factor, 1, 2) @ factor, factor
+
+    def test_factor_reproduces_the_projected_covariance(self, default_link, rng):
+        covs = [
+            JitterCovariance(tuple(rng.uniform(1e-5, 3e-3, 3)), tuple(rng.uniform(-0.6, 0.6, 3)))
+            for _ in range(20)
+        ]
+        for cov in covs:
+            u = rng.normal(size=(8, 3)) * rng.uniform(1.0, 1000.0)
+            want, got, factor = self.grams(default_link, cov, u)
+            assert np.all(np.isfinite(factor))
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("sigma", [(0.0, 2e-3, 0.0), (0.0, 0.0, 0.0)])
+    def test_rank_one_and_zero_projections_give_no_nan(self, default_link, rng, sigma):
+        # Pitch-only jitter projects onto a rank-1 M (a zero first column for
+        # some directions); zero jitter gives M = 0.
+        u = np.vstack([rng.normal(size=(8, 3)) * 500.0, [[0.0, 0.0, -500.0], [300.0, 0.0, -400.0]]])
+        want, got, factor = self.grams(default_link, JitterCovariance(sigma), u)
+        assert np.all(np.isfinite(factor))
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_plane_draw_has_the_law_of_the_attitude_projection(self, default_link):
+        # |w B| from two error-plane normals against the small-angle |d M|
+        # from three attitude normals: the two-sample KS distance (the empirical
+        # CDF of one side as the other's reference) stays below 0.01, above
+        # the alpha = 0.01 critical value 1.628 sqrt(2 / n) = 0.0073.
+        link, n = default_link, 100_000
+        cov, u = analysis_geometry(rho=0.3)
+        _, factor = channel._slot_constants(link, float(np.linalg.norm(u)), cov, u)
+        plane = np.linalg.norm(np.random.default_rng(31).standard_normal((n, 2)) @ factor, axis=1)
+        attitude = np.sort(sample_error_angles(cov, u, n, seed=32, mode="small_angle") / link.sigma_div)
+        assert ks_distance(plane, lambda x: np.searchsorted(attitude, x, side="right") / n) < 0.01
