@@ -12,8 +12,9 @@ thread's work into its two layers: it replays every slot on the same child
 stream that ``energy_efficiency`` spawns from the scenario seed (two
 error-plane normals and one scintillation normal per sample) and times the
 normal draws and the log-domain arithmetic (constants, kernel and mean)
-separately, and prints the normals drawn per sample. It imports the package
-from this checkout's ``src/``.
+separately, and prints the normals drawn per sample. It exits with status 1
+when the replayed capacities differ from those of the ``energy_efficiency``
+call. It imports the package from this checkout's ``src/``.
 """
 from __future__ import annotations
 
@@ -104,7 +105,7 @@ def main(argv=None) -> int:
     print(f"draws:      {draws:.4f} s ({1e3 * draws / slots:.3f} ms per slot)")
     print(f"arithmetic: {arithmetic:.4f} s ({1e3 * arithmetic / slots:.3f} ms per slot)")
     print(f"capacities equal to the energy_efficiency call: {same}")
-    return 0
+    return 0 if same else 1
 
 
 if __name__ == "__main__":

@@ -13,17 +13,17 @@ per grid node. `log_bound_params` takes the anchors of all slots as one array.
 Every Monte Carlo path works in the log domain. log Gamma is affine in the
 scintillation normal e and in theta_p^2, so a sample's log-SNR is
 t = c0 + 4 sigma_i e - |w B|^2, where w holds the sample's two error-plane
-normals and the slot's 2x2 factor B satisfies B^T B = M^T M for the 3x2
-matrix M that projects the attitude jitter onto the pointing error plane in
-units of sigma_div. w B then has the law N(0, M^T M) of the projected
-attitude draw d M, so a sample draws three normals, not four; its capacity
-is log1p(exp(t)) / (2 log 2). `_slot_constants` builds c0 and B for every
-slot with elementwise arithmetic and `_log_snr` is the one per-sample
-kernel. The oracle `mc_ergodic_capacity` estimates one slot.
-`mc_capacities` estimates every slot of a plan, each slot on its own child
-stream spawned from the seed, bit-identically to calling the oracle on that
-stream: the calling thread and one worker thread claim slots in turn and draw
-and reduce each in their own buffers.
+normals and B = diag(sqrt(lam1), sqrt(lam2)) / sigma_div holds the slot's
+Hoyt semi-axis variances from `hoyt_eigenvalues`, the ones the quadrature
+integrates: |w B|^2 = (lam1 w1^2 + lam2 w2^2) / sigma_div^2 has the Hoyt law
+of theta_p^2 / sigma_div^2. A sample draws three normals; its capacity is
+log1p(exp(t)) / (2 log 2). `_slot_constants` builds c0 and B for every slot
+and `_log_snr` is the one per-sample kernel. The oracle
+`mc_ergodic_capacity` estimates one slot. `mc_capacities` estimates every
+slot of a plan, each slot on its own child stream spawned from the seed,
+bit-identically to calling the oracle on that stream: the calling thread and
+one worker thread claim slots in turn and draw and reduce each in their own
+buffers.
 """
 from __future__ import annotations
 
@@ -39,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateGeometryError, NearFieldWarning, slot_suffix
-from .jitter import HoytParams, JitterCovariance, _covariance_factor, _error_plane_factor
+from .jitter import HoytParams, JitterCovariance, hoyt_eigenvalues
 
 _REFERENCE_WAVELENGTH = 550e-9  # meters, anchor of the visibility scattering law
 _EXP_SAFE = 709.0  # largest log-SNR whose exp stays finite with room to spare
@@ -289,8 +289,9 @@ def mc_ergodic_capacity(
 
     The oracle against which every closed form in this module is checked. It
     draws n (2,) error-plane normals and then n scintillation normals from the
-    seed's stream, three normals per sample, and reduces them with the
-    log-domain kernel of `mc_capacities`: each sample's capacity is
+    seed's stream, three normals per sample, scales the error-plane normals by
+    the square roots of the slot's Hoyt semi-axis variances, and reduces them
+    with the log-domain kernel of `mc_capacities`: each sample's capacity is
     log1p(exp(t)) / (2 log 2).
     """
     caps = _log1p_exp(_sample_log_snr(link, z, cov, u_hat, n, seed))
@@ -361,14 +362,12 @@ def _slot_constants(link: LinkParams, z, cov: JitterCovariance, u_hat) -> tuple[
     """The Monte Carlo kernel's constants of each slot: c0, shape (N,), and B, shape (N, 2, 2).
 
     c0 = log(e R^2 P_T^2 / (2 pi sigma^2)) - 4 sigma_i^2 - 2 sigma_b z + 2 log A0(z)
-    is the log-SNR of an on-axis sample with e = 0. B is the upper factor
-    (`_gram_factor`) with B^T B = M^T M of the slot's 3x2 projection
-    M = L^T [e1 e2] / sigma_div (`_error_plane_factor`, L the covariance
-    factor): the attitude normals d give |d M| = theta_p / sigma_div, and two
-    error-plane normals w give w B with the same law as d M. Both are built
-    slot by slot, with elementwise arithmetic and one math.log per slot, so a
-    slot's constants do not depend on the other slots. A scalar ``z`` with a
-    (3,) ``u_hat`` gives a 0-d c0 and a (2, 2) B.
+    is the log-SNR of an on-axis sample with e = 0. B = diag(sqrt(lam1),
+    sqrt(lam2)) / sigma_div, with (lam1, lam2) the slot's row of
+    `hoyt_eigenvalues`, so two error-plane normals w give |w B| with the law
+    of theta_p / sigma_div. A slot's constants come from its own row of
+    `hoyt_eigenvalues` and one math.log, so they do not depend on the other
+    slots. A scalar ``z`` with a (3,) ``u_hat`` gives a 0-d c0 and a (2, 2) B.
 
     Raises ValueError when ``z`` and ``u_hat`` count different slots, and
     DegenerateGeometryError, naming the slot, for a zero pointing vector or a
@@ -378,38 +377,13 @@ def _slot_constants(link: LinkParams, z, cov: JitterCovariance, u_hat) -> tuple[
     u = np.asarray(u_hat, dtype=float)
     if z.shape != u.shape[:-1]:
         raise ValueError(f"got {z.size} distances and {u.size // 3} pointing vectors; need one of each per slot")
-    z_sq = u[..., 0] * u[..., 0] + u[..., 1] * u[..., 1] + u[..., 2] * u[..., 2]
-    if np.any(z_sq == 0.0):
-        raise DegenerateGeometryError(f"pointing vector has zero norm{slot_suffix(z_sq == 0.0)}")
+    lam = hoyt_eigenvalues(cov, u.reshape(-1, 3))
     if np.any(z <= 0.0):
         raise DegenerateGeometryError(f"propagation distance must be positive{slot_suffix(z <= 0.0)}")
-    rows = u.reshape(-1, 3) / np.sqrt(z_sq).reshape(-1, 1)
-    factor = _gram_factor(_error_plane_factor(_covariance_factor(cov) / link.sigma_div, rows))
+    factor = np.sqrt(lam)[:, :, None] / link.sigma_div * np.eye(2)
     base = _log_snr_base(link) - 4.0 * link.sigma_i**2
     c0 = [base - 2.0 * link.sigma_b * zk + 2.0 * math.log(max_pointing_gain(zk, link)) for zk in z.ravel().tolist()]
     return np.reshape(c0, z.shape), factor.reshape(u.shape[:-1] + (2, 2))
-
-
-def _gram_factor(proj: np.ndarray) -> np.ndarray:
-    """Upper-triangular B, shape (N, 2, 2), with B^T B = M^T M for each (3, 2) M of ``proj``.
-
-    With the columns m0, m1 of M, B = [[|m0|, m0.m1 / |m0|], [0, |m0 x m1| / |m0|]],
-    the R of M's thin QR; Lagrange's identity |m0.m1|^2 + |m0 x m1|^2 =
-    |m0|^2 |m1|^2 gives the (1, 1) entry of B^T B without cancellation. A zero
-    m0 gives [[0, 0], [0, |m1|]], so a rank-1 or zero M (pitch-only or zero
-    jitter) gives no NaN. Every entry is elementwise arithmetic on one M.
-    """
-    (a0, b0), (a1, b1), (a2, b2) = np.moveaxis(proj, (-2, -1), (0, 1))
-    r11 = np.sqrt(a0 * a0 + a1 * a1 + a2 * a2)
-    x0, x1, x2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0  # m0 x m1
-    area = np.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
-    has_m0 = r11 > 0.0
-    safe = np.where(has_m0, r11, 1.0)
-    out = np.zeros(proj.shape[:-2] + (2, 2))
-    out[..., 0, 0] = r11
-    out[..., 0, 1] = (a0 * b0 + a1 * b1 + a2 * b2) / safe
-    out[..., 1, 1] = np.where(has_m0, area / safe, np.sqrt(b0 * b0 + b1 * b1 + b2 * b2))
-    return out
 
 
 def _sample_log_snr(link, z, cov, u_hat, n, seed) -> np.ndarray:
@@ -428,10 +402,10 @@ def _log_snr(w: np.ndarray, e: np.ndarray, factor: np.ndarray, c0: float, sigma_
 
     ``w`` (n, 2) holds the error-plane normals, ``e`` (n,) the scintillation
     normals (log h_a = -2 sigma_i^2 + 2 sigma_i e, so E[h_a] = 1), and
-    ``factor`` is the slot's (2, 2) B from `_slot_constants`, with
-    B^T B = M^T M: w B has the law of the projected attitude draw d M, so
+    ``factor`` is the slot's diagonal (2, 2) B from `_slot_constants`:
     |w B|^2 has the law of theta_p^2 / sigma_div^2 = -2 log(h_p / A0);
-    ``y`` is (n, 2) work space.
+    ``y`` is (n, 2) work space. One matmul by B costs less than a broadcast
+    multiply by its diagonal.
     """
     np.matmul(w, factor, out=y)
     np.square(y, out=y)

@@ -7,7 +7,9 @@ Hoyt (Nakagami-q); the two nonzero eigenvalues of ``Sigma^1/2 A Sigma^1/2``
 are the squared semi-axes of that law. `hoyt_eigenvalues` computes them for
 every slot of a trajectory at once from the projected 2x2 matrix
 ``E^T Sigma E`` (E an orthonormal basis of the error plane); `hoyt_params`
-is its one-direction case.
+is its one-direction case. Both the closed-form capacity and the Monte Carlo
+capacity take the law from these eigenvalues: the quadrature integrates over
+them and the sampler scales two error-plane normals by their square roots.
 
 Pure functions throughout; the sampler takes an explicit seed or Generator,
 so parallel Monte Carlo runs on independently seeded streams merge
@@ -284,9 +286,9 @@ def sample_error_angles(
     ``exact`` applies the full perturbation rotation to the pointing vector and
     measures the resulting angle; ``small_angle`` evaluates sqrt(x^T A x) as the
     length |d F| of the normals d projected onto the error plane
-    (`_error_plane_factor`). The Monte Carlo capacity draws the same law, in
-    units of sigma_div, from two error-plane normals w as |w B| with
-    B^T B = F^T F / sigma_div^2. Both modes draw three attitude normals per
+    (`_error_plane_factor`). The Monte Carlo capacity draws the same law from
+    two error-plane normals w as sqrt(lam1 w1^2 + lam2 w2^2), with lam1, lam2
+    from `hoyt_eigenvalues`. Both modes here draw three attitude normals per
     sample, so the two are paired sample by sample. Deterministic for a given
     seed (an int or a numpy Generator).
     """

@@ -72,7 +72,7 @@ class OptimizeResult:
     plan: TrajectoryPlan
     iterate: Iterate
     history: list[IterationRecord]
-    stop_reason: str  # step | plateau | max_outer
+    stop_reason: str  # plateau | max_outer
     wall_time: float = 0.0
 
     @property
@@ -241,9 +241,6 @@ def optimize(
                 stacklevel=2,
             )
         current = nxt
-        if step < config.tol_outer:
-            stop_reason = "step"
-            break
         if len(history) >= PLATEAU_WINDOW + 1:
             recent = [r.efficiency for r in history[-(PLATEAU_WINDOW + 1) :]]
             spread = (max(recent) - min(recent)) / max(abs(recent[-1]), 1e-300)

@@ -160,7 +160,6 @@ _FIELDS = {
         "circle_center": (None, None),
     },
     "optimizer": {
-        "tol_outer": ("dimensionless", "tol_outer"),
         "tol_dinkelbach_rel": ("dimensionless", "tol_dinkelbach_rel"),
         "max_outer": ("dimensionless", "max_outer"),
         "max_inner": ("dimensionless", "max_inner"),
@@ -284,7 +283,7 @@ def load_scenario(path_or_text) -> RunSettings:
 
     # optimizer
     opt_kwargs = {}
-    for key in ("tol_outer", "tol_dinkelbach_rel", "solver_tol"):
+    for key in ("tol_dinkelbach_rel", "solver_tol"):
         raw = get("optimizer", key)
         if raw is not None:
             opt_kwargs[key] = _parse_quantity(f"optimizer.{key}", raw, "dimensionless")
@@ -386,7 +385,6 @@ def dump_scenario(settings: RunSettings) -> str:
     lines += [
         "",
         "[optimizer]",
-        f"tol_outer = {_r(opt.tol_outer)}",
         f"tol_dinkelbach_rel = {_r(opt.tol_dinkelbach_rel)}",
         f"max_outer = {opt.max_outer}",
         f"max_inner = {opt.max_inner}",

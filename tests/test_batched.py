@@ -133,6 +133,18 @@ class TestAgainstPerSlotReference:
                 ref = np.array(hoyt_eigenvalues_slot(cov, u[k]))
                 assert np.max(np.abs(lam[k] - ref)) <= 1e-13 * sig[axis] ** 2
 
+    def test_hoyt_eigenvalues_rows_do_not_depend_on_the_batch(self, rng):
+        # The Monte Carlo builds each slot's factor from its row of the whole
+        # plan's eigenvalues, and must equal the oracle run on that slot alone.
+        for _ in range(10):
+            cov = JitterCovariance(tuple(rng.uniform(0.1e-3, 2e-3, 3)), tuple(rng.uniform(-0.4, 0.4, 3)))
+            u = random_directions(rng, 400) * rng.uniform(100.0, 2000.0)
+            full = hoyt_eigenvalues(cov, u)
+            for k in range(len(u)):
+                assert np.array_equal(hoyt_eigenvalues(cov, u[k : k + 1])[0], full[k])
+            for count in (1, 2, 7, 40, 399):
+                assert np.array_equal(hoyt_eigenvalues(cov, u[:count]), full[:count])
+
     def test_folded_quadrature(self, rng):
         default, faint, blazing = (LinkParams(transmit_power=p) for p in (10e-3, 1e-12, 1e149))
         cases = [(default, rng.uniform(100.0, 2000.0), *np.sort(rng.uniform(0.0, 1e-5, 2))[::-1]) for _ in range(40)]

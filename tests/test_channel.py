@@ -29,6 +29,7 @@ from fsotraj.jitter import (
     JitterCovariance,
     _covariance_factor,
     _error_plane_factor,
+    hoyt_eigenvalues,
     hoyt_params,
     sample_error_angles,
 )
@@ -39,10 +40,9 @@ from reference_slots import quadrature_unfolded
 def kernel_samples(link, z, theta, e):
     """The Monte Carlo kernel's log-SNR and capacity samples at the given angles and scintillation normals.
 
-    With the unit covariance (L = I) the slot's M is E / sigma_div, E an
-    orthonormal basis of the error plane, so M^T M = I / sigma_div^2 and its
-    factor is B = I / sigma_div: the error-plane draw w = (theta, 0) has the
-    pointing-error angle theta.
+    With the unit covariance both Hoyt variances of every direction are 1, so
+    the slot's factor is B = I / sigma_div: the error-plane draw w = (theta, 0)
+    has the pointing-error angle theta.
     """
     c0, factor = channel._slot_constants(link, z, JitterCovariance((1.0, 1.0, 1.0)), np.array([0.0, 0.0, -z]))
     w = np.zeros((len(theta), 2))
@@ -348,12 +348,19 @@ class TestMonteCarloCapacity:
 
 class TestErrorPlaneDraw:
     @staticmethod
-    def grams(link, cov, u):
-        """M^T M of each slot's 3x2 projection and B^T B of its kernel factor."""
+    def assert_same_law(link, cov, u):
+        """The Hoyt variances over sigma_div^2, and the eigenvalues of B^T B of the
+        kernel factor, equal the eigenvalues of M^T M of each slot's 3x2 projection
+        to 1e-13 of the largest; the law of |w B| depends on nothing else."""
         z = np.linalg.norm(u, axis=1)
         _, factor = channel._slot_constants(link, z, cov, u)
         proj = _error_plane_factor(_covariance_factor(cov) / link.sigma_div, u / z[:, None])
-        return np.swapaxes(proj, 1, 2) @ proj, np.swapaxes(factor, 1, 2) @ factor, factor
+        want = np.linalg.eigvalsh(np.swapaxes(proj, 1, 2) @ proj)[:, ::-1]
+        gram = np.linalg.eigvalsh(np.swapaxes(factor, 1, 2) @ factor)[:, ::-1]
+        lam = hoyt_eigenvalues(cov, u) / link.sigma_div**2
+        assert np.all(np.isfinite(factor))
+        assert np.max(np.abs(lam - want)) <= 1e-13 * np.max(want)
+        assert np.max(np.abs(gram - want)) <= 1e-13 * np.max(want)
 
     def test_factor_reproduces_the_projected_covariance(self, default_link, rng):
         covs = [
@@ -361,19 +368,14 @@ class TestErrorPlaneDraw:
             for _ in range(20)
         ]
         for cov in covs:
-            u = rng.normal(size=(8, 3)) * rng.uniform(1.0, 1000.0)
-            want, got, factor = self.grams(default_link, cov, u)
-            assert np.all(np.isfinite(factor))
-            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+            self.assert_same_law(default_link, cov, rng.normal(size=(8, 3)) * rng.uniform(1.0, 1000.0))
 
     @pytest.mark.parametrize("sigma", [(0.0, 2e-3, 0.0), (0.0, 0.0, 0.0)])
     def test_rank_one_and_zero_projections_give_no_nan(self, default_link, rng, sigma):
         # Pitch-only jitter projects onto a rank-1 M (a zero first column for
         # some directions); zero jitter gives M = 0.
         u = np.vstack([rng.normal(size=(8, 3)) * 500.0, [[0.0, 0.0, -500.0], [300.0, 0.0, -400.0]]])
-        want, got, factor = self.grams(default_link, JitterCovariance(sigma), u)
-        assert np.all(np.isfinite(factor))
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        self.assert_same_law(default_link, JitterCovariance(sigma), u)
 
     def test_plane_draw_has_the_law_of_the_attitude_projection(self, default_link):
         # |w B| from two error-plane normals against the small-angle |d M|
