@@ -5,21 +5,24 @@
 
 SCENARIO names a file in ``scenarios/`` (``moving``, ``hover``,
 ``hover_pitch_jitter``). For each mode (closed form, then Monte Carlo with
-M samples per slot) the script runs one warm-up call, then one unprofiled
-call whose wall time it prints, then one call under cProfile, and prints the
-top K functions by self time (tottime). For the Monte Carlo it then splits one
-thread's work into its two layers: it replays every slot on the same child
-stream that ``energy_efficiency`` spawns from the scenario seed (two
-error-plane normals and one scintillation normal per sample) and times the
-normal draws and the log-domain arithmetic (constants, kernel and mean)
-separately, and prints the normals drawn per sample. It exits with status 1
-when the replayed capacities differ from those of the ``energy_efficiency``
-call. It imports the package from this checkout's ``src/``.
+M samples per slot, by default ``energy_efficiency``'s own default) the
+script runs one warm-up call, then one unprofiled call whose wall time it
+prints, then one call under cProfile, and prints the top K functions by self
+time (tottime). For the Monte Carlo it then splits one thread's work into its
+two layers: it replays every slot on the same child stream that
+``energy_efficiency`` spawns from the scenario seed (two error-plane normals
+and one scintillation normal per sample) and times the normal draws and the
+log-domain arithmetic (constants, kernel and the library's cross-fitted
+control-variate reduction) separately, and prints the normals drawn per
+sample. It exits with status 1 when the replayed capacities differ from those
+of the ``energy_efficiency`` call. It imports the package from this
+checkout's ``src/``.
 """
 from __future__ import annotations
 
 import argparse
 import cProfile
+import inspect
 import io
 import pstats
 import sys
@@ -37,6 +40,8 @@ from fsotraj.mission import initialize_iterate, pointing_geometry  # noqa: E402
 from fsotraj.optimizer import energy_efficiency  # noqa: E402
 from fsotraj.scenario import load_scenario  # noqa: E402
 
+DEFAULT_SAMPLES = inspect.signature(energy_efficiency).parameters["samples_per_slot"].default
+
 
 def monte_carlo_layers(sc, plan, samples: int) -> tuple[float, float, np.ndarray, int]:
     """One thread's seconds of normal draws and of arithmetic over every slot, the capacities
@@ -49,10 +54,11 @@ def monte_carlo_layers(sc, plan, samples: int) -> tuple[float, float, np.ndarray
     u_hat, _ = pointing_geometry(plan.positions, v, a, sc.aircraft.g)
     z = np.linalg.norm(plan.positions, axis=1)
     children = np.random.default_rng(sc.seed).spawn(len(z))
-    w, e, y = np.empty((samples, 2)), np.empty(samples), np.empty((samples, 2))
+    w, e, y, f = np.empty((samples, 2)), np.empty(samples), np.empty((samples, 2)), np.empty(samples)
     capacity = np.empty(len(z))
     t0 = time.perf_counter()
     c0, factor = channel._slot_constants(sc.link, z, sc.jitter, u_hat)
+    t_mean = channel._mean_log_snr(c0, factor)
     arithmetic = time.perf_counter() - t0
     draws = 0.0
     for k, child in enumerate(children):
@@ -61,7 +67,7 @@ def monte_carlo_layers(sc, plan, samples: int) -> tuple[float, float, np.ndarray
         child.standard_normal(out=e)
         t1 = time.perf_counter()
         t = channel._log_snr(w, e, factor[k], c0[k], sc.link.sigma_i, y)
-        capacity[k] = np.mean(channel._log1p_exp(t)) * channel._HALF_LOG2E
+        capacity[k] = np.mean(channel._cross_fitted_residuals(t, t_mean[k], f)) * channel._HALF_LOG2E
         t2 = time.perf_counter()
         draws += t1 - t0
         arithmetic += t2 - t1
@@ -72,7 +78,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("scenario", help="bundled scenario name, e.g. hover_pitch_jitter")
     parser.add_argument("--top", type=int, default=15, help="rows of each profile to print")
-    parser.add_argument("--samples", type=int, default=20_000, help="Monte Carlo samples per slot")
+    parser.add_argument("--samples", type=int, default=DEFAULT_SAMPLES, help="Monte Carlo samples per slot")
     args = parser.parse_args(argv)
     sc = load_scenario(str(ROOT / "scenarios" / f"{args.scenario}.ini")).scenario
     plan = initialize_iterate(sc).plan(sc.delta, sc.altitude)

@@ -17,13 +17,23 @@ normals and B = diag(sqrt(lam1), sqrt(lam2)) / sigma_div holds the slot's
 Hoyt semi-axis variances from `hoyt_eigenvalues`, the ones the quadrature
 integrates: |w B|^2 = (lam1 w1^2 + lam2 w2^2) / sigma_div^2 has the Hoyt law
 of theta_p^2 / sigma_div^2. A sample draws three normals; its capacity is
-log1p(exp(t)) / (2 log 2). `_slot_constants` builds c0 and B for every slot
-and `_log_snr` is the one per-sample kernel. The oracle
-`mc_ergodic_capacity` estimates one slot. `mc_capacities` estimates every
-slot of a plan, each slot on its own child stream spawned from the seed,
-bit-identically to calling the oracle on that stream: the calling thread and
-one worker thread claim slots in turn and draw and reduce each in their own
-buffers.
+f = log1p(exp(t)) / (2 log 2). `_slot_constants` builds c0 and B for every
+slot and `_log_snr` is the one per-sample kernel.
+
+A slot's estimate is not the plain mean of f. Its log-SNR has the closed-form
+mean E[t] = c0 - (lam1 + lam2) / sigma_div^2 (`_mean_log_snr`, equal to
+`expected_log_gamma`), and f is nearly linear in t, so the control variate
+f - beta (t - E[t]) removes most of f's variance. beta is cross-fitted
+(`_cross_fitted_residuals`): fitted on each half of the slot's samples and
+applied to the other half, which keeps the estimate unbiased; a slope fitted
+on the samples it corrects would bias every slot by O(1/n). The estimate is
+the mean of these residuals and its standard error their std / sqrt(n).
+The oracle `mc_ergodic_capacity` estimates one slot. `mc_capacities`
+estimates every slot of a plan, each slot on its own child stream spawned
+from the seed, bit-identically to calling the oracle on that stream: the
+calling thread and one worker thread claim slots in turn and draw and reduce
+each in their own buffers, with the same reduction helper as the oracle.
+`mc_log_gamma` keeps the plain mean of t.
 """
 from __future__ import annotations
 
@@ -273,7 +283,7 @@ def mc_log_gamma(
     The mean of the per-sample log-SNR t that `mc_ergodic_capacity` draws from
     the same seed; finite for every link, with no floor on Gamma.
     """
-    t = _sample_log_snr(link, z, cov, u_hat, n, seed)
+    t, _ = _sample_log_snr(link, z, cov, u_hat, n, seed)
     return MCEstimate(float(np.mean(t)), float(np.std(t) / math.sqrt(n)), n)
 
 
@@ -292,10 +302,15 @@ def mc_ergodic_capacity(
     seed's stream, three normals per sample, scales the error-plane normals by
     the square roots of the slot's Hoyt semi-axis variances, and reduces them
     with the log-domain kernel of `mc_capacities`: each sample's capacity is
-    log1p(exp(t)) / (2 log 2).
+    f = log1p(exp(t)) / (2 log 2). The value is the mean of the cross-fitted
+    control-variate residuals r = f - beta (t - E[t]) of
+    `_cross_fitted_residuals`, the reduction `mc_capacities` applies to each
+    slot, and ``stderr`` is std(r) / sqrt(n), the standard error of that mean.
+    It is unbiased for every n; n = 1 gives the plain sample and stderr 0.
     """
-    caps = _log1p_exp(_sample_log_snr(link, z, cov, u_hat, n, seed))
-    return MCEstimate(float(np.mean(caps) * _HALF_LOG2E), float(np.std(caps) * _HALF_LOG2E / math.sqrt(n)), n)
+    t, t_mean = _sample_log_snr(link, z, cov, u_hat, n, seed)
+    r = _cross_fitted_residuals(t, t_mean, np.empty(n))
+    return MCEstimate(float(np.mean(r) * _HALF_LOG2E), float(np.std(r) * _HALF_LOG2E / math.sqrt(n)), n)
 
 
 def mc_capacities(
@@ -319,13 +334,16 @@ def mc_capacities(
     is spawned; ``z`` and ``u_hat`` must count the same slots. The calling
     thread and one worker thread then claim slots from a shared counter; each
     builds the generator of the slot it claims, draws its n (2,) error-plane
-    normals and n scintillation normals and reduces them with `_log_snr` in
-    its own buffers of 5n doubles. A raise in either thread stops both, and
-    the worker is joined before the call returns or raises.
+    normals and n scintillation normals, and reduces them with `_log_snr` and
+    the cross-fitted control variate of `_cross_fitted_residuals` in its own
+    buffers of 6n doubles: the slot's value is the mean of the residuals. A
+    raise in either thread stops both, and the worker is joined before the
+    call returns or raises.
     """
     if n < 1:
         raise ValueError("need at least one sample")
     c0, factor = _slot_constants(link, z, cov, u_hat)
+    t_mean = _mean_log_snr(c0, factor)
     slots = len(c0)
     bits = rng.bit_generator
     children = bits.seed_seq.spawn(slots)  # rng.spawn's seeds; each generator is built by its thread
@@ -333,7 +351,7 @@ def mc_capacities(
     claim, claim_lock, stop = itertools.count(), threading.Lock(), threading.Event()
 
     def run_slots():
-        w, e, y = np.empty((n, 2)), np.empty(n), np.empty((n, 2))
+        w, e, y, f = np.empty((n, 2)), np.empty(n), np.empty((n, 2)), np.empty(n)
         try:
             while not stop.is_set():
                 with claim_lock:
@@ -343,7 +361,8 @@ def mc_capacities(
                 child = np.random.Generator(type(bits)(children[k]))
                 child.standard_normal(out=w)
                 child.standard_normal(out=e)
-                capacity[k] = np.mean(_log1p_exp(_log_snr(w, e, factor[k], c0[k], link.sigma_i, y))) * _HALF_LOG2E
+                t = _log_snr(w, e, factor[k], c0[k], link.sigma_i, y)
+                capacity[k] = np.mean(_cross_fitted_residuals(t, t_mean[k], f)) * _HALF_LOG2E
         except BaseException:
             stop.set()
             raise
@@ -386,15 +405,24 @@ def _slot_constants(link: LinkParams, z, cov: JitterCovariance, u_hat) -> tuple[
     return np.reshape(c0, z.shape), factor.reshape(u.shape[:-1] + (2, 2))
 
 
-def _sample_log_snr(link, z, cov, u_hat, n, seed) -> np.ndarray:
-    """Log-SNR samples of one slot, drawn from ``seed`` as `mc_capacities` draws a slot."""
+def _sample_log_snr(link, z, cov, u_hat, n, seed) -> tuple[np.ndarray, float]:
+    """Log-SNR samples of one slot, drawn from ``seed`` as `mc_capacities` draws a slot, and their mean E[t]."""
     if n < 1:
         raise ValueError("need at least one sample")
     c0, factor = _slot_constants(link, z, cov, u_hat)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     w = rng.standard_normal((n, 2))
     e = rng.standard_normal(n)
-    return _log_snr(w, e, factor, c0, link.sigma_i, np.empty((n, 2)))
+    return _log_snr(w, e, factor, c0, link.sigma_i, np.empty((n, 2))), _mean_log_snr(c0, factor)
+
+
+def _mean_log_snr(c0, factor):
+    """E[t] = c0 - (lam1 + lam2) / sigma_div^2 of each slot's `_log_snr` samples.
+
+    The normals have zero mean and unit variance, so E[|w B|^2] is the sum of
+    the squared entries of B. Equals `expected_log_gamma` of the slot.
+    """
+    return c0 - np.square(factor).sum(axis=(-2, -1))
 
 
 def _log_snr(w: np.ndarray, e: np.ndarray, factor: np.ndarray, c0: float, sigma_i: float, y: np.ndarray) -> np.ndarray:
@@ -413,6 +441,40 @@ def _log_snr(w: np.ndarray, e: np.ndarray, factor: np.ndarray, c0: float, sigma_
     np.subtract(t, y[:, 0], out=t)
     np.subtract(t, y[:, 1], out=t)
     return np.add(t, c0, out=t)
+
+
+def _cross_fitted_residuals(t: np.ndarray, t_mean: float, f: np.ndarray) -> np.ndarray:
+    """Control-variate residuals r = f - beta (t - E[t]) of one slot's samples, nats, in ``f``.
+
+    f = log(1 + exp(t)) is each sample's capacity in nats, and the control
+    t - E[t] has the known mean zero (``t_mean`` is E[t] from
+    `_mean_log_snr`). The samples split into the first n // 2 and the rest;
+    beta is the least-squares slope of f on t fitted on one half and applied
+    to the other, so no sample is corrected by a slope fitted on itself, and
+    the mean of r is an unbiased estimate of E[f] with standard error
+    std(r) / sqrt(n). A half whose t has no spread fits beta = 0, and n = 1
+    gives r = f. ``t`` is overwritten with t - E[t]; ``f`` is (n,) work space.
+    """
+    np.copyto(f, t)
+    f = _log1p_exp(f)
+    d = np.subtract(t, t_mean, out=t)
+    h = len(d) // 2
+    if h == 0:
+        return f
+    beta_head, beta_tail = _slope(f[:h], d[:h]), _slope(f[h:], d[h:])
+    d[:h] *= beta_tail
+    d[h:] *= beta_head
+    return np.subtract(f, d, out=f)
+
+
+def _slope(f: np.ndarray, d: np.ndarray) -> float:
+    """Least-squares slope of f on d, from sums; 0 when d has no spread."""
+    m = len(d)
+    d_sum = d.sum()
+    sxx = d @ d - d_sum * d_sum / m
+    if sxx <= 0.0:
+        return 0.0
+    return (f @ d - f.sum() * d_sum / m) / sxx
 
 
 def _log1p_exp(t: np.ndarray) -> np.ndarray:

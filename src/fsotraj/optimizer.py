@@ -262,7 +262,7 @@ def energy_efficiency(
     plan: TrajectoryPlan,
     scenario: Scenario,
     mode: str = "closed_form",
-    samples_per_slot: int = 20_000,
+    samples_per_slot: int = 2_000,
     seed: int | np.random.Generator | None = None,
 ) -> EfficiencyReport:
     """Mission efficiency under the true channel model (no surrogate).
@@ -271,7 +271,10 @@ def energy_efficiency(
     monte_carlo replaces it with `mc_capacities`: samples_per_slot draws per
     slot, slot k from the k-th child stream spawned from ``seed`` (an int or a
     Generator; default ``scenario.seed``), bit-identical to
-    `mc_ergodic_capacity` on that child stream.
+    `mc_ergodic_capacity` on that child stream. Each slot is reduced with a
+    cross-fitted log-SNR control variate, so the default 2,000 samples give
+    every slot of the bundled plans a smaller standard error than the plain
+    mean of 20,000 samples.
     """
     if mode not in ("closed_form", "monte_carlo"):
         raise ValueError(f"unknown mode {mode!r}")

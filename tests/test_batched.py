@@ -1,6 +1,8 @@
-"""Batched slot computations against their per-slot references, the errors
-that name the offending slot, and guards on how often the batched code does
-its set-up work."""
+"""Batched slot computations against their per-slot references, the
+per-plan Monte Carlo's accuracy on the bundled plans, the errors that name
+the offending slot, and guards on how often the batched code does its set-up
+work."""
+import inspect
 import math
 import sys
 import threading
@@ -12,7 +14,7 @@ import pytest
 import fsotraj.mission as mission
 import fsotraj.optimizer as optimizer
 from fsotraj import channel
-from fsotraj.channel import LinkParams, log_bound_params, quadrature_ergodic_capacity
+from fsotraj.channel import LinkParams, expected_log_gamma, log_bound_params, quadrature_ergodic_capacity
 from fsotraj.errors import DegenerateGeometryError, DegenerateVelocityError
 from fsotraj.jitter import HoytParams, JitterCovariance, hoyt_eigenvalues, pointing_weight_matrix
 from fsotraj.kinematics import AircraftParams, TrajectoryPlan, differentiate_trajectory, flight_power
@@ -346,6 +348,59 @@ class TestMonteCarloPerPlan:
         assert worker_failed.is_set()
         assert len(caller_slots) < 10
         assert threading.active_count() == threads
+
+
+class TestMonteCarloAccuracy:
+    """The cross-fitted control variate on every slot of the bundled initial plans."""
+
+    DEFAULT_SAMPLES = inspect.signature(energy_efficiency).parameters["samples_per_slot"].default
+    PLANS = ["moving", "hover", "hover_pitch_jitter"]
+
+    @staticmethod
+    def hoyt_rows(sc, u_hat):
+        return [HoytParams(lam1=lam[0], lam2=lam[1]) for lam in hoyt_eigenvalues(sc.jitter, u_hat)]
+
+    @pytest.mark.parametrize("name", PLANS)
+    def test_control_mean_is_the_expected_log_gamma(self, name):
+        sc = bundled_scenario(name)
+        _, z, u_hat = initial_geometry(sc)
+        t_mean = channel._mean_log_snr(*channel._slot_constants(sc.link, z, sc.jitter, u_hat))
+        want = [expected_log_gamma(sc.link, z[k], hoyt) for k, hoyt in enumerate(self.hoyt_rows(sc, u_hat))]
+        np.testing.assert_allclose(t_mean, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("name", PLANS)
+    def test_default_stderr_is_below_the_plain_mean_at_20k(self, name):
+        # Each slot on its energy_efficiency child stream: the control-variate
+        # standard error at the default sample count against the plain
+        # estimator's std(f) / sqrt(n) at 20,000 samples.
+        sc = bundled_scenario(name)
+        _, z, u_hat = initial_geometry(sc)
+        n = self.DEFAULT_SAMPLES
+        for k, (plain_child, child) in enumerate(
+            zip(np.random.default_rng(sc.seed).spawn(len(z)), np.random.default_rng(sc.seed).spawn(len(z)))
+        ):
+            t, _ = channel._sample_log_snr(sc.link, z[k], sc.jitter, u_hat[k], 20_000, plain_child)
+            plain = np.std(channel._log1p_exp(t)) * channel._HALF_LOG2E / math.sqrt(20_000)
+            mc = channel.mc_ergodic_capacity(sc.link, z[k], sc.jitter, u_hat[k], n, child)
+            assert mc.stderr <= plain, f"slot {k}"
+
+    @pytest.mark.parametrize("samples", [DEFAULT_SAMPLES, 16])
+    def test_plan_total_is_unbiased(self, samples):
+        # Over 4 seeds the hover_pitch_jitter plan total stays within 4
+        # combined standard errors of the closed form. A slope fitted on the
+        # samples it corrects biases each slot by O(1/n), which adds up over
+        # the 400 slots; 16 samples per slot make that bias many standard
+        # errors wide.
+        sc = bundled_scenario("hover_pitch_jitter")
+        _, z, u_hat = initial_geometry(sc)
+        closed = sum(quadrature_ergodic_capacity(sc.link, z[k], hoyt) for k, hoyt in enumerate(self.hoyt_rows(sc, u_hat)))
+        total = variance = 0.0
+        for seed in range(4):
+            for k, child in enumerate(np.random.default_rng(seed).spawn(len(z))):
+                mc = channel.mc_ergodic_capacity(sc.link, z[k], sc.jitter, u_hat[k], samples, child)
+                total += mc.value
+                variance += mc.stderr**2
+        assert abs(total / 4 - closed) <= 4.0 * math.sqrt(variance) / 4
 
 
 class TestErrorsNameTheSlot:

@@ -201,9 +201,11 @@ class TestHugeTransmitPower:
         assert quadrature_unfolded(link, z, hp) == pytest.approx(want, rel=1e-12)
 
     def test_monte_carlo_is_the_log_snr(self):
-        # Every sample's log-SNR exceeds 700 here too, so each Monte Carlo
-        # estimate is a sample mean of log Gamma / (2 log 2): finite, without
-        # an overflow warning, and within 4 standard errors of the exact mean.
+        # Every sample's log-SNR exceeds 700 here too, so each sample's
+        # capacity f equals its log-SNR t and the control t - E[t] removes
+        # all of f's spread: each estimate is E[log Gamma] / (2 log 2) to
+        # rounding, finite and without an overflow warning, and its standard
+        # error is at rounding level.
         link = LinkParams(transmit_power=1e160)
         cov = JitterCovariance.from_mrad((1.0, 0.3, 0.1))
         z = np.array([500.0, 700.0, 900.0])
@@ -217,8 +219,9 @@ class TestHugeTransmitPower:
             single = [mc_ergodic_capacity(link, z[k], cov, u[k], n=n, seed=children[k]) for k in range(3)]
             plan = channel.mc_capacities(link, z, cov, u, n, np.random.default_rng(seed))
         for k, mc in enumerate(single):
-            assert math.isfinite(mc.value) and math.isfinite(mc.stderr) and mc.stderr > 0.0
-            assert abs(mc.value - want[k]) <= 4.0 * mc.stderr
+            assert math.isfinite(mc.value) and math.isfinite(mc.stderr)
+            assert mc.value == pytest.approx(want[k], rel=1e-12)
+            assert mc.stderr <= 1e-9 * mc.value
             assert plan[k] == mc.value
 
 
@@ -344,6 +347,38 @@ class TestMonteCarloCapacity:
         want = instantaneous_capacity(h_a, h_l, pointing_loss(theta, z, huge), huge)
         assert np.all(np.isfinite(want))
         np.testing.assert_allclose(sampled, want, rtol=1e-13, atol=0.0)
+
+
+class TestCrossFittedControl:
+    @staticmethod
+    def slot_samples(link, n, seed):
+        """One slot's log-SNR samples and their mean E[t], as the Monte Carlo draws them."""
+        cov, u = analysis_geometry()
+        return channel._sample_log_snr(link, float(np.linalg.norm(u)), cov, u, n, seed)
+
+    @pytest.mark.parametrize("n", [1000, 1001])
+    def test_each_half_takes_the_other_halfs_slope(self, default_link, n):
+        # The slope that corrects a sample is the least-squares slope of f on
+        # t over the other half only (n // 2 samples first, the rest second).
+        t, t_mean = self.slot_samples(default_link, n, 5)
+        f = np.log1p(np.exp(t))
+        h = n // 2
+        beta_head = np.polyfit(t[:h], f[:h], 1)[0]
+        beta_tail = np.polyfit(t[h:], f[h:], 1)[0]
+        want = f - (t - t_mean) * np.concatenate([np.full(h, beta_tail), np.full(n - h, beta_head)])
+        got = channel._cross_fitted_residuals(t.copy(), t_mean, np.empty(n))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_halves_of_one_sample_give_the_plain_mean(self, default_link, n):
+        # n = 1 has no first half; at n = 2 each half is one sample with no
+        # spread in t, so each slope is 0.
+        t, t_mean = self.slot_samples(default_link, n, 6)
+        f = np.log1p(np.exp(t))
+        np.testing.assert_array_equal(channel._cross_fitted_residuals(t.copy(), t_mean, np.empty(n)), f)
+        cov, u = analysis_geometry()
+        mc = mc_ergodic_capacity(default_link, float(np.linalg.norm(u)), cov, u, n, 6)
+        assert mc.value == np.mean(f) * channel._HALF_LOG2E
 
 
 class TestErrorPlaneDraw:
