@@ -9,11 +9,13 @@ M samples per slot, by default ``energy_efficiency``'s own default) the
 script runs one warm-up call, then one unprofiled call whose wall time it
 prints, then one call under cProfile, and prints the top K functions by self
 time (tottime). For the Monte Carlo it then splits one thread's work into its
-two layers: it replays every slot on the same child stream that
-``energy_efficiency`` spawns from the scenario seed (two error-plane normals
-and one scintillation normal per sample) and times the normal draws and the
-log-domain arithmetic (constants, kernel and the library's cross-fitted
-control-variate reduction) separately, and prints the normals drawn per
+two layers: it replays the library's chunk kernel on one thread, in the
+chunks of slots that ``mc_capacities`` claims, each slot on the same child
+stream that ``energy_efficiency`` spawns from the scenario seed (two
+error-plane normals and one scintillation normal per sample), and times the
+normal draws of each chunk and its log-domain arithmetic (constants, log-SNR
+kernel and the cross-fitted control-variate reduction, once per chunk)
+separately; it prints both per chunk and per slot, with the normals drawn per
 sample. It exits with status 1 when the replayed capacities differ from those
 of the ``energy_efficiency`` call. It imports the package from this
 checkout's ``src/``.
@@ -43,35 +45,40 @@ from fsotraj.scenario import load_scenario  # noqa: E402
 DEFAULT_SAMPLES = inspect.signature(energy_efficiency).parameters["samples_per_slot"].default
 
 
-def monte_carlo_layers(sc, plan, samples: int) -> tuple[float, float, np.ndarray, int]:
-    """One thread's seconds of normal draws and of arithmetic over every slot, the capacities
-    and the normals drawn per sample.
+def monte_carlo_layers(sc, plan, samples: int) -> tuple[float, float, np.ndarray, int, int]:
+    """One thread's seconds of normal draws and of arithmetic over every chunk, the capacities,
+    the normals drawn per sample and the slots per chunk.
 
-    Slot k draws from the k-th child of the scenario seed, as in
-    ``energy_efficiency(mode="monte_carlo")``, so the capacities equal that call's.
+    The slots run in the chunks of ``mc_capacities``, slot k drawing from the
+    k-th child of the scenario seed as in ``energy_efficiency(mode="monte_carlo")``,
+    so the capacities equal that call's.
     """
     v, a = differentiate_trajectory(plan)
     u_hat, _ = pointing_geometry(plan.positions, v, a, sc.aircraft.g)
     z = np.linalg.norm(plan.positions, axis=1)
     children = np.random.default_rng(sc.seed).spawn(len(z))
-    w, e, y, f = np.empty((samples, 2)), np.empty(samples), np.empty((samples, 2)), np.empty(samples)
+    chunk = channel._chunk_slots(samples)
+    w_rows, e_rows = np.empty((chunk, samples, 2)), np.empty((chunk, samples))
     capacity = np.empty(len(z))
     t0 = time.perf_counter()
-    c0, factor = channel._slot_constants(sc.link, z, sc.jitter, u_hat)
-    t_mean = channel._mean_log_snr(c0, factor)
+    c0, scale = channel._slot_constants(sc.link, z, sc.jitter, u_hat)
+    t_mean = channel._mean_log_snr(c0, scale)
     arithmetic = time.perf_counter() - t0
     draws = 0.0
-    for k, child in enumerate(children):
+    for lo in range(0, len(z), chunk):
+        hi = min(lo + chunk, len(z))
+        w, e = w_rows[: hi - lo], e_rows[: hi - lo]
         t0 = time.perf_counter()
-        child.standard_normal(out=w)
-        child.standard_normal(out=e)
+        for i, child in enumerate(children[lo:hi]):
+            channel._draw_slot(child, w[i], e[i])
         t1 = time.perf_counter()
-        t = channel._log_snr(w, e, factor[k], c0[k], sc.link.sigma_i, y)
-        capacity[k] = np.mean(channel._cross_fitted_residuals(t, t_mean[k], f)) * channel._HALF_LOG2E
+        t = channel._log_snr(w, e, scale[lo:hi], c0[lo:hi], sc.link.sigma_i)
+        r = channel._cross_fitted_residuals(t, t_mean[lo:hi], w)
+        capacity[lo:hi] = np.mean(r, axis=1) * channel._HALF_LOG2E
         t2 = time.perf_counter()
         draws += t1 - t0
         arithmetic += t2 - t1
-    return draws, arithmetic, capacity, (w.size + e.size) // samples
+    return draws, arithmetic, capacity, (w_rows[0].size + e_rows[0].size) // samples, chunk
 
 
 def main(argv=None) -> int:
@@ -103,13 +110,14 @@ def main(argv=None) -> int:
         print(out.getvalue().split("\n", 3)[-1].strip("\n"))
         print()
 
-    draws, arithmetic, capacity, normals = monte_carlo_layers(sc, plan, args.samples)
+    draws, arithmetic, capacity, normals, chunk = monte_carlo_layers(sc, plan, args.samples)
     slots = plan.n_slots
+    chunks = -(-slots // chunk)
     same = np.array_equal(capacity, report.capacity_per_slot)
-    print(f"{args.scenario} monte_carlo layers, one thread, {slots} slots of {args.samples} samples:")
+    print(f"{args.scenario} monte_carlo layers, one thread, {slots} slots of {args.samples} samples, {chunks} chunks:")
     print(f"normals drawn per sample: {normals}")
-    print(f"draws:      {draws:.4f} s ({1e3 * draws / slots:.3f} ms per slot)")
-    print(f"arithmetic: {arithmetic:.4f} s ({1e3 * arithmetic / slots:.3f} ms per slot)")
+    for layer, seconds in (("draws:     ", draws), ("arithmetic:", arithmetic)):
+        print(f"{layer} {seconds:.4f} s ({1e3 * seconds / chunks:.3f} ms per chunk, {1e3 * seconds / slots:.3f} ms per slot)")
     print(f"capacities equal to the energy_efficiency call: {same}")
     return 0 if same else 1
 

@@ -12,13 +12,13 @@ per grid node. `log_bound_params` takes the anchors of all slots as one array.
 
 Every Monte Carlo path works in the log domain. log Gamma is affine in the
 scintillation normal e and in theta_p^2, so a sample's log-SNR is
-t = c0 + 4 sigma_i e - |w B|^2, where w holds the sample's two error-plane
-normals and B = diag(sqrt(lam1), sqrt(lam2)) / sigma_div holds the slot's
-Hoyt semi-axis variances from `hoyt_eigenvalues`, the ones the quadrature
-integrates: |w B|^2 = (lam1 w1^2 + lam2 w2^2) / sigma_div^2 has the Hoyt law
-of theta_p^2 / sigma_div^2. A sample draws three normals; its capacity is
-f = log1p(exp(t)) / (2 log 2). `_slot_constants` builds c0 and B for every
-slot and `_log_snr` is the one per-sample kernel.
+t = c0 + 4 sigma_i e - |w b|^2, where w holds the sample's two error-plane
+normals and b = (sqrt(lam1), sqrt(lam2)) / sigma_div holds the square roots
+of the slot's Hoyt semi-axis variances from `hoyt_eigenvalues`, the ones the
+quadrature integrates: |w b|^2 = (lam1 w1^2 + lam2 w2^2) / sigma_div^2 has the
+Hoyt law of theta_p^2 / sigma_div^2. A sample draws three normals; its
+capacity is f = log1p(exp(t)) / (2 log 2). `_slot_constants` builds c0 and b
+for every slot.
 
 A slot's estimate is not the plain mean of f. Its log-SNR has the closed-form
 mean E[t] = c0 - (lam1 + lam2) / sigma_div^2 (`_mean_log_snr`, equal to
@@ -28,12 +28,18 @@ f - beta (t - E[t]) removes most of f's variance. beta is cross-fitted
 applied to the other half, which keeps the estimate unbiased; a slope fitted
 on the samples it corrects would bias every slot by O(1/n). The estimate is
 the mean of these residuals and its standard error their std / sqrt(n).
-The oracle `mc_ergodic_capacity` estimates one slot. `mc_capacities`
-estimates every slot of a plan, each slot on its own child stream spawned
-from the seed, bit-identically to calling the oracle on that stream: the
-calling thread and one worker thread claim slots in turn and draw and reduce
-each in their own buffers, with the same reduction helper as the oracle.
-`mc_log_gamma` keeps the plain mean of t.
+
+The kernel works on chunks of slots, shape (c, n): `_log_snr`, the per-row
+overflow branch of `_log1p_exp`, `_cross_fitted_residuals` and the mean run
+once per chunk, and every step is row by row, so a slot's value does not
+depend on the chunk that held it. `mc_capacities` estimates every slot of a
+plan, each slot on its own child stream spawned from the seed: the calling
+thread and one worker thread claim chunks of about _CHUNK_SAMPLES samples in
+turn, draw each slot of a chunk into its rows of their own buffers (3n
+doubles per slot), and reduce the chunk. The oracle `mc_ergodic_capacity`
+runs the same kernel on a one-slot chunk, so slot k of a plan is
+bit-identical to the oracle on the k-th child stream. `mc_log_gamma` keeps
+the plain mean of t.
 """
 from __future__ import annotations
 
@@ -54,6 +60,7 @@ from .jitter import HoytParams, JitterCovariance, hoyt_eigenvalues
 _REFERENCE_WAVELENGTH = 550e-9  # meters, anchor of the visibility scattering law
 _EXP_SAFE = 709.0  # largest log-SNR whose exp stays finite with room to spare
 _HALF_LOG2E = 0.5 / math.log(2.0)  # 0.5 log2(x) = _HALF_LOG2E log(x)
+_CHUNK_SAMPLES = 16_000  # Monte Carlo samples per chunk of slots in mc_capacities
 
 
 @dataclass(frozen=True)
@@ -283,7 +290,7 @@ def mc_log_gamma(
     The mean of the per-sample log-SNR t that `mc_ergodic_capacity` draws from
     the same seed; finite for every link, with no floor on Gamma.
     """
-    t, _ = _sample_log_snr(link, z, cov, u_hat, n, seed)
+    t, _, _ = _sample_log_snr(link, z, cov, u_hat, n, seed)
     return MCEstimate(float(np.mean(t)), float(np.std(t) / math.sqrt(n)), n)
 
 
@@ -299,18 +306,20 @@ def mc_ergodic_capacity(
 
     The oracle against which every closed form in this module is checked. It
     draws n (2,) error-plane normals and then n scintillation normals from the
-    seed's stream, three normals per sample, scales the error-plane normals by
-    the square roots of the slot's Hoyt semi-axis variances, and reduces them
-    with the log-domain kernel of `mc_capacities`: each sample's capacity is
-    f = log1p(exp(t)) / (2 log 2). The value is the mean of the cross-fitted
-    control-variate residuals r = f - beta (t - E[t]) of
-    `_cross_fitted_residuals`, the reduction `mc_capacities` applies to each
-    slot, and ``stderr`` is std(r) / sqrt(n), the standard error of that mean.
-    It is unbiased for every n; n = 1 gives the plain sample and stderr 0.
+    seed's stream, three normals per sample, and reduces them as a one-slot
+    chunk of `mc_capacities`, with the same kernel: the error-plane normals are
+    scaled by the square roots of the slot's Hoyt semi-axis variances, and each
+    sample's capacity is f = log1p(exp(t)) / (2 log 2). The value is the mean
+    of the cross-fitted control-variate residuals r = f - beta (t - E[t]) of
+    `_cross_fitted_residuals`, and ``stderr`` is std(r) / sqrt(n), the standard
+    error of that mean. It is unbiased for every n; n = 1 gives the plain
+    sample and stderr 0.
     """
-    t, t_mean = _sample_log_snr(link, z, cov, u_hat, n, seed)
-    r = _cross_fitted_residuals(t, t_mean, np.empty(n))
-    return MCEstimate(float(np.mean(r) * _HALF_LOG2E), float(np.std(r) * _HALF_LOG2E / math.sqrt(n)), n)
+    t, t_mean, spent = _sample_log_snr(link, z, cov, u_hat, n, seed)
+    r = _cross_fitted_residuals(t, t_mean, spent)
+    return MCEstimate(
+        float(np.mean(r, axis=1)[0] * _HALF_LOG2E), float(np.std(r) * _HALF_LOG2E / math.sqrt(n)), n
+    )
 
 
 def mc_capacities(
@@ -327,50 +336,54 @@ def mc_capacities(
     vectors. Slot k draws from its own child stream, the k-th of
     ``rng.spawn(N)``: its value is bit-identical to ``mc_ergodic_capacity(link,
     z[k], cov, u_hat[k], n, seed=rng.spawn(N)[k]).value``, whichever thread ran
-    it. ``rng`` keeps its bit stream; its ``seed_seq`` records N more spawned
-    children.
+    it and whichever chunk held it. ``rng`` keeps its bit stream; its
+    ``seed_seq`` records N more spawned children.
 
-    Every slot is checked, and its constants c0 and B built, before any child
-    is spawned; ``z`` and ``u_hat`` must count the same slots. The calling
-    thread and one worker thread then claim slots from a shared counter; each
-    builds the generator of the slot it claims, draws its n (2,) error-plane
-    normals and n scintillation normals, and reduces them with `_log_snr` and
-    the cross-fitted control variate of `_cross_fitted_residuals` in its own
-    buffers of 6n doubles: the slot's value is the mean of the residuals. A
-    raise in either thread stops both, and the worker is joined before the
-    call returns or raises.
+    Every slot is checked, and its constants c0 and b built, before any child
+    is spawned; ``z`` and ``u_hat`` must count the same slots. The slots then
+    run in chunks of `_chunk_slots` (n) consecutive slots, which the calling
+    thread and one worker thread claim from a shared counter. For each slot of
+    its chunk a thread builds the slot's generator and draws the slot's n (2,)
+    error-plane normals and n scintillation normals into the slot's rows of
+    its two chunk buffers, 3n doubles per slot; it then runs `_log_snr`, the
+    cross-fitted control variate of `_cross_fitted_residuals` and the mean
+    once over the whole chunk. A raise in either thread stops both, and the
+    worker is joined before the call returns or raises.
     """
     if n < 1:
         raise ValueError("need at least one sample")
-    c0, factor = _slot_constants(link, z, cov, u_hat)
-    t_mean = _mean_log_snr(c0, factor)
+    c0, scale = _slot_constants(link, z, cov, u_hat)
+    t_mean = _mean_log_snr(c0, scale)
     slots = len(c0)
     bits = rng.bit_generator
     children = bits.seed_seq.spawn(slots)  # rng.spawn's seeds; each generator is built by its thread
+    chunk = _chunk_slots(n)
     capacity = np.empty(slots)
-    claim, claim_lock, stop = itertools.count(), threading.Lock(), threading.Event()
+    claim, claim_lock, stop = itertools.count(0, chunk), threading.Lock(), threading.Event()
 
-    def run_slots():
-        w, e, y, f = np.empty((n, 2)), np.empty(n), np.empty((n, 2)), np.empty(n)
+    def run_chunks():
+        w_rows, e_rows = np.empty((chunk, n, 2)), np.empty((chunk, n))
         try:
             while not stop.is_set():
                 with claim_lock:
-                    k = next(claim)
-                if k >= slots:
+                    lo = next(claim)
+                if lo >= slots:
                     return
-                child = np.random.Generator(type(bits)(children[k]))
-                child.standard_normal(out=w)
-                child.standard_normal(out=e)
-                t = _log_snr(w, e, factor[k], c0[k], link.sigma_i, y)
-                capacity[k] = np.mean(_cross_fitted_residuals(t, t_mean[k], f)) * _HALF_LOG2E
+                hi = min(lo + chunk, slots)
+                w, e = w_rows[: hi - lo], e_rows[: hi - lo]
+                for i, child in enumerate(children[lo:hi]):
+                    _draw_slot(np.random.Generator(type(bits)(child)), w[i], e[i])
+                t = _log_snr(w, e, scale[lo:hi], c0[lo:hi], link.sigma_i)
+                r = _cross_fitted_residuals(t, t_mean[lo:hi], w)
+                capacity[lo:hi] = np.mean(r, axis=1) * _HALF_LOG2E
         except BaseException:
             stop.set()
             raise
 
     pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="fsotraj-mc")
     try:
-        worker = pool.submit(run_slots)
-        run_slots()
+        worker = pool.submit(run_chunks)
+        run_chunks()
         worker.result()
     finally:
         pool.shutdown(wait=True)
@@ -378,15 +391,16 @@ def mc_capacities(
 
 
 def _slot_constants(link: LinkParams, z, cov: JitterCovariance, u_hat) -> tuple[np.ndarray, np.ndarray]:
-    """The Monte Carlo kernel's constants of each slot: c0, shape (N,), and B, shape (N, 2, 2).
+    """The Monte Carlo kernel's constants of each slot: c0, shape (N,), and b, shape (N, 2).
 
     c0 = log(e R^2 P_T^2 / (2 pi sigma^2)) - 4 sigma_i^2 - 2 sigma_b z + 2 log A0(z)
-    is the log-SNR of an on-axis sample with e = 0. B = diag(sqrt(lam1),
+    is the log-SNR of an on-axis sample with e = 0. b = (sqrt(lam1),
     sqrt(lam2)) / sigma_div, with (lam1, lam2) the slot's row of
-    `hoyt_eigenvalues`, so two error-plane normals w give |w B| with the law
-    of theta_p / sigma_div. A slot's constants come from its own row of
-    `hoyt_eigenvalues` and one math.log, so they do not depend on the other
-    slots. A scalar ``z`` with a (3,) ``u_hat`` gives a 0-d c0 and a (2, 2) B.
+    `hoyt_eigenvalues`, so two error-plane normals w give |w b|, the norm of
+    their elementwise product, with the law of theta_p / sigma_div. A slot's
+    constants come from its own row of `hoyt_eigenvalues` and one math.log, so
+    they do not depend on the other slots. A scalar ``z`` with a (3,) ``u_hat``
+    is one slot: c0 of shape (1,) and b of shape (1, 2).
 
     Raises ValueError when ``z`` and ``u_hat`` count different slots, and
     DegenerateGeometryError, naming the slot, for a zero pointing vector or a
@@ -396,97 +410,124 @@ def _slot_constants(link: LinkParams, z, cov: JitterCovariance, u_hat) -> tuple[
     u = np.asarray(u_hat, dtype=float)
     if z.shape != u.shape[:-1]:
         raise ValueError(f"got {z.size} distances and {u.size // 3} pointing vectors; need one of each per slot")
+    z = z.ravel()
     lam = hoyt_eigenvalues(cov, u.reshape(-1, 3))
     if np.any(z <= 0.0):
         raise DegenerateGeometryError(f"propagation distance must be positive{slot_suffix(z <= 0.0)}")
-    factor = np.sqrt(lam)[:, :, None] / link.sigma_div * np.eye(2)
     base = _log_snr_base(link) - 4.0 * link.sigma_i**2
-    c0 = [base - 2.0 * link.sigma_b * zk + 2.0 * math.log(max_pointing_gain(zk, link)) for zk in z.ravel().tolist()]
-    return np.reshape(c0, z.shape), factor.reshape(u.shape[:-1] + (2, 2))
+    c0 = [base - 2.0 * link.sigma_b * zk + 2.0 * math.log(max_pointing_gain(zk, link)) for zk in z.tolist()]
+    return np.array(c0), np.sqrt(lam) / link.sigma_div
 
 
-def _sample_log_snr(link, z, cov, u_hat, n, seed) -> tuple[np.ndarray, float]:
-    """Log-SNR samples of one slot, drawn from ``seed`` as `mc_capacities` draws a slot, and their mean E[t]."""
-    if n < 1:
-        raise ValueError("need at least one sample")
-    c0, factor = _slot_constants(link, z, cov, u_hat)
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    w = rng.standard_normal((n, 2))
-    e = rng.standard_normal(n)
-    return _log_snr(w, e, factor, c0, link.sigma_i, np.empty((n, 2))), _mean_log_snr(c0, factor)
-
-
-def _mean_log_snr(c0, factor):
+def _mean_log_snr(c0, scale):
     """E[t] = c0 - (lam1 + lam2) / sigma_div^2 of each slot's `_log_snr` samples.
 
-    The normals have zero mean and unit variance, so E[|w B|^2] is the sum of
-    the squared entries of B. Equals `expected_log_gamma` of the slot.
+    The normals have zero mean and unit variance, so E[|w b|^2] is the sum of
+    the squares of b. Equals `expected_log_gamma` of the slot.
     """
-    return c0 - np.square(factor).sum(axis=(-2, -1))
+    return c0 - np.square(scale).sum(axis=-1)
 
 
-def _log_snr(w: np.ndarray, e: np.ndarray, factor: np.ndarray, c0: float, sigma_i: float, y: np.ndarray) -> np.ndarray:
-    """Log-SNR t = c0 + 4 sigma_i e - |w B|^2 of each sample, in place over ``e``.
+def _chunk_slots(n: int) -> int:
+    """Slots per chunk of `mc_capacities` at n samples per slot: 8 at 2,000.
 
-    ``w`` (n, 2) holds the error-plane normals, ``e`` (n,) the scintillation
-    normals (log h_a = -2 sigma_i^2 + 2 sigma_i e, so E[h_a] = 1), and
-    ``factor`` is the slot's diagonal (2, 2) B from `_slot_constants`:
-    |w B|^2 has the law of theta_p^2 / sigma_div^2 = -2 log(h_p / A0);
-    ``y`` is (n, 2) work space. One matmul by B costs less than a broadcast
-    multiply by its diagonal.
+    A chunk holds about _CHUNK_SAMPLES samples, so each thread's buffers stay
+    near 384 kB whatever the plan's length.
     """
-    np.matmul(w, factor, out=y)
-    np.square(y, out=y)
+    return max(1, _CHUNK_SAMPLES // n)
+
+
+def _sample_log_snr(link, z, cov, u_hat, n, seed) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One slot drawn from ``seed`` as `mc_capacities` draws a slot, run as a one-slot chunk.
+
+    Returns its (1, n) log-SNR samples, their mean E[t] of shape (1,), and its
+    spent (1, n, 2) error-plane normals, the work space of
+    `_cross_fitted_residuals`.
+    """
+    if n < 1:
+        raise ValueError("need at least one sample")
+    c0, scale = _slot_constants(link, z, cov, u_hat)
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    w, e = np.empty((1, n, 2)), np.empty((1, n))
+    _draw_slot(rng, w[0], e[0])
+    return _log_snr(w, e, scale, c0, link.sigma_i), _mean_log_snr(c0, scale), w
+
+
+def _draw_slot(rng: np.random.Generator, w: np.ndarray, e: np.ndarray) -> None:
+    """One slot's draws from its stream: n (2,) error-plane normals into ``w``, then n scintillation normals into ``e``."""
+    rng.standard_normal(out=w)
+    rng.standard_normal(out=e)
+
+
+def _log_snr(w: np.ndarray, e: np.ndarray, scale: np.ndarray, c0: np.ndarray, sigma_i: float) -> np.ndarray:
+    """Log-SNR t = c0 + 4 sigma_i e - |w b|^2 of each sample of a chunk, shape (c, n), in place over ``e``.
+
+    ``w`` (c, n, 2) holds each slot's error-plane normals and ``e`` (c, n) its
+    scintillation normals (log h_a = -2 sigma_i^2 + 2 sigma_i e, so
+    E[h_a] = 1); ``scale`` (c, 2) and ``c0`` (c,) are the slots' b and c0 from
+    `_slot_constants`: |w b|^2 has the law of theta_p^2 / sigma_div^2 =
+    -2 log(h_p / A0). ``w`` is spent afterwards, free as work space.
+    """
+    np.multiply(w, scale[:, None, :], out=w)
+    np.square(w, out=w)
     t = np.multiply(e, 4.0 * sigma_i, out=e)
-    np.subtract(t, y[:, 0], out=t)
-    np.subtract(t, y[:, 1], out=t)
-    return np.add(t, c0, out=t)
+    np.subtract(t, w[..., 0], out=t)
+    np.subtract(t, w[..., 1], out=t)
+    return np.add(t, c0[:, None], out=t)
 
 
-def _cross_fitted_residuals(t: np.ndarray, t_mean: float, f: np.ndarray) -> np.ndarray:
-    """Control-variate residuals r = f - beta (t - E[t]) of one slot's samples, nats, in ``f``.
+def _cross_fitted_residuals(t: np.ndarray, t_mean: np.ndarray, spent: np.ndarray) -> np.ndarray:
+    """Control-variate residuals r = f - beta (t - E[t]) of each slot of a chunk, nats, shape (c, n).
 
-    f = log(1 + exp(t)) is each sample's capacity in nats, and the control
-    t - E[t] has the known mean zero (``t_mean`` is E[t] from
-    `_mean_log_snr`). The samples split into the first n // 2 and the rest;
-    beta is the least-squares slope of f on t fitted on one half and applied
-    to the other, so no sample is corrected by a slope fitted on itself, and
-    the mean of r is an unbiased estimate of E[f] with standard error
-    std(r) / sqrt(n). A half whose t has no spread fits beta = 0, and n = 1
-    gives r = f. ``t`` is overwritten with t - E[t]; ``f`` is (n,) work space.
+    ``t`` (c, n) holds each slot's log-SNR samples and ``t_mean`` (c,) their
+    E[t] from `_mean_log_snr`. f = log(1 + exp(t)) is each sample's capacity
+    in nats, and the control t - E[t] has the known mean zero. Each slot's
+    samples split into the first n // 2 and the rest; beta is the
+    least-squares slope of f on t fitted on one half and applied to the
+    other, so no sample is corrected by a slope fitted on itself, and the
+    mean of a row of r is an unbiased estimate of the slot's E[f] with
+    standard error std(r) / sqrt(n). A half whose t has no spread fits
+    beta = 0, and n = 1 gives r = f. Every step is row by row, so a slot's
+    residuals do not depend on the other slots of its chunk. ``t`` is
+    overwritten with t - E[t]; r is written, as a contiguous (c, n) array,
+    over the first half of ``spent``, the chunk's contiguous (c, n, 2)
+    error-plane normals that `_log_snr` has used.
     """
-    np.copyto(f, t)
-    f = _log1p_exp(f)
-    d = np.subtract(t, t_mean, out=t)
-    h = len(d) // 2
+    f = _log1p_exp(t, spent.reshape(-1)[: t.size].reshape(t.shape))
+    d = np.subtract(t, t_mean[:, None], out=t)
+    h = d.shape[1] // 2
     if h == 0:
         return f
-    beta_head, beta_tail = _slope(f[:h], d[:h]), _slope(f[h:], d[h:])
-    d[:h] *= beta_tail
-    d[h:] *= beta_head
+    beta_head, beta_tail = _slopes(f[:, :h], d[:, :h]), _slopes(f[:, h:], d[:, h:])
+    d[:, :h] *= beta_tail[:, None]
+    d[:, h:] *= beta_head[:, None]
     return np.subtract(f, d, out=f)
 
 
-def _slope(f: np.ndarray, d: np.ndarray) -> float:
-    """Least-squares slope of f on d, from sums; 0 when d has no spread."""
-    m = len(d)
-    d_sum = d.sum()
-    sxx = d @ d - d_sum * d_sum / m
-    if sxx <= 0.0:
-        return 0.0
-    return (f @ d - f.sum() * d_sum / m) / sxx
+def _slopes(f: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Least-squares slope of each row of f on the same row of d, from sums; 0 where d has no spread."""
+    m = d.shape[1]
+    d_sum = d.sum(axis=1)
+    sxx = np.vecdot(d, d) - d_sum * d_sum / m
+    sxy = np.vecdot(f, d) - f.sum(axis=1) * d_sum / m
+    return np.divide(sxy, sxx, out=np.zeros(len(d)), where=sxx > 0.0)
 
 
-def _log1p_exp(t: np.ndarray) -> np.ndarray:
-    """log(1 + exp(t)) of each sample, in place over ``t``.
+def _log1p_exp(t: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """log(1 + exp(t)) of each sample of a chunk, into ``f``.
 
-    A slot whose largest t exceeds _EXP_SAFE takes logaddexp(0, t), as the
-    quadrature's rows do, so no sample overflows.
+    A slot whose largest t exceeds _EXP_SAFE takes logaddexp(0, t) on its
+    row, as the quadrature's rows do, so no sample overflows; the other rows
+    keep one exp and one log1p.
     """
-    if t.max() > _EXP_SAFE:
-        return np.logaddexp(0.0, t, out=t)
-    np.exp(t, out=t)
-    return np.log1p(t, out=t)
+    big = t.max(axis=1) > _EXP_SAFE
+    if not big.any():
+        np.exp(t, out=f)
+        return np.log1p(f, out=f)
+    small = ~big[:, None]
+    np.exp(t, out=f, where=small)
+    np.log1p(f, out=f, where=small)
+    return np.logaddexp(0.0, t, out=f, where=big[:, None])
 
 
 def quadrature_ergodic_capacity(

@@ -328,18 +328,24 @@ class Objective:
             np.add.at(out, qi, qv * x[qj])
         return out
 
+    def norm_parts(self, x):
+        """Per norm term, u = A x_loc + b and its smoothed norm r = sqrt(|u|^2 + eps^2) at x."""
+        parts = []
+        for term in self.norms:
+            u = np.einsum("mrl,ml->mr", term.a_loc, x[term.cols]) + term.b_loc
+            parts.append((u, np.sqrt(np.einsum("mr,mr->m", u, u) + _NORM_EPS**2)))
+        return parts
+
     def value(self, x):
         out = self.const + float(self.lin @ x) + 0.5 * float(self._quad_matvec(x) @ x)
-        for term in self.norms:
-            u = np.einsum("mrl,ml->mr", term.a_loc, x[term.cols]) + term.b_loc
-            out += float(term.weight @ np.sqrt(np.einsum("mr,mr->m", u, u) + _NORM_EPS**2))
+        for term, (_, r) in zip(self.norms, self.norm_parts(x)):
+            out += float(term.weight @ r)
         return out
 
-    def grad(self, x):
+    def grad(self, x, parts=None):
+        """Gradient at x; a caller that already has `norm_parts` of x passes them as ``parts``."""
         g = self.lin + self._quad_matvec(x)
-        for term in self.norms:
-            u = np.einsum("mrl,ml->mr", term.a_loc, x[term.cols]) + term.b_loc
-            r = np.sqrt(np.einsum("mr,mr->m", u, u) + _NORM_EPS**2)
+        for term, (u, r) in zip(self.norms, self.norm_parts(x) if parts is None else parts):
             gl = term.weight[:, None] * np.einsum("mrl,mr->ml", term.a_loc, u) / r[:, None]
             np.add.at(g, term.cols.ravel(), gl.ravel())
         return g

@@ -47,7 +47,7 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from ..errors import SolverError
-from .program import _NORM_EPS, ConvexProgram, LinearIneqFamily, _Family
+from .program import ConvexProgram, LinearIneqFamily, _Family
 
 _SIGMA = 0.1  # centering parameter
 _BOUNDARY_FRACTION = 0.99
@@ -93,6 +93,7 @@ class _Point(NamedTuple):
     grads: list  # per family: row- and column-scaled local gradients
     aux: list  # per family: what its hess_at needs at this point
     obj_grad: np.ndarray  # column-scaled objective gradient
+    norms: list  # per objective norm term: u and r from `Objective.norm_parts`
 
 
 class _Rows(NamedTuple):
@@ -282,9 +283,6 @@ class _Work:
             a_sc = term.a_loc * sc[term.cols][:, None, :]
             self.norm_terms.append((term, a_sc, np.einsum("mrl,mrk->mlk", a_sc, a_sc)))
 
-    def scaled_obj_grad(self, x):
-        return self.program.objective.grad(x) * self.sc
-
     def point(self, xs) -> _Point:
         """Values, gradients and Hessian inputs at the scaled point xs."""
         x = xs * self.sc
@@ -295,12 +293,14 @@ class _Work:
             grads.append(grad * f.colscale * f.rho[:, None] if f.grad is None else f.grad)
             aux.append(a)
         r_eq = [fam.local(x)[0] * rho for fam, rho in zip(self.eqs, self.rho_eq)]
+        norms = self.program.objective.norm_parts(x)
         return _Point(
             np.concatenate(g) if g else np.zeros(0),
             np.concatenate(r_eq) if r_eq else np.zeros(0),
             grads,
             aux,
-            self.scaled_obj_grad(x),
+            self.program.objective.grad(x, norms) * self.sc,
+            norms,
         )
 
     def dual_residual(self, pt: _Point, lam, nu):
@@ -314,12 +314,11 @@ class _Work:
             off += fam.m
         return r
 
-    def objective_hessian_blocks(self, x):
-        """Quadratic + norm-term value arrays matching the static structure order."""
+    def objective_hessian_blocks(self, pt: _Point):
+        """Quadratic + norm-term value arrays matching the static structure order,
+        the norm terms' from the u and r that the point pt computed."""
         vals = list(self.obj_blocks)
-        for term, a_sc, ata in self.norm_terms:
-            u = np.einsum("mrl,ml->mr", term.a_loc, x[term.cols]) + term.b_loc
-            r = np.sqrt(np.einsum("mr,mr->m", u, u) + _NORM_EPS**2)
+        for (term, a_sc, ata), (u, r) in zip(self.norm_terms, pt.norms):
             atu = np.einsum("mrl,mr->ml", a_sc, u)
             outer = np.einsum("ml,mk->mlk", atu, atu)
             h = term.weight[:, None, None] * (ata / r[:, None, None] - outer / (r**3)[:, None, None])
@@ -377,7 +376,7 @@ def solve(
     x = x_orig / sc  # internal scaled coordinates
     p = work.p
 
-    obj_scale = max(1.0, float(np.max(np.abs(work.scaled_obj_grad(x_orig)))) if n else 1.0)
+    obj_scale = max(1.0, float(np.max(np.abs(program.objective.grad(x_orig) * sc))) if n else 1.0)
     pt = work.point(x)
     if lam0 is None:
         s = np.maximum(-pt.g, 1.0)
@@ -431,7 +430,7 @@ def solve(
         # from the aux the accepted point's local calls left; linear families
         # have none, and their J' diag(lam/s) J block scales a fixed outer
         # product.
-        blocks = work.objective_hessian_blocks(x * sc)
+        blocks = work.objective_hessian_blocks(pt)
         rhs_x = -r_dual
         for f, grad_sc, aux in zip(work.fams, pt.grads, pt.aux):
             lam_f = lam[f.rows]

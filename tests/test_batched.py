@@ -6,6 +6,8 @@ import inspect
 import math
 import sys
 import threading
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -296,19 +298,21 @@ class TestMonteCarloPerPlan:
         assert threading.active_count() == threads
 
     def test_no_thread_outlives_a_raise_in_the_reduction(self, monkeypatch):
-        # The calling thread fails in the reduction of the first slot it
-        # claims. The worker holds its first slot until then, so the caller is
-        # sure to claim one; the worker then stops within a few slots.
+        # The calling thread fails in the reduction of the first chunk it
+        # claims. The worker holds its first chunk until then, so the caller
+        # is sure to claim one; the worker then stops within a few chunks,
+        # while the plan has 10 of them.
         sc = bundled_scenario("moving")
         plan, _, _ = initial_geometry(sc)
-        real, caller_failed, worker_slots = channel._log_snr, threading.Event(), []
+        assert plan.n_slots // channel._chunk_slots(self.SAMPLES) == 10
+        real, caller_failed, worker_chunks = channel._log_snr, threading.Event(), []
 
         def fail_in_the_caller(*args):
             if threading.current_thread() is threading.main_thread():
                 caller_failed.set()
                 raise RuntimeError("reduction failed")
             caller_failed.wait(timeout=30.0)
-            worker_slots.append(1)
+            worker_chunks.append(1)
             return real(*args)
 
         monkeypatch.setattr(channel, "_log_snr", fail_in_the_caller)
@@ -316,14 +320,14 @@ class TestMonteCarloPerPlan:
         with pytest.raises(RuntimeError, match="reduction failed"):
             energy_efficiency(plan, sc, mode="monte_carlo", samples_per_slot=self.SAMPLES, seed=1)
         assert caller_failed.is_set()
-        assert len(worker_slots) < 10
+        assert len(worker_chunks) < 3
         assert threading.active_count() == threads
 
     def test_no_thread_outlives_a_raise_in_the_draws(self):
         # The worker fails at the draws of the first slot it claims: building
-        # that slot's generator raises. The caller holds its first slot until
-        # then, so the worker is sure to claim one; the caller then stops
-        # within a few slots.
+        # that slot's generator raises. The caller holds the first slot of its
+        # first chunk until then, so the worker is sure to claim a chunk; the
+        # caller then stops within a few chunks, while the plan has 10.
         sc = bundled_scenario("moving")
         _, z, u_hat = initial_geometry(sc)
         worker_failed, caller_slots = threading.Event(), []
@@ -346,8 +350,94 @@ class TestMonteCarloPerPlan:
         with pytest.raises(RuntimeError, match="stream failed"):
             channel.mc_capacities(sc.link, z, sc.jitter, u_hat, self.SAMPLES, rng)
         assert worker_failed.is_set()
-        assert len(caller_slots) < 10
+        assert len(caller_slots) <= 2 * channel._chunk_slots(self.SAMPLES)
         assert threading.active_count() == threads
+
+
+class TestMonteCarloChunks:
+    """Slots run in chunks of `_chunk_slots` at the default sample count; every
+    slot still equals the oracle on its child stream, bit for bit, wherever the
+    chunk boundaries fall, and the buffers do not grow with the plan."""
+
+    DEFAULT_SAMPLES = inspect.signature(energy_efficiency).parameters["samples_per_slot"].default
+    CHUNK = channel._chunk_slots(DEFAULT_SAMPLES)
+
+    def test_default_chunk_holds_several_slots(self):
+        assert self.CHUNK == 8
+
+    @pytest.mark.parametrize("cut", [1, CHUNK - 1, CHUNK, CHUNK + 1])
+    def test_plan_cut_at_a_chunk_boundary_matches_the_oracle(self, cut):
+        sc = bundled_scenario("hover_pitch_jitter")
+        _, z, u_hat = initial_geometry(sc)
+        z, u_hat = z[:cut], u_hat[:cut]
+        got = channel.mc_capacities(sc.link, z, sc.jitter, u_hat, self.DEFAULT_SAMPLES, np.random.default_rng(6))
+        assert np.array_equal(got, mc_slot_loop(sc, z, u_hat, self.DEFAULT_SAMPLES, np.random.default_rng(6)))
+
+    @pytest.mark.parametrize(
+        "name,samples",
+        # hover_pitch_jitter's 400 slots fill 50 chunks of 8 exactly, so it
+        # runs at 2,100 samples: chunks of 7, the last holding one slot.
+        [("moving", DEFAULT_SAMPLES), ("hover_pitch_jitter", 2_100)],
+    )
+    def test_full_plan_with_a_partial_last_chunk_matches_the_oracle(self, name, samples):
+        sc = bundled_scenario(name)
+        _, z, u_hat = initial_geometry(sc)
+        assert len(z) % channel._chunk_slots(samples) != 0
+        got = channel.mc_capacities(sc.link, z, sc.jitter, u_hat, samples, np.random.default_rng(7))
+        assert np.array_equal(got, mc_slot_loop(sc, z, u_hat, samples, np.random.default_rng(7)))
+
+    def test_overflow_branch_is_per_slot_within_a_chunk(self):
+        # One chunk of slots from 400 m to 650 km under a transmit power that
+        # puts the on-axis log-SNR of the nearest at 712: the near slots'
+        # largest t exceeds _EXP_SAFE and takes logaddexp, the far slots'
+        # stays below and takes exp and log1p, each as it does alone. The
+        # farthest slot's t lies where the two formulas round differently, so
+        # a branch taken for the whole chunk changes that slot's residuals;
+        # its mean over 2,000 samples absorbs a last-bit change, so the
+        # residuals are compared too.
+        sc = bundled_scenario("hover_pitch_jitter")
+        _, _, u_hat = initial_geometry(sc)
+        z = np.geomspace(400.0, 650e3, self.CHUNK)
+        u = u_hat[: self.CHUNK]
+        c0_unit, _ = channel._slot_constants(LinkParams(transmit_power=1.0), z, sc.jitter, u)
+        sc = replace(sc, link=LinkParams(transmit_power=math.exp((712.0 - c0_unit[0]) / 2.0)))
+        n = self.DEFAULT_SAMPLES
+        alone = [
+            channel._sample_log_snr(sc.link, z[k], sc.jitter, u[k], n, child)
+            for k, child in enumerate(np.random.default_rng(9).spawn(self.CHUNK))
+        ]
+        t = np.concatenate([t_k for t_k, _, _ in alone])
+        assert t[0].max() > channel._EXP_SAFE > t[-1].max()
+        assert np.any(np.logaddexp(0.0, t[-1]) != np.log1p(np.exp(t[-1])))
+        t_mean = np.concatenate([t_mean_k for _, t_mean_k, _ in alone])
+        chunk = channel._cross_fitted_residuals(t, t_mean, np.empty((self.CHUNK, n, 2)))
+        for k, (t_k, t_mean_k, spent_k) in enumerate(alone):
+            assert np.array_equal(chunk[k], channel._cross_fitted_residuals(t_k, t_mean_k, spent_k)[0]), f"slot {k}"
+        got = channel.mc_capacities(sc.link, z, sc.jitter, u, n, np.random.default_rng(9))
+        assert np.all(np.isfinite(got))
+        assert np.array_equal(got, mc_slot_loop(sc, z, u, n, np.random.default_rng(9)))
+
+    @staticmethod
+    def traced_peak(sc, z, u_hat, samples):
+        tracemalloc.start()
+        try:
+            channel.mc_capacities(sc.link, z, sc.jitter, u_hat, samples, np.random.default_rng(1))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_buffers_do_not_grow_with_the_plan(self):
+        # Both threads' chunk buffers hold 2 x 8 slots x 3 x 2,000 doubles,
+        # 384 kB each. One buffer for the whole plan would be 4.8 MB at N=100
+        # and 19.2 MB at N=400.
+        peaks = {}
+        for name in ("moving", "hover_pitch_jitter"):
+            sc = bundled_scenario(name)
+            _, z, u_hat = initial_geometry(sc)
+            channel.mc_capacities(sc.link, z, sc.jitter, u_hat, self.DEFAULT_SAMPLES, np.random.default_rng(1))
+            peaks[len(z)] = self.traced_peak(sc, z, u_hat, self.DEFAULT_SAMPLES)
+        assert max(peaks.values()) < 2_000_000, peaks
+        assert peaks[400] <= 1.5 * peaks[100], peaks
 
 
 class TestMonteCarloAccuracy:
@@ -379,8 +469,8 @@ class TestMonteCarloAccuracy:
         for k, (plain_child, child) in enumerate(
             zip(np.random.default_rng(sc.seed).spawn(len(z)), np.random.default_rng(sc.seed).spawn(len(z)))
         ):
-            t, _ = channel._sample_log_snr(sc.link, z[k], sc.jitter, u_hat[k], 20_000, plain_child)
-            plain = np.std(channel._log1p_exp(t)) * channel._HALF_LOG2E / math.sqrt(20_000)
+            t, _, _ = channel._sample_log_snr(sc.link, z[k], sc.jitter, u_hat[k], 20_000, plain_child)
+            plain = np.std(channel._log1p_exp(t, t)) * channel._HALF_LOG2E / math.sqrt(20_000)
             mc = channel.mc_ergodic_capacity(sc.link, z[k], sc.jitter, u_hat[k], n, child)
             assert mc.stderr <= plain, f"slot {k}"
 

@@ -41,14 +41,15 @@ def kernel_samples(link, z, theta, e):
     """The Monte Carlo kernel's log-SNR and capacity samples at the given angles and scintillation normals.
 
     With the unit covariance both Hoyt variances of every direction are 1, so
-    the slot's factor is B = I / sigma_div: the error-plane draw w = (theta, 0)
-    has the pointing-error angle theta.
+    the slot's scale is b = (1, 1) / sigma_div: the error-plane draw
+    w = (theta, 0) has the pointing-error angle theta. The draws form a
+    one-slot chunk.
     """
-    c0, factor = channel._slot_constants(link, z, JitterCovariance((1.0, 1.0, 1.0)), np.array([0.0, 0.0, -z]))
-    w = np.zeros((len(theta), 2))
-    w[:, 0] = theta
-    t = channel._log_snr(w, e.copy(), factor, c0, link.sigma_i, np.empty((len(theta), 2)))
-    return t.copy(), channel._log1p_exp(t) * channel._HALF_LOG2E
+    c0, scale = channel._slot_constants(link, z, JitterCovariance((1.0, 1.0, 1.0)), np.array([0.0, 0.0, -z]))
+    w = np.zeros((1, len(theta), 2))
+    w[0, :, 0] = theta
+    t = channel._log_snr(w, e[None, :].copy(), scale, c0, link.sigma_i)
+    return t[0].copy(), channel._log1p_exp(t, np.empty_like(t))[0] * channel._HALF_LOG2E
 
 
 class TestAttenuation:
@@ -354,7 +355,8 @@ class TestCrossFittedControl:
     def slot_samples(link, n, seed):
         """One slot's log-SNR samples and their mean E[t], as the Monte Carlo draws them."""
         cov, u = analysis_geometry()
-        return channel._sample_log_snr(link, float(np.linalg.norm(u)), cov, u, n, seed)
+        t, t_mean, _ = channel._sample_log_snr(link, float(np.linalg.norm(u)), cov, u, n, seed)
+        return t[0], t_mean
 
     @pytest.mark.parametrize("n", [1000, 1001])
     def test_each_half_takes_the_other_halfs_slope(self, default_link, n):
@@ -366,8 +368,8 @@ class TestCrossFittedControl:
         beta_head = np.polyfit(t[:h], f[:h], 1)[0]
         beta_tail = np.polyfit(t[h:], f[h:], 1)[0]
         want = f - (t - t_mean) * np.concatenate([np.full(h, beta_tail), np.full(n - h, beta_head)])
-        got = channel._cross_fitted_residuals(t.copy(), t_mean, np.empty(n))
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        got = channel._cross_fitted_residuals(t[None, :].copy(), t_mean, np.empty((1, n, 2)))
+        np.testing.assert_allclose(got[0], want, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_halves_of_one_sample_give_the_plain_mean(self, default_link, n):
@@ -375,7 +377,7 @@ class TestCrossFittedControl:
         # spread in t, so each slope is 0.
         t, t_mean = self.slot_samples(default_link, n, 6)
         f = np.log1p(np.exp(t))
-        np.testing.assert_array_equal(channel._cross_fitted_residuals(t.copy(), t_mean, np.empty(n)), f)
+        np.testing.assert_array_equal(channel._cross_fitted_residuals(t[None, :].copy(), t_mean, np.empty((1, n, 2)))[0], f)
         cov, u = analysis_geometry()
         mc = mc_ergodic_capacity(default_link, float(np.linalg.norm(u)), cov, u, n, 6)
         assert mc.value == np.mean(f) * channel._HALF_LOG2E
@@ -388,7 +390,8 @@ class TestErrorPlaneDraw:
         kernel factor, equal the eigenvalues of M^T M of each slot's 3x2 projection
         to 1e-13 of the largest; the law of |w B| depends on nothing else."""
         z = np.linalg.norm(u, axis=1)
-        _, factor = channel._slot_constants(link, z, cov, u)
+        _, scale = channel._slot_constants(link, z, cov, u)
+        factor = scale[:, :, None] * np.eye(2)
         proj = _error_plane_factor(_covariance_factor(cov) / link.sigma_div, u / z[:, None])
         want = np.linalg.eigvalsh(np.swapaxes(proj, 1, 2) @ proj)[:, ::-1]
         gram = np.linalg.eigvalsh(np.swapaxes(factor, 1, 2) @ factor)[:, ::-1]
@@ -419,7 +422,7 @@ class TestErrorPlaneDraw:
         # the alpha = 0.01 critical value 1.628 sqrt(2 / n) = 0.0073.
         link, n = default_link, 100_000
         cov, u = analysis_geometry(rho=0.3)
-        _, factor = channel._slot_constants(link, float(np.linalg.norm(u)), cov, u)
-        plane = np.linalg.norm(np.random.default_rng(31).standard_normal((n, 2)) @ factor, axis=1)
+        _, scale = channel._slot_constants(link, float(np.linalg.norm(u)), cov, u)
+        plane = np.linalg.norm(np.random.default_rng(31).standard_normal((n, 2)) * scale, axis=1)
         attitude = np.sort(sample_error_angles(cov, u, n, seed=32, mode="small_angle") / link.sigma_div)
         assert ks_distance(plane, lambda x: np.searchsorted(attitude, x, side="right") / n) < 0.01
