@@ -212,11 +212,16 @@ def expected_square_error(params: HoytParams) -> float:
 
 
 def pointing_weight_matrix(cov: JitterCovariance) -> np.ndarray:
-    """Diagonal weights D with u^T D u / |u|^2 = E[theta_p^2] for diagonal covariances."""
-    if not cov.is_diagonal:
-        raise UnsupportedReductionError("pointing weight matrix requires a diagonal covariance")
-    sa, sb, sg = (s * s for s in cov.sigma)
-    return np.diag([sb + sg, sg + sa, sa + sb])
+    """Weights D = Tr(Sigma) I - Sigma, so u^T D u / |u|^2 = Tr(Sigma A_u) = E[theta_p^2].
+
+    Each diagonal entry is the sum of the other two variances, which is exact
+    for a diagonal Sigma.
+    """
+    sigma = cov.matrix
+    var = np.diag(sigma)
+    weights = -sigma
+    np.fill_diagonal(weights, var[[1, 2, 0]] + var[[2, 0, 1]])
+    return weights
 
 
 def hoyt_pdf(theta, params: HoytParams):
@@ -264,14 +269,18 @@ def hoyt_cdf(theta, params: HoytParams, grid_points: int = 40001):
     return float(out) if np.ndim(theta) == 0 else out
 
 
-def _covariance_factor(cov: JitterCovariance) -> np.ndarray:
-    mat = cov.matrix
+def psd_factor(mat: np.ndarray) -> np.ndarray:
+    """A factor F with F F^T = mat for a symmetric PSD matrix: its Cholesky factor, or
+    its symmetric root where Cholesky fails on a singular (or, by rounding, indefinite) one."""
     try:
         return np.linalg.cholesky(mat)
     except np.linalg.LinAlgError:
-        # Singular (or indefinite by rounding) covariance: its symmetric PSD root.
         evals, vecs = np.linalg.eigh(mat)
         return (vecs * np.sqrt(np.maximum(evals, 0.0))) @ vecs.T
+
+
+def _covariance_factor(cov: JitterCovariance) -> np.ndarray:
+    return psd_factor(cov.matrix)
 
 
 def sample_error_angles(

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .channel import LinkParams
-from .errors import InfeasibleScenarioError, UnsupportedReductionError, slot_suffix
+from .errors import InfeasibleScenarioError, slot_suffix
 from .jitter import JitterCovariance, pointing_weight_matrix
 from .kinematics import AircraftParams, TrajectoryPlan, differentiate_trajectory
 from .linearize import delta_u_coefficients
@@ -220,11 +220,6 @@ def initialize_iterate(scenario: Scenario) -> Iterate:
     """Initial trajectory: uniform linear motion, or a circular loop for
     missions that start and end at the same point. Errors name the first
     violated mission constraint."""
-    if not scenario.jitter.is_diagonal:
-        raise UnsupportedReductionError(
-            "trajectory optimization requires uncorrelated jitter; "
-            "correlated covariances are supported in the analysis modules only"
-        )
     n = scenario.n_slots
     if isinstance(scenario.initialization, CircularInit):
         init = scenario.initialization

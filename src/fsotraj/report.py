@@ -6,11 +6,12 @@ reproduces values bit-exactly).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .errors import InvalidTrajectoryError
 from .kinematics import (
     TrajectoryPlan,
     differentiate_trajectory,
@@ -19,7 +20,7 @@ from .kinematics import (
     roll_from_motion,
     yaw_from_velocity,
 )
-from .mission import Scenario
+from .mission import Scenario, accel_slots
 from .optimizer import EfficiencyReport, IterationRecord
 
 
@@ -52,6 +53,16 @@ def read_csv(path: Path) -> tuple[list[str], np.ndarray]:
 
 
 TRAJECTORY_HEADER = ["t", "x", "y", "z", "vx", "vy", "ax", "ay", "roll", "yaw", "se", "power"]
+
+
+def read_plan(path: Path, delta: float, altitude: float) -> TrajectoryPlan:
+    """The plan in a trajectory.csv; InvalidTrajectoryError if its header is not TRAJECTORY_HEADER."""
+    header, data = read_csv(path)
+    if header != TRAJECTORY_HEADER:
+        raise InvalidTrajectoryError(f"{path}: header {header} is not {TRAJECTORY_HEADER}")
+    return TrajectoryPlan(positions=data[:, 1:4], delta=delta, altitude=altitude)
+
+
 TRACE_HEADER = [
     "iteration",
     "lambda_star",
@@ -86,6 +97,14 @@ class ValidationRow:
         return self.rel_error <= self.tolerance_rel
 
 
+def write_validation(path: Path, rows: list[ValidationRow]) -> None:
+    cells = [
+        (r.check, r.reference, r.estimate, abs(r.estimate - r.reference), r.rel_error, float(r.passed))
+        for r in rows
+    ]
+    write_csv(path, VALIDATION_HEADER, cells)
+
+
 @dataclass
 class RunReport:
     """Everything one optimization run produced, re-runnable from the echo."""
@@ -97,14 +116,11 @@ class RunReport:
     efficiency: EfficiencyReport
     converged: bool
     wall_time: float
-    validations: list[ValidationRow] = field(default_factory=list)
 
     def trajectory_rows(self):
         plan, sc = self.plan, self.scenario
         v, a = differentiate_trajectory(plan)
-        n = plan.n_slots
-        for k in range(n):
-            a_k = a[min(k, n - 2)]
+        for k, a_k in enumerate(a[accel_slots(plan.n_slots)]):
             yield (
                 k * plan.delta,
                 plan.positions[k, 0],
@@ -182,11 +198,7 @@ def write_outputs(report: RunReport, out_dir) -> list[str]:
     )
     manifest.append("efficiency_trace.csv")
 
-    rows = [
-        (v.check, v.reference, v.estimate, abs(v.estimate - v.reference), v.rel_error, float(v.passed))
-        for v in report.validations
-    ]
-    write_csv(out / "validation.csv", VALIDATION_HEADER, rows)
+    write_validation(out / "validation.csv", [])
     manifest.append("validation.csv")
 
     (out / "report").write_text(report.summary_text(), encoding="utf-8")

@@ -19,7 +19,7 @@ import numpy as np
 from .channel import capacity_offset, log_bound_params
 from .convex import ConvexProgram, VariableSpace
 from .errors import DegenerateVelocityError
-from .jitter import pointing_weight_matrix
+from .jitter import pointing_weight_matrix, psd_factor
 from .linearize import anchor_log_gamma
 from .mission import Iterate, Scenario, accel_slots
 
@@ -175,7 +175,7 @@ class Subproblem:
         # --- jitter penalty: exact second-order-cone form plus the fully
         # linearized (Taylor) form, both anchored at the iterate.
         d_mat = pointing_weight_matrix(scenario.jitter)
-        d_root = np.sqrt(d_mat)
+        d_root = psd_factor(d_mat).T  # d_root^T d_root = D, so |d_root u|^2 = u^T D u
         a_slot = accel_slots(n)
         cols_jit = np.column_stack(
             [

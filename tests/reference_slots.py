@@ -128,26 +128,34 @@ def log_bound_params_slot(gamma_l: float) -> tuple[float, float]:
     return grad, delta
 
 
-def jitter_block_slots(iterate, d_mat, x_anchor6):
-    """Per-slot coefficients of the jitter cone and its linearized form.
+def jitter_cone_slots(iterate, d_root, x_anchor6):
+    """Per-slot trajectory part of the jitter cone's norm argument, for a root
+    d_root of the weight matrix (d_root^T d_root = D).
 
-    Returns (a_norm (N, 3, 6), b_norm (N, 3), lin_tau (N, 6), lin_offset (N,)):
-    the trajectory part of the cone's norm argument, and the trajectory part
-    and constant of the linearized row.
+    Returns (a_norm (N, 3, 6), b_norm (N, 3)).
     """
-    d_root = np.sqrt(d_mat)
     n = iterate.n_slots
     a_norm = np.empty((n, 3, 6))
     b_norm = np.empty((n, 3))
+    for k in range(n):
+        dj = d_root @ iterate.u_jac[k]
+        a_norm[k] = dj
+        b_norm[k] = d_root @ iterate.u_hat[k] - dj @ x_anchor6[k]
+    return a_norm, b_norm
+
+
+def jitter_lin_slots(iterate, d_mat, x_anchor6):
+    """Per-slot coefficients of the linearized jitter row.
+
+    Returns (lin_tau (N, 6), lin_offset (N,)): its trajectory part and constant.
+    """
+    n = iterate.n_slots
     lin_tau = np.empty((n, 6))
     lin_offset = np.empty(n)
     for k in range(n):
         jac = iterate.u_jac[k]
-        dj = d_root @ jac
-        a_norm[k] = dj
-        b_norm[k] = d_root @ iterate.u_hat[k] - dj @ x_anchor6[k]
         w = math.sqrt(float(iterate.u_hat[k] @ d_mat @ iterate.u_hat[k]))
         tau = jac.T @ (d_mat @ iterate.u_hat[k]) / w if w > 1e-15 else np.zeros(6)
         lin_tau[k] = tau
         lin_offset[k] = iterate.S[k] * iterate.U[k] + w - tau @ x_anchor6[k]
-    return a_norm, b_norm, lin_tau, lin_offset
+    return lin_tau, lin_offset

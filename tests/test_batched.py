@@ -28,7 +28,8 @@ from fsotraj.subproblem import Subproblem
 from reference_slots import (
     flight_power_slot,
     hoyt_eigenvalues_slot,
-    jitter_block_slots,
+    jitter_cone_slots,
+    jitter_lin_slots,
     log_bound_params_slot,
     pointing_geometry_slots,
     quadrature_unfolded,
@@ -208,11 +209,44 @@ class TestAgainstPerSlotReference:
         fams = {fam.tag: fam for fam in sub.program.families}
         n = sc.n_slots
         x6 = np.column_stack([it.s[:, :2], it.v[:, :2], it.a[np.minimum(np.arange(n), n - 2), :2]])
-        a_norm, b_norm, tau, offset = jitter_block_slots(it, pointing_weight_matrix(sc.jitter), x6)
+        d_mat = pointing_weight_matrix(sc.jitter)
+        a_norm, b_norm = jitter_cone_slots(it, np.sqrt(d_mat), x6)
+        tau, offset = jitter_lin_slots(it, d_mat, x6)
         cone, lin = fams["jitter_cone"], fams["jitter_lin"]
         # Sums of three to six terms with cancellation, taken in another order.
         assert max_rel(cone.a_loc[:, :, 2:], a_norm) <= 1e-14
         assert max_rel(cone.b_loc, b_norm) <= 1e-13
+        assert max_rel(lin.coef[:, 2:], tau) <= 1e-13
+        assert max_rel(lin.offset, offset) <= 1e-13
+
+    @pytest.mark.parametrize(
+        "jitter",
+        [
+            JitterCovariance.from_mrad((0.583, 0.583, 0.583), (0.6, -0.3, 0.2)),
+            JitterCovariance.from_mrad((0.0, 1.0, 0.0)),
+        ],
+        ids=["correlated", "pitch_only"],
+    )
+    def test_subproblem_jitter_block_any_covariance(self, jitter, rng):
+        # The cone's root of D is not unique, so check only what does not depend
+        # on it: a^T a = J^T D J and |A x + b| = sqrt(u^T D u) at the anchor.
+        sc = hover_scenario().with_jitter(jitter)
+        it = initialize_iterate(sc)
+        s = it.s.copy()
+        s[1:-1, :2] += rng.normal(scale=2.0, size=(sc.n_slots - 2, 2))
+        it = tight_iterate(sc, s)
+        fams = {fam.tag: fam for fam in Subproblem(it, sc).program.families}
+        n = sc.n_slots
+        x6 = np.column_stack([it.s[:, :2], it.v[:, :2], it.a[np.minimum(np.arange(n), n - 2), :2]])
+        d_mat = pointing_weight_matrix(jitter)
+        tau, offset = jitter_lin_slots(it, d_mat, x6)
+        cone, lin = fams["jitter_cone"], fams["jitter_lin"]
+        a_norm = cone.a_loc[:, :, 2:]
+        jdj = np.einsum("kil,ij,kjm->klm", it.u_jac, d_mat, it.u_jac)
+        assert max_rel(np.einsum("kil,kim->klm", a_norm, a_norm), jdj) <= 1e-13
+        w = np.sqrt(np.einsum("ki,ij,kj->k", it.u_hat, d_mat, it.u_hat))
+        at_anchor = np.linalg.norm(np.einsum("kil,kl->ki", a_norm, x6) + cone.b_loc, axis=1)
+        assert max_rel(at_anchor, w) <= 1e-12
         assert max_rel(lin.coef[:, 2:], tau) <= 1e-13
         assert max_rel(lin.offset, offset) <= 1e-13
 

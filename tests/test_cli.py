@@ -126,6 +126,15 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    def test_validate_malformed_trajectory_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "trajectory.csv").write_text("t,x,y\n0,54,200\n", encoding="utf-8")
+        assert main(["validate", "--out", str(out), "--samples", "2000"]) == 2
+        err = capsys.readouterr().err
+        assert "trajectory.csv" in err and "header" in err
+        assert not (out / "validation.csv").exists()
+
     def test_infeasible_exit_3(self, tmp_path, capsys):
         scenario = write_scenario(
             tmp_path, "[mission]\nkind = moving\nduration = 1 s\nslot = 0.2 s\n"
@@ -153,3 +162,14 @@ class TestCompareDof:
             "trajectory_2dof.csv",
             "trajectory_3dof.csv",
         }
+
+    def test_correlated_jitter_optimizes_but_does_not_reduce(self, tmp_path, capsys, monkeypatch):
+        scenario = write_scenario(tmp_path, TINY_MOVING + "[jitter]\nrho_roll_pitch = 0.6\n")
+        assert main(["optimize", "--scenario", scenario, "--out", str(tmp_path / "run")]) == 0
+        # The DoF reductions are defined for uncorrelated jitter only: exit 2
+        # with the reduction's own error, before any solve.
+        monkeypatch.setattr("fsotraj.cli.optimize", lambda *a, **k: pytest.fail("compare-dof solved"))
+        out = tmp_path / "dof"
+        assert main(["compare-dof", "--scenario", scenario, "--out", str(out)]) == 2
+        assert "uncorrelated" in capsys.readouterr().err
+        assert not list(out.glob("trajectory_*dof.csv"))

@@ -17,10 +17,12 @@ from fsotraj.jitter import (
     error_projection_matrix,
     expected_square_error,
     hoyt_cdf,
+    hoyt_eigenvalues,
     hoyt_params,
     hoyt_pdf,
     jitter_matrix,
     pointing_weight_matrix,
+    psd_factor,
     reduce_jitter_dof,
     sample_error_angles,
 )
@@ -139,15 +141,41 @@ class TestHoytParams:
             assert hp.omega == pytest.approx(tr, rel=1e-10)
 
     def test_diagonal_weight_identity(self, rng):
-        # u^T D u / |s|^2 equals Tr(Sigma A) for diagonal covariances.
-        for _ in range(1000):
+        # u^T D u / |u|^2 equals Tr(Sigma A_u) and lam1 + lam2, for diagonal
+        # and for correlated covariances alike.
+        for k in range(1000):
             sig = rng.uniform(0.05e-3, 3e-3, size=3)
-            cov = JitterCovariance(tuple(sig))
+            cov = JitterCovariance(tuple(sig)) if k % 2 else random_cov(rng)
             u = random_direction(rng)
             d = pointing_weight_matrix(cov)
             lhs = float(u @ d @ u) / float(u @ u)
             rhs = float(np.trace(cov.matrix @ error_projection_matrix(u)))
             assert lhs == pytest.approx(rhs, rel=1e-12)
+            assert lhs == pytest.approx(float(np.sum(hoyt_eigenvalues(cov, u[None, :]))), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "sigma, rho",
+        [
+            ((0.1e-3, 1e-3, 0.3e-3), (0.0, 0.0, 0.0)),
+            ((0.5e-3, 0.5e-3, 0.5e-3), (0.6, -0.3, 0.2)),
+            ((0.5e-3, 0.5e-3, 0.5e-3), (1.0, 0.0, 0.0)),
+            ((0.0, 1e-3, 0.0), (0.0, 0.0, 0.0)),
+        ],
+        ids=["diagonal", "correlated", "rho_1", "pitch_only_singular"],
+    )
+    def test_weight_matrix_factor(self, sigma, rho):
+        d = pointing_weight_matrix(JitterCovariance(sigma, rho))
+        np.testing.assert_array_equal(d, d.T)
+        assert np.min(np.linalg.eigvalsh(d)) >= -1e-15 * np.trace(d)
+        f = psd_factor(d)
+        np.testing.assert_allclose(f @ f.T, d, rtol=0.0, atol=1e-15 * np.trace(d))
+        if not any(rho) and min(sigma) > 0.0:
+            # A diagonal Sigma gives each weight as the sum of the other two
+            # variances, with no trace round-off, and that D factors to its
+            # elementwise root, bit for bit.
+            sa, sb, sg = (s * s for s in sigma)
+            np.testing.assert_array_equal(d, np.diag([sb + sg, sg + sa, sa + sb]))
+            np.testing.assert_array_equal(f, np.sqrt(d))
 
     def test_expected_square_error(self):
         cov, u = analysis_geometry()
@@ -155,10 +183,6 @@ class TestHoytParams:
         assert expected_square_error(hp) / MRAD2 == pytest.approx(1.0186, rel=0.002)
         zero = HoytParams(0.0, 0.0)
         assert expected_square_error(zero) == 0.0
-
-    def test_weight_matrix_requires_diagonal(self):
-        with pytest.raises(UnsupportedReductionError):
-            pointing_weight_matrix(JitterCovariance((1e-3, 1e-3, 1e-3), (0.5, 0.0, 0.0)))
 
 
 class TestPdf:

@@ -8,7 +8,7 @@ import pytest
 from fsotraj import optimizer as optimizer_mod
 from fsotraj.channel import LinkParams
 from fsotraj.convex import ConvexProgram, VariableSpace, solve
-from fsotraj.errors import BracketError, InfeasibleScenarioError, SolverError, UnsupportedReductionError
+from fsotraj.errors import BracketError, InfeasibleScenarioError, SolverError
 from fsotraj.jitter import JitterCovariance
 from fsotraj.kinematics import AircraftParams, TrajectoryPlan, differentiate_trajectory
 from fsotraj.mission import (
@@ -20,10 +20,12 @@ from fsotraj.mission import (
     worst_violation,
 )
 from fsotraj.optimizer import (
+    anchored_feasibility,
     dinkelbach_iterate,
     dinkelbach_solve,
     energy_efficiency,
     optimize,
+    restriction_tightness,
 )
 from fsotraj.scenario import load_scenario
 from fsotraj.subproblem import Subproblem
@@ -87,11 +89,6 @@ class TestInitialization:
         # 396 m over 198 s -> 2 m/s < v_min.
         sc = moving_scenario(n=100, delta=2.0)
         with pytest.raises(InfeasibleScenarioError, match="speed_min"):
-            initialize_iterate(sc)
-
-    def test_correlated_jitter_rejected(self):
-        sc = moving_scenario(jitter=JitterCovariance((1e-3, 1e-3, 1e-3), (0.5, 0.0, 0.0)))
-        with pytest.raises(UnsupportedReductionError):
             initialize_iterate(sc)
 
 
@@ -320,6 +317,21 @@ class TestOptimize:
         assert sum(r.newton_iters for r in res.history) == 596
         assert res.stop_reason == "plateau"
         assert energy_efficiency(res.plan, sc).efficiency == pytest.approx(3.717682719944068e-4, rel=1e-12, abs=0.0)
+
+    def test_correlated_jitter_plan(self):
+        # The bundled transit under roll-pitch correlated jitter: the planner
+        # takes any covariance, and its restriction stays tight and feasible.
+        settings = load_scenario(str(SCENARIOS / "moving.ini"))
+        sc = settings.scenario.with_jitter(JitterCovariance.from_mrad((0.583, 0.583, 0.583), (0.6, 0.0, 0.0)))
+        res = optimize(sc, settings.optimizer)
+        assert res.stop_reason == "plateau"
+        assert max(r.max_violation for r in res.history) <= 1e-6
+        assert energy_efficiency(res.plan, sc).efficiency > energy_efficiency(
+            initialize_iterate(sc).plan(sc.delta, sc.altitude), sc
+        ).efficiency
+        assert anchored_feasibility(res.iterate, sc).feasible
+        gaps = restriction_tightness(res.iterate, sc)
+        assert gaps["jitter_cone"] <= 1e-12 and gaps["jitter_lin"] <= 1e-12
 
     def test_jitter_direction_changes_trajectory(self):
         pitch = hover_scenario(jitter=JitterCovariance.from_mrad((0.1, 1.0, 0.1)))
