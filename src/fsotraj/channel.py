@@ -4,11 +4,15 @@ log-normal scintillation, and the link's instantaneous / ergodic capacity.
 The electrical SNR argument is Gamma = e P^2 / (2 pi sigma^2) with received
 power P = h_a h_l h_p R P_T; capacity is 0.5 log2(1 + Gamma) per channel use.
 
-The ergodic capacity of one slot is one Gauss-Hermite sum whose rules are
-built once per node count and cached read-only. Its integrand log(1 + exp(t))
-is evaluated in factored form: exp(t) is the product of one exponential per
-scintillation node and one per node of each jitter axis, leaving one log1p
-per grid node. `log_bound_params` takes the anchors of all slots as one array.
+The ergodic capacity of a slot is one Gauss-Hermite sum over a grid built
+once per node count and cached read-only, less the nodes whose weight is
+negligible where the integrand falls. `quadrature_capacities` takes every
+slot of a plan in one call, in fixed chunks of slots through one buffer;
+`quadrature_ergodic_capacity` is its one-slot call. The integrand
+log(1 + exp(t)) is evaluated in factored form: exp(t) is the product of one
+exponential per scintillation node and one per node of each jitter axis,
+leaving one log1p per grid node. `log_bound_params` takes the anchors of all
+slots as one array.
 
 Every Monte Carlo path works in the log domain. log Gamma is affine in the
 scintillation normal e and in theta_p^2, so a sample's log-SNR is
@@ -59,6 +63,8 @@ from .jitter import HoytParams, JitterCovariance, hoyt_eigenvalues
 
 _REFERENCE_WAVELENGTH = 550e-9  # meters, anchor of the visibility scattering law
 _EXP_SAFE = 709.0  # largest log-SNR whose exp stays finite with room to spare
+_WEIGHT_FLOOR = 1e-18  # share of the unit weight at or below which a falling quadrature node is dropped
+_QUADRATURE_CHUNK = 8  # slots per chunk of quadrature_capacities
 _HALF_LOG2E = 0.5 / math.log(2.0)  # 0.5 log2(x) = _HALF_LOG2E log(x)
 _CHUNK_SAMPLES = 16_000  # Monte Carlo samples per chunk of slots in mc_capacities
 
@@ -539,37 +545,97 @@ def quadrature_ergodic_capacity(
 ) -> float:
     """Deterministic evaluation of the true ergodic capacity by Gauss-Hermite quadrature.
 
-    Integrates 0.5 log2(1 + exp(t)) over t = const + 2 log h_a - theta_p^2 /
-    sigma_div^2, with the scintillation and the two pointing-error axes each
-    carrying one Hermite rule. The jitter axes enter only through x^2, so
-    each axis uses the rule folded onto its nonnegative nodes.
+    The one-slot call of `quadrature_capacities`, bit-identical to the slot's
+    value in a plan.
+    """
+    return float(
+        quadrature_capacities(
+            link, [z], [[hoyt.lam1, hoyt.lam2]], nodes_scint=nodes_scint, nodes_jitter=nodes_jitter
+        )[0]
+    )
+
+
+def quadrature_capacities(link: LinkParams, z, lam, nodes_scint: int = 48, nodes_jitter: int = 32) -> np.ndarray:
+    """Ergodic capacity of every slot of a plan by Gauss-Hermite quadrature, bits/channel use, shape (N,).
+
+    ``z`` holds the N propagation distances and ``lam`` the (N, 2) Hoyt
+    semi-axis variances of `hoyt_eigenvalues`. Each slot integrates
+    0.5 log2(1 + exp(t)) over t = const + 2 log h_a - theta_p^2 / sigma_div^2,
+    with the scintillation and the two pointing-error axes each carrying one
+    Hermite rule. The jitter axes enter only through x^2, so each axis uses
+    the rule folded onto its nonnegative nodes. The grid drops the nodes
+    whose weight is at most _WEIGHT_FLOOR where the integrand falls
+    (`_pruned_rules`): 42 of 48 rows and 171 of 256 pairs at the default
+    counts, 7,182 of 12,288 nodes, dropping under 1e-17 of the weight.
 
     exp(t) factors over the three rules into exp(const + 2 log h_a) times
-    exp(-lam1 x_i^2 / sigma_div^2) times exp(-lam2 x_j^2 / sigma_div^2), so the
-    integrand costs one exponential per rule node and one log1p per grid node.
-    A scintillation row whose factor would overflow (log-SNR above
-    _EXP_SAFE, which no physical link reaches) takes logaddexp(0, t) instead.
+    exp(-lam1 x_i^2 / sigma_div^2) times exp(-lam2 x_j^2 / sigma_div^2), so a
+    slot costs one exponential per rule node and one log1p per grid node. The
+    slots run in chunks of _QUADRATURE_CHUNK through one (chunk, rows, pairs)
+    buffer, reduced row by row with `np.vecdot`, jitter pairs first, so a
+    slot's value does not depend on the chunk that held it. A (slot, row)
+    whose log-SNR exceeds _EXP_SAFE, which no physical link reaches, takes
+    logaddexp(0, t) instead.
+
+    Raises ValueError when ``z`` and ``lam`` count different slots.
     """
-    const = (
-        _log_snr_base(link)
-        - 2.0 * link.sigma_b * z
-        + 2.0 * math.log(link.aperture**2 / (2.0 * z * link.sigma_div))
+    z = np.asarray(z, dtype=float)
+    lam = np.asarray(lam, dtype=float)
+    if z.ndim != 1 or lam.shape != (len(z), 2):
+        raise ValueError(f"got {z.size} distances and {lam.size // 2} eigenvalue pairs; need one of each per slot")
+    x_s, w_s, x_sq, pair_i, pair_j, w_pair = _pruned_rules(nodes_scint, nodes_jitter)
+    base = _log_snr_base(link)
+    const = np.array(
+        [
+            base - 2.0 * link.sigma_b * zk + 2.0 * math.log(link.aperture**2 / (2.0 * zk * link.sigma_div))
+            for zk in z.tolist()
+        ]
     )
+    scint = -4.0 * link.sigma_i**2 + 4.0 * link.sigma_i * x_s  # 2 log h_a at the nodes
+    capacity = np.empty(len(z))
+    buffer = np.empty((_QUADRATURE_CHUNK, len(x_s), len(w_pair)))
+    for lo in range(0, len(z), _QUADRATURE_CHUNK):
+        hi = min(lo + _QUADRATURE_CHUNK, len(z))
+        row = const[lo:hi, None] + scint
+        axis1 = -(lam[lo:hi, 0:1] * x_sq / link.sigma_div**2)
+        axis2 = -(lam[lo:hi, 1:2] * x_sq / link.sigma_div**2)
+        jitter = np.exp(axis1)[:, pair_i] * np.exp(axis2)[:, pair_j]  # h_p^2 / A0^2 at the pairs
+        cap = np.einsum("kr,kp->krp", np.exp(np.minimum(row, _EXP_SAFE)), jitter, out=buffer[: hi - lo])
+        np.log1p(cap, out=cap)
+        big = row > _EXP_SAFE
+        if big.any():
+            k, r = np.nonzero(big)
+            cap[k, r] = np.logaddexp(0.0, row[k, r, None] + (axis1[k][:, pair_i] + axis2[k][:, pair_j]))
+        capacity[lo:hi] = np.vecdot(np.vecdot(cap, w_pair), w_s)
+    return capacity * _HALF_LOG2E
+
+
+@functools.lru_cache(maxsize=None)
+def _pruned_rules(nodes_scint: int, nodes_jitter: int) -> tuple[np.ndarray, ...]:
+    """The quadrature grid without its negligible nodes, built once per pair of counts.
+
+    The integrand falls as either jitter node moves out and as the
+    scintillation node moves below zero, so a node there contributes at most
+    its weight times the integrand at a kept node: every jitter pair and every
+    scintillation node below zero whose weight is at most _WEIGHT_FLOOR is
+    dropped. Above zero the integrand grows like exp(4 sigma_i x) on a faint
+    link, where the tail's small weights still count (dropping them moves a
+    1e-12 W link's capacity by 1.5e-14 relative), so those nodes stay.
+
+    Returns the kept scintillation nodes and weights, the folded jitter rule's
+    x^2, and the kept jitter pairs as two index arrays into it with their
+    product weights, in row-major order of the full pair grid. The cached
+    arrays are read-only.
+    """
     x_s, w_s = _hermite_rule(nodes_scint)
     x_sq, w_j = _folded_hermite_rule(nodes_jitter)
-
-    row = const + (-4.0 * link.sigma_i**2 + 4.0 * link.sigma_i * x_s)  # const + 2 log h_a at the nodes
-    axis1 = -(hoyt.lam1 * x_sq / link.sigma_div**2)
-    axis2 = -(hoyt.lam2 * x_sq / link.sigma_div**2)
-    jitter = np.multiply.outer(np.exp(axis1), np.exp(axis2)).ravel()  # h_p^2 / A0^2 at the nodes
-    w_jit = np.multiply.outer(w_j, w_j).ravel()
-
-    cap = np.multiply.outer(np.exp(np.minimum(row, _EXP_SAFE)), jitter)
-    np.log1p(cap, out=cap)
-    if row.max() > _EXP_SAFE:
-        big = row > _EXP_SAFE
-        cap[big] = np.logaddexp(0.0, row[big, None] + np.add.outer(axis1, axis2).ravel())
-    return float(w_s @ cap @ w_jit) * _HALF_LOG2E
+    keep = (w_s > _WEIGHT_FLOOR) | (x_s > 0.0)
+    w_pairs = np.multiply.outer(w_j, w_j)
+    pair_i, pair_j = np.nonzero(w_pairs > _WEIGHT_FLOOR)
+    rules = (x_s[keep], w_s[keep], x_sq, pair_i, pair_j, w_pairs[pair_i, pair_j])
+    for arr in rules:
+        arr.flags.writeable = False
+    return rules
 
 
 @functools.lru_cache(maxsize=None)

@@ -17,8 +17,16 @@ import numpy as np
 
 from . import channel
 from .errors import BracketError, FsoTrajError, InfeasibleScenarioError, ScenarioParseError, SolverError
-from .jitter import hoyt_cdf, hoyt_params, hoyt_pdf, reduce_jitter_dof, sample_error_angles
-from .kinematics import flight_power, pointing_vector
+from .jitter import (
+    HoytParams,
+    hoyt_cdf,
+    hoyt_eigenvalues,
+    hoyt_params,
+    hoyt_pdf,
+    reduce_jitter_dof,
+    sample_error_angles,
+)
+from .kinematics import flight_power, pointing_vector, posture_rotation
 from .mission import initialize_iterate
 from .numerics import ks_distance
 from .optimizer import energy_efficiency, optimize
@@ -91,17 +99,15 @@ def cmd_capacity(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     coords = np.linspace(-args.extent, args.extent, args.grid)
-    rows = []
-    for x in coords:
-        for y in coords:
-            pos = np.array([x, y, sc.altitude])
-            u_hat = pointing_vector(pos, settings.pointing.posture)
-            hp = hoyt_params(sc.jitter, u_hat)
-            z = float(np.linalg.norm(pos))
-            elg = channel.expected_log_gamma(sc.link, z, hp)
-            bound = channel.ergodic_capacity(elg, math.exp(elg))
-            quad = channel.quadrature_ergodic_capacity(sc.link, z, hp)
-            rows.append((x, y, z, elg, bound, quad))
+    x, y = (grid.ravel() for grid in np.meshgrid(coords, coords, indexing="ij"))
+    pos = np.column_stack([x, y, np.full(len(x), sc.altitude)])
+    u_hat = -(pos @ posture_rotation(settings.pointing.posture).T)  # pointing_vector of every point
+    lam = hoyt_eigenvalues(sc.jitter, u_hat)
+    z = np.linalg.norm(pos, axis=1)
+    elg = np.array([channel.expected_log_gamma(sc.link, zk, HoytParams(*lk)) for zk, lk in zip(z, lam)])
+    bound = channel.ergodic_capacity(elg, np.exp(elg))
+    quad = channel.quadrature_capacities(sc.link, z, lam)
+    rows = list(zip(x, y, z, elg, bound, quad))
     write_csv(
         out / "capacity_grid.csv",
         ["x", "y", "distance", "e_log_gamma", "capacity_bound", "capacity_quadrature"],
@@ -230,17 +236,15 @@ def cmd_compare_dof(args) -> int:
                 for k in range(run.plan.n_slots)
             ),
         )
-    baseline = initialize_iterate(truth_scenario).plan(
-        truth_scenario.delta, truth_scenario.altitude
-    )
-    results["circular_baseline"] = energy_efficiency(
-        baseline, truth_scenario, mode=args.mode, seed=truth_scenario.seed
+    initial = initialize_iterate(truth_scenario).plan(truth_scenario.delta, truth_scenario.altitude)
+    results["initial_plan"] = energy_efficiency(
+        initial, truth_scenario, mode=args.mode, seed=truth_scenario.seed
     ).efficiency
 
     anchor = results["3dof"]
     rows = [
         (name, results[name], 100.0 * results[name] / anchor)
-        for name in ("3dof", "2dof", "1dof", "circular_baseline")
+        for name in ("3dof", "2dof", "1dof", "initial_plan")
     ]
     write_csv(out / "dof_comparison.csv", ["model", "efficiency", "relative_percent"], rows)
     for name, eff_val, rel in rows:

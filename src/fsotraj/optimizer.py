@@ -10,15 +10,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# mc_ergodic_capacity stays bound here because bench/tracer.py installs its
-# channel.mc_capacity span on this name; the evaluation uses mc_capacities.
-from .channel import mc_capacities, mc_ergodic_capacity, quadrature_ergodic_capacity  # noqa: F401
+# mc_ergodic_capacity and quadrature_ergodic_capacity stay bound here because
+# bench/tracer.py installs its channel.mc_capacity and channel.quadrature spans
+# on these names; the evaluation uses mc_capacities and quadrature_capacities.
+from .channel import (  # noqa: F401
+    mc_capacities,
+    mc_ergodic_capacity,
+    quadrature_capacities,
+    quadrature_ergodic_capacity,
+)
 from .convex import check_feasible, solve
 from .convex.solver import require_optimal
 from .errors import BracketError, InfeasibleScenarioError, slot_suffix
 # hoyt_params stays bound here because bench/tracer.py installs its
 # jitter.hoyt_params span on this name; the evaluation uses hoyt_eigenvalues.
-from .jitter import HoytParams, hoyt_eigenvalues, hoyt_params, pointing_weight_matrix  # noqa: F401
+from .jitter import hoyt_eigenvalues, hoyt_params, pointing_weight_matrix  # noqa: F401
 from .kinematics import TrajectoryPlan, differentiate_trajectory, flight_power
 from .mission import (
     Iterate,
@@ -267,7 +273,8 @@ def energy_efficiency(
 ) -> EfficiencyReport:
     """Mission efficiency under the true channel model (no surrogate).
 
-    closed_form evaluates the ergodic capacity by deterministic quadrature;
+    closed_form evaluates the ergodic capacity of every slot by deterministic
+    quadrature, in one `quadrature_capacities` call;
     monte_carlo replaces it with `mc_capacities`: samples_per_slot draws per
     slot, slot k from the k-th child stream spawned from ``seed`` (an int or a
     Generator; default ``scenario.seed``), bit-identical to
@@ -290,13 +297,7 @@ def energy_efficiency(
     n = plan.n_slots
     z = np.linalg.norm(s, axis=1)
     if mode == "closed_form":
-        lam = hoyt_eigenvalues(scenario.jitter, u_hat)
-        capacity = np.array(
-            [
-                quadrature_ergodic_capacity(scenario.link, z[k], HoytParams(lam1=lam[k, 0], lam2=lam[k, 1]))
-                for k in range(n)
-            ]
-        )
+        capacity = quadrature_capacities(scenario.link, z, hoyt_eigenvalues(scenario.jitter, u_hat))
     else:
         rng = np.random.default_rng(scenario.seed if seed is None else seed)
         capacity = mc_capacities(scenario.link, z, scenario.jitter, u_hat, samples_per_slot, rng)

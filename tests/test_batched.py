@@ -22,7 +22,7 @@ from fsotraj.jitter import HoytParams, JitterCovariance, hoyt_eigenvalues, point
 from fsotraj.kinematics import AircraftParams, TrajectoryPlan, differentiate_trajectory, flight_power
 from fsotraj.linearize import delta_u_coefficients
 from fsotraj.mission import initialize_iterate, pointing_geometry, tight_iterate
-from fsotraj.optimizer import energy_efficiency
+from fsotraj.optimizer import energy_efficiency, optimize
 from fsotraj.scenario import load_scenario
 from fsotraj.subproblem import Subproblem
 from reference_slots import (
@@ -62,12 +62,32 @@ def hover_scenario():
     return bundled_scenario("hover")
 
 
-def initial_geometry(sc):
-    """The initial plan with its per-slot distances and pointing vectors, as energy_efficiency forms them."""
-    plan = initialize_iterate(sc).plan(sc.delta, sc.altitude)
+def plan_geometry(sc, plan):
+    """A plan's per-slot distances and pointing vectors, as energy_efficiency forms them."""
     v, a = differentiate_trajectory(plan)
     u_hat, _ = pointing_geometry(plan.positions, v, a, sc.aircraft.g)
-    return plan, np.linalg.norm(plan.positions, axis=1), u_hat
+    return np.linalg.norm(plan.positions, axis=1), u_hat
+
+
+def initial_geometry(sc):
+    """The initial plan with its per-slot distances and pointing vectors."""
+    plan = initialize_iterate(sc).plan(sc.delta, sc.altitude)
+    return (plan, *plan_geometry(sc, plan))
+
+
+@pytest.fixture(scope="module")
+def bundled_plans():
+    """The initial and final plans of the bundled moving and hover_pitch_jitter missions, by (name, which)."""
+    plans = {}
+    for name in ("moving", "hover_pitch_jitter"):
+        settings = load_scenario(str(Path(__file__).resolve().parents[1] / "scenarios" / f"{name}.ini"))
+        sc = settings.scenario
+        plans[name, "initial"] = sc, initialize_iterate(sc).plan(sc.delta, sc.altitude)
+        plans[name, "final"] = sc, optimize(sc, settings.optimizer).plan
+    return plans
+
+
+PLANS = [(name, which) for name in ("moving", "hover_pitch_jitter") for which in ("initial", "final")]
 
 
 def mc_slot_loop(sc, z, u_hat, samples, rng):
@@ -249,6 +269,107 @@ class TestAgainstPerSlotReference:
         assert max_rel(at_anchor, w) <= 1e-12
         assert max_rel(lin.coef[:, 2:], tau) <= 1e-13
         assert max_rel(lin.offset, offset) <= 1e-13
+
+
+class TestQuadratureBatch:
+    """`quadrature_capacities` on whole plans: each slot against the full-grid
+    reference and, bit for bit, against the one-slot call, wherever the chunks
+    of _QUADRATURE_CHUNK slots fall."""
+
+    CHUNK = channel._QUADRATURE_CHUNK
+
+    @staticmethod
+    def slots(sc, plan):
+        z, u_hat = plan_geometry(sc, plan)
+        return z, hoyt_eigenvalues(sc.jitter, u_hat)
+
+    @staticmethod
+    def one_slot_calls(link, z, lam):
+        return np.array([quadrature_ergodic_capacity(link, zk, HoytParams(*lk)) for zk, lk in zip(z, lam)])
+
+    @pytest.mark.parametrize("name,which", PLANS)
+    def test_each_slot_matches_the_full_grid(self, bundled_plans, name, which):
+        sc, plan = bundled_plans[name, which]
+        z, lam = self.slots(sc, plan)
+        got = channel.quadrature_capacities(sc.link, z, lam)
+        want = np.array([quadrature_unfolded(sc.link, zk, HoytParams(*lk)) for zk, lk in zip(z, lam)])
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("name,which", PLANS)
+    def test_full_plan_is_the_one_slot_call(self, bundled_plans, name, which):
+        sc, plan = bundled_plans[name, which]
+        z, lam = self.slots(sc, plan)
+        assert np.array_equal(channel.quadrature_capacities(sc.link, z, lam), self.one_slot_calls(sc.link, z, lam))
+
+    @pytest.mark.parametrize("cut", [1, CHUNK - 1, CHUNK, CHUNK + 1])
+    def test_plan_cut_at_a_chunk_boundary_is_the_one_slot_call(self, bundled_plans, cut):
+        sc, plan = bundled_plans["hover_pitch_jitter", "initial"]
+        z, lam = self.slots(sc, plan)
+        z, lam = z[:cut], lam[:cut]
+        assert np.array_equal(channel.quadrature_capacities(sc.link, z, lam), self.one_slot_calls(sc.link, z, lam))
+
+    def test_overflow_rows_are_per_slot_within_a_chunk(self):
+        # One chunk: a slot at 400 m and seven from 600 to 650 km, under a
+        # transmit power that puts the largest node log-SNR of the first at
+        # 712. Its top rows exceed _EXP_SAFE and take logaddexp; its other
+        # rows and every row of the far slots take exp and log1p, each as it
+        # does alone. The far slots' node log-SNR spans about -35 to 45, where
+        # the two forms round differently, so a branch taken for the whole
+        # chunk changes some of their values.
+        sc = bundled_scenario("hover_pitch_jitter")
+        _, _, u_hat = initial_geometry(sc)
+        z = np.r_[400.0, np.linspace(600e3, 650e3, self.CHUNK - 1)]
+        lam = hoyt_eigenvalues(sc.jitter, u_hat[: self.CHUNK])
+        x_s = channel._pruned_rules(48, 32)[0]
+
+        def node_log_snr(link):
+            const = [
+                channel._log_snr_base(link)
+                - 2.0 * link.sigma_b * zk
+                + 2.0 * math.log(link.aperture**2 / (2.0 * zk * link.sigma_div))
+                for zk in z
+            ]
+            return np.add.outer(const, -4.0 * link.sigma_i**2 + 4.0 * link.sigma_i * x_s)
+
+        unit = node_log_snr(LinkParams(transmit_power=1.0))
+        link = LinkParams(transmit_power=math.exp((712.0 - unit[0].max()) / 2.0))
+        big = node_log_snr(link) > channel._EXP_SAFE
+        assert big[0].any() and not big[0].all()
+        assert not big[1:].any()
+        got = channel.quadrature_capacities(link, z, lam)
+        assert np.all(np.isfinite(got))
+        assert np.array_equal(got, self.one_slot_calls(link, z, lam))
+        want = np.array([quadrature_unfolded(link, zk, HoytParams(*lk)) for zk, lk in zip(z, lam)])
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("distances,pairs", [(4, 2), (2, 4)])
+    def test_slot_count_mismatch_raises(self, distances, pairs):
+        lam = np.full((pairs, 2), 1e-6)
+        with pytest.raises(ValueError, match=f"got {distances} distances and {pairs} eigenvalue pairs"):
+            channel.quadrature_capacities(LinkParams(), np.full(distances, 700.0), lam)
+
+    @staticmethod
+    def traced_peak(sc, z, lam):
+        tracemalloc.start()
+        try:
+            channel.quadrature_capacities(sc.link, z, lam)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_buffer_does_not_grow_with_the_plan(self):
+        # The chunk buffer holds 8 slots x 42 rows x 171 pairs, 460 kB. One
+        # buffer for the whole plan would be 5.7 MB at N=100 and 23 MB at
+        # N=400.
+        peaks = {}
+        for name in ("moving", "hover_pitch_jitter"):
+            sc = bundled_scenario(name)
+            _, z, u_hat = initial_geometry(sc)
+            lam = hoyt_eigenvalues(sc.jitter, u_hat)
+            channel.quadrature_capacities(sc.link, z, lam)
+            peaks[len(z)] = self.traced_peak(sc, z, lam)
+        assert max(peaks.values()) < 600_000, peaks
+        assert peaks[400] <= 1.5 * peaks[100], peaks
 
 
 class TestMonteCarloPerPlan:
@@ -517,7 +638,7 @@ class TestMonteCarloAccuracy:
         # errors wide.
         sc = bundled_scenario("hover_pitch_jitter")
         _, z, u_hat = initial_geometry(sc)
-        closed = sum(quadrature_ergodic_capacity(sc.link, z[k], hoyt) for k, hoyt in enumerate(self.hoyt_rows(sc, u_hat)))
+        closed = float(np.sum(channel.quadrature_capacities(sc.link, z, hoyt_eigenvalues(sc.jitter, u_hat))))
         total = variance = 0.0
         for seed in range(4):
             for k, child in enumerate(np.random.default_rng(seed).spawn(len(z))):
@@ -564,6 +685,7 @@ class TestStructureGuards:
 
         channel._hermite_rule.cache_clear()
         channel._folded_hermite_rule.cache_clear()
+        channel._pruned_rules.cache_clear()
         monkeypatch.setattr(np.polynomial.hermite_e, "hermegauss", spy)
         first = energy_efficiency(plan, sc)
         assert sorted(built) == sorted(set(built)) and built
@@ -572,23 +694,48 @@ class TestStructureGuards:
         assert len(built) == count
         assert second.efficiency == first.efficiency
 
-    def test_closed_form_makes_one_quadrature_call_per_slot(self, monkeypatch):
-        # The bench tracer's channel.quadrature span wraps this name.
+    def test_closed_form_makes_one_quadrature_call_per_plan(self, monkeypatch):
         sc = hover_scenario()
         plan = initialize_iterate(sc).plan(sc.delta, sc.altitude)
         calls = []
-        real = optimizer.quadrature_ergodic_capacity
+        real = optimizer.quadrature_capacities
 
         def spy(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(optimizer, "quadrature_ergodic_capacity", spy)
+        def per_slot(*args, **kwargs):
+            pytest.fail("the closed form called the one-slot quadrature")
+
+        monkeypatch.setattr(optimizer, "quadrature_capacities", spy)
+        monkeypatch.setattr(optimizer, "quadrature_ergodic_capacity", per_slot)
         energy_efficiency(plan, sc)
-        assert len(calls) == plan.n_slots
+        assert len(calls) == 1
+        assert len(calls[0][1]) == plan.n_slots
+
+    def test_pruned_rule_is_built_once_and_drops_under_1e_17(self):
+        # Dropped: the jitter pairs and the scintillation nodes below zero
+        # whose weight is at most _WEIGHT_FLOOR.
+        sc = bundled_scenario("moving")
+        plan = initialize_iterate(sc).plan(sc.delta, sc.altitude)
+        channel._pruned_rules.cache_clear()
+        energy_efficiency(plan, sc)
+        energy_efficiency(plan, sc)
+        x_s, w_s, _, _, _, w_pair = channel._pruned_rules(48, 32)
+        assert channel._pruned_rules.cache_info().misses == 1
+        x_full, w_full = channel._hermite_rule(48)
+        w_j = channel._folded_hermite_rule(32)[1]
+        pairs = np.multiply.outer(w_j, w_j).ravel()
+        kept_s = (w_full > channel._WEIGHT_FLOOR) | (x_full > 0.0)
+        kept_pairs = pairs > channel._WEIGHT_FLOOR
+        assert (kept_s.sum(), kept_pairs.sum()) == (42, 171)
+        assert np.array_equal(x_s, x_full[kept_s]) and np.array_equal(w_s, w_full[kept_s])
+        assert np.array_equal(w_pair, pairs[kept_pairs])
+        assert w_full[~kept_s].sum() <= 1e-17
+        assert pairs[~kept_pairs].sum() <= 1e-17
 
     def test_cached_rules_are_read_only(self):
-        for rule in (channel._hermite_rule(48), channel._folded_hermite_rule(32)):
+        for rule in (channel._hermite_rule(48), channel._folded_hermite_rule(32), channel._pruned_rules(48, 32)):
             for arr in rule:
                 with pytest.raises(ValueError):
                     arr[0] = 0.0

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 
+from fsotraj.channel import quadrature_ergodic_capacity
 from fsotraj.cli import main
-from fsotraj.optimizer import optimize
+from fsotraj.jitter import hoyt_params
+from fsotraj.kinematics import pointing_vector
+from fsotraj.mission import initialize_iterate
+from fsotraj.optimizer import energy_efficiency, optimize
 from fsotraj.report import TRACE_HEADER, TRAJECTORY_HEADER, read_csv
 from fsotraj.scenario import load_scenario
 
@@ -64,6 +68,14 @@ class TestPowerAndCapacity:
         assert data.shape[0] == 16
         # Bound never exceeds the quadrature value of the true expectation.
         assert np.all(data[:, 4] <= data[:, 5] + 1e-9)
+        # One batched call over the grid gives each point's scalar quadrature.
+        settings = load_scenario("")
+        sc, posture = settings.scenario, settings.pointing.posture
+        for x, y, z, *_, quad in data:
+            pos = np.array([x, y, sc.altitude])
+            hoyt = hoyt_params(sc.jitter, pointing_vector(pos, posture))
+            want = quadrature_ergodic_capacity(sc.link, float(np.linalg.norm(pos)), hoyt)
+            assert quad == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 class TestOptimize:
@@ -162,6 +174,20 @@ class TestCompareDof:
             "trajectory_2dof.csv",
             "trajectory_3dof.csv",
         }
+
+    def test_moving_reference_row_is_the_initial_plan(self, tmp_path, capsys):
+        # A moving mission starts from a straight line, not a circle.
+        scenario = write_scenario(tmp_path, TINY_MOVING)
+        out = tmp_path / "dof"
+        assert main(["compare-dof", "--scenario", scenario, "--out", str(out)]) == 0
+        header, data = read_csv(out / "dof_comparison.csv")
+        assert data[:, 0].tolist() == ["3dof", "2dof", "1dof", "initial_plan"]
+        sc = load_scenario(scenario).scenario
+        initial = initialize_iterate(sc).plan(sc.delta, sc.altitude)
+        assert np.all(initial.positions[:, 1] == 200.0)  # the line from (54, 200) to (450, 200)
+        assert float(data[3, 1]) == pytest.approx(energy_efficiency(initial, sc, seed=sc.seed).efficiency, rel=1e-9)
+        printed = capsys.readouterr().out
+        assert "initial_plan" in printed and "circular" not in printed
 
     def test_correlated_jitter_optimizes_but_does_not_reduce(self, tmp_path, capsys, monkeypatch):
         scenario = write_scenario(tmp_path, TINY_MOVING + "[jitter]\nrho_roll_pitch = 0.6\n")
