@@ -548,11 +548,7 @@ def quadrature_ergodic_capacity(
     The one-slot call of `quadrature_capacities`, bit-identical to the slot's
     value in a plan.
     """
-    return float(
-        quadrature_capacities(
-            link, [z], [[hoyt.lam1, hoyt.lam2]], nodes_scint=nodes_scint, nodes_jitter=nodes_jitter
-        )[0]
-    )
+    return float(quadrature_capacities(link, [z], [[hoyt.lam1, hoyt.lam2]], nodes_scint, nodes_jitter)[0])
 
 
 def quadrature_capacities(link: LinkParams, z, lam, nodes_scint: int = 48, nodes_jitter: int = 32) -> np.ndarray:

@@ -26,7 +26,7 @@ from .jitter import (
     reduce_jitter_dof,
     sample_error_angles,
 )
-from .kinematics import flight_power, pointing_vector, posture_rotation
+from .kinematics import flight_power, pointing_vector
 from .mission import initialize_iterate
 from .numerics import ks_distance
 from .optimizer import energy_efficiency, optimize
@@ -101,7 +101,7 @@ def cmd_capacity(args) -> int:
     coords = np.linspace(-args.extent, args.extent, args.grid)
     x, y = (grid.ravel() for grid in np.meshgrid(coords, coords, indexing="ij"))
     pos = np.column_stack([x, y, np.full(len(x), sc.altitude)])
-    u_hat = -(pos @ posture_rotation(settings.pointing.posture).T)  # pointing_vector of every point
+    u_hat = np.array([pointing_vector(p, settings.pointing.posture) for p in pos])
     lam = hoyt_eigenvalues(sc.jitter, u_hat)
     z = np.linalg.norm(pos, axis=1)
     elg = np.array([channel.expected_log_gamma(sc.link, zk, HoytParams(*lk)) for zk, lk in zip(z, lam)])
