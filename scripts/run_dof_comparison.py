@@ -4,9 +4,10 @@ trajectories under the true pitch-dominant jitter."""
 import sys
 from pathlib import Path
 
-from fsotraj.cli import main
-
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from fsotraj.cli import main  # noqa: E402
 
 if __name__ == "__main__":
     out = sys.argv[1] if len(sys.argv) > 1 else "out/dof"

@@ -10,7 +10,6 @@ import argparse
 import math
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -48,23 +47,15 @@ EXIT_SOLVER = 4
 
 
 def _load(args) -> RunSettings:
-    if args.scenario is None:
-        return load_scenario("")  # pure defaults
-    return load_scenario(args.scenario)
-
-
-def _apply_overrides(settings: RunSettings, args) -> RunSettings:
-    sc = settings.scenario
-    if getattr(args, "seed", None) is not None:
-        sc = replace(sc, seed=args.seed)
-    if getattr(args, "samples", None) is not None:
-        sc = replace(sc, mc_samples=args.samples)
-    settings.scenario = sc
-    return settings
+    """The scenario file (the defaults without one), with --seed and --samples
+    parsed and checked as the keys they replace."""
+    flags = {key: getattr(args, key, None) for key in ("seed", "samples")}
+    overrides = {("optimizer", key): raw for key, raw in flags.items() if raw is not None}
+    return load_scenario(args.scenario or "", overrides)
 
 
 def cmd_pointing(args) -> int:
-    settings = _apply_overrides(_load(args), args)
+    settings = _load(args)
     sc = settings.scenario
     geom = settings.pointing
     u_hat = pointing_vector(geom.position, geom.posture)
@@ -149,7 +140,7 @@ def _run_report(settings: RunSettings, mode: str) -> RunReport:
 
 
 def cmd_optimize(args) -> int:
-    settings = _apply_overrides(_load(args), args)
+    settings = _load(args)
     report = _run_report(settings, args.mode)
     manifest = write_outputs(report, args.out)
     print(f"efficiency = {report.efficiency.efficiency:.9e} bits/J")
@@ -159,7 +150,7 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    settings = _apply_overrides(_load(args), args)
+    settings = _load(args)
     sc = settings.scenario
     rng_seed = sc.seed
     n = min(sc.mc_samples, 10**6)
@@ -217,7 +208,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_compare_dof(args) -> int:
-    settings = _apply_overrides(_load(args), args)
+    settings = _load(args)
     truth_scenario = settings.scenario
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -262,9 +253,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scenario", type=str, default=None, help="scenario file path")
         p.add_argument("--out", type=str, default="out", help="output directory")
         if seed:
-            p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+            p.add_argument("--seed", default=None, help="override the scenario seed")
         if samples:
-            p.add_argument("--samples", type=int, default=None, help="Monte Carlo sample count")
+            p.add_argument("--samples", default=None, help="Monte Carlo sample count")
         if mode:
             p.add_argument(
                 "--mode",

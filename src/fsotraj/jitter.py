@@ -43,10 +43,11 @@ _Q_DEGENERATE = 1e-4
 class JitterCovariance:
     """Attitude-jitter second moments: std devs in radians plus pairwise correlations.
 
-    ``rho = (rho_roll_pitch, rho_pitch_yaw, rho_yaw_roll)``.
+    ``rho = (rho_roll_pitch, rho_pitch_yaw, rho_yaw_roll)``. The default is the
+    standard simulation jitter, (1, 0.3, 0.1) mrad and uncorrelated.
     """
 
-    sigma: tuple[float, float, float]
+    sigma: tuple[float, float, float] = (1.0e-3, 0.3e-3, 0.1e-3)
     rho: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def __post_init__(self):

@@ -30,6 +30,10 @@ class CircularInit:
     center_xy: tuple[float, float] = (0.0, -60.0)
     direction: str = "clockwise"
 
+    def __post_init__(self):
+        if self.direction not in ("clockwise", "counterclockwise"):
+            raise ValueError(f"direction must be clockwise or counterclockwise, got {self.direction!r}")
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -43,7 +47,7 @@ class Scenario:
     launch_cost: float
     link: LinkParams = field(default_factory=LinkParams)
     aircraft: AircraftParams = field(default_factory=AircraftParams)
-    jitter: JitterCovariance = field(default_factory=lambda: JitterCovariance.from_mrad((1.0, 0.3, 0.1)))
+    jitter: JitterCovariance = field(default_factory=JitterCovariance)
     initialization: str | CircularInit = "linear"
     seed: int = 0
     mc_samples: int = 10**6

@@ -1,17 +1,24 @@
 """Scenario files: INI-style sections with mandatory unit suffixes.
 
 Sections are ``link``, ``aircraft``, ``jitter``, ``mission``, ``optimizer``
-(and an optional ``pointing`` geometry for the analysis commands). Unknown
-keys are rejected, units are validated per field, and missing fields take the
-standard simulation defaults. The same format round-trips through
-``dump_scenario``.
+(and an optional ``pointing`` geometry for the analysis commands). Each key
+is one entry of ``_FIELDS``: its kind (a quantity of one dimension, an
+integer, a choice, a 2-D point or a 3-D position) and the attribute its
+value lands on. ``load_scenario`` and ``dump_scenario`` both walk that table.
+Unknown sections and keys are rejected; quantities and coordinates must be
+finite, in a unit of the key's dimension, and unit tokens are case-sensitive
+as SI prefixes are (``mW``, never ``MW``). Every failure raises
+`ScenarioParseError` with the dotted field path. A key a file leaves out
+takes its dataclass's default, and a mission key the preset that
+``mission.kind`` names. The echo writes each value in its SI unit.
 """
 from __future__ import annotations
 
 import configparser
-import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -21,7 +28,8 @@ from .jitter import JitterCovariance
 from .kinematics import AircraftParams, Posture
 from .mission import CircularInit, OptimizerConfig, Scenario
 
-# unit token -> (dimension, factor to SI)
+# unit token -> (dimension, factor to SI). Each dimension has one unit of
+# factor 1, its SI unit, which the echo writes.
 _UNITS = {
     "m": ("length", 1.0),
     "cm": ("length", 1e-2),
@@ -31,12 +39,12 @@ _UNITS = {
     "um": ("length", 1e-6),
     "s": ("time", 1.0),
     "ms": ("time", 1e-3),
-    "w": ("power", 1.0),
-    "mw": ("power", 1e-3),
-    "uw": ("power", 1e-6),
-    "j": ("energy", 1.0),
-    "kj": ("energy", 1e3),
-    "mj": ("energy", 1e6),
+    "W": ("power", 1.0),
+    "mW": ("power", 1e-3),
+    "uW": ("power", 1e-6),
+    "J": ("energy", 1.0),
+    "kJ": ("energy", 1e3),
+    "MJ": ("energy", 1e6),
     "rad": ("angle", 1.0),
     "mrad": ("angle", 1e-3),
     "urad": ("angle", 1e-6),
@@ -44,56 +52,17 @@ _UNITS = {
     "m/s": ("speed", 1.0),
     "km/h": ("speed", 1.0 / 3.6),
     "m/s^2": ("acceleration", 1.0),
-    "a": ("current", 1.0),
-    "ma": ("current", 1e-3),
-    "ua": ("current", 1e-6),
-    "a/w": ("responsivity", 1.0),
-    "db": ("decibel", 1.0),
+    "A": ("current", 1.0),
+    "mA": ("current", 1e-3),
+    "uA": ("current", 1e-6),
+    "A/W": ("responsivity", 1.0),
+    "dB": ("decibel", 1.0),
     "kg": ("mass", 1.0),
     "kg/m": ("drag_lump", 1.0),
     "": ("dimensionless", 1.0),
 }
-
-
-def _parse_quantity(field_path: str, raw: str, dimension: str) -> float:
-    parts = raw.strip().split()
-    if len(parts) == 1:
-        value_str, unit = parts[0], ""
-    elif len(parts) == 2:
-        value_str, unit = parts
-    else:
-        raise ScenarioParseError(field_path, f"cannot parse quantity {raw!r}")
-    try:
-        value = float(value_str)
-    except ValueError as exc:
-        raise ScenarioParseError(field_path, f"bad number {value_str!r}") from exc
-    key = unit.lower()
-    if key not in _UNITS:
-        raise ScenarioParseError(field_path, f"unknown unit {unit!r}")
-    dim, factor = _UNITS[key]
-    if dim != dimension:
-        raise ScenarioParseError(
-            field_path, f"expected a {dimension} (got {unit!r}, a {dim})"
-        )
-    return value * factor
-
-
-def _parse_point(field_path: str, raw: str) -> tuple[float, float]:
-    # "54, 200 m": unit applies to both coordinates.
-    body = raw.strip()
-    parts = body.split()
-    unit = ""
-    if parts and parts[-1].lower() in _UNITS and _UNITS[parts[-1].lower()][0] == "length":
-        unit = parts[-1]
-        body = body[: body.rfind(unit)]
-    coords = [c.strip() for c in body.split(",") if c.strip()]
-    if len(coords) != 2:
-        raise ScenarioParseError(field_path, f"expected 'x, y <unit>', got {raw!r}")
-    factor = _UNITS[unit.lower()][1]
-    try:
-        return float(coords[0]) * factor, float(coords[1]) * factor
-    except ValueError as exc:
-        raise ScenarioParseError(field_path, f"bad coordinates {raw!r}") from exc
+_SI = {dimension: token for token, (dimension, factor) in _UNITS.items() if factor == 1.0}
+_FOLDED = {token.lower(): token for token in _UNITS}  # names the token a wrong-case unit was meant to be
 
 
 @dataclass
@@ -119,284 +88,305 @@ class RunSettings:
     pointing: PointingGeometry
 
 
+class _Kind(NamedTuple):
+    parse: Callable[[str, str], object]  # (field path, raw text) -> value; raises ScenarioParseError
+    show: Callable[[object], str]  # value -> echo text
+
+
+def _number(path: str, text: str, factor: float = 1.0) -> float:
+    """The number ``text`` times ``factor``, which must be finite."""
+    try:
+        value = float(text) * factor
+    except ValueError:
+        raise ScenarioParseError(path, f"bad number {text!r}") from None
+    if not math.isfinite(value):
+        raise ScenarioParseError(path, f"expected a finite number, got {text!r}")
+    return value
+
+
+def _factor(path: str, unit: str, dimension: str) -> float:
+    if unit not in _UNITS:
+        hint = f" (units are case-sensitive: {_FOLDED[unit.lower()]!r}?)" if unit.lower() in _FOLDED else ""
+        raise ScenarioParseError(path, f"unknown unit {unit!r}{hint}")
+    dim, factor = _UNITS[unit]
+    if dim != dimension:
+        raise ScenarioParseError(path, f"expected a {dimension} (got {unit!r}, a {dim})")
+    return factor
+
+
+def _quantity(dimension: str) -> _Kind:
+    def parse(path, raw):
+        parts = raw.split()
+        if len(parts) not in (1, 2):
+            raise ScenarioParseError(path, f"cannot parse quantity {raw!r}")
+        return _number(path, parts[0], _factor(path, "".join(parts[1:]), dimension))
+
+    return _Kind(parse, lambda value: f"{float(value)!r} {_SI[dimension]}".rstrip())
+
+
+def _integer(minimum: int | None = None) -> _Kind:
+    def parse(path, raw):
+        try:
+            value = int(raw)
+        except ValueError:
+            number = _number(path, raw)
+            if not number.is_integer():
+                raise ScenarioParseError(path, f"expected an integer, got {raw!r}") from None
+            value = int(number)
+        if minimum is not None and value < minimum:
+            raise ScenarioParseError(path, f"must be at least {minimum}, got {value}")
+        return value
+
+    return _Kind(parse, str)
+
+
+def _choice(*options: str) -> _Kind:
+    def parse(path, raw):
+        value = raw.strip().lower()
+        if value not in options:
+            raise ScenarioParseError(path, f"expected {' or '.join(options)}, got {value!r}")
+        return value
+
+    return _Kind(parse, str)
+
+
+def _point(n: int, build) -> _Kind:
+    # "54, 200 m": one length unit after the last coordinate applies to all.
+    def parse(path, raw):
+        *head, last = raw.split(",")
+        tail = last.split()
+        if len(head) != n - 1 or len(tail) != 2:
+            raise ScenarioParseError(path, f"expected '{', '.join('xyz'[:n])} <unit>', got {raw!r}")
+        factor = _factor(path, tail[1], "length")
+        return build([_number(path, c, factor) for c in (*head, tail[0])])
+
+    return _Kind(parse, lambda value: ", ".join(repr(float(c)) for c in value) + " m")
+
+
+_POINT = _point(2, tuple)
+_POSITION = _point(3, np.array)
+
+# Mission presets: ``mission.kind`` picks one, and every mission key a file
+# leaves out takes that preset's text. The first is the default.
+_MISSIONS = ("moving", "hover")
+
+
+class _Field(NamedTuple):
+    """One scenario key: how its text parses and where its value lands.
+
+    The value lands on attribute ``attr`` (the key's own name by default) of
+    ``owner`` (the section by default; ``mission`` is the `Scenario`, ``circle``
+    the `CircularInit`), as component ``index`` of a tuple attribute if given.
+    ``derive(value, staged)`` maps the value to the attribute's value once
+    every other key has landed; ``get(owner)`` gives the echoed value when it
+    is not the attribute's. A derived key without ``get`` is an alternative
+    spelling and is not echoed. ``presets`` maps each mission preset to the
+    key's text, and the key that ``picks_preset`` lands nowhere.
+    """
+
+    kind: _Kind
+    attr: str | None = None
+    owner: str | None = None
+    index: int | None = None
+    derive: Callable | None = None
+    get: Callable | None = None
+    presets: dict[str, str] | None = None
+    picks_preset: bool = False
+
+
+def _at_altitude(xy, staged) -> np.ndarray:
+    return np.array([*xy, staged.mission.altitude])
+
+
 _FIELDS = {
-    "link": {
-        "transmit_power": ("power", "transmit_power"),
-        "noise_std": ("current", "noise_std"),
-        "pt_over_noise": ("decibel", None),  # alternative to noise_std
-        "responsivity": ("responsivity", "responsivity"),
-        "aperture": ("length", "aperture"),
-        "divergence_std": ("angle", "sigma_div"),
-        "log_amplitude_std": ("dimensionless", "sigma_i"),
-        "visibility": ("length", "visibility"),
-        "wavelength": ("length", "wavelength"),
-    },
-    "aircraft": {
-        "c1": ("drag_lump", "c1"),
-        "c2": ("dimensionless", "c2"),
-        "gravity": ("acceleration", "g"),
-        "mass": ("mass", "mass"),
-        "v_min": ("speed", "v_min"),
-        "v_max": ("speed", "v_max"),
-        "a_max": ("acceleration", "a_max"),
-    },
-    "jitter": {
-        "sigma_roll": ("angle", None),
-        "sigma_pitch": ("angle", None),
-        "sigma_yaw": ("angle", None),
-        "rho_roll_pitch": ("dimensionless", None),
-        "rho_pitch_yaw": ("dimensionless", None),
-        "rho_yaw_roll": ("dimensionless", None),
-    },
-    "mission": {
-        "kind": (None, None),
-        "start": (None, None),
-        "end": (None, None),
-        "altitude": ("length", None),
-        "duration": ("time", None),
-        "slot": ("time", None),
-        "launch_cost": ("energy", None),
-        "init": (None, None),
-        "circle_center": (None, None),
-    },
-    "optimizer": {
-        "tol_dinkelbach_rel": ("dimensionless", "tol_dinkelbach_rel"),
-        "max_outer": ("dimensionless", "max_outer"),
-        "max_inner": ("dimensionless", "max_inner"),
-        "solver_tol": ("dimensionless", "solver_tol"),
-        "seed": ("dimensionless", None),
-        "samples": ("dimensionless", None),
-    },
-    "pointing": {
-        "position": (None, None),
-        "roll": ("angle", None),
-        "pitch": ("angle", None),
-        "yaw": ("angle", None),
-    },
+    ("link", "transmit_power"): _Field(_quantity("power")),
+    ("link", "noise_std"): _Field(_quantity("current")),
+    ("link", "pt_over_noise"): _Field(
+        _quantity("decibel"), "noise_std", derive=lambda db, st: st.link.transmit_power / 10.0 ** (db / 10.0)
+    ),
+    ("link", "responsivity"): _Field(_quantity("responsivity")),
+    ("link", "aperture"): _Field(_quantity("length")),
+    ("link", "divergence_std"): _Field(_quantity("angle"), "sigma_div"),
+    ("link", "log_amplitude_std"): _Field(_quantity("dimensionless"), "sigma_i"),
+    ("link", "visibility"): _Field(_quantity("length")),
+    ("link", "wavelength"): _Field(_quantity("length")),
+    ("aircraft", "c1"): _Field(_quantity("drag_lump")),
+    ("aircraft", "c2"): _Field(_quantity("dimensionless")),
+    ("aircraft", "gravity"): _Field(_quantity("acceleration"), "g"),
+    ("aircraft", "mass"): _Field(_quantity("mass")),
+    ("aircraft", "v_min"): _Field(_quantity("speed")),
+    ("aircraft", "v_max"): _Field(_quantity("speed")),
+    ("aircraft", "a_max"): _Field(_quantity("acceleration")),
+    ("jitter", "sigma_roll"): _Field(_quantity("angle"), "sigma", index=0),
+    ("jitter", "sigma_pitch"): _Field(_quantity("angle"), "sigma", index=1),
+    ("jitter", "sigma_yaw"): _Field(_quantity("angle"), "sigma", index=2),
+    ("jitter", "rho_roll_pitch"): _Field(_quantity("dimensionless"), "rho", index=0),
+    ("jitter", "rho_pitch_yaw"): _Field(_quantity("dimensionless"), "rho", index=1),
+    ("jitter", "rho_yaw_roll"): _Field(_quantity("dimensionless"), "rho", index=2),
+    ("mission", "kind"): _Field(
+        _choice(*_MISSIONS),
+        picks_preset=True,
+        get=lambda sc: "hover" if np.allclose(sc.start, sc.end) else "moving",
+    ),
+    ("mission", "start"): _Field(
+        _POINT,
+        derive=_at_altitude,
+        get=lambda sc: sc.start[:2],
+        presets={"moving": "54, 200 m", "hover": "0, 0 m"},
+    ),
+    ("mission", "end"): _Field(
+        _POINT,
+        derive=_at_altitude,
+        get=lambda sc: sc.end[:2],
+        presets={"moving": "450, 200 m", "hover": "0, 0 m"},
+    ),
+    ("mission", "altitude"): _Field(_quantity("length"), presets=dict.fromkeys(_MISSIONS, "600 m")),
+    ("mission", "duration"): _Field(
+        _quantity("time"),
+        "n_slots",
+        derive=lambda duration, st: int(round(duration / st.mission.delta)),
+        get=lambda sc: sc.duration,
+        presets={"moving": "20 s", "hover": "80 s"},
+    ),
+    ("mission", "slot"): _Field(_quantity("time"), "delta", presets=dict.fromkeys(_MISSIONS, "0.2 s")),
+    ("mission", "launch_cost"): _Field(_quantity("energy"), presets={"moving": "1e5 J", "hover": "4e5 J"}),
+    ("mission", "init"): _Field(
+        _choice("linear", "circular"),
+        "initialization",
+        derive=lambda name, st: CircularInit(**vars(st.circle)) if name == "circular" else name,
+        get=lambda sc: "circular" if isinstance(sc.initialization, CircularInit) else "linear",
+        presets={"moving": "linear", "hover": "circular"},
+    ),
+    ("mission", "circle_center"): _Field(_POINT, "center_xy", owner="circle"),
+    ("optimizer", "tol_dinkelbach_rel"): _Field(_quantity("dimensionless")),
+    ("optimizer", "max_outer"): _Field(_integer()),
+    ("optimizer", "max_inner"): _Field(_integer()),
+    ("optimizer", "solver_tol"): _Field(_quantity("dimensionless")),
+    ("optimizer", "seed"): _Field(_integer(0), owner="mission"),
+    ("optimizer", "samples"): _Field(_integer(1), "mc_samples", owner="mission"),
+    ("pointing", "position"): _Field(_POSITION),
+    ("pointing", "roll"): _Field(_quantity("angle")),
+    ("pointing", "pitch"): _Field(_quantity("angle")),
+    ("pointing", "yaw"): _Field(_quantity("angle")),
+}
+_SECTIONS = {section for section, _ in _FIELDS}
+
+# owner -> the dataclass its keys land in
+_OWNERS = {
+    "link": LinkParams,
+    "aircraft": AircraftParams,
+    "jitter": JitterCovariance,
+    "circle": CircularInit,
+    "mission": Scenario,
+    "optimizer": OptimizerConfig,
+    "pointing": PointingGeometry,
 }
 
 
-def load_scenario(path_or_text) -> RunSettings:
-    """Parse a scenario file (path or text); missing fields take the defaults."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    if hasattr(path_or_text, "read"):
-        parser.read_file(path_or_text)
-    else:
-        text = str(path_or_text)
-        if text == "" or "\n" in text or "=" in text:
-            parser.read_string(text)
-        elif not parser.read(text):
-            raise ScenarioParseError(text, "scenario file not found")
+def _defaults(cls) -> dict:
+    """Every field default of a dataclass."""
+    out = {}
+    for f in fields(cls):
+        if f.default is not MISSING:
+            out[f.name] = f.default
+        elif f.default_factory is not MISSING:
+            out[f.name] = f.default_factory()
+    return out
 
+
+def _read(path_or_text) -> dict[tuple[str, str], str]:
+    """Raw text of every key in a scenario file (path, text or open file)."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
+    try:
+        if hasattr(path_or_text, "read"):
+            parser.read_file(path_or_text)
+        else:
+            text = str(path_or_text)
+            if text == "" or "\n" in text or "=" in text:
+                parser.read_string(text)
+            elif not parser.read(text):
+                raise ScenarioParseError(text, "scenario file not found")
+    except configparser.Error as exc:  # no section header, a key given twice...
+        raise ScenarioParseError("scenario", exc.message) from exc
+    if parser.defaults():
+        raise ScenarioParseError(parser.default_section, "unknown section")
+    given = {}
     for section in parser.sections():
-        if section not in _FIELDS:
+        if section not in _SECTIONS:
             raise ScenarioParseError(section, "unknown section")
-        for key in parser[section]:
-            if key not in _FIELDS[section]:
+        for key, raw in parser[section].items():
+            if (section, key) not in _FIELDS:
                 raise ScenarioParseError(f"{section}.{key}", "unknown key")
+            given[section, key] = raw
+    return given
 
-    def get(section, key):
-        return parser.get(section, key, fallback=None)
 
-    def quantity(section, key, default):
-        raw = get(section, key)
+def _make(staged, owner: str):
+    try:
+        return _OWNERS[owner](**vars(getattr(staged, owner)))
+    except ValueError as exc:
+        raise ScenarioParseError(owner, str(exc)) from exc
+
+
+def load_scenario(path_or_text, overrides: dict[tuple[str, str], str] | None = None) -> RunSettings:
+    """Parse a scenario file (path or text); missing fields take the defaults.
+
+    ``overrides`` maps (section, key) to raw text that replaces the file's.
+    """
+    given = _read(path_or_text)
+    given.update(overrides or {})
+    staged = SimpleNamespace(**{owner: SimpleNamespace(**_defaults(cls)) for owner, cls in _OWNERS.items()})
+    mission = _MISSIONS[0]
+    landed, derived = {}, []
+    for (section, key), f in _FIELDS.items():
+        raw = given.get((section, key))
+        if raw is None and f.presets:
+            raw = f.presets[mission]
         if raw is None:
-            return default
-        return _parse_quantity(f"{section}.{key}", raw, _FIELDS[section][key][0])
-
-    # link
-    link_kwargs = {}
-    for key, (dim, attr) in _FIELDS["link"].items():
-        if attr is None:
             continue
-        raw = get("link", key)
-        if raw is not None:
-            link_kwargs[attr] = _parse_quantity(f"link.{key}", raw, dim)
-    ratio_db = get("link", "pt_over_noise")
-    if ratio_db is not None:
-        if "noise_std" in link_kwargs:
-            raise ScenarioParseError("link.pt_over_noise", "give either noise_std or pt_over_noise")
-        db = _parse_quantity("link.pt_over_noise", ratio_db, "decibel")
-        p_t = link_kwargs.get("transmit_power", LinkParams().transmit_power)
-        link_kwargs["noise_std"] = p_t / 10.0 ** (db / 10.0)
-    try:
-        link = LinkParams(**link_kwargs)
-    except ValueError as exc:
-        raise ScenarioParseError("link", str(exc)) from exc
-
-    # aircraft
-    craft_kwargs = {}
-    for key, (dim, attr) in _FIELDS["aircraft"].items():
-        raw = get("aircraft", key)
-        if raw is not None:
-            craft_kwargs[attr] = _parse_quantity(f"aircraft.{key}", raw, dim)
-    try:
-        craft = AircraftParams(**craft_kwargs)
-    except ValueError as exc:
-        raise ScenarioParseError("aircraft", str(exc)) from exc
-
-    # jitter
-    sig = [
-        quantity("jitter", "sigma_roll", 1.0e-3),
-        quantity("jitter", "sigma_pitch", 0.3e-3),
-        quantity("jitter", "sigma_yaw", 0.1e-3),
-    ]
-    rho = [
-        quantity("jitter", "rho_roll_pitch", 0.0),
-        quantity("jitter", "rho_pitch_yaw", 0.0),
-        quantity("jitter", "rho_yaw_roll", 0.0),
-    ]
-    try:
-        jitter = JitterCovariance(tuple(sig), tuple(rho))
-    except ValueError as exc:
-        raise ScenarioParseError("jitter", str(exc)) from exc
-
-    # mission
-    kind = (get("mission", "kind") or "moving").strip().lower()
-    if kind not in ("moving", "hover"):
-        raise ScenarioParseError("mission.kind", f"expected moving or hover, got {kind!r}")
-    altitude = quantity("mission", "altitude", 600.0)
-    slot = quantity("mission", "slot", 0.2)
-    if kind == "moving":
-        duration = quantity("mission", "duration", 20.0)
-        start_xy = _parse_point("mission.start", get("mission", "start") or "54, 200 m")
-        end_xy = _parse_point("mission.end", get("mission", "end") or "450, 200 m")
-        launch = quantity("mission", "launch_cost", 1e5)
-        default_init = "linear"
-    else:
-        duration = quantity("mission", "duration", 80.0)
-        start_xy = _parse_point("mission.start", get("mission", "start") or "0, 0 m")
-        end_xy = _parse_point("mission.end", get("mission", "end") or "0, 0 m")
-        launch = quantity("mission", "launch_cost", 4e5)
-        default_init = "circular"
-    init_kind = (get("mission", "init") or default_init).strip().lower()
-    if init_kind == "linear":
-        initialization = "linear"
-    elif init_kind == "circular":
-        center = _parse_point(
-            "mission.circle_center", get("mission", "circle_center") or "0, -60 m"
-        )
-        initialization = CircularInit(center_xy=center)
-    else:
-        raise ScenarioParseError("mission.init", f"expected linear or circular, got {init_kind!r}")
-    n_slots = int(round(duration / slot))
-
-    # optimizer
-    opt_kwargs = {}
-    for key in ("tol_dinkelbach_rel", "solver_tol"):
-        raw = get("optimizer", key)
-        if raw is not None:
-            opt_kwargs[key] = _parse_quantity(f"optimizer.{key}", raw, "dimensionless")
-    for key in ("max_outer", "max_inner"):
-        raw = get("optimizer", key)
-        if raw is not None:
-            opt_kwargs[key] = int(float(raw))
-    seed = int(float(get("optimizer", "seed") or 0))
-    samples = int(float(get("optimizer", "samples") or 10**6))
-    try:
-        optimizer = OptimizerConfig(**opt_kwargs)
-    except ValueError as exc:
-        raise ScenarioParseError("optimizer", str(exc)) from exc
-
-    scenario = Scenario(
-        start=np.array([*start_xy, altitude]),
-        end=np.array([*end_xy, altitude]),
-        n_slots=n_slots,
-        delta=slot,
-        altitude=altitude,
-        launch_cost=launch,
-        link=link,
-        aircraft=craft,
-        jitter=jitter,
-        initialization=initialization,
-        seed=seed,
-        mc_samples=samples,
-    )
-
-    pointing = PointingGeometry()
-    if parser.has_section("pointing"):
-        raw = get("pointing", "position")
-        if raw is not None:
-            parts = [p.strip() for p in raw.replace("m", "").split(",")]
-            if len(parts) != 3:
-                raise ScenarioParseError("pointing.position", f"expected 'x, y, z m', got {raw!r}")
-            pointing.position = np.array([float(p) for p in parts])
-        pointing.roll = quantity("pointing", "roll", pointing.roll)
-        pointing.pitch = quantity("pointing", "pitch", pointing.pitch)
-        pointing.yaw = quantity("pointing", "yaw", pointing.yaw)
-
-    return RunSettings(scenario=scenario, optimizer=optimizer, pointing=pointing)
-
-
-def _r(x) -> str:
-    return repr(float(x))
+        value = f.kind.parse(f"{section}.{key}", raw)
+        if f.picks_preset:
+            mission = value
+            continue
+        target = (f.owner or section, f.attr or key, f.index)
+        if target in landed:
+            raise ScenarioParseError(f"{section}.{key}", f"give either {landed[target]} or {key}")
+        landed[target] = key
+        owner, attr = getattr(staged, target[0]), target[1]
+        if f.derive:
+            derived.append((owner, attr, f.derive, value))
+        else:
+            if f.index is not None:
+                value = tuple(value if i == f.index else v for i, v in enumerate(getattr(owner, attr)))
+            setattr(owner, attr, value)
+    for owner, attr, derive, value in derived:
+        setattr(owner, attr, derive(value, staged))
+    for part in ("link", "aircraft", "jitter"):
+        setattr(staged.mission, part, _make(staged, part))
+    return RunSettings(_make(staged, "mission"), _make(staged, "optimizer"), _make(staged, "pointing"))
 
 
 def dump_scenario(settings: RunSettings) -> str:
     """Serialize settings in the same format load_scenario reads (SI units)."""
     sc = settings.scenario
-    opt = settings.optimizer
-    pt = settings.pointing
-    kind = "hover" if np.allclose(sc.start, sc.end) else "moving"
-    lines = [
-        "[link]",
-        f"transmit_power = {_r(sc.link.transmit_power)} W",
-        f"noise_std = {_r(sc.link.noise_std)} A",
-        f"responsivity = {_r(sc.link.responsivity)} A/W",
-        f"aperture = {_r(sc.link.aperture)} m",
-        f"divergence_std = {_r(sc.link.sigma_div)} rad",
-        f"log_amplitude_std = {_r(sc.link.sigma_i)}",
-        f"visibility = {_r(sc.link.visibility)} m",
-        f"wavelength = {_r(sc.link.wavelength)} m",
-        "",
-        "[aircraft]",
-        f"c1 = {_r(sc.aircraft.c1)} kg/m",
-        f"c2 = {_r(sc.aircraft.c2)}",
-        f"gravity = {_r(sc.aircraft.g)} m/s^2",
-        f"mass = {_r(sc.aircraft.mass)} kg",
-        f"v_min = {_r(sc.aircraft.v_min)} m/s",
-        f"v_max = {_r(sc.aircraft.v_max)} m/s",
-        f"a_max = {_r(sc.aircraft.a_max)} m/s^2",
-        "",
-        "[jitter]",
-        f"sigma_roll = {_r(sc.jitter.sigma[0])} rad",
-        f"sigma_pitch = {_r(sc.jitter.sigma[1])} rad",
-        f"sigma_yaw = {_r(sc.jitter.sigma[2])} rad",
-        f"rho_roll_pitch = {_r(sc.jitter.rho[0])}",
-        f"rho_pitch_yaw = {_r(sc.jitter.rho[1])}",
-        f"rho_yaw_roll = {_r(sc.jitter.rho[2])}",
-        "",
-        "[mission]",
-        f"kind = {kind}",
-        f"start = {_r(sc.start[0])}, {_r(sc.start[1])} m",
-        f"end = {_r(sc.end[0])}, {_r(sc.end[1])} m",
-        f"altitude = {_r(sc.altitude)} m",
-        f"duration = {_r(sc.duration)} s",
-        f"slot = {_r(sc.delta)} s",
-        f"launch_cost = {_r(sc.launch_cost)} J",
-    ]
-    if isinstance(sc.initialization, CircularInit):
-        lines.append("init = circular")
-        lines.append(
-            f"circle_center = {_r(sc.initialization.center_xy[0])}, {_r(sc.initialization.center_xy[1])} m"
-        )
-    else:
-        lines.append("init = linear")
-    lines += [
-        "",
-        "[optimizer]",
-        f"tol_dinkelbach_rel = {_r(opt.tol_dinkelbach_rel)}",
-        f"max_outer = {opt.max_outer}",
-        f"max_inner = {opt.max_inner}",
-        f"solver_tol = {_r(opt.solver_tol)}",
-        f"seed = {sc.seed}",
-        f"samples = {sc.mc_samples}",
-        "",
-        "[pointing]",
-        f"position = {_r(pt.position[0])}, {_r(pt.position[1])}, {_r(pt.position[2])} m",
-        f"roll = {_r(pt.roll)} rad",
-        f"pitch = {_r(pt.pitch)} rad",
-        f"yaw = {_r(pt.yaw)} rad",
-        "",
-    ]
-    return "\n".join(lines)
+    owners = {
+        "link": sc.link,
+        "aircraft": sc.aircraft,
+        "jitter": sc.jitter,
+        "circle": sc.initialization if isinstance(sc.initialization, CircularInit) else None,
+        "mission": sc,
+        "optimizer": settings.optimizer,
+        "pointing": settings.pointing,
+    }
+    blocks = {}
+    for (section, key), f in _FIELDS.items():
+        owner = owners[f.owner or section]
+        if owner is None or (f.derive and not f.get):
+            continue
+        if f.get:
+            value = f.get(owner)
+        else:
+            value = getattr(owner, f.attr or key)
+            value = value if f.index is None else value[f.index]
+        blocks.setdefault(section, [f"[{section}]"]).append(f"{key} = {f.kind.show(value)}")
+    return "\n\n".join("\n".join(block) for block in blocks.values()) + "\n"

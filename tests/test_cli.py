@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -153,6 +158,43 @@ class TestExitCodes:
         )
         assert main(["optimize", "--scenario", scenario, "--out", str(tmp_path / "x")]) == 3
 
+    @pytest.mark.parametrize(
+        "text, path",
+        [
+            ("[optimizer]\nmax_outer = ten\n", "optimizer.max_outer"),
+            ("[optimizer]\nmax_outer = 2.5\n", "optimizer.max_outer"),
+            ("[optimizer]\nseed = x\n", "optimizer.seed"),
+            ("[optimizer]\nseed = -1\n", "optimizer.seed"),
+            ("[optimizer]\nsamples = 0\n", "optimizer.samples"),
+            ("[mission]\nslot = nan s\n", "mission.slot"),
+            ("[link]\naperture = nan m\n", "link.aperture"),
+            ("[aircraft]\nv_max = inf m/s\n", "aircraft.v_max"),
+            ("[link]\naperture = 20% m\n", "link.aperture"),
+            ("[DEFAULT]\nseed = 3\n", "DEFAULT"),
+            ("seed = 3\n", "scenario"),
+            ("[optimizer]\nseed = 3\nseed = 4\n", "scenario"),
+        ],
+    )
+    def test_malformed_value_exits_2_naming_the_field(self, text, path, tmp_path, capsys):
+        scenario = write_scenario(tmp_path, text)
+        assert main(["power", "--scenario", scenario, "--out", str(tmp_path / "x")]) == 2
+        assert f"error: {path}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, path",
+        [
+            (["pointing", "--samples", "0"], "optimizer.samples"),
+            (["pointing", "--seed", "-1"], "optimizer.seed"),
+            (["validate", "--samples", "1.5"], "optimizer.samples"),
+            (["optimize", "--seed", "-2", "--mode", "monte_carlo"], "optimizer.seed"),
+        ],
+    )
+    def test_bad_seed_or_samples_flag_exits_2_before_any_work(self, argv, path, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("fsotraj.cli.optimize", lambda *a, **k: pytest.fail("optimize ran"))
+        assert main([*argv, "--out", str(tmp_path)]) == 2
+        assert f"error: {path}: " in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
 
 class TestCompareDof:
     def test_relative_table(self, tmp_path, capsys):
@@ -199,3 +241,16 @@ class TestCompareDof:
         assert main(["compare-dof", "--scenario", scenario, "--out", str(out)]) == 2
         assert "uncorrelated" in capsys.readouterr().err
         assert not list(out.glob("trajectory_*dof.csv"))
+
+
+class TestScripts:
+    def test_pointing_driver_runs_from_a_checkout(self, tmp_path):
+        # The drivers put the checkout's src/ on sys.path themselves.
+        script = Path(__file__).resolve().parents[1] / "scripts" / "run_pointing_analysis.py"
+        env = {name: value for name, value in os.environ.items() if name != "PYTHONPATH"}
+        run = subprocess.run(
+            [sys.executable, str(script), str(tmp_path / "out")],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert run.returncode == 0, run.stderr
+        assert (tmp_path / "out" / "pointing.csv").exists()

@@ -1,12 +1,42 @@
+import dataclasses
 import io
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fsotraj.errors import ScenarioParseError
-from fsotraj.mission import CircularInit
+from fsotraj.mission import CircularInit, Scenario, initialize_iterate
 from fsotraj.scenario import dump_scenario, load_scenario
+
+ROOT = Path(__file__).resolve().parents[1]
+ROUNDTRIP_TEXT = (
+    "[mission]\nkind = hover\naltitude = 400 m\n"
+    "[jitter]\nsigma_roll = 0.7 mrad\n"
+    "[optimizer]\nmax_outer = 17\nseed = 99\n"
+)
+# Loaded settings and echo of each input, recorded before the loader and the
+# echo were rebuilt on one field table; every float is its repr, so equality
+# is bit for bit and an int never passes for a float.
+GOLDEN = json.loads((Path(__file__).with_name("scenario_golden.json")).read_text())
+GOLDEN_INPUTS = {
+    "defaults": "",
+    "roundtrip": ROUNDTRIP_TEXT,
+    **{name: str(ROOT / "scenarios" / f"{name}.ini") for name in ("moving", "hover", "hover_pitch_jitter")},
+}
+
+
+def flat(obj):
+    """Every field of nested settings dataclasses, each scalar as its repr."""
+    if dataclasses.is_dataclass(obj):
+        return {f.name: flat(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, np.ndarray):
+        return [repr(x) for x in obj.tolist()]
+    if isinstance(obj, tuple):
+        return [flat(x) for x in obj]
+    return repr(obj)
 
 
 def test_empty_file_gives_defaults():
@@ -100,28 +130,97 @@ def test_angles_accept_degrees():
 
 
 def test_roundtrip_identity():
-    original = load_scenario(
-        "[mission]\nkind = hover\naltitude = 400 m\n"
-        "[jitter]\nsigma_roll = 0.7 mrad\n"
-        "[optimizer]\nmax_outer = 17\nseed = 99\n"
-    )
+    original = load_scenario(ROUNDTRIP_TEXT)
     text = dump_scenario(original)
     again = load_scenario(io.StringIO(text))
-    assert again.scenario.link == original.scenario.link
-    assert again.scenario.aircraft == original.scenario.aircraft
-    assert again.scenario.jitter == original.scenario.jitter
-    assert again.scenario.initialization == original.scenario.initialization
-    assert again.scenario.n_slots == original.scenario.n_slots
-    assert again.scenario.seed == original.scenario.seed
-    assert np.array_equal(again.scenario.start, original.scenario.start)
-    assert np.array_equal(again.scenario.end, original.scenario.end)
-    assert again.optimizer == original.optimizer
-    assert np.allclose(again.pointing.position, original.pointing.position)
+    # Every field, mc_samples and the pointing posture included, bit for bit.
+    assert flat(again) == flat(original)
     # And the echo is stable under a second round trip.
     assert dump_scenario(again) == text
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_INPUTS))
+def test_golden_settings_and_echo(name):
+    settings = load_scenario(GOLDEN_INPUTS[name])
+    assert flat(settings) == GOLDEN[name]["settings"]
+    assert dump_scenario(settings) == GOLDEN[name]["echo"]
 
 
 def test_mission_duration_inconsistency():
     settings = load_scenario("[mission]\nduration = 30 s\nslot = 0.5 s\n")
     assert settings.scenario.n_slots == 60
     assert settings.scenario.duration == pytest.approx(30.0)
+
+
+# Every unit token the README, the bundled scenarios, the tests and the echo
+# use: a key of its dimension and the SI factor the token has always had.
+KNOWN_TOKENS = {
+    "m": ("link", "aperture", 1.0),
+    "cm": ("link", "aperture", 1e-2),
+    "mm": ("link", "aperture", 1e-3),
+    "km": ("link", "aperture", 1e3),
+    "nm": ("link", "aperture", 1e-9),
+    "s": ("mission", "slot", 1.0),
+    "W": ("link", "transmit_power", 1.0),
+    "mW": ("link", "transmit_power", 1e-3),
+    "J": ("mission", "launch_cost", 1.0),
+    "rad": ("pointing", "roll", 1.0),
+    "mrad": ("pointing", "roll", 1e-3),
+    "deg": ("pointing", "roll", math.pi / 180.0),
+    "m/s": ("aircraft", "v_min", 1.0),
+    "m/s^2": ("aircraft", "a_max", 1.0),
+    "A": ("link", "noise_std", 1.0),
+    "A/W": ("link", "responsivity", 1.0),
+    "kg": ("aircraft", "mass", 1.0),
+    "kg/m": ("aircraft", "c1", 1.0),
+}
+
+
+@pytest.mark.parametrize("token", sorted(KNOWN_TOKENS))
+def test_known_unit_tokens_keep_their_factor(token):
+    section, key, factor = KNOWN_TOKENS[token]
+    echo = dump_scenario(load_scenario(f"[{section}]\n{key} = 0.75 {token}\n"))
+    assert f"\n{key} = {0.75 * factor!r}" in echo
+
+
+def test_decibel_token():
+    settings = load_scenario("[link]\npt_over_noise = 0.75 dB\n")
+    assert settings.scenario.link.noise_std == 0.01 / 10.0 ** (0.75 / 10.0)
+
+
+def test_position_takes_its_length_unit():
+    settings = load_scenario("[pointing]\nposition = 50, 550, 600 mm\n")
+    assert settings.pointing.position.tolist() == [50 * 1e-3, 550 * 1e-3, 600 * 1e-3]
+
+
+def test_position_in_kilometres():
+    settings = load_scenario("[pointing]\nposition = 0.05, 0.55, 0.6 km\n")
+    assert settings.pointing.position.tolist() == [0.05 * 1e3, 0.55 * 1e3, 0.6 * 1e3]
+
+
+@pytest.mark.parametrize(
+    "text, path",
+    [
+        ("[link]\ntransmit_power = 1 MW\n", "link.transmit_power"),  # read as 1 mW
+        ("[mission]\nlaunch_cost = 400000 mJ\n", "mission.launch_cost"),  # read as 4e11 J
+        ("[link]\naperture = 20 CM\n", "link.aperture"),
+    ],
+)
+def test_wrong_prefix_case_rejected(text, path):
+    with pytest.raises(ScenarioParseError, match="case-sensitive") as err:
+        load_scenario(text)
+    assert err.value.field == path
+
+
+def test_circular_direction_is_checked():
+    with pytest.raises(ValueError, match="counterclockwise"):
+        CircularInit(direction="anticlockwise")
+    loops = {}
+    for direction in ("clockwise", "counterclockwise"):
+        sc = Scenario(
+            start=np.array([0.0, 0.0, 600.0]), end=np.array([0.0, 0.0, 600.0]), n_slots=80, delta=1.0,
+            altitude=600.0, launch_cost=0.0, initialization=CircularInit(direction=direction),
+        )
+        loops[direction] = initialize_iterate(sc).s
+    # The two loops are mirror images through the line from the centre to the start.
+    assert np.allclose(loops["counterclockwise"][:, 0], -loops["clockwise"][:, 0])
