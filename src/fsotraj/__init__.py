@@ -3,7 +3,7 @@
 The package models pointing errors caused by three-axis attitude jitter,
 evaluates the resulting link capacity and flight power, and plans
 energy-efficiency-maximizing trajectories by successive convex restriction
-with a fractional-programming inner loop.
+with one Dinkelbach step per restriction.
 """
 
 from .channel import (

@@ -474,7 +474,8 @@ def _log_snr(w: np.ndarray, e: np.ndarray, scale: np.ndarray, c0: np.ndarray, si
     `_slot_constants`: |w b|^2 has the law of theta_p^2 / sigma_div^2 =
     -2 log(h_p / A0). ``w`` is spent afterwards, free as work space.
     """
-    np.multiply(w, scale[:, None, :], out=w)
+    for axis in (0, 1):  # a column view per axis: a (c, n, 2) broadcast runs inner loops of length 2
+        np.multiply(w[..., axis], scale[:, axis, None], out=w[..., axis])
     np.square(w, out=w)
     t = np.multiply(e, 4.0 * sigma_i, out=e)
     np.subtract(t, w[..., 0], out=t)

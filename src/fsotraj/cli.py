@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import channel
-from .errors import BracketError, FsoTrajError, InfeasibleScenarioError, ScenarioParseError, SolverError
+from .errors import FsoTrajError, InfeasibleScenarioError, ScenarioParseError, SolverError
 from .jitter import (
     HoytParams,
     hoyt_cdf,
@@ -296,7 +296,7 @@ def main(argv=None) -> int:
     except (InfeasibleScenarioError,) as exc:
         print(f"error: infeasible scenario: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (SolverError, BracketError) as exc:
+    except SolverError as exc:
         print(f"error: solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except FsoTrajError as exc:

@@ -42,18 +42,6 @@ class InfeasibleScenarioError(FsoTrajError, RuntimeError):
     """Scenario cannot satisfy its own kinematic or geometric constraints."""
 
 
-class BracketError(FsoTrajError, RuntimeError):
-    """The trade-off search failed: a solve returned F > tol_f, which the
-    feasible previous point rules out, or the solve budget ran out before
-    |F| <= tol_f. Carries the last trade-off weight ``lam``, its ``f`` and ``tol_f``."""
-
-    def __init__(self, msg, lam=None, f=None, tol_f=None):
-        super().__init__(msg)
-        self.lam = lam
-        self.f = f
-        self.tol_f = tol_f
-
-
 class SolverError(FsoTrajError, RuntimeError):
     """Convex subproblem solve failed (infeasible or not converged)."""
 

@@ -79,17 +79,9 @@ class Scenario:
 class OptimizerConfig:
     """Iteration thresholds; defaults follow the values pinned in the design."""
 
-    tol_dinkelbach_rel: float = 1e-4  # scaled by total power
     max_outer: int = 50
-    max_inner: int = 40  # cap on the solves of one trade-off search
     solver_tol: float = 1e-8
     solver_max_iter: int = 100
-
-    def __post_init__(self):
-        if not self.tol_dinkelbach_rel > 0:
-            raise ValueError(f"tol_dinkelbach_rel must be positive, got {self.tol_dinkelbach_rel}")
-        if self.max_inner < 1:
-            raise ValueError(f"max_inner must be at least 1, got {self.max_inner}")
 
 
 @dataclass

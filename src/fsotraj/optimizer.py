@@ -1,5 +1,5 @@
-"""Outer trajectory optimization: Dinkelbach's iteration inside, successive
-convex restriction outside, plus the honest (non-surrogate) energy-efficiency
+"""Outer trajectory optimization: successive convex restriction with one
+Dinkelbach step per restriction, plus the honest (non-surrogate) energy-efficiency
 evaluation used to judge results.
 """
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .channel import (  # noqa: F401
 )
 from .convex import check_feasible, solve
 from .convex.solver import require_optimal
-from .errors import BracketError, InfeasibleScenarioError, slot_suffix
+from .errors import InfeasibleScenarioError, SolverError, slot_suffix
 # hoyt_params stays bound here because bench/tracer.py installs its
 # jitter.hoyt_params span on this name; the evaluation uses hoyt_eigenvalues.
 from .jitter import hoyt_eigenvalues, hoyt_params, pointing_weight_matrix  # noqa: F401
@@ -52,12 +52,12 @@ PLATEAU_WINDOW = 5
 class DinkelbachResult:
     iterate: Iterate
     lam_star: float
-    f_value: float
+    f_value: float  # F(lam_star) = min(-C + lam_star P), at most ``gap``
+    gap: float  # the solve's objective minus its dual bound
     c_tot: float
     p_tot: float
-    solves: int
-    newton_iters: int  # summed over the search's solves
-    multipliers: np.ndarray  # physical inequality multipliers of the accepted solve
+    newton_iters: int
+    multipliers: np.ndarray  # physical inequality multipliers of the solve
 
 
 @dataclass
@@ -69,8 +69,12 @@ class IterationRecord:
     efficiency: float
     step_norm: float
     max_violation: float
-    solves: int
     newton_iters: int
+
+    @property
+    def solves(self) -> int:
+        """One solve per outer iteration; kept for the trace's ``solves`` column."""
+        return 1
 
 
 @dataclass
@@ -99,41 +103,6 @@ class EfficiencyReport:
     mode: str
 
 
-def dinkelbach_iterate(evaluate, lam0, tol_f, max_iter):
-    """Dinkelbach's iteration for the root of F(lam) = min(-C + lam P).
-
-    ``evaluate(lam)`` solves at lam and returns (F, C/P at the solution,
-    payload). Each pass moves lam to that ratio (Dinkelbach 1967), which never
-    decreases lam and converges superlinearly (Schaible 1976). Returns
-    (lam, F, payload) of the first solve with |F| <= tol_f.
-    Raises BracketError when a solve gives F > tol_f (a feasible previous
-    point certifies F <= 0, so the solve is wrong), or when ``max_iter``
-    solves end with |F| > tol_f.
-    """
-    lam, f_val = lam0, None
-    for k in range(max_iter):
-        if k:
-            lam = ratio
-        f_val, ratio, payload = evaluate(lam)
-        if abs(f_val) <= tol_f:
-            return lam, f_val, payload
-        if f_val > tol_f:
-            raise BracketError(
-                f"F = {f_val:.6g} > tol_f = {tol_f:.3g} at lam = {lam:.6g}; "
-                "the feasible previous point certifies F <= 0",
-                lam=lam,
-                f=f_val,
-                tol_f=tol_f,
-            )
-    raise BracketError(
-        f"Dinkelbach's iteration ended after {max_iter} solves at lam = {lam:.6g} with F = {f_val}, "
-        f"not within tol_f = {tol_f:.3g}",
-        lam=lam,
-        f=f_val,
-        tol_f=tol_f,
-    )
-
-
 def dinkelbach_solve(
     iterate: Iterate,
     scenario: Scenario,
@@ -141,23 +110,22 @@ def dinkelbach_solve(
     subproblem: Subproblem | None = None,
     multipliers: np.ndarray | None = None,
 ) -> DinkelbachResult:
-    """Trade-off weight lam with |F(lam)| <= tol, F(lam) = min(-C + lam P).
+    """One Dinkelbach step on the restriction: minimize F = -C + lam P at the
+    anchor's surrogate efficiency lam = C_anchor / P_anchor.
 
-    The root is the efficiency of the restricted problem. Dinkelbach's
-    iteration starts at the anchor's surrogate efficiency C_anchor / P_anchor,
-    warm-started from the anchor, and moves lam to C / P at each solution,
-    warm-starting the next solve from it, at most ``max_inner`` solves. The
-    anchor is feasible for its own restriction, so F(C_anchor / P_anchor) <= 0,
-    and near a fixed point of the restriction loop the first solve already
-    meets the tolerance.
+    The anchor is feasible for its own restriction, so F(lam) <= 0 and the
+    solution's C / P is at least lam (Dinkelbach 1967). Re-tightening the
+    auxiliaries at the next anchor can only raise C and lower P, so the next
+    restriction's lam is at least this C / P: the outer loop's efficiencies
+    never fall, and its fixed point is a stationary point of the fractional
+    restriction. Further steps within one restriction are not taken.
 
+    The solve is warm-started from the anchor, and its duals from
     ``multipliers`` (physical inequality multipliers, such as the previous
-    search's ``DinkelbachResult.multipliers``) warm-start the duals of the
-    first solve; each later solve starts from the multipliers of the one
-    before. Without them the first solve starts cold.
-
-    Every solve must end ``optimal``; any other status raises SolverError
-    naming the status, the trade-off weight and the KKT residuals.
+    restriction's ``DinkelbachResult.multipliers``); without them the duals
+    start cold. It must end ``optimal`` with F at most its reported gap
+    (objective minus dual bound); otherwise SolverError names the status or
+    F, the trade-off weight and the KKT residuals.
     """
     config = config or OptimizerConfig()
     sub = subproblem or Subproblem(iterate, scenario)
@@ -168,34 +136,28 @@ def dinkelbach_solve(
         raise InfeasibleScenarioError(
             f"anchor capacity {c_anchor:.3g} is not positive; the fractional objective is ill-posed"
         )
-    tol_f = config.tol_dinkelbach_rel * p_anchor
-
-    warm, warm_lam = anchor_x, multipliers
-    newton = []
-
-    def f_at(lam):
-        nonlocal warm, warm_lam
-        sub.set_tradeoff(lam)
-        sol = solve(
-            sub.program, tol=config.solver_tol, max_iter=config.solver_max_iter, x0=warm, lam0=warm_lam
-        )
-        newton.append(sol.iterations)
-        require_optimal(sol, f"at trade-off {lam:.6g}")
-        warm, warm_lam = sol.x, sol.lam
-        c_tot, p_tot = sub.surrogate_totals(sol.values)
-        return sol.objective, c_tot / p_tot, (sol, c_tot, p_tot)
-
-    lam_star, f_val, (sol, c_tot, p_tot) = dinkelbach_iterate(
-        f_at, c_anchor / p_anchor, tol_f, config.max_inner
+    lam = c_anchor / p_anchor
+    sub.set_tradeoff(lam)
+    sol = solve(
+        sub.program, tol=config.solver_tol, max_iter=config.solver_max_iter, x0=anchor_x, lam0=multipliers
     )
+    context = f"at trade-off {lam:.6g}"
+    require_optimal(sol, context)
+    gap = sol.objective - sol.dual_bound
+    if sol.objective > gap:
+        raise SolverError(
+            f"F = {sol.objective:.6g} exceeds the solve's gap {gap:.3g} {context}, "
+            f"though the feasible anchor certifies F <= 0: kkt={sol.kkt}"
+        )
+    c_tot, p_tot = sub.surrogate_totals(sol.values)
     return DinkelbachResult(
         iterate=sub.solution_iterate(sol.values),
-        lam_star=lam_star,
-        f_value=f_val,
+        lam_star=lam,
+        f_value=sol.objective,
+        gap=gap,
         c_tot=c_tot,
         p_tot=p_tot,
-        solves=len(newton),
-        newton_iters=sum(newton),
+        newton_iters=sol.iterations,
         multipliers=sol.lam,
     )
 
@@ -206,8 +168,8 @@ def optimize(
     """Run the full restriction loop from the scenario's initial trajectory.
 
     Every restriction of one scenario has the same constraint rows, so each
-    trade-off search warm-starts its duals from the multipliers that the
-    previous search ended with; the first search starts cold.
+    solve warm-starts its duals from the multipliers that the previous solve
+    ended with; the first solve starts cold.
     """
     config = config or OptimizerConfig()
     t0 = time.perf_counter()
@@ -234,7 +196,6 @@ def optimize(
             efficiency=result.c_tot / result.p_tot,
             step_norm=step,
             max_violation=worst,
-            solves=result.solves,
             newton_iters=result.newton_iters,
         )
         history.append(record)

@@ -198,6 +198,17 @@ def _at_altitude(xy, staged) -> np.ndarray:
     return np.array([*xy, staged.mission.altitude])
 
 
+def _whole_slots(duration, staged) -> int:
+    """The slot count of ``duration``, which must be a whole number of slots to 1e-9 relative."""
+    delta = staged.mission.delta
+    if not delta > 0.0:
+        raise ScenarioParseError("mission.slot", f"must be positive, got {delta!r} s")
+    slots = duration / delta
+    if abs(slots - round(slots)) > 1e-9 * abs(slots):
+        raise ScenarioParseError("mission.duration", f"{duration!r} s is not a whole number of {delta!r} s slots")
+    return round(slots)
+
+
 _FIELDS = {
     ("link", "transmit_power"): _Field(_quantity("power")),
     ("link", "noise_std"): _Field(_quantity("current")),
@@ -244,7 +255,7 @@ _FIELDS = {
     ("mission", "duration"): _Field(
         _quantity("time"),
         "n_slots",
-        derive=lambda duration, st: int(round(duration / st.mission.delta)),
+        derive=_whole_slots,
         get=lambda sc: sc.duration,
         presets={"moving": "20 s", "hover": "80 s"},
     ),
@@ -258,9 +269,7 @@ _FIELDS = {
         presets={"moving": "linear", "hover": "circular"},
     ),
     ("mission", "circle_center"): _Field(_POINT, "center_xy", owner="circle"),
-    ("optimizer", "tol_dinkelbach_rel"): _Field(_quantity("dimensionless")),
     ("optimizer", "max_outer"): _Field(_integer()),
-    ("optimizer", "max_inner"): _Field(_integer()),
     ("optimizer", "solver_tol"): _Field(_quantity("dimensionless")),
     ("optimizer", "seed"): _Field(_integer(0), owner="mission"),
     ("optimizer", "samples"): _Field(_integer(1), "mc_samples", owner="mission"),

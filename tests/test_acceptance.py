@@ -192,20 +192,21 @@ def _mission_sanity(scenario, label, budget_s):
     ee_final = energy_efficiency(result.plan, scenario)
     assert ee_final.efficiency >= ee_init.efficiency
 
-    # Fractional-programming termination identity on a fresh inner solve.
+    # Fractional-programming termination identity on a fresh Dinkelbach step
+    # from the final plan: F <= 0 up to the solve's gap, and C / P stays near
+    # the anchor's efficiency lam (measured 3.6e-9 relative on moving, 3.8e-6
+    # on hover).
     it = tight_iterate(scenario, result.plan.positions)
-    sub = Subproblem(it, scenario)
-    _, p_anchor = sub.surrogate_totals(sub.space.unpack(sub.anchor_x()))
-    tol_f = config.tol_dinkelbach_rel * p_anchor
-    din = dinkelbach_solve(it, scenario, config, subproblem=sub)
-    assert abs(din.f_value) <= tol_f
-    assert abs(din.lam_star - din.c_tot / din.p_tot) * din.p_tot <= 10.0 * tol_f
+    din = dinkelbach_solve(it, scenario, config, subproblem=Subproblem(it, scenario))
+    rel = abs(din.c_tot / din.p_tot - din.lam_star) / din.lam_star
+    assert din.f_value <= din.gap
+    assert rel <= 1e-4
 
     report(
         f"optimization sanity ({label})",
         f"{len(result.history)} outer iterations in {elapsed:.0f} s, "
         f"violations <= {worst_violation:.1e}, efficiency {ee_init.efficiency:.4e} -> "
-        f"{ee_final.efficiency:.4e}, |F| = {abs(din.f_value):.2e} <= {tol_f:.2e}",
+        f"{ee_final.efficiency:.4e}, F = {din.f_value:.2e} <= gap {din.gap:.2e}, |C/P - lam| / lam = {rel:.1e}",
     )
     return result
 

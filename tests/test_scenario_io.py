@@ -79,10 +79,12 @@ def test_negative_divergence_rejected_with_path():
 
 
 def test_zero_inner_budget_rejected_with_path():
-    with pytest.raises(ScenarioParseError) as err:
-        load_scenario("[optimizer]\nmax_inner = 0\n")
-    assert err.value.field == "optimizer"
-    assert "max_inner" in str(err.value)
+    # One Dinkelbach step per restriction: the trade-off search's solve budget
+    # and tolerance are no longer keys.
+    for key in ("max_inner = 0", "max_inner = 40", "tol_dinkelbach_rel = 1e-4"):
+        with pytest.raises(ScenarioParseError, match="unknown key") as err:
+            load_scenario(f"[optimizer]\n{key}\n")
+        assert err.value.field == f"optimizer.{key.split()[0]}"
 
 
 def test_unknown_key_rejected():
@@ -152,6 +154,20 @@ def test_mission_duration_inconsistency():
     assert settings.scenario.duration == pytest.approx(30.0)
 
 
+@pytest.mark.parametrize("duration, slot", [("1 s", "0.3 s"), ("20.1 s", "0.2 s")])
+def test_duration_of_partial_slots_rejected(duration, slot):
+    with pytest.raises(ScenarioParseError, match="not a whole number") as err:
+        load_scenario(f"[mission]\nduration = {duration}\nslot = {slot}\n")
+    assert err.value.field == "mission.duration"
+
+
+@pytest.mark.parametrize("slot", ["0 s", "-0.2 s"])
+def test_nonpositive_slot_rejected_with_path(slot):
+    with pytest.raises(ScenarioParseError, match="must be positive") as err:
+        load_scenario(f"[mission]\nslot = {slot}\n")
+    assert err.value.field == "mission.slot"
+
+
 # Every unit token the README, the bundled scenarios, the tests and the echo
 # use: a key of its dimension and the SI factor the token has always had.
 KNOWN_TOKENS = {
@@ -178,9 +194,10 @@ KNOWN_TOKENS = {
 
 @pytest.mark.parametrize("token", sorted(KNOWN_TOKENS))
 def test_known_unit_tokens_keep_their_factor(token):
+    # 0.5 s slots divide the preset 20 s duration into whole slots.
     section, key, factor = KNOWN_TOKENS[token]
-    echo = dump_scenario(load_scenario(f"[{section}]\n{key} = 0.75 {token}\n"))
-    assert f"\n{key} = {0.75 * factor!r}" in echo
+    echo = dump_scenario(load_scenario(f"[{section}]\n{key} = 0.5 {token}\n"))
+    assert f"\n{key} = {0.5 * factor!r}" in echo
 
 
 def test_decibel_token():

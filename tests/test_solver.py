@@ -304,7 +304,7 @@ class TestLayoutCache:
         settings = load_scenario(str(SCENARIOS / "moving.ini"))
         assert settings.scenario.n_slots == 100
         result = optimize(settings.scenario, settings.optimizer)
-        assert sum(rec.solves for rec in result.history) > 1
+        assert len(result.history) > 1
         assert len(shapes) == 1
         # A program of another structure gets a layout of its own.
         sub = moving_subproblem(n_slots=12)
