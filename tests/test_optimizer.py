@@ -7,7 +7,7 @@ import pytest
 
 from fsotraj import optimizer as optimizer_mod
 from fsotraj.channel import LinkParams
-from fsotraj.convex import ConvexProgram, VariableSpace, solve
+from fsotraj.convex import solve
 from fsotraj.errors import InfeasibleScenarioError, SolverError
 from fsotraj.jitter import JitterCovariance
 from fsotraj.kinematics import AircraftParams, TrajectoryPlan, differentiate_trajectory
