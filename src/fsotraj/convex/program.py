@@ -8,8 +8,11 @@ of einsums per family regardless of member count.
 Each family evaluates in one pass: ``local(x)`` returns its values, local
 gradients and an ``aux`` tuple (such as r = |u| and A'u), and
 ``hess_at(aux, lam)`` builds the weighted local Hessians at that same point
-without recomputing u. ``values``, ``grad_loc`` and ``hess_loc`` remain as
-thin wrappers over these two, so every formula is written once.
+without recomputing u. The objective's norm terms are blocks of the same
+kind (``NormTerm``), so the solver evaluates and assembles every convex term
+through these two methods, and every formula is written once.
+
+The objective is affine + 0.5 x'diag(q)x + sum of weighted norm terms.
 
 Constraint kinds and their smooth internal forms (all convex on the domain
 the trajectory subproblems generate):
@@ -120,28 +123,18 @@ class _Family:
         return rows, self.cols.ravel()
 
     # Subclasses implement one evaluation pass and the Hessian from it:
-    #   local(x) -> (values (m,), grad_loc (m, nloc), aux): smooth constraint
-    #       values (<= 0 feasible), local gradients, and what hess_at needs
+    #   local(x) -> (values (m,), local gradients (m, nloc), aux): smooth
+    #       constraint values (<= 0 feasible), their gradients, and what
+    #       hess_at needs
     #   hess_at(aux, lam) -> (m, nloc, nloc) sum-weighted local Hessians at
     #       the point local's aux came from (zero for linear families)
     #   violation(x) -> (m,) reported violation in natural units
-    # values, grad_loc and hess_loc are wrappers over those two, so each formula
-    # is written once.
-
-    def values(self, x):
-        return self.local(x)[0]
-
-    def grad_loc(self, x):
-        return self.local(x)[1]
-
-    def hess_loc(self, x, lam):
-        return self.hess_at(self.local(x)[2], lam)
 
     def hess_at(self, aux, lam):
         return np.zeros((self.m, self.nloc, self.nloc))
 
     def violation(self, x):
-        return self.values(x)
+        return self.local(x)[0]
 
 
 class LinearEqFamily(_Family):
@@ -158,7 +151,7 @@ class LinearEqFamily(_Family):
         return np.einsum("ml,ml->m", self.coef, self.gather(x)) - self.rhs, self.coef, None
 
     def violation(self, x):
-        return np.abs(self.values(x))
+        return np.abs(self.local(x)[0])
 
 
 class LinearIneqFamily(_Family):
@@ -190,6 +183,16 @@ class _NormMixin:
     def _norm(self, u):
         return np.sqrt(np.einsum("mr,mr->m", u, u))
 
+    def _smoothed(self, u):
+        """(r, A'u) with r = sqrt(|u|^2 + eps^2), the smoothed norm of u."""
+        return np.sqrt(np.einsum("mr,mr->m", u, u) + _NORM_EPS**2), np.einsum("mrl,mr->ml", self.a_loc, u)
+
+    def _norm_hess(self, aux, lam):
+        """lam-weighted Hessians of r at the point (r, A'u) came from."""
+        r, atu = aux
+        outer = np.einsum("ml,mk->mlk", atu, atu)
+        return lam[:, None, None] * (self.ata / r[:, None, None] - outer / (r**3)[:, None, None])
+
 
 class SocFamily(_Family, _NormMixin):
     """|A x + b| <= c.x + d; `squared=True` members enforce |A x + b|^2 <= c.x + d."""
@@ -209,24 +212,22 @@ class SocFamily(_Family, _NormMixin):
 
     def local(self, x):
         u = self._u(x)
+        if not (self.squared or self.const_rhs):
+            r, atu = self._smoothed(u)
+            return r - self._rhs(x), atu / r[:, None] - self.c_loc, (r, atu)
         atu = np.einsum("mrl,mr->ml", self.a_loc, u)
         if self.squared:
             return np.einsum("mr,mr->m", u, u) - self._rhs(x), 2.0 * atu - self.c_loc, None
-        if self.const_rhs:
-            # (|u|^2 - d^2) / (2d): same boundary and gradient scale as the
-            # norm form, but smooth through u = 0.
-            return (np.einsum("mr,mr->m", u, u) - self.d**2) / (2.0 * self.d), atu / self.d[:, None], None
-        r = np.sqrt(np.einsum("mr,mr->m", u, u) + _NORM_EPS**2)
-        return r - self._rhs(x), atu / r[:, None] - self.c_loc, (r, atu)
+        # (|u|^2 - d^2) / (2d): same boundary and gradient scale as the
+        # norm form, but smooth through u = 0.
+        return (np.einsum("mr,mr->m", u, u) - self.d**2) / (2.0 * self.d), atu / self.d[:, None], None
 
     def hess_at(self, aux, lam):
         if self.squared:
             return 2.0 * lam[:, None, None] * self.ata
         if self.const_rhs:
             return (lam / self.d)[:, None, None] * self.ata
-        r, atu = aux
-        outer = np.einsum("ml,mk->mlk", atu, atu)
-        return lam[:, None, None] * (self.ata / r[:, None, None] - outer / (r**3)[:, None, None])
+        return self._norm_hess(aux, lam)
 
     def violation(self, x):
         u = self._u(x)
@@ -284,11 +285,9 @@ class CubicEpigraphFamily(_Family, _NormMixin):
 
     def local(self, x):
         x_loc = self.gather(x)
-        u = self._u(x)
-        r = np.sqrt(np.einsum("mr,mr->m", u, u) + _NORM_EPS**2)
+        r, atu = self._smoothed(self._u(x))
         lin = np.einsum("ml,ml->m", self.lin_loc, x_loc)
         t = x_loc[np.arange(self.m), self.t_pos]
-        atu = np.einsum("mrl,mr->ml", self.a_loc, u)
         g = 3.0 * self.kappa[:, None] * r[:, None] * atu + self.lin_loc
         g[np.arange(self.m), self.t_pos] -= 1.0
         return self.kappa * r**3 + lin + self.const - t, g, (r, atu)
@@ -300,54 +299,49 @@ class CubicEpigraphFamily(_Family, _NormMixin):
         return coef[:, None, None] * (r[:, None, None] * self.ata + outer / r[:, None, None])
 
 
-@dataclass
-class NormTerm:
-    """Objective term weight * |A x_loc + b| over a local column set."""
+class NormTerm(_Family, _NormMixin):
+    """Objective term sum_m weight_m |A x_loc + b|, evaluated like a family:
+    ``local`` gives the smoothed norms and their gradients, unweighted, and
+    ``hess_at(aux, weight)`` the weighted Hessians."""
 
-    weight: np.ndarray  # (m,)
-    cols: np.ndarray  # (m, nloc)
-    a_loc: np.ndarray  # (m, rows, nloc)
-    b_loc: np.ndarray  # (m, rows)
+    kind = "norm_term"
+
+    def __init__(self, tag, cols, weight, a_loc, b_loc):
+        super().__init__(tag, cols)
+        self._init_norm(np.asarray(a_loc, dtype=float), np.asarray(b_loc, dtype=float))
+        self.weight = _as_block(weight, self.m)
+
+    def local(self, x):
+        r, atu = self._smoothed(self._u(x))
+        return r, atu / r[:, None], (r, atu)
+
+    def hess_at(self, aux, lam):
+        return self._norm_hess(aux, lam)
 
 
 @dataclass
 class Objective:
-    """affine + 0.5 x'Qx (diagonal and/or sparse symmetric) + sum of norm terms."""
+    """const + lin.x + 0.5 x'diag(quad_diag)x + sum of weighted norm terms."""
 
     lin: np.ndarray
     quad_diag: np.ndarray
     const: float = 0.0
     norms: list[NormTerm] = field(default_factory=list)
-    # Full symmetric quadratic in COO triplets (both triangles present).
-    quad_coo: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-
-    def _quad_matvec(self, x):
-        out = self.quad_diag * x
-        if self.quad_coo is not None:
-            qi, qj, qv = self.quad_coo
-            np.add.at(out, qi, qv * x[qj])
-        return out
-
-    def norm_parts(self, x):
-        """Per norm term, u = A x_loc + b and its smoothed norm r = sqrt(|u|^2 + eps^2) at x."""
-        parts = []
-        for term in self.norms:
-            u = np.einsum("mrl,ml->mr", term.a_loc, x[term.cols]) + term.b_loc
-            parts.append((u, np.sqrt(np.einsum("mr,mr->m", u, u) + _NORM_EPS**2)))
-        return parts
 
     def value(self, x):
-        out = self.const + float(self.lin @ x) + 0.5 * float(self._quad_matvec(x) @ x)
-        for term, (_, r) in zip(self.norms, self.norm_parts(x)):
-            out += float(term.weight @ r)
+        out = self.const + float(self.lin @ x) + 0.5 * float((self.quad_diag * x) @ x)
+        for term in self.norms:
+            out += float(term.weight @ term.local(x)[0])
         return out
 
-    def grad(self, x, parts=None):
-        """Gradient at x; a caller that already has `norm_parts` of x passes them as ``parts``."""
-        g = self.lin + self._quad_matvec(x)
-        for term, (u, r) in zip(self.norms, self.norm_parts(x) if parts is None else parts):
-            gl = term.weight[:, None] * np.einsum("mrl,mr->ml", term.a_loc, u) / r[:, None]
-            np.add.at(g, term.cols.ravel(), gl.ravel())
+    def grad(self, x, norms=None):
+        """Gradient at x; a caller that already has each norm term's ``local``
+        result at x passes them as ``norms``."""
+        if norms is None:
+            norms = [term.local(x) for term in self.norms]
+        g = self.lin + self.quad_diag * x
+        for term, (_, grad, _) in zip(self.norms, norms):
+            np.add.at(g, term.cols.ravel(), (term.weight[:, None] * grad).ravel())
         return g
 
 
@@ -380,24 +374,8 @@ class ConvexProgram:
             CubicEpigraphFamily(tag, cols, a_loc, b_loc, kappa, lin_loc, const, t_pos)
         )
 
-    def set_quadratic(self, matrix: np.ndarray) -> None:
-        """Install a dense symmetric PSD quadratic 0.5 x'Qx (small problems only)."""
-        q = np.asarray(matrix, dtype=float)
-        qi, qj = np.nonzero(q)
-        self.objective.quad_coo = (qi, qj, q[qi, qj])
-
     def add_objective_norm(self, weight, cols, a_loc, b_loc):
-        cols = np.asarray(cols, dtype=np.int64)
-        m = cols.shape[0]
-        a = np.asarray(a_loc, dtype=float)
-        self.objective.norms.append(
-            NormTerm(
-                weight=_as_block(weight, m),
-                cols=cols,
-                a_loc=_as_block(a, m, a.shape[-2], cols.shape[1]),
-                b_loc=_as_block(np.asarray(b_loc, dtype=float), m, a.shape[-2]),
-            )
-        )
+        self.objective.norms.append(NormTerm("objective_norm", cols, weight, a_loc, b_loc))
 
     # -- bookkeeping --------------------------------------------------------
 

@@ -1,28 +1,35 @@
 """Primal-dual interior-point solver for the canonical convex subproblem.
 
 Assumes every inequality family exposes smooth convex values / gradients /
-Hessians (see program.py). Inequalities get slacks (g(x) + s = 0, s > 0);
-Newton steps on the perturbed KKT conditions with a fraction-to-boundary rule
-and a residual-norm backtracking line search. The reduced KKT system has a
-fixed sparsity pattern per program, and every restriction of one trajectory
-optimization has the same pattern. Its layout is built once per pattern and
-reused while the next solve's COO indices equal it: the variables are put in
-reverse Cuthill-McKee order, which gives the trajectory programs a small
-half-bandwidth independent of the slot count, and every COO entry is mapped
-to its merged entry and that entry to its slot in LAPACK band storage. Each
-Newton step sums the per-family dense block values into the merged entries,
-scatters them into the band, factors it with banded LU (``dgbtrf``) and
-refines the solution once with the same factors, the residual being a CSR
-product with the merged entries.
+Hessians (see program.py). The objective is affine plus a diagonal quadratic
+plus weighted norm terms, and each norm term is evaluated and assembled
+through the same ``local`` and ``hess_at`` as a constraint family.
+Inequalities get slacks (g(x) + s = 0, s > 0); Newton steps on the perturbed
+KKT conditions with a fraction-to-boundary rule and a residual-norm
+backtracking line search. A solve is ``optimal`` only when the scaled KKT
+residuals are within ``tol``; a line search that accepts no trial ends it as
+``max_iter`` (or ``infeasible`` far from feasibility).
+
+The reduced KKT system has a fixed sparsity pattern per program, and every
+restriction of one trajectory optimization has the same pattern. Its layout
+is built once per pattern and reused while the next solve's COO indices equal
+it: the variables are put in reverse Cuthill-McKee order, which gives the
+trajectory programs a small half-bandwidth independent of the slot count, and
+every COO entry is mapped to its merged entry and that entry to its slot in
+LAPACK band storage. Each Newton step sums the per-block dense values into
+the merged entries, scatters them into the band, factors it with banded LU
+(``dgbtrf``) and refines the solution once with the same factors, the
+residual being a CSR product with the merged entries.
 
 Each visited point (the start point and every line-search trial) evaluates
-every family once through ``local``: values, gradients and the inputs of its
-Hessian, shared by the residuals, the KKT assembly and the slack step. The
-Newton step builds each family's Hessian block from the accepted point's
-``aux``, not from a second pass over x. What stays fixed through a solve is
+every family and every objective norm term once through ``local``: values,
+gradients and the inputs of its Hessian, shared by the residuals, the KKT
+assembly and the slack step. The Newton step builds each block's Hessian from
+the accepted point's ``aux``, not from a second pass over x, and scales its
+columns the same way for every block. What stays fixed through a solve is
 computed once in ``_Work``: the column scales of every family, the linear
 families' scaled gradients and their outer products, and the objective's
-scaled quadratic and norm-term A'A.
+scaled quadratic.
 
 Warm start: ``Solution.lam`` holds the inequality multipliers in physical
 units (the internal multiplier times the row scaling, which every solve
@@ -93,7 +100,7 @@ class _Point(NamedTuple):
     grads: list  # per family: row- and column-scaled local gradients
     aux: list  # per family: what its hess_at needs at this point
     obj_grad: np.ndarray  # column-scaled objective gradient
-    norms: list  # per objective norm term: u and r from `Objective.norm_parts`
+    norms: list  # per objective norm term: its `local` result
 
 
 class _Rows(NamedTuple):
@@ -108,6 +115,11 @@ class _Rows(NamedTuple):
     outer: np.ndarray | None  # linear families: its per-member outer product
 
 
+def _scale_columns(hess, colscale):
+    """Local Hessians (m, nloc, nloc) in the solver's scaled coordinates."""
+    return hess * colscale[:, :, None] * colscale[:, None, :]
+
+
 def _residual_norm(parts) -> float:
     return float(np.sqrt(sum(float(r @ r) for r in parts)))
 
@@ -117,20 +129,10 @@ def _kkt_structure(program: ConvexProgram):
     order the value arrays are concatenated in at every iteration."""
     n = program.space.dimension
     rows, cols = [np.arange(n)], [np.arange(n)]  # primal regularization diag
-    quad_idx = np.arange(n)
-    rows.append(quad_idx)
-    cols.append(quad_idx)
-    if program.objective.quad_coo is not None:
-        qi, qj, _ = program.objective.quad_coo
-        rows.append(qi)
-        cols.append(qj)
-    for term in program.objective.norms:
-        i = np.repeat(term.cols[:, :, None], term.cols.shape[1], axis=2)
-        j = np.repeat(term.cols[:, None, :], term.cols.shape[1], axis=1)
-        rows.append(i.ravel())
-        cols.append(j.ravel())
-    for fam in program.families:
-        bi, bj = fam.block_structure()
+    rows.append(np.arange(n))  # diagonal quadratic
+    cols.append(np.arange(n))
+    for block in [*program.objective.norms, *program.families]:
+        bi, bj = block.block_structure()
         rows.append(bi)
         cols.append(bj)
     # E block first (all families), then its transpose.
@@ -271,17 +273,8 @@ class _Work:
         self.eq_vals = [g.ravel() for g in self.eq_grads]
         self.eq_row_scale = np.concatenate(self.rho_eq) if self.rho_eq else np.zeros(0)
 
-        # Objective Hessian: the quadratic part is constant; each norm term
-        # keeps its column-scaled A and A'A.
-        obj = program.objective
-        self.obj_blocks = [obj.quad_diag * sc * sc]
-        if obj.quad_coo is not None:
-            qi, qj, qv = obj.quad_coo
-            self.obj_blocks.append(qv * sc[qi] * sc[qj])
-        self.norm_terms = []
-        for term in obj.norms:
-            a_sc = term.a_loc * sc[term.cols][:, None, :]
-            self.norm_terms.append((term, a_sc, np.einsum("mrl,mrk->mlk", a_sc, a_sc)))
+        # The objective's quadratic part of the Hessian is constant.
+        self.quad = program.objective.quad_diag * sc * sc
 
     def point(self, xs) -> _Point:
         """Values, gradients and Hessian inputs at the scaled point xs."""
@@ -293,7 +286,7 @@ class _Work:
             grads.append(grad * f.colscale * f.rho[:, None] if f.grad is None else f.grad)
             aux.append(a)
         r_eq = [fam.local(x)[0] * rho for fam, rho in zip(self.eqs, self.rho_eq)]
-        norms = self.program.objective.norm_parts(x)
+        norms = [term.local(x) for term in self.program.objective.norms]
         return _Point(
             np.concatenate(g) if g else np.zeros(0),
             np.concatenate(r_eq) if r_eq else np.zeros(0),
@@ -315,14 +308,11 @@ class _Work:
         return r
 
     def objective_hessian_blocks(self, pt: _Point):
-        """Quadratic + norm-term value arrays matching the static structure order,
-        the norm terms' from the u and r that the point pt computed."""
-        vals = list(self.obj_blocks)
-        for (term, a_sc, ata), (u, r) in zip(self.norm_terms, pt.norms):
-            atu = np.einsum("mrl,mr->ml", a_sc, u)
-            outer = np.einsum("ml,mk->mlk", atu, atu)
-            h = term.weight[:, None, None] * (ata / r[:, None, None] - outer / (r**3)[:, None, None])
-            vals.append(h.ravel())
+        """Quadratic + norm-term value arrays matching the static structure
+        order, each norm term's from the aux that the point pt computed."""
+        vals = [self.quad]
+        for term, (_, _, aux) in zip(self.program.objective.norms, pt.norms):
+            vals.append(_scale_columns(term.hess_at(aux, term.weight), self.sc[term.cols]).ravel())
         return vals
 
     def kkt_step(self, coo_vals, rhs):
@@ -436,7 +426,7 @@ def solve(
             lam_f = lam[f.rows]
             s_f = s[f.rows]
             if f.outer is None:
-                hess = f.fam.hess_at(aux, lam_f * f.rho) * f.colscale[:, :, None] * f.colscale[:, None, :]
+                hess = _scale_columns(f.fam.hess_at(aux, lam_f * f.rho), f.colscale)
                 hess += (lam_f / s_f)[:, None, None] * np.einsum("ml,mk->mlk", grad_sc, grad_sc)
             else:
                 hess = (lam_f / s_f)[:, None, None] * f.outer
@@ -497,12 +487,7 @@ def solve(
             # stiffen the regularization and rebuild the step.
             delta = min(max(delta * 30.0, 1e-8), 1e-2)
         if not accepted:
-            if prim > 1e4 * tol:
-                status = "infeasible"
-            elif comp <= 10 * tol and stat <= 10 * tol * grad_scale and prim <= 10 * tol:
-                status = "optimal"
-            else:
-                status = "max_iter"
+            status = "infeasible" if prim > 1e4 * tol else "max_iter"
             break
         x, s, lam, nu, pt, r_dual = x_t, s_t, lam_t, nu_t, trial, r_dual_t
         # Persistent crawling (backtracked far below the boundary step on

@@ -225,6 +225,12 @@ def pointing_weight_matrix(cov: JitterCovariance) -> np.ndarray:
     return weights
 
 
+def weighted_pointing_norm(u_hat: np.ndarray, d_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sqrt(u^T D u) for each row u of u_hat, and D u per row."""
+    d_u = u_hat @ d_mat.T
+    return np.sqrt(np.einsum("ki,ki->k", u_hat, d_u)), d_u
+
+
 def hoyt_pdf(theta, params: HoytParams):
     """Density of the pointing-error angle at theta >= 0 (1/radians).
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .channel import LinkParams
 from .errors import InfeasibleScenarioError, slot_suffix
-from .jitter import JitterCovariance, pointing_weight_matrix
+from .jitter import JitterCovariance, pointing_weight_matrix, weighted_pointing_norm
 from .kinematics import AircraftParams, TrajectoryPlan, differentiate_trajectory
 from .linearize import delta_u_coefficients
 
@@ -150,9 +150,8 @@ def tight_iterate(scenario: Scenario, positions: np.ndarray) -> Iterate:
     v, a = differentiate_trajectory(plan)
     g = scenario.aircraft.g
     u_hat, u_jac = pointing_geometry(positions, v, a, g)
-    d_mat = pointing_weight_matrix(scenario.jitter)
     s_norm = np.linalg.norm(positions, axis=1)
-    u_aux = np.sqrt(np.einsum("ki,ij,kj->k", u_hat, d_mat, u_hat)) / s_norm
+    u_aux = weighted_pointing_norm(u_hat, pointing_weight_matrix(scenario.jitter))[0] / s_norm
     speed = np.linalg.norm(v[:-1], axis=1)
     acc_sq = np.einsum("ki,ki->k", a, a)
     q_aux = (1.0 + acc_sq / g**2) / speed

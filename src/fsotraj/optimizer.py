@@ -24,7 +24,7 @@ from .convex.solver import require_optimal
 from .errors import InfeasibleScenarioError, SolverError, slot_suffix
 # hoyt_params stays bound here because bench/tracer.py installs its
 # jitter.hoyt_params span on this name; the evaluation uses hoyt_eigenvalues.
-from .jitter import hoyt_eigenvalues, hoyt_params, pointing_weight_matrix  # noqa: F401
+from .jitter import hoyt_eigenvalues, hoyt_params, pointing_weight_matrix, weighted_pointing_norm  # noqa: F401
 from .kinematics import TrajectoryPlan, differentiate_trajectory, flight_power
 from .mission import (
     Iterate,
@@ -308,8 +308,7 @@ def restriction_tightness(iterate: Iterate, scenario: Scenario) -> dict[str, flo
         np.max(np.abs(report["speed_sq_floor"] - (iterate.R**2 - speeds**2)))
     )
     # jitter restrictions: both forms reduce to sqrt(u' D u) - S U at anchor.
-    d_mat = pointing_weight_matrix(scenario.jitter)
-    w = np.sqrt(np.einsum("ki,ij,kj->k", iterate.u_hat, d_mat, iterate.u_hat))
+    w = weighted_pointing_norm(iterate.u_hat, pointing_weight_matrix(scenario.jitter))[0]
     target = w - iterate.S * iterate.U
     gaps["jitter_cone"] = float(np.max(np.abs(report["jitter_cone"] - target)))
     gaps["jitter_lin"] = float(np.max(np.abs(report["jitter_lin"] - target)))

@@ -6,6 +6,7 @@ reproduces values bit-exactly).
 """
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -147,7 +148,6 @@ class RunReport:
             f"altitude_m: {_fmt(self.plan.altitude)}",
             f"converged: {str(self.converged).lower()}",
             f"outer_iterations: {len(self.history)}",
-            f"wall_time_s: {_fmt(self.wall_time)}",
             f"capacity_total_bits: {_fmt(self.efficiency.capacity_total)}",
             f"power_total_w: {_fmt(self.efficiency.power_total)}",
             f"efficiency: {_fmt(self.efficiency.efficiency)}",
@@ -167,7 +167,8 @@ class RunReport:
 
 
 def write_outputs(report: RunReport, out_dir) -> list[str]:
-    """Write the deterministic file set; returns the manifest."""
+    """Write the deterministic file set, then the run's wall-clock time to
+    ``timings.json``; returns the manifest."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = []
@@ -203,6 +204,9 @@ def write_outputs(report: RunReport, out_dir) -> list[str]:
 
     (out / "report").write_text(report.summary_text(), encoding="utf-8")
     manifest.append("report")
+
+    (out / "timings.json").write_text(json.dumps({"wall_time_s": report.wall_time}) + "\n", encoding="utf-8")
+    manifest.append("timings.json")
     return manifest
 
 

@@ -269,7 +269,7 @@ _FIELDS = {
         presets={"moving": "linear", "hover": "circular"},
     ),
     ("mission", "circle_center"): _Field(_POINT, "center_xy", owner="circle"),
-    ("optimizer", "max_outer"): _Field(_integer()),
+    ("optimizer", "max_outer"): _Field(_integer(1)),
     ("optimizer", "solver_tol"): _Field(_quantity("dimensionless")),
     ("optimizer", "seed"): _Field(_integer(0), owner="mission"),
     ("optimizer", "samples"): _Field(_integer(1), "mc_samples", owner="mission"),

@@ -19,7 +19,7 @@ import numpy as np
 from .channel import capacity_offset, log_bound_params
 from .convex import ConvexProgram, VariableSpace
 from .errors import DegenerateVelocityError
-from .jitter import pointing_weight_matrix, psd_factor
+from .jitter import pointing_weight_matrix, psd_factor, weighted_pointing_norm
 from .linearize import anchor_log_gamma
 from .mission import Iterate, Scenario, accel_slots
 
@@ -203,8 +203,7 @@ class Subproblem:
         c_jit = np.zeros((n, 8))
         c_jit[:, 0] = iterate.U
         c_jit[:, 1] = iterate.S
-        d_u = iterate.u_hat @ d_mat.T  # D u_hat per slot
-        w = np.sqrt(np.einsum("ki,ki->k", iterate.u_hat, d_u))
+        w, d_u = weighted_pointing_norm(iterate.u_hat, d_mat)
         tau = np.einsum("kil,ki->kl", iterate.u_jac, d_u)  # (n, 6)
         live = w > 1e-15
         tau[live] /= w[live, None]

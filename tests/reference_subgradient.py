@@ -6,10 +6,13 @@ Projected subgradient descent on box-constrained problems
 
 with the classic strongly-convex step 2 / (mu (t + 2)) and best-iterate
 tracking. Deliberately naive: shares no code with the production solver.
+``eigenbasis_program`` hands the same problems to the production solver.
 """
 from __future__ import annotations
 
 import numpy as np
+
+from fsotraj.convex import ConvexProgram, VariableSpace
 
 
 def projected_subgradient_batch(quad, lin, weights, norm_a, norm_b, lo, hi, mu, iters):
@@ -71,3 +74,24 @@ def random_box_programs(rng, count, n, n_norm_terms=2, mu=1.0):
     lo = np.full((count, n), -1.0)
     hi = np.full((count, n), 1.0)
     return quad, lin, weights, norm_a, norm_b, lo, hi
+
+
+def eigenbasis_program(quad, lin, lo, hi, weights=(), norm_a=(), norm_b=()):
+    """One box problem of `random_box_programs` as a ConvexProgram in the
+    eigenbasis of Q: with Q = V diag(e) V' and x = V y, the quadratic is
+    diag(e), the linear term V'c, each norm term |A V y + b|, and the box
+    lo <= V y <= hi two families of dense rows. Its optimum is the optimum in
+    x."""
+    eigs, basis = np.linalg.eigh(quad)
+    n = eigs.size
+    vs = VariableSpace()
+    vs.add("y", n)
+    prog = ConvexProgram(vs)
+    prog.objective.quad_diag[:] = eigs
+    prog.objective.lin[:] = basis.T @ lin
+    for w, a, b in zip(weights, norm_a, norm_b):
+        prog.add_objective_norm(np.array([w]), np.arange(n)[None, :], (a @ basis)[None], b[None])
+    rows = np.tile(np.arange(n), (n, 1))
+    prog.add_linear_ineq("box_hi", rows, basis, -hi)
+    prog.add_linear_ineq("box_lo", rows, -basis, lo)
+    return prog

@@ -13,7 +13,7 @@ import pytest
 
 from conftest import analysis_geometry
 from fsotraj.channel import expected_log_gamma, mc_log_gamma
-from fsotraj.convex import ConvexProgram, VariableSpace, solve
+from fsotraj.convex import solve
 from fsotraj.jitter import (
     JitterCovariance,
     hoyt_cdf,
@@ -34,7 +34,7 @@ from fsotraj.mission import (
 from fsotraj.numerics import ks_distance
 from fsotraj.optimizer import dinkelbach_solve, energy_efficiency, optimize
 from fsotraj.subproblem import Subproblem
-from reference_subgradient import projected_subgradient_batch, random_box_programs
+from reference_subgradient import eigenbasis_program, projected_subgradient_batch, random_box_programs
 from test_subproblem import moving_scenario, random_feasible_iterate
 
 MRAD2 = 1e-6
@@ -272,21 +272,7 @@ def test_solver_contract(rng):
     worst_obj = 0.0
     worst_kkt = 0.0
     for b in range(count):
-        vs = VariableSpace()
-        vs.add("x", n)
-        prog = ConvexProgram(vs)
-        prog.objective.lin[:] = lin[b]
-        prog.set_quadratic(quad[b])
-        for j in range(weights.shape[1]):
-            prog.add_objective_norm(
-                np.array([weights[b, j]]),
-                np.arange(n)[None, :],
-                norm_a[b, j][None, :, :],
-                norm_b[b, j][None, :],
-            )
-        cols = np.arange(n)[:, None]
-        prog.add_linear_ineq("box_hi", cols, np.ones((n, 1)), -hi[b])
-        prog.add_linear_ineq("box_lo", cols, -np.ones((n, 1)), lo[b])
+        prog = eigenbasis_program(quad[b], lin[b], lo[b], hi[b], weights[b], norm_a[b], norm_b[b])
         sol = solve(prog, tol=1e-9)
         assert sol.status == "optimal"
         for key in ("stationarity", "primal_feas", "dual_feas", "complementarity"):

@@ -61,5 +61,5 @@ def test_tracer_patches_and_restores_its_targets(tracer_module):
         assert solver.spla is not spla
         assert optimizer.solve is not solve
     assert ("fsotraj.subproblem.Subproblem", "__init__") in inside
-    assert ("fsotraj.convex.program._Family", "values") in inside
+    assert ("fsotraj.convex.program.Objective", "value") in inside
     assert changed(before, snapshot()) == set()

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -91,12 +92,15 @@ class TestOptimize:
         assert rc == 0
         manifest = {p.name for p in out.iterdir()}
         assert manifest >= {"scenario.echo", "trajectory.csv", "efficiency_trace.csv",
-                            "validation.csv", "report"}
+                            "validation.csv", "report", "timings.json"}
         header, data = read_csv(out / "trajectory.csv")
         assert header == TRAJECTORY_HEADER
         assert data.shape[0] == 10  # N rows
         report_text = (out / "report").read_text()
         assert "efficiency:" in report_text
+        # Wall-clock time goes to timings.json only, so the report is deterministic.
+        assert "wall_time" not in report_text
+        assert json.loads((out / "timings.json").read_text())["wall_time_s"] > 0.0
         # The trace records each outer iteration's solves and Newton steps.
         header, trace = read_csv(out / "efficiency_trace.csv")
         assert header == TRACE_HEADER
@@ -110,7 +114,7 @@ class TestOptimize:
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert main(["optimize", "--scenario", scenario, "--out", str(out_a), "--seed", "5"]) == 0
         assert main(["optimize", "--scenario", scenario, "--out", str(out_b), "--seed", "5"]) == 0
-        for name in ("trajectory.csv", "efficiency_trace.csv", "scenario.echo"):
+        for name in ("trajectory.csv", "efficiency_trace.csv", "scenario.echo", "report", "validation.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
     def test_validate_roundtrip_after_optimize(self, tmp_path):
@@ -163,6 +167,8 @@ class TestExitCodes:
         [
             ("[optimizer]\nmax_outer = ten\n", "optimizer.max_outer"),
             ("[optimizer]\nmax_outer = 2.5\n", "optimizer.max_outer"),
+            ("[optimizer]\nmax_outer = 0\n", "optimizer.max_outer"),
+            ("[optimizer]\nmax_outer = -1\n", "optimizer.max_outer"),
             ("[optimizer]\nseed = x\n", "optimizer.seed"),
             ("[optimizer]\nseed = -1\n", "optimizer.seed"),
             ("[optimizer]\nsamples = 0\n", "optimizer.samples"),

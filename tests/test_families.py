@@ -1,6 +1,7 @@
 """The fused family evaluation reproduces the separate formulas bit for bit.
 
-Each constraint family evaluates once per point: ``local(x)`` gives values,
+Each constraint family and objective norm term evaluates once per point:
+``local(x)`` gives values,
 local gradients and an ``aux`` tuple, and ``hess_at(aux, lam)`` the weighted
 local Hessians. The oracles below are the three separate formulas each family
 used to evaluate (u = A x + b recomputed in every one); the fused path must
@@ -16,6 +17,7 @@ from fsotraj.convex.program import (
     LinearEqFamily,
     LinearIneqFamily,
     LogEpigraphFamily,
+    NormTerm,
     SocFamily,
 )
 
@@ -85,6 +87,14 @@ def oracle_cubic(fam, x, lam):
     return vals, grad, hess
 
 
+def oracle_norm(fam, x, lam):
+    u = oracle_u(fam, x)
+    r = np.sqrt(np.einsum("mr,mr->m", u, u) + _NORM_EPS**2)
+    atu = np.einsum("mrl,mr->ml", fam.a_loc, u)
+    outer = np.einsum("ml,mk->mlk", atu, atu)
+    return r, atu / r[:, None], lam[:, None, None] * (fam.ata / r[:, None, None] - outer / (r**3)[:, None, None])
+
+
 def oracle_linear(fam, x, lam):
     vals = np.einsum("ml,ml->m", fam.coef, x[fam.cols])
     vals = vals - fam.rhs if isinstance(fam, LinearEqFamily) else vals + fam.offset
@@ -113,10 +123,13 @@ def families(rng, n):
         (CubicEpigraphFamily("cube", random_cols(rng, n), a, b, rng.uniform(0.1, 2.0, M), c, d, t_pos), oracle_cubic),
         (LinearIneqFamily("lin", random_cols(rng, n), c, d), oracle_linear),
         (LinearEqFamily("eq", random_cols(rng, n), c, d), oracle_linear),
+        (NormTerm("norm", random_cols(rng, n), d, a, b), oracle_norm),
     ]
 
 
-@pytest.mark.parametrize("index", range(7), ids=["soc", "soc_squared", "soc_const_rhs", "log", "cubic", "lin", "eq"])
+@pytest.mark.parametrize(
+    "index", range(8), ids=["soc", "soc_squared", "soc_const_rhs", "log", "cubic", "lin", "eq", "norm_term"]
+)
 def test_fused_evaluation_equals_separate_formulas(rng, index):
     n = 30
     fam, oracle = families(rng, n)[index]
@@ -132,10 +145,6 @@ def test_fused_evaluation_equals_separate_formulas(rng, index):
         assert np.array_equal(vals, ref_vals)
         assert np.array_equal(grad, ref_grad)
         assert np.array_equal(fam.hess_at(aux, lam), ref_hess)
-        # The old method names are views of the fused pair.
-        assert np.array_equal(fam.values(x), ref_vals)
-        assert np.array_equal(fam.grad_loc(x), ref_grad)
-        assert np.array_equal(fam.hess_loc(x, lam), ref_hess)
         if fam.kind == "log_epigraph":
             u = oracle_u(fam, x)
             inside_clamp.extend(np.einsum("mr,mr->m", u, u) <= fam.offset**2)

@@ -10,11 +10,12 @@ from scipy.linalg import lapack
 from fsotraj.convex import ConvexProgram, VariableSpace, check_feasible, solve
 from fsotraj.convex import program as program_mod
 from fsotraj.convex import solver as solver_mod
+from fsotraj.errors import SolverError
 from fsotraj.mission import Scenario, initialize_iterate
 from fsotraj.optimizer import optimize
 from fsotraj.scenario import load_scenario
 from fsotraj.subproblem import Subproblem
-from reference_subgradient import projected_subgradient_batch, random_box_programs
+from reference_subgradient import eigenbasis_program, projected_subgradient_batch, random_box_programs
 
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -159,19 +160,7 @@ class TestSolverContract:
             quad, lin, weights, norm_a, norm_b, lo, hi, mu=1.0, iters=200_000
         )
         for b in range(count):
-            vs = VariableSpace()
-            vs.add("x", n)
-            prog = ConvexProgram(vs)
-            prog.objective.lin[:] = lin[b]
-            prog.set_quadratic(quad[b])
-            for j in range(weights.shape[1]):
-                prog.add_objective_norm(
-                    np.array([weights[b, j]]),
-                    np.arange(n)[None, :],
-                    norm_a[b, j][None, :, :],
-                    norm_b[b, j][None, :],
-                )
-            add_box(prog, lo[b], hi[b])
+            prog = eigenbasis_program(quad[b], lin[b], lo[b], hi[b], weights[b], norm_a[b], norm_b[b])
             sol = solve(prog, tol=1e-9)
             assert sol.status == "optimal"
             assert sol.kkt["stationarity"] <= 1e-7
@@ -184,13 +173,7 @@ class TestSolverContract:
     def test_weak_duality(self, rng):
         quad, lin, weights, norm_a, norm_b, lo, hi = random_box_programs(rng, 5, 8)
         for b in range(5):
-            vs = VariableSpace()
-            vs.add("x", 8)
-            prog = ConvexProgram(vs)
-            prog.objective.lin[:] = lin[b]
-            prog.set_quadratic(quad[b])
-            add_box(prog, lo[b], hi[b])
-            sol = solve(prog, tol=1e-9)
+            sol = solve(eigenbasis_program(quad[b], lin[b], lo[b], hi[b]), tol=1e-9)
             assert sol.status == "optimal"
             assert sol.objective >= sol.dual_bound - 1e-9
 
@@ -346,37 +329,32 @@ class TestLayoutCache:
 class TestEvaluationsPerPoint:
     def test_one_local_call_per_family_per_point(self, monkeypatch):
         # Every visited point (the start point and each line-search trial)
-        # evaluates each family once; the Newton loop builds its Hessians
-        # from the accepted point's aux and calls no separate method.
+        # evaluates each family and each objective norm term once; the
+        # Newton loop builds their Hessians from the accepted point's aux.
         sub = moving_subproblem()
         program = sub.program
         fams = [*program.families, *program.eq_families]
+        terms = program.objective.norms
+        assert len(terms) == 1
         linear = [isinstance(fam, program_mod.LinearIneqFamily) for fam in program.families]
         assert any(linear) and not all(linear)
         log = []  # (family index, x) per local call
-        hess_calls = [0] * len(program.families)
-        for k, fam in enumerate(fams):
+        term_log = []  # (term index, x) per local call
+        hess_calls = [0] * len(fams)
+        term_hess_calls = [0] * len(terms)
+        for blocks, calls, local_log in ((fams, hess_calls, log), (terms, term_hess_calls, term_log)):
+            for k, block in enumerate(blocks):
 
-            def local(x, k=k, inner=fam.local):
-                log.append((k, x))
-                return inner(x)
+                def local(x, k=k, inner=block.local, local_log=local_log):
+                    local_log.append((k, x))
+                    return inner(x)
 
-            monkeypatch.setattr(fam, "local", local)
-        for k, fam in enumerate(program.families):
+                def hess_at(aux, lam, k=k, inner=block.hess_at, calls=calls):
+                    calls[k] += 1
+                    return inner(aux, lam)
 
-            def hess_at(aux, lam, k=k, inner=fam.hess_at):
-                hess_calls[k] += 1
-                return inner(aux, lam)
-
-            monkeypatch.setattr(fam, "hess_at", hess_at)
-        separate = []
-        for name in ("values", "grad_loc", "hess_loc"):
-
-            def spy(self, *args, name=name, method=getattr(program_mod._Family, name)):
-                separate.append(name)
-                return method(self, *args)
-
-            monkeypatch.setattr(program_mod._Family, name, spy)
+                monkeypatch.setattr(block, "local", local)
+                monkeypatch.setattr(block, "hess_at", hess_at)
         points = []
         point = solver_mod._Work.point
 
@@ -389,7 +367,6 @@ class TestEvaluationsPerPoint:
         x0 = sub.anchor_x()
         sol = solve(program, tol=1e-8, x0=x0)
         assert sol.status == "optimal"
-        assert separate == []
 
         nf = len(fams)
         # _Work.__init__ evaluates every family once at x0 for the row
@@ -399,12 +376,20 @@ class TestEvaluationsPerPoint:
         assert all([k for k, _ in chunk] == list(range(nf)) for chunk in chunks)
         assert all(np.array_equal(x, x0) for _, x in chunks[0])
         assert all(x is chunk[0][1] for chunk in chunks[1:] for _, x in chunk)
+        # The norm term is evaluated at x0 for the objective scale, at each
+        # point with the families' x, and once more for the returned
+        # objective.
+        assert [k for k, _ in term_log] == [0] * (2 + len(points))
+        assert np.array_equal(term_log[0][1], x0)
+        assert all(x is chunk[0][1] for (_, x), chunk in zip(term_log[1:-1], chunks[1:]))
+        assert np.array_equal(term_log[-1][1], sol.x)
 
         # The last iteration only tests convergence; every other one is a
         # Newton step with at least one line-search trial.
         steps = sol.iterations - 1
         assert len(points) >= 1 + steps
-        assert hess_calls == [0 if lin else steps for lin in linear]
+        assert hess_calls == [0 if lin else steps for lin in linear] + [0] * len(program.eq_families)
+        assert term_hess_calls == [steps]
 
         # A linear family's scaled gradient is built once per solve.
         works = {id(work) for work, _ in points}
@@ -473,7 +458,7 @@ class TestWarmStart:
         tol = 1e-8
         sol = solve(sub.program, tol=tol, x0=sub.anchor_x())
         assert sol.status == "optimal"
-        g = np.concatenate([fam.values(sol.x) for fam in sub.program.families])
+        g = np.concatenate([fam.local(sol.x)[0] for fam in sub.program.families])
         assert sol.lam.shape == g.shape
         assert np.all(sol.lam >= 0.0)
         assert np.max(np.abs(sol.lam * g)) <= tol
@@ -510,6 +495,25 @@ class TestBandFactorStatus:
         with pytest.raises(ValueError, match="argument 2"):
             solve(prog, tol=1e-9)
         assert len(calls) == 1
+
+
+class TestRejectedLineSearch:
+    def test_near_optimal_start_is_not_labelled_optimal(self, monkeypatch):
+        # minimize x^2 - 2x from x0 = 1 + 2.5 tol: the gradient 5 tol is
+        # within 10 tol of stationarity but not within tol, and no trial
+        # passes the line search, so the solve has not met its criterion.
+        vs = VariableSpace()
+        vs.add("x", ())
+        prog = ConvexProgram(vs)
+        prog.objective.quad_diag[:] = 2.0
+        prog.objective.lin[:] = -2.0
+        tol = 1e-8
+        monkeypatch.setattr(solver_mod, "_ARMIJO", 1e12)
+        sol = solve(prog, tol=tol, x0=np.array([1.0 + 2.5 * tol]))
+        assert tol < sol.kkt["stationarity"] <= 10 * tol
+        assert sol.status == "max_iter"
+        with pytest.raises(SolverError, match="max_iter"):
+            solver_mod.require_optimal(sol)
 
 
 class TestCheckFeasible:
@@ -551,7 +555,7 @@ class TestConvexityOfEpigraphFamilies:
             v2 = 0.5 * math.log(p2 @ p2 + 25.0) + rng.uniform(0.0, 1.0)
             lam = rng.uniform()
             mid = lam * np.array([*p1, v1]) + (1 - lam) * np.array([*p2, v2])
-            assert fam.values(mid)[0] <= 1e-12
+            assert fam.local(mid)[0][0] <= 1e-12
 
     def test_cubic_epigraph_midpoints(self, rng):
         vs = VariableSpace()
@@ -571,7 +575,7 @@ class TestConvexityOfEpigraphFamilies:
             t2 = 1.5 * np.linalg.norm(p2) ** 3 + rng.uniform(0.0, 2.0)
             lam = rng.uniform()
             mid = lam * np.array([*p1, t1]) + (1 - lam) * np.array([*p2, t2])
-            assert fam.values(mid)[0] <= 1e-9
+            assert fam.local(mid)[0][0] <= 1e-9
 
 
 def test_family_census():
