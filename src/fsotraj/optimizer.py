@@ -46,6 +46,12 @@ FEASIBILITY_TOL = 1e-6
 # also counts as convergence.
 TOL_EFFICIENCY_REL = 1e-7
 PLATEAU_WINDOW = 5
+# Forcing schedule of the solve tolerance (inexact Newton, Dembo, Eisenstat &
+# Steihaug 1982): from the third restriction on, a solve runs at
+# FORCING_FACTOR times the relative efficiency change of the last two
+# iterations, capped at FORCING_TOL_CAP and never below ``solver_tol``.
+FORCING_FACTOR = 0.01
+FORCING_TOL_CAP = 1e-5
 
 
 @dataclass
@@ -70,6 +76,7 @@ class IterationRecord:
     step_norm: float
     max_violation: float
     newton_iters: int
+    solver_tol: float  # the tolerance this iteration's solve ran at
 
     @property
     def solves(self) -> int:
@@ -109,6 +116,7 @@ def dinkelbach_solve(
     config: OptimizerConfig | None = None,
     subproblem: Subproblem | None = None,
     multipliers: np.ndarray | None = None,
+    tol: float | None = None,
 ) -> DinkelbachResult:
     """One Dinkelbach step on the restriction: minimize F = -C + lam P at the
     anchor's surrogate efficiency lam = C_anchor / P_anchor.
@@ -123,11 +131,13 @@ def dinkelbach_solve(
     The solve is warm-started from the anchor, and its duals from
     ``multipliers`` (physical inequality multipliers, such as the previous
     restriction's ``DinkelbachResult.multipliers``); without them the duals
-    start cold. It must end ``optimal`` with F at most its reported gap
+    start cold. The solve runs at ``tol`` (default ``config.solver_tol``). It
+    must end ``optimal`` at that tolerance with F at most its reported gap
     (objective minus dual bound); otherwise SolverError names the status or
     F, the trade-off weight and the KKT residuals.
     """
     config = config or OptimizerConfig()
+    tol = config.solver_tol if tol is None else tol
     sub = subproblem or Subproblem(iterate, scenario)
     anchor_x = sub.anchor_x()
 
@@ -139,7 +149,7 @@ def dinkelbach_solve(
     lam = c_anchor / p_anchor
     sub.set_tradeoff(lam)
     sol = solve(
-        sub.program, tol=config.solver_tol, max_iter=config.solver_max_iter, x0=anchor_x, lam0=multipliers
+        sub.program, tol=tol, max_iter=config.solver_max_iter, x0=anchor_x, lam0=multipliers
     )
     context = f"at trade-off {lam:.6g}"
     require_optimal(sol, context)
@@ -162,6 +172,21 @@ def dinkelbach_solve(
     )
 
 
+def solve_tolerance(history: list[IterationRecord], solver_tol: float) -> float:
+    """The tolerance of the next restriction's solve, given the records so far.
+
+    ``solver_tol`` until two records exist: no outer gain has been measured,
+    and the cold first solve sets the basin. Then
+    max(solver_tol, min(FORCING_TOL_CAP, FORCING_FACTOR * g)), where g is the
+    relative change of the last two recorded efficiencies.
+    """
+    if len(history) < 2:
+        return solver_tol
+    last, prev = history[-1].efficiency, history[-2].efficiency
+    gain = abs(last - prev) / abs(last)
+    return max(solver_tol, min(FORCING_TOL_CAP, FORCING_FACTOR * gain))
+
+
 def optimize(
     scenario: Scenario, config: OptimizerConfig | None = None, callback=None
 ) -> OptimizeResult:
@@ -170,6 +195,12 @@ def optimize(
     Every restriction of one scenario has the same constraint rows, so each
     solve warm-starts its duals from the multipliers that the previous solve
     ended with; the first solve starts cold.
+
+    Each restriction is solved only as exactly as the outer progress needs
+    (`solve_tolerance`): the first two at ``config.solver_tol``, later ones
+    at a tolerance forced by the last recorded efficiency change. Near a
+    plateau that change is far below ``solver_tol`` / FORCING_FACTOR, so the
+    solves that meet the plateau rule run at the full ``solver_tol``.
     """
     config = config or OptimizerConfig()
     t0 = time.perf_counter()
@@ -180,7 +211,8 @@ def optimize(
 
     for p in range(1, config.max_outer + 1):
         sub = Subproblem(current, scenario)
-        result = dinkelbach_solve(current, scenario, config, subproblem=sub, multipliers=multipliers)
+        tol = solve_tolerance(history, config.solver_tol)
+        result = dinkelbach_solve(current, scenario, config, subproblem=sub, multipliers=multipliers, tol=tol)
         multipliers = result.multipliers
         nxt = result.iterate
 
@@ -197,6 +229,7 @@ def optimize(
             step_norm=step,
             max_violation=worst,
             newton_iters=result.newton_iters,
+            solver_tol=tol,
         )
         history.append(record)
         if callback is not None:

@@ -74,6 +74,7 @@ TRACE_HEADER = [
     "max_violation",
     "solves",
     "newton_iters",
+    "solver_tol",
 ]
 VALIDATION_HEADER = ["check", "reference", "estimate", "abs_error", "rel_error", "passed"]
 
@@ -193,6 +194,7 @@ def write_outputs(report: RunReport, out_dir) -> list[str]:
                 r.max_violation,
                 r.solves,
                 r.newton_iters,
+                r.solver_tol,
             )
             for r in report.history
         ),

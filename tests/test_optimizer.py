@@ -204,10 +204,28 @@ class TestWarmStartChain:
 
 
 @pytest.fixture(scope="module")
-def bundled_moving():
-    """The bundled moving scenario, its optimizer settings and one optimize run."""
+def bundled_moving_solves():
+    """The bundled moving scenario, its optimizer settings, one optimize run,
+    and the (tol, status) of every solve that run made."""
     settings = load_scenario(str(SCENARIOS / "moving.ini"))
-    return settings.scenario, settings.optimizer, optimize(settings.scenario, settings.optimizer)
+    calls = []
+    inner = optimizer_mod.solve
+
+    def spy(*args, tol, **kwargs):
+        sol = inner(*args, tol=tol, **kwargs)
+        calls.append((tol, sol.status))
+        return sol
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimizer_mod, "solve", spy)
+        res = optimize(settings.scenario, settings.optimizer)
+    return settings.scenario, settings.optimizer, res, calls
+
+
+@pytest.fixture(scope="module")
+def bundled_moving(bundled_moving_solves):
+    """The bundled moving scenario, its optimizer settings and one optimize run."""
+    return bundled_moving_solves[:3]
 
 
 class TestOptimize:
@@ -245,9 +263,9 @@ class TestOptimize:
         sc, _, res = bundled_moving
         assert len(res.history) == 36
         assert sum(r.solves for r in res.history) == 36
-        assert sum(r.newton_iters for r in res.history) == 596
+        assert sum(r.newton_iters for r in res.history) == 565
         assert res.stop_reason == "plateau"
-        assert energy_efficiency(res.plan, sc).efficiency == pytest.approx(3.717682719944068e-4, rel=1e-12, abs=0.0)
+        assert energy_efficiency(res.plan, sc).efficiency == pytest.approx(3.717682720059561e-4, rel=1e-12, abs=0.0)
 
     def test_each_step_certifies_the_next_weight(self, bundled_moving):
         # lam_p <= C_p / P_p: the feasible anchor gives F <= 0 at its own
@@ -282,6 +300,40 @@ class TestOptimize:
         plan_pitch = optimize(pitch, cfg).plan
         plan_sym = optimize(sym, cfg).plan
         assert np.max(np.abs(plan_pitch.positions - plan_sym.positions)) > 10.0
+
+
+class TestForcingSchedule:
+    """The solve tolerance of each restriction on the bundled moving run."""
+
+    def test_first_two_solves_at_solver_tol(self, bundled_moving):
+        _, cfg, res = bundled_moving
+        assert [r.solver_tol for r in res.history[:2]] == [cfg.solver_tol] * 2
+
+    def test_tolerance_follows_the_last_recorded_gain(self, bundled_moving):
+        # From the third restriction on: max(solver_tol, min(1e-5, 0.01 g)),
+        # g the relative change of the two efficiencies recorded before it.
+        _, cfg, res = bundled_moving
+        tols = [r.solver_tol for r in res.history]
+        assert all(cfg.solver_tol <= tol <= 1e-5 for tol in tols)
+        effs = [r.efficiency for r in res.history]
+        for p in range(2, len(effs)):
+            gain = abs(effs[p - 1] - effs[p - 2]) / abs(effs[p - 1])
+            assert tols[p] == max(cfg.solver_tol, min(1e-5, 0.01 * gain)), p
+        assert max(tols) > cfg.solver_tol  # the run does loosen some solves
+
+    def test_plateau_stop_rests_on_full_tolerance_solves(self, bundled_moving):
+        # Gains inside the plateau window are below 1e-7, so their forcing
+        # terms are below solver_tol. The rule guarantees this for the last
+        # PLATEAU_WINDOW - 1 solves; on this run the last 18 of 36 ran at it.
+        _, cfg, res = bundled_moving
+        assert res.stop_reason == "plateau"
+        window = res.history[-optimizer_mod.PLATEAU_WINDOW :]
+        assert [r.solver_tol for r in window] == [cfg.solver_tol] * len(window)
+
+    def test_every_solve_runs_at_its_recorded_tolerance(self, bundled_moving_solves):
+        _, _, res, calls = bundled_moving_solves
+        assert [tol for tol, _ in calls] == [r.solver_tol for r in res.history]
+        assert all(status == "optimal" for _, status in calls)
 
 
 class TestEnergyEfficiency:
