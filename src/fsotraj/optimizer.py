@@ -46,10 +46,8 @@ FEASIBILITY_TOL = 1e-6
 # also counts as convergence.
 TOL_EFFICIENCY_REL = 1e-7
 PLATEAU_WINDOW = 5
-# Forcing schedule of the solve tolerance (inexact Newton, Dembo, Eisenstat &
-# Steihaug 1982): from the third restriction on, a solve runs at
-# FORCING_FACTOR times the relative efficiency change of the last two
-# iterations, capped at FORCING_TOL_CAP and never below ``solver_tol``.
+# Forcing schedule of each solve's tolerance (`solve_tolerance`), as in
+# inexact Newton methods (Dembo, Eisenstat & Steihaug 1982).
 FORCING_FACTOR = 0.01
 FORCING_TOL_CAP = 1e-5
 
