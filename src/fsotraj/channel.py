@@ -4,8 +4,8 @@ log-normal scintillation, and the link's instantaneous / ergodic capacity.
 The electrical SNR argument is Gamma = e P^2 / (2 pi sigma^2) with received
 power P = h_a h_l h_p R P_T; capacity is 0.5 log2(1 + Gamma) per channel use.
 
-The ergodic capacity of a slot is one Gauss-Hermite sum over a grid built
-once per node count and cached read-only, less the nodes whose weight is
+The ergodic capacity of a slot is one Gauss-Hermite sum over one fixed grid,
+built on first use and cached read-only, less the nodes whose weight is
 negligible where the integrand falls. `quadrature_capacities` takes every
 slot of a plan in one call, in fixed chunks of slots through one buffer;
 `quadrature_ergodic_capacity` is its one-slot call. The integrand
@@ -65,6 +65,8 @@ _REFERENCE_WAVELENGTH = 550e-9  # meters, anchor of the visibility scattering la
 _EXP_SAFE = 709.0  # largest log-SNR whose exp stays finite with room to spare
 _WEIGHT_FLOOR = 1e-18  # share of the unit weight at or below which a falling quadrature node is dropped
 _QUADRATURE_CHUNK = 8  # slots per chunk of quadrature_capacities
+_NODES_SCINT = 48  # Gauss-Hermite nodes of the quadrature's scintillation rule
+_NODES_JITTER = 32  # Gauss-Hermite nodes of each jitter axis's rule; even, so no node is zero
 _HALF_LOG2E = 0.5 / math.log(2.0)  # 0.5 log2(x) = _HALF_LOG2E log(x)
 _CHUNK_SAMPLES = 16_000  # Monte Carlo samples per chunk of slots in mc_capacities
 
@@ -198,15 +200,6 @@ def instantaneous_capacity(h_a, h_l, h_p, link: LinkParams):
     return float(out) if np.ndim(out) == 0 else out
 
 
-class LogGammaTerms(NamedTuple):
-    """Additive decomposition of E[log Gamma] (natural log)."""
-
-    base: float  # log(e R^2 P_T^2 / (2 pi sigma^2))
-    scintillation: float  # 2 E[log h_a] = -4 sigma_i^2
-    atmospheric: float  # 2 log h_l = -2 sigma_b z
-    pointing: float  # 2 E[log h_p]
-
-
 def _log_snr_base(link: LinkParams) -> float:
     """log(e R^2 P_T^2 / (2 pi sigma^2)), summed in logs.
 
@@ -224,22 +217,6 @@ def capacity_offset(link: LinkParams) -> float:
     log(e R^2 P_T^2 a^4 / (8 pi sigma^2 sigma_div^2)) - 4 sigma_i^2.
     """
     return _log_snr_base(link) + 2.0 * math.log(link.aperture**2 / (2.0 * link.sigma_div)) - 4.0 * link.sigma_i**2
-
-
-def log_gamma_terms(link: LinkParams, z: float, hoyt: HoytParams) -> LogGammaTerms:
-    """The four independent additive components of E[log Gamma]."""
-    base = _log_snr_base(link)
-    pointing = (
-        2.0 * math.log(link.aperture**2 / (2.0 * link.sigma_div))
-        - 2.0 * math.log(z)
-        - hoyt.omega / link.sigma_div**2
-    )
-    return LogGammaTerms(
-        base=base,
-        scintillation=-4.0 * link.sigma_i**2,
-        atmospheric=-2.0 * link.sigma_b * z,
-        pointing=pointing,
-    )
 
 
 def expected_log_gamma(link: LinkParams, z: float, hoyt: HoytParams) -> float:
@@ -537,22 +514,16 @@ def _log1p_exp(t: np.ndarray, f: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, t, out=f, where=big[:, None])
 
 
-def quadrature_ergodic_capacity(
-    link: LinkParams,
-    z: float,
-    hoyt: HoytParams,
-    nodes_scint: int = 48,
-    nodes_jitter: int = 32,
-) -> float:
+def quadrature_ergodic_capacity(link: LinkParams, z: float, hoyt: HoytParams) -> float:
     """Deterministic evaluation of the true ergodic capacity by Gauss-Hermite quadrature.
 
     The one-slot call of `quadrature_capacities`, bit-identical to the slot's
     value in a plan.
     """
-    return float(quadrature_capacities(link, [z], [[hoyt.lam1, hoyt.lam2]], nodes_scint, nodes_jitter)[0])
+    return float(quadrature_capacities(link, [z], [[hoyt.lam1, hoyt.lam2]])[0])
 
 
-def quadrature_capacities(link: LinkParams, z, lam, nodes_scint: int = 48, nodes_jitter: int = 32) -> np.ndarray:
+def quadrature_capacities(link: LinkParams, z, lam) -> np.ndarray:
     """Ergodic capacity of every slot of a plan by Gauss-Hermite quadrature, bits/channel use, shape (N,).
 
     ``z`` holds the N propagation distances and ``lam`` the (N, 2) Hoyt
@@ -562,8 +533,8 @@ def quadrature_capacities(link: LinkParams, z, lam, nodes_scint: int = 48, nodes
     Hermite rule. The jitter axes enter only through x^2, so each axis uses
     the rule folded onto its nonnegative nodes. The grid drops the nodes
     whose weight is at most _WEIGHT_FLOOR where the integrand falls
-    (`_pruned_rules`): 42 of 48 rows and 171 of 256 pairs at the default
-    counts, 7,182 of 12,288 nodes, dropping under 1e-17 of the weight.
+    (`_grid`): it keeps 42 of 48 rows and 171 of 256 pairs, 7,182 of 12,288
+    nodes, dropping under 1e-17 of the weight.
 
     exp(t) factors over the three rules into exp(const + 2 log h_a) times
     exp(-lam1 x_i^2 / sigma_div^2) times exp(-lam2 x_j^2 / sigma_div^2), so a
@@ -580,7 +551,7 @@ def quadrature_capacities(link: LinkParams, z, lam, nodes_scint: int = 48, nodes
     lam = np.asarray(lam, dtype=float)
     if z.ndim != 1 or lam.shape != (len(z), 2):
         raise ValueError(f"got {z.size} distances and {lam.size // 2} eigenvalue pairs; need one of each per slot")
-    x_s, w_s, x_sq, pair_i, pair_j, w_pair = _pruned_rules(nodes_scint, nodes_jitter)
+    x_s, w_s, x_sq, pair_i, pair_j, w_pair = _grid()
     base = _log_snr_base(link)
     const = np.array(
         [
@@ -607,9 +578,15 @@ def quadrature_capacities(link: LinkParams, z, lam, nodes_scint: int = 48, nodes
     return capacity * _HALF_LOG2E
 
 
-@functools.lru_cache(maxsize=None)
-def _pruned_rules(nodes_scint: int, nodes_jitter: int) -> tuple[np.ndarray, ...]:
-    """The quadrature grid without its negligible nodes, built once per pair of counts.
+@functools.cache
+def _grid() -> tuple[np.ndarray, ...]:
+    """The quadrature grid without its negligible nodes, built on first use and cached read-only.
+
+    The scintillation axis takes the _NODES_SCINT-node Hermite rule for the
+    standard normal density. The jitter axes enter only through x^2, so each
+    takes the _NODES_JITTER-node rule folded onto its nonnegative nodes: the
+    nodes come in +-x pairs of equal weight (the count is even, so no node is
+    zero), and each pair folds into one node carrying twice the weight.
 
     The integrand falls as either jitter node moves out and as the
     scintillation node moves below zero, so a node there contributes at most
@@ -621,45 +598,19 @@ def _pruned_rules(nodes_scint: int, nodes_jitter: int) -> tuple[np.ndarray, ...]
 
     Returns the kept scintillation nodes and weights, the folded jitter rule's
     x^2, and the kept jitter pairs as two index arrays into it with their
-    product weights, in row-major order of the full pair grid. The cached
-    arrays are read-only.
+    product weights, in row-major order of the full pair grid.
     """
-    x_s, w_s = _hermite_rule(nodes_scint)
-    x_sq, w_j = _folded_hermite_rule(nodes_jitter)
+    x_s, w_s = np.polynomial.hermite_e.hermegauss(_NODES_SCINT)
+    w_s = w_s / math.sqrt(2.0 * math.pi)
+    x_j, w_j = np.polynomial.hermite_e.hermegauss(_NODES_JITTER)
+    w_j = w_j / math.sqrt(2.0 * math.pi)
+    half = _NODES_JITTER // 2
+    x_sq = np.square(x_j[half:])
+    w_fold = 2.0 * w_j[half:]
     keep = (w_s > _WEIGHT_FLOOR) | (x_s > 0.0)
-    w_pairs = np.multiply.outer(w_j, w_j)
+    w_pairs = np.multiply.outer(w_fold, w_fold)
     pair_i, pair_j = np.nonzero(w_pairs > _WEIGHT_FLOOR)
-    rules = (x_s[keep], w_s[keep], x_sq, pair_i, pair_j, w_pairs[pair_i, pair_j])
-    for arr in rules:
+    grid = (x_s[keep], w_s[keep], x_sq, pair_i, pair_j, w_pairs[pair_i, pair_j])
+    for arr in grid:
         arr.flags.writeable = False
-    return rules
-
-
-@functools.lru_cache(maxsize=None)
-def _hermite_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Hermite nodes and weights for the standard normal density, built once per count.
-
-    The cached arrays are read-only.
-    """
-    x, w = np.polynomial.hermite_e.hermegauss(nodes)
-    w = w / math.sqrt(2.0 * math.pi)
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w
-
-
-@functools.lru_cache(maxsize=None)
-def _folded_hermite_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """The Hermite rule for an even integrand, as (x^2, weight) on the nonnegative nodes.
-
-    The nodes come in +-x pairs of equal weight, so each pair folds into one
-    node carrying twice the weight; a zero node (odd counts) keeps its own.
-    """
-    x, w = _hermite_rule(nodes)
-    half = nodes // 2
-    x_sq = np.square(x[half:])
-    w_fold = w[half:].copy()
-    w_fold[nodes % 2 :] *= 2.0
-    x_sq.flags.writeable = False
-    w_fold.flags.writeable = False
-    return x_sq, w_fold
+    return grid

@@ -37,6 +37,8 @@ from .numerics import i0e
 # Below this axis ratio the Hoyt density is evaluated in its folded-normal
 # limit to dodge overflow in the Bessel argument.
 _Q_DEGENERATE = 1e-4
+# Points of the uniform grid on which hoyt_cdf integrates the density.
+_CDF_GRID_POINTS = 40001
 
 
 @dataclass(frozen=True)
@@ -207,11 +209,6 @@ def hoyt_params(cov: JitterCovariance, u_hat: np.ndarray) -> HoytParams:
     return HoytParams(lam1=float(lam1), lam2=float(lam2))
 
 
-def expected_square_error(params: HoytParams) -> float:
-    """Mean-square pointing-error angle, rad^2."""
-    return params.omega
-
-
 def pointing_weight_matrix(cov: JitterCovariance) -> np.ndarray:
     """Weights D = Tr(Sigma) I - Sigma, so u^T D u / |u|^2 = Tr(Sigma A_u) = E[theta_p^2].
 
@@ -263,11 +260,11 @@ def hoyt_pdf(theta, params: HoytParams):
     return float(out) if np.ndim(theta) == 0 else out
 
 
-def hoyt_cdf(theta, params: HoytParams, grid_points: int = 40001):
-    """CDF of the pointing-error angle by dense trapezoidal quadrature of the pdf."""
+def hoyt_cdf(theta, params: HoytParams):
+    """CDF of the pointing-error angle by trapezoidal quadrature of the pdf on _CDF_GRID_POINTS points."""
     th = np.asarray(theta, dtype=float)
     upper = max(float(np.max(th)) if th.size else 0.0, 10.0 * math.sqrt(params.omega))
-    grid = np.linspace(0.0, upper * 1.000001, grid_points)
+    grid = np.linspace(0.0, upper * 1.000001, _CDF_GRID_POINTS)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateHoytWarning)
         pdf = hoyt_pdf(grid, params)
@@ -284,10 +281,6 @@ def psd_factor(mat: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError:
         evals, vecs = np.linalg.eigh(mat)
         return (vecs * np.sqrt(np.maximum(evals, 0.0))) @ vecs.T
-
-
-def _covariance_factor(cov: JitterCovariance) -> np.ndarray:
-    return psd_factor(cov.matrix)
 
 
 def sample_error_angles(
@@ -318,7 +311,7 @@ def sample_error_angles(
         raise DegenerateGeometryError("pointing vector has zero norm")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     d = rng.standard_normal((n, 3))
-    factor = _covariance_factor(cov)
+    factor = psd_factor(cov.matrix)
 
     if mode == "small_angle":
         y = d @ _error_plane_factor(factor, u[None, :] / math.sqrt(z_sq))[0]

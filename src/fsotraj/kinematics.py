@@ -76,10 +76,6 @@ class TrajectoryPlan:
     def n_slots(self) -> int:
         return self.positions.shape[0]
 
-    def virtual_end(self) -> Vec3:
-        """The implied position one slot past the end, 2 s[N] - s[N-1]."""
-        return 2.0 * self.positions[-1] - self.positions[-2]
-
 
 def differentiate_trajectory(plan: TrajectoryPlan) -> tuple[np.ndarray, np.ndarray]:
     """Forward-difference velocities (N, 3) and accelerations (N-1, 3).
@@ -94,14 +90,6 @@ def differentiate_trajectory(plan: TrajectoryPlan) -> tuple[np.ndarray, np.ndarr
     vel[-1] = vel[-2]
     acc = (vel[1:] - vel[:-1]) / plan.delta
     return vel, acc
-
-
-def reintegrate(plan: TrajectoryPlan, velocities: np.ndarray) -> np.ndarray:
-    """Cumulative re-integration s[k+1] = s[k] + delta v[k]; inverse of differentiation."""
-    out = np.empty_like(plan.positions)
-    out[0] = plan.positions[0]
-    out[1:] = plan.positions[0] + plan.delta * np.cumsum(velocities[:-1], axis=0)
-    return out
 
 
 def yaw_from_velocity(v: Vec3) -> float:

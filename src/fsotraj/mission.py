@@ -81,7 +81,6 @@ class OptimizerConfig:
 
     max_outer: int = 50
     solver_tol: float = 1e-8
-    solver_max_iter: int = 100
 
 
 @dataclass

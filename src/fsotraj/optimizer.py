@@ -50,6 +50,8 @@ PLATEAU_WINDOW = 5
 # inexact Newton methods (Dembo, Eisenstat & Steihaug 1982).
 FORCING_FACTOR = 0.01
 FORCING_TOL_CAP = 1e-5
+# Newton steps a restriction's solve may take before it fails.
+SOLVER_MAX_ITER = 100
 
 
 @dataclass
@@ -78,7 +80,7 @@ class IterationRecord:
 
     @property
     def solves(self) -> int:
-        """One solve per outer iteration; kept for the trace's ``solves`` column."""
+        """One solve per outer iteration."""
         return 1
 
 
@@ -109,15 +111,10 @@ class EfficiencyReport:
 
 
 def dinkelbach_solve(
-    iterate: Iterate,
-    scenario: Scenario,
-    config: OptimizerConfig | None = None,
-    subproblem: Subproblem | None = None,
-    multipliers: np.ndarray | None = None,
-    tol: float | None = None,
+    sub: Subproblem, tol: float = OptimizerConfig.solver_tol, multipliers: np.ndarray | None = None
 ) -> DinkelbachResult:
-    """One Dinkelbach step on the restriction: minimize F = -C + lam P at the
-    anchor's surrogate efficiency lam = C_anchor / P_anchor.
+    """One Dinkelbach step on the restriction ``sub``: minimize F = -C + lam P
+    at its anchor's surrogate efficiency lam = C_anchor / P_anchor.
 
     The anchor is feasible for its own restriction, so F(lam) <= 0 and the
     solution's C / P is at least lam (Dinkelbach 1967). Re-tightening the
@@ -129,14 +126,11 @@ def dinkelbach_solve(
     The solve is warm-started from the anchor, and its duals from
     ``multipliers`` (physical inequality multipliers, such as the previous
     restriction's ``DinkelbachResult.multipliers``); without them the duals
-    start cold. The solve runs at ``tol`` (default ``config.solver_tol``). It
-    must end ``optimal`` at that tolerance with F at most its reported gap
-    (objective minus dual bound); otherwise SolverError names the status or
-    F, the trade-off weight and the KKT residuals.
+    start cold. The solve runs at ``tol`` for at most SOLVER_MAX_ITER Newton
+    steps. It must end ``optimal`` at that tolerance with F at most its
+    reported gap (objective minus dual bound); otherwise SolverError names the
+    status or F, the trade-off weight and the KKT residuals.
     """
-    config = config or OptimizerConfig()
-    tol = config.solver_tol if tol is None else tol
-    sub = subproblem or Subproblem(iterate, scenario)
     anchor_x = sub.anchor_x()
 
     c_anchor, p_anchor = sub.surrogate_totals(sub.space.unpack(anchor_x))
@@ -146,9 +140,7 @@ def dinkelbach_solve(
         )
     lam = c_anchor / p_anchor
     sub.set_tradeoff(lam)
-    sol = solve(
-        sub.program, tol=tol, max_iter=config.solver_max_iter, x0=anchor_x, lam0=multipliers
-    )
+    sol = solve(sub.program, tol=tol, max_iter=SOLVER_MAX_ITER, x0=anchor_x, lam0=multipliers)
     context = f"at trade-off {lam:.6g}"
     require_optimal(sol, context)
     gap = sol.objective - sol.dual_bound
@@ -185,9 +177,7 @@ def solve_tolerance(history: list[IterationRecord], solver_tol: float) -> float:
     return max(solver_tol, min(FORCING_TOL_CAP, FORCING_FACTOR * gain))
 
 
-def optimize(
-    scenario: Scenario, config: OptimizerConfig | None = None, callback=None
-) -> OptimizeResult:
+def optimize(scenario: Scenario, config: OptimizerConfig | None = None) -> OptimizeResult:
     """Run the full restriction loop from the scenario's initial trajectory.
 
     Every restriction of one scenario has the same constraint rows, so each
@@ -208,9 +198,8 @@ def optimize(
     multipliers = None
 
     for p in range(1, config.max_outer + 1):
-        sub = Subproblem(current, scenario)
         tol = solve_tolerance(history, config.solver_tol)
-        result = dinkelbach_solve(current, scenario, config, subproblem=sub, multipliers=multipliers, tol=tol)
+        result = dinkelbach_solve(Subproblem(current, scenario), tol, multipliers)
         multipliers = result.multipliers
         nxt = result.iterate
 
@@ -230,8 +219,6 @@ def optimize(
             solver_tol=tol,
         )
         history.append(record)
-        if callback is not None:
-            callback(record)
         if worst > 100.0 * FEASIBILITY_TOL:
             warnings.warn(
                 f"iterate {p} violates {family} by {worst:.3g}{slot_suffix(slot)}",

@@ -72,7 +72,6 @@ TRACE_HEADER = [
     "efficiency",
     "step_norm",
     "max_violation",
-    "solves",
     "newton_iters",
     "solver_tol",
 ]
@@ -192,7 +191,6 @@ def write_outputs(report: RunReport, out_dir) -> list[str]:
                 r.efficiency,
                 r.step_norm,
                 r.max_violation,
-                r.solves,
                 r.newton_iters,
                 r.solver_tol,
             )

@@ -83,8 +83,8 @@ def hoyt_eigenvalues_slot(cov, u_hat) -> tuple[float, float]:
     return max(lam1, lam2), lam2
 
 
-def quadrature_unfolded(link, z: float, hoyt, nodes_scint: int = 48, nodes_jitter: int = 32) -> float:
-    """The full nodes_scint x nodes_jitter x nodes_jitter Gauss-Hermite sum, rules rebuilt per call."""
+def quadrature_unfolded(link, z: float, hoyt) -> float:
+    """The full 48 x 32 x 32 Gauss-Hermite sum, rules rebuilt per call."""
     const = (
         2.0 * math.log(link.transmit_power)
         + 2.0 * math.log(link.responsivity)
@@ -93,9 +93,9 @@ def quadrature_unfolded(link, z: float, hoyt, nodes_scint: int = 48, nodes_jitte
         - 2.0 * link.sigma_b * z
         + 2.0 * math.log(link.aperture**2 / (2.0 * z * link.sigma_div))
     )
-    x_s, w_s = np.polynomial.hermite_e.hermegauss(nodes_scint)
+    x_s, w_s = np.polynomial.hermite_e.hermegauss(48)
     w_s = w_s / math.sqrt(2.0 * math.pi)
-    x_j, w_j = np.polynomial.hermite_e.hermegauss(nodes_jitter)
+    x_j, w_j = np.polynomial.hermite_e.hermegauss(32)
     w_j = w_j / math.sqrt(2.0 * math.pi)
 
     scint = -4.0 * link.sigma_i**2 + 4.0 * link.sigma_i * x_s

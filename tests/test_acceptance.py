@@ -197,7 +197,7 @@ def _mission_sanity(scenario, label, budget_s):
     # the anchor's efficiency lam (measured 3.6e-9 relative on moving, 3.8e-6
     # on hover).
     it = tight_iterate(scenario, result.plan.positions)
-    din = dinkelbach_solve(it, scenario, config, subproblem=Subproblem(it, scenario))
+    din = dinkelbach_solve(Subproblem(it, scenario), config.solver_tol)
     rel = abs(din.c_tot / din.p_tot - din.lam_star) / din.lam_star
     assert din.f_value <= din.gap
     assert rel <= 1e-4

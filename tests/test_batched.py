@@ -185,7 +185,7 @@ class TestAgainstPerSlotReference:
             - 2.0 * link.sigma_b * z
             + 2.0 * math.log(link.aperture**2 / (2.0 * z * link.sigma_div))
             - 4.0 * link.sigma_i**2
-            + 4.0 * link.sigma_i * channel._hermite_rule(48)[0].max()
+            + 4.0 * link.sigma_i * channel._grid()[0].max()
         )
         assert log_snr > 709.0
         cases += [(blazing, 100.0, 3e-6, 1e-6), (blazing, 100.0, 1e-5, 0.0), (blazing, 100.0, 0.0, 0.0)]
@@ -194,12 +194,6 @@ class TestAgainstPerSlotReference:
             got = quadrature_ergodic_capacity(link, z, hoyt)
             assert 0.0 < got < math.inf
             assert got == pytest.approx(quadrature_unfolded(link, z, hoyt), rel=1e-14, abs=0.0)
-        # An odd jitter rule has a zero node, which folds onto itself.
-        for link, z in [(default, 700.0), (blazing, 100.0)]:
-            hoyt = HoytParams(lam1=2e-6, lam2=0.5e-6)
-            got = quadrature_ergodic_capacity(link, z, hoyt, nodes_scint=9, nodes_jitter=7)
-            want = quadrature_unfolded(link, z, hoyt, nodes_scint=9, nodes_jitter=7)
-            assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
     def test_flight_power(self, rng):
         craft = AircraftParams()
@@ -320,7 +314,7 @@ class TestQuadratureBatch:
         _, _, u_hat = initial_geometry(sc)
         z = np.r_[400.0, np.linspace(600e3, 650e3, self.CHUNK - 1)]
         lam = hoyt_eigenvalues(sc.jitter, u_hat[: self.CHUNK])
-        x_s = channel._pruned_rules(48, 32)[0]
+        x_s = channel._grid()[0]
 
         def node_log_snr(link):
             const = [
@@ -683,12 +677,10 @@ class TestStructureGuards:
             built.append(deg)
             return real(deg)
 
-        channel._hermite_rule.cache_clear()
-        channel._folded_hermite_rule.cache_clear()
-        channel._pruned_rules.cache_clear()
+        channel._grid.cache_clear()
         monkeypatch.setattr(np.polynomial.hermite_e, "hermegauss", spy)
         first = energy_efficiency(plan, sc)
-        assert sorted(built) == sorted(set(built)) and built
+        assert sorted(built) == [32, 48]
         count = len(built)
         second = energy_efficiency(plan, sc)
         assert len(built) == count
@@ -718,13 +710,14 @@ class TestStructureGuards:
         # whose weight is at most _WEIGHT_FLOOR.
         sc = bundled_scenario("moving")
         plan = initialize_iterate(sc).plan(sc.delta, sc.altitude)
-        channel._pruned_rules.cache_clear()
+        channel._grid.cache_clear()
         energy_efficiency(plan, sc)
         energy_efficiency(plan, sc)
-        x_s, w_s, _, _, _, w_pair = channel._pruned_rules(48, 32)
-        assert channel._pruned_rules.cache_info().misses == 1
-        x_full, w_full = channel._hermite_rule(48)
-        w_j = channel._folded_hermite_rule(32)[1]
+        x_s, w_s, _, _, _, w_pair = channel._grid()
+        assert channel._grid.cache_info().misses == 1
+        x_full, w_full = np.polynomial.hermite_e.hermegauss(48)
+        w_full = w_full / math.sqrt(2.0 * math.pi)
+        w_j = 2.0 * (np.polynomial.hermite_e.hermegauss(32)[1][16:] / math.sqrt(2.0 * math.pi))
         pairs = np.multiply.outer(w_j, w_j).ravel()
         kept_s = (w_full > channel._WEIGHT_FLOOR) | (x_full > 0.0)
         kept_pairs = pairs > channel._WEIGHT_FLOOR
@@ -735,10 +728,9 @@ class TestStructureGuards:
         assert pairs[~kept_pairs].sum() <= 1e-17
 
     def test_cached_rules_are_read_only(self):
-        for rule in (channel._hermite_rule(48), channel._folded_hermite_rule(32), channel._pruned_rules(48, 32)):
-            for arr in rule:
-                with pytest.raises(ValueError):
-                    arr[0] = 0.0
+        for arr in channel._grid():
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
     def test_pointing_geometry_makes_one_call(self, rng, monkeypatch):
         calls = []

@@ -12,10 +12,8 @@ from fsotraj.jitter import (
     HoytParams,
     JitterCovariance,
     JitterSample,
-    _covariance_factor,
     _error_plane_factor,
     error_projection_matrix,
-    expected_square_error,
     hoyt_cdf,
     hoyt_eigenvalues,
     hoyt_params,
@@ -180,9 +178,8 @@ class TestHoytParams:
     def test_expected_square_error(self):
         cov, u = analysis_geometry()
         hp = hoyt_params(cov, u)
-        assert expected_square_error(hp) / MRAD2 == pytest.approx(1.0186, rel=0.002)
-        zero = HoytParams(0.0, 0.0)
-        assert expected_square_error(zero) == 0.0
+        assert hp.omega / MRAD2 == pytest.approx(1.0186, rel=0.002)
+        assert HoytParams(0.0, 0.0).omega == 0.0
 
 
 class TestPdf:
@@ -259,7 +256,7 @@ class TestSampling:
         for trial in range(20):
             u = rng.normal(size=3) * rng.uniform(1.0, 1000.0)
             cov = JitterCovariance(tuple(rng.uniform(1e-4, 2e-3, 3)), tuple(rng.uniform(-0.4, 0.4, 3)))
-            factor = _covariance_factor(cov)
+            factor = psd_factor(cov.matrix)
             d = np.random.default_rng(trial).standard_normal((2000, 3))
             x = d @ factor.T
             along = (x @ u) ** 2 / (u @ u)
@@ -287,7 +284,7 @@ class TestSampling:
             # Cholesky fails on both, so the sampler takes the PSD-root fallback.
             with pytest.raises(np.linalg.LinAlgError):
                 np.linalg.cholesky(cov.matrix)
-            factor = _covariance_factor(cov)
+            factor = psd_factor(cov.matrix)
             assert np.allclose(factor @ factor.T, cov.matrix, rtol=0.0, atol=1e-12 * np.max(cov.matrix))
             th = sample_error_angles(cov, np.array([0.0, 0.0, 50.0]), 1000, seed=2)
             assert np.all(np.isfinite(th))

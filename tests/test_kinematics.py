@@ -15,7 +15,6 @@ from fsotraj.kinematics import (
     kinetic_energy_delta,
     pointing_vector,
     posture_rotation,
-    reintegrate,
     roll_from_motion,
     rotation_matrix,
     yaw_from_velocity,
@@ -61,16 +60,13 @@ class TestDifferentiate:
         xy = rng.normal(scale=100.0, size=(50, 2))
         plan = make_plan(xy, delta=0.2)
         v, _ = differentiate_trajectory(plan)
-        back = reintegrate(plan, v)
+        # s[k + 1] = s[k] + delta v[k] re-integrates the forward differences.
+        back = plan.positions[0] + plan.delta * np.cumsum(np.vstack([np.zeros(3), v[:-1]]), axis=0)
         assert np.max(np.abs(back - plan.positions)) <= 1e-9 * max(1.0, np.max(np.abs(plan.positions)))
 
     def test_too_short_plan_rejected(self):
         with pytest.raises(InvalidTrajectoryError):
             make_plan([(0, 0)])
-
-    def test_virtual_end(self):
-        plan = make_plan([(0, 0), (1, 0), (3, 0)])
-        assert np.allclose(plan.virtual_end(), (5, 0, H))
 
 
 class TestPosture:

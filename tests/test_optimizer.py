@@ -106,9 +106,8 @@ class TestTradeoffSearch:
 
     def test_root_identity(self):
         sc = moving_scenario()
-        it = initialize_iterate(sc)
-        result = dinkelbach_solve(it, sc)
-        sub = Subproblem(it, sc)
+        sub = Subproblem(initialize_iterate(sc), sc)
+        result = dinkelbach_solve(sub)
         c_anchor, p_anchor = sub.surrogate_totals(sub.space.unpack(sub.anchor_x()))
         assert result.lam_star == c_anchor / p_anchor
         assert_certified_step(result)
@@ -144,7 +143,7 @@ class TestDinkelbach:
         sc, cfg = settings.scenario, settings.optimizer
         sub = Subproblem(initialize_iterate(sc), sc)
         iterations = _counting_solve(monkeypatch)
-        result = dinkelbach_solve(sub.iterate, sc, cfg, subproblem=sub)
+        result = dinkelbach_solve(sub, cfg.solver_tol)
         assert len(iterations) == 1
         assert result.newton_iters == iterations[0]
         assert_certified_step(result)
@@ -162,24 +161,24 @@ class TestDinkelbach:
         monkeypatch.setattr(optimizer_mod, "solve", shifted)
         sc = moving_scenario()
         with pytest.raises(SolverError, match="exceeds the solve's gap") as err:
-            dinkelbach_solve(initialize_iterate(sc), sc)
+            dinkelbach_solve(Subproblem(initialize_iterate(sc), sc))
         assert "trade-off" in str(err.value) and "stationarity" in str(err.value)
 
-    def test_nonoptimal_solve_raises(self):
+    def test_nonoptimal_solve_raises(self, monkeypatch):
         sc = moving_scenario()
-        cfg = OptimizerConfig(solver_max_iter=2)
+        monkeypatch.setattr(optimizer_mod, "SOLVER_MAX_ITER", 2)
         with pytest.raises(SolverError, match="max_iter") as err:
-            dinkelbach_solve(initialize_iterate(sc), sc, cfg)
+            dinkelbach_solve(Subproblem(initialize_iterate(sc), sc))
         assert "trade-off" in str(err.value) and "stationarity" in str(err.value)
 
     def test_nonoptimal_warm_solve_raises_without_retry(self, monkeypatch):
         sc = moving_scenario()
-        multipliers = dinkelbach_solve(initialize_iterate(sc), sc).multipliers
+        sub = Subproblem(initialize_iterate(sc), sc)
+        multipliers = dinkelbach_solve(sub).multipliers
         iterations = _counting_solve(monkeypatch)
+        monkeypatch.setattr(optimizer_mod, "SOLVER_MAX_ITER", 2)
         with pytest.raises(SolverError, match="max_iter"):
-            dinkelbach_solve(
-                initialize_iterate(sc), sc, OptimizerConfig(solver_max_iter=2), multipliers=multipliers
-            )
+            dinkelbach_solve(sub, multipliers=multipliers)
         assert len(iterations) == 1
 
 
@@ -266,6 +265,18 @@ class TestOptimize:
         assert sum(r.newton_iters for r in res.history) == 565
         assert res.stop_reason == "plateau"
         assert energy_efficiency(res.plan, sc).efficiency == pytest.approx(3.717682720059561e-4, rel=1e-12, abs=0.0)
+
+    def test_bundled_hover_pitch_jitter_regression_pin(self):
+        # The N=400 pitch-jitter hover stops on max_outer, and a change that
+        # leaves the moving pin within 1e-9 can still move it to another basin.
+        settings = load_scenario(str(SCENARIOS / "hover_pitch_jitter.ini"))
+        sc = settings.scenario
+        res = optimize(sc, settings.optimizer)
+        assert len(res.history) == 50
+        assert sum(r.solves for r in res.history) == 50
+        assert sum(r.newton_iters for r in res.history) == 449
+        assert res.stop_reason == "max_outer"
+        assert energy_efficiency(res.plan, sc).efficiency == pytest.approx(3.8519000686185916e-4, rel=1e-12, abs=0.0)
 
     def test_each_step_certifies_the_next_weight(self, bundled_moving):
         # lam_p <= C_p / P_p: the feasible anchor gives F <= 0 at its own
