@@ -61,14 +61,22 @@ _BOUNDARY_FRACTION = 0.99
 _BACKTRACK = 0.5
 _ARMIJO = 0.01
 # Warm-start floors: slacks at _WARM_SLACK_FLOOR, multipliers at
-# _WARM_LAM_FLOOR * obj_scale. Newton steps of optimize on the bundled moving
-# and hover_pitch_jitter scenarios (cold: 882 and 1070) over a grid of
-# (slack, multiplier) floors: (1e-4, 1e-6) 500 and 740, (1e-4, 1e-4) 529 and
-# 652, (1e-3, 1e-4) 596 and 588. The last has the fewest steps on the larger
-# problem. The first moves hover_pitch_jitter's final true efficiency by
-# -6.7e-10 relative; the others by less.
+# _WARM_LAM_FLOOR * obj_scale. Newton steps of optimize on the bundled moving /
+# hover_pitch_jitter / hover scenarios under the forcing schedule of
+# `optimizer.solve_tolerance`, per (slack, multiplier) floor pair
+# (scripts/sweep_warm_start.py):
+#
+#   slack \ mult   1e-6          1e-5          1e-4         1e-3         1e-2
+#   1e-4           426/481/603*  429/467/599*  458/389/487  559/373/488  644/500/641
+#   1e-3           560/443/638*  551/433/633*  523/388/543  496/358/466  594/418/542
+#   1e-2           684/443/752   688/429/751   669/418/648  540/402/509  556/418/519
+#
+# * hover_pitch_jitter at sigma_pitch = 3 mrad then fails a warm solve
+# (infeasible). (1e-3, 1e-3) has the fewest steps of the points where every
+# solve ends optimal; against (1e-3, 1e-4) it moves the three final true
+# efficiencies by +1.3e-10, -1.9e-7 and +8.3e-7 relative.
 _WARM_SLACK_FLOOR = 1e-3
-_WARM_LAM_FLOOR = 1e-4
+_WARM_LAM_FLOOR = 1e-3
 
 
 @dataclass

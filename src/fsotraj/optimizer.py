@@ -46,9 +46,8 @@ FEASIBILITY_TOL = 1e-6
 # also counts as convergence.
 TOL_EFFICIENCY_REL = 1e-7
 PLATEAU_WINDOW = 5
-# Forcing schedule of each solve's tolerance (`solve_tolerance`), as in
-# inexact Newton methods (Dembo, Eisenstat & Steihaug 1982).
-FORCING_FACTOR = 0.01
+# Cap of each solve's forcing tolerance (`solve_tolerance`), as in inexact
+# Newton methods (Dembo, Eisenstat & Steihaug 1982).
 FORCING_TOL_CAP = 1e-5
 # Newton steps a restriction's solve may take before it fails.
 SOLVER_MAX_ITER = 100
@@ -167,14 +166,18 @@ def solve_tolerance(history: list[IterationRecord], solver_tol: float) -> float:
 
     ``solver_tol`` until two records exist: no outer gain has been measured,
     and the cold first solve sets the basin. Then
-    max(solver_tol, min(FORCING_TOL_CAP, FORCING_FACTOR * g)), where g is the
-    relative change of the last two recorded efficiencies.
+    max(solver_tol, min(FORCING_TOL_CAP, f * g)), where g is the relative
+    change of the last two recorded efficiencies and
+    f = solver_tol / TOL_EFFICIENCY_REL (0.1 at the defaults): the loosest
+    factor for which every gain below the plateau threshold still forces
+    ``solver_tol``.
     """
     if len(history) < 2:
         return solver_tol
     last, prev = history[-1].efficiency, history[-2].efficiency
     gain = abs(last - prev) / abs(last)
-    return max(solver_tol, min(FORCING_TOL_CAP, FORCING_FACTOR * gain))
+    factor = solver_tol / TOL_EFFICIENCY_REL
+    return max(solver_tol, min(FORCING_TOL_CAP, factor * gain))
 
 
 def optimize(scenario: Scenario, config: OptimizerConfig | None = None) -> OptimizeResult:
@@ -186,9 +189,9 @@ def optimize(scenario: Scenario, config: OptimizerConfig | None = None) -> Optim
 
     Each restriction is solved only as exactly as the outer progress needs
     (`solve_tolerance`): the first two at ``config.solver_tol``, later ones
-    at a tolerance forced by the last recorded efficiency change. Near a
-    plateau that change is far below ``solver_tol`` / FORCING_FACTOR, so the
-    solves that meet the plateau rule run at the full ``solver_tol``.
+    at a tolerance forced by the last recorded efficiency change. Inside a
+    plateau that change is below TOL_EFFICIENCY_REL, so the solves that meet
+    the plateau rule run at the full ``solver_tol``.
     """
     config = config or OptimizerConfig()
     t0 = time.perf_counter()

@@ -262,9 +262,9 @@ class TestOptimize:
         sc, _, res = bundled_moving
         assert len(res.history) == 36
         assert sum(r.solves for r in res.history) == 36
-        assert sum(r.newton_iters for r in res.history) == 565
+        assert sum(r.newton_iters for r in res.history) == 496
         assert res.stop_reason == "plateau"
-        assert energy_efficiency(res.plan, sc).efficiency == pytest.approx(3.717682720059561e-4, rel=1e-12, abs=0.0)
+        assert energy_efficiency(res.plan, sc).efficiency == pytest.approx(3.717682720547616e-4, rel=1e-12, abs=0.0)
 
     def test_bundled_hover_pitch_jitter_regression_pin(self):
         # The N=400 pitch-jitter hover stops on max_outer, and a change that
@@ -274,9 +274,9 @@ class TestOptimize:
         res = optimize(sc, settings.optimizer)
         assert len(res.history) == 50
         assert sum(r.solves for r in res.history) == 50
-        assert sum(r.newton_iters for r in res.history) == 449
+        assert sum(r.newton_iters for r in res.history) == 358
         assert res.stop_reason == "max_outer"
-        assert energy_efficiency(res.plan, sc).efficiency == pytest.approx(3.8519000686185916e-4, rel=1e-12, abs=0.0)
+        assert energy_efficiency(res.plan, sc).efficiency == pytest.approx(3.8518993294308425e-4, rel=1e-12, abs=0.0)
 
     def test_each_step_certifies_the_next_weight(self, bundled_moving):
         # lam_p <= C_p / P_p: the feasible anchor gives F <= 0 at its own
@@ -321,21 +321,23 @@ class TestForcingSchedule:
         assert [r.solver_tol for r in res.history[:2]] == [cfg.solver_tol] * 2
 
     def test_tolerance_follows_the_last_recorded_gain(self, bundled_moving):
-        # From the third restriction on: max(solver_tol, min(1e-5, 0.01 g)),
-        # g the relative change of the two efficiencies recorded before it.
+        # From the third restriction on: max(solver_tol, min(1e-5, f g)), with
+        # f = solver_tol / TOL_EFFICIENCY_REL and g the relative change of the
+        # two efficiencies recorded before it.
         _, cfg, res = bundled_moving
         tols = [r.solver_tol for r in res.history]
         assert all(cfg.solver_tol <= tol <= 1e-5 for tol in tols)
         effs = [r.efficiency for r in res.history]
+        factor = cfg.solver_tol / optimizer_mod.TOL_EFFICIENCY_REL
         for p in range(2, len(effs)):
             gain = abs(effs[p - 1] - effs[p - 2]) / abs(effs[p - 1])
-            assert tols[p] == max(cfg.solver_tol, min(1e-5, 0.01 * gain)), p
+            assert tols[p] == max(cfg.solver_tol, min(1e-5, factor * gain)), p
         assert max(tols) > cfg.solver_tol  # the run does loosen some solves
 
     def test_plateau_stop_rests_on_full_tolerance_solves(self, bundled_moving):
         # Gains inside the plateau window are below 1e-7, so their forcing
         # terms are below solver_tol. The rule guarantees this for the last
-        # PLATEAU_WINDOW - 1 solves; on this run the last 18 of 36 ran at it.
+        # PLATEAU_WINDOW - 1 solves; on this run the last 9 of 36 ran at it.
         _, cfg, res = bundled_moving
         assert res.stop_reason == "plateau"
         window = res.history[-optimizer_mod.PLATEAU_WINDOW :]
@@ -345,6 +347,62 @@ class TestForcingSchedule:
         _, _, res, calls = bundled_moving_solves
         assert [tol for tol, _ in calls] == [r.solver_tol for r in res.history]
         assert all(status == "optimal" for _, status in calls)
+
+
+def efficiency_history(*efficiencies):
+    """Iteration records that carry only the given efficiencies."""
+    return [
+        optimizer_mod.IterationRecord(
+            iteration=p, lam_star=0.0, c_tot=e, p_tot=1.0, efficiency=e,
+            step_norm=0.0, max_violation=0.0, newton_iters=0, solver_tol=1e-8,
+        )
+        for p, e in enumerate(efficiencies, start=1)
+    ]
+
+
+class TestSolveTolerance:
+    """`solve_tolerance` on synthetic histories, without an `optimize` run."""
+
+    def test_first_two_records_run_at_solver_tol(self):
+        # No gain is measured before two records, however far apart they are.
+        for tol in (1e-8, 1e-6):
+            assert optimizer_mod.solve_tolerance([], tol) == tol
+            assert optimizer_mod.solve_tolerance(efficiency_history(1.0), tol) == tol
+        assert optimizer_mod.solve_tolerance(efficiency_history(1.0, 2.0), 1e-8) == 1e-5
+
+    def test_large_gains_are_capped(self):
+        for effs in ((1.0, 2.0), (2.0, 1.0), (3.0, 1.0, 1.5), (1.0, 1.0 + 1e-3)):
+            assert optimizer_mod.solve_tolerance(efficiency_history(*effs), 1e-8) == 1e-5
+
+    def test_forcing_term_between_floor_and_cap(self):
+        # gain 1e-5: 0.1 * 1e-5 at the default solver_tol and plateau threshold.
+        tol = optimizer_mod.solve_tolerance(efficiency_history(1.0 - 1e-5, 1.0), 1e-8)
+        assert tol == pytest.approx(1e-6, rel=1e-10)
+        assert 1e-8 < tol < 1e-5
+
+    def test_small_gains_are_floored_at_solver_tol(self):
+        assert optimizer_mod.solve_tolerance(efficiency_history(1.0, 1.0), 1e-8) == 1e-8
+        assert optimizer_mod.solve_tolerance(efficiency_history(2.0, 1.0, 1.0 + 1e-12), 1e-8) == 1e-8
+
+    @pytest.mark.parametrize("solver_tol", [1e-10, 1e-8, 3e-8, 1e-6])
+    def test_every_gain_below_the_plateau_threshold_forces_solver_tol(self, solver_tol):
+        # The factor solver_tol / TOL_EFFICIENCY_REL is the loosest for which a
+        # plateau's gains (each below the threshold) still run at solver_tol,
+        # down to the last ulp below the threshold.
+        threshold = optimizer_mod.TOL_EFFICIENCY_REL
+        below = np.concatenate([[0.0], np.logspace(-16, -7, 200)[:-1], np.nextafter(threshold, 0.0) - np.arange(8) * 1e-23])
+        edge = 0
+        for last in (1.0, 3.7e-4):
+            for gain in below:
+                for prev in (last * (1.0 - gain), last * (1.0 + gain)):
+                    g = abs(last - prev) / abs(last)
+                    if g >= threshold:
+                        continue
+                    edge += g > 0.999 * threshold
+                    assert optimizer_mod.solve_tolerance(efficiency_history(prev, last), solver_tol) == solver_tol
+        assert edge > 0
+        above = efficiency_history(1.0 - 2.0 * threshold, 1.0)
+        assert optimizer_mod.solve_tolerance(above, solver_tol) > solver_tol
 
 
 class TestEnergyEfficiency:
