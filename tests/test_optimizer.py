@@ -368,7 +368,6 @@ class TestSolveTolerance:
         for tol in (1e-8, 1e-6):
             assert optimizer_mod.solve_tolerance([], tol) == tol
             assert optimizer_mod.solve_tolerance(efficiency_history(1.0), tol) == tol
-        assert optimizer_mod.solve_tolerance(efficiency_history(1.0, 2.0), 1e-8) == 1e-5
 
     def test_large_gains_are_capped(self):
         for effs in ((1.0, 2.0), (2.0, 1.0), (3.0, 1.0, 1.5), (1.0, 1.0 + 1e-3)):
