@@ -93,7 +93,7 @@ class VariableSpace:
 
 def _as_block(arr, m, *tail):
     out = np.asarray(arr, dtype=float)
-    return np.broadcast_to(out, (m, *tail)).astype(float, copy=True) if out.shape != (m, *tail) else out
+    return np.broadcast_to(out, (m, *tail)).astype(float, order="C") if out.shape != (m, *tail) else out
 
 
 class _Family:

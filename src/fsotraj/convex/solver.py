@@ -7,8 +7,11 @@ through the same ``local`` and ``hess_at`` as a constraint family.
 Inequalities get slacks (g(x) + s = 0, s > 0); Newton steps on the perturbed
 KKT conditions with a fraction-to-boundary rule and a residual-norm
 backtracking line search. A solve is ``optimal`` only when the scaled KKT
-residuals are within ``tol``; a line search that accepts no trial ends it as
-``max_iter`` (or ``infeasible`` far from feasibility).
+residuals are within ``tol``. A solve whose primal residual stops falling, or
+whose line search accepts no trial, far from feasibility ends ``infeasible``,
+unless its start point meets every constraint to ``check_feasible``'s
+tolerance: that point proves the program feasible, so the solve ends
+``stalled``. A line search that fails near feasibility ends ``max_iter``.
 
 The reduced KKT system has a fixed sparsity pattern per program, and every
 restriction of one trajectory optimization has the same pattern. Its layout
@@ -54,7 +57,7 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from ..errors import SolverError
-from .program import ConvexProgram, LinearIneqFamily, _Family
+from .program import ConvexProgram, LinearIneqFamily, _Family, check_feasible
 
 _SIGMA = 0.1  # centering parameter
 _BOUNDARY_FRACTION = 0.99
@@ -91,7 +94,7 @@ class Solution:
     values: dict
     x: np.ndarray
     objective: float
-    status: str  # optimal | infeasible | max_iter
+    status: str  # optimal | infeasible | stalled (started feasible) | max_iter
     kkt: dict[str, float]
     dual_bound: float
     iterations: int
@@ -420,7 +423,7 @@ def solve(
         else:
             stall += 1
         if stall >= 30 and prim > 1e4 * tol:
-            status = "infeasible"
+            status = _far_from_feasible(program, x_orig)
             break
 
         # M = H_obj + sum lam H_i + J' diag(lam/s) J + delta I; every block
@@ -495,7 +498,7 @@ def solve(
             # stiffen the regularization and rebuild the step.
             delta = min(max(delta * 30.0, 1e-8), 1e-2)
         if not accepted:
-            status = "infeasible" if prim > 1e4 * tol else "max_iter"
+            status = _far_from_feasible(program, x_orig) if prim > 1e4 * tol else "max_iter"
             break
         x, s, lam, nu, pt, r_dual = x_t, s_t, lam_t, nu_t, trial, r_dual_t
         # Persistent crawling (backtracked far below the boundary step on
@@ -533,6 +536,12 @@ def solve(
         lam=lam * work.row_scale,
         nu=nu * work.eq_row_scale,
     )
+
+
+def _far_from_feasible(program: ConvexProgram, x0: np.ndarray) -> str:
+    """Status of a solve that stopped far from feasibility: ``infeasible``
+    unless its start point is feasible, which proves the program is not."""
+    return "stalled" if check_feasible(program, x0).feasible else "infeasible"
 
 
 def require_optimal(solution: Solution, context: str = "") -> Solution:

@@ -32,7 +32,6 @@ from .errors import (
     slot_suffix,
 )
 from .kinematics import rotation_matrix
-from .numerics import i0e
 
 # Below this axis ratio the Hoyt density is evaluated in its folded-normal
 # limit to dodge overflow in the Bessel argument.
@@ -249,6 +248,8 @@ def hoyt_pdf(theta, params: HoytParams):
         lam1 = params.lam1
         out = np.sqrt(2.0 / (math.pi * lam1)) * np.exp(-th * th / (2.0 * lam1))
         return float(out) if np.ndim(theta) == 0 else out
+    from scipy.special import i0e  # here, not at module top: 60 ms and 2.5 MB at import
+
     q_sq = q * q
     # exp(-c) I0(d) with c - d = theta^2 (1+q^2) / (2 omega) keeps both factors bounded.
     bessel_arg = (1.0 - q_sq * q_sq) * th * th / (4.0 * q_sq * omega)

@@ -82,6 +82,11 @@ class OptimizerConfig:
     max_outer: int = 50
     solver_tol: float = 1e-8
 
+    def __post_init__(self):
+        # A tolerance of 0 or less is never met: every solve would run out its steps.
+        if not self.solver_tol > 0.0:
+            raise ValueError(f"solver_tol must be positive, got {self.solver_tol!r}")
+
 
 @dataclass
 class Iterate:

@@ -98,76 +98,53 @@ class Subproblem:
 
         ks = np.arange(n - 1)
 
+        # Coefficients shared by every slot are passed once; the builder
+        # broadcasts each to all members. Only anchor data stays per slot.
         # --- kinematics: velocity, its extension to the last slot, acceleration
         for c in (0, 1):
             prog.add_linear_eq(
                 "kin_velocity",
                 np.column_stack([v_idx[ks, c], s_idx[ks + 1, c], s_idx[ks, c]]),
-                np.tile([delta_t, -1.0, 1.0], (n - 1, 1)),
-                np.zeros(n - 1),
+                [delta_t, -1.0, 1.0],
+                0.0,
             )
         prog.add_linear_eq(
-            "kin_velocity_ext",
-            np.array([[v_idx[n - 1, 0], v_idx[n - 2, 0]], [v_idx[n - 1, 1], v_idx[n - 2, 1]]]),
-            np.tile([1.0, -1.0], (2, 1)),
-            np.zeros(2),
+            "kin_velocity_ext", np.column_stack([v_idx[n - 1], v_idx[n - 2]]), [1.0, -1.0], 0.0
         )
         for c in (0, 1):
             prog.add_linear_eq(
                 "kin_accel",
                 np.column_stack([a_idx[ks, c], v_idx[ks + 1, c], v_idx[ks, c]]),
-                np.tile([delta_t, -1.0, 1.0], (n - 1, 1)),
-                np.zeros(n - 1),
+                [delta_t, -1.0, 1.0],
+                0.0,
             )
         prog.add_linear_eq(
             "endpoints",
-            np.array([[s_idx[0, 0]], [s_idx[0, 1]], [s_idx[n - 1, 0]], [s_idx[n - 1, 1]]]),
-            np.ones((4, 1)),
+            np.concatenate([s_idx[0], s_idx[n - 1]])[:, None],
+            1.0,
             np.array([scenario.start[0], scenario.start[1], scenario.end[0], scenario.end[1]]),
         )
 
         # --- speed cap |v_k| <= v_max for k < N (the last slot follows by the
         # velocity extension identity) and the linearized speed floor.
-        eye2 = np.tile(np.eye(2), (n - 1, 1, 1))
-        prog.add_soc(
-            "speed_cap",
-            v_idx[:-1],
-            eye2,
-            np.zeros((n - 1, 2)),
-            np.zeros((n - 1, 2)),
-            np.full(n - 1, craft.v_max),
-        )
+        eye2 = np.eye(2)
+        prog.add_soc("speed_cap", v_idx[:-1], eye2, 0.0, 0.0, craft.v_max)
         vp = v_lin[:-1]
         vp_sq = np.einsum("kc,kc->k", vp, vp)
-        prog.add_linear_ineq(
-            "speed_floor_lin",
-            v_idx[:-1],
-            -2.0 * vp,
-            np.full(n - 1, craft.v_min**2) + vp_sq,
-        )
+        prog.add_linear_ineq("speed_floor_lin", v_idx[:-1], -2.0 * vp, craft.v_min**2 + vp_sq)
 
         # --- acceleration cap
-        prog.add_soc(
-            "accel_cap",
-            a_idx,
-            eye2,
-            np.zeros((n - 1, 2)),
-            np.zeros((n - 1, 2)),
-            np.full(n - 1, craft.a_max),
-        )
+        prog.add_soc("accel_cap", a_idx, eye2, 0.0, 0.0, craft.a_max)
 
         # --- range auxiliary: S_k^2 <= 2 s_p.s - |s_p|^2 (linearized |s|^2)
         sp = iterate.s[:, :2]
         sp_sq = np.einsum("kc,kc->k", sp, sp)
-        cols_rng = np.column_stack([S_idx, s_idx[:, 0], s_idx[:, 1]])
-        a_rng = np.tile(np.array([[1.0, 0.0, 0.0]]), (n, 1, 1))
-        c_rng = np.column_stack([np.zeros(n), 2.0 * sp])
         prog.add_soc(
             "range_lin",
-            cols_rng,
-            a_rng,
-            np.zeros((n, 1)),
-            c_rng,
+            np.column_stack([S_idx, s_idx]),
+            np.eye(1, 3),
+            0.0,
+            np.column_stack([np.zeros(n), 2.0 * sp]),
             h_alt**2 - sp_sq,
             squared=True,
         )
@@ -177,25 +154,8 @@ class Subproblem:
         d_mat = pointing_weight_matrix(scenario.jitter)
         d_root = psd_factor(d_mat).T  # d_root^T d_root = D, so |d_root u|^2 = u^T D u
         a_slot = accel_slots(n)
-        cols_jit = np.column_stack(
-            [
-                S_idx,
-                U_idx,
-                s_idx[:, 0],
-                s_idx[:, 1],
-                v_idx[:, 0],
-                v_idx[:, 1],
-                a_idx[a_slot, 0],
-                a_idx[a_slot, 1],
-            ]
-        )
-        x_anchor6 = np.column_stack(
-            [
-                sp,
-                iterate.v[:, :2],
-                iterate.a[a_slot, :2],
-            ]
-        )
+        cols_jit = np.column_stack([S_idx, U_idx, s_idx, v_idx, a_idx[a_slot]])
+        x_anchor6 = np.column_stack([sp, iterate.v[:, :2], iterate.a[a_slot, :2]])
         dj = np.einsum("ij,kjl->kil", d_root, iterate.u_jac)  # (n, 3, 6)
         a_jit = np.zeros((n, 3, 8))
         a_jit[:, :, 2:] = dj
@@ -210,70 +170,50 @@ class Subproblem:
         tau[~live] = 0.0
         lin_jit = np.column_stack([-iterate.U, -iterate.S, tau])
         off_jit = iterate.S * iterate.U + w - np.einsum("kl,kl->k", tau, x_anchor6)
-        prog.add_soc(
-            "jitter_cone", cols_jit, a_jit, b_jit, c_jit, -iterate.S * iterate.U
-        )
+        prog.add_soc("jitter_cone", cols_jit, a_jit, b_jit, c_jit, -iterate.S * iterate.U)
         prog.add_linear_ineq("jitter_lin", cols_jit, lin_jit, off_jit)
 
         # --- log-distance epigraph V_k >= log sqrt(|s_xy|^2 + H^2)
-        cols_log = np.column_stack([s_idx[:, 0], s_idx[:, 1], V_idx])
-        a_log = np.tile(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), (n, 1, 1))
         prog.add_log_epigraph(
-            "logdist", cols_log, a_log, np.zeros((n, 2)), np.full(n, h_alt), np.full(n, 2)
+            "logdist", np.column_stack([s_idx, V_idx]), np.eye(2, 3), 0.0, h_alt, np.full(n, 2)
         )
 
         # --- flight-power epigraph P_k >= c1 |v_k|^3 + c2 Q_k
-        cols_pow = np.column_stack([v_idx[:-1, 0], v_idx[:-1, 1], Q_idx, P_idx])
-        a_pow = np.tile(np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]]), (n - 1, 1, 1))
-        lin_pow = np.tile(np.array([0.0, 0.0, craft.c2, 0.0]), (n - 1, 1))
         prog.add_cubic_epigraph(
             "power_epi",
-            cols_pow,
-            a_pow,
-            np.zeros((n - 1, 2)),
-            np.full(n - 1, craft.c1),
-            lin_pow,
-            np.zeros(n - 1),
+            np.column_stack([v_idx[:-1], Q_idx, P_idx]),
+            np.eye(2, 4),
+            0.0,
+            craft.c1,
+            [0.0, 0.0, craft.c2, 0.0],
+            0.0,
             np.full(n - 1, 3),
         )
 
         # --- R_k^2 <= 2 v_p.v - |v_p|^2
-        cols_rr = np.column_stack([R_idx, v_idx[:-1, 0], v_idx[:-1, 1]])
-        c_rr = np.column_stack([np.zeros(n - 1), 2.0 * vp])
         prog.add_soc(
             "speed_sq_floor",
-            cols_rr,
-            np.tile(np.array([[1.0, 0.0, 0.0]]), (n - 1, 1, 1)),
-            np.zeros((n - 1, 1)),
-            c_rr,
+            np.column_stack([R_idx, v_idx[:-1]]),
+            np.eye(1, 3),
+            0.0,
+            np.column_stack([np.zeros(n - 1), 2.0 * vp]),
             -vp_sq,
             squared=True,
         )
 
-        # --- drag cone Q_k R_k >= 1 + |a_k|^2 / g^2
-        a_drag = np.zeros((n - 1, 4, 4))
-        b_drag = np.zeros((n - 1, 4))
-        b_drag[:, 0] = 2.0
-        a_drag[:, 1, 2] = 2.0 / g
-        a_drag[:, 2, 3] = 2.0 / g
-        a_drag[:, 3, 0] = 1.0
-        a_drag[:, 3, 1] = -1.0
-        c_drag = np.zeros((n - 1, 4))
-        c_drag[:, 0] = 1.0
-        c_drag[:, 1] = 1.0
-        d_drag = np.zeros(n - 1)
-        cols_drag = np.column_stack([Q_idx, R_idx, a_idx[:, 0], a_idx[:, 1]])
-        prog.add_soc("drag_cone", cols_drag, a_drag, b_drag, c_drag, d_drag)
+        # --- drag cone Q_k R_k >= 1 + |a_k|^2 / g^2, as
+        # |(2, 2 a_x / g, 2 a_y / g, Q - R)| <= Q + R
+        prog.add_soc(
+            "drag_cone",
+            np.column_stack([Q_idx, R_idx, a_idx]),
+            [[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 2.0 / g, 0.0], [0.0, 0.0, 0.0, 2.0 / g], [1.0, -1.0, 0.0, 0.0]],
+            [2.0, 0.0, 0.0, 0.0],
+            [1.0, 1.0, 0.0, 0.0],
+            0.0,
+        )
 
         # --- elevation |s_xy| <= H
-        prog.add_soc(
-            "elevation",
-            s_idx,
-            np.tile(np.eye(2), (n, 1, 1)),
-            np.zeros((n, 2)),
-            np.zeros((n, 2)),
-            np.full(n, h_alt),
-        )
+        prog.add_soc("elevation", s_idx, eye2, 0.0, 0.0, h_alt)
 
         # --- objective: -C_tot + lambda P_tot, capacity in bits/channel use
         bits = 1.0 / (2.0 * math.log(2.0))
@@ -281,12 +221,7 @@ class Subproblem:
         sigma_div = link.sigma_div
         prog.objective.quad_diag[U_idx] = 2.0 * grad / sigma_div**2
         prog.objective.lin[V_idx] = 2.0 * grad
-        prog.add_objective_norm(
-            2.0 * link.sigma_b * grad,
-            s_idx,
-            np.tile(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]), (n, 1, 1)),
-            np.tile(np.array([0.0, 0.0, h_alt]), (n, 1)),
-        )
+        prog.add_objective_norm(2.0 * link.sigma_b * grad, s_idx, np.eye(3, 2), [0.0, 0.0, h_alt])
         self._p_cols = P_idx
         self._capacity_const = float(np.sum(grad * self.offset_const + bits * self.anchor.delta_l))
         self._fixed_power = scenario.n_slots * link.transmit_power + scenario.launch_cost / delta_t
@@ -345,7 +280,10 @@ class Subproblem:
         honored them only through the affine pointing model), so the next
         anchor is feasible for its own restriction by construction.
         """
-        from .mission import tight_iterate  # local import to avoid a cycle
+        # Looked up at call time, not bound at import, so that a wrapper
+        # installed on `mission.tight_iterate` (the benchmark tracer's span)
+        # sees this call.
+        from .mission import tight_iterate
 
         n = self.iterate.n_slots
         s = np.column_stack([values["s"], np.full(n, self.scenario.altitude)])

@@ -186,6 +186,13 @@ class TestExitCodes:
         assert main(["power", "--scenario", scenario, "--out", str(tmp_path / "x")]) == 2
         assert f"error: {path}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tol", ["0", "-1e-8"])
+    def test_nonpositive_solver_tol_exits_2_before_any_solve(self, tol, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("fsotraj.cli.optimize", lambda *a, **k: pytest.fail("optimize ran"))
+        scenario = write_scenario(tmp_path, f"[optimizer]\nsolver_tol = {tol}\n")
+        assert main(["optimize", "--scenario", scenario, "--out", str(tmp_path / "x")]) == 2
+        assert "error: optimizer: solver_tol must be positive" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "argv, path",
         [

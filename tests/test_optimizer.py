@@ -9,7 +9,7 @@ from fsotraj import optimizer as optimizer_mod
 from fsotraj.channel import LinkParams
 from fsotraj.convex import solve
 from fsotraj.errors import InfeasibleScenarioError, SolverError
-from fsotraj.jitter import JitterCovariance
+from fsotraj.jitter import JitterCovariance, reduce_jitter_dof
 from fsotraj.kinematics import AircraftParams, TrajectoryPlan, differentiate_trajectory
 from fsotraj.mission import (
     CircularInit,
@@ -180,6 +180,17 @@ class TestDinkelbach:
         with pytest.raises(SolverError, match="max_iter"):
             dinkelbach_solve(sub, multipliers=multipliers)
         assert len(iterations) == 1
+
+    def test_solve_from_a_feasible_anchor_is_never_infeasible(self):
+        # moving at 5 mrad pitch jitter, 1-DoF model: the cold first solve
+        # stalls at step 39 with a slack residual far above tolerance, but it
+        # started from the anchor, which meets every constraint, so the
+        # program is feasible and the status says the solve stalled.
+        run = load_scenario(SCENARIOS / "moving.ini", {("jitter", "sigma_pitch"): "5 mrad"})
+        sc = run.scenario.with_jitter(reduce_jitter_dof(run.scenario.jitter, 1))
+        assert anchored_feasibility(initialize_iterate(sc), sc).feasible
+        with pytest.raises(SolverError, match=r"solve failed \(stalled\)"):
+            optimize(sc, run.optimizer)
 
 
 class TestWarmStartChain:

@@ -168,6 +168,15 @@ def test_nonpositive_slot_rejected_with_path(slot):
     assert err.value.field == "mission.slot"
 
 
+@pytest.mark.parametrize("tol", ["0", "-1e-8"])
+def test_nonpositive_solver_tol_rejected(tol):
+    # A tolerance no solve can meet is refused at load, not after the first
+    # solve has run out of steps.
+    with pytest.raises(ScenarioParseError, match="solver_tol must be positive") as err:
+        load_scenario(f"[optimizer]\nsolver_tol = {tol}\n")
+    assert err.value.field == "optimizer"
+
+
 # Every unit token the README, the bundled scenarios, the tests and the echo
 # use: a key of its dimension and the SI factor the token has always had.
 KNOWN_TOKENS = {

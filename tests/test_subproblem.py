@@ -1,10 +1,12 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fsotraj.channel import log_bound_params
 from fsotraj.convex import solve
+from fsotraj.convex.program import _as_block
 from fsotraj.errors import DegenerateVelocityError
 from fsotraj.jitter import JitterCovariance
 from fsotraj.mission import (
@@ -14,9 +16,11 @@ from fsotraj.mission import (
     tight_iterate,
 )
 from fsotraj.optimizer import anchored_feasibility, restriction_tightness
+from fsotraj.scenario import load_scenario
 from fsotraj.subproblem import Subproblem, log_anchor
 
 H = 600.0
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def moving_scenario(n=12, delta=2.0, **kw):
@@ -78,6 +82,35 @@ class TestCensus:
         prog = sub.program
         kinds = {f.kind for f in [*prog.families, *prog.eq_families]}
         assert kinds == {"linear_eq", "linear_ineq", "soc", "log_epigraph", "cubic_epigraph"}
+
+
+class TestSharedBlocks:
+    def test_every_family_array_is_c_contiguous(self):
+        # Slot-invariant coefficients reach the builder once and are
+        # broadcast to every member; the stored blocks must still be
+        # C-ordered copies, as the per-slot arrays are.
+        sc = load_scenario(SCENARIOS / "moving.ini").scenario
+        prog = Subproblem(initialize_iterate(sc), sc).program
+        checked = 0
+        for fam in [*prog.families, *prog.eq_families, *prog.objective.norms]:
+            for name, value in vars(fam).items():
+                if isinstance(value, np.ndarray):
+                    assert value.flags.c_contiguous, (fam.tag, name)
+                    assert value.flags.writeable, (fam.tag, name)
+                    checked += 1
+        assert checked > 60
+
+    @pytest.mark.parametrize("shape", [(2, 2), (1, 3), (4, 4), (3, 2)])
+    def test_shared_block_equals_its_tile(self, shape):
+        rng = np.random.default_rng(7)
+        block = rng.normal(size=shape)
+        out = _as_block(block, 99, *shape)
+        tiled = np.tile(block, (99, 1, 1))
+        assert out.flags.c_contiguous
+        assert out.strides == tiled.strides
+        assert out.tobytes() == tiled.tobytes()
+        out[0, 0, 0] = 1.0  # a copy, not a view of the caller's block
+        assert block[0, 0] != 1.0
 
 
 class TestAnchorConsistency:
