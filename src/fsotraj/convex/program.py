@@ -93,7 +93,11 @@ class VariableSpace:
 
 def _as_block(arr, m, *tail):
     out = np.asarray(arr, dtype=float)
-    return np.broadcast_to(out, (m, *tail)).astype(float, order="C") if out.shape != (m, *tail) else out
+    if out.shape == (m, *tail):
+        return out
+    block = np.empty((m, *tail))  # a C-ordered copy of the broadcast, as np.tile gives
+    np.copyto(block, out)
+    return block
 
 
 class _Family:
