@@ -539,8 +539,9 @@ def solve(
 
 
 def _far_from_feasible(program: ConvexProgram, x0: np.ndarray) -> str:
-    """Status of a solve that stopped far from feasibility: ``infeasible``
-    unless its start point is feasible, which proves the program is not."""
+    """Status of a solve that stopped far from feasibility: ``infeasible``,
+    or ``stalled`` when its start point meets every constraint and so proves
+    the program feasible."""
     return "stalled" if check_feasible(program, x0).feasible else "infeasible"
 
 

@@ -248,7 +248,7 @@ def hoyt_pdf(theta, params: HoytParams):
         lam1 = params.lam1
         out = np.sqrt(2.0 / (math.pi * lam1)) * np.exp(-th * th / (2.0 * lam1))
         return float(out) if np.ndim(theta) == 0 else out
-    from scipy.special import i0e  # here, not at module top: 60 ms and 2.5 MB at import
+    from scipy.special import i0e  # not at module top: importing it costs tens of ms and a few MB
 
     q_sq = q * q
     # exp(-c) I0(d) with c - d = theta^2 (1+q^2) / (2 omega) keeps both factors bounded.

@@ -5,9 +5,9 @@ from pathlib import Path
 
 import fsotraj
 
-# `scipy.special` costs about 60 ms and 2.5 MB at import and `scipy.stats`
-# about 1 s and 38 MB, so the package imports neither at module level: a
-# function that needs one imports it when called.
+# Importing `scipy.special` costs tens of milliseconds and a few MB, and
+# `scipy.stats` close to a second and tens of MB, so the package imports
+# neither at module level: a function that needs one imports it when called.
 PROBE = """
 import sys
 import fsotraj, fsotraj.optimizer, fsotraj.scenario, fsotraj.cli
