@@ -45,7 +45,7 @@ def main(argv=None) -> int:
 
     history = result.history
     print(
-        f"{args.scenario}: {len(history)} outer iterations, {sum(r.solves for r in history)} solves, "
+        f"{args.scenario}: {len(history)} outer iterations, {len(history)} solves, "
         f"{sum(r.newton_iters for r in history)} Newton steps, stop {result.stop_reason}"
     )
     print(f"unprofiled wall time: {wall:.3f} s")

@@ -106,23 +106,6 @@ class LinkParams:
         return attenuation_coefficient(self.visibility, self.wavelength)
 
 
-class LinkBudget(NamedTuple):
-    """One realized channel state and its SNR argument."""
-
-    h_a: float
-    h_l: float
-    h_p: float
-    z: float
-    gamma: float
-
-
-def link_budget(h_a: float, theta_p: float, z: float, link: "LinkParams") -> LinkBudget:
-    """Assemble the multiplicative channel state at one geometry."""
-    h_l = atmospheric_loss(link.sigma_b, z)
-    h_p = pointing_loss(theta_p, z, link)
-    return LinkBudget(h_a=h_a, h_l=h_l, h_p=h_p, z=z, gamma=gamma_from_gains(h_a, h_l, h_p, link))
-
-
 class MCEstimate(NamedTuple):
     """Monte Carlo mean with its standard error and sample count."""
 

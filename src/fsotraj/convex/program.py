@@ -20,8 +20,8 @@ the trajectory subproblems generate):
 =============  =====================================  =========================
 kind           public form                            internal smooth g(x) <= 0
 =============  =====================================  =========================
-linear_eq      A x = b                                (equality block)
-linear_ineq    a.x + b <= 0                           same
+linear         a.x + b <= 0, or a.x + b = 0 for the   same
+               rows in ``eq_families``
 soc            |A x + b| <= c.x + d                   sqrt(|u|^2 + eps^2) - c.x - d
                (constant rhs uses (|u|^2 - d^2)/2d;
                squared members use |u|^2 - c.x - d)
@@ -141,27 +141,11 @@ class _Family:
         return self.local(x)[0]
 
 
-class LinearEqFamily(_Family):
-    """Rows a.x = rhs, stored as local blocks."""
+class LinearFamily(_Family):
+    """Rows a.x + b: inequalities a.x + b <= 0, or equalities a.x + b = 0
+    when the program keeps the family in ``eq_families``."""
 
-    kind = "linear_eq"
-
-    def __init__(self, tag, cols, coef, rhs):
-        super().__init__(tag, cols)
-        self.coef = _as_block(coef, self.m, self.nloc)
-        self.rhs = _as_block(rhs, self.m)
-
-    def local(self, x):
-        return np.einsum("ml,ml->m", self.coef, self.gather(x)) - self.rhs, self.coef, None
-
-    def violation(self, x):
-        return np.abs(self.local(x)[0])
-
-
-class LinearIneqFamily(_Family):
-    """Rows a.x + b <= 0."""
-
-    kind = "linear_ineq"
+    kind = "linear"
 
     def __init__(self, tag, cols, coef, offset):
         super().__init__(tag, cols)
@@ -355,17 +339,17 @@ class ConvexProgram:
     def __init__(self, space: VariableSpace):
         self.space = space
         self.families: list[_Family] = []
-        self.eq_families: list[LinearEqFamily] = []
+        self.eq_families: list[LinearFamily] = []
         n = space.dimension
         self.objective = Objective(lin=np.zeros(n), quad_diag=np.zeros(n))
 
     # -- constraint builders (all batched over members) --------------------
 
     def add_linear_eq(self, tag, cols, coef, rhs):
-        self.eq_families.append(LinearEqFamily(tag, cols, coef, rhs))
+        self.eq_families.append(LinearFamily(tag, cols, coef, -np.asarray(rhs, dtype=float)))
 
     def add_linear_ineq(self, tag, cols, coef, offset):
-        self.families.append(LinearIneqFamily(tag, cols, coef, offset))
+        self.families.append(LinearFamily(tag, cols, coef, offset))
 
     def add_soc(self, tag, cols, a_loc, b_loc, c_loc, d, squared=False):
         self.families.append(SocFamily(tag, cols, a_loc, b_loc, c_loc, d, squared=squared))
@@ -398,10 +382,11 @@ class ConvexProgram:
         return out
 
     def violations(self, x: np.ndarray) -> dict[str, np.ndarray]:
-        """Signed violation per tag (<= 0 everywhere means feasible)."""
+        """Signed violation per tag (<= 0 everywhere means feasible); an
+        equality row's is |a.x + b|."""
         out: dict[str, np.ndarray] = {}
-        for fam in [*self.families, *self.eq_families]:
-            v = fam.violation(x)
+        rows = [(f, f.violation(x)) for f in self.families] + [(f, np.abs(f.violation(x))) for f in self.eq_families]
+        for fam, v in rows:
             out[fam.tag] = np.concatenate([out[fam.tag], v]) if fam.tag in out else v
         return out
 

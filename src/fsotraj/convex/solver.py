@@ -30,9 +30,9 @@ gradients and the inputs of its Hessian, shared by the residuals, the KKT
 assembly and the slack step. The Newton step builds each block's Hessian from
 the accepted point's ``aux``, not from a second pass over x, and scales its
 columns the same way for every block. What stays fixed through a solve is
-computed once in ``_Work``: the column scales of every family, the linear
-families' scaled gradients and their outer products, and the objective's
-scaled quadratic.
+computed once in ``_Work``, alike for the inequality and the equality rows:
+the row and column scales of every family, the linear families' scaled
+gradients and their outer products, and the objective's scaled quadratic.
 
 Warm start: ``Solution.lam`` holds the inequality multipliers in physical
 units (the internal multiplier times the row scaling, which every solve
@@ -57,7 +57,7 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from ..errors import SolverError
-from .program import ConvexProgram, LinearIneqFamily, _Family, check_feasible
+from .program import ConvexProgram, LinearFamily, _Family, check_feasible
 
 _SIGMA = 0.1  # centering parameter
 _BOUNDARY_FRACTION = 0.99
@@ -86,9 +86,8 @@ _WARM_LAM_FLOOR = 1e-3
 class Solution:
     """Solver result: primal values, objective, status, and KKT residuals.
 
-    ``lam`` holds the inequality multipliers and ``nu`` the equality
-    multipliers, both in physical units and in the program's family order;
-    ``solve(..., lam0=lam)`` warm-starts from ``lam``.
+    ``lam`` holds the inequality multipliers in physical units and in the
+    program's family order; ``solve(..., lam0=lam)`` warm-starts from it.
     """
 
     values: dict
@@ -99,7 +98,6 @@ class Solution:
     dual_bound: float
     iterations: int
     lam: np.ndarray = field(repr=False, default=None)
-    nu: np.ndarray = field(repr=False, default=None)
 
 
 class _Point(NamedTuple):
@@ -115,10 +113,10 @@ class _Point(NamedTuple):
 
 
 class _Rows(NamedTuple):
-    """One inequality family's constants for one solve."""
+    """One family's constants for one solve, inequality or equality alike."""
 
     fam: _Family
-    rows: slice  # its rows in the stacked inequality vector
+    rows: slice  # its rows in its list's stacked row vector
     colscale: np.ndarray  # sc[fam.cols]
     cols: np.ndarray  # fam.cols, flattened
     rho: np.ndarray  # row scaling from the start point
@@ -139,9 +137,7 @@ def _kkt_structure(program: ConvexProgram):
     """COO rows and columns of the KKT matrix [[M, E'], [E, -delta I]], in the
     order the value arrays are concatenated in at every iteration."""
     n = program.space.dimension
-    rows, cols = [np.arange(n)], [np.arange(n)]  # primal regularization diag
-    rows.append(np.arange(n))  # diagonal quadratic
-    cols.append(np.arange(n))
+    rows, cols = [np.arange(n)], [np.arange(n)]  # primal regularization plus diagonal quadratic
     for block in [*program.objective.norms, *program.families]:
         bi, bj = block.block_structure()
         rows.append(bi)
@@ -241,51 +237,45 @@ def _layout(program: ConvexProgram) -> _Layout:
 
 
 class _Work:
-    """Per-solve state: the row scalings from the start point, what stays
-    constant through the solve (column scales, the linear families' scaled
-    gradients, the objective's constant Hessian parts, the scaled equality
-    Jacobian), and the banded layout of the program's KKT pattern."""
+    """Per-solve state: one ``_Rows`` per inequality family (``fams``) and
+    per equality family (``eqs``), built alike from the start point, the
+    objective's constant scaled quadratic, and the banded layout of the
+    program's KKT pattern."""
 
     def __init__(self, program: ConvexProgram, x0: np.ndarray):
         self.program = program
-        sc = self.sc = program.space.scales()
-        self.eqs = program.eq_families
+        self.sc = program.space.scales()
         self.p = program.n_eq
         self.layout = _layout(program)
+        self.fams = self._rows(program.families, x0)
+        self.eqs = self._rows(program.eq_families, x0)
+        # An internal multiplier times its row scale is the physical multiplier.
+        self.row_scale = np.concatenate([f.rho for f in self.fams]) if self.fams else np.zeros(0)
+        # The scaled equality Jacobian, the E block of the KKT matrix.
+        self.eq_vals = [f.grad.ravel() for f in self.eqs]
+        # The objective's quadratic part of the Hessian is constant.
+        self.quad = program.objective.quad_diag * self.sc * self.sc
 
-        # Row scaling from the start point: 1 / max(1, |g|, |scaled grad|_inf).
-        # It is taken at x0 itself. The first iterate x0 / sc * sc differs
-        # from x0 in the last bit of some entries, so this evaluation is not
-        # shared with the first point's.
-        self.fams = []
-        off = 0
-        for fam in program.families:
-            colscale = sc[fam.cols]
+    def _rows(self, families, x0) -> list[_Rows]:
+        """Each family's constants, with the row scaling
+        1 / max(1, |g(x0)|, |scaled grad|_inf) taken at x0 itself. The first
+        iterate x0 / sc * sc differs from x0 in the last bit of some entries,
+        so this evaluation is not shared with the first point's. A linear
+        family's scaled gradient and its outer product are constant."""
+        out, off = [], 0
+        for fam in families:
+            colscale = self.sc[fam.cols]
             vals, grad, _ = fam.local(x0)
             grads = grad * colscale
             mag = np.maximum(np.abs(vals), np.max(np.abs(grads), axis=1))
             rho = 1.0 / np.maximum(1.0, mag)
             const = outer = None
-            if isinstance(fam, LinearIneqFamily):
+            if isinstance(fam, LinearFamily):
                 const = grads * rho[:, None]
                 outer = np.einsum("ml,mk->mlk", const, const)
-            self.fams.append(_Rows(fam, slice(off, off + fam.m), colscale, fam.cols.ravel(), rho, const, outer))
+            out.append(_Rows(fam, slice(off, off + fam.m), colscale, fam.cols.ravel(), rho, const, outer))
             off += fam.m
-        # An internal multiplier times its row scale is the physical multiplier.
-        self.row_scale = np.concatenate([f.rho for f in self.fams]) if self.fams else np.zeros(0)
-        # Scaled equality Jacobian values are constant.
-        self.rho_eq = []
-        self.eq_grads = []
-        for fam in self.eqs:
-            grads = fam.local(x0)[1] * sc[fam.cols]
-            rho = 1.0 / np.maximum(1.0, np.max(np.abs(grads), axis=1))
-            self.rho_eq.append(rho)
-            self.eq_grads.append(grads * rho[:, None])
-        self.eq_vals = [g.ravel() for g in self.eq_grads]
-        self.eq_row_scale = np.concatenate(self.rho_eq) if self.rho_eq else np.zeros(0)
-
-        # The objective's quadratic part of the Hessian is constant.
-        self.quad = program.objective.quad_diag * sc * sc
+        return out
 
     def point(self, xs) -> _Point:
         """Values, gradients and Hessian inputs at the scaled point xs."""
@@ -296,7 +286,7 @@ class _Work:
             g.append(vals * f.rho)
             grads.append(grad * f.colscale * f.rho[:, None] if f.grad is None else f.grad)
             aux.append(a)
-        r_eq = [fam.local(x)[0] * rho for fam, rho in zip(self.eqs, self.rho_eq)]
+        r_eq = [f.fam.local(x)[0] * f.rho for f in self.eqs]
         norms = [term.local(x) for term in self.program.objective.norms]
         return _Point(
             np.concatenate(g) if g else np.zeros(0),
@@ -312,16 +302,14 @@ class _Work:
         r = pt.obj_grad.copy()
         for f, g in zip(self.fams, pt.grads):
             np.add.at(r, f.cols, (g * lam[f.rows, None]).ravel())
-        off = 0
-        for fam, g in zip(self.eqs, self.eq_grads):
-            np.add.at(r, fam.cols.ravel(), (g * nu[off : off + fam.m, None]).ravel())
-            off += fam.m
+        for f in self.eqs:
+            np.add.at(r, f.cols, (f.grad * nu[f.rows, None]).ravel())
         return r
 
     def objective_hessian_blocks(self, pt: _Point):
-        """Quadratic + norm-term value arrays matching the static structure
-        order, each norm term's from the aux that the point pt computed."""
-        vals = [self.quad]
+        """Norm-term value arrays matching the static structure order, each
+        from the aux that the point pt computed."""
+        vals = []
         for term, (_, _, aux) in zip(self.program.objective.norms, pt.norms):
             vals.append(_scale_columns(term.hess_at(aux, term.weight), self.sc[term.cols]).ravel())
         return vals
@@ -452,7 +440,7 @@ def solve(
         accepted = False
         for _attempt in range(10):
             reg = delta * max(1.0, obj_scale)
-            step = work.kkt_step(np.concatenate([np.full(n, reg), *blocks, np.full(p, -reg)]), rhs)
+            step = work.kkt_step(np.concatenate([work.quad + reg, *blocks, np.full(p, -reg)]), rhs)
             if step is None or not np.all(np.isfinite(step)) or np.max(np.abs(step)) > 1e9:
                 delta = max(delta * 100.0, 1e-8)
                 continue
@@ -534,7 +522,6 @@ def solve(
         dual_bound=dual_bound,
         iterations=it,
         lam=lam * work.row_scale,
-        nu=nu * work.eq_row_scale,
     )
 
 

@@ -86,6 +86,9 @@ class OptimizerConfig:
         # A tolerance of 0 or less is never met: every solve would run out its steps.
         if not self.solver_tol > 0.0:
             raise ValueError(f"solver_tol must be positive, got {self.solver_tol!r}")
+        # No outer iteration means no plan: optimize would return an empty history.
+        if isinstance(self.max_outer, bool) or not isinstance(self.max_outer, int) or self.max_outer < 1:
+            raise ValueError(f"max_outer must be an integer of at least 1, got {self.max_outer!r}")
 
 
 @dataclass

@@ -102,19 +102,6 @@ class TestPointingLoss:
             pointing_loss(0.0, 0.5, default_link)
 
 
-class TestLinkBudget:
-    def test_assembled_state(self, default_link):
-        from fsotraj.channel import link_budget
-
-        budget = link_budget(0.9, 1e-3, 600.0, default_link)
-        assert 0.0 < budget.h_l <= 1.0
-        assert 0.0 < budget.h_p <= max_pointing_gain(600.0, default_link)
-        assert budget.gamma == pytest.approx(
-            gamma_from_gains(budget.h_a, budget.h_l, budget.h_p, default_link)
-        )
-        assert instantaneous_capacity(budget.h_a, budget.h_l, budget.h_p, default_link) > 0.0
-
-
 class TestInstantaneousCapacity:
     def test_zero_gain(self, default_link):
         assert instantaneous_capacity(0.0, 1.0, 1.0, default_link) == 0.0

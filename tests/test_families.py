@@ -13,12 +13,13 @@ import pytest
 
 from fsotraj.convex.program import (
     _NORM_EPS,
+    ConvexProgram,
     CubicEpigraphFamily,
-    LinearEqFamily,
-    LinearIneqFamily,
+    LinearFamily,
     LogEpigraphFamily,
     NormTerm,
     SocFamily,
+    VariableSpace,
 )
 
 M, NLOC, ROWS = 40, 5, 3
@@ -96,9 +97,23 @@ def oracle_norm(fam, x, lam):
 
 
 def oracle_linear(fam, x, lam):
-    vals = np.einsum("ml,ml->m", fam.coef, x[fam.cols])
-    vals = vals - fam.rhs if isinstance(fam, LinearEqFamily) else vals + fam.offset
+    vals = np.einsum("ml,ml->m", fam.coef, x[fam.cols]) + fam.offset
     return vals, fam.coef, np.zeros((fam.m, fam.nloc, fam.nloc))
+
+
+def equality_family(n, cols, coef, rhs):
+    """The family `add_linear_eq` builds for a.x = rhs, with its oracle
+    a.x - rhs."""
+    space = VariableSpace()
+    space.add("x", n)
+    program = ConvexProgram(space)
+    program.add_linear_eq("eq", cols, coef, rhs)
+
+    def oracle(fam, x, lam):
+        vals = np.einsum("ml,ml->m", fam.coef, x[fam.cols]) - rhs
+        return vals, fam.coef, np.zeros((fam.m, fam.nloc, fam.nloc))
+
+    return program.eq_families[0], oracle
 
 
 def random_cols(rng, n):
@@ -121,8 +136,8 @@ def families(rng, n):
         (SocFamily("soc_const", random_cols(rng, n), a, b, np.zeros((M, NLOC)), d), oracle_soc),
         (LogEpigraphFamily("log", random_cols(rng, n), a, b, offset, t_pos), oracle_log),
         (CubicEpigraphFamily("cube", random_cols(rng, n), a, b, rng.uniform(0.1, 2.0, M), c, d, t_pos), oracle_cubic),
-        (LinearIneqFamily("lin", random_cols(rng, n), c, d), oracle_linear),
-        (LinearEqFamily("eq", random_cols(rng, n), c, d), oracle_linear),
+        (LinearFamily("lin", random_cols(rng, n), c, d), oracle_linear),
+        equality_family(n, random_cols(rng, n), c, d),
         (NormTerm("norm", random_cols(rng, n), d, a, b), oracle_norm),
     ]
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from fsotraj.errors import ScenarioParseError
-from fsotraj.mission import CircularInit, Scenario, initialize_iterate
+from fsotraj.mission import CircularInit, OptimizerConfig, Scenario, initialize_iterate
 from fsotraj.scenario import dump_scenario, load_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -175,6 +175,14 @@ def test_nonpositive_solver_tol_rejected(tol):
     with pytest.raises(ScenarioParseError, match="solver_tol must be positive") as err:
         load_scenario(f"[optimizer]\nsolver_tol = {tol}\n")
     assert err.value.field == "optimizer"
+
+
+@pytest.mark.parametrize("max_outer", [0, -1, 2.5, True, "3"])
+def test_optimizer_config_rejects_max_outer_below_one(max_outer):
+    # The Python API holds max_outer to the parser's rule: an integer of at
+    # least 1. With 0 the outer loop would never run and return no plan.
+    with pytest.raises(ValueError, match="max_outer must be an integer of at least 1"):
+        OptimizerConfig(max_outer=max_outer)
 
 
 # Every unit token the README, the bundled scenarios, the tests and the echo

@@ -81,7 +81,7 @@ class TestCensus:
         sub.set_tradeoff(1e-4)
         prog = sub.program
         kinds = {f.kind for f in [*prog.families, *prog.eq_families]}
-        assert kinds == {"linear_eq", "linear_ineq", "soc", "log_epigraph", "cubic_epigraph"}
+        assert kinds == {"linear", "soc", "log_epigraph", "cubic_epigraph"}
 
 
 class TestSharedBlocks:
