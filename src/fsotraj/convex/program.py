@@ -385,7 +385,8 @@ class ConvexProgram:
         """Signed violation per tag (<= 0 everywhere means feasible); an
         equality row's is |a.x + b|."""
         out: dict[str, np.ndarray] = {}
-        rows = [(f, f.violation(x)) for f in self.families] + [(f, np.abs(f.violation(x))) for f in self.eq_families]
+        rows = [(f, f.violation(x)) for f in self.families]
+        rows += [(f, np.abs(f.violation(x))) for f in self.eq_families]
         for fam, v in rows:
             out[fam.tag] = np.concatenate([out[fam.tag], v]) if fam.tag in out else v
         return out

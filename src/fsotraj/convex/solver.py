@@ -121,7 +121,6 @@ class _Rows(NamedTuple):
     cols: np.ndarray  # fam.cols, flattened
     rho: np.ndarray  # row scaling from the start point
     grad: np.ndarray | None  # linear families: the row- and column-scaled gradient
-    outer: np.ndarray | None  # linear families: its per-member outer product
 
 
 def _scale_columns(hess, colscale):
@@ -249,6 +248,9 @@ class _Work:
         self.layout = _layout(program)
         self.fams = self._rows(program.families, x0)
         self.eqs = self._rows(program.eq_families, x0)
+        # A linear inequality family's J' diag(lam/s) J block scales a fixed
+        # per-member outer product of its scaled gradient.
+        self.outers = [None if f.grad is None else np.einsum("ml,mk->mlk", f.grad, f.grad) for f in self.fams]
         # An internal multiplier times its row scale is the physical multiplier.
         self.row_scale = np.concatenate([f.rho for f in self.fams]) if self.fams else np.zeros(0)
         # The scaled equality Jacobian, the E block of the KKT matrix.
@@ -261,7 +263,7 @@ class _Work:
         1 / max(1, |g(x0)|, |scaled grad|_inf) taken at x0 itself. The first
         iterate x0 / sc * sc differs from x0 in the last bit of some entries,
         so this evaluation is not shared with the first point's. A linear
-        family's scaled gradient and its outer product are constant."""
+        family's scaled gradient is constant."""
         out, off = [], 0
         for fam in families:
             colscale = self.sc[fam.cols]
@@ -269,11 +271,8 @@ class _Work:
             grads = grad * colscale
             mag = np.maximum(np.abs(vals), np.max(np.abs(grads), axis=1))
             rho = 1.0 / np.maximum(1.0, mag)
-            const = outer = None
-            if isinstance(fam, LinearFamily):
-                const = grads * rho[:, None]
-                outer = np.einsum("ml,mk->mlk", const, const)
-            out.append(_Rows(fam, slice(off, off + fam.m), colscale, fam.cols.ravel(), rho, const, outer))
+            const = grads * rho[:, None] if isinstance(fam, LinearFamily) else None
+            out.append(_Rows(fam, slice(off, off + fam.m), colscale, fam.cols.ravel(), rho, const))
             off += fam.m
         return out
 
@@ -421,14 +420,14 @@ def solve(
         # product.
         blocks = work.objective_hessian_blocks(pt)
         rhs_x = -r_dual
-        for f, grad_sc, aux in zip(work.fams, pt.grads, pt.aux):
+        for f, outer, grad_sc, aux in zip(work.fams, work.outers, pt.grads, pt.aux):
             lam_f = lam[f.rows]
             s_f = s[f.rows]
-            if f.outer is None:
+            if outer is None:
                 hess = _scale_columns(f.fam.hess_at(aux, lam_f * f.rho), f.colscale)
                 hess += (lam_f / s_f)[:, None, None] * np.einsum("ml,mk->mlk", grad_sc, grad_sc)
             else:
-                hess = (lam_f / s_f)[:, None, None] * f.outer
+                hess = (lam_f / s_f)[:, None, None] * outer
             blocks.append(hess.ravel())
             coeff = (lam_f / s_f) * r_prim[f.rows] - r_cent[f.rows] / s_f
             np.add.at(rhs_x, f.cols, -(grad_sc * coeff[:, None]).ravel())
