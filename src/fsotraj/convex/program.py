@@ -163,7 +163,11 @@ class _NormMixin:
         self.a_loc = _as_block(a_loc, self.m, a_loc.shape[-2], self.nloc)
         self.rows = self.a_loc.shape[1]
         self.b_loc = _as_block(b_loc, self.m, self.rows)
-        self.ata = np.einsum("mrl,mrk->mlk", self.a_loc, self.a_loc)
+        if a_loc.shape[:-2] == (self.m,):
+            self.ata = np.einsum("mrl,mrk->mlk", self.a_loc, self.a_loc)
+        else:  # one block shared by every member: one A'A, broadcast like it
+            a_one = np.broadcast_to(a_loc, (1, self.rows, self.nloc))[0]
+            self.ata = _as_block(np.einsum("rl,rk->lk", a_one, a_one), self.m, self.nloc, self.nloc)
 
     def _u(self, x):
         return np.einsum("mrl,ml->mr", self.a_loc, self.gather(x)) + self.b_loc
@@ -327,10 +331,13 @@ class Objective:
         result at x passes them as ``norms``."""
         if norms is None:
             norms = [term.local(x) for term in self.norms]
-        g = self.lin + self.quad_diag * x
-        for term, (_, grad, _) in zip(self.norms, norms):
-            np.add.at(g, term.cols.ravel(), (term.weight[:, None] * grad).ravel())
-        return g
+        # One bincount over [lin + q x, every term's weighted gradient
+        # entries]: it adds in input order from 0.0, so each entry gets the
+        # bits of adding the terms in turn to lin + q x.
+        index = np.concatenate([np.arange(x.size), *(term.cols.ravel() for term in self.norms)])
+        weights = [self.lin + self.quad_diag * x]
+        weights += [(term.weight[:, None] * grad).ravel() for term, (_, grad, _) in zip(self.norms, norms)]
+        return np.bincount(index, weights=np.concatenate(weights), minlength=x.size)
 
 
 class ConvexProgram:

@@ -15,14 +15,16 @@ tolerance: that point proves the program feasible, so the solve ends
 
 The reduced KKT system has a fixed sparsity pattern per program, and every
 restriction of one trajectory optimization has the same pattern. Its layout
-is built once per pattern and reused while the next solve's COO indices equal
-it: the variables are put in reverse Cuthill-McKee order, which gives the
-trajectory programs a small half-bandwidth independent of the slot count, and
-every COO entry is mapped to its merged entry and that entry to its slot in
-LAPACK band storage. Each Newton step sums the per-block dense values into
-the merged entries, scatters them into the band, factors it with banded LU
-(``dgbtrf``) and refines the solution once with the same factors, the
-residual being a CSR product with the merged entries.
+is built once per pattern and reused while the next solve has the same size
+and the same columns in every block: the variables are put in reverse
+Cuthill-McKee order, which gives the trajectory programs a small
+half-bandwidth independent of the slot count, and every COO entry is mapped
+to its merged entry and that entry to its slot in LAPACK band storage. Each
+Newton step writes every block's dense values in place into one COO value
+buffer, sums them into the merged entries, scatters those into the band,
+factors it with banded LU (``dgbtrf``) and refines the solution once with the
+same factors, the residual being a product with a CSR matrix built once per
+solve on the merged entries.
 
 Each visited point (the start point and every line-search trial) evaluates
 every family and every objective norm term once through ``local``: values,
@@ -33,6 +35,14 @@ columns the same way for every block. What stays fixed through a solve is
 computed once in ``_Work``, alike for the inequality and the equality rows:
 the row and column scales of every family, the linear families' scaled
 gradients and their outer products, and the objective's scaled quadratic.
+
+The families' scaled gradients live in one flat member-entry layout, fixed
+once per solve: every family's (m, nloc) block in ``ravel`` order, one after
+another, with each entry's row and column. So the dual residual at every
+point and the Newton right-hand side are each one ``np.bincount`` over
+[arange(n), the families' columns] whose weights start with the base vector:
+it adds in input order from 0.0, so each entry gets the bits of adding every
+family's terms in turn to the base vector. ``J dx`` gathers dx once.
 
 Warm start: ``Solution.lam`` holds the inequality multipliers in physical
 units (the internal multiplier times the row scaling, which every solve
@@ -102,11 +112,11 @@ class Solution:
 
 class _Point(NamedTuple):
     """Scaled residual pieces at one primal point, from one ``local`` call
-    per family."""
+    per family and per objective norm term."""
 
     g: np.ndarray  # row-scaled inequality values
     r_eq: np.ndarray  # row-scaled equality residual
-    grads: list  # per family: row- and column-scaled local gradients
+    grad: np.ndarray  # row- and column-scaled inequality gradients, laid out as ``_Work.const_grad``
     aux: list  # per family: what its hess_at needs at this point
     obj_grad: np.ndarray  # column-scaled objective gradient
     norms: list  # per objective norm term: its `local` result
@@ -117,24 +127,25 @@ class _Rows(NamedTuple):
 
     fam: _Family
     rows: slice  # its rows in its list's stacked row vector
+    entries: slice  # its (m, nloc) gradient entries in its list's flat gradient, in ravel order
     colscale: np.ndarray  # sc[fam.cols]
-    cols: np.ndarray  # fam.cols, flattened
     rho: np.ndarray  # row scaling from the start point
-    grad: np.ndarray | None  # linear families: the row- and column-scaled gradient
-
-
-def _scale_columns(hess, colscale):
-    """Local Hessians (m, nloc, nloc) in the solver's scaled coordinates."""
-    return hess * colscale[:, :, None] * colscale[:, None, :]
+    linear: bool  # its scaled gradient is constant, filled once per solve
 
 
 def _residual_norm(parts) -> float:
     return float(np.sqrt(sum(float(r @ r) for r in parts)))
 
 
+def _kkt_blocks(program: ConvexProgram):
+    """The blocks whose columns fix the KKT pattern, in its order: the
+    objective's norm terms, the inequality families, the equality families."""
+    return [*program.objective.norms, *program.families, *program.eq_families]
+
+
 def _kkt_structure(program: ConvexProgram):
     """COO rows and columns of the KKT matrix [[M, E'], [E, -delta I]], in the
-    order the value arrays are concatenated in at every iteration."""
+    order of ``_Work.kkt_vals``."""
     n = program.space.dimension
     rows, cols = [np.arange(n)], [np.arange(n)]  # primal regularization plus diagonal quadratic
     for block in [*program.objective.norms, *program.families]:
@@ -162,11 +173,16 @@ def _kkt_structure(program: ConvexProgram):
 
 class _Layout:
     """The banded KKT layout of one sparsity pattern: its reverse
-    Cuthill-McKee order, the merged entries and their band slots."""
+    Cuthill-McKee order, the merged entries and their band slots. The
+    pattern is a function of the KKT size, the number of equality families
+    and every block's ``cols`` in ``_kkt_blocks`` order, which it keeps (as
+    copies) to recognise the pattern again."""
 
-    def __init__(self, kkt_rows: np.ndarray, kkt_cols: np.ndarray, size: int):
-        self.kkt_rows = kkt_rows
-        self.kkt_cols = kkt_cols
+    def __init__(self, program: ConvexProgram):
+        size = program.space.dimension + program.n_eq
+        self.block_cols = tuple(block.cols.copy() for block in _kkt_blocks(program))
+        self.n_eq_blocks = len(program.eq_families)
+        self.kkt_rows, self.kkt_cols = kkt_rows, kkt_cols = _kkt_structure(program)
         self.kkt_shape = (size, size)
         # Reverse Cuthill-McKee order of the pattern. Permuted entry (i, j)
         # sits at row kl + ku + i - j, column j of a Fortran-ordered
@@ -194,11 +210,13 @@ class _Layout:
         ci, cj = inv[kkt_rows], inv[kkt_cols]
         self.entry_slot = lookup[self.kl + self.ku + ci - cj + self.band_rows * cj].astype(np.intp)
 
-    def matches(self, kkt_rows: np.ndarray, kkt_cols: np.ndarray, size: int) -> bool:
+    def matches(self, program: ConvexProgram) -> bool:
+        blocks = _kkt_blocks(program)
         return (
-            self.kkt_shape == (size, size)
-            and np.array_equal(self.kkt_rows, kkt_rows)
-            and np.array_equal(self.kkt_cols, kkt_cols)
+            self.kkt_shape[0] == program.space.dimension + program.n_eq
+            and self.n_eq_blocks == len(program.eq_families)
+            and len(self.block_cols) == len(blocks)
+            and all(np.array_equal(cols, block.cols) for cols, block in zip(self.block_cols, blocks))
         )
 
     def entries(self, coo_vals):
@@ -211,10 +229,6 @@ class _Layout:
         band[self.entry_band] = entries
         return band.reshape((self.band_rows, self.kkt_shape[0]), order="F")
 
-    def matvec(self, entries, v):
-        """The merged KKT matrix times v, each row summed in entry order."""
-        return sp.csr_matrix((entries, self.entry_cols, self.indptr), shape=self.kkt_shape) @ v
-
 
 # The layout of the most recent solve. Every restriction of one trajectory
 # optimization has the same KKT pattern, so each solve after the first reuses
@@ -225,93 +239,188 @@ _last_layout: _Layout | None = None
 
 def _layout(program: ConvexProgram) -> _Layout:
     """The banded layout of the program's KKT pattern, reused from the last
-    solve when its COO indices and shape are equal to this program's."""
+    solve when its size and block columns are equal to this program's."""
     global _last_layout
-    rows, cols = _kkt_structure(program)
-    size = program.space.dimension + program.n_eq
     layout = _last_layout
-    if layout is None or not layout.matches(rows, cols, size):
-        layout = _last_layout = _Layout(rows, cols, size)
+    if layout is None or not layout.matches(program):
+        layout = _last_layout = _Layout(program)
     return layout
+
+
+def _flat_index(rows: list[_Rows]):
+    """The row and the column of every entry of the families' flat gradient."""
+    member = [np.repeat(np.arange(f.rows.start, f.rows.stop), f.fam.nloc) for f in rows]
+    cols = [f.fam.cols.ravel() for f in rows]
+    return np.concatenate([np.zeros(0, np.intp), *member]), np.concatenate([np.zeros(0, np.intp), *cols])
 
 
 class _Work:
     """Per-solve state: one ``_Rows`` per inequality family (``fams``) and
     per equality family (``eqs``), built alike from the start point, the
-    objective's constant scaled quadratic, and the banded layout of the
-    program's KKT pattern."""
+    objective's constant scaled quadratic, the banded layout of the program's
+    KKT pattern, and the flat member-entry layout with its workspaces.
+
+    Flat layout: every family's (m, nloc) scaled gradient lives in one flat
+    array, families in order and each in ``ravel`` order (``const_grad`` for
+    the inequality families, ``eq_grad`` for the equality families).
+    ``member`` maps each inequality entry to its row, and ``index`` is
+    [arange(n), the inequality families' cols, the equality families' cols]
+    in the same order, so every scatter onto the variables is one
+    ``np.bincount`` whose weights start with the base vector.
+
+    ``kkt_vals`` is the KKT matrix's COO value buffer, in ``_kkt_structure``
+    order: the E and E' blocks are written once, every other block in place
+    at each Newton step, and ``regularized`` writes the two regularization
+    blocks. ``csr`` is the refinement's matrix on the layout's merged
+    entries; each factorization only swaps its data."""
 
     def __init__(self, program: ConvexProgram, x0: np.ndarray):
         self.program = program
         self.sc = program.space.scales()
+        self.n = n = program.space.dimension
         self.p = program.n_eq
-        self.layout = _layout(program)
-        self.fams = self._rows(program.families, x0)
-        self.eqs = self._rows(program.eq_families, x0)
+        self.layout = layout = _layout(program)
+        self.fams, self.const_grad = self._rows(program.families, x0)
+        self.eqs, self.eq_grad = self._rows(program.eq_families, x0)
+        # An internal multiplier times its row scale is the physical multiplier.
+        self.row_scale = np.concatenate([np.zeros(0), *(f.rho for f in self.fams)])
+        self.member, self.jcols = _flat_index(self.fams)
+        self.eq_member, eq_cols = _flat_index(self.eqs)
+        self.index = np.concatenate([np.arange(n), self.jcols, eq_cols])
+        self.weights = np.empty(self.index.size)  # bincount weights, rewritten by every scatter
         # A linear inequality family's J' diag(lam/s) J block scales a fixed
         # per-member outer product of its scaled gradient.
-        self.outers = [None if f.grad is None else np.einsum("ml,mk->mlk", f.grad, f.grad) for f in self.fams]
-        # An internal multiplier times its row scale is the physical multiplier.
-        self.row_scale = np.concatenate([f.rho for f in self.fams]) if self.fams else np.zeros(0)
-        # The scaled equality Jacobian, the E block of the KKT matrix.
-        self.eq_vals = [f.grad.ravel() for f in self.eqs]
+        self.outers = []
+        for f in self.fams:
+            grad = self.block(self.const_grad, f)
+            self.outers.append(np.einsum("ml,mk->mlk", grad, grad) if f.linear else None)
         # The objective's quadratic part of the Hessian is constant.
         self.quad = program.objective.quad_diag * self.sc * self.sc
+        self.norm_colscales = [self.sc[term.cols] for term in program.objective.norms]
 
-    def _rows(self, families, x0) -> list[_Rows]:
+        # The COO value buffer and its per-block (m, nloc, nloc) views.
+        self.kkt_vals = np.empty(layout.kkt_rows.size)
+        off = n
+        self.norm_blocks, self.fam_blocks = [], []
+        for blocks, owners in ((self.norm_blocks, program.objective.norms), (self.fam_blocks, program.families)):
+            for block in owners:
+                size = block.m * block.nloc * block.nloc
+                blocks.append(self.kkt_vals[off : off + size].reshape(block.m, block.nloc, block.nloc))
+                off += size
+        self.kkt_vals[off : off + self.eq_grad.size] = self.eq_grad  # E block
+        off += self.eq_grad.size
+        self.kkt_vals[off : off + self.eq_grad.size] = self.eq_grad  # E' block
+        # Scratch for a nonlinear family's J' diag(lam/s) J block.
+        self.outer = np.empty(max((b.size for f, b in zip(self.fams, self.fam_blocks) if not f.linear), default=0))
+        self.csr = sp.csr_matrix(
+            (np.zeros(layout.entry_cols.size), layout.entry_cols, layout.indptr), shape=layout.kkt_shape
+        )
+
+    def _rows(self, families, x0) -> tuple[list[_Rows], np.ndarray]:
         """Each family's constants, with the row scaling
-        1 / max(1, |g(x0)|, |scaled grad|_inf) taken at x0 itself. The first
-        iterate x0 / sc * sc differs from x0 in the last bit of some entries,
-        so this evaluation is not shared with the first point's. A linear
-        family's scaled gradient is constant."""
-        out, off = [], 0
+        1 / max(1, |g(x0)|, |scaled grad|_inf) taken at x0 itself, and the
+        flat gradient with every linear family's constant entries filled. The
+        first iterate x0 / sc * sc differs from x0 in the last bit of some
+        entries, so this evaluation is not shared with the first point's."""
+        out, row, entry = [], 0, 0
+        flat = np.zeros(sum(fam.cols.size for fam in families))
         for fam in families:
             colscale = self.sc[fam.cols]
             vals, grad, _ = fam.local(x0)
             grads = grad * colscale
             mag = np.maximum(np.abs(vals), np.max(np.abs(grads), axis=1))
             rho = 1.0 / np.maximum(1.0, mag)
-            const = grads * rho[:, None] if isinstance(fam, LinearFamily) else None
-            out.append(_Rows(fam, slice(off, off + fam.m), colscale, fam.cols.ravel(), rho, const))
-            off += fam.m
-        return out
+            entries = slice(entry, entry + fam.cols.size)
+            f = _Rows(fam, slice(row, row + fam.m), entries, colscale, rho, isinstance(fam, LinearFamily))
+            if f.linear:
+                np.multiply(grads, rho[:, None], out=self.block(flat, f))
+            out.append(f)
+            row += fam.m
+            entry += fam.cols.size
+        return out, flat
+
+    @staticmethod
+    def block(flat, f: _Rows):
+        """Family f's (m, nloc) view of a flat gradient array."""
+        return flat[f.entries].reshape(f.fam.cols.shape)
 
     def point(self, xs) -> _Point:
-        """Values, gradients and Hessian inputs at the scaled point xs."""
+        """Values, gradients and Hessian inputs at the scaled point xs. The
+        linear families' gradient entries are copied from ``const_grad``."""
         x = xs * self.sc
-        g, grads, aux = [], [], []
+        g = np.empty(self.row_scale.size)
+        grad = self.const_grad.copy()
+        aux = []
         for f in self.fams:
-            vals, grad, a = f.fam.local(x)
-            g.append(vals * f.rho)
-            grads.append(grad * f.colscale * f.rho[:, None] if f.grad is None else f.grad)
+            vals, fgrad, a = f.fam.local(x)
+            np.multiply(vals, f.rho, out=g[f.rows])
+            if not f.linear:
+                block = self.block(grad, f)
+                np.multiply(fgrad, f.colscale, out=block)
+                block *= f.rho[:, None]
             aux.append(a)
-        r_eq = [f.fam.local(x)[0] * f.rho for f in self.eqs]
+        r_eq = np.empty(self.p)
+        for f in self.eqs:
+            np.multiply(f.fam.local(x)[0], f.rho, out=r_eq[f.rows])
         norms = [term.local(x) for term in self.program.objective.norms]
-        return _Point(
-            np.concatenate(g) if g else np.zeros(0),
-            np.concatenate(r_eq) if r_eq else np.zeros(0),
-            grads,
-            aux,
-            self.program.objective.grad(x, norms) * self.sc,
-            norms,
-        )
+        return _Point(g, r_eq, grad, aux, self.program.objective.grad(x, norms) * self.sc, norms)
 
     def dual_residual(self, pt: _Point, lam, nu):
-        """obj_grad + J' lam + E' nu at the point pt."""
-        r = pt.obj_grad.copy()
-        for f, g in zip(self.fams, pt.grads):
-            np.add.at(r, f.cols, (g * lam[f.rows, None]).ravel())
-        for f in self.eqs:
-            np.add.at(r, f.cols, (f.grad * nu[f.rows, None]).ravel())
-        return r
+        """obj_grad + J' lam + E' nu at the point pt, in one scatter."""
+        n, ne = self.n, self.const_grad.size
+        w = self.weights
+        w[:n] = pt.obj_grad
+        np.multiply(pt.grad, lam[self.member], out=w[n : n + ne])
+        np.multiply(self.eq_grad, nu[self.eq_member], out=w[n + ne :])
+        return np.bincount(self.index, weights=w, minlength=n)
 
-    def objective_hessian_blocks(self, pt: _Point):
-        """Norm-term value arrays matching the static structure order, each
-        from the aux that the point pt computed."""
-        vals = []
-        for term, (_, _, aux) in zip(self.program.objective.norms, pt.norms):
-            vals.append(_scale_columns(term.hess_at(aux, term.weight), self.sc[term.cols]).ravel())
+    def newton_system(self, pt: _Point, lam, s, r_dual, r_prim, r_cent):
+        """Write the KKT matrix at the point pt into ``kkt_vals``, all but the
+        regularization, and return the Newton right-hand side.
+
+        M = H_obj + sum lam H_i + J' diag(lam/s) J + delta I; the curvature
+        comes from the aux the point's local calls left. Linear families have
+        none, and their J' diag(lam/s) J block scales a fixed outer product."""
+        ratio = lam / s
+        weight = lam * self.row_scale
+        for term, (_, _, aux), block, colscale in zip(
+            self.program.objective.norms, pt.norms, self.norm_blocks, self.norm_colscales
+        ):
+            np.multiply(term.hess_at(aux, term.weight), colscale[:, :, None], out=block)
+            block *= colscale[:, None, :]
+        for f, aux, outer, block in zip(self.fams, pt.aux, self.outers, self.fam_blocks):
+            ratio_f = ratio[f.rows, None, None]
+            if f.linear:
+                np.multiply(ratio_f, outer, out=block)
+                continue
+            np.multiply(f.fam.hess_at(aux, weight[f.rows]), f.colscale[:, :, None], out=block)
+            block *= f.colscale[:, None, :]
+            grad = self.block(pt.grad, f)
+            prod = np.einsum("ml,mk->mlk", grad, grad, out=self.outer[: block.size].reshape(block.shape))
+            prod *= ratio_f
+            block += prod
+        # rhs_x = -r_dual - J' (lam/s r_prim - r_cent/s), in one scatter.
+        n, ne = self.n, self.const_grad.size
+        w = self.weights[: n + ne]
+        np.negative(r_dual, out=w[:n])
+        np.multiply(pt.grad, (ratio * r_prim - r_cent / s)[self.member], out=w[n:])
+        np.negative(w[n:], out=w[n:])
+        rhs = np.empty(n + self.p)
+        rhs[:n] = np.bincount(self.index[: n + ne], weights=w, minlength=n)
+        np.negative(pt.r_eq, out=rhs[n:])
+        return rhs
+
+    def regularized(self, reg):
+        """``kkt_vals`` with the primal regularization reg and the dual -reg."""
+        vals = self.kkt_vals
+        np.add(self.quad, reg, out=vals[: self.n])
+        vals[vals.size - self.p :] = -reg
         return vals
+
+    def matvec(self, entries, v):
+        """The merged KKT matrix times v, each row summed in entry order."""
+        self.csr.data = entries
+        return self.csr @ v
 
     def kkt_step(self, coo_vals, rhs):
         """Solve the KKT system with values coo_vals for rhs: banded LU plus
@@ -333,7 +442,15 @@ class _Work:
             return x
 
         step = band_solve(rhs)
-        return step + band_solve(rhs - layout.matvec(entries, step))
+        return step + band_solve(rhs - self.matvec(entries, step))
+
+    def jac_dx(self, pt: _Point, dx):
+        """J dx at the point pt, from one gather of dx."""
+        dx_loc = dx[self.jcols]
+        out = np.empty(self.row_scale.size)
+        for f in self.fams:
+            out[f.rows] = np.einsum("ml,ml->m", self.block(pt.grad, f), self.block(dx_loc, f))
+        return out
 
 
 def solve(
@@ -413,43 +530,22 @@ def solve(
             status = _far_from_feasible(program, x_orig)
             break
 
-        # M = H_obj + sum lam H_i + J' diag(lam/s) J + delta I; every block
-        # but the regularization is fixed per iterate. The curvature comes
-        # from the aux the accepted point's local calls left; linear families
-        # have none, and their J' diag(lam/s) J block scales a fixed outer
-        # product.
-        blocks = work.objective_hessian_blocks(pt)
-        rhs_x = -r_dual
-        for f, outer, grad_sc, aux in zip(work.fams, work.outers, pt.grads, pt.aux):
-            lam_f = lam[f.rows]
-            s_f = s[f.rows]
-            if outer is None:
-                hess = _scale_columns(f.fam.hess_at(aux, lam_f * f.rho), f.colscale)
-                hess += (lam_f / s_f)[:, None, None] * np.einsum("ml,mk->mlk", grad_sc, grad_sc)
-            else:
-                hess = (lam_f / s_f)[:, None, None] * outer
-            blocks.append(hess.ravel())
-            coeff = (lam_f / s_f) * r_prim[f.rows] - r_cent[f.rows] / s_f
-            np.add.at(rhs_x, f.cols, -(grad_sc * coeff[:, None]).ravel())
-        blocks.extend(work.eq_vals)  # E block
-        blocks.extend(work.eq_vals)  # E' block
-        rhs = np.concatenate([rhs_x, -pt.r_eq]) if p else rhs_x
+        # Every block of the KKT matrix but the regularization is fixed per
+        # iterate.
+        rhs = work.newton_system(pt, lam, s, r_dual, r_prim, r_cent)
         base = _residual_norm([r_dual, r_prim, r_cent, pt.r_eq])
 
         accepted = False
         for _attempt in range(10):
             reg = delta * max(1.0, obj_scale)
-            step = work.kkt_step(np.concatenate([work.quad + reg, *blocks, np.full(p, -reg)]), rhs)
+            step = work.kkt_step(work.regularized(reg), rhs)
             if step is None or not np.all(np.isfinite(step)) or np.max(np.abs(step)) > 1e9:
                 delta = max(delta * 100.0, 1e-8)
                 continue
 
             dx = step[:n]
             dnu = step[n:] if p else np.zeros(0)
-            jdx = np.zeros(m)
-            for f, grad_sc in zip(work.fams, pt.grads):
-                jdx[f.rows] = np.einsum("ml,ml->m", grad_sc, dx[f.fam.cols])
-            ds = -r_prim - jdx
+            ds = -r_prim - work.jac_dx(pt, dx)
             dlam = -(lam / s) * ds - r_cent / s if m else np.zeros(0)
 
             # Fraction-to-boundary on s and lam.

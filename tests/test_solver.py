@@ -1,4 +1,5 @@
 import math
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from fsotraj.mission import Scenario, initialize_iterate
 from fsotraj.optimizer import optimize
 from fsotraj.scenario import load_scenario
 from fsotraj.subproblem import Subproblem
+import reference_assembly
 from reference_subgradient import eigenbasis_program, projected_subgradient_batch, random_box_programs
 
 
@@ -264,7 +266,7 @@ class TestKktAssembly:
             size = layout.kkt_shape[0]
             entry_rows = np.repeat(np.arange(size), np.diff(layout.indptr))
             product = np.bincount(entry_rows, weights=entries * step[layout.entry_cols], minlength=size)
-            assert np.array_equal(layout.matvec(entries, step), product)
+            assert np.array_equal(work.matvec(entries, step), product)
 
 
 class TestLayoutCache:
@@ -302,6 +304,31 @@ class TestLayoutCache:
         assert solver_mod._last_layout is not cone_layout
         assert solver_mod._last_layout.kkt_shape == cone_layout.kkt_shape
 
+    def test_same_sizes_moved_column_gets_its_own_layout(self):
+        # Moving one member's column keeps every size and the merged pattern,
+        # but not the COO order that the layout's entry map follows.
+        def program(hi_cols):
+            vs = VariableSpace()
+            vs.add("x", 3)
+            prog = ConvexProgram(vs)
+            prog.objective.lin[:] = [-1.0, -2.0, -3.0]
+            prog.add_linear_ineq("hi", np.array(hi_cols)[:, None], np.ones((3, 1)), -np.array([1.0, 2.0, 3.0]))
+            prog.add_linear_ineq("lo", np.arange(3)[:, None], -np.ones((3, 1)), np.zeros(3))
+            return prog
+
+        base, moved = program([0, 1, 2]), program([0, 2, 1])
+        assert solve(base, tol=1e-8).status == "optimal"
+        layout = solver_mod._last_layout
+        assert layout.matches(base) and not layout.matches(moved)
+        sol = solve(moved, tol=1e-8)
+        fresh = solver_mod._last_layout
+        assert fresh is not layout
+        assert fresh.kkt_shape == layout.kkt_shape
+        assert np.array_equal(fresh.entry_cols, layout.entry_cols)
+        assert not np.array_equal(fresh.kkt_cols, layout.kkt_cols)
+        assert sol.status == "optimal"
+        np.testing.assert_allclose(sol.x, [1.0, 3.0, 2.0], atol=1e-6)
+
     def test_reused_layout_gives_the_bits_of_a_new_one(self, monkeypatch):
         # The cached layout comes from a program of the same structure with
         # another trade-off; emptying the cache must not change any bit.
@@ -327,6 +354,8 @@ class TestEvaluationsPerPoint:
         # Newton loop builds their Hessians from the accepted point's aux.
         sub = moving_subproblem()
         program = sub.program
+        x0 = sub.anchor_x()
+        reference = solve(program, tol=1e-8, x0=x0)
         fams = [*program.families, *program.eq_families]
         terms = program.objective.norms
         assert len(terms) == 1
@@ -339,9 +368,15 @@ class TestEvaluationsPerPoint:
         for blocks, calls, local_log in ((fams, hess_calls, log), (terms, term_hess_calls, term_log)):
             for k, block in enumerate(blocks):
 
-                def local(x, k=k, inner=block.local, local_log=local_log):
+                def local(x, k=k, inner=block.local, local_log=local_log, block=block):
+                    first = all(j != k for j, _ in local_log)
                     local_log.append((k, x))
-                    return inner(x)
+                    vals, grad, aux = inner(x)
+                    if isinstance(block, program_mod.LinearFamily) and not first:
+                        # A linear family's gradient may be read at x0 only;
+                        # a later read would carry the NaNs into the solve.
+                        grad = np.full_like(grad, np.nan)
+                    return vals, grad, aux
 
                 def hess_at(aux, lam, k=k, inner=block.hess_at, calls=calls):
                     calls[k] += 1
@@ -358,9 +393,9 @@ class TestEvaluationsPerPoint:
             return pt
 
         monkeypatch.setattr(solver_mod._Work, "point", point_spy)
-        x0 = sub.anchor_x()
         sol = solve(program, tol=1e-8, x0=x0)
         assert sol.status == "optimal"
+        assert np.array_equal(sol.x, reference.x) and np.array_equal(sol.lam, reference.lam)
 
         nf = len(fams)
         # _Work.__init__ evaluates every family once at x0 for the row
@@ -385,12 +420,101 @@ class TestEvaluationsPerPoint:
         assert hess_calls == [0 if lin else steps for lin in linear] + [0] * len(program.eq_families)
         assert term_hess_calls == [steps]
 
-        # A linear family's scaled gradient is built once per solve.
+        # A linear family's scaled gradient is built once per solve, from
+        # the x0 call: every point's flat gradient holds its entries from
+        # const_grad, and no later local gradient reaches the solve.
         works = {id(work) for work, _ in points}
         assert len(works) == 1
         for work, pt in points:
-            for f, lin, grad in zip(work.fams, linear, pt.grads):
-                assert (grad is f.grad) if lin else (f.grad is None)
+            assert np.all(np.isfinite(pt.grad)) and np.all(np.isfinite(work.eq_grad))
+            assert [f.linear for f in work.fams] == linear
+            for f in work.fams:
+                if f.linear:
+                    assert np.array_equal(work.block(pt.grad, f), work.block(work.const_grad, f))
+                else:
+                    assert not work.block(work.const_grad, f).any()
+
+
+def bundled_moving_restriction():
+    """The first restriction of the bundled moving scenario (N=100)."""
+    sc = load_scenario(str(SCENARIOS / "moving.ini")).scenario
+    sub = Subproblem(initialize_iterate(sc), sc)
+    c_anchor, p_anchor = sub.surrogate_totals(sub.space.unpack(sub.anchor_x()))
+    sub.set_tradeoff(c_anchor / p_anchor)
+    return sub
+
+
+class TestFlatLayout:
+    def test_fused_scatters_equal_per_family_reference(self, monkeypatch):
+        # Each scatter is one bincount over the flat member-entry layout. It
+        # adds in input order from 0.0, so it must give the bits of the
+        # per-family np.add.at from the base vector, at every point.
+        sub = bundled_moving_restriction()
+        objective = sub.program.objective
+        xs_of = {}  # id(point) -> (point, scaled x)
+        checked = {"points": 0, "dual": 0, "newton": 0}
+        point, dual_residual, newton_system = (
+            solver_mod._Work.point,
+            solver_mod._Work.dual_residual,
+            solver_mod._Work.newton_system,
+        )
+
+        def point_spy(work, xs):
+            pt = point(work, xs)
+            x = xs * work.sc
+            assert np.array_equal(pt.obj_grad, reference_assembly.objective_gradient(objective, x) * work.sc)
+            grads = reference_assembly.family_gradients(work.fams, x)
+            assert np.array_equal(pt.grad, np.concatenate([grad.ravel() for grad in grads]))
+            xs_of[id(pt)] = (pt, x)
+            checked["points"] += 1
+            return pt
+
+        def dual_spy(work, pt, lam, nu):
+            r = dual_residual(work, pt, lam, nu)
+            assert np.array_equal(r, reference_assembly.dual_residual(work, xs_of[id(pt)][1], pt.obj_grad, lam, nu))
+            checked["dual"] += 1
+            return r
+
+        def newton_spy(work, pt, lam, s, r_dual, r_prim, r_cent):
+            rhs = newton_system(work, pt, lam, s, r_dual, r_prim, r_cent)
+            x = xs_of[id(pt)][1]
+            ref = reference_assembly.newton_rhs(work, x, r_dual, pt.r_eq, lam, s, r_prim, r_cent)
+            assert np.array_equal(rhs, ref)
+            blocks = work.kkt_vals[work.n : work.kkt_vals.size - work.p]
+            assert np.array_equal(blocks, reference_assembly.kkt_blocks(work, x, lam, s))
+            checked["newton"] += 1
+            return rhs
+
+        monkeypatch.setattr(solver_mod._Work, "point", point_spy)
+        monkeypatch.setattr(solver_mod._Work, "dual_residual", dual_spy)
+        monkeypatch.setattr(solver_mod._Work, "newton_system", newton_spy)
+        sol = solve(sub.program, tol=1e-8, x0=sub.anchor_x())
+        assert sol.status == "optimal"
+        assert checked["dual"] == checked["points"] >= sol.iterations
+        assert checked["newton"] == sol.iterations - 1
+
+    def test_two_threads_give_the_bits_of_sequential_solves(self):
+        # Concurrent solves share the cached layout and nothing else: each
+        # keeps its buffers in its own _Work.
+        subs = [bundled_moving_restriction() for _ in range(2)]
+        subs[1].set_tradeoff(0.9 * subs[1].tradeoff)
+        sequential = [solve(sub.program, tol=1e-8, x0=sub.anchor_x()) for sub in subs]
+        assert all(sol.status == "optimal" for sol in sequential)
+        start = threading.Barrier(2)
+        concurrent = [None, None]
+
+        def run(k):
+            start.wait()
+            concurrent[k] = solve(subs[k].program, tol=1e-8, x0=subs[k].anchor_x())
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        for seq, con in zip(sequential, concurrent):
+            assert np.array_equal(seq.x, con.x) and np.array_equal(seq.lam, con.lam)
+            assert (seq.iterations, seq.status, seq.objective) == (con.iterations, con.status, con.objective)
 
 
 class TestInputValidation:

@@ -100,6 +100,21 @@ class TestSharedBlocks:
                     checked += 1
         assert checked > 60
 
+    @pytest.mark.parametrize("name", ["hover", "hover_pitch_jitter", "moving"])
+    def test_ata_equals_the_per_member_einsum(self, name):
+        # A shared block's A'A is formed once and broadcast; it must hold
+        # the bytes of the per-member product it replaces.
+        sc = load_scenario(SCENARIOS / f"{name}.ini").scenario
+        prog = Subproblem(initialize_iterate(sc), sc).program
+        shared = 0
+        for block in [*prog.families, *prog.objective.norms]:
+            if hasattr(block, "ata"):
+                per_member = np.einsum("mrl,mrk->mlk", block.a_loc, block.a_loc)
+                assert block.ata.shape == per_member.shape, block.tag
+                assert block.ata.tobytes() == per_member.tobytes(), block.tag
+                shared += bool(np.all(block.a_loc == block.a_loc[:1]))
+        assert shared >= 9
+
     @pytest.mark.parametrize("shape", [(2, 2), (1, 3), (4, 4), (3, 2)])
     def test_shared_block_equals_its_tile(self, shape):
         rng = np.random.default_rng(7)
