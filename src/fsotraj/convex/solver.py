@@ -311,7 +311,7 @@ class _Work:
         off += self.eq_grad.size
         self.kkt_vals[off : off + self.eq_grad.size] = self.eq_grad  # E' block
         # Scratch for a nonlinear family's J' diag(lam/s) J block.
-        self.outer = np.empty(max((b.size for f, b in zip(self.fams, self.fam_blocks) if not f.linear), default=0))
+        self.scratch = np.empty(max((b.size for f, b in zip(self.fams, self.fam_blocks) if not f.linear), default=0))
         self.csr = sp.csr_matrix(
             (np.zeros(layout.entry_cols.size), layout.entry_cols, layout.indptr), shape=layout.kkt_shape
         )
@@ -396,7 +396,7 @@ class _Work:
             np.multiply(f.fam.hess_at(aux, weight[f.rows]), f.colscale[:, :, None], out=block)
             block *= f.colscale[:, None, :]
             grad = self.block(pt.grad, f)
-            prod = np.einsum("ml,mk->mlk", grad, grad, out=self.outer[: block.size].reshape(block.shape))
+            prod = np.einsum("ml,mk->mlk", grad, grad, out=self.scratch[: block.size].reshape(block.shape))
             prod *= ratio_f
             block += prod
         # rhs_x = -r_dual - J' (lam/s r_prim - r_cent/s), in one scatter.

@@ -511,7 +511,9 @@ class TestFlatLayout:
         for thread in threads:
             thread.start()
         for thread in threads:
-            thread.join()
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert all(sol is not None for sol in concurrent)
         for seq, con in zip(sequential, concurrent):
             assert np.array_equal(seq.x, con.x) and np.array_equal(seq.lam, con.lam)
             assert (seq.iterations, seq.status, seq.objective) == (con.iterations, con.status, con.objective)
