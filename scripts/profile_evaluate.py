@@ -13,8 +13,9 @@ two layers: it replays the library's chunk kernel on one thread, in the
 chunks of slots that ``mc_capacities`` claims, each slot on the same child
 stream that ``energy_efficiency`` spawns from the scenario seed (two
 error-plane normals and one scintillation normal per sample), and times the
-normal draws of each chunk and its log-domain arithmetic (constants, log-SNR
-kernel and the cross-fitted control-variate reduction, once per chunk)
+normal draws of each chunk and its log-domain arithmetic (the slots' Hoyt
+eigenvalues and constants, then the log-SNR kernel and the cross-fitted
+control-variate reduction, once per chunk)
 separately; it prints both per chunk and per slot, with the normals drawn per
 sample. It exits with status 1 when the replayed capacities differ from those
 of the ``energy_efficiency`` call. It imports the package from this
@@ -37,6 +38,7 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 
 from fsotraj import channel  # noqa: E402
+from fsotraj.jitter import hoyt_eigenvalues  # noqa: E402
 from fsotraj.kinematics import differentiate_trajectory  # noqa: E402
 from fsotraj.mission import initialize_iterate, pointing_geometry  # noqa: E402
 from fsotraj.optimizer import energy_efficiency  # noqa: E402
@@ -61,8 +63,7 @@ def monte_carlo_layers(sc, plan, samples: int) -> tuple[float, float, np.ndarray
     w_rows, e_rows = np.empty((chunk, samples, 2)), np.empty((chunk, samples))
     capacity = np.empty(len(z))
     t0 = time.perf_counter()
-    c0, scale = channel._slot_constants(sc.link, z, sc.jitter, u_hat)
-    t_mean = channel._mean_log_snr(c0, scale)
+    c0, scale, t_mean = channel._mc_constants(sc.link, z, hoyt_eigenvalues(sc.jitter, u_hat))
     arithmetic = time.perf_counter() - t0
     draws = 0.0
     for lo in range(0, len(z), chunk):

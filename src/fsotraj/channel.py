@@ -14,18 +14,23 @@ exponential per scintillation node and one per node of each jitter axis,
 leaving one log1p per grid node. `log_bound_params` takes the anchors of all
 slots as one array.
 
+Both kernels take the jitter through the Hoyt law of the pointing-error
+angle: every slot's semi-axis variances (lam1, lam2) from `hoyt_eigenvalues`,
+one row per slot, or a `HoytParams` for the one-slot calls. `_slot_constants`
+checks the slots once and builds, for all of them in one array expression,
+the log-SNR constant base - 2 sigma_b z + 2 log A0(z) and
+b = (sqrt(lam1), sqrt(lam2)) / sigma_div.
+
 Every Monte Carlo path works in the log domain. log Gamma is affine in the
 scintillation normal e and in theta_p^2, so a sample's log-SNR is
-t = c0 + 4 sigma_i e - |w b|^2, where w holds the sample's two error-plane
-normals and b = (sqrt(lam1), sqrt(lam2)) / sigma_div holds the square roots
-of the slot's Hoyt semi-axis variances from `hoyt_eigenvalues`, the ones the
-quadrature integrates: |w b|^2 = (lam1 w1^2 + lam2 w2^2) / sigma_div^2 has the
-Hoyt law of theta_p^2 / sigma_div^2. A sample draws three normals; its
-capacity is f = log1p(exp(t)) / (2 log 2). `_slot_constants` builds c0 and b
-for every slot.
+t = c0 + 4 sigma_i e - |w b|^2, with c0 the slot's constant less
+4 sigma_i^2 and w the sample's two error-plane normals:
+|w b|^2 = (lam1 w1^2 + lam2 w2^2) / sigma_div^2 has the Hoyt law of
+theta_p^2 / sigma_div^2, the law the quadrature integrates. A sample draws
+three normals; its capacity is f = log1p(exp(t)) / (2 log 2).
 
 A slot's estimate is not the plain mean of f. Its log-SNR has the closed-form
-mean E[t] = c0 - (lam1 + lam2) / sigma_div^2 (`_mean_log_snr`, equal to
+mean E[t] = c0 - (lam1 + lam2) / sigma_div^2 (from `_mc_constants`, equal to
 `expected_log_gamma`), and f is nearly linear in t, so the control variate
 f - beta (t - E[t]) removes most of f's variance. beta is cross-fitted
 (`_cross_fitted_residuals`): fitted on each half of the slot's samples and
@@ -59,7 +64,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateGeometryError, NearFieldWarning, slot_suffix
-from .jitter import HoytParams, JitterCovariance, hoyt_eigenvalues
+from .jitter import HoytParams
 
 _REFERENCE_WAVELENGTH = 550e-9  # meters, anchor of the visibility scattering law
 _EXP_SAFE = 709.0  # largest log-SNR whose exp stays finite with room to spare
@@ -243,70 +248,50 @@ def ergodic_capacity(e_log_gamma: float, gamma_l: float) -> float:
     return (grad * e_log_gamma + delta) / (2.0 * math.log(2.0))
 
 
-def mc_log_gamma(
-    link: LinkParams,
-    z: float,
-    cov: JitterCovariance,
-    u_hat: np.ndarray,
-    n: int = 10**6,
-    seed=0,
-) -> MCEstimate:
+def mc_log_gamma(link: LinkParams, z: float, hoyt: HoytParams, n: int = 10**6, seed=0) -> MCEstimate:
     """Monte Carlo estimate of E[log Gamma], the oracle for expected_log_gamma.
 
     The mean of the per-sample log-SNR t that `mc_ergodic_capacity` draws from
     the same seed; finite for every link, with no floor on Gamma.
     """
-    t, _, _ = _sample_log_snr(link, z, cov, u_hat, n, seed)
+    t, _, _ = _sample_log_snr(link, z, hoyt, n, seed)
     return MCEstimate(float(np.mean(t)), float(np.std(t) / math.sqrt(n)), n)
 
 
-def mc_ergodic_capacity(
-    link: LinkParams,
-    z: float,
-    cov: JitterCovariance,
-    u_hat: np.ndarray,
-    n: int = 10**6,
-    seed=0,
-) -> MCEstimate:
+def mc_ergodic_capacity(link: LinkParams, z: float, hoyt: HoytParams, n: int = 10**6, seed=0) -> MCEstimate:
     """Monte Carlo estimate of the true ergodic capacity E[0.5 log2(1 + Gamma)].
 
     The oracle against which every closed form in this module is checked. It
     draws n (2,) error-plane normals and then n scintillation normals from the
     seed's stream, three normals per sample, and reduces them as a one-slot
     chunk of `mc_capacities`, with the same kernel: the error-plane normals are
-    scaled by the square roots of the slot's Hoyt semi-axis variances, and each
+    scaled by the square roots of ``hoyt``'s semi-axis variances, and each
     sample's capacity is f = log1p(exp(t)) / (2 log 2). The value is the mean
     of the cross-fitted control-variate residuals r = f - beta (t - E[t]) of
     `_cross_fitted_residuals`, and ``stderr`` is std(r) / sqrt(n), the standard
     error of that mean. It is unbiased for every n; n = 1 gives the plain
     sample and stderr 0.
     """
-    t, t_mean, spent = _sample_log_snr(link, z, cov, u_hat, n, seed)
+    t, t_mean, spent = _sample_log_snr(link, z, hoyt, n, seed)
     r = _cross_fitted_residuals(t, t_mean, spent)
     return MCEstimate(
         float(np.mean(r, axis=1)[0] * _HALF_LOG2E), float(np.std(r) * _HALF_LOG2E / math.sqrt(n)), n
     )
 
 
-def mc_capacities(
-    link: LinkParams,
-    z: np.ndarray,
-    cov: JitterCovariance,
-    u_hat: np.ndarray,
-    n: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
+def mc_capacities(link: LinkParams, z, lam, n: int, rng: np.random.Generator) -> np.ndarray:
     """Monte Carlo ergodic capacity of every slot of a plan, bits/channel use, shape (N,).
 
-    ``z`` holds the N propagation distances and ``u_hat`` the (N, 3) pointing
-    vectors. Slot k draws from its own child stream, the k-th of
-    ``rng.spawn(N)``: its value is bit-identical to ``mc_ergodic_capacity(link,
-    z[k], cov, u_hat[k], n, seed=rng.spawn(N)[k]).value``, whichever thread ran
+    ``z`` holds the N propagation distances and ``lam`` the (N, 2) Hoyt
+    semi-axis variances of `hoyt_eigenvalues`, as for `quadrature_capacities`.
+    Slot k draws from its own child stream, the k-th of ``rng.spawn(N)``: its
+    value is bit-identical to ``mc_ergodic_capacity(link, z[k],
+    HoytParams(*lam[k]), n, seed=rng.spawn(N)[k]).value``, whichever thread ran
     it and whichever chunk held it. ``rng`` keeps its bit stream; its
     ``seed_seq`` records N more spawned children.
 
-    Every slot is checked, and its constants c0 and b built, before any child
-    is spawned; ``z`` and ``u_hat`` must count the same slots. The slots then
+    Every slot is checked by `_slot_constants`, and its constants c0 and b
+    built, before any child is spawned. The slots then
     run in chunks of `_chunk_slots` (n) consecutive slots, which the calling
     thread and one worker thread claim from a shared counter. For each slot of
     its chunk a thread builds the slot's generator and draws the slot's n (2,)
@@ -318,8 +303,7 @@ def mc_capacities(
     """
     if n < 1:
         raise ValueError("need at least one sample")
-    c0, scale = _slot_constants(link, z, cov, u_hat)
-    t_mean = _mean_log_snr(c0, scale)
+    c0, scale, t_mean = _mc_constants(link, z, lam)
     slots = len(c0)
     bits = rng.bit_generator
     children = bits.seed_seq.spawn(slots)  # rng.spawn's seeds; each generator is built by its thread
@@ -356,42 +340,43 @@ def mc_capacities(
     return capacity
 
 
-def _slot_constants(link: LinkParams, z, cov: JitterCovariance, u_hat) -> tuple[np.ndarray, np.ndarray]:
-    """The Monte Carlo kernel's constants of each slot: c0, shape (N,), and b, shape (N, 2).
+def _slot_constants(link: LinkParams, z, lam) -> tuple[np.ndarray, np.ndarray]:
+    """Every slot's log-SNR constant, shape (N,), and b, shape (N, 2).
 
-    c0 = log(e R^2 P_T^2 / (2 pi sigma^2)) - 4 sigma_i^2 - 2 sigma_b z + 2 log A0(z)
-    is the log-SNR of an on-axis sample with e = 0. b = (sqrt(lam1),
-    sqrt(lam2)) / sigma_div, with (lam1, lam2) the slot's row of
-    `hoyt_eigenvalues`, so two error-plane normals w give |w b|, the norm of
-    their elementwise product, with the law of theta_p / sigma_div. A slot's
-    constants come from its own row of `hoyt_eigenvalues` and one math.log, so
-    they do not depend on the other slots. A scalar ``z`` with a (3,) ``u_hat``
-    is one slot: c0 of shape (1,) and b of shape (1, 2).
+    The constant base - 2 sigma_b z + 2 log A0(z), with base =
+    log(e R^2 P_T^2 / (2 pi sigma^2)) and A0 = a^2 / (2 z sigma_div), is the
+    log-SNR on axis with h_a = 1; the quadrature adds 2 log h_a to it and the
+    Monte Carlo subtracts 4 sigma_i^2 (`_mc_constants`). b = (sqrt(lam1),
+    sqrt(lam2)) / sigma_div, so two error-plane normals w give |w b|, the norm
+    of their elementwise product, with the law of theta_p / sigma_div. Every
+    step is elementwise, so a slot's constants do not depend on the other
+    slots.
 
-    Raises ValueError when ``z`` and ``u_hat`` count different slots, and
-    DegenerateGeometryError, naming the slot, for a zero pointing vector or a
-    nonpositive distance.
+    Raises ValueError when ``z`` and ``lam`` count different slots, and
+    DegenerateGeometryError, naming the slot, for a nonpositive distance.
     """
     z = np.asarray(z, dtype=float)
-    u = np.asarray(u_hat, dtype=float)
-    if z.shape != u.shape[:-1]:
-        raise ValueError(f"got {z.size} distances and {u.size // 3} pointing vectors; need one of each per slot")
-    z = z.ravel()
-    lam = hoyt_eigenvalues(cov, u.reshape(-1, 3))
+    lam = np.asarray(lam, dtype=float)
+    if z.ndim != 1 or lam.shape != (len(z), 2):
+        raise ValueError(f"got {z.size} distances and {lam.size // 2} eigenvalue pairs; need one of each per slot")
     if np.any(z <= 0.0):
         raise DegenerateGeometryError(f"propagation distance must be positive{slot_suffix(z <= 0.0)}")
-    base = _log_snr_base(link) - 4.0 * link.sigma_i**2
-    c0 = [base - 2.0 * link.sigma_b * zk + 2.0 * math.log(max_pointing_gain(zk, link)) for zk in z.tolist()]
-    return np.array(c0), np.sqrt(lam) / link.sigma_div
+    const = _log_snr_base(link) - 2.0 * link.sigma_b * z + 2.0 * np.log(link.aperture**2 / (2.0 * z * link.sigma_div))
+    return const, np.sqrt(lam) / link.sigma_div
 
 
-def _mean_log_snr(c0, scale):
-    """E[t] = c0 - (lam1 + lam2) / sigma_div^2 of each slot's `_log_snr` samples.
+def _mc_constants(link: LinkParams, z, lam) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Monte Carlo kernel's constants of each slot: c0 and E[t], shape (N,), and b, shape (N, 2).
 
-    The normals have zero mean and unit variance, so E[|w b|^2] is the sum of
-    the squares of b. Equals `expected_log_gamma` of the slot.
+    c0 is the `_slot_constants` constant less 4 sigma_i^2, the log-SNR of an
+    on-axis sample with e = 0. The normals have zero mean and unit variance,
+    so E[|w b|^2] is the sum of the squares of b, and the samples' mean
+    E[t] = c0 - (lam1 + lam2) / sigma_div^2 equals `expected_log_gamma`.
+    Returns (c0, b, E[t]).
     """
-    return c0 - np.square(scale).sum(axis=-1)
+    const, scale = _slot_constants(link, z, lam)
+    c0 = const - 4.0 * link.sigma_i**2
+    return c0, scale, c0 - np.square(scale).sum(axis=-1)
 
 
 def _chunk_slots(n: int) -> int:
@@ -403,7 +388,7 @@ def _chunk_slots(n: int) -> int:
     return max(1, _CHUNK_SAMPLES // n)
 
 
-def _sample_log_snr(link, z, cov, u_hat, n, seed) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _sample_log_snr(link, z, hoyt: HoytParams, n, seed) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One slot drawn from ``seed`` as `mc_capacities` draws a slot, run as a one-slot chunk.
 
     Returns its (1, n) log-SNR samples, their mean E[t] of shape (1,), and its
@@ -412,11 +397,11 @@ def _sample_log_snr(link, z, cov, u_hat, n, seed) -> tuple[np.ndarray, np.ndarra
     """
     if n < 1:
         raise ValueError("need at least one sample")
-    c0, scale = _slot_constants(link, z, cov, u_hat)
+    c0, scale, t_mean = _mc_constants(link, [z], [[hoyt.lam1, hoyt.lam2]])
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     w, e = np.empty((1, n, 2)), np.empty((1, n))
     _draw_slot(rng, w[0], e[0])
-    return _log_snr(w, e, scale, c0, link.sigma_i), _mean_log_snr(c0, scale), w
+    return _log_snr(w, e, scale, c0, link.sigma_i), t_mean, w
 
 
 def _draw_slot(rng: np.random.Generator, w: np.ndarray, e: np.ndarray) -> None:
@@ -431,7 +416,7 @@ def _log_snr(w: np.ndarray, e: np.ndarray, scale: np.ndarray, c0: np.ndarray, si
     ``w`` (c, n, 2) holds each slot's error-plane normals and ``e`` (c, n) its
     scintillation normals (log h_a = -2 sigma_i^2 + 2 sigma_i e, so
     E[h_a] = 1); ``scale`` (c, 2) and ``c0`` (c,) are the slots' b and c0 from
-    `_slot_constants`: |w b|^2 has the law of theta_p^2 / sigma_div^2 =
+    `_mc_constants`: |w b|^2 has the law of theta_p^2 / sigma_div^2 =
     -2 log(h_p / A0). ``w`` is spent afterwards, free as work space.
     """
     for axis in (0, 1):  # a column view per axis: a (c, n, 2) broadcast runs inner loops of length 2
@@ -447,7 +432,7 @@ def _cross_fitted_residuals(t: np.ndarray, t_mean: np.ndarray, spent: np.ndarray
     """Control-variate residuals r = f - beta (t - E[t]) of each slot of a chunk, nats, shape (c, n).
 
     ``t`` (c, n) holds each slot's log-SNR samples and ``t_mean`` (c,) their
-    E[t] from `_mean_log_snr`. f = log(1 + exp(t)) is each sample's capacity
+    E[t] from `_mc_constants`. f = log(1 + exp(t)) is each sample's capacity
     in nats, and the control t - E[t] has the known mean zero. Each slot's
     samples split into the first n // 2 and the rest; beta is the
     least-squares slope of f on t fitted on one half and applied to the
@@ -528,25 +513,18 @@ def quadrature_capacities(link: LinkParams, z, lam) -> np.ndarray:
     whose log-SNR exceeds _EXP_SAFE, which no physical link reaches, takes
     logaddexp(0, t) instead.
 
-    Raises ValueError when ``z`` and ``lam`` count different slots.
+    Raises what `_slot_constants` raises: ValueError when ``z`` and ``lam``
+    count different slots, DegenerateGeometryError for a nonpositive distance.
     """
-    z = np.asarray(z, dtype=float)
+    const, _ = _slot_constants(link, z, lam)
     lam = np.asarray(lam, dtype=float)
-    if z.ndim != 1 or lam.shape != (len(z), 2):
-        raise ValueError(f"got {z.size} distances and {lam.size // 2} eigenvalue pairs; need one of each per slot")
     x_s, w_s, x_sq, pair_i, pair_j, w_pair = _grid()
-    base = _log_snr_base(link)
-    const = np.array(
-        [
-            base - 2.0 * link.sigma_b * zk + 2.0 * math.log(link.aperture**2 / (2.0 * zk * link.sigma_div))
-            for zk in z.tolist()
-        ]
-    )
     scint = -4.0 * link.sigma_i**2 + 4.0 * link.sigma_i * x_s  # 2 log h_a at the nodes
-    capacity = np.empty(len(z))
+    slots = len(const)
+    capacity = np.empty(slots)
     buffer = np.empty((_QUADRATURE_CHUNK, len(x_s), len(w_pair)))
-    for lo in range(0, len(z), _QUADRATURE_CHUNK):
-        hi = min(lo + _QUADRATURE_CHUNK, len(z))
+    for lo in range(0, slots, _QUADRATURE_CHUNK):
+        hi = min(lo + _QUADRATURE_CHUNK, slots)
         row = const[lo:hi, None] + scint
         axis1 = -(lam[lo:hi, 0:1] * x_sq / link.sigma_div**2)
         axis2 = -(lam[lo:hi, 1:2] * x_sq / link.sigma_div**2)

@@ -24,7 +24,7 @@ from .jitter import (
     reduce_jitter_dof,
     sample_error_angles,
 )
-from .kinematics import flight_power, pointing_vector
+from .kinematics import flight_power, pointing_vector, posture_rotation
 from .mission import initialize_iterate
 from .numerics import ks_distance
 from .optimizer import energy_efficiency, optimize
@@ -91,7 +91,7 @@ def cmd_capacity(args) -> int:
     coords = np.linspace(-args.extent, args.extent, args.grid)
     x, y = (grid.ravel() for grid in np.meshgrid(coords, coords, indexing="ij"))
     pos = np.column_stack([x, y, np.full(len(x), sc.altitude)])
-    u_hat = np.array([pointing_vector(p, settings.pointing.posture) for p in pos])
+    u_hat = -(pos @ posture_rotation(settings.pointing.posture).T)  # pointing_vector of every grid point
     lam = hoyt_eigenvalues(sc.jitter, u_hat)
     z = np.linalg.norm(pos, axis=1)
     elg = np.array([channel.expected_log_gamma(sc.link, zk, HoytParams(*lk)) for zk, lk in zip(z, lam)])
@@ -170,7 +170,7 @@ def cmd_validate(args) -> int:
 
     z = float(np.linalg.norm(geom.position))
     closed = channel.expected_log_gamma(sc.link, z, params)
-    mc = channel.mc_log_gamma(sc.link, z, sc.jitter, u_hat, n=n, seed=rng_seed)
+    mc = channel.mc_log_gamma(sc.link, z, params, n=n, seed=rng_seed)
     rows.append(ValidationRow("expected_log_gamma_vs_mc", mc.value, closed, 0.005))
 
     rng = np.random.default_rng(rng_seed)
@@ -178,7 +178,7 @@ def cmd_validate(args) -> int:
     rows.append(ValidationRow("scintillation_unbiased", 1.0, float(np.mean(h_a)), 0.005))
 
     bound = channel.ergodic_capacity(closed, math.exp(closed))
-    cap_mc = channel.mc_ergodic_capacity(sc.link, z, sc.jitter, u_hat, n=n, seed=rng_seed)
+    cap_mc = channel.mc_ergodic_capacity(sc.link, z, params, n=n, seed=rng_seed)
     rows.append(
         ValidationRow(
             "capacity_bound_below_mc",

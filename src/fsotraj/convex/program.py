@@ -169,8 +169,8 @@ class _NormMixin:
             a_one = np.broadcast_to(a_loc, (1, self.rows, self.nloc))[0]
             self.ata = _as_block(np.einsum("rl,rk->lk", a_one, a_one), self.m, self.nloc, self.nloc)
 
-    def _u(self, x):
-        return np.einsum("mrl,ml->mr", self.a_loc, self.gather(x)) + self.b_loc
+    def _u(self, x_loc):
+        return np.einsum("mrl,ml->mr", self.a_loc, x_loc) + self.b_loc
 
     def _norm(self, u):
         return np.sqrt(np.einsum("mr,mr->m", u, u))
@@ -199,17 +199,18 @@ class SocFamily(_Family, _NormMixin):
         self.squared = bool(squared)
         self.const_rhs = not self.squared and not np.any(self.c_loc)
 
-    def _rhs(self, x):
-        return np.einsum("ml,ml->m", self.c_loc, self.gather(x)) + self.d
+    def _rhs(self, x_loc):
+        return np.einsum("ml,ml->m", self.c_loc, x_loc) + self.d
 
     def local(self, x):
-        u = self._u(x)
+        x_loc = self.gather(x)
+        u = self._u(x_loc)
         if not (self.squared or self.const_rhs):
             r, atu = self._smoothed(u)
-            return r - self._rhs(x), atu / r[:, None] - self.c_loc, (r, atu)
+            return r - self._rhs(x_loc), atu / r[:, None] - self.c_loc, (r, atu)
         atu = np.einsum("mrl,mr->ml", self.a_loc, u)
         if self.squared:
-            return np.einsum("mr,mr->m", u, u) - self._rhs(x), 2.0 * atu - self.c_loc, None
+            return np.einsum("mr,mr->m", u, u) - self._rhs(x_loc), 2.0 * atu - self.c_loc, None
         # (|u|^2 - d^2) / (2d): same boundary and gradient scale as the
         # norm form, but smooth through u = 0.
         return (np.einsum("mr,mr->m", u, u) - self.d**2) / (2.0 * self.d), atu / self.d[:, None], None
@@ -222,10 +223,11 @@ class SocFamily(_Family, _NormMixin):
         return self._norm_hess(aux, lam)
 
     def violation(self, x):
-        u = self._u(x)
+        x_loc = self.gather(x)
+        u = self._u(x_loc)
         if self.squared:
-            return np.einsum("mr,mr->m", u, u) - self._rhs(x)
-        return self._norm(u) - (self.d if self.const_rhs else self._rhs(x))
+            return np.einsum("mr,mr->m", u, u) - self._rhs(x_loc)
+        return self._norm(u) - (self.d if self.const_rhs else self._rhs(x_loc))
 
 
 class LogEpigraphFamily(_Family, _NormMixin):
@@ -244,10 +246,11 @@ class LogEpigraphFamily(_Family, _NormMixin):
         self.t_pos = np.asarray(t_pos, dtype=np.int64)  # local column of t
 
     def local(self, x):
-        u = self._u(x)
+        x_loc = self.gather(x)
+        u = self._u(x_loc)
         u_sq = np.einsum("mr,mr->m", u, u)
         w = u_sq + self.offset**2
-        t = self.gather(x)[np.arange(self.m), self.t_pos]
+        t = x_loc[np.arange(self.m), self.t_pos]
         atu = np.einsum("mrl,mr->ml", self.a_loc, u)
         g = atu / w[:, None]
         g[np.arange(self.m), self.t_pos] -= 1.0
@@ -277,7 +280,7 @@ class CubicEpigraphFamily(_Family, _NormMixin):
 
     def local(self, x):
         x_loc = self.gather(x)
-        r, atu = self._smoothed(self._u(x))
+        r, atu = self._smoothed(self._u(x_loc))
         lin = np.einsum("ml,ml->m", self.lin_loc, x_loc)
         t = x_loc[np.arange(self.m), self.t_pos]
         g = 3.0 * self.kappa[:, None] * r[:, None] * atu + self.lin_loc
@@ -304,7 +307,7 @@ class NormTerm(_Family, _NormMixin):
         self.weight = _as_block(weight, self.m)
 
     def local(self, x):
-        r, atu = self._smoothed(self._u(x))
+        r, atu = self._smoothed(self._u(self.gather(x)))
         return r, atu / r[:, None], (r, atu)
 
     def hess_at(self, aux, lam):

@@ -255,6 +255,7 @@ def energy_efficiency(
 ) -> EfficiencyReport:
     """Mission efficiency under the true channel model (no surrogate).
 
+    Both modes take the slots' Hoyt law from one `hoyt_eigenvalues` call.
     closed_form evaluates the ergodic capacity of every slot by deterministic
     quadrature, in one `quadrature_capacities` call;
     monte_carlo replaces it with `mc_capacities`: samples_per_slot draws per
@@ -278,11 +279,12 @@ def energy_efficiency(
     u_hat, _ = pointing_geometry(s, v, a, scenario.aircraft.g)
     n = plan.n_slots
     z = np.linalg.norm(s, axis=1)
+    lam = hoyt_eigenvalues(scenario.jitter, u_hat)
     if mode == "closed_form":
-        capacity = quadrature_capacities(scenario.link, z, hoyt_eigenvalues(scenario.jitter, u_hat))
+        capacity = quadrature_capacities(scenario.link, z, lam)
     else:
         rng = np.random.default_rng(scenario.seed if seed is None else seed)
-        capacity = mc_capacities(scenario.link, z, scenario.jitter, u_hat, samples_per_slot, rng)
+        capacity = mc_capacities(scenario.link, z, lam, samples_per_slot, rng)
     power = flight_power(v[:-1], a, scenario.aircraft)
     power_total = float(np.sum(power)) + n * scenario.link.transmit_power + scenario.launch_cost / plan.delta
     capacity_total = float(np.sum(capacity))

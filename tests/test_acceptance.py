@@ -111,7 +111,7 @@ def test_ergodic_capacity_oracle(default_link):
         u_hat = np.array([0.0, 0.0, -z])
         params = hoyt_params(cov, u_hat)
         closed = expected_log_gamma(default_link, z, params)
-        mc = mc_log_gamma(default_link, z, cov, u_hat, n=10**6, seed=42)
+        mc = mc_log_gamma(default_link, z, params, n=10**6, seed=42)
         rel = abs(closed - mc.value) / abs(mc.value)
         worst = max(worst, rel)
         assert rel <= 0.005

@@ -75,6 +75,12 @@ def initial_geometry(sc):
     return (plan, *plan_geometry(sc, plan))
 
 
+def initial_slots(sc):
+    """The initial plan with its per-slot distances and Hoyt eigenvalues, the capacity kernels' input."""
+    plan, z, u_hat = initial_geometry(sc)
+    return plan, z, hoyt_eigenvalues(sc.jitter, u_hat)
+
+
 @pytest.fixture(scope="module")
 def bundled_plans():
     """The initial and final plans of the bundled moving and hover_pitch_jitter missions, by (name, which)."""
@@ -90,12 +96,12 @@ def bundled_plans():
 PLANS = [(name, which) for name in ("moving", "hover_pitch_jitter") for which in ("initial", "final")]
 
 
-def mc_slot_loop(sc, z, u_hat, samples, rng):
+def mc_slot_loop(sc, z, lam, samples, rng):
     """The per-slot oracle: one mc_ergodic_capacity call per slot, slot k on the k-th child of ``rng``."""
     children = rng.spawn(len(z))
     return np.array(
         [
-            channel.mc_ergodic_capacity(sc.link, z[k], sc.jitter, u_hat[k], n=samples, seed=children[k]).value
+            channel.mc_ergodic_capacity(sc.link, z[k], HoytParams(*lam[k]), n=samples, seed=children[k]).value
             for k in range(len(z))
         ]
     )
@@ -372,30 +378,30 @@ class TestMonteCarloPerPlan:
     @pytest.mark.parametrize("name", ["moving", "hover_pitch_jitter"])
     def test_int_seed_matches_slot_loop(self, name):
         sc = bundled_scenario(name)
-        plan, z, u_hat = initial_geometry(sc)
+        plan, z, lam = initial_slots(sc)
         report = energy_efficiency(plan, sc, mode="monte_carlo", samples_per_slot=self.SAMPLES, seed=11)
-        want = mc_slot_loop(sc, z, u_hat, self.SAMPLES, np.random.default_rng(11))
+        want = mc_slot_loop(sc, z, lam, self.SAMPLES, np.random.default_rng(11))
         assert np.array_equal(report.capacity_per_slot, want)
 
     def test_generator_matches_slot_loop_and_ends_in_the_same_state(self):
         # Spawning children leaves the parent's bit stream alone and only
         # counts the children on its seed sequence.
         sc = bundled_scenario("moving")
-        plan, z, u_hat = initial_geometry(sc)
+        plan, z, lam = initial_slots(sc)
         got_rng, want_rng = np.random.default_rng(5), np.random.default_rng(5)
         state = got_rng.bit_generator.state
         report = energy_efficiency(plan, sc, mode="monte_carlo", samples_per_slot=self.SAMPLES, seed=got_rng)
-        want = mc_slot_loop(sc, z, u_hat, self.SAMPLES, want_rng)
+        want = mc_slot_loop(sc, z, lam, self.SAMPLES, want_rng)
         assert np.array_equal(report.capacity_per_slot, want)
         assert got_rng.bit_generator.state == state == want_rng.bit_generator.state
         assert got_rng.bit_generator.seed_seq.n_children_spawned == len(z)
 
     def test_leading_slots_keep_their_values(self):
         sc = bundled_scenario("moving")
-        _, z, u_hat = initial_geometry(sc)
-        full = channel.mc_capacities(sc.link, z, sc.jitter, u_hat, self.SAMPLES, np.random.default_rng(8))
+        _, z, lam = initial_slots(sc)
+        full = channel.mc_capacities(sc.link, z, lam, self.SAMPLES, np.random.default_rng(8))
         for k in (1, 7, 40):
-            head = channel.mc_capacities(sc.link, z[:k], sc.jitter, u_hat[:k], self.SAMPLES, np.random.default_rng(8))
+            head = channel.mc_capacities(sc.link, z[:k], lam[:k], self.SAMPLES, np.random.default_rng(8))
             assert np.array_equal(head, full[:k])
 
     @pytest.mark.parametrize("samples", [64, 1500])
@@ -403,38 +409,39 @@ class TestMonteCarloPerPlan:
         # A short switch interval interleaves the two threads' slots; a slot
         # that read the other thread's buffers or stream would change a value.
         sc = bundled_scenario("hover_pitch_jitter")
-        _, z, u_hat = initial_geometry(sc)
+        _, z, lam = initial_slots(sc)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            got = channel.mc_capacities(sc.link, z, sc.jitter, u_hat, samples, np.random.default_rng(2))
+            got = channel.mc_capacities(sc.link, z, lam, samples, np.random.default_rng(2))
         finally:
             sys.setswitchinterval(interval)
-        assert np.array_equal(got, mc_slot_loop(sc, z, u_hat, samples, np.random.default_rng(2)))
+        assert np.array_equal(got, mc_slot_loop(sc, z, lam, samples, np.random.default_rng(2)))
 
+    @pytest.mark.parametrize("distance", [0.0, -1.0])
     @pytest.mark.parametrize("slot", [0, 7])
-    def test_zero_pointing_vector_raises_before_any_draw(self, slot):
+    def test_nonpositive_distance_raises_before_any_draw(self, slot, distance):
         sc = bundled_scenario("moving")
-        _, z, u_hat = initial_geometry(sc)
-        u_hat[slot] = 0.0
+        _, z, lam = initial_slots(sc)
+        z[slot] = distance
         rng = np.random.default_rng(3)
         state = rng.bit_generator.state
         threads = threading.active_count()
         with pytest.raises(DegenerateGeometryError, match=f"at slot {slot}$"):
-            channel.mc_capacities(sc.link, z, sc.jitter, u_hat, self.SAMPLES, rng)
+            channel.mc_capacities(sc.link, z, lam, self.SAMPLES, rng)
         assert rng.bit_generator.state == state
         assert rng.bit_generator.seed_seq.n_children_spawned == 0
         assert threading.active_count() == threads
 
-    @pytest.mark.parametrize("vectors,distances", [(4, 2), (2, 4)])
-    def test_slot_count_mismatch_raises_before_any_spawn(self, vectors, distances):
+    @pytest.mark.parametrize("distances,pairs", [(4, 2), (2, 4)])
+    def test_slot_count_mismatch_raises_before_any_spawn(self, distances, pairs):
         sc = bundled_scenario("moving")
-        _, z, u_hat = initial_geometry(sc)
+        _, z, lam = initial_slots(sc)
         rng = np.random.default_rng(3)
         state = rng.bit_generator.state
         threads = threading.active_count()
-        with pytest.raises(ValueError, match=f"got {distances} distances and {vectors} pointing vectors"):
-            channel.mc_capacities(sc.link, z[:distances], sc.jitter, u_hat[:vectors], self.SAMPLES, rng)
+        with pytest.raises(ValueError, match=f"got {distances} distances and {pairs} eigenvalue pairs"):
+            channel.mc_capacities(sc.link, z[:distances], lam[:pairs], self.SAMPLES, rng)
         assert rng.bit_generator.state == state
         assert rng.bit_generator.seed_seq.n_children_spawned == 0
         assert threading.active_count() == threads
@@ -478,7 +485,7 @@ class TestMonteCarloPerPlan:
         # first chunk until then, so the worker is sure to claim a chunk; the
         # caller then stops within a few chunks, while the plan has 10.
         sc = bundled_scenario("moving")
-        _, z, u_hat = initial_geometry(sc)
+        _, z, lam = initial_slots(sc)
         worker_failed, caller_slots = threading.Event(), []
 
         class FailsInTheWorker(np.random.PCG64):
@@ -497,7 +504,7 @@ class TestMonteCarloPerPlan:
         FailsInTheWorker.armed = True
         threads = threading.active_count()
         with pytest.raises(RuntimeError, match="stream failed"):
-            channel.mc_capacities(sc.link, z, sc.jitter, u_hat, self.SAMPLES, rng)
+            channel.mc_capacities(sc.link, z, lam, self.SAMPLES, rng)
         assert worker_failed.is_set()
         assert len(caller_slots) <= 2 * channel._chunk_slots(self.SAMPLES)
         assert threading.active_count() == threads
@@ -517,10 +524,10 @@ class TestMonteCarloChunks:
     @pytest.mark.parametrize("cut", [1, CHUNK - 1, CHUNK, CHUNK + 1])
     def test_plan_cut_at_a_chunk_boundary_matches_the_oracle(self, cut):
         sc = bundled_scenario("hover_pitch_jitter")
-        _, z, u_hat = initial_geometry(sc)
-        z, u_hat = z[:cut], u_hat[:cut]
-        got = channel.mc_capacities(sc.link, z, sc.jitter, u_hat, self.DEFAULT_SAMPLES, np.random.default_rng(6))
-        assert np.array_equal(got, mc_slot_loop(sc, z, u_hat, self.DEFAULT_SAMPLES, np.random.default_rng(6)))
+        _, z, lam = initial_slots(sc)
+        z, lam = z[:cut], lam[:cut]
+        got = channel.mc_capacities(sc.link, z, lam, self.DEFAULT_SAMPLES, np.random.default_rng(6))
+        assert np.array_equal(got, mc_slot_loop(sc, z, lam, self.DEFAULT_SAMPLES, np.random.default_rng(6)))
 
     @pytest.mark.parametrize(
         "name,samples",
@@ -530,10 +537,10 @@ class TestMonteCarloChunks:
     )
     def test_full_plan_with_a_partial_last_chunk_matches_the_oracle(self, name, samples):
         sc = bundled_scenario(name)
-        _, z, u_hat = initial_geometry(sc)
+        _, z, lam = initial_slots(sc)
         assert len(z) % channel._chunk_slots(samples) != 0
-        got = channel.mc_capacities(sc.link, z, sc.jitter, u_hat, samples, np.random.default_rng(7))
-        assert np.array_equal(got, mc_slot_loop(sc, z, u_hat, samples, np.random.default_rng(7)))
+        got = channel.mc_capacities(sc.link, z, lam, samples, np.random.default_rng(7))
+        assert np.array_equal(got, mc_slot_loop(sc, z, lam, samples, np.random.default_rng(7)))
 
     def test_overflow_branch_is_per_slot_within_a_chunk(self):
         # One chunk of slots from 400 m to 650 km under a transmit power that
@@ -545,14 +552,14 @@ class TestMonteCarloChunks:
         # its mean over 2,000 samples absorbs a last-bit change, so the
         # residuals are compared too.
         sc = bundled_scenario("hover_pitch_jitter")
-        _, _, u_hat = initial_geometry(sc)
+        _, _, lam = initial_slots(sc)
         z = np.geomspace(400.0, 650e3, self.CHUNK)
-        u = u_hat[: self.CHUNK]
-        c0_unit, _ = channel._slot_constants(LinkParams(transmit_power=1.0), z, sc.jitter, u)
+        lam = lam[: self.CHUNK]
+        c0_unit, _, _ = channel._mc_constants(LinkParams(transmit_power=1.0), z, lam)
         sc = replace(sc, link=LinkParams(transmit_power=math.exp((712.0 - c0_unit[0]) / 2.0)))
         n = self.DEFAULT_SAMPLES
         alone = [
-            channel._sample_log_snr(sc.link, z[k], sc.jitter, u[k], n, child)
+            channel._sample_log_snr(sc.link, z[k], HoytParams(*lam[k]), n, child)
             for k, child in enumerate(np.random.default_rng(9).spawn(self.CHUNK))
         ]
         t = np.concatenate([t_k for t_k, _, _ in alone])
@@ -562,15 +569,15 @@ class TestMonteCarloChunks:
         chunk = channel._cross_fitted_residuals(t, t_mean, np.empty((self.CHUNK, n, 2)))
         for k, (t_k, t_mean_k, spent_k) in enumerate(alone):
             assert np.array_equal(chunk[k], channel._cross_fitted_residuals(t_k, t_mean_k, spent_k)[0]), f"slot {k}"
-        got = channel.mc_capacities(sc.link, z, sc.jitter, u, n, np.random.default_rng(9))
+        got = channel.mc_capacities(sc.link, z, lam, n, np.random.default_rng(9))
         assert np.all(np.isfinite(got))
-        assert np.array_equal(got, mc_slot_loop(sc, z, u, n, np.random.default_rng(9)))
+        assert np.array_equal(got, mc_slot_loop(sc, z, lam, n, np.random.default_rng(9)))
 
     @staticmethod
-    def traced_peak(sc, z, u_hat, samples):
+    def traced_peak(sc, z, lam, samples):
         tracemalloc.start()
         try:
-            channel.mc_capacities(sc.link, z, sc.jitter, u_hat, samples, np.random.default_rng(1))
+            channel.mc_capacities(sc.link, z, lam, samples, np.random.default_rng(1))
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -582,9 +589,9 @@ class TestMonteCarloChunks:
         peaks = {}
         for name in ("moving", "hover_pitch_jitter"):
             sc = bundled_scenario(name)
-            _, z, u_hat = initial_geometry(sc)
-            channel.mc_capacities(sc.link, z, sc.jitter, u_hat, self.DEFAULT_SAMPLES, np.random.default_rng(1))
-            peaks[len(z)] = self.traced_peak(sc, z, u_hat, self.DEFAULT_SAMPLES)
+            _, z, lam = initial_slots(sc)
+            channel.mc_capacities(sc.link, z, lam, self.DEFAULT_SAMPLES, np.random.default_rng(1))
+            peaks[len(z)] = self.traced_peak(sc, z, lam, self.DEFAULT_SAMPLES)
         assert max(peaks.values()) < 2_000_000, peaks
         assert peaks[400] <= 1.5 * peaks[100], peaks
 
@@ -595,16 +602,12 @@ class TestMonteCarloAccuracy:
     DEFAULT_SAMPLES = inspect.signature(energy_efficiency).parameters["samples_per_slot"].default
     PLANS = ["moving", "hover", "hover_pitch_jitter"]
 
-    @staticmethod
-    def hoyt_rows(sc, u_hat):
-        return [HoytParams(lam1=lam[0], lam2=lam[1]) for lam in hoyt_eigenvalues(sc.jitter, u_hat)]
-
     @pytest.mark.parametrize("name", PLANS)
     def test_control_mean_is_the_expected_log_gamma(self, name):
         sc = bundled_scenario(name)
-        _, z, u_hat = initial_geometry(sc)
-        t_mean = channel._mean_log_snr(*channel._slot_constants(sc.link, z, sc.jitter, u_hat))
-        want = [expected_log_gamma(sc.link, z[k], hoyt) for k, hoyt in enumerate(self.hoyt_rows(sc, u_hat))]
+        _, z, lam = initial_slots(sc)
+        _, _, t_mean = channel._mc_constants(sc.link, z, lam)
+        want = [expected_log_gamma(sc.link, z[k], HoytParams(*lam[k])) for k in range(len(z))]
         np.testing.assert_allclose(t_mean, want, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("name", PLANS)
@@ -613,14 +616,15 @@ class TestMonteCarloAccuracy:
         # standard error at the default sample count against the plain
         # estimator's std(f) / sqrt(n) at 20,000 samples.
         sc = bundled_scenario(name)
-        _, z, u_hat = initial_geometry(sc)
+        _, z, lam = initial_slots(sc)
         n = self.DEFAULT_SAMPLES
         for k, (plain_child, child) in enumerate(
             zip(np.random.default_rng(sc.seed).spawn(len(z)), np.random.default_rng(sc.seed).spawn(len(z)))
         ):
-            t, _, _ = channel._sample_log_snr(sc.link, z[k], sc.jitter, u_hat[k], 20_000, plain_child)
+            hoyt = HoytParams(*lam[k])
+            t, _, _ = channel._sample_log_snr(sc.link, z[k], hoyt, 20_000, plain_child)
             plain = np.std(channel._log1p_exp(t, t)) * channel._HALF_LOG2E / math.sqrt(20_000)
-            mc = channel.mc_ergodic_capacity(sc.link, z[k], sc.jitter, u_hat[k], n, child)
+            mc = channel.mc_ergodic_capacity(sc.link, z[k], hoyt, n, child)
             assert mc.stderr <= plain, f"slot {k}"
 
     @pytest.mark.parametrize("samples", [DEFAULT_SAMPLES, 16])
@@ -631,12 +635,12 @@ class TestMonteCarloAccuracy:
         # the 400 slots; 16 samples per slot make that bias many standard
         # errors wide.
         sc = bundled_scenario("hover_pitch_jitter")
-        _, z, u_hat = initial_geometry(sc)
-        closed = float(np.sum(channel.quadrature_capacities(sc.link, z, hoyt_eigenvalues(sc.jitter, u_hat))))
+        _, z, lam = initial_slots(sc)
+        closed = float(np.sum(channel.quadrature_capacities(sc.link, z, lam)))
         total = variance = 0.0
         for seed in range(4):
             for k, child in enumerate(np.random.default_rng(seed).spawn(len(z))):
-                mc = channel.mc_ergodic_capacity(sc.link, z[k], sc.jitter, u_hat[k], samples, child)
+                mc = channel.mc_ergodic_capacity(sc.link, z[k], HoytParams(*lam[k]), samples, child)
                 total += mc.value
                 variance += mc.stderr**2
         assert abs(total / 4 - closed) <= 4.0 * math.sqrt(variance) / 4
@@ -660,6 +664,14 @@ class TestErrorsNameTheSlot:
         u[3] = 0.0
         with pytest.raises(DegenerateGeometryError, match="at slot 3"):
             hoyt_eigenvalues(JitterCovariance((1e-3, 1e-3, 1e-3)), u)
+
+    @pytest.mark.parametrize("distance", [0.0, -1.0])
+    def test_quadrature_nonpositive_distance(self, distance):
+        sc = bundled_scenario("moving")
+        _, z, lam = initial_slots(sc)
+        z[5] = distance
+        with pytest.raises(DegenerateGeometryError, match="propagation distance must be positive at slot 5$"):
+            channel.quadrature_capacities(sc.link, z, lam)
 
     def test_log_bound_params_nonpositive_anchor(self):
         with pytest.raises(ValueError, match="at slot 2"):
@@ -704,6 +716,25 @@ class TestStructureGuards:
         energy_efficiency(plan, sc)
         assert len(calls) == 1
         assert len(calls[0][1]) == plan.n_slots
+
+    @pytest.mark.parametrize("mode", ["closed_form", "monte_carlo"])
+    def test_energy_efficiency_computes_the_law_once(self, monkeypatch, mode):
+        # Both modes take the slots' Hoyt eigenvalues from one call in the
+        # optimizer; the channel module has no way to compute them itself.
+        sc = bundled_scenario("moving")
+        plan = initialize_iterate(sc).plan(sc.delta, sc.altitude)
+        calls = []
+        real = optimizer.hoyt_eigenvalues
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(optimizer, "hoyt_eigenvalues", spy)
+        energy_efficiency(plan, sc, mode=mode, samples_per_slot=16)
+        assert len(calls) == 1
+        assert len(calls[0][1]) == plan.n_slots
+        assert not hasattr(channel, "hoyt_eigenvalues") and not hasattr(channel, "JitterCovariance")
 
     def test_pruned_rule_is_built_once_and_drops_under_1e_17(self):
         # Dropped: the jitter pairs and the scintillation nodes below zero

@@ -39,12 +39,11 @@ from reference_slots import quadrature_unfolded
 def kernel_samples(link, z, theta, e):
     """The Monte Carlo kernel's log-SNR and capacity samples at the given angles and scintillation normals.
 
-    With the unit covariance both Hoyt variances of every direction are 1, so
-    the slot's scale is b = (1, 1) / sigma_div: the error-plane draw
-    w = (theta, 0) has the pointing-error angle theta. The draws form a
-    one-slot chunk.
+    With both Hoyt variances 1, the slot's scale is b = (1, 1) / sigma_div:
+    the error-plane draw w = (theta, 0) has the pointing-error angle theta.
+    The draws form a one-slot chunk.
     """
-    c0, scale = channel._slot_constants(link, z, JitterCovariance((1.0, 1.0, 1.0)), np.array([0.0, 0.0, -z]))
+    c0, scale, _ = channel._mc_constants(link, [z], [[1.0, 1.0]])
     w = np.zeros((1, len(theta), 2))
     w[0, :, 0] = theta
     t = channel._log_snr(w, e[None, :].copy(), scale, c0, link.sigma_i)
@@ -155,7 +154,7 @@ class TestExpectedLogGamma:
         u = np.array([0.0, 0.0, -z])
         hp = hoyt_params(cov, u)
         closed = expected_log_gamma(default_link, z, hp)
-        mc = mc_log_gamma(default_link, z, cov, u, n=10**6, seed=42)
+        mc = mc_log_gamma(default_link, z, hp, n=10**6, seed=42)
         assert closed == pytest.approx(mc.value, rel=0.005)
 
 
@@ -196,8 +195,8 @@ class TestHugeTransmitPower:
         children = np.random.default_rng(seed).spawn(3)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            single = [mc_ergodic_capacity(link, z[k], cov, u[k], n=n, seed=children[k]) for k in range(3)]
-            plan = channel.mc_capacities(link, z, cov, u, n, np.random.default_rng(seed))
+            single = [mc_ergodic_capacity(link, z[k], hoyt_params(cov, u[k]), n=n, seed=children[k]) for k in range(3)]
+            plan = channel.mc_capacities(link, z, hoyt_eigenvalues(cov, u), n, np.random.default_rng(seed))
         for k, mc in enumerate(single):
             assert math.isfinite(mc.value) and math.isfinite(mc.stderr)
             assert mc.value == pytest.approx(want[k], rel=1e-12)
@@ -223,7 +222,7 @@ class TestErgodicCapacity:
         hp = hoyt_params(cov, u)
         z = float(np.linalg.norm(u))
         e_lg = expected_log_gamma(default_link, z, hp)
-        mc = mc_ergodic_capacity(default_link, z, cov, u, n=200_000, seed=9)
+        mc = mc_ergodic_capacity(default_link, z, hp, n=200_000, seed=9)
         for _ in range(20):
             gamma_l = math.exp(e_lg + rng.uniform(-2.0, 2.0))
             assert ergodic_capacity(e_lg, gamma_l) <= mc.value + 3.0 * mc.stderr
@@ -232,10 +231,8 @@ class TestErgodicCapacity:
 class TestMonteCarloCapacity:
     def test_deterministic_limit(self, default_link):
         link = LinkParams(sigma_i=0.0)
-        cov = JitterCovariance((0.0, 0.0, 0.0))
         z = 600.0
-        u = np.array([0.0, 0.0, -z])
-        mc = mc_ergodic_capacity(link, z, cov, u, n=64, seed=0)
+        mc = mc_ergodic_capacity(link, z, HoytParams(0.0, 0.0), n=64, seed=0)
         h_l = atmospheric_loss(link.sigma_b, z)
         h_p = pointing_loss(0.0, z, link)
         assert mc.value == pytest.approx(instantaneous_capacity(1.0, h_l, h_p, link), rel=1e-12)
@@ -245,7 +242,7 @@ class TestMonteCarloCapacity:
         cov, u = analysis_geometry()
         z = float(np.linalg.norm(u))
         errs = [
-            mc_ergodic_capacity(default_link, z, cov, u, n=n, seed=3).stderr
+            mc_ergodic_capacity(default_link, z, hoyt_params(cov, u), n=n, seed=3).stderr
             for n in (20_000, 80_000, 320_000)
         ]
         slopes = np.diff(np.log(errs)) / math.log(4.0)
@@ -254,8 +251,9 @@ class TestMonteCarloCapacity:
     def test_repeat_seed_stability(self, default_link):
         cov, u = analysis_geometry()
         z = float(np.linalg.norm(u))
-        a = mc_ergodic_capacity(default_link, z, cov, u, n=10**6, seed=1)
-        b = mc_ergodic_capacity(default_link, z, cov, u, n=10**6, seed=2)
+        hp = hoyt_params(cov, u)
+        a = mc_ergodic_capacity(default_link, z, hp, n=10**6, seed=1)
+        b = mc_ergodic_capacity(default_link, z, hp, n=10**6, seed=2)
         # Stable to 3 significant digits across independent seeds.
         assert abs(a.value - b.value) / a.value < 1e-3
 
@@ -272,7 +270,7 @@ class TestMonteCarloCapacity:
         hp = hoyt_params(cov, u)
         z = float(np.linalg.norm(u))
         quad = quadrature_ergodic_capacity(default_link, z, hp)
-        mc = mc_ergodic_capacity(default_link, z, cov, u, n=10**6, seed=17)
+        mc = mc_ergodic_capacity(default_link, z, hp, n=10**6, seed=17)
         assert quad == pytest.approx(mc.value, rel=0.005)
 
     def test_draws_three_normals_per_sample(self, default_link):
@@ -281,7 +279,7 @@ class TestMonteCarloCapacity:
         cov, u = analysis_geometry()
         n = 1000
         g, twin = np.random.default_rng(21), np.random.default_rng(21)
-        mc_ergodic_capacity(default_link, float(np.linalg.norm(u)), cov, u, n, seed=g)
+        mc_ergodic_capacity(default_link, float(np.linalg.norm(u)), hoyt_params(cov, u), n, seed=g)
         twin.standard_normal(3 * n)
         assert g.bit_generator.state == twin.bit_generator.state
 
@@ -334,7 +332,7 @@ class TestCrossFittedControl:
     def slot_samples(link, n, seed):
         """One slot's log-SNR samples and their mean E[t], as the Monte Carlo draws them."""
         cov, u = analysis_geometry()
-        t, t_mean, _ = channel._sample_log_snr(link, float(np.linalg.norm(u)), cov, u, n, seed)
+        t, t_mean, _ = channel._sample_log_snr(link, float(np.linalg.norm(u)), hoyt_params(cov, u), n, seed)
         return t[0], t_mean
 
     @pytest.mark.parametrize("n", [1000, 1001])
@@ -358,7 +356,7 @@ class TestCrossFittedControl:
         f = np.log1p(np.exp(t))
         np.testing.assert_array_equal(channel._cross_fitted_residuals(t[None, :].copy(), t_mean, np.empty((1, n, 2)))[0], f)
         cov, u = analysis_geometry()
-        mc = mc_ergodic_capacity(default_link, float(np.linalg.norm(u)), cov, u, n, 6)
+        mc = mc_ergodic_capacity(default_link, float(np.linalg.norm(u)), hoyt_params(cov, u), n, 6)
         assert mc.value == np.mean(f) * channel._HALF_LOG2E
 
 
@@ -369,7 +367,7 @@ class TestErrorPlaneDraw:
         kernel factor, equal the eigenvalues of M^T M of each slot's 3x2 projection
         to 1e-13 of the largest; the law of |w B| depends on nothing else."""
         z = np.linalg.norm(u, axis=1)
-        _, scale = channel._slot_constants(link, z, cov, u)
+        _, scale = channel._slot_constants(link, z, hoyt_eigenvalues(cov, u))
         factor = scale[:, :, None] * np.eye(2)
         proj = _error_plane_factor(psd_factor(cov.matrix) / link.sigma_div, u / z[:, None])
         want = np.linalg.eigvalsh(np.swapaxes(proj, 1, 2) @ proj)[:, ::-1]
@@ -401,7 +399,7 @@ class TestErrorPlaneDraw:
         # the alpha = 0.01 critical value 1.628 sqrt(2 / n) = 0.0073.
         link, n = default_link, 100_000
         cov, u = analysis_geometry(rho=0.3)
-        _, scale = channel._slot_constants(link, float(np.linalg.norm(u)), cov, u)
+        _, scale = channel._slot_constants(link, [np.linalg.norm(u)], hoyt_eigenvalues(cov, u[None, :]))
         plane = np.linalg.norm(np.random.default_rng(31).standard_normal((n, 2)) * scale, axis=1)
         attitude = np.sort(sample_error_angles(cov, u, n, seed=32, mode="small_angle") / link.sigma_div)
         assert ks_distance(plane, lambda x: np.searchsorted(attitude, x, side="right") / n) < 0.01

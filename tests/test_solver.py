@@ -434,6 +434,31 @@ class TestEvaluationsPerPoint:
                 else:
                     assert not work.block(work.const_grad, f).any()
 
+    def test_one_gather_per_family_per_evaluation(self, monkeypatch):
+        # Each local and violation call gathers its block's columns once: the
+        # norm part, a cone's right-hand side and an epigraph's t read the
+        # same gathered block.
+        sc = load_scenario(str(SCENARIOS / "hover_pitch_jitter.ini")).scenario
+        sub = Subproblem(initialize_iterate(sc), sc)
+        program, x = sub.program, sub.anchor_x()
+        blocks = [*program.families, *program.eq_families, *program.objective.norms]
+        assert any(isinstance(b, program_mod.SocFamily) and not b.const_rhs for b in blocks)
+        kinds = {type(b) for b in blocks}
+        assert {program_mod.LogEpigraphFamily, program_mod.CubicEpigraphFamily, program_mod.NormTerm} <= kinds
+        counts = []
+        for k, block in enumerate(blocks):
+
+            def gather(x, k=k, inner=block.gather):
+                counts.append(k)
+                return inner(x)
+
+            monkeypatch.setattr(block, "gather", gather)
+        for k, block in enumerate(blocks):
+            for method in (block.local, block.violation):
+                counts.clear()
+                method(x)
+                assert counts == [k], f"{block.tag}.{method.__name__}"
+
 
 def bundled_moving_restriction():
     """The first restriction of the bundled moving scenario (N=100)."""
