@@ -30,8 +30,8 @@ theta_p^2 / sigma_div^2, the law the quadrature integrates. A sample draws
 three normals; its capacity is f = log1p(exp(t)) / (2 log 2).
 
 A slot's estimate is not the plain mean of f. Its log-SNR has the closed-form
-mean E[t] = c0 - (lam1 + lam2) / sigma_div^2 (from `_mc_constants`, equal to
-`expected_log_gamma`), and f is nearly linear in t, so the control variate
+mean E[t] = c0 - (lam1 + lam2) / sigma_div^2 (`expected_log_gamma`, built by
+`_mc_constants`), and f is nearly linear in t, so the control variate
 f - beta (t - E[t]) removes most of f's variance. beta is cross-fitted
 (`_cross_fitted_residuals`): fitted on each half of the slot's samples and
 applied to the other half, which keeps the estimate unbiased; a slope fitted
@@ -207,18 +207,14 @@ def capacity_offset(link: LinkParams) -> float:
     return _log_snr_base(link) + 2.0 * math.log(link.aperture**2 / (2.0 * link.sigma_div)) - 4.0 * link.sigma_i**2
 
 
-def expected_log_gamma(link: LinkParams, z: float, hoyt: HoytParams) -> float:
-    """Exact E[log Gamma] under the channel model, nats.
+def expected_log_gamma(link: LinkParams, z, lam) -> np.ndarray:
+    """Exact E[log Gamma] of every slot, nats, shape (N,), for the (z, lam) of `quadrature_capacities`.
 
-    Equals capacity_offset(link) - 2 sigma_b z - 2 log z - omega / sigma_div^2,
-    with omega the mean-square pointing-error angle.
+    capacity_offset(link) - 2 sigma_b z - 2 log z - omega / sigma_div^2, with
+    omega = lam1 + lam2 the mean-square pointing-error angle: the Monte
+    Carlo's control mean E[t] from `_mc_constants`.
     """
-    return (
-        capacity_offset(link)
-        - 2.0 * link.sigma_b * z
-        - 2.0 * math.log(z)
-        - hoyt.omega / link.sigma_div**2
-    )
+    return _mc_constants(link, z, lam)[2]
 
 
 def log_bound_params(gamma_l):
@@ -371,7 +367,7 @@ def _mc_constants(link: LinkParams, z, lam) -> tuple[np.ndarray, np.ndarray, np.
     c0 is the `_slot_constants` constant less 4 sigma_i^2, the log-SNR of an
     on-axis sample with e = 0. The normals have zero mean and unit variance,
     so E[|w b|^2] is the sum of the squares of b, and the samples' mean
-    E[t] = c0 - (lam1 + lam2) / sigma_div^2 equals `expected_log_gamma`.
+    E[t] = c0 - (lam1 + lam2) / sigma_div^2 is `expected_log_gamma`.
     Returns (c0, b, E[t]).
     """
     const, scale = _slot_constants(link, z, lam)

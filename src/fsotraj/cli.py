@@ -16,7 +16,6 @@ import numpy as np
 from . import channel
 from .errors import FsoTrajError, InfeasibleScenarioError, ScenarioParseError, SolverError
 from .jitter import (
-    HoytParams,
     hoyt_cdf,
     hoyt_eigenvalues,
     hoyt_params,
@@ -84,6 +83,8 @@ def cmd_pointing(args) -> int:
 
 
 def cmd_capacity(args) -> int:
+    if args.grid < 1 or not math.isfinite(args.extent):
+        raise FsoTrajError(f"need --grid >= 1 and a finite --extent, got {args.grid} and {args.extent}")
     settings = _load(args)
     sc = settings.scenario
     out = Path(args.out)
@@ -94,10 +95,10 @@ def cmd_capacity(args) -> int:
     u_hat = -(pos @ posture_rotation(settings.pointing.posture).T)  # pointing_vector of every grid point
     lam = hoyt_eigenvalues(sc.jitter, u_hat)
     z = np.linalg.norm(pos, axis=1)
-    elg = np.array([channel.expected_log_gamma(sc.link, zk, HoytParams(*lk)) for zk, lk in zip(z, lam)])
+    elg = channel.expected_log_gamma(sc.link, z, lam)
     bound = channel.ergodic_capacity(elg, np.exp(elg))
     quad = channel.quadrature_capacities(sc.link, z, lam)
-    rows = list(zip(x, y, z, elg, bound, quad))
+    rows = np.column_stack([x, y, z, elg, bound, quad])
     write_csv(
         out / "capacity_grid.csv",
         ["x", "y", "distance", "e_log_gamma", "capacity_bound", "capacity_quadrature"],
@@ -112,13 +113,11 @@ def cmd_power(args) -> int:
     craft = settings.scenario.aircraft
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    speeds = np.linspace(craft.v_min, craft.v_max, 200)
-    rows = []
-    for acc in (0.0, craft.a_max / 2.0, craft.a_max):
-        for sp in speeds:
-            p = flight_power(np.array([sp, 0.0, 0.0]), np.array([0.0, acc, 0.0]), craft)
-            rows.append((sp, acc, p))
-    write_csv(out / "power_sweep.csv", ["speed", "accel", "power"], rows)
+    speed = np.tile(np.linspace(craft.v_min, craft.v_max, 200), 3)
+    accel = np.repeat([0.0, craft.a_max / 2.0, craft.a_max], 200)
+    zero = np.zeros_like(speed)
+    power = flight_power(np.column_stack([speed, zero, zero]), np.column_stack([zero, accel, zero]), craft)
+    write_csv(out / "power_sweep.csv", ["speed", "accel", "power"], np.column_stack([speed, accel, power]))
     print(f"wrote {out / 'power_sweep.csv'}")
     return EXIT_OK
 
@@ -169,7 +168,7 @@ def cmd_validate(args) -> int:
     rows.append(ValidationRow("ks_distance_below_0.005", 0.005, ks, one_sided=True))
 
     z = float(np.linalg.norm(geom.position))
-    closed = channel.expected_log_gamma(sc.link, z, params)
+    closed = float(channel.expected_log_gamma(sc.link, [z], [[params.lam1, params.lam2]])[0])
     mc = channel.mc_log_gamma(sc.link, z, params, n=n, seed=rng_seed)
     rows.append(ValidationRow("expected_log_gamma_vs_mc", mc.value, closed, 0.005))
 
@@ -221,10 +220,7 @@ def cmd_compare_dof(args) -> int:
         write_csv(
             out / f"trajectory_{dof}dof.csv",
             ["t", "x", "y"],
-            (
-                (k * run.plan.delta, run.plan.positions[k, 0], run.plan.positions[k, 1])
-                for k in range(run.plan.n_slots)
-            ),
+            np.column_stack([np.arange(run.plan.n_slots) * run.plan.delta, run.plan.positions[:, :2]]),
         )
     initial = initialize_iterate(truth_scenario).plan(truth_scenario.delta, truth_scenario.altitude)
     results["initial_plan"] = energy_efficiency(

@@ -73,6 +73,7 @@ _SIGMA = 0.1  # centering parameter
 _BOUNDARY_FRACTION = 0.99
 _BACKTRACK = 0.5
 _ARMIJO = 0.01
+_MAX_ITER = 100  # Newton steps a solve may take before it ends ``max_iter``
 # Warm-start floors: slacks at _WARM_SLACK_FLOOR, multipliers at
 # _WARM_LAM_FLOOR * obj_scale. Newton steps of optimize on the bundled moving /
 # hover_pitch_jitter / hover scenarios under the forcing schedule of
@@ -456,11 +457,10 @@ class _Work:
 def solve(
     program: ConvexProgram,
     tol: float = 1e-7,
-    max_iter: int = 200,
     x0: np.ndarray | None = None,
     lam0: np.ndarray | None = None,
 ) -> Solution:
-    """Solve the program to KKT residuals <= tol (scaled), or report failure.
+    """Solve the program to KKT residuals <= tol (scaled) in at most _MAX_ITER Newton steps, or report failure.
 
     ``lam0`` warm-starts the inequality multipliers from physical values,
     such as the ``lam`` of an earlier solve of a program with the same rows.
@@ -499,7 +499,7 @@ def solve(
     status = "max_iter"
     it = 0
 
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         r_prim = pt.g + s
         gap = float(s @ lam) if m else 0.0
 

@@ -7,6 +7,10 @@ differences; the velocity at the last slot repeats the one before it
 (equivalent to extending the plan by a virtual point 2 s[N] - s[N-1]), which
 also forces the last acceleration to zero.
 
+`yaw_from_velocity`, `roll_from_motion` and `flight_power` take one state of
+shape (3,), giving a float, or one state per slot, shape (N, 3), giving an
+(N,) array; DegenerateVelocityError names the first slot without a velocity.
+
 Everything here is a pure function of immutable inputs: safe to call
 concurrently from any number of threads.
 """
@@ -92,23 +96,25 @@ def differentiate_trajectory(plan: TrajectoryPlan) -> tuple[np.ndarray, np.ndarr
     return vel, acc
 
 
-def yaw_from_velocity(v: Vec3) -> float:
-    """Heading angle from the ground-frame velocity, full-quadrant atan2."""
+def yaw_from_velocity(v):
+    """Heading angle from the ground-frame velocity, full-quadrant atan2; none at v = 0."""
     v = np.asarray(v, dtype=float)
-    norm = math.hypot(v[0], v[1])
-    if norm == 0.0 and v[2] == 0.0:
-        raise DegenerateVelocityError("zero velocity has no heading")
-    return math.atan2(v[1], v[0])
+    still = np.all(v == 0.0, axis=-1)
+    if np.any(still):
+        raise DegenerateVelocityError(f"zero velocity has no heading{slot_suffix(still)}")
+    out = np.arctan2(v[..., 1], v[..., 0])
+    return float(out) if out.ndim == 0 else out
 
 
-def roll_from_motion(v: Vec3, a: Vec3, g: float) -> float:
-    """Bank angle induced by lateral acceleration: atan((v_y a_x - v_x a_y) / (|v| g))."""
+def roll_from_motion(v, a, g: float):
+    """Bank angle induced by lateral acceleration: atan((v_y a_x - v_x a_y) / (|v| g)); none at |v| = 0."""
     v = np.asarray(v, dtype=float)
     a = np.asarray(a, dtype=float)
-    speed = np.linalg.norm(v)
-    if speed == 0.0:
-        raise DegenerateVelocityError("zero velocity has no bank angle")
-    return math.atan((v[1] * a[0] - v[0] * a[1]) / (speed * g))
+    speed = np.sqrt(np.einsum("...i,...i->...", v, v))
+    if np.any(speed == 0.0):
+        raise DegenerateVelocityError(f"zero velocity has no bank angle{slot_suffix(speed == 0.0)}")
+    out = np.arctan((v[..., 1] * a[..., 0] - v[..., 0] * a[..., 1]) / (speed * g))
+    return float(out) if out.ndim == 0 else out
 
 
 def rotation_matrix(axis: str, angle: float) -> np.ndarray:
@@ -149,18 +155,15 @@ def posture_from_motion(v: Vec3, a: Vec3, g: float) -> Posture:
 
 
 def flight_power(v, a, params: AircraftParams):
-    """Fixed-wing propulsion power c1 |v|^3 + (c2/|v|) (1 + |a|^2/g^2), watts.
-
-    ``v`` and ``a`` are one state of shape (3,), giving a float, or one state
-    per slot, shape (N, 3), giving an (N,) array.
-    """
+    """Fixed-wing propulsion power c1 |v|^3 + (c2/|v|) (1 + |a|^2/g^2), watts."""
     v = np.asarray(v, dtype=float)
     a = np.asarray(a, dtype=float)
     speed = np.sqrt(np.einsum("...i,...i->...", v, v))
     if np.any(speed == 0.0):
         raise DegenerateVelocityError(f"flight power model diverges at zero speed{slot_suffix(speed == 0.0)}")
     acc_sq = np.einsum("...i,...i->...", a, a)
-    out = params.c1 * speed**3 + (params.c2 / speed) * (1.0 + acc_sq / params.g**2)
+    # The ufunc, not a float64 scalar's **, so one state rounds as its row does.
+    out = params.c1 * np.power(speed, 3) + (params.c2 / speed) * (1.0 + acc_sq / params.g**2)
     return float(out) if out.ndim == 0 else out
 
 

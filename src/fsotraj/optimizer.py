@@ -49,8 +49,6 @@ PLATEAU_WINDOW = 5
 # Cap of each solve's forcing tolerance (`solve_tolerance`), as in inexact
 # Newton methods (Dembo, Eisenstat & Steihaug 1982).
 FORCING_TOL_CAP = 1e-5
-# Newton steps a restriction's solve may take before it fails.
-SOLVER_MAX_ITER = 100
 
 
 @dataclass
@@ -125,8 +123,8 @@ def dinkelbach_solve(
     The solve is warm-started from the anchor, and its duals from
     ``multipliers`` (physical inequality multipliers, such as the previous
     restriction's ``DinkelbachResult.multipliers``); without them the duals
-    start cold. The solve runs at ``tol`` for at most SOLVER_MAX_ITER Newton
-    steps. It must end ``optimal`` at that tolerance with F at most its
+    start cold. The solve runs at ``tol`` within the solver's Newton step
+    budget. It must end ``optimal`` at that tolerance with F at most its
     reported gap (objective minus dual bound); otherwise SolverError names the
     status or F, the trade-off weight and the KKT residuals.
     """
@@ -139,7 +137,7 @@ def dinkelbach_solve(
         )
     lam = c_anchor / p_anchor
     sub.set_tradeoff(lam)
-    sol = solve(sub.program, tol=tol, max_iter=SOLVER_MAX_ITER, x0=anchor_x, lam0=multipliers)
+    sol = solve(sub.program, tol=tol, x0=anchor_x, lam0=multipliers)
     context = f"at trade-off {lam:.6g}"
     require_optimal(sol, context)
     gap = sol.objective - sol.dual_bound

@@ -118,24 +118,21 @@ class RunReport:
     converged: bool
     wall_time: float
 
-    def trajectory_rows(self):
-        plan, sc = self.plan, self.scenario
+    def trajectory_rows(self) -> np.ndarray:
+        """The trajectory.csv table, one row per slot, columns in TRAJECTORY_HEADER order."""
+        plan, craft = self.plan, self.scenario.aircraft
         v, a = differentiate_trajectory(plan)
-        for k, a_k in enumerate(a[accel_slots(plan.n_slots)]):
-            yield (
-                k * plan.delta,
-                plan.positions[k, 0],
-                plan.positions[k, 1],
-                plan.positions[k, 2],
-                v[k, 0],
-                v[k, 1],
-                a_k[0],
-                a_k[1],
-                roll_from_motion(v[k], a_k, sc.aircraft.g),
-                yaw_from_velocity(v[k]),
-                self.efficiency.capacity_per_slot[k],
-                flight_power(v[k], a_k, sc.aircraft),
-            )
+        a = a[accel_slots(plan.n_slots)]
+        return np.column_stack([
+            np.arange(plan.n_slots) * plan.delta,
+            plan.positions,
+            v[:, :2],
+            a[:, :2],
+            roll_from_motion(v, a, craft.g),
+            yaw_from_velocity(v),
+            self.efficiency.capacity_per_slot,
+            flight_power(v, a, craft),
+        ])
 
     def summary_text(self) -> str:
         v, _ = differentiate_trajectory(self.plan)

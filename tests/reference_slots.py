@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 
+from fsotraj.channel import capacity_offset
 from fsotraj.errors import DegenerateVelocityError
 from fsotraj.jitter import error_projection_matrix
 
@@ -81,6 +82,12 @@ def hoyt_eigenvalues_slot(cov, u_hat) -> tuple[float, float]:
     evals = np.linalg.eigvalsh(root @ error_projection_matrix(u_hat) @ root)[::-1]
     lam1, lam2 = float(evals[0]), float(max(evals[1], 0.0))
     return max(lam1, lam2), lam2
+
+
+def expected_log_gamma_slot(link, z: float, hoyt) -> float:
+    """E[log Gamma] of one slot by the scalar closed form, nats:
+    capacity_offset(link) - 2 sigma_b z - 2 log z - omega / sigma_div^2."""
+    return capacity_offset(link) - 2.0 * link.sigma_b * z - 2.0 * math.log(z) - hoyt.omega / link.sigma_div**2
 
 
 def quadrature_unfolded(link, z: float, hoyt) -> float:

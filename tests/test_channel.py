@@ -133,27 +133,33 @@ class TestInstantaneousCapacity:
         assert abs(got - want) <= 1e-15 * want
 
 
+def one_slot_log_gamma(link, z, hp):
+    """expected_log_gamma of one slot."""
+    return float(expected_log_gamma(link, [z], [[hp.lam1, hp.lam2]])[0])
+
+
 class TestExpectedLogGamma:
     def test_deterministic_channel(self, default_link):
         link = LinkParams(sigma_i=0.0)
-        hp = HoytParams(0.0, 0.0)
-        z = 700.0
-        expected = capacity_offset(link) - 2.0 * link.sigma_b * z - 2.0 * math.log(z)
-        assert expected_log_gamma(link, z, hp) == pytest.approx(expected, rel=1e-12)
+        z = np.array([300.0, 700.0, 1500.0])
+        expected = capacity_offset(link) - 2.0 * link.sigma_b * z - 2.0 * np.log(z)
+        got = expected_log_gamma(link, z, np.zeros((3, 2)))
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
 
     def test_jitter_term_isolated(self, default_link):
-        hp = HoytParams(0.7e-6, 0.3e-6)
-        z = 600.0
-        with_jitter = expected_log_gamma(default_link, z, hp)
-        without = expected_log_gamma(default_link, z, HoytParams(0.0, 0.0))
-        assert with_jitter - without == pytest.approx(-hp.omega / default_link.sigma_div**2, rel=1e-12)
+        lam = np.array([[0.7e-6, 0.3e-6], [2.0e-6, 0.0], [0.5e-6, 0.5e-6]])
+        z = np.full(3, 600.0)
+        with_jitter = expected_log_gamma(default_link, z, lam)
+        without = expected_log_gamma(default_link, z, np.zeros((3, 2)))
+        want = -lam.sum(axis=1) / default_link.sigma_div**2
+        np.testing.assert_allclose(with_jitter - without, want, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("z", [400.0, 600.0, 1000.0])
     def test_against_monte_carlo(self, default_link, z):
         cov = JitterCovariance.from_mrad((1.0, 0.3, 0.1))
         u = np.array([0.0, 0.0, -z])
         hp = hoyt_params(cov, u)
-        closed = expected_log_gamma(default_link, z, hp)
+        closed = one_slot_log_gamma(default_link, z, hp)
         mc = mc_log_gamma(default_link, z, hp, n=10**6, seed=42)
         assert closed == pytest.approx(mc.value, rel=0.005)
 
@@ -165,7 +171,7 @@ class TestHugeTransmitPower:
         link = LinkParams(transmit_power=1e160)  # P_T^2 overflows a double
         hp = HoytParams(0.7e-6, 0.3e-6)
         z = 700.0
-        assert math.isfinite(expected_log_gamma(link, z, hp)) and math.isfinite(capacity_offset(link))
+        assert math.isfinite(one_slot_log_gamma(link, z, hp)) and math.isfinite(capacity_offset(link))
         shift = capacity_offset(link) - capacity_offset(default_link)
         assert shift == pytest.approx(2.0 * math.log(1e160 / default_link.transmit_power), rel=1e-12)
 
@@ -175,7 +181,7 @@ class TestHugeTransmitPower:
         link = LinkParams(transmit_power=1e160)
         hp = HoytParams(0.7e-6, 0.3e-6)
         z = 700.0
-        want = expected_log_gamma(link, z, hp) / (2.0 * math.log(2.0))
+        want = one_slot_log_gamma(link, z, hp) / (2.0 * math.log(2.0))
         assert quadrature_ergodic_capacity(link, z, hp) == pytest.approx(want, rel=1e-12)
         assert quadrature_unfolded(link, z, hp) == pytest.approx(want, rel=1e-12)
 
@@ -191,7 +197,7 @@ class TestHugeTransmitPower:
         u = np.array([[0.0, 0.0, -500.0], [300.0, -200.0, -600.0], [-500.0, 400.0, -600.0]])
         u *= (z / np.linalg.norm(u, axis=1))[:, None]
         n, seed = 20_000, 4
-        want = [expected_log_gamma(link, z[k], hoyt_params(cov, u[k])) / (2.0 * math.log(2.0)) for k in range(3)]
+        want = expected_log_gamma(link, z, hoyt_eigenvalues(cov, u)) / (2.0 * math.log(2.0))
         children = np.random.default_rng(seed).spawn(3)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -221,7 +227,7 @@ class TestErgodicCapacity:
         cov, u = analysis_geometry()
         hp = hoyt_params(cov, u)
         z = float(np.linalg.norm(u))
-        e_lg = expected_log_gamma(default_link, z, hp)
+        e_lg = one_slot_log_gamma(default_link, z, hp)
         mc = mc_ergodic_capacity(default_link, z, hp, n=200_000, seed=9)
         for _ in range(20):
             gamma_l = math.exp(e_lg + rng.uniform(-2.0, 2.0))

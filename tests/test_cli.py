@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,11 +11,12 @@ import pytest
 from fsotraj.channel import quadrature_ergodic_capacity
 from fsotraj.cli import main
 from fsotraj.jitter import hoyt_params
-from fsotraj.kinematics import pointing_vector
-from fsotraj.mission import initialize_iterate
+from fsotraj.kinematics import differentiate_trajectory, flight_power, pointing_vector, roll_from_motion, yaw_from_velocity
+from fsotraj.mission import accel_slots, initialize_iterate
 from fsotraj.optimizer import energy_efficiency, optimize
-from fsotraj.report import TRACE_HEADER, TRAJECTORY_HEADER, read_csv
+from fsotraj.report import TRACE_HEADER, TRAJECTORY_HEADER, read_csv, read_plan
 from fsotraj.scenario import load_scenario
+from reference_slots import expected_log_gamma_slot
 
 TINY_MOVING = """
 [mission]
@@ -74,14 +76,29 @@ class TestPowerAndCapacity:
         assert data.shape[0] == 16
         # Bound never exceeds the quadrature value of the true expectation.
         assert np.all(data[:, 4] <= data[:, 5] + 1e-9)
-        # One batched call over the grid gives each point's scalar quadrature.
+        # One batched call over the grid gives each point's scalar closed
+        # form, its anchor-tight bound log2(1 + exp(E[log Gamma])) / 2 and its
+        # scalar quadrature.
         settings = load_scenario("")
         sc, posture = settings.scenario, settings.pointing.posture
-        for x, y, z, *_, quad in data:
+        for x, y, z, elg, bound, quad in data:
             pos = np.array([x, y, sc.altitude])
             hoyt = hoyt_params(sc.jitter, pointing_vector(pos, posture))
+            want_elg = expected_log_gamma_slot(sc.link, float(np.linalg.norm(pos)), hoyt)
+            assert elg == pytest.approx(want_elg, rel=1e-14, abs=0.0)
+            assert bound == pytest.approx(math.log1p(math.exp(want_elg)) / (2.0 * math.log(2.0)), rel=1e-14, abs=0.0)
             want = quadrature_ergodic_capacity(sc.link, float(np.linalg.norm(pos)), hoyt)
             assert quad == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--grid", "0"), ("--grid", "-1"), ("--extent", "nan"), ("--extent", "inf"), ("--extent", "-inf")],
+    )
+    def test_bad_capacity_grid_exits_2_before_any_work(self, flag, value, tmp_path, capsys):
+        out = tmp_path / "cap"
+        assert main(["capacity", "--out", str(out), f"{flag}={value}"]) == 2
+        assert "error: need --grid >= 1 and a finite --extent" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestOptimize:
@@ -96,6 +113,14 @@ class TestOptimize:
         header, data = read_csv(out / "trajectory.csv")
         assert header == TRAJECTORY_HEADER
         assert data.shape[0] == 10  # N rows
+        # The roll, yaw and power columns hold each slot's one-state value.
+        sc = load_scenario(scenario).scenario
+        v, a = differentiate_trajectory(read_plan(out / "trajectory.csv", sc.delta, sc.altitude))
+        a = a[accel_slots(len(v))]
+        for k, row in enumerate(data):
+            assert row[header.index("roll")] == roll_from_motion(v[k], a[k], sc.aircraft.g)
+            assert row[header.index("yaw")] == yaw_from_velocity(v[k])
+            assert row[header.index("power")] == flight_power(v[k], a[k], sc.aircraft)
         report_text = (out / "report").read_text()
         assert "efficiency:" in report_text
         # Wall-clock time goes to timings.json only, so the report is deterministic.

@@ -107,6 +107,36 @@ class TestPosture:
         assert worst <= bound + 1e-12
 
 
+class TestPostureRows:
+    """One state per slot, shape (N, 3), gives each slot's one-state value."""
+
+    def test_rows_equal_the_one_state_calls(self):
+        rng = np.random.default_rng(5)
+        v = rng.normal(scale=30.0, size=(256, 3))
+        a = rng.normal(scale=3.0, size=(256, 3))
+        v[::2, 2] = 0.0  # level flight, as in a plan
+        craft = AircraftParams()
+        roll, yaw, power = roll_from_motion(v, a, 9.8), yaw_from_velocity(v), flight_power(v, a, craft)
+        assert roll.shape == yaw.shape == power.shape == (256,)
+        for k in range(256):
+            one = (roll_from_motion(v[k], a[k], 9.8), yaw_from_velocity(v[k]), flight_power(v[k], a[k], craft))
+            assert all(type(x) is float for x in one)
+            assert one == (roll[k], yaw[k], power[k])
+
+    def test_rows_name_the_first_degenerate_slot(self):
+        # Slot 1 climbs straight up: it has a speed and yaw 0. Slot 2's |v|^2
+        # underflows to zero, so it has no bank angle, but its heading is
+        # defined. Slot 3 stands still.
+        v = np.array([[5.0, 1.0, 0.0], [0.0, 0.0, 2.0], [1e-200, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        a = np.ones_like(v)
+        assert roll_from_motion(v[:2], a[:2], 9.8)[1] == 0.0
+        assert yaw_from_velocity(v[:3])[1:].tolist() == [0.0, 0.0]
+        with pytest.raises(DegenerateVelocityError, match="no bank angle at slot 2$"):
+            roll_from_motion(v, a, 9.8)
+        with pytest.raises(DegenerateVelocityError, match="no heading at slot 3$"):
+            yaw_from_velocity(v)
+
+
 class TestRotation:
     def test_z_quarter_turn(self):
         assert np.allclose(rotation_matrix("z", math.pi / 2) @ [1, 0, 0], [0, 1, 0])

@@ -126,5 +126,5 @@ class TestAnchorLogGamma:
                 v_check,
             )
             hoyt = hoyt_params(cov, anchor.u_hat)
-            direct = expected_log_gamma(default_link, z, hoyt)
+            direct = float(expected_log_gamma(default_link, [z], [[hoyt.lam1, hoyt.lam2]])[0])
             assert via_anchor == pytest.approx(direct, abs=1e-10)

@@ -8,6 +8,7 @@ import pytest
 from fsotraj import optimizer as optimizer_mod
 from fsotraj.channel import LinkParams
 from fsotraj.convex import solve
+from fsotraj.convex import solver as solver_mod
 from fsotraj.errors import InfeasibleScenarioError, SolverError
 from fsotraj.jitter import JitterCovariance, reduce_jitter_dof
 from fsotraj.kinematics import AircraftParams, TrajectoryPlan, differentiate_trajectory
@@ -98,7 +99,7 @@ class TestTradeoffSearch:
         values = []
         for lam in np.linspace(0.0, 2e-3, 10):
             sub.set_tradeoff(lam)
-            sol = solve(sub.program, tol=1e-8, max_iter=120, x0=sub.anchor_x())
+            sol = solve(sub.program, tol=1e-8, x0=sub.anchor_x())
             assert sol.status == "optimal"
             values.append(sol.objective)
         diffs = np.diff(values)
@@ -166,7 +167,7 @@ class TestDinkelbach:
 
     def test_nonoptimal_solve_raises(self, monkeypatch):
         sc = moving_scenario()
-        monkeypatch.setattr(optimizer_mod, "SOLVER_MAX_ITER", 2)
+        monkeypatch.setattr(solver_mod, "_MAX_ITER", 2)
         with pytest.raises(SolverError, match="max_iter") as err:
             dinkelbach_solve(Subproblem(initialize_iterate(sc), sc))
         assert "trade-off" in str(err.value) and "stationarity" in str(err.value)
@@ -176,7 +177,7 @@ class TestDinkelbach:
         sub = Subproblem(initialize_iterate(sc), sc)
         multipliers = dinkelbach_solve(sub).multipliers
         iterations = _counting_solve(monkeypatch)
-        monkeypatch.setattr(optimizer_mod, "SOLVER_MAX_ITER", 2)
+        monkeypatch.setattr(solver_mod, "_MAX_ITER", 2)
         with pytest.raises(SolverError, match="max_iter"):
             dinkelbach_solve(sub, multipliers=multipliers)
         assert len(iterations) == 1
