@@ -244,6 +244,16 @@ def ergodic_capacity(e_log_gamma: float, gamma_l: float) -> float:
     return (grad * e_log_gamma + delta) / (2.0 * math.log(2.0))
 
 
+def tight_capacity_bound(e_log_gamma):
+    """`ergodic_capacity` at its tight anchor exp(E[log Gamma]), bits/channel use.
+
+    There the bound is log(1 + exp(E[log Gamma])) / (2 log 2), computed as
+    logaddexp(0, E[log Gamma]) so that it stays finite where the anchor
+    itself overflows (E[log Gamma] above 709).
+    """
+    return np.logaddexp(0.0, e_log_gamma) / (2.0 * math.log(2.0))
+
+
 def mc_log_gamma(link: LinkParams, z: float, hoyt: HoytParams, n: int = 10**6, seed=0) -> MCEstimate:
     """Monte Carlo estimate of E[log Gamma], the oracle for expected_log_gamma.
 

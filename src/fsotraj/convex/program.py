@@ -122,10 +122,6 @@ class _Family:
         j = np.repeat(self.cols[:, None, :], self.nloc, axis=1)
         return i.ravel(), j.ravel()
 
-    def jac_structure(self):
-        rows = np.repeat(np.arange(self.m), self.nloc)
-        return rows, self.cols.ravel()
-
     # Subclasses implement one evaluation pass and the Hessian from it:
     #   local(x) -> (values (m,), local gradients (m, nloc), aux): smooth
     #       constraint values (<= 0 feasible), their gradients, and what

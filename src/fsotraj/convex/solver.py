@@ -14,17 +14,18 @@ tolerance: that point proves the program feasible, so the solve ends
 ``stalled``. A line search that fails near feasibility ends ``max_iter``.
 
 The reduced KKT system has a fixed sparsity pattern per program, and every
-restriction of one trajectory optimization has the same pattern. Its layout
-is built once per pattern and reused while the next solve has the same size
-and the same columns in every block: the variables are put in reverse
-Cuthill-McKee order, which gives the trajectory programs a small
-half-bandwidth independent of the slot count, and every COO entry is mapped
-to its merged entry and that entry to its slot in LAPACK band storage. Each
-Newton step writes every block's dense values in place into one COO value
-buffer, sums them into the merged entries, scatters those into the band,
-factors it with banded LU (``dgbtrf``) and refines the solution once with the
-same factors, the residual being a product with a CSR matrix built once per
-solve on the merged entries.
+restriction of one trajectory optimization has the same pattern. Everything
+that depends only on the pattern is built once, in ``_Layout``, and reused
+while the next solve has the same size and the same columns in every block:
+the families' flat member-entry index, each block's slice of the COO value
+buffer, the reverse Cuthill-McKee order of the variables, which gives the
+trajectory programs a small half-bandwidth independent of the slot count, and
+the map of every COO entry to its merged entry and of that entry to its slot
+in LAPACK band storage. Each Newton step writes every block's dense values in
+place into the COO value buffer, sums them into the merged entries, scatters
+those into the band, factors it with banded LU (``dgbtrf``) and refines the
+solution once with the same factors, the residual being a product with a CSR
+matrix on the merged entries.
 
 Each visited point (the start point and every line-search trial) evaluates
 every family and every objective norm term once through ``local``: values,
@@ -37,7 +38,7 @@ the row and column scales of every family, the linear families' scaled
 gradients and their outer products, and the objective's scaled quadratic.
 
 The families' scaled gradients live in one flat member-entry layout, fixed
-once per solve: every family's (m, nloc) block in ``ravel`` order, one after
+once per pattern: every family's (m, nloc) block in ``ravel`` order, one after
 another, with each entry's row and column. So the dual residual at every
 point and the Newton right-hand side are each one ``np.bincount`` over
 [arange(n), the families' columns] whose weights start with the base vector:
@@ -58,6 +59,7 @@ reused.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -144,46 +146,63 @@ def _kkt_blocks(program: ConvexProgram):
     return [*program.objective.norms, *program.families, *program.eq_families]
 
 
-def _kkt_structure(program: ConvexProgram):
-    """COO rows and columns of the KKT matrix [[M, E'], [E, -delta I]], in the
-    order of ``_Work.kkt_vals``."""
-    n = program.space.dimension
-    rows, cols = [np.arange(n)], [np.arange(n)]  # primal regularization plus diagonal quadratic
-    for block in [*program.objective.norms, *program.families]:
-        bi, bj = block.block_structure()
-        rows.append(bi)
-        cols.append(bj)
-    # E block first (all families), then its transpose.
-    row_off = 0
-    eq_rows, eq_cols = [], []
-    for fam in program.eq_families:
-        jr, jc = fam.jac_structure()
-        eq_rows.append(jr + row_off + n)
-        eq_cols.append(jc)
-        row_off += fam.m
-    rows.extend(eq_rows)
-    cols.extend(eq_cols)
-    rows.extend(eq_cols)
-    cols.extend(eq_rows)
-    if program.n_eq:
-        dual_idx = np.arange(n, n + program.n_eq)
-        rows.append(dual_idx)
-        cols.append(dual_idx)
-    return np.concatenate(rows), np.concatenate(cols)
+def _spans(sizes) -> list[slice]:
+    """Consecutive slices of the given sizes, starting at 0."""
+    ends = [0, *accumulate(sizes)]
+    return [slice(start, stop) for start, stop in zip(ends, ends[1:])]
+
+
+def _flat_rows(families):
+    """Each family's (rows, entries) slices in its list's stacked rows and
+    flat gradient, and the row and the column of every flat entry."""
+    rows, entries = _spans(fam.m for fam in families), _spans(fam.cols.size for fam in families)
+    member = [np.repeat(np.arange(r.start, r.stop), fam.nloc) for fam, r in zip(families, rows)]
+    cols = [fam.cols.ravel() for fam in families]
+    empty = np.zeros(0, np.intp)
+    return tuple(zip(rows, entries)), np.concatenate([empty, *member]), np.concatenate([empty, *cols])
 
 
 class _Layout:
-    """The banded KKT layout of one sparsity pattern: its reverse
-    Cuthill-McKee order, the merged entries and their band slots. The
-    pattern is a function of the KKT size, the number of equality families
-    and every block's ``cols`` in ``_kkt_blocks`` order, which it keeps (as
-    copies) to recognise the pattern again."""
+    """Everything that depends only on one KKT sparsity pattern: the flat
+    member-entry index (``index`` is [arange(n), the inequality families'
+    cols, the equality families' cols], each family in ``ravel`` order, and
+    ``member`` and ``eq_member`` give each entry's row), each family's (rows,
+    entries) slices, the COO rows and columns with every block's slice of the
+    COO value buffer, the reverse Cuthill-McKee order, the merged entries and
+    their band slots.
+
+    The pattern is a function of the KKT size, the number of norm terms and
+    of inequality and equality families, and every block's ``cols`` in
+    ``_kkt_blocks`` order, which it keeps (as copies) to recognise the
+    pattern again. Every array is read-only, so concurrent solves may share
+    the layout."""
 
     def __init__(self, program: ConvexProgram):
-        size = program.space.dimension + program.n_eq
+        n = program.space.dimension
+        size = n + program.n_eq
+        norms, families = program.objective.norms, program.families
         self.block_cols = tuple(block.cols.copy() for block in _kkt_blocks(program))
-        self.n_eq_blocks = len(program.eq_families)
-        self.kkt_rows, self.kkt_cols = kkt_rows, kkt_cols = _kkt_structure(program)
+        self.counts = (len(norms), len(families), len(program.eq_families))
+        self.fam_slices, self.member, self.jcols = _flat_rows(families)
+        self.eq_slices, self.eq_member, eq_cols = _flat_rows(program.eq_families)
+        self.index = np.concatenate([np.arange(n), self.jcols, eq_cols])
+        # Scratch for a nonlinear family's J' diag(lam/s) J block.
+        self.scratch_size = max((fam.m * fam.nloc * fam.nloc for fam in families), default=0)
+        # The COO blocks in value-buffer order: the diagonal (primal
+        # regularization plus diagonal quadratic), each norm term's and
+        # inequality family's (m, nloc, nloc) block, E, E' and the dual diagonal.
+        diag, dual, e_rows = np.arange(n), np.arange(n, size), n + self.eq_member
+        blocks = [
+            (diag, diag),
+            *(block.block_structure() for block in [*norms, *families]),
+            (e_rows, eq_cols),
+            (eq_cols, e_rows),
+            (dual, dual),
+        ]
+        self.diag, *hess, self.e_block, self.et_block, self.dual_diag = _spans(i.size for i, _ in blocks)
+        self.norm_blocks, self.fam_blocks = tuple(hess[: len(norms)]), tuple(hess[len(norms) :])
+        self.kkt_rows = kkt_rows = np.concatenate([i for i, _ in blocks])
+        self.kkt_cols = kkt_cols = np.concatenate([j for _, j in blocks])
         self.kkt_shape = (size, size)
         # Reverse Cuthill-McKee order of the pattern. Permuted entry (i, j)
         # sits at row kl + ku + i - j, column j of a Fortran-ordered
@@ -210,13 +229,16 @@ class _Layout:
         lookup[self.entry_band] = np.arange(self.entry_band.size)
         ci, cj = inv[kkt_rows], inv[kkt_cols]
         self.entry_slot = lookup[self.kl + self.ku + ci - cj + self.band_rows * cj].astype(np.intp)
+        for value in vars(self).values():
+            for arr in value if isinstance(value, tuple) else (value,):
+                if isinstance(arr, np.ndarray):
+                    arr.flags.writeable = False
 
     def matches(self, program: ConvexProgram) -> bool:
         blocks = _kkt_blocks(program)
         return (
             self.kkt_shape[0] == program.space.dimension + program.n_eq
-            and self.n_eq_blocks == len(program.eq_families)
-            and len(self.block_cols) == len(blocks)
+            and self.counts == (len(program.objective.norms), len(program.families), len(program.eq_families))
             and all(np.array_equal(cols, block.cols) for cols, block in zip(self.block_cols, blocks))
         )
 
@@ -248,47 +270,29 @@ def _layout(program: ConvexProgram) -> _Layout:
     return layout
 
 
-def _flat_index(rows: list[_Rows]):
-    """The row and the column of every entry of the families' flat gradient."""
-    member = [np.repeat(np.arange(f.rows.start, f.rows.stop), f.fam.nloc) for f in rows]
-    cols = [f.fam.cols.ravel() for f in rows]
-    return np.concatenate([np.zeros(0, np.intp), *member]), np.concatenate([np.zeros(0, np.intp), *cols])
-
-
 class _Work:
-    """Per-solve state: one ``_Rows`` per inequality family (``fams``) and
-    per equality family (``eqs``), built alike from the start point, the
-    objective's constant scaled quadratic, the banded layout of the program's
-    KKT pattern, and the flat member-entry layout with its workspaces.
-
-    Flat layout: every family's (m, nloc) scaled gradient lives in one flat
-    array, families in order and each in ``ravel`` order (``const_grad`` for
-    the inequality families, ``eq_grad`` for the equality families).
-    ``member`` maps each inequality entry to its row, and ``index`` is
-    [arange(n), the inequality families' cols, the equality families' cols]
-    in the same order, so every scatter onto the variables is one
-    ``np.bincount`` whose weights start with the base vector.
-
-    ``kkt_vals`` is the KKT matrix's COO value buffer, in ``_kkt_structure``
-    order: the E and E' blocks are written once, every other block in place
-    at each Newton step, and ``regularized`` writes the two regularization
-    blocks. ``csr`` is the refinement's matrix on the layout's merged
-    entries; each factorization only swaps its data."""
+    """Per-solve values on the program's ``_Layout``: one ``_Rows`` per
+    inequality family (``fams``) and per equality family (``eqs``), built
+    alike from the start point, every family's scaled gradient in the
+    layout's flat member-entry order (``const_grad``, ``eq_grad``), the
+    objective's constant scaled quadratic, and ``kkt_vals``, the KKT matrix's
+    COO value buffer cut at the layout's block slices: the E and E' blocks
+    are written once, every other block in place at each Newton step, and
+    ``regularized`` writes the two diagonals. ``csr`` is the refinement's
+    matrix on the layout's merged entries; each factorization only swaps its
+    data."""
 
     def __init__(self, program: ConvexProgram, x0: np.ndarray):
         self.program = program
         self.sc = program.space.scales()
-        self.n = n = program.space.dimension
+        self.n = program.space.dimension
         self.p = program.n_eq
         self.layout = layout = _layout(program)
-        self.fams, self.const_grad = self._rows(program.families, x0)
-        self.eqs, self.eq_grad = self._rows(program.eq_families, x0)
+        self.fams, self.const_grad = self._rows(program.families, layout.fam_slices, x0)
+        self.eqs, self.eq_grad = self._rows(program.eq_families, layout.eq_slices, x0)
         # An internal multiplier times its row scale is the physical multiplier.
         self.row_scale = np.concatenate([np.zeros(0), *(f.rho for f in self.fams)])
-        self.member, self.jcols = _flat_index(self.fams)
-        self.eq_member, eq_cols = _flat_index(self.eqs)
-        self.index = np.concatenate([np.arange(n), self.jcols, eq_cols])
-        self.weights = np.empty(self.index.size)  # bincount weights, rewritten by every scatter
+        self.weights = np.empty(layout.index.size)  # bincount weights, rewritten by every scatter
         # A linear inequality family's J' diag(lam/s) J block scales a fixed
         # per-member outer product of its scaled gradient.
         self.outers = []
@@ -297,47 +301,40 @@ class _Work:
             self.outers.append(np.einsum("ml,mk->mlk", grad, grad) if f.linear else None)
         # The objective's quadratic part of the Hessian is constant.
         self.quad = program.objective.quad_diag * self.sc * self.sc
-        self.norm_colscales = [self.sc[term.cols] for term in program.objective.norms]
+        norms = program.objective.norms
+        self.norm_colscales = [self.sc[term.cols] for term in norms]
 
         # The COO value buffer and its per-block (m, nloc, nloc) views.
-        self.kkt_vals = np.empty(layout.kkt_rows.size)
-        off = n
-        self.norm_blocks, self.fam_blocks = [], []
-        for blocks, owners in ((self.norm_blocks, program.objective.norms), (self.fam_blocks, program.families)):
-            for block in owners:
-                size = block.m * block.nloc * block.nloc
-                blocks.append(self.kkt_vals[off : off + size].reshape(block.m, block.nloc, block.nloc))
-                off += size
-        self.kkt_vals[off : off + self.eq_grad.size] = self.eq_grad  # E block
-        off += self.eq_grad.size
-        self.kkt_vals[off : off + self.eq_grad.size] = self.eq_grad  # E' block
-        # Scratch for a nonlinear family's J' diag(lam/s) J block.
-        self.scratch = np.empty(max((b.size for f, b in zip(self.fams, self.fam_blocks) if not f.linear), default=0))
+        self.kkt_vals = vals = np.empty(layout.kkt_rows.size)
+        self.norm_blocks = [vals[span].reshape(t.m, t.nloc, t.nloc) for t, span in zip(norms, layout.norm_blocks)]
+        self.fam_blocks = [
+            vals[span].reshape(f.m, f.nloc, f.nloc) for f, span in zip(program.families, layout.fam_blocks)
+        ]
+        vals[layout.e_block] = self.eq_grad
+        vals[layout.et_block] = self.eq_grad
+        self.scratch = np.empty(layout.scratch_size)
         self.csr = sp.csr_matrix(
             (np.zeros(layout.entry_cols.size), layout.entry_cols, layout.indptr), shape=layout.kkt_shape
         )
 
-    def _rows(self, families, x0) -> tuple[list[_Rows], np.ndarray]:
+    def _rows(self, families, slices, x0) -> tuple[list[_Rows], np.ndarray]:
         """Each family's constants, with the row scaling
         1 / max(1, |g(x0)|, |scaled grad|_inf) taken at x0 itself, and the
         flat gradient with every linear family's constant entries filled. The
         first iterate x0 / sc * sc differs from x0 in the last bit of some
         entries, so this evaluation is not shared with the first point's."""
-        out, row, entry = [], 0, 0
+        out = []
         flat = np.zeros(sum(fam.cols.size for fam in families))
-        for fam in families:
+        for fam, (rows, entries) in zip(families, slices):
             colscale = self.sc[fam.cols]
             vals, grad, _ = fam.local(x0)
             grads = grad * colscale
             mag = np.maximum(np.abs(vals), np.max(np.abs(grads), axis=1))
             rho = 1.0 / np.maximum(1.0, mag)
-            entries = slice(entry, entry + fam.cols.size)
-            f = _Rows(fam, slice(row, row + fam.m), entries, colscale, rho, isinstance(fam, LinearFamily))
+            f = _Rows(fam, rows, entries, colscale, rho, isinstance(fam, LinearFamily))
             if f.linear:
                 np.multiply(grads, rho[:, None], out=self.block(flat, f))
             out.append(f)
-            row += fam.m
-            entry += fam.cols.size
         return out, flat
 
     @staticmethod
@@ -368,12 +365,12 @@ class _Work:
 
     def dual_residual(self, pt: _Point, lam, nu):
         """obj_grad + J' lam + E' nu at the point pt, in one scatter."""
-        n, ne = self.n, self.const_grad.size
+        n, ne, layout = self.n, self.const_grad.size, self.layout
         w = self.weights
         w[:n] = pt.obj_grad
-        np.multiply(pt.grad, lam[self.member], out=w[n : n + ne])
-        np.multiply(self.eq_grad, nu[self.eq_member], out=w[n + ne :])
-        return np.bincount(self.index, weights=w, minlength=n)
+        np.multiply(pt.grad, lam[layout.member], out=w[n : n + ne])
+        np.multiply(self.eq_grad, nu[layout.eq_member], out=w[n + ne :])
+        return np.bincount(layout.index, weights=w, minlength=n)
 
     def newton_system(self, pt: _Point, lam, s, r_dual, r_prim, r_cent):
         """Write the KKT matrix at the point pt into ``kkt_vals``, all but the
@@ -404,18 +401,18 @@ class _Work:
         n, ne = self.n, self.const_grad.size
         w = self.weights[: n + ne]
         np.negative(r_dual, out=w[:n])
-        np.multiply(pt.grad, (ratio * r_prim - r_cent / s)[self.member], out=w[n:])
+        np.multiply(pt.grad, (ratio * r_prim - r_cent / s)[self.layout.member], out=w[n:])
         np.negative(w[n:], out=w[n:])
         rhs = np.empty(n + self.p)
-        rhs[:n] = np.bincount(self.index[: n + ne], weights=w, minlength=n)
+        rhs[:n] = np.bincount(self.layout.index[: n + ne], weights=w, minlength=n)
         np.negative(pt.r_eq, out=rhs[n:])
         return rhs
 
     def regularized(self, reg):
         """``kkt_vals`` with the primal regularization reg and the dual -reg."""
-        vals = self.kkt_vals
-        np.add(self.quad, reg, out=vals[: self.n])
-        vals[vals.size - self.p :] = -reg
+        vals, layout = self.kkt_vals, self.layout
+        np.add(self.quad, reg, out=vals[layout.diag])
+        vals[layout.dual_diag] = -reg
         return vals
 
     def matvec(self, entries, v):
@@ -447,7 +444,7 @@ class _Work:
 
     def jac_dx(self, pt: _Point, dx):
         """J dx at the point pt, from one gather of dx."""
-        dx_loc = dx[self.jcols]
+        dx_loc = dx[self.layout.jcols]
         out = np.empty(self.row_scale.size)
         for f in self.fams:
             out[f.rows] = np.einsum("ml,ml->m", self.block(pt.grad, f), self.block(dx_loc, f))
@@ -481,7 +478,7 @@ def solve(
     x = x_orig / sc  # internal scaled coordinates
     p = work.p
 
-    obj_scale = max(1.0, float(np.max(np.abs(program.objective.grad(x_orig) * sc))) if n else 1.0)
+    obj_scale = max(1.0, float(np.max(np.abs(program.objective.grad(x_orig) * sc), initial=0.0)))
     pt = work.point(x)
     if lam0 is None:
         s = np.maximum(-pt.g, 1.0)
@@ -501,20 +498,18 @@ def solve(
 
     for it in range(1, _MAX_ITER + 1):
         r_prim = pt.g + s
-        gap = float(s @ lam) if m else 0.0
+        gap = float(s @ lam)
 
-        # Convergence on the scaled system.
-        comp = float(np.max(lam * s)) if m else 0.0
-        stat = float(np.max(np.abs(r_dual))) if n else 0.0
-        prim = max(
-            float(np.max(np.abs(r_prim))) if m else 0.0,
-            float(np.max(np.abs(pt.r_eq))) if p else 0.0,
-        )
+        # Convergence on the scaled system. Every max is over nonnegative
+        # values, so a program without inequality or equality rows reads 0.
+        comp = float(np.max(lam * s, initial=0.0))
+        stat = float(np.max(np.abs(r_dual), initial=0.0))
+        prim = max(float(np.max(np.abs(r_prim), initial=0.0)), float(np.max(np.abs(pt.r_eq), initial=0.0)))
         # Keep the barrier from collapsing while still infeasible, so that
         # multipliers of violated constraints stay live.
         mu = _SIGMA * max(gap / max(m, 1), 0.1 * prim)
         r_cent = lam * s - mu
-        grad_scale = max(1.0, float(np.max(np.abs(pt.obj_grad))))
+        grad_scale = max(1.0, float(np.max(np.abs(pt.obj_grad), initial=0.0)))
         if comp <= tol and stat <= tol * grad_scale and prim <= tol:
             status = "optimal"
             break
@@ -544,23 +539,17 @@ def solve(
                 continue
 
             dx = step[:n]
-            dnu = step[n:] if p else np.zeros(0)
+            dnu = step[n:]
             ds = -r_prim - work.jac_dx(pt, dx)
-            dlam = -(lam / s) * ds - r_cent / s if m else np.zeros(0)
+            dlam = -(lam / s) * ds - r_cent / s
 
             # Fraction-to-boundary on s and lam.
-            alpha_bound = 1.0
-            if m:
-                neg_s = ds < 0
-                if np.any(neg_s):
-                    alpha_bound = min(
-                        alpha_bound, _BOUNDARY_FRACTION * float(np.min(-s[neg_s] / ds[neg_s]))
-                    )
-                neg_l = dlam < 0
-                if np.any(neg_l):
-                    alpha_bound = min(
-                        alpha_bound, _BOUNDARY_FRACTION * float(np.min(-lam[neg_l] / dlam[neg_l]))
-                    )
+            neg_s, neg_l = ds < 0, dlam < 0
+            alpha_bound = min(
+                1.0,
+                _BOUNDARY_FRACTION * float(np.min(-s[neg_s] / ds[neg_s], initial=np.inf)),
+                _BOUNDARY_FRACTION * float(np.min(-lam[neg_l] / dlam[neg_l], initial=np.inf)),
+            )
 
             alpha = alpha_bound
             for _ in range(30):
@@ -598,16 +587,12 @@ def solve(
     x_phys = x * sc
     obj = program.objective.value(x_phys)
     kkt_report = {
-        "stationarity": float(np.max(np.abs(r_dual))) if n else 0.0,
-        "primal_feas": max(
-            float(np.max(pt.g)) if m else 0.0, float(np.max(np.abs(pt.r_eq))) if p else 0.0, 0.0
-        ),
-        "dual_feas": float(max(0.0, -np.min(lam))) if m else 0.0,
-        "complementarity": float(np.max(np.abs(lam * s))) if m else 0.0,
+        "stationarity": float(np.max(np.abs(r_dual), initial=0.0)),
+        "primal_feas": max(float(np.max(pt.g, initial=-np.inf)), float(np.max(np.abs(pt.r_eq), initial=0.0)), 0.0),
+        "dual_feas": max(0.0, -float(np.min(lam, initial=np.inf))),
+        "complementarity": float(np.max(np.abs(lam * s), initial=0.0)),
     }
-    dual_bound = obj - (float(s @ lam) if m else 0.0)
-    if p:
-        dual_bound -= float(np.abs(pt.r_eq) @ np.abs(nu))
+    dual_bound = obj - float(s @ lam) - float(np.abs(pt.r_eq) @ np.abs(nu))
     return Solution(
         values=program.space.unpack(x_phys),
         x=x_phys,

@@ -1,12 +1,14 @@
 """Independent slow reference for the interior-point solver.
 
-Projected subgradient descent on box-constrained problems
+Projected gradient descent on box-constrained problems
 
     minimize 0.5 x'Qx + c.x + sum_j w_j |A_j x + b_j|   s.t.  lo <= x <= hi
 
-with the classic strongly-convex step 2 / (mu (t + 2)) and best-iterate
-tracking. Deliberately naive: shares no code with the production solver.
-``eigenbasis_program`` hands the same problems to the production solver.
+with a backtracked step. The offsets b_j of ``random_box_programs`` keep every
+|A_j x + b_j| away from zero on the box, so the objective is smooth and
+strongly convex there, and the method converges linearly. Deliberately naive:
+shares no code with the production solver. ``eigenbasis_program`` hands the
+same problems to the production solver.
 """
 from __future__ import annotations
 
@@ -15,43 +17,46 @@ import numpy as np
 from fsotraj.convex import ConvexProgram, VariableSpace
 
 
-def projected_subgradient_batch(quad, lin, weights, norm_a, norm_b, lo, hi, mu, iters):
-    """Run subgradient descent on a batch of problems simultaneously.
+def _objective(quad, lin, weights, norm_a, norm_b, x):
+    """Objective (B,) and gradient (B, n) of every problem of the batch at x."""
+    qx = np.einsum("bij,bj->bi", quad, x)
+    u = np.einsum("bjrn,bn->bjr", norm_a, x) + norm_b
+    norms = np.sqrt(np.einsum("bjr,bjr->bj", u, u))
+    f = 0.5 * np.einsum("bi,bi->b", x, qx) + np.einsum("bi,bi->b", lin, x) + np.einsum("bj,bj->b", weights, norms)
+    g = qx + lin + np.einsum("bjrn,bjr->bn", norm_a, weights[:, :, None] * u / norms[:, :, None])
+    return f, g
 
-    quad: (B, n, n) symmetric PSD with min eigenvalue >= mu
+
+def projected_gradient_batch(quad, lin, weights, norm_a, norm_b, lo, hi, iters):
+    """Run projected gradient descent on a batch of problems simultaneously.
+
+    quad: (B, n, n) symmetric positive definite
     lin: (B, n); weights: (B, J); norm_a: (B, J, r, n); norm_b: (B, J, r)
-    lo, hi: (B, n) box; iters: iteration count.
-    Returns (best objective per problem, best iterate per problem).
+    lo, hi: (B, n) box; iters: step count.
+
+    Each problem keeps its own step length t, starting at 1. A step halves
+    t until the projected point x+ = clip(x - t g, lo, hi) passes the
+    sufficient-decrease test f(x+) <= f(x) + g.(x+ - x) + |x+ - x|^2 / (2 t);
+    the next step starts from that t. Every accepted step lowers f, so the
+    last iterate is the best. Returns (objective per problem, iterate per
+    problem).
     """
     quad = np.asarray(quad, dtype=float)
     lin = np.asarray(lin, dtype=float)
-    b_count, n = lin.shape
-    x = np.clip(np.zeros((b_count, n)), lo, hi)
-    best_f = np.full(b_count, np.inf)
-    best_x = x.copy()
-
-    for t in range(1, iters + 1):
-        qx = np.einsum("bij,bj->bi", quad, x)
-        u = np.einsum("bjrn,bn->bjr", norm_a, x) + norm_b
-        norms = np.sqrt(np.einsum("bjr,bjr->bj", u, u))
-        f = (
-            0.5 * np.einsum("bi,bi->b", x, qx)
-            + np.einsum("bi,bi->b", lin, x)
-            + np.einsum("bj,bj->b", weights, norms)
-        )
-        improved = f < best_f
-        best_f = np.where(improved, f, best_f)
-        best_x = np.where(improved[:, None], x, best_x)
-
-        # Subgradient of the norm terms: A' u/|u| (any member of the
-        # subdifferential works at |u| = 0, so the zero vector is fine).
-        safe = np.maximum(norms, 1e-300)
-        g_norm = np.einsum("bjrn,bjr->bn", norm_a, weights[:, :, None] * u / safe[:, :, None])
-        g = qx + lin + g_norm
-        step = 2.0 / (mu * (t + 2.0))
-        x = np.clip(x - step * g, lo, hi)
-
-    return best_f, best_x
+    x = np.clip(np.zeros_like(lin), lo, hi)
+    t = np.ones(len(lin))
+    f, g = _objective(quad, lin, weights, norm_a, norm_b, x)
+    for _ in range(iters):
+        for _halving in range(64):
+            x_new = np.clip(x - t[:, None] * g, lo, hi)
+            f_new, g_new = _objective(quad, lin, weights, norm_a, norm_b, x_new)
+            d = x_new - x
+            ok = f_new <= f + np.einsum("bi,bi->b", g, d) + np.einsum("bi,bi->b", d, d) / (2.0 * t)
+            if ok.all():
+                break
+            t = np.where(ok, t, 0.5 * t)
+        x, f, g = x_new, f_new, g_new
+    return f, x
 
 
 def random_box_programs(rng, count, n, n_norm_terms=2, mu=1.0):

@@ -90,6 +90,28 @@ class TestPowerAndCapacity:
             want = quadrature_ergodic_capacity(sc.link, float(np.linalg.norm(pos)), hoyt)
             assert quad == pytest.approx(want, rel=1e-14, abs=0.0)
 
+    def test_capacity_bound_finite_where_the_anchor_overflows(self, tmp_path):
+        # At 1e160 W every E[log Gamma] is near 747, so the tight anchor
+        # exp(E[log Gamma]) overflows a double; the bound itself,
+        # log(1 + exp(E)) / (2 log 2), stays finite.
+        scenario = write_scenario(tmp_path, "[link]\ntransmit_power = 1e160 W\n")
+        out = tmp_path / "cap"
+        assert main(["capacity", "--scenario", scenario, "--out", str(out), "--grid", "3"]) == 0
+        header, data = read_csv(out / "capacity_grid.csv")
+        elg, bound = data[:, header.index("e_log_gamma")], data[:, header.index("capacity_bound")]
+        assert np.all(elg > 709.0)
+        np.testing.assert_allclose(bound, elg / (2.0 * math.log(2.0)), rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(bound, data[:, header.index("capacity_quadrature")], rtol=1e-12, atol=0.0)
+
+        # validate computes the same bound for its one geometry: it runs
+        # through, and the bound meets the Monte Carlo capacity, which the
+        # jitter barely lowers at this SNR.
+        main(["validate", "--scenario", scenario, "--out", str(out), "--samples", "20000"])
+        lines = (out / "validation.csv").read_text().splitlines()
+        _, mc, bound, *_ = next(line.split(",") for line in lines if line.startswith("capacity_bound_below_mc,"))
+        assert math.isfinite(float(bound))
+        assert float(bound) == pytest.approx(float(mc), rel=1e-12, abs=0.0)
+
     @pytest.mark.parametrize(
         "flag, value",
         [("--grid", "0"), ("--grid", "-1"), ("--extent", "nan"), ("--extent", "inf"), ("--extent", "-inf")],

@@ -17,7 +17,7 @@ from fsotraj.optimizer import optimize
 from fsotraj.scenario import load_scenario
 from fsotraj.subproblem import Subproblem
 import reference_assembly
-from reference_subgradient import eigenbasis_program, projected_subgradient_batch, random_box_programs
+from reference_box import eigenbasis_program, projected_gradient_batch, random_box_programs
 
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -152,9 +152,7 @@ class TestSolverContract:
     def test_matches_subgradient_reference(self, rng):
         count, n = 12, 20
         quad, lin, weights, norm_a, norm_b, lo, hi = random_box_programs(rng, count, n, mu=1.0)
-        ref_f, _ = projected_subgradient_batch(
-            quad, lin, weights, norm_a, norm_b, lo, hi, mu=1.0, iters=200_000
-        )
+        ref_f, _ = projected_gradient_batch(quad, lin, weights, norm_a, norm_b, lo, hi, iters=2_000)
         for b in range(count):
             prog = eigenbasis_program(quad[b], lin[b], lo[b], hi[b], weights[b], norm_a[b], norm_b[b])
             sol = solve(prog, tol=1e-9)
@@ -345,6 +343,108 @@ class TestLayoutCache:
         assert np.array_equal(warm.x, fresh.x)
         assert np.array_equal(warm.lam, fresh.lam)
         assert (warm.iterations, warm.status) == (fresh.iterations, fresh.status)
+
+    def test_same_columns_other_block_split_gets_its_own_layout(self):
+        # The same columns in the same order, first as an objective norm
+        # term and then as an inequality family: the KKT pattern is equal,
+        # but the flat index and the family slices are not.
+        def program(as_norm):
+            vs = VariableSpace()
+            vs.add("x", 2)
+            prog = ConvexProgram(vs)
+            cols, a = np.array([[0, 1]]), np.eye(2)[None]
+            if as_norm:  # minimize |x - (1, 2)|
+                prog.add_objective_norm(np.ones(1), cols, a, -np.array([[1.0, 2.0]]))
+            else:  # minimize -x0 - x1 s.t. |x| <= 1
+                prog.objective.lin[:] = -1.0
+                prog.add_soc("disc", cols, a, np.zeros((1, 2)), np.zeros((1, 2)), np.ones(1))
+            add_box(prog, [-3.0, -3.0], [3.0, 3.0])
+            return prog
+
+        norm, cone = program(True), program(False)
+        assert solve(norm, tol=1e-8).status == "optimal"
+        layout = solver_mod._last_layout
+        assert not layout.matches(cone)
+        sol = solve(cone, tol=1e-8)
+        assert solver_mod._last_layout is not layout
+        assert sol.status == "optimal"
+        np.testing.assert_allclose(sol.x, [math.sqrt(0.5)] * 2, atol=1e-6)
+
+
+class TestLayoutHoldsThePattern:
+    def test_two_solves_share_the_layout_index_and_slices(self, monkeypatch):
+        # Everything that depends only on the KKT pattern is built once, in
+        # the layout; each solve's _Work keeps only that solve's values.
+        sub = moving_subproblem()
+        works = []
+        init = solver_mod._Work.__init__
+
+        def spy(work, program, x0):
+            init(work, program, x0)
+            works.append(work)
+
+        monkeypatch.setattr(solver_mod._Work, "__init__", spy)
+        first = solve(sub.program, tol=1e-8, x0=sub.anchor_x())
+        sub.set_tradeoff(0.9 * sub.tradeoff)
+        assert solve(sub.program, tol=1e-8, x0=first.x, lam0=first.lam).status == "optimal"
+        a, b = works
+        layout = a.layout
+        assert b.layout is layout
+        assert not {"index", "member", "eq_member", "jcols"} & vars(a).keys()
+        for rows, slices in ((a.fams, layout.fam_slices), (a.eqs, layout.eq_slices)):
+            assert [(f.rows, f.entries) for f in rows] == list(slices)
+        for fa, fb in zip([*a.fams, *a.eqs], [*b.fams, *b.eqs]):
+            assert fa.rows is fb.rows and fa.entries is fb.entries
+        # Each solve's block views cut its own value buffer at the layout's
+        # block slices.
+        program = sub.program
+        for work in works:
+            pairs = [*zip(work.norm_blocks, layout.norm_blocks), *zip(work.fam_blocks, layout.fam_blocks)]
+            assert len(pairs) == len(program.objective.norms) + len(program.families)
+            for view, span in pairs:
+                assert view.size == span.stop - span.start
+                assert np.shares_memory(view, work.kkt_vals[span])
+
+    def test_block_slices_cut_the_coo_pattern_at_each_block(self):
+        # One list of blocks gives the COO rows and columns and every
+        # block's slice, so each slice holds exactly that block's entries.
+        program = moving_subproblem().program
+        layout = solver_mod._Layout(program)
+        n, p = program.space.dimension, program.n_eq
+        assert p > 0 and program.objective.norms
+        coo = np.column_stack([layout.kkt_rows, layout.kkt_cols])
+        spans = [layout.diag, *layout.norm_blocks, *layout.fam_blocks, layout.e_block, layout.et_block, layout.dual_diag]
+        assert spans[0].start == 0 and spans[-1].stop == len(coo)
+        assert all(s.stop == t.start for s, t in zip(spans, spans[1:]))
+        diag, dual = np.arange(n), np.arange(n, n + p)
+        assert np.array_equal(coo[layout.diag], np.column_stack([diag, diag]))
+        assert np.array_equal(coo[layout.dual_diag], np.column_stack([dual, dual]))
+        for block, span in zip([*program.objective.norms, *program.families], [*layout.norm_blocks, *layout.fam_blocks]):
+            i = np.broadcast_to(block.cols[:, :, None], (block.m, block.nloc, block.nloc))
+            j = np.broadcast_to(block.cols[:, None, :], (block.m, block.nloc, block.nloc))
+            assert np.array_equal(coo[span], np.column_stack([i.ravel(), j.ravel()]))
+        e_rows, e_cols, row = [], [], n
+        for fam in program.eq_families:
+            e_rows.append(np.repeat(np.arange(row, row + fam.m), fam.nloc))
+            e_cols.append(fam.cols.ravel())
+            row += fam.m
+        e = np.column_stack([np.concatenate(e_rows), np.concatenate(e_cols)])
+        assert np.array_equal(coo[layout.e_block], e)
+        assert np.array_equal(coo[layout.et_block], e[:, ::-1])
+
+    def test_every_layout_array_is_read_only(self):
+        layout = solver_mod._Layout(moving_subproblem().program)
+        arrays = []
+        for value in vars(layout).values():
+            arrays += [v for v in (value if isinstance(value, tuple) else (value,)) if isinstance(v, np.ndarray)]
+        names = {"index", "member", "eq_member", "jcols", "kkt_rows", "kkt_cols", "perm", "entry_band", "entry_slot"}
+        assert len(arrays) >= len(names) + len(layout.block_cols)
+        for name in names:
+            assert any(getattr(layout, name) is arr for arr in arrays), name
+        for arr in arrays:
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            layout.index[0] = 1
 
 
 class TestEvaluationsPerPoint:
