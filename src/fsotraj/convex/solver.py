@@ -183,26 +183,20 @@ class _Layout:
         norms, families = program.objective.norms, program.families
         self.block_cols = tuple(block.cols.copy() for block in _kkt_blocks(program))
         self.counts = (len(norms), len(families), len(program.eq_families))
-        self.fam_slices, self.member, self.jcols = _flat_rows(families)
         self.eq_slices, self.eq_member, eq_cols = _flat_rows(program.eq_families)
-        self.index = np.concatenate([np.arange(n), self.jcols, eq_cols])
         # Scratch for a nonlinear family's J' diag(lam/s) J block.
         self.scratch_size = max((fam.m * fam.nloc * fam.nloc for fam in families), default=0)
         # The COO blocks in value-buffer order: the diagonal (primal
         # regularization plus diagonal quadratic), each norm term's and
         # inequality family's (m, nloc, nloc) block, E, E' and the dual diagonal.
         diag, dual, e_rows = np.arange(n), np.arange(n, size), n + self.eq_member
-        blocks = [
-            (diag, diag),
-            *(block.block_structure() for block in [*norms, *families]),
-            (e_rows, eq_cols),
-            (eq_cols, e_rows),
-            (dual, dual),
-        ]
+        blocks = [(diag, diag), *(block.block_structure() for block in [*norms, *families])]
+        blocks += [(e_rows, eq_cols), (eq_cols, e_rows), (dual, dual)]
         self.diag, *hess, self.e_block, self.et_block, self.dual_diag = _spans(i.size for i, _ in blocks)
         self.norm_blocks, self.fam_blocks = tuple(hess[: len(norms)]), tuple(hess[len(norms) :])
-        self.kkt_rows = kkt_rows = np.concatenate([i for i, _ in blocks])
-        self.kkt_cols = kkt_cols = np.concatenate([j for _, j in blocks])
+        kkt_rows, kkt_cols = (np.concatenate(part) for part in zip(*blocks))
+        self.kkt_rows, self.kkt_cols = kkt_rows, kkt_cols
+        del blocks  # freed before the set-up's scratch below
         self.kkt_shape = (size, size)
         # Reverse Cuthill-McKee order of the pattern. Permuted entry (i, j)
         # sits at row kl + ku + i - j, column j of a Fortran-ordered
@@ -229,10 +223,13 @@ class _Layout:
         lookup[self.entry_band] = np.arange(self.entry_band.size)
         ci, cj = inv[kkt_rows], inv[kkt_cols]
         self.entry_slot = lookup[self.kl + self.ku + ci - cj + self.band_rows * cj].astype(np.intp)
-        for value in vars(self).values():
-            for arr in value if isinstance(value, tuple) else (value,):
-                if isinstance(arr, np.ndarray):
-                    arr.flags.writeable = False
+        # Built after the set-up's largest scratch is freed, so they do not
+        # raise its peak memory.
+        self.fam_slices, self.member, self.jcols = _flat_rows(families)
+        self.index = np.concatenate([np.arange(n), self.jcols, eq_cols])
+        for arr in [*vars(self).values(), *self.block_cols]:
+            if isinstance(arr, np.ndarray):
+                arr.flags.writeable = False
 
     def matches(self, program: ConvexProgram) -> bool:
         blocks = _kkt_blocks(program)
