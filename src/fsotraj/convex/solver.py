@@ -194,15 +194,15 @@ class _Layout:
         blocks += [(e_rows, eq_cols), (eq_cols, e_rows), (dual, dual)]
         self.diag, *hess, self.e_block, self.et_block, self.dual_diag = _spans(i.size for i, _ in blocks)
         self.norm_blocks, self.fam_blocks = tuple(hess[: len(norms)]), tuple(hess[len(norms) :])
-        kkt_rows, kkt_cols = (np.concatenate(part) for part in zip(*blocks))
+        kkt_rows, kkt_cols = (np.concatenate(part, dtype=np.int32) for part in zip(*blocks))
         self.kkt_rows, self.kkt_cols = kkt_rows, kkt_cols
         del blocks  # freed before the set-up's scratch below
         self.kkt_shape = (size, size)
         # Reverse Cuthill-McKee order of the pattern. Permuted entry (i, j)
         # sits at row kl + ku + i - j, column j of a Fortran-ordered
         # (2 kl + ku + 1) x size band, the layout dgbtrf factors in place.
-        # The bool pattern and the int32 lookup below keep the set-up's
-        # scratch memory small.
+        # The int32 COO pattern, the bool pattern and the int32 lookup below
+        # keep the layout's memory small.
         present = np.ones(kkt_rows.size, dtype=bool)
         pattern = sp.csr_matrix((present, (kkt_rows, kkt_cols)), shape=self.kkt_shape)
         self.perm = reverse_cuthill_mckee(pattern, symmetric_mode=True)
@@ -225,8 +225,9 @@ class _Layout:
         self.entry_slot = lookup[self.kl + self.ku + ci - cj + self.band_rows * cj].astype(np.intp)
         # Built after the set-up's largest scratch is freed, so they do not
         # raise its peak memory.
-        self.fam_slices, self.member, self.jcols = _flat_rows(families)
-        self.index = np.concatenate([np.arange(n), self.jcols, eq_cols])
+        self.fam_slices, self.member, jcols = _flat_rows(families)
+        self.index = np.concatenate([np.arange(n), jcols, eq_cols])
+        self.jcols = self.index[n : n + jcols.size]
         for arr in [*vars(self).values(), *self.block_cols]:
             if isinstance(arr, np.ndarray):
                 arr.flags.writeable = False
