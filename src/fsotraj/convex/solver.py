@@ -223,8 +223,7 @@ class _Layout:
         lookup[self.entry_band] = np.arange(self.entry_band.size)
         ci, cj = inv[kkt_rows], inv[kkt_cols]
         self.entry_slot = lookup[self.kl + self.ku + ci - cj + self.band_rows * cj].astype(np.intp)
-        # Built after the set-up's largest scratch is freed, so they do not
-        # raise its peak memory.
+        # Built after the band set-up's memory peak, so they do not add to it.
         self.fam_slices, self.member, jcols = _flat_rows(families)
         self.index = np.concatenate([np.arange(n), jcols, eq_cols])
         self.jcols = self.index[n : n + jcols.size]
