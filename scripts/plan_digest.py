@@ -9,7 +9,7 @@ efficiency of the final plan (repr, so every bit shows), and a sha256 of the
 final positions and one of every iteration record. It then solves the SOC
 projection toy (minimize t s.t. |(x, y) - c| <= t) for c = (1, 2) and 59
 targets from ``default_rng(0).uniform(-5, 5, (59, 2))`` at tol 1e-8 and
-prints how many end ``optimal``. It imports the package from this checkout's
+prints how many solves end with each status. It imports the package from this checkout's
 ``src/``, so running it in two checkouts and comparing the output shows
 whether a change moved any bit of a plan.
 """
@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -61,8 +62,9 @@ def main() -> int:
     for path in sorted((ROOT / "scenarios").glob("*.ini")):
         print(plan_line(path), flush=True)
     targets = np.vstack([[1.0, 2.0], np.random.default_rng(0).uniform(-5, 5, (59, 2))])
-    statuses = [apex_status(c) for c in targets]
-    print(f"apex toy: {statuses.count('optimal')}/{len(targets)} optimal")
+    statuses = Counter(apex_status(c) for c in targets)
+    counts = ", ".join(f"{count} {status}" for status, count in sorted(statuses.items()))
+    print(f"apex toy ({len(targets)} targets): {counts}")
     return 0
 
 

@@ -20,12 +20,10 @@ while the next solve has the same size and the same columns in every block:
 the families' flat member-entry index, each block's slice of the COO value
 buffer, the reverse Cuthill-McKee order of the variables, which gives the
 trajectory programs a small half-bandwidth independent of the slot count, and
-the map of every COO entry to its merged entry and of that entry to its slot
-in LAPACK band storage. Each Newton step writes every block's dense values in
-place into the COO value buffer, sums them into the merged entries, scatters
-those into the band, factors it with banded LU (``dgbtrf``) and refines the
-solution once with the same factors, the residual being a product with a CSR
-matrix on the merged entries.
+the slot of every COO entry in LAPACK band storage. Each Newton step writes
+every block's dense values in place into the COO value buffer, sums them into
+the band with one ``np.bincount``, factors it with banded LU (``dgbtrf``) and
+solves once with the factors (``dgbtrs``).
 
 Each visited point (the start point and every line-search trial) evaluates
 every family and every objective norm term once through ``local``: values,
@@ -168,8 +166,8 @@ class _Layout:
     cols, the equality families' cols], each family in ``ravel`` order, and
     ``member`` and ``eq_member`` give each entry's row), each family's (rows,
     entries) slices, the COO rows and columns with every block's slice of the
-    COO value buffer, the reverse Cuthill-McKee order, the merged entries and
-    their band slots.
+    COO value buffer, the reverse Cuthill-McKee order and every COO entry's
+    band slot.
 
     The pattern is a function of the KKT size, the number of norm terms and
     of inequality and equality families, and every block's ``cols`` in
@@ -201,28 +199,22 @@ class _Layout:
         # Reverse Cuthill-McKee order of the pattern. Permuted entry (i, j)
         # sits at row kl + ku + i - j, column j of a Fortran-ordered
         # (2 kl + ku + 1) x size band, the layout dgbtrf factors in place.
-        # The int32 COO pattern, the bool pattern and the int32 lookup below
-        # keep the layout's memory small.
+        # The int32 COO pattern and the bool pattern keep the layout's memory
+        # small.
         present = np.ones(kkt_rows.size, dtype=bool)
         pattern = sp.csr_matrix((present, (kkt_rows, kkt_cols)), shape=self.kkt_shape)
         self.perm = reverse_cuthill_mckee(pattern, symmetric_mode=True)
+        del pattern, present
         inv = np.empty(size, dtype=np.intp)
         inv[self.perm] = np.arange(size)
-        # Merged entries in CSR order (row-major), their band slots, and the
-        # merged entry of every COO entry (the band slot is a collision-free
-        # key).
-        self.indptr = pattern.indptr
-        self.entry_cols = pattern.indices
-        entry_rows = np.repeat(np.arange(size), np.diff(self.indptr))
-        ei, ej = inv[entry_rows], inv[self.entry_cols]
-        self.kl = int(np.max(ei - ej, initial=0))
-        self.ku = int(np.max(ej - ei, initial=0))
+        # The band slot of every COO entry; duplicates share one.
+        cj = inv[kkt_cols]
+        offset = inv[kkt_rows] - cj
+        self.kl = int(np.max(offset, initial=0))
+        self.ku = int(-np.min(offset, initial=0))
         self.band_rows = 2 * self.kl + self.ku + 1
-        self.entry_band = self.kl + self.ku + ei - ej + self.band_rows * ej
-        lookup = np.empty(self.band_rows * size, dtype=np.int32)
-        lookup[self.entry_band] = np.arange(self.entry_band.size)
-        ci, cj = inv[kkt_rows], inv[kkt_cols]
-        self.entry_slot = lookup[self.kl + self.ku + ci - cj + self.band_rows * cj].astype(np.intp)
+        offset += self.kl + self.ku + self.band_rows * cj
+        self.coo_band = offset
         # Built after the band set-up's memory peak, so they do not add to it.
         self.fam_slices, self.member, jcols = _flat_rows(families)
         self.index = np.concatenate([np.arange(n), jcols, eq_cols])
@@ -239,14 +231,10 @@ class _Layout:
             and all(np.array_equal(cols, block.cols) for cols, block in zip(self.block_cols, blocks))
         )
 
-    def entries(self, coo_vals):
-        """Merged KKT entries from values in COO entry order, duplicates summed."""
-        return np.bincount(self.entry_slot, weights=coo_vals, minlength=self.entry_band.size)
-
-    def band(self, entries):
-        """The RCM-ordered KKT matrix in LAPACK band storage."""
-        band = np.zeros(self.band_rows * self.kkt_shape[0])
-        band[self.entry_band] = entries
+    def band(self, coo_vals):
+        """The RCM-ordered KKT matrix in LAPACK band storage, from values in
+        COO entry order: duplicates are summed in that order from 0.0."""
+        band = np.bincount(self.coo_band, weights=coo_vals, minlength=self.band_rows * self.kkt_shape[0])
         return band.reshape((self.band_rows, self.kkt_shape[0]), order="F")
 
 
@@ -275,9 +263,7 @@ class _Work:
     objective's constant scaled quadratic, and ``kkt_vals``, the KKT matrix's
     COO value buffer cut at the layout's block slices: the E and E' blocks
     are written once, every other block in place at each Newton step, and
-    ``regularized`` writes the two diagonals. ``csr`` is the refinement's
-    matrix on the layout's merged entries; each factorization only swaps its
-    data."""
+    ``regularized`` writes the two diagonals."""
 
     def __init__(self, program: ConvexProgram, x0: np.ndarray):
         self.program = program
@@ -310,9 +296,6 @@ class _Work:
         vals[layout.e_block] = self.eq_grad
         vals[layout.et_block] = self.eq_grad
         self.scratch = np.empty(layout.scratch_size)
-        self.csr = sp.csr_matrix(
-            (np.zeros(layout.entry_cols.size), layout.entry_cols, layout.indptr), shape=layout.kkt_shape
-        )
 
     def _rows(self, families, slices, x0) -> tuple[list[_Rows], np.ndarray]:
         """Each family's constants, with the row scaling
@@ -412,32 +395,21 @@ class _Work:
         vals[layout.dual_diag] = -reg
         return vals
 
-    def matvec(self, entries, v):
-        """The merged KKT matrix times v, each row summed in entry order."""
-        self.csr.data = entries
-        return self.csr @ v
-
     def kkt_step(self, coo_vals, rhs):
-        """Solve the KKT system with values coo_vals for rhs: banded LU plus
-        one step of iterative refinement. None when a pivot is exactly zero."""
+        """Solve the KKT system with values coo_vals for rhs: one banded LU and
+        one solve with its factors. None when a pivot is exactly zero."""
         layout = self.layout
-        entries = layout.entries(coo_vals)
-        lu, piv, info = dgbtrf(layout.band(entries), layout.kl, layout.ku, overwrite_ab=1)
+        lu, piv, info = dgbtrf(layout.band(coo_vals), layout.kl, layout.ku, overwrite_ab=1)
         if info < 0:
             raise ValueError(f"dgbtrf rejected argument {-info}")
         if info > 0:
             return None
-
-        def band_solve(b):
-            y, info = dgbtrs(lu, layout.kl, layout.ku, b[layout.perm], piv, overwrite_b=1)
-            if info:
-                raise ValueError(f"dgbtrs rejected argument {-info}")
-            x = np.empty_like(y)
-            x[layout.perm] = y
-            return x
-
-        step = band_solve(rhs)
-        return step + band_solve(rhs - self.matvec(entries, step))
+        y, info = dgbtrs(lu, layout.kl, layout.ku, rhs[layout.perm], piv, overwrite_b=1)
+        if info:
+            raise ValueError(f"dgbtrs rejected argument {-info}")
+        step = np.empty_like(y)
+        step[layout.perm] = y
+        return step
 
     def jac_dx(self, pt: _Point, dx):
         """J dx at the point pt, from one gather of dx."""
@@ -489,7 +461,6 @@ def solve(
     delta = 1e-10
     best_prim = np.inf
     stall = 0
-    crawl = 0
     status = "max_iter"
     it = 0
 
@@ -570,16 +541,7 @@ def solve(
             status = _far_from_feasible(program, x_orig) if prim > 1e4 * tol else "max_iter"
             break
         x, s, lam, nu, pt, r_dual = x_t, s_t, lam_t, nu_t, trial, r_dual_t
-        # Persistent crawling (backtracked far below the boundary step on
-        # consecutive iterations) marks a flat direction the Newton model
-        # mishandles; Levenberg-style stiffening restores progress.
-        if alpha < 1e-3 * alpha_bound:
-            crawl += 1
-            if crawl >= 2:
-                delta = min(max(delta * 30.0, 1e-8), 1e-2)
-        else:
-            crawl = 0
-            delta = max(delta * 0.5, 1e-10)
+        delta = max(delta * 0.5, 1e-10)
 
     x_phys = x * sc
     obj = program.objective.value(x_phys)

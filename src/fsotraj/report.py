@@ -94,7 +94,10 @@ class ValidationRow:
     @property
     def passed(self) -> bool:
         if self.one_sided:
-            return self.estimate <= self.reference + self.tolerance_rel * max(abs(self.reference), 1.0)
+            # Where the bound is tight, reference and estimate differ only by
+            # the rounding of their separate computations: allow 4 ulps.
+            slop = self.tolerance_rel * max(abs(self.reference), 1.0) + 4.0 * np.spacing(abs(self.reference))
+            return self.estimate <= self.reference + slop
         return self.rel_error <= self.tolerance_rel
 
 

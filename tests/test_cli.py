@@ -14,7 +14,7 @@ from fsotraj.jitter import hoyt_params
 from fsotraj.kinematics import differentiate_trajectory, flight_power, pointing_vector, roll_from_motion, yaw_from_velocity
 from fsotraj.mission import accel_slots, initialize_iterate
 from fsotraj.optimizer import energy_efficiency, optimize
-from fsotraj.report import TRACE_HEADER, TRAJECTORY_HEADER, read_csv, read_plan
+from fsotraj.report import TRACE_HEADER, TRAJECTORY_HEADER, ValidationRow, read_csv, read_plan
 from fsotraj.scenario import load_scenario
 from reference_slots import expected_log_gamma_slot
 
@@ -111,6 +111,22 @@ class TestPowerAndCapacity:
         _, mc, bound, *_ = next(line.split(",") for line in lines if line.startswith("capacity_bound_below_mc,"))
         assert math.isfinite(float(bound))
         assert float(bound) == pytest.approx(float(mc), rel=1e-12, abs=0.0)
+
+    def test_validate_passes_where_the_bound_is_tight(self, tmp_path):
+        # At 1e160 W and the scenario's sample count the bound sits one ulp
+        # above the Monte Carlo capacity plus three standard errors (8e-17).
+        scenario = write_scenario(tmp_path, "[link]\ntransmit_power = 1e160 W\n")
+        out = tmp_path / "val"
+        assert main(["validate", "--scenario", scenario, "--out", str(out)]) == 0
+        header, data = read_csv(out / "validation.csv")
+        assert all(p == 1.0 for p in data[:, -1])
+
+    def test_one_sided_row_fails_past_rounding(self):
+        # The one-sided rows forgive rounding only, not a real excess.
+        tight, ulp_above = 539.3532405987636, 539.3532405987637
+        assert ValidationRow("bound", tight, ulp_above, one_sided=True).passed
+        assert not ValidationRow("bound", tight, tight * (1.0 + 1e-9), one_sided=True).passed
+        assert not ValidationRow("bound", 1.0, 1.0 + 1e-9, one_sided=True).passed
 
     @pytest.mark.parametrize(
         "flag, value",
