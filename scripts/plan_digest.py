@@ -9,9 +9,9 @@ efficiency of the final plan (repr, so every bit shows), and a sha256 of the
 final positions and one of every iteration record. It then solves the SOC
 projection toy (minimize t s.t. |(x, y) - c| <= t) for c = (1, 2) and 59
 targets from ``default_rng(0).uniform(-5, 5, (59, 2))`` at tol 1e-8 and
-prints how many solves end with each status. It imports the package from this checkout's
-``src/``, so running it in two checkouts and comparing the output shows
-whether a change moved any bit of a plan.
+prints how many solves end with each status. It imports the package from
+this checkout's ``src/``, so running it in two checkouts and comparing the
+output shows whether a change moved any bit of a plan.
 """
 from __future__ import annotations
 

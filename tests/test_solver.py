@@ -277,6 +277,7 @@ class TestKktAssembly:
         assert factored.count(0) >= sol.iterations - 1 > 0
         assert len(solved) == factored.count(0)
 
+
 class TestLayoutCache:
     def test_rcm_runs_once_per_structure(self, monkeypatch):
         shapes = []
