@@ -9,9 +9,13 @@ efficiency of the final plan (repr, so every bit shows), and a sha256 of the
 final positions and one of every iteration record. It then solves the SOC
 projection toy (minimize t s.t. |(x, y) - c| <= t) for c = (1, 2) and 59
 targets from ``default_rng(0).uniform(-5, 5, (59, 2))`` at tol 1e-8 and
-prints how many solves end with each status. It imports the package from
-this checkout's ``src/``, so running it in two checkouts and comparing the
-output shows whether a change moved any bit of a plan.
+prints how many solves end with each status, then the same for every target
+moved one ulp up and one ulp down (``np.nextafter``), with the index of each
+target that does not end ``optimal``: the apex count is sensitive to
+rounding, so a change to the solver's arithmetic shows on these lines first.
+It imports the package from this checkout's ``src/``, so running it in two
+checkouts and comparing the output shows whether a change moved any bit of a
+plan.
 """
 from __future__ import annotations
 
@@ -58,13 +62,20 @@ def apex_status(target) -> str:
     return solve(program, tol=1e-8).status
 
 
+def apex_line(label: str, targets) -> str:
+    statuses = [apex_status(c) for c in targets]
+    counts = ", ".join(f"{count} {status}" for status, count in sorted(Counter(statuses).items()))
+    missed = [i for i, status in enumerate(statuses) if status != "optimal"]
+    return f"{label} ({len(targets)} targets): {counts}" + (f"; not optimal: {missed}" if missed else "")
+
+
 def main() -> int:
     for path in sorted((ROOT / "scenarios").glob("*.ini")):
         print(plan_line(path), flush=True)
     targets = np.vstack([[1.0, 2.0], np.random.default_rng(0).uniform(-5, 5, (59, 2))])
-    statuses = Counter(apex_status(c) for c in targets)
-    counts = ", ".join(f"{count} {status}" for status, count in sorted(statuses.items()))
-    print(f"apex toy ({len(targets)} targets): {counts}")
+    print(apex_line("apex toy", targets), flush=True)
+    print(apex_line("apex toy, one ulp up", np.nextafter(targets, np.inf)), flush=True)
+    print(apex_line("apex toy, one ulp down", np.nextafter(targets, -np.inf)))
     return 0
 
 

@@ -20,10 +20,13 @@ while the next solve has the same size and the same columns in every block:
 the families' flat member-entry index, each block's slice of the COO value
 buffer, the reverse Cuthill-McKee order of the variables, which gives the
 trajectory programs a small half-bandwidth independent of the slot count, and
-the slot of every COO entry in LAPACK band storage. Each Newton step writes
-every block's dense values in place into the COO value buffer, sums them into
-the band with one ``np.bincount``, factors it with banded LU (``dgbtrf``) and
-solves once with the factors (``dgbtrs``).
+the slot of every COO entry in LAPACK band storage. The COO rows and columns
+themselves are not kept once the order and the slots are built. Each solve
+allocates one band buffer. Each Newton step writes every block's dense values
+in place into the COO value buffer, zeroes the band buffer and scatter-adds
+the values into it with one ``np.add.at``, factors it in place with banded LU
+(``dgbtrf``) and solves once with the factors (``dgbtrs``), so no step
+allocates a band-sized array.
 
 Each visited point (the start point and every line-search trial) evaluates
 every family and every objective norm term once through ``local``: values,
@@ -156,8 +159,8 @@ def _flat_rows(families):
     rows, entries = _spans(fam.m for fam in families), _spans(fam.cols.size for fam in families)
     member = [np.repeat(np.arange(r.start, r.stop), fam.nloc) for fam, r in zip(families, rows)]
     cols = [fam.cols.ravel() for fam in families]
-    empty = np.zeros(0, np.intp)
-    return tuple(zip(rows, entries)), np.concatenate([empty, *member]), np.concatenate([empty, *cols])
+    member, cols = (np.concatenate([np.zeros(0, np.int32), *part], dtype=np.int32) for part in (member, cols))
+    return tuple(zip(rows, entries)), member, cols
 
 
 class _Layout:
@@ -165,9 +168,11 @@ class _Layout:
     member-entry index (``index`` is [arange(n), the inequality families'
     cols, the equality families' cols], each family in ``ravel`` order, and
     ``member`` and ``eq_member`` give each entry's row), each family's (rows,
-    entries) slices, the COO rows and columns with every block's slice of the
-    COO value buffer, the reverse Cuthill-McKee order and every COO entry's
-    band slot.
+    entries) slices, every block's slice of the COO value buffer, the reverse
+    Cuthill-McKee order and every COO entry's band slot (``coo_band``). The
+    COO rows and columns are dropped once the order and the band slots are
+    built. ``index``, ``member``, ``eq_member``, ``perm`` and ``coo_band``
+    are int32.
 
     The pattern is a function of the KKT size, the number of norm terms and
     of inequality and equality families, and every block's ``cols`` in
@@ -193,13 +198,12 @@ class _Layout:
         self.diag, *hess, self.e_block, self.et_block, self.dual_diag = _spans(i.size for i, _ in blocks)
         self.norm_blocks, self.fam_blocks = tuple(hess[: len(norms)]), tuple(hess[len(norms) :])
         kkt_rows, kkt_cols = (np.concatenate(part, dtype=np.int32) for part in zip(*blocks))
-        self.kkt_rows, self.kkt_cols = kkt_rows, kkt_cols
         del blocks  # freed before the set-up's scratch below
         self.kkt_shape = (size, size)
         # Reverse Cuthill-McKee order of the pattern. Permuted entry (i, j)
         # sits at row kl + ku + i - j, column j of a Fortran-ordered
         # (2 kl + ku + 1) x size band, the layout dgbtrf factors in place.
-        # The int32 COO pattern and the bool pattern keep the layout's memory
+        # The int32 COO pattern and the bool pattern keep the set-up's memory
         # small.
         present = np.ones(kkt_rows.size, dtype=bool)
         pattern = sp.csr_matrix((present, (kkt_rows, kkt_cols)), shape=self.kkt_shape)
@@ -210,14 +214,16 @@ class _Layout:
         # The band slot of every COO entry; duplicates share one.
         cj = inv[kkt_cols]
         offset = inv[kkt_rows] - cj
+        del kkt_rows, kkt_cols
         self.kl = int(np.max(offset, initial=0))
         self.ku = int(-np.min(offset, initial=0))
         self.band_rows = 2 * self.kl + self.ku + 1
         offset += self.kl + self.ku + self.band_rows * cj
-        self.coo_band = offset
+        self.coo_band = offset.astype(np.int32)
+        del cj, offset
         # Built after the band set-up's memory peak, so they do not add to it.
         self.fam_slices, self.member, jcols = _flat_rows(families)
-        self.index = np.concatenate([np.arange(n), jcols, eq_cols])
+        self.index = np.concatenate([np.arange(n), jcols, eq_cols], dtype=np.int32)
         self.jcols = self.index[n : n + jcols.size]
         for arr in [*vars(self).values(), *self.block_cols]:
             if isinstance(arr, np.ndarray):
@@ -230,12 +236,6 @@ class _Layout:
             and self.counts == (len(program.objective.norms), len(program.families), len(program.eq_families))
             and all(np.array_equal(cols, block.cols) for cols, block in zip(self.block_cols, blocks))
         )
-
-    def band(self, coo_vals):
-        """The RCM-ordered KKT matrix in LAPACK band storage, from values in
-        COO entry order: duplicates are summed in that order from 0.0."""
-        band = np.bincount(self.coo_band, weights=coo_vals, minlength=self.band_rows * self.kkt_shape[0])
-        return band.reshape((self.band_rows, self.kkt_shape[0]), order="F")
 
 
 # The layout of the most recent solve. Every restriction of one trajectory
@@ -263,7 +263,10 @@ class _Work:
     objective's constant scaled quadratic, and ``kkt_vals``, the KKT matrix's
     COO value buffer cut at the layout's block slices: the E and E' blocks
     are written once, every other block in place at each Newton step, and
-    ``regularized`` writes the two diagonals."""
+    ``regularized`` writes the two diagonals. ``band_buf`` is the solve's one
+    LAPACK band buffer, refilled and factored in place at every step; it
+    belongs to the solve, not to the layout, so concurrent solves may still
+    share the layout."""
 
     def __init__(self, program: ConvexProgram, x0: np.ndarray):
         self.program = program
@@ -288,7 +291,7 @@ class _Work:
         self.norm_colscales = [self.sc[term.cols] for term in norms]
 
         # The COO value buffer and its per-block (m, nloc, nloc) views.
-        self.kkt_vals = vals = np.empty(layout.kkt_rows.size)
+        self.kkt_vals = vals = np.empty(layout.coo_band.size)
         self.norm_blocks = [vals[span].reshape(t.m, t.nloc, t.nloc) for t, span in zip(norms, layout.norm_blocks)]
         self.fam_blocks = [
             vals[span].reshape(f.m, f.nloc, f.nloc) for f, span in zip(program.families, layout.fam_blocks)
@@ -296,6 +299,7 @@ class _Work:
         vals[layout.e_block] = self.eq_grad
         vals[layout.et_block] = self.eq_grad
         self.scratch = np.empty(layout.scratch_size)
+        self.band_buf = np.empty(layout.band_rows * layout.kkt_shape[0])
 
     def _rows(self, families, slices, x0) -> tuple[list[_Rows], np.ndarray]:
         """Each family's constants, with the row scaling
@@ -395,11 +399,22 @@ class _Work:
         vals[layout.dual_diag] = -reg
         return vals
 
+    def band(self, coo_vals):
+        """The RCM-ordered KKT matrix in LAPACK band storage, from values in
+        COO entry order, as a Fortran-ordered view of ``band_buf``: the buffer
+        is zeroed and the values scatter-added into it, so duplicates are
+        summed in COO order from 0.0."""
+        layout, buf = self.layout, self.band_buf
+        buf.fill(0.0)
+        np.add.at(buf, layout.coo_band, coo_vals)
+        return buf.reshape((layout.band_rows, layout.kkt_shape[0]), order="F")
+
     def kkt_step(self, coo_vals, rhs):
-        """Solve the KKT system with values coo_vals for rhs: one banded LU and
-        one solve with its factors. None when a pivot is exactly zero."""
+        """Solve the KKT system with values coo_vals for rhs: one banded LU,
+        in place in the solve's band buffer, and one solve with its factors.
+        None when a pivot is exactly zero."""
         layout = self.layout
-        lu, piv, info = dgbtrf(layout.band(coo_vals), layout.kl, layout.ku, overwrite_ab=1)
+        lu, piv, info = dgbtrf(self.band(coo_vals), layout.kl, layout.ku, overwrite_ab=1)
         if info < 0:
             raise ValueError(f"dgbtrf rejected argument {-info}")
         if info > 0:

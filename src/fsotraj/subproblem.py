@@ -96,28 +96,26 @@ class Subproblem:
         Q_idx = vs.indices("Q")
         R_idx = vs.indices("R")
 
-        ks = np.arange(n - 1)
-
         # Coefficients shared by every slot are passed once; the builder
         # broadcasts each to all members. Only anchor data stays per slot.
-        # --- kinematics: velocity, its extension to the last slot, acceleration
-        for c in (0, 1):
-            prog.add_linear_eq(
-                "kin_velocity",
-                np.column_stack([v_idx[ks, c], s_idx[ks + 1, c], s_idx[ks, c]]),
-                [delta_t, -1.0, 1.0],
-                0.0,
-            )
+        # --- kinematics: velocity, its extension to the last slot, acceleration.
+        # Each vector identity is one family over both components: ravelled in
+        # Fortran order, its rows are the x rows (k < N - 1), then the y rows.
+        prog.add_linear_eq(
+            "kin_velocity",
+            np.column_stack([v_idx[:-1].ravel("F"), s_idx[1:].ravel("F"), s_idx[:-1].ravel("F")]),
+            [delta_t, -1.0, 1.0],
+            0.0,
+        )
         prog.add_linear_eq(
             "kin_velocity_ext", np.column_stack([v_idx[n - 1], v_idx[n - 2]]), [1.0, -1.0], 0.0
         )
-        for c in (0, 1):
-            prog.add_linear_eq(
-                "kin_accel",
-                np.column_stack([a_idx[ks, c], v_idx[ks + 1, c], v_idx[ks, c]]),
-                [delta_t, -1.0, 1.0],
-                0.0,
-            )
+        prog.add_linear_eq(
+            "kin_accel",
+            np.column_stack([a_idx.ravel("F"), v_idx[1:].ravel("F"), v_idx[:-1].ravel("F")]),
+            [delta_t, -1.0, 1.0],
+            0.0,
+        )
         prog.add_linear_eq(
             "endpoints",
             np.concatenate([s_idx[0], s_idx[n - 1]])[:, None],

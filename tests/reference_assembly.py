@@ -3,8 +3,9 @@
 Each function rebuilds one piece the way the solver did before its flat
 member-entry layout: every family's scaled gradient from its own ``local``
 call, scattered one family at a time with ``np.add.at`` from the base vector,
-and the KKT values as a list of per-block arrays joined by ``np.concatenate``.
-They are slow, straightforward oracles for ``fsotraj.convex.solver._Work``
+and the KKT values as a list of per-block arrays joined by ``np.concatenate``;
+``kkt_pattern`` gives the rows and columns those values belong to. They are
+slow, straightforward oracles for ``fsotraj.convex.solver._Work``
 and are used only by the tests.
 """
 from __future__ import annotations
@@ -67,3 +68,21 @@ def kkt_blocks(work, x, lam, s):
         blocks.append(hess.ravel())
     eq = [grad.ravel() for grad in family_gradients(work.eqs, x)]
     return np.concatenate([np.zeros(0), *blocks, *eq, *eq])
+
+
+def kkt_pattern(program):
+    """The KKT matrix's COO rows and columns in value-buffer order: the
+    diagonal, each objective norm term's and inequality family's
+    ``block_structure``, E (row n + i of equality row i), E' and the dual
+    diagonal."""
+    n, p = program.space.dimension, program.n_eq
+    blocks = [(np.arange(n), np.arange(n))]
+    blocks += [block.block_structure() for block in [*program.objective.norms, *program.families]]
+    e_rows, e_cols, row = [], [], n
+    for fam in program.eq_families:
+        e_rows.append(np.repeat(np.arange(row, row + fam.m), fam.nloc))
+        e_cols.append(fam.cols.ravel())
+        row += fam.m
+    e_rows, e_cols = np.concatenate([np.zeros(0, int), *e_rows]), np.concatenate([np.zeros(0, int), *e_cols])
+    blocks += [(e_rows, e_cols), (e_cols, e_rows), (np.arange(n, n + p), np.arange(n, n + p))]
+    return tuple(np.concatenate(part) for part in zip(*blocks))

@@ -1,5 +1,6 @@
 import math
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -232,8 +233,9 @@ class TestKktAssembly:
         # against a SuperLU solve of the same system.
         for work, coo_vals, rhs, step in solve_capturing_kkt_systems(monkeypatch):
             layout = work.layout
-            ref = sp.coo_matrix((coo_vals, (layout.kkt_rows, layout.kkt_cols)), shape=layout.kkt_shape).toarray()
-            band = layout.band(coo_vals)
+            pattern = reference_assembly.kkt_pattern(work.program)
+            ref = sp.coo_matrix((coo_vals, pattern), shape=layout.kkt_shape).toarray()
+            band = work.band(coo_vals)
             assert band.flags.f_contiguous
             assert not band[: layout.kl].any()  # rows dgbtrf fills in
             assert np.max(np.abs(band_to_dense(layout, band) - ref)) <= 1e-14 * np.max(np.abs(ref))
@@ -276,6 +278,51 @@ class TestKktAssembly:
         assert sol.status == "optimal"
         assert factored.count(0) >= sol.iterations - 1 > 0
         assert len(solved) == factored.count(0)
+
+    def test_every_factorization_reuses_the_solves_band_buffer(self, monkeypatch):
+        # One band buffer per solve: every Newton step refills it and
+        # factors it in place.
+        bands = []
+
+        def factor(ab, kl, ku, **kw):
+            bands.append(ab)
+            return lapack.dgbtrf(ab, kl, ku, **kw)
+
+        monkeypatch.setattr(solver_mod, "dgbtrf", factor)
+        sub = moving_subproblem()
+        sol = solve(sub.program, tol=1e-8, x0=sub.anchor_x())
+        assert sol.status == "optimal"
+        assert len(bands) >= sol.iterations - 1 > 1
+        assert all(np.shares_memory(ab, bands[0]) for ab in bands)
+
+    def test_newton_step_allocates_no_band(self):
+        # At N = 400 the band is 2.5 MB; one step on hover_pitch_jitter's
+        # first restriction allocates only vectors of the KKT size.
+        settings = load_scenario(str(SCENARIOS / "hover_pitch_jitter.ini"))
+        sc = settings.scenario
+        assert sc.n_slots == 400
+        sub = Subproblem(initialize_iterate(sc), sc)
+        x0 = sub.anchor_x()
+        work = solver_mod._Work(sub.program, x0)
+        pt = work.point(x0 / work.sc)
+        m = sub.program.n_ineq
+        s = np.maximum(-pt.g, 1.0)
+        lam = 1.0 / s
+        r_dual = work.dual_residual(pt, lam, np.zeros(work.p))
+        r_prim = pt.g + s
+        rhs = work.newton_system(pt, lam, s, r_dual, r_prim, lam * s - 0.1 * float(s @ lam) / m)
+        coo_vals = work.regularized(1e-10)
+        layout = work.layout
+        assert 8 * layout.band_rows * layout.kkt_shape[0] > 2_000_000
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            step = work.kkt_step(coo_vals, rhs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert step is not None and np.all(np.isfinite(step))
+        assert peak - start < 256 * 1024
 
 
 class TestLayoutCache:
@@ -335,7 +382,8 @@ class TestLayoutCache:
         assert fresh is not layout
         assert fresh.kkt_shape == layout.kkt_shape
         assert np.array_equal(fresh.perm, layout.perm)
-        assert not np.array_equal(fresh.kkt_cols, layout.kkt_cols)
+        assert not np.array_equal(reference_assembly.kkt_pattern(moved)[1], reference_assembly.kkt_pattern(base)[1])
+        assert not np.array_equal(fresh.coo_band, layout.coo_band)
         assert sol.status == "optimal"
         np.testing.assert_allclose(sol.x, [1.0, 3.0, 2.0], atol=1e-6)
 
@@ -418,13 +466,19 @@ class TestLayoutHoldsThePattern:
                 assert np.shares_memory(view, work.kkt_vals[span])
 
     def test_block_slices_cut_the_coo_pattern_at_each_block(self):
-        # One list of blocks gives the COO rows and columns and every
-        # block's slice, so each slice holds exactly that block's entries.
+        # One list of blocks gives the COO pattern, every block's slice and
+        # every entry's band slot, so each slice holds exactly that block's
+        # entries and each entry sits at its permuted (row, column).
         program = moving_subproblem().program
         layout = solver_mod._Layout(program)
         n, p = program.space.dimension, program.n_eq
         assert p > 0 and program.objective.norms
-        coo = np.column_stack([layout.kkt_rows, layout.kkt_cols])
+        rows, cols = reference_assembly.kkt_pattern(program)
+        inv = np.empty_like(layout.perm)
+        inv[layout.perm] = np.arange(layout.perm.size)
+        slots = layout.kl + layout.ku + inv[rows] - inv[cols] + layout.band_rows * inv[cols]
+        assert np.array_equal(layout.coo_band, slots)
+        coo = np.column_stack([rows, cols])
         spans = [layout.diag, *layout.norm_blocks, *layout.fam_blocks, layout.e_block, layout.et_block, layout.dual_diag]
         assert spans[0].start == 0 and spans[-1].stop == len(coo)
         assert all(s.stop == t.start for s, t in zip(spans, spans[1:]))
@@ -449,10 +503,13 @@ class TestLayoutHoldsThePattern:
         arrays = []
         for value in vars(layout).values():
             arrays += [v for v in (value if isinstance(value, tuple) else (value,)) if isinstance(v, np.ndarray)]
-        names = {"index", "member", "eq_member", "jcols", "kkt_rows", "kkt_cols", "perm", "coo_band"}
+        names = {"index", "member", "eq_member", "jcols", "perm", "coo_band"}
         assert len(arrays) >= len(names) + len(layout.block_cols)
         for name in names:
             assert any(getattr(layout, name) is arr for arr in arrays), name
+            assert getattr(layout, name).dtype == np.int32, name
+        # The COO pattern is not kept once the order and the band slots are built.
+        assert not {"kkt_rows", "kkt_cols"} & vars(layout).keys()
         for arr in arrays:
             assert not arr.flags.writeable
         with pytest.raises(ValueError):
