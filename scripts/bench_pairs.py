@@ -23,8 +23,11 @@ The output holds, per side and workload, every run's end-to-end metrics with
 their median and quartiles (inclusive method), the largest ``fail_frac`` and
 the work counts; and per metric the comparison: medians, relative change, the
 pairs the change won, the parent's interquartile range, whether the median
-gap exceeds it, and whether the change stays within the metric's bound.
-Progress goes to stderr.
+gap exceeds it, whether the change stays within the metric's bound, and
+whether the metric is unresolved: the parent's runs spread wider than the
+bound (interquartile range over median above it) and not every change run
+reads better than every parent run, so the runs cannot tell a change within
+the bound from one past it. Progress goes to stderr.
 """
 from __future__ import annotations
 
@@ -108,6 +111,7 @@ def compare(parent: list[dict], change: list[dict], spec: dict) -> dict:
     wins = sum((c < p) if better == "lower" else (c > p) for p, c in zip(pv, cv))
     limit = p_sum["median"] * (1.0 + bound if better == "lower" else 1.0 - bound)
     iqr = p_sum["q3"] - p_sum["q1"]
+    all_better = max(cv) < min(pv) if better == "lower" else min(cv) > max(pv)
     return {
         "parent_median": p_sum["median"],
         "change_median": c_sum["median"],
@@ -116,6 +120,7 @@ def compare(parent: list[dict], change: list[dict], spec: dict) -> dict:
         "parent_iqr": iqr,
         "median_gap_exceeds_parent_iqr": abs(c_sum["median"] - p_sum["median"]) > iqr,
         "within_bound": c_sum["median"] <= limit if better == "lower" else c_sum["median"] >= limit,
+        "unresolved": iqr > bound * p_sum["median"] and not all_better,
     }
 
 

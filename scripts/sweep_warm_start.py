@@ -2,20 +2,18 @@
 """Newton steps and true efficiency of ``optimize`` over the warm-start floors.
 
     python3 scripts/sweep_warm_start.py [--slack-floors S ...] [--lam-floors L ...]
-        [--factors F ...] [--scenario NAME ...]
+        [--scenario NAME ...]
 
-For every forcing factor F, (slack, multiplier) floor pair and scenario, the
-script runs one ``optimize`` and prints a CSV row: the factor, the two floors,
-the scenario, the outer iterations, the Newton steps, the stop reason, the
+For every (slack, multiplier) floor pair and scenario, the script runs one
+``optimize`` under the library's forcing schedule
+(``optimizer.solve_tolerance``) and prints a CSV row: the two floors, the
+scenario, the outer iterations, the Newton steps, the stop reason, the
 closed-form ``efficiency_true`` of the final plan and the error of a run that
 raised (empty otherwise). Rows go to stdout as they finish.
 
 The floors are the solver's module constants ``_WARM_SLACK_FLOOR`` and
 ``_WARM_LAM_FLOOR`` (multipliers are floored at the latter times the
-objective scale), set at run time. F is ``derived`` for the library's
-``solve_tolerance`` (factor ``solver_tol / TOL_EFFICIENCY_REL``) or a number,
-for which the script replaces ``optimizer.solve_tolerance`` with the same rule
-at that fixed factor. No library option is involved.
+objective scale), set at run time. No library option is involved.
 
 Scenarios: ``moving``, ``hover_pitch_jitter`` and ``hover`` from
 ``scenarios/``, and two robustness variants: ``moving_rho06`` (moving with a
@@ -39,7 +37,7 @@ from fsotraj.jitter import JitterCovariance  # noqa: E402
 from fsotraj.scenario import load_scenario  # noqa: E402
 
 SCENARIOS = ("moving", "hover_pitch_jitter", "hover", "moving_rho06", "hover_pitch_jitter_3mrad")
-HEADER = ("factor", "slack_floor", "lam_floor", "scenario", "outer", "newton", "stop_reason", "efficiency_true", "error")
+HEADER = ("slack_floor", "lam_floor", "scenario", "outer", "newton", "stop_reason", "efficiency_true", "error")
 
 
 def scenario(name: str):
@@ -55,46 +53,29 @@ def scenario(name: str):
     return sc, settings.optimizer
 
 
-def fixed_factor_rule(factor: float):
-    """`optimizer.solve_tolerance` with the forcing factor held at ``factor``."""
-
-    def rule(history, solver_tol):
-        if len(history) < 2:
-            return solver_tol
-        last, prev = history[-1].efficiency, history[-2].efficiency
-        gain = abs(last - prev) / abs(last)
-        return max(solver_tol, min(optimizer.FORCING_TOL_CAP, factor * gain))
-
-    return rule
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--slack-floors", type=float, nargs="+", default=[1e-4, 1e-3, 1e-2])
     parser.add_argument("--lam-floors", type=float, nargs="+", default=[1e-6, 1e-5, 1e-4, 1e-3, 1e-2])
-    parser.add_argument("--factors", nargs="+", default=["0.01", "derived"], help="numbers or 'derived'")
     parser.add_argument("--scenario", action="append", choices=SCENARIOS, help="repeatable; default all")
     args = parser.parse_args(argv)
 
-    library_rule = optimizer.solve_tolerance
     out = csv.writer(sys.stdout, lineterminator="\n")
     out.writerow(HEADER)
-    for factor in args.factors:
-        optimizer.solve_tolerance = library_rule if factor == "derived" else fixed_factor_rule(float(factor))
-        for slack in args.slack_floors:
-            for lam in args.lam_floors:
-                solver._WARM_SLACK_FLOOR, solver._WARM_LAM_FLOOR = slack, lam
-                for name in args.scenario or SCENARIOS:
-                    sc, cfg = scenario(name)
-                    try:
-                        res = optimizer.optimize(sc, cfg)
-                    except FsoTrajError as exc:
-                        out.writerow((factor, slack, lam, name, "", "", "", "", f"{type(exc).__name__}: {exc}"))
-                    else:
-                        eff = optimizer.energy_efficiency(res.plan, sc).efficiency
-                        newton = sum(r.newton_iters for r in res.history)
-                        out.writerow((factor, slack, lam, name, len(res.history), newton, res.stop_reason, repr(eff), ""))
-                    sys.stdout.flush()
+    for slack in args.slack_floors:
+        for lam in args.lam_floors:
+            solver._WARM_SLACK_FLOOR, solver._WARM_LAM_FLOOR = slack, lam
+            for name in args.scenario or SCENARIOS:
+                sc, cfg = scenario(name)
+                try:
+                    res = optimizer.optimize(sc, cfg)
+                except FsoTrajError as exc:
+                    out.writerow((slack, lam, name, "", "", "", "", f"{type(exc).__name__}: {exc}"))
+                else:
+                    eff = optimizer.energy_efficiency(res.plan, sc).efficiency
+                    newton = sum(r.newton_iters for r in res.history)
+                    out.writerow((slack, lam, name, len(res.history), newton, res.stop_reason, repr(eff), ""))
+                sys.stdout.flush()
     return 0
 
 

@@ -33,10 +33,13 @@ every family and every objective norm term once through ``local``: values,
 gradients and the inputs of its Hessian, shared by the residuals, the KKT
 assembly and the slack step. The Newton step builds each block's Hessian from
 the accepted point's ``aux``, not from a second pass over x, and scales its
-columns the same way for every block. What stays fixed through a solve is
-computed once in ``_Work``, alike for the inequality and the equality rows:
-the row and column scales of every family, the linear families' scaled
-gradients and their outer products, and the objective's scaled quadratic.
+columns the same way for every block. Every inequality family, linear or
+curved, takes one path: each point writes its scaled gradient, and its KKT
+block is the outer product of that gradient times lam/s, plus the scaled
+Hessian for a curved family. What stays fixed through a solve is computed
+once in ``_Work``: the row and column scales of every family, the equality
+rows' scaled gradient (the constant E block), and the objective's scaled
+quadratic.
 
 The families' scaled gradients live in one flat member-entry layout, fixed
 once per pattern: every family's (m, nloc) block in ``ravel`` order, one after
@@ -120,7 +123,7 @@ class _Point(NamedTuple):
 
     g: np.ndarray  # row-scaled inequality values
     r_eq: np.ndarray  # row-scaled equality residual
-    grad: np.ndarray  # row- and column-scaled inequality gradients, laid out as ``_Work.const_grad``
+    grad: np.ndarray  # row- and column-scaled inequality gradients, in the layout's flat member-entry order
     aux: list  # per family: what its hess_at needs at this point
     obj_grad: np.ndarray  # column-scaled objective gradient
     norms: list  # per objective norm term: its `local` result
@@ -134,7 +137,7 @@ class _Rows(NamedTuple):
     entries: slice  # its (m, nloc) gradient entries in its list's flat gradient, in ravel order
     colscale: np.ndarray  # sc[fam.cols]
     rho: np.ndarray  # row scaling from the start point
-    linear: bool  # its scaled gradient is constant, filled once per solve
+    linear: bool  # it has no Hessian
 
 
 def _residual_norm(parts) -> float:
@@ -187,8 +190,6 @@ class _Layout:
         self.block_cols = tuple(block.cols.copy() for block in _kkt_blocks(program))
         self.counts = (len(norms), len(families), len(program.eq_families))
         self.eq_slices, self.eq_member, eq_cols = _flat_rows(program.eq_families)
-        # Scratch for a nonlinear family's J' diag(lam/s) J block.
-        self.scratch_size = max((fam.m * fam.nloc * fam.nloc for fam in families), default=0)
         # The COO blocks in value-buffer order: the diagonal (primal
         # regularization plus diagonal quadratic), each norm term's and
         # inequality family's (m, nloc, nloc) block, E, E' and the dual diagonal.
@@ -258,9 +259,9 @@ def _layout(program: ConvexProgram) -> _Layout:
 class _Work:
     """Per-solve values on the program's ``_Layout``: one ``_Rows`` per
     inequality family (``fams``) and per equality family (``eqs``), built
-    alike from the start point, every family's scaled gradient in the
-    layout's flat member-entry order (``const_grad``, ``eq_grad``), the
-    objective's constant scaled quadratic, and ``kkt_vals``, the KKT matrix's
+    alike from the start point, the equality rows' constant scaled gradient
+    in the layout's flat member-entry order (``eq_grad``), the objective's
+    constant scaled quadratic, and ``kkt_vals``, the KKT matrix's
     COO value buffer cut at the layout's block slices: the E and E' blocks
     are written once, every other block in place at each Newton step, and
     ``regularized`` writes the two diagonals. ``band_buf`` is the solve's one
@@ -274,17 +275,14 @@ class _Work:
         self.n = program.space.dimension
         self.p = program.n_eq
         self.layout = layout = _layout(program)
-        self.fams, self.const_grad = self._rows(program.families, layout.fam_slices, x0)
-        self.eqs, self.eq_grad = self._rows(program.eq_families, layout.eq_slices, x0)
+        self.fams = self._rows(program.families, layout.fam_slices, x0)
+        self.eqs = self._rows(program.eq_families, layout.eq_slices, x0)
+        # The equality rows are linear, so their scaled gradient, the E block, is constant.
+        eq_grads = ((f.fam.coef * f.colscale * f.rho[:, None]).ravel() for f in self.eqs)
+        self.eq_grad = np.concatenate([np.zeros(0), *eq_grads])
         # An internal multiplier times its row scale is the physical multiplier.
         self.row_scale = np.concatenate([np.zeros(0), *(f.rho for f in self.fams)])
         self.weights = np.empty(layout.index.size)  # bincount weights, rewritten by every scatter
-        # A linear inequality family's J' diag(lam/s) J block scales a fixed
-        # per-member outer product of its scaled gradient.
-        self.outers = []
-        for f in self.fams:
-            grad = self.block(self.const_grad, f)
-            self.outers.append(np.einsum("ml,mk->mlk", grad, grad) if f.linear else None)
         # The objective's quadratic part of the Hessian is constant.
         self.quad = program.objective.quad_diag * self.sc * self.sc
         norms = program.objective.norms
@@ -298,28 +296,21 @@ class _Work:
         ]
         vals[layout.e_block] = self.eq_grad
         vals[layout.et_block] = self.eq_grad
-        self.scratch = np.empty(layout.scratch_size)
         self.band_buf = np.empty(layout.band_rows * layout.kkt_shape[0])
 
-    def _rows(self, families, slices, x0) -> tuple[list[_Rows], np.ndarray]:
+    def _rows(self, families, slices, x0) -> list[_Rows]:
         """Each family's constants, with the row scaling
-        1 / max(1, |g(x0)|, |scaled grad|_inf) taken at x0 itself, and the
-        flat gradient with every linear family's constant entries filled. The
-        first iterate x0 / sc * sc differs from x0 in the last bit of some
-        entries, so this evaluation is not shared with the first point's."""
+        1 / max(1, |g(x0)|, |scaled grad|_inf) taken at x0 itself. The first
+        iterate x0 / sc * sc differs from x0 in the last bit of some entries,
+        so this evaluation is not shared with the first point's."""
         out = []
-        flat = np.zeros(sum(fam.cols.size for fam in families))
         for fam, (rows, entries) in zip(families, slices):
             colscale = self.sc[fam.cols]
             vals, grad, _ = fam.local(x0)
-            grads = grad * colscale
-            mag = np.maximum(np.abs(vals), np.max(np.abs(grads), axis=1))
+            mag = np.maximum(np.abs(vals), np.max(np.abs(grad * colscale), axis=1))
             rho = 1.0 / np.maximum(1.0, mag)
-            f = _Rows(fam, rows, entries, colscale, rho, isinstance(fam, LinearFamily))
-            if f.linear:
-                np.multiply(grads, rho[:, None], out=self.block(flat, f))
-            out.append(f)
-        return out, flat
+            out.append(_Rows(fam, rows, entries, colscale, rho, isinstance(fam, LinearFamily)))
+        return out
 
     @staticmethod
     def block(flat, f: _Rows):
@@ -327,19 +318,17 @@ class _Work:
         return flat[f.entries].reshape(f.fam.cols.shape)
 
     def point(self, xs) -> _Point:
-        """Values, gradients and Hessian inputs at the scaled point xs. The
-        linear families' gradient entries are copied from ``const_grad``."""
+        """Values, gradients and Hessian inputs at the scaled point xs."""
         x = xs * self.sc
         g = np.empty(self.row_scale.size)
-        grad = self.const_grad.copy()
+        grad = np.empty(self.layout.member.size)
         aux = []
         for f in self.fams:
             vals, fgrad, a = f.fam.local(x)
             np.multiply(vals, f.rho, out=g[f.rows])
-            if not f.linear:
-                block = self.block(grad, f)
-                np.multiply(fgrad, f.colscale, out=block)
-                block *= f.rho[:, None]
+            block = self.block(grad, f)
+            np.multiply(fgrad, f.colscale, out=block)
+            block *= f.rho[:, None]
             aux.append(a)
         r_eq = np.empty(self.p)
         for f in self.eqs:
@@ -349,7 +338,7 @@ class _Work:
 
     def dual_residual(self, pt: _Point, lam, nu):
         """obj_grad + J' lam + E' nu at the point pt, in one scatter."""
-        n, ne, layout = self.n, self.const_grad.size, self.layout
+        n, ne, layout = self.n, pt.grad.size, self.layout
         w = self.weights
         w[:n] = pt.obj_grad
         np.multiply(pt.grad, lam[layout.member], out=w[n : n + ne])
@@ -360,9 +349,10 @@ class _Work:
         """Write the KKT matrix at the point pt into ``kkt_vals``, all but the
         regularization, and return the Newton right-hand side.
 
-        M = H_obj + sum lam H_i + J' diag(lam/s) J + delta I; the curvature
-        comes from the aux the point's local calls left. Linear families have
-        none, and their J' diag(lam/s) J block scales a fixed outer product."""
+        M = H_obj + sum lam H_i + J' diag(lam/s) J + delta I. Each family's
+        block is the outer product of its scaled gradient times lam/s, plus,
+        for a curved family, its Hessian from the aux the point's local calls
+        left."""
         ratio = lam / s
         weight = lam * self.row_scale
         for term, (_, _, aux), block, colscale in zip(
@@ -370,19 +360,14 @@ class _Work:
         ):
             np.multiply(term.hess_at(aux, term.weight), colscale[:, :, None], out=block)
             block *= colscale[:, None, :]
-        for f, aux, outer, block in zip(self.fams, pt.aux, self.outers, self.fam_blocks):
-            ratio_f = ratio[f.rows, None, None]
-            if f.linear:
-                np.multiply(ratio_f, outer, out=block)
-                continue
-            np.multiply(f.fam.hess_at(aux, weight[f.rows]), f.colscale[:, :, None], out=block)
-            block *= f.colscale[:, None, :]
+        for f, aux, block in zip(self.fams, pt.aux, self.fam_blocks):
             grad = self.block(pt.grad, f)
-            prod = np.einsum("ml,mk->mlk", grad, grad, out=self.scratch[: block.size].reshape(block.shape))
-            prod *= ratio_f
-            block += prod
+            np.einsum("ml,mk->mlk", grad, grad, out=block)
+            block *= ratio[f.rows, None, None]
+            if not f.linear:
+                block += f.fam.hess_at(aux, weight[f.rows]) * f.colscale[:, :, None] * f.colscale[:, None, :]
         # rhs_x = -r_dual - J' (lam/s r_prim - r_cent/s), in one scatter.
-        n, ne = self.n, self.const_grad.size
+        n, ne = self.n, pt.grad.size
         w = self.weights[: n + ne]
         np.negative(r_dual, out=w[:n])
         np.multiply(pt.grad, (ratio * r_prim - r_cent / s)[self.layout.member], out=w[n:])

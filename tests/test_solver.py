@@ -530,21 +530,16 @@ class TestEvaluationsPerPoint:
         assert len(terms) == 1
         linear = [isinstance(fam, program_mod.LinearFamily) for fam in program.families]
         assert any(linear) and not all(linear)
-        log = []  # (family index, x) per local call
-        term_log = []  # (term index, x) per local call
+        log = []  # (family index, x, local gradient) per local call
+        term_log = []  # (term index, x, local gradient) per local call
         hess_calls = [0] * len(fams)
         term_hess_calls = [0] * len(terms)
         for blocks, calls, local_log in ((fams, hess_calls, log), (terms, term_hess_calls, term_log)):
             for k, block in enumerate(blocks):
 
-                def local(x, k=k, inner=block.local, local_log=local_log, block=block):
-                    first = all(j != k for j, _ in local_log)
-                    local_log.append((k, x))
+                def local(x, k=k, inner=block.local, local_log=local_log):
                     vals, grad, aux = inner(x)
-                    if isinstance(block, program_mod.LinearFamily) and not first:
-                        # A linear family's gradient may be read at x0 only;
-                        # a later read would carry the NaNs into the solve.
-                        grad = np.full_like(grad, np.nan)
+                    local_log.append((k, x, grad))
                     return vals, grad, aux
 
                 def hess_at(aux, lam, k=k, inner=block.hess_at, calls=calls):
@@ -571,15 +566,15 @@ class TestEvaluationsPerPoint:
         # scaling; then each point evaluates every family once, at one x.
         assert len(log) == nf * (1 + len(points))
         chunks = [log[i : i + nf] for i in range(0, len(log), nf)]
-        assert all([k for k, _ in chunk] == list(range(nf)) for chunk in chunks)
-        assert all(np.array_equal(x, x0) for _, x in chunks[0])
-        assert all(x is chunk[0][1] for chunk in chunks[1:] for _, x in chunk)
+        assert all([k for k, _, _ in chunk] == list(range(nf)) for chunk in chunks)
+        assert all(np.array_equal(x, x0) for _, x, _ in chunks[0])
+        assert all(x is chunk[0][1] for chunk in chunks[1:] for _, x, _ in chunk)
         # The norm term is evaluated at x0 for the objective scale, at each
         # point with the families' x, and once more for the returned
         # objective.
-        assert [k for k, _ in term_log] == [0] * (2 + len(points))
+        assert [k for k, _, _ in term_log] == [0] * (2 + len(points))
         assert np.array_equal(term_log[0][1], x0)
-        assert all(x is chunk[0][1] for (_, x), chunk in zip(term_log[1:-1], chunks[1:]))
+        assert all(x is chunk[0][1] for (_, x, _), chunk in zip(term_log[1:-1], chunks[1:]))
         assert np.array_equal(term_log[-1][1], sol.x)
 
         # The last iteration only tests convergence; every other one is a
@@ -589,19 +584,15 @@ class TestEvaluationsPerPoint:
         assert hess_calls == [0 if lin else steps for lin in linear] + [0] * len(program.eq_families)
         assert term_hess_calls == [steps]
 
-        # A linear family's scaled gradient is built once per solve, from
-        # the x0 call: every point's flat gradient holds its entries from
-        # const_grad, and no later local gradient reaches the solve.
+        # Every family, linear or curved, has its scaled gradient written at
+        # every point from that point's own local call: (local gradient x
+        # colscale) x rho, bit for bit.
         works = {id(work) for work, _ in points}
         assert len(works) == 1
-        for work, pt in points:
-            assert np.all(np.isfinite(pt.grad)) and np.all(np.isfinite(work.eq_grad))
+        for (work, pt), chunk in zip(points, chunks[1:]):
             assert [f.linear for f in work.fams] == linear
-            for f in work.fams:
-                if f.linear:
-                    assert np.array_equal(work.block(pt.grad, f), work.block(work.const_grad, f))
-                else:
-                    assert not work.block(work.const_grad, f).any()
+            for f, (_, _, grad) in zip(work.fams, chunk):
+                assert np.array_equal(work.block(pt.grad, f), grad * f.colscale * f.rho[:, None])
 
     def test_one_gather_per_family_per_evaluation(self, monkeypatch):
         # Each local and violation call gathers its block's columns once: the
