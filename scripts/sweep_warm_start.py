@@ -33,24 +33,23 @@ sys.path.insert(0, str(ROOT / "src"))
 from fsotraj import optimizer  # noqa: E402
 from fsotraj.convex import solver  # noqa: E402
 from fsotraj.errors import FsoTrajError  # noqa: E402
-from fsotraj.jitter import JitterCovariance  # noqa: E402
 from fsotraj.scenario import load_scenario  # noqa: E402
 
 SCENARIOS = ("moving", "hover_pitch_jitter", "hover", "moving_rho06", "hover_pitch_jitter_3mrad")
 HEADER = ("slack_floor", "lam_floor", "scenario", "outer", "newton", "stop_reason", "efficiency_true", "error")
 
 
+VARIANTS = {  # name: (bundled file, overrides)
+    "moving_rho06": ("moving", {("jitter", "rho_roll_pitch"): "0.6"}),
+    "hover_pitch_jitter_3mrad": ("hover_pitch_jitter", {("jitter", "sigma_pitch"): "3 mrad"}),
+}
+
+
 def scenario(name: str):
     """The scenario and optimizer settings of a bundled file or a robustness variant."""
-    base = {"moving_rho06": "moving", "hover_pitch_jitter_3mrad": "hover_pitch_jitter"}.get(name, name)
-    settings = load_scenario(str(ROOT / "scenarios" / f"{base}.ini"))
-    sc = settings.scenario
-    sigma = sc.jitter.sigma
-    if name == "moving_rho06":
-        sc = sc.with_jitter(JitterCovariance(sigma, (0.6, 0.0, 0.0)))
-    elif name == "hover_pitch_jitter_3mrad":
-        sc = sc.with_jitter(JitterCovariance((sigma[0], 3e-3, sigma[2]), sc.jitter.rho))
-    return sc, settings.optimizer
+    base, overrides = VARIANTS.get(name, (name, {}))
+    settings = load_scenario(str(ROOT / "scenarios" / f"{base}.ini"), overrides)
+    return settings.scenario, settings.optimizer
 
 
 def main(argv=None) -> int:

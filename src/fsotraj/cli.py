@@ -23,7 +23,7 @@ from .jitter import (
     reduce_jitter_dof,
     sample_error_angles,
 )
-from .kinematics import flight_power, pointing_vector, posture_rotation
+from .kinematics import flight_power, pointing_vector
 from .mission import initialize_iterate
 from .numerics import ks_distance
 from .optimizer import energy_efficiency, optimize
@@ -44,27 +44,37 @@ EXIT_INFEASIBLE = 3
 EXIT_SOLVER = 4
 
 
-def _load(args) -> RunSettings:
+def _load(args) -> tuple[RunSettings, Path]:
     """The scenario file (the defaults without one), with --seed and --samples
-    parsed and checked as the keys they replace."""
+    parsed and checked as the keys they replace, and the created --out directory."""
     flags = {key: getattr(args, key, None) for key in ("seed", "samples")}
     overrides = {("optimizer", key): raw for key, raw in flags.items() if raw is not None}
-    return load_scenario(args.scenario or "", overrides)
+    settings = load_scenario(args.scenario or "", overrides)
+    out = Path(args.out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise FsoTrajError(f"cannot create --out directory {out}: {exc.strerror}") from exc
+    return settings, out
+
+
+def _sampled_law(settings: RunSettings, n: int):
+    """The pointing geometry's Hoyt law, n exact-rotation error samples and
+    their KS distance from the law."""
+    sc, geom = settings.scenario, settings.pointing
+    u_hat = pointing_vector(geom.position, geom.posture)
+    params = hoyt_params(sc.jitter, u_hat)
+    if params.omega == 0.0:
+        raise FsoTrajError("zero jitter: the pointing error at this geometry is identically 0 and has no density")
+    samples = sample_error_angles(sc.jitter, u_hat, n, seed=sc.seed, mode="exact")
+    return params, samples, ks_distance(samples, lambda x: hoyt_cdf(x, params))
 
 
 def cmd_pointing(args) -> int:
-    settings = _load(args)
-    sc = settings.scenario
-    geom = settings.pointing
-    u_hat = pointing_vector(geom.position, geom.posture)
-    params = hoyt_params(sc.jitter, u_hat)
-    n = sc.mc_samples
-    samples = sample_error_angles(sc.jitter, u_hat, n, seed=sc.seed, mode="exact")
+    settings, out = _load(args)
+    n = settings.scenario.mc_samples
+    params, samples, ks = _sampled_law(settings, n)
     mc_omega = float(np.mean(samples**2))
-    ks = ks_distance(samples, lambda x: hoyt_cdf(x, params))
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     grid = np.linspace(0.0, 1.05 * float(np.max(samples)), 401)
     centers = 0.5 * (grid[1:] + grid[:-1])
     hist, _ = np.histogram(samples, bins=grid, density=True)
@@ -85,15 +95,12 @@ def cmd_pointing(args) -> int:
 def cmd_capacity(args) -> int:
     if args.grid < 1 or not math.isfinite(args.extent):
         raise FsoTrajError(f"need --grid >= 1 and a finite --extent, got {args.grid} and {args.extent}")
-    settings = _load(args)
+    settings, out = _load(args)
     sc = settings.scenario
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     coords = np.linspace(-args.extent, args.extent, args.grid)
     x, y = (grid.ravel() for grid in np.meshgrid(coords, coords, indexing="ij"))
     pos = np.column_stack([x, y, np.full(len(x), sc.altitude)])
-    u_hat = -(pos @ posture_rotation(settings.pointing.posture).T)  # pointing_vector of every grid point
-    lam = hoyt_eigenvalues(sc.jitter, u_hat)
+    lam = hoyt_eigenvalues(sc.jitter, pointing_vector(pos, settings.pointing.posture))
     z = np.linalg.norm(pos, axis=1)
     elg = channel.expected_log_gamma(sc.link, z, lam)
     bound = channel.tight_capacity_bound(elg)
@@ -109,10 +116,8 @@ def cmd_capacity(args) -> int:
 
 
 def cmd_power(args) -> int:
-    settings = _load(args)
+    settings, out = _load(args)
     craft = settings.scenario.aircraft
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     speed = np.tile(np.linspace(craft.v_min, craft.v_max, 200), 3)
     accel = np.repeat([0.0, craft.a_max / 2.0, craft.a_max], 200)
     zero = np.zeros_like(speed)
@@ -122,52 +127,33 @@ def cmd_power(args) -> int:
     return EXIT_OK
 
 
-def _run_report(settings: RunSettings, mode: str) -> RunReport:
+def cmd_optimize(args) -> int:
+    settings, out = _load(args)
     sc = settings.scenario
     result = optimize(sc, settings.optimizer)
-    eff = energy_efficiency(result.plan, sc, mode=mode, seed=sc.seed)
-    return RunReport(
-        scenario_echo=dump_scenario(settings),
-        plan=result.plan,
-        scenario=sc,
-        history=result.history,
-        efficiency=eff,
-        converged=result.converged,
-        wall_time=result.wall_time,
-    )
-
-
-def cmd_optimize(args) -> int:
-    settings = _load(args)
-    report = _run_report(settings, args.mode)
-    manifest = write_outputs(report, args.out)
-    print(f"efficiency = {report.efficiency.efficiency:.9e} bits/J")
-    print(f"converged = {report.converged} after {len(report.history)} outer iterations")
+    eff = energy_efficiency(result.plan, sc, mode=args.mode, seed=sc.seed)
+    manifest = write_outputs(RunReport(dump_scenario(settings), sc, result, eff), out)
+    print(f"efficiency = {eff.efficiency:.9e} bits/J")
+    print(f"converged = {result.converged} after {len(result.history)} outer iterations")
     print(f"wrote {len(manifest)} files to {args.out}: {', '.join(manifest)}")
     return EXIT_OK
 
 
 def cmd_validate(args) -> int:
-    settings = _load(args)
+    settings, out = _load(args)
     sc = settings.scenario
     rng_seed = sc.seed
     n = min(sc.mc_samples, 10**6)
-    rows: list[ValidationRow] = []
-
-    geom = settings.pointing
-    u_hat = pointing_vector(geom.position, geom.posture)
-    params = hoyt_params(sc.jitter, u_hat)
-    samples = sample_error_angles(sc.jitter, u_hat, n, seed=rng_seed, mode="exact")
-    rows.append(ValidationRow("moment_mc_vs_trace", params.omega, float(np.mean(samples**2)), 0.01))
+    params, samples, ks = _sampled_law(settings, n)
+    rows = [ValidationRow("moment_mc_vs_trace", params.omega, float(np.mean(samples**2)), 0.01)]
 
     grid = np.linspace(0.0, 14.0 * math.sqrt(params.omega), 200_001)
     total = float(np.trapezoid(hoyt_pdf(grid, params), grid))
     rows.append(ValidationRow("pdf_normalization", 1.0, total, 1e-5))
 
-    ks = ks_distance(samples, lambda x: hoyt_cdf(x, params))
     rows.append(ValidationRow("ks_distance_below_0.005", 0.005, ks, one_sided=True))
 
-    z = float(np.linalg.norm(geom.position))
+    z = float(np.linalg.norm(settings.pointing.position))
     closed = float(channel.expected_log_gamma(sc.link, [z], [[params.lam1, params.lam2]])[0])
     mc = channel.mc_log_gamma(sc.link, z, params, n=n, seed=rng_seed)
     rows.append(ValidationRow("expected_log_gamma_vs_mc", mc.value, closed, 0.005))
@@ -187,7 +173,6 @@ def cmd_validate(args) -> int:
         )
     )
 
-    out = Path(args.out)
     traj = out / "trajectory.csv"
     if traj.exists():
         plan = read_plan(traj, sc.delta, sc.altitude)
@@ -195,7 +180,6 @@ def cmd_validate(args) -> int:
         reported = read_report_value(out, "efficiency")
         rows.append(ValidationRow("efficiency_roundtrip", reported, recomputed.efficiency, 1e-9))
 
-    out.mkdir(parents=True, exist_ok=True)
     write_validation(out / "validation.csv", rows)
     failed = [r for r in rows if not r.passed]
     for r in rows:
@@ -206,10 +190,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_compare_dof(args) -> int:
-    settings = _load(args)
+    settings, out = _load(args)
     truth_scenario = settings.scenario
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
     results = {}
     for dof in (1, 2, 3):

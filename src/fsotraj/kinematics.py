@@ -10,6 +10,9 @@ also forces the last acceleration to zero.
 `yaw_from_velocity`, `roll_from_motion` and `flight_power` take one state of
 shape (3,), giving a float, or one state per slot, shape (N, 3), giving an
 (N,) array; DegenerateVelocityError names the first slot without a velocity.
+`pointing_vector` takes one position (3,) or one per slot (N, 3) and gives a
+vector of the same shape; DegenerateGeometryError names the first slot at the
+ground station.
 
 Everything here is a pure function of immutable inputs: safe to call
 concurrently from any number of threads.
@@ -138,15 +141,18 @@ def posture_rotation(posture: Posture) -> np.ndarray:
     )
 
 
-def pointing_vector(s: Vec3, posture: Posture) -> Vec3:
+def pointing_vector(s, posture: Posture):
     """Body-frame vector from the UAV toward the ground station.
 
     u = -R_x(-roll) R_y(-pitch) R_z(-yaw) s; its norm equals the link distance.
+    ``s`` is one position (3,) or one per slot (N, 3), all under the one
+    posture; u has the shape of ``s``.
     """
     s = np.asarray(s, dtype=float)
-    if np.linalg.norm(s) == 0.0:
-        raise DegenerateGeometryError("UAV is at the ground station")
-    return -(posture_rotation(posture) @ s)
+    at_station = np.all(s == 0.0, axis=-1)
+    if np.any(at_station):
+        raise DegenerateGeometryError(f"UAV is at the ground station{slot_suffix(at_station)}")
+    return -(s @ posture_rotation(posture).T)
 
 
 def posture_from_motion(v: Vec3, a: Vec3, g: float) -> Posture:

@@ -20,9 +20,6 @@ from .jitter import JitterCovariance, pointing_weight_matrix, weighted_pointing_
 from .kinematics import AircraftParams, TrajectoryPlan, differentiate_trajectory
 from .linearize import delta_u_coefficients
 
-MIN_ELEVATION = math.pi / 4  # line-of-sight floor; pi/2 is straight down
-
-
 @dataclass(frozen=True)
 class CircularInit:
     """Closed-loop initialization: a circle through the start point."""

@@ -7,7 +7,7 @@ reproduces values bit-exactly).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +22,7 @@ from .kinematics import (
     yaw_from_velocity,
 )
 from .mission import Scenario, accel_slots
-from .optimizer import EfficiencyReport, IterationRecord
+from .optimizer import EfficiencyReport, OptimizeResult
 
 
 def _fmt(x) -> str:
@@ -64,7 +64,7 @@ def read_plan(path: Path, delta: float, altitude: float) -> TrajectoryPlan:
     return TrajectoryPlan(positions=data[:, 1:4], delta=delta, altitude=altitude)
 
 
-TRACE_HEADER = [
+TRACE_HEADER = [  # IterationRecord's fields, in order
     "iteration",
     "lambda_star",
     "c_tot",
@@ -114,16 +114,13 @@ class RunReport:
     """Everything one optimization run produced, re-runnable from the echo."""
 
     scenario_echo: str
-    plan: TrajectoryPlan
     scenario: Scenario
-    history: list[IterationRecord]
+    result: OptimizeResult
     efficiency: EfficiencyReport
-    converged: bool
-    wall_time: float
 
     def trajectory_rows(self) -> np.ndarray:
         """The trajectory.csv table, one row per slot, columns in TRAJECTORY_HEADER order."""
-        plan, craft = self.plan, self.scenario.aircraft
+        plan, craft = self.result.plan, self.scenario.aircraft
         v, a = differentiate_trajectory(plan)
         a = a[accel_slots(plan.n_slots)]
         return np.column_stack([
@@ -138,16 +135,17 @@ class RunReport:
         ])
 
     def summary_text(self) -> str:
-        v, _ = differentiate_trajectory(self.plan)
+        plan, history = self.result.plan, self.result.history
+        v, _ = differentiate_trajectory(plan)
         delta_ek = kinetic_energy_delta(v[0], v[-1], self.scenario.aircraft.mass)
         lines = [
             "run summary",
             "===========",
-            f"slots: {self.plan.n_slots}",
-            f"slot_length_s: {_fmt(self.plan.delta)}",
-            f"altitude_m: {_fmt(self.plan.altitude)}",
-            f"converged: {str(self.converged).lower()}",
-            f"outer_iterations: {len(self.history)}",
+            f"slots: {plan.n_slots}",
+            f"slot_length_s: {_fmt(plan.delta)}",
+            f"altitude_m: {_fmt(plan.altitude)}",
+            f"converged: {str(self.result.converged).lower()}",
+            f"outer_iterations: {len(history)}",
             f"capacity_total_bits: {_fmt(self.efficiency.capacity_total)}",
             f"power_total_w: {_fmt(self.efficiency.power_total)}",
             f"efficiency: {_fmt(self.efficiency.efficiency)}",
@@ -156,12 +154,12 @@ class RunReport:
             # the optimized energy budget.
             f"kinetic_energy_delta_j: {_fmt(delta_ek)}",
         ]
-        if self.history:
-            last = self.history[-1]
+        if history:
+            last = history[-1]
             lines += [
                 f"surrogate_efficiency: {_fmt(last.efficiency)}",
                 f"lambda_star: {_fmt(last.lam_star)}",
-                f"max_violation: {_fmt(max(r.max_violation for r in self.history))}",
+                f"max_violation: {_fmt(max(r.max_violation for r in history))}",
             ]
         return "\n".join(lines) + "\n"
 
@@ -179,24 +177,7 @@ def write_outputs(report: RunReport, out_dir) -> list[str]:
     write_csv(out / "trajectory.csv", TRAJECTORY_HEADER, report.trajectory_rows())
     manifest.append("trajectory.csv")
 
-    write_csv(
-        out / "efficiency_trace.csv",
-        TRACE_HEADER,
-        (
-            (
-                r.iteration,
-                r.lam_star,
-                r.c_tot,
-                r.p_tot,
-                r.efficiency,
-                r.step_norm,
-                r.max_violation,
-                r.newton_iters,
-                r.solver_tol,
-            )
-            for r in report.history
-        ),
-    )
+    write_csv(out / "efficiency_trace.csv", TRACE_HEADER, map(astuple, report.result.history))
     manifest.append("efficiency_trace.csv")
 
     write_validation(out / "validation.csv", [])
@@ -205,7 +186,7 @@ def write_outputs(report: RunReport, out_dir) -> list[str]:
     (out / "report").write_text(report.summary_text(), encoding="utf-8")
     manifest.append("report")
 
-    (out / "timings.json").write_text(json.dumps({"wall_time_s": report.wall_time}) + "\n", encoding="utf-8")
+    (out / "timings.json").write_text(json.dumps({"wall_time_s": report.result.wall_time}) + "\n", encoding="utf-8")
     manifest.append("timings.json")
     return manifest
 

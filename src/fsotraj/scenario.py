@@ -311,7 +311,7 @@ def _read(path_or_text) -> dict[tuple[str, str], str]:
             parser.read_file(path_or_text)
         else:
             text = str(path_or_text)
-            if text == "" or "\n" in text or "=" in text:
+            if text == "" or "\n" in text:
                 parser.read_string(text)
             elif not parser.read(text):
                 raise ScenarioParseError(text, "scenario file not found")
@@ -339,6 +339,8 @@ def _make(staged, owner: str):
 
 def load_scenario(path_or_text, overrides: dict[tuple[str, str], str] | None = None) -> RunSettings:
     """Parse a scenario file (path or text); missing fields take the defaults.
+
+    A string is scenario text when it is empty or holds a newline, else a path.
 
     ``overrides`` maps (section, key) to raw text that replaces the file's.
     """

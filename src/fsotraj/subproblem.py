@@ -77,7 +77,7 @@ class Subproblem:
         vs.add("v", (n, 2), scale=max(10.0, float(np.mean(speeds))))
         vs.add("a", (n - 1, 2), scale=craft.a_max)
         vs.add("S", n, scale=h_alt)
-        vs.add("U", n, scale=max(1e-4, float(np.mean(iterate.U)) or 1e-4))
+        vs.add("U", n, scale=max(1e-4, float(np.mean(iterate.U))))
         vs.add("V", n, scale=max(1.0, float(np.mean(np.abs(iterate.V)))))
         vs.add("P", n - 1, scale=max(10.0, float(np.mean(iterate.P))))
         vs.add("Q", n - 1, scale=max(1e-3, float(np.mean(iterate.Q))))

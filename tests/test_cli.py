@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -10,10 +11,11 @@ import pytest
 
 from fsotraj.channel import quadrature_ergodic_capacity
 from fsotraj.cli import main
+from fsotraj.errors import SolverError
 from fsotraj.jitter import hoyt_params
 from fsotraj.kinematics import differentiate_trajectory, flight_power, pointing_vector, roll_from_motion, yaw_from_velocity
 from fsotraj.mission import accel_slots, initialize_iterate
-from fsotraj.optimizer import energy_efficiency, optimize
+from fsotraj.optimizer import IterationRecord, energy_efficiency, optimize
 from fsotraj.report import TRACE_HEADER, TRAJECTORY_HEADER, ValidationRow, read_csv, read_plan
 from fsotraj.scenario import load_scenario
 from reference_slots import expected_log_gamma_slot
@@ -58,6 +60,20 @@ class TestPointing:
         assert data.shape[0] == 400
         out = capsys.readouterr().out
         assert "lam1" in out and "ks_distance" in out
+
+
+    @pytest.mark.parametrize("command", ["pointing", "validate"])
+    def test_zero_jitter_exits_2_before_writing_anything(self, command, tmp_path, capsys):
+        # With no attitude jitter the error angle is a point mass at 0: no
+        # density to compare the samples with.
+        scenario = write_scenario(
+            tmp_path, "[jitter]\nsigma_roll = 0 mrad\nsigma_pitch = 0 mrad\nsigma_yaw = 0 mrad\n"
+        )
+        out = tmp_path / "out"
+        assert main([command, "--scenario", scenario, "--out", str(out), "--samples", "2000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: zero jitter") and err.count("\n") == 1
+        assert not any(out.iterdir())
 
 
 class TestPowerAndCapacity:
@@ -171,6 +187,8 @@ class TestOptimize:
         history = optimize(settings.scenario, settings.optimizer).history
         assert trace[:, header.index("newton_iters")].tolist() == [r.newton_iters for r in history]
         assert trace[:, header.index("solver_tol")].tolist() == [r.solver_tol for r in history]
+        # A trace row is its record's fields in order.
+        assert [name.replace("lambda", "lam") for name in header] == [f.name for f in fields(IterationRecord)]
 
     def test_byte_identical_reruns(self, tmp_path):
         scenario = write_scenario(tmp_path, TINY_MOVING)
@@ -272,6 +290,34 @@ class TestExitCodes:
         assert not any(tmp_path.iterdir())
 
 
+    def test_solver_failure_exits_4(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise SolverError("restriction 1: solve ended max_iter")
+
+        monkeypatch.setattr("fsotraj.cli.optimize", fail)
+        out = tmp_path / "x"
+        assert main(["optimize", "--out", str(out)]) == 4
+        assert capsys.readouterr().err == "error: solver failure: restriction 1: solve ended max_iter\n"
+        assert not any(out.iterdir())
+
+    def test_out_that_cannot_be_created_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("fsotraj.cli.optimize", lambda *a, **k: pytest.fail("optimize ran"))
+        (tmp_path / "file").write_text("not a directory\n", encoding="utf-8")
+        out = tmp_path / "file" / "run"
+        assert main(["optimize", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot create --out directory {out}: ")
+
+    def test_scenario_path_with_an_equals_sign(self, tmp_path, capsys):
+        # A path is read as a path even when a directory name holds '='.
+        folder = tmp_path / "a=b"
+        folder.mkdir()
+        scenario = write_scenario(folder, "[aircraft]\nv_max = 60 m/s\n", name="moving.ini")
+        out = tmp_path / "power"
+        assert main(["power", "--scenario", scenario, "--out", str(out)]) == 0
+        _, data = read_csv(out / "power_sweep.csv")
+        assert data[:, 0].max() == 60.0
+
+
 class TestCompareDof:
     def test_relative_table(self, tmp_path, capsys):
         scenario = write_scenario(
@@ -321,11 +367,11 @@ class TestCompareDof:
 
 class TestScripts:
     def test_pointing_driver_runs_from_a_checkout(self, tmp_path):
-        # The drivers put the checkout's src/ on sys.path themselves.
-        script = Path(__file__).resolve().parents[1] / "scripts" / "run_pointing_analysis.py"
+        # The driver puts the checkout's src/ on sys.path itself.
+        script = Path(__file__).resolve().parents[1] / "scripts" / "fsotraj_cli.py"
         env = {name: value for name, value in os.environ.items() if name != "PYTHONPATH"}
         run = subprocess.run(
-            [sys.executable, str(script), str(tmp_path / "out")],
+            [sys.executable, str(script), "pointing", "--out", str(tmp_path / "out")],
             cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
         )
         assert run.returncode == 0, run.stderr

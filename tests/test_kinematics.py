@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fsotraj.errors import DegenerateVelocityError, InvalidTrajectoryError
+from fsotraj.errors import DegenerateGeometryError, DegenerateVelocityError, InvalidTrajectoryError
 from fsotraj.kinematics import (
     AircraftParams,
     Posture,
@@ -187,6 +187,23 @@ class TestPointingVector:
             assert np.linalg.norm(pointing_vector(s, p)) == pytest.approx(
                 np.linalg.norm(s), rel=1e-12
             )
+
+    def test_one_vector_per_slot(self, rng):
+        # A stack of positions gives each position's one-state vector, to
+        # rounding: the stacked product may sum in another order.
+        s = rng.normal(scale=300.0, size=(50, 3))
+        p = Posture(roll=0.3, pitch=-0.2, yaw=1.1)
+        u = pointing_vector(s, p)
+        assert u.shape == s.shape
+        for k in range(len(s)):
+            np.testing.assert_allclose(u[k], pointing_vector(s[k], p), rtol=0.0, atol=1e-13 * np.linalg.norm(s[k]))
+
+    def test_zero_position_names_its_slot(self):
+        with pytest.raises(DegenerateGeometryError, match="ground station$"):
+            pointing_vector(np.zeros(3), Posture())
+        s = np.array([[1.0, 0.0, H], [0.0, 0.0, H], [0.0, 0.0, 0.0]])
+        with pytest.raises(DegenerateGeometryError, match="at slot 2$"):
+            pointing_vector(s, Posture())
 
     def test_rotation_composition_matches_matrices(self):
         p = Posture(roll=0.3, pitch=-0.2, yaw=1.1)
