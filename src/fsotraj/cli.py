@@ -131,7 +131,7 @@ def cmd_optimize(args) -> int:
     settings, out = _load(args)
     sc = settings.scenario
     result = optimize(sc, settings.optimizer)
-    eff = energy_efficiency(result.plan, sc, mode=args.mode, seed=sc.seed)
+    eff = energy_efficiency(result.plan, sc, mode=args.mode)
     manifest = write_outputs(RunReport(dump_scenario(settings), sc, result, eff), out)
     print(f"efficiency = {eff.efficiency:.9e} bits/J")
     print(f"converged = {result.converged} after {len(result.history)} outer iterations")
@@ -142,6 +142,8 @@ def cmd_optimize(args) -> int:
 def cmd_validate(args) -> int:
     settings, out = _load(args)
     sc = settings.scenario
+    traj = out / "trajectory.csv"
+    plan = read_plan(traj, sc.delta, sc.altitude) if traj.exists() else None
     rng_seed = sc.seed
     n = min(sc.mc_samples, 10**6)
     params, samples, ks = _sampled_law(settings, n)
@@ -173,10 +175,8 @@ def cmd_validate(args) -> int:
         )
     )
 
-    traj = out / "trajectory.csv"
-    if traj.exists():
-        plan = read_plan(traj, sc.delta, sc.altitude)
-        recomputed = energy_efficiency(plan, sc, mode="closed_form", seed=sc.seed)
+    if plan is not None:
+        recomputed = energy_efficiency(plan, sc, mode="closed_form")
         reported = read_report_value(out, "efficiency")
         rows.append(ValidationRow("efficiency_roundtrip", reported, recomputed.efficiency, 1e-9))
 
@@ -197,7 +197,7 @@ def cmd_compare_dof(args) -> int:
     for dof in (1, 2, 3):
         reduced = reduce_jitter_dof(truth_scenario.jitter, dof)
         run = optimize(truth_scenario.with_jitter(reduced), settings.optimizer)
-        eff = energy_efficiency(run.plan, truth_scenario, mode=args.mode, seed=truth_scenario.seed)
+        eff = energy_efficiency(run.plan, truth_scenario, mode=args.mode)
         results[f"{dof}dof"] = eff.efficiency
         write_csv(
             out / f"trajectory_{dof}dof.csv",
@@ -205,9 +205,7 @@ def cmd_compare_dof(args) -> int:
             np.column_stack([np.arange(run.plan.n_slots) * run.plan.delta, run.plan.positions[:, :2]]),
         )
     initial = initialize_iterate(truth_scenario).plan(truth_scenario.delta, truth_scenario.altitude)
-    results["initial_plan"] = energy_efficiency(
-        initial, truth_scenario, mode=args.mode, seed=truth_scenario.seed
-    ).efficiency
+    results["initial_plan"] = energy_efficiency(initial, truth_scenario, mode=args.mode).efficiency
 
     anchor = results["3dof"]
     rows = [
@@ -270,7 +268,7 @@ def main(argv=None) -> int:
     except ScenarioParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (InfeasibleScenarioError,) as exc:
+    except InfeasibleScenarioError as exc:
         print(f"error: infeasible scenario: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except SolverError as exc:

@@ -128,16 +128,8 @@ def dinkelbach_solve(
     reported gap (objective minus dual bound); otherwise SolverError names the
     status or F, the trade-off weight and the KKT residuals.
     """
-    anchor_x = sub.anchor_x()
-
-    c_anchor, p_anchor = sub.surrogate_totals(sub.space.unpack(anchor_x))
-    if c_anchor <= 0.0:
-        raise InfeasibleScenarioError(
-            f"anchor capacity {c_anchor:.3g} is not positive; the fractional objective is ill-posed"
-        )
-    lam = c_anchor / p_anchor
-    sub.set_tradeoff(lam)
-    sol = solve(sub.program, tol=tol, x0=anchor_x, lam0=multipliers)
+    lam = sub.set_anchor_tradeoff()
+    sol = solve(sub.program, tol=tol, x0=sub.anchor_x(), lam0=multipliers)
     context = f"at trade-off {lam:.6g}"
     require_optimal(sol, context)
     gap = sol.objective - sol.dual_bound

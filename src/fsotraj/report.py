@@ -57,10 +57,26 @@ TRAJECTORY_HEADER = ["t", "x", "y", "z", "vx", "vy", "ax", "ay", "roll", "yaw", 
 
 
 def read_plan(path: Path, delta: float, altitude: float) -> TrajectoryPlan:
-    """The plan in a trajectory.csv; InvalidTrajectoryError if its header is not TRAJECTORY_HEADER."""
+    """The plan in a trajectory.csv written at slot ``delta`` and ``altitude``.
+
+    InvalidTrajectoryError, naming the file, if its header is not
+    TRAJECTORY_HEADER, its t column is not arange(N) * delta or its z column
+    is not the altitude. Both are written at 17 digits, so they read back
+    exactly.
+    """
     header, data = read_csv(path)
     if header != TRAJECTORY_HEADER:
         raise InvalidTrajectoryError(f"{path}: header {header} is not {TRAJECTORY_HEADER}")
+    n = len(data)
+    for column, expected in (("t", np.arange(n) * delta), ("z", np.full(n, altitude))):
+        read = data[:, header.index(column)]
+        bad = np.flatnonzero(read != expected)
+        if bad.size:
+            k = bad[0]
+            raise InvalidTrajectoryError(
+                f"{path}: {column} = {float(read[k])!r} at slot {k}, but slot {delta!r} s "
+                f"and altitude {altitude!r} m put it at {float(expected[k])!r}"
+            )
     return TrajectoryPlan(positions=data[:, 1:4], delta=delta, altitude=altitude)
 
 

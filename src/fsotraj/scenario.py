@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .channel import LinkParams
-from .errors import ScenarioParseError
+from .errors import InfeasibleScenarioError, ScenarioParseError
 from .jitter import JitterCovariance
 from .kinematics import AircraftParams, Posture
 from .mission import CircularInit, OptimizerConfig, Scenario
@@ -333,7 +333,7 @@ def _read(path_or_text) -> dict[tuple[str, str], str]:
 def _make(staged, owner: str):
     try:
         return _OWNERS[owner](**vars(getattr(staged, owner)))
-    except ValueError as exc:
+    except (ValueError, InfeasibleScenarioError) as exc:
         raise ScenarioParseError(owner, str(exc)) from exc
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .channel import capacity_offset, log_bound_params
 from .convex import ConvexProgram, VariableSpace
-from .errors import DegenerateVelocityError
+from .errors import DegenerateVelocityError, InfeasibleScenarioError
 from .jitter import pointing_weight_matrix, psd_factor, weighted_pointing_norm
 from .linearize import anchor_log_gamma
 from .mission import Iterate, Scenario, accel_slots
@@ -242,6 +242,19 @@ class Subproblem:
         self.tradeoff = float(lam)
         self.program.objective.lin[self._p_cols] = lam
         self.program.objective.const = -self._capacity_const + lam * self._fixed_power
+
+    def set_anchor_tradeoff(self) -> float:
+        """Point the objective at the anchor's surrogate efficiency lam = C / P
+        and return lam; InfeasibleScenarioError if the anchor capacity C is
+        not positive, where the fractional objective is ill-posed."""
+        c_anchor, p_anchor = self.surrogate_totals(self.space.unpack(self.anchor_x()))
+        if c_anchor <= 0.0:
+            raise InfeasibleScenarioError(
+                f"anchor capacity {c_anchor:.3g} is not positive; the fractional objective is ill-posed"
+            )
+        lam = c_anchor / p_anchor
+        self.set_tradeoff(lam)
+        return lam
 
     def anchor_x(self) -> np.ndarray:
         it = self.iterate

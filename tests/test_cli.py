@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import math
+import re
 import os
 import subprocess
 import sys
@@ -19,6 +21,8 @@ from fsotraj.optimizer import IterationRecord, energy_efficiency, optimize
 from fsotraj.report import TRACE_HEADER, TRAJECTORY_HEADER, ValidationRow, read_csv, read_plan
 from fsotraj.scenario import load_scenario
 from reference_slots import expected_log_gamma_slot
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 TINY_MOVING = """
 [mission]
@@ -237,6 +241,39 @@ class TestExitCodes:
         assert "trajectory.csv" in err and "header" in err
         assert not (out / "validation.csv").exists()
 
+    @pytest.mark.parametrize(
+        "mission, message",
+        [
+            ("launch_cost = -1 J", "mission: launch cost must be nonnegative"),
+            ("duration = 0.2 s", "mission: need at least two slots"),
+        ],
+    )
+    def test_mission_error_exits_2_naming_its_section(self, mission, message, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("fsotraj.cli.optimize", lambda *a, **k: pytest.fail("optimize ran"))
+        scenario = write_scenario(tmp_path, f"[mission]\nkind = moving\n{mission}\n")
+        assert main(["optimize", "--scenario", scenario, "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "change, mismatch",
+        [
+            ("slot = 1 s", "t = 2.0 at slot 1, but slot 1.0 s and altitude 600.0 m put it at 1.0"),
+            ("slot = 2 s\naltitude = 500 m", "z = 600.0 at slot 0, but slot 2.0 s and altitude 500.0 m put it at 500.0"),
+        ],
+    )
+    def test_validate_on_another_scenarios_run_exits_2_before_any_work(
+        self, change, mismatch, tmp_path, capsys, monkeypatch
+    ):
+        out = tmp_path / "run"
+        assert main(["optimize", "--scenario", write_scenario(tmp_path, TINY_MOVING), "--out", str(out)]) == 0
+        validation = (out / "validation.csv").read_bytes()
+        capsys.readouterr()
+        other = write_scenario(tmp_path, TINY_MOVING.replace("slot = 2 s", change), name="other.ini")
+        monkeypatch.setattr("fsotraj.cli._sampled_law", lambda *a, **k: pytest.fail("Monte Carlo ran"))
+        assert main(["validate", "--scenario", other, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {out / 'trajectory.csv'}: {mismatch}\n"
+        assert (out / "validation.csv").read_bytes() == validation
+
     def test_infeasible_exit_3(self, tmp_path, capsys):
         scenario = write_scenario(
             tmp_path, "[mission]\nkind = moving\nduration = 1 s\nslot = 0.2 s\n"
@@ -365,6 +402,15 @@ class TestCompareDof:
         assert not list(out.glob("trajectory_*dof.csv"))
 
 
+@pytest.fixture(scope="module")
+def census():
+    """scripts/census.py, loaded as a module."""
+    spec = importlib.util.spec_from_file_location("census", SCENARIOS.parent / "scripts" / "census.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestScripts:
     def test_pointing_driver_runs_from_a_checkout(self, tmp_path):
         # The driver puts the checkout's src/ on sys.path itself.
@@ -376,3 +422,42 @@ class TestScripts:
         )
         assert run.returncode == 0, run.stderr
         assert (tmp_path / "out" / "pointing.csv").exists()
+
+    def test_gate_script_grids_and_count_line(self, census):
+        assert [case[0] for case in census.plan_cases()] == sorted(p.stem for p in SCENARIOS.glob("*.ini"))
+        assert len(list(census.optimize_cases())) == 30
+        assert len(list(census.solver_cases())) == 162
+        assert census.count_line(["stalled", "optimal", "stalled"]) == "1 optimal, 2 stalled"
+
+    def test_gate_script_keeps_a_failing_case(self, census):
+        def fail(settings):
+            raise SolverError("solve ended max_iter")
+
+        status, newton, row = census.run_row("moving", "moving.ini", {}, fail)
+        assert (status, newton, row) == ("SolverError", 0, "moving: SolverError: solve ended max_iter")
+
+    def test_gate_script_solver_census_row(self, census):
+        label, name, overrides, run = next(census.solver_cases())
+        assert label == "moving.ini altitude=500 m sigma_pitch=0.5 mrad"
+        status, newton, row = census.run_row(label, name, overrides, run)
+        assert row == f"{label}: 3 DoF, {status}, {newton} newton"
+        assert status.isidentifier() and newton > 0
+
+    def test_gate_script_optimize_row(self, census):
+        label, name, overrides, run = next(census.optimize_cases())
+        assert label == "moving.ini altitude=500 m sigma_pitch=0.5 mrad rho_roll_pitch=0"
+        status, newton, row = census.run_row(label, name, {**overrides, ("optimizer", "max_outer"): "2"}, run)
+        fields = re.fullmatch(rf"{re.escape(label)}: (\d+) outer, (\d+) newton, (\w+), efficiency_true (\S+)", row)
+        assert fields is not None, row
+        outer, steps, stop, efficiency = fields.groups()
+        assert 1 <= int(outer) <= 2 and int(steps) == newton > 0 and stop == status
+        assert float(efficiency) > 0.0
+
+    def test_profiler_runs_from_a_checkout(self, tmp_path):
+        script = Path(__file__).resolve().parents[1] / "scripts" / "profile_scenario.py"
+        env = {name: value for name, value in os.environ.items() if name != "PYTHONPATH"}
+        run = subprocess.run(
+            [sys.executable, str(script), "--help"], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300
+        )
+        assert run.returncode == 0, run.stderr
+        assert "--samples" in run.stdout and "--top" in run.stdout

@@ -190,8 +190,7 @@ def moving_subproblem(n_slots=12, delta=2.0):
         launch_cost=1e5,
     )
     sub = Subproblem(initialize_iterate(sc), sc)
-    c_anchor, p_anchor = sub.surrogate_totals(sub.space.unpack(sub.anchor_x()))
-    sub.set_tradeoff(c_anchor / p_anchor)
+    sub.set_anchor_tradeoff()
     return sub
 
 
@@ -624,8 +623,7 @@ def bundled_moving_restriction():
     """The first restriction of the bundled moving scenario (N=100)."""
     sc = load_scenario(str(SCENARIOS / "moving.ini")).scenario
     sub = Subproblem(initialize_iterate(sc), sc)
-    c_anchor, p_anchor = sub.surrogate_totals(sub.space.unpack(sub.anchor_x()))
-    sub.set_tradeoff(c_anchor / p_anchor)
+    sub.set_anchor_tradeoff()
     return sub
 
 

@@ -7,7 +7,7 @@ import pytest
 from fsotraj.channel import log_bound_params
 from fsotraj.convex import solve
 from fsotraj.convex.program import _as_block
-from fsotraj.errors import DegenerateVelocityError
+from fsotraj.errors import DegenerateVelocityError, InfeasibleScenarioError
 from fsotraj.jitter import JitterCovariance
 from fsotraj.mission import (
     Scenario,
@@ -227,3 +227,21 @@ class TestSurrogate:
             assert sub.program.objective.value(x) == pytest.approx(
                 -c_tot + lam * p_tot, rel=1e-10
             )
+
+    def test_anchor_tradeoff_is_the_anchor_efficiency(self):
+        sc = moving_scenario()
+        sub = Subproblem(initialize_iterate(sc), sc)
+        x = sub.anchor_x()
+        c_tot, p_tot = sub.surrogate_totals(sub.space.unpack(x))
+        lam = sub.set_anchor_tradeoff()
+        assert lam == sub.tradeoff == c_tot / p_tot
+        # F = -C + lam P vanishes at the anchor.
+        assert sub.program.objective.value(x) == pytest.approx(0.0, abs=1e-12 * c_tot)
+
+    def test_anchor_tradeoff_needs_a_positive_capacity(self, monkeypatch):
+        sc = moving_scenario()
+        sub = Subproblem(initialize_iterate(sc), sc)
+        monkeypatch.setattr(sub, "surrogate_totals", lambda values: (0.0, 1e4))
+        with pytest.raises(InfeasibleScenarioError, match="anchor capacity 0 is not positive"):
+            sub.set_anchor_tradeoff()
+        assert sub.tradeoff == 0.0
