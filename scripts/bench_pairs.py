@@ -1,23 +1,20 @@
 #!/usr/bin/env python3
 """Measure a parent revision against HEAD with alternating benchmark pairs.
 
-    python3 scripts/bench_pairs.py PARENT --out BENCH_N.json [--pairs 10]
-        [--first-seed 301] [--held-out-first-seed 501] [--workdir DIR]
-        [--workload W ...] [--seconds T]
+    python3 scripts/bench_pairs.py PARENT --out BENCH_N.json
+        [--first-seed 301] [--held-out-first-seed 501]
 
 PARENT and HEAD are exported with ``git archive`` into fresh directories under
-``--workdir`` (the system temporary directory by default), so each side runs
-the committed files of its revision, and the directories are removed at the
-end. The workloads, the run length T and the end-to-end metrics with their
-bounds are read from HEAD's ``BENCHMARK.json``; ``--workload`` (repeatable)
-measures only the named workloads and ``--seconds`` overrides T (a run makes
-at least one call, so a tiny T times one call per process). For each workload,
-pair i runs ``python3 bench/run.py --workload W --seed S --seconds T --trace 0``
+the system temporary directory, so each side runs the committed files of its
+revision, and the directories are removed at the end. The workloads, the run
+length T and the end-to-end metrics with their bounds are read from HEAD's
+``BENCHMARK.json``, and every workload is measured. For each workload, pair i
+of ten runs ``python3 bench/run.py --workload W --seed S --seconds T --trace 0``
 on both sides with seed S = first_seed + i; even pairs run the parent first,
 odd pairs HEAD first. With ``--held-out-first-seed``, every workload on which
 HEAD shows a gain (better in at least nine of ten pairs on some metric, with
 the median gap above the parent's interquartile range) is measured again on
-as many pairs from those seeds.
+ten pairs from those seeds.
 
 The output holds, per side and workload, every run's end-to-end metrics with
 their median and quartiles (inclusive method), the largest ``fail_frac`` and
@@ -44,6 +41,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 COUNTS = ("outer_iters", "solves", "newton_iters", "converged")
+PAIRS = 10
 _ROW = re.compile(r"^(\S+)\s+(\S+)\s+\S+\s+(?:lower|higher)$")
 
 
@@ -161,35 +159,22 @@ def shows_gain(comparison: dict) -> bool:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", help="parent revision")
-    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, default=301)
     parser.add_argument("--held-out-first-seed", type=int, default=None)
-    parser.add_argument("--workdir", default=None, help="where the two exported trees live while measuring")
-    parser.add_argument("--workload", action="append", help="measure only this workload (repeatable)")
-    parser.add_argument("--seconds", type=float, default=None, help="run length T instead of BENCHMARK.json's")
     parser.add_argument("--out", required=True, help="JSON file to write")
     args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
 
-    with tempfile.TemporaryDirectory(prefix="bench-pairs-", dir=args.workdir) as tmp:
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         parent_tree, parent_commit = export(args.parent, Path(tmp) / "parent")
         change_tree, change_commit = export("HEAD", Path(tmp) / "change")
         trees = {"parent": parent_tree, "change": change_tree}
         bench = json.loads((change_tree / "BENCHMARK.json").read_text())
         workloads, seconds, specs = [w["name"] for w in bench["workloads"]], bench["run_seconds"], bench["end_to_end"]
-        if args.workload:
-            unknown = sorted(set(args.workload) - set(workloads))
-            if unknown:
-                parser.error(f"unknown workload(s) {unknown}; choose from {workloads}")
-            workloads = [w for w in workloads if w in args.workload]
-        if args.seconds is not None:
-            seconds = args.seconds
-        seeds = list(range(args.first_seed, args.first_seed + args.pairs))
+        seeds = list(range(args.first_seed, args.first_seed + PAIRS))
         main_set, env = measure(trees, workloads, seeds, seconds, specs)
         held_out = None
         if args.held_out_first_seed is not None:
-            held_seeds = list(range(args.held_out_first_seed, args.held_out_first_seed + args.pairs))
+            held_seeds = list(range(args.held_out_first_seed, args.held_out_first_seed + PAIRS))
             gained = [w for w in workloads if shows_gain(main_set["comparison"][w])]
             held_out, _ = measure(trees, gained, held_seeds, seconds, specs)
 
@@ -199,7 +184,7 @@ def main(argv=None) -> int:
             f"Parent and change measured in one session on a {env.get('usable_cores')}-core host "
             f"(Python {env.get('python')}, numpy {env.get('numpy')}, scipy {env.get('scipy')}, "
             f"BLAS/OpenMP capped at {caps.get('OPENBLAS_NUM_THREADS')} threads): for each workload "
-            f"{args.pairs} pairs of `python3 bench/run.py --workload W --seed S --seconds {seconds:g} "
+            f"{PAIRS} pairs of `python3 bench/run.py --workload W --seed S --seconds {seconds:g} "
             f"--trace 0`, seeds {seeds[0]}-{seeds[-1]}, alternating which side runs first, each side "
             "run from a `git archive` export of its commit. Timings are the harness's reference seconds."
         ),

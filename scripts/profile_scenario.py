@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
 """Profile ``optimize`` and ``energy_efficiency`` on a bundled scenario.
 
-    python3 scripts/profile_scenario.py SCENARIO [--top K] [--samples M]
+    python3 scripts/profile_scenario.py SCENARIO
 
 SCENARIO names a file in ``scenarios/`` (``moving``, ``hover``,
 ``hover_pitch_jitter``). Three calls are profiled: ``optimize``, then
 ``energy_efficiency`` on the initial plan in closed form and in Monte Carlo
-with M samples per slot (by default the function's own). Each runs once to
-warm up, once unprofiled, once under tracemalloc and once under cProfile. The
-script prints each call's work counts or efficiency (repr), its wall times,
-its tracemalloc peak above the memory traced at its start and its top K
+at the function's default samples per slot. Each runs once to warm up, once
+unprofiled, once under tracemalloc and once under cProfile. The script
+prints each call's work counts or efficiency (repr), its wall times, its
+tracemalloc peak above the memory traced at its start and its top 25
 functions by self time; for ``optimize`` also the bytes of the cached KKT
 layout's own arrays (``solver._Layout``; views are not counted again).
 
@@ -49,10 +49,11 @@ from fsotraj.mission import initialize_iterate, pointing_geometry  # noqa: E402
 from fsotraj.optimizer import energy_efficiency, optimize  # noqa: E402
 from fsotraj.scenario import load_scenario  # noqa: E402
 
-DEFAULT_SAMPLES = inspect.signature(energy_efficiency).parameters["samples_per_slot"].default
+SAMPLES = inspect.signature(energy_efficiency).parameters["samples_per_slot"].default
+TOP = 25  # rows of each profile to print
 
 
-def profiled(call, top: int):
+def profiled(call):
     """``call()``'s result from one timed run after a warm-up, and the lines that report
     its unprofiled wall time, its tracemalloc peak and its top functions under cProfile."""
     call()
@@ -70,7 +71,7 @@ def profiled(call, top: int):
     profile.disable()
     out = io.StringIO()
     stats = pstats.Stats(profile, stream=out)
-    stats.sort_stats("tottime").print_stats(top)
+    stats.sort_stats("tottime").print_stats(TOP)
     return result, (
         f"unprofiled wall time: {wall:.4f} s\n"
         f"tracemalloc peak of one warm call above its start: {peak / 1e6:.2f} MB\n"
@@ -124,13 +125,11 @@ def monte_carlo_layers(sc, plan, samples: int) -> tuple[float, float, np.ndarray
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("scenario", help="bundled scenario name, e.g. hover_pitch_jitter")
-    parser.add_argument("--top", type=int, default=25, help="rows of each profile to print")
-    parser.add_argument("--samples", type=int, default=DEFAULT_SAMPLES, help="Monte Carlo samples per slot")
     args = parser.parse_args(argv)
     settings = load_scenario(str(ROOT / "scenarios" / f"{args.scenario}.ini"))
     sc, cfg = settings.scenario, settings.optimizer
 
-    result, lines = profiled(partial(optimize, sc, cfg), args.top)
+    result, lines = profiled(partial(optimize, sc, cfg))
     history = result.history
     print(
         f"{args.scenario}: {len(history)} outer iterations, {len(history)} solves, "
@@ -141,16 +140,16 @@ def main(argv=None) -> int:
 
     plan = initialize_iterate(sc).plan(sc.delta, sc.altitude)
     for mode in ("closed_form", "monte_carlo"):
-        call = partial(energy_efficiency, plan, sc, mode=mode, samples_per_slot=args.samples)
-        report, lines = profiled(call, args.top)
+        call = partial(energy_efficiency, plan, sc, mode=mode, samples_per_slot=SAMPLES)
+        report, lines = profiled(call)
         print(f"{args.scenario} {mode}: {plan.n_slots} slots, efficiency {report.efficiency!r}")
         print(lines)
 
-    draws, arithmetic, capacity, normals, chunk = monte_carlo_layers(sc, plan, args.samples)
+    draws, arithmetic, capacity, normals, chunk = monte_carlo_layers(sc, plan, SAMPLES)
     slots = plan.n_slots
     chunks = -(-slots // chunk)
     same = np.array_equal(capacity, report.capacity_per_slot)
-    print(f"{args.scenario} monte_carlo layers, one thread, {slots} slots of {args.samples} samples, {chunks} chunks:")
+    print(f"{args.scenario} monte_carlo layers, one thread, {slots} slots of {SAMPLES} samples, {chunks} chunks:")
     print(f"normals drawn per sample: {normals}")
     for layer, seconds in (("draws:     ", draws), ("arithmetic:", arithmetic)):
         print(f"{layer} {seconds:.4f} s ({1e3 * seconds / chunks:.3f} ms per chunk, {1e3 * seconds / slots:.3f} ms per slot)")

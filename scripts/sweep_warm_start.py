@@ -2,10 +2,9 @@
 """Newton steps and true efficiency of ``optimize`` over the warm-start floors.
 
     python3 scripts/sweep_warm_start.py [--slack-floors S ...] [--lam-floors L ...]
-        [--scenario NAME ...]
 
-For every (slack, multiplier) floor pair and scenario, the script runs one
-``optimize`` under the library's forcing schedule
+For every (slack, multiplier) floor pair and each of the five scenarios below,
+the script runs one ``optimize`` under the library's forcing schedule
 (``optimizer.solve_tolerance``) and prints a CSV row: the two floors, the
 scenario, the outer iterations, the Newton steps, the stop reason, the
 closed-form ``efficiency_true`` of the final plan and the error of a run that
@@ -56,7 +55,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--slack-floors", type=float, nargs="+", default=[1e-4, 1e-3, 1e-2])
     parser.add_argument("--lam-floors", type=float, nargs="+", default=[1e-6, 1e-5, 1e-4, 1e-3, 1e-2])
-    parser.add_argument("--scenario", action="append", choices=SCENARIOS, help="repeatable; default all")
     args = parser.parse_args(argv)
 
     out = csv.writer(sys.stdout, lineterminator="\n")
@@ -64,7 +62,7 @@ def main(argv=None) -> int:
     for slack in args.slack_floors:
         for lam in args.lam_floors:
             solver._WARM_SLACK_FLOOR, solver._WARM_LAM_FLOOR = slack, lam
-            for name in args.scenario or SCENARIOS:
+            for name in SCENARIOS:
                 sc, cfg = scenario(name)
                 try:
                     res = optimizer.optimize(sc, cfg)

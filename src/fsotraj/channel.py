@@ -404,7 +404,7 @@ def _sample_log_snr(link, z, hoyt: HoytParams, n, seed) -> tuple[np.ndarray, np.
     if n < 1:
         raise ValueError("need at least one sample")
     c0, scale, t_mean = _mc_constants(link, [z], [[hoyt.lam1, hoyt.lam2]])
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     w, e = np.empty((1, n, 2)), np.empty((1, n))
     _draw_slot(rng, w[0], e[0])
     return _log_snr(w, e, scale, c0, link.sigma_i), t_mean, w

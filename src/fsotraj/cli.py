@@ -143,7 +143,10 @@ def cmd_validate(args) -> int:
     settings, out = _load(args)
     sc = settings.scenario
     traj = out / "trajectory.csv"
-    plan = read_plan(traj, sc.delta, sc.altitude) if traj.exists() else None
+    plan = reported = None
+    if traj.exists():
+        plan = read_plan(traj, sc.delta, sc.altitude)
+        reported = read_report_value(out, "efficiency")
     rng_seed = sc.seed
     n = min(sc.mc_samples, 10**6)
     params, samples, ks = _sampled_law(settings, n)
@@ -177,7 +180,6 @@ def cmd_validate(args) -> int:
 
     if plan is not None:
         recomputed = energy_efficiency(plan, sc, mode="closed_form")
-        reported = read_report_value(out, "efficiency")
         rows.append(ValidationRow("efficiency_roundtrip", reported, recomputed.efficiency, 1e-9))
 
     write_validation(out / "validation.csv", rows)

@@ -310,7 +310,7 @@ def sample_error_angles(
     z_sq = float(np.dot(u, u))
     if z_sq == 0.0:
         raise DegenerateGeometryError("pointing vector has zero norm")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     d = rng.standard_normal((n, 3))
     factor = psd_factor(cov.matrix)
 

@@ -22,14 +22,9 @@ from .linearize import delta_u_coefficients
 
 @dataclass(frozen=True)
 class CircularInit:
-    """Closed-loop initialization: a circle through the start point."""
+    """Closed-loop initialization: a clockwise circle through the start point."""
 
     center_xy: tuple[float, float] = (0.0, -60.0)
-    direction: str = "clockwise"
-
-    def __post_init__(self):
-        if self.direction not in ("clockwise", "counterclockwise"):
-            raise ValueError(f"direction must be clockwise or counterclockwise, got {self.direction!r}")
 
 
 @dataclass(frozen=True)
@@ -228,8 +223,7 @@ def initialize_iterate(scenario: Scenario) -> Iterate:
         if radius <= 0.0:
             raise InfeasibleScenarioError("circular initialization needs start != center")
         phi0 = math.atan2(radial[1], radial[0])
-        sweep = -2.0 * math.pi if init.direction == "clockwise" else 2.0 * math.pi
-        angles = phi0 + sweep * np.arange(n) / (n - 1)
+        angles = phi0 - 2.0 * math.pi * np.arange(n) / (n - 1)
         positions = np.column_stack(
             [
                 center[0] + radius * np.cos(angles),

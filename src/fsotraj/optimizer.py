@@ -288,14 +288,14 @@ def energy_efficiency(
     )
 
 
-def anchored_feasibility(iterate: Iterate, scenario: Scenario, config=None, tol: float = 1e-8):
+def anchored_feasibility(iterate: Iterate, scenario: Scenario, config=None):
     """check_feasible of the iterate against its own assembled restriction.
 
     ``config`` is accepted for callers that pass the run's OptimizerConfig;
     the restriction depends only on the iterate and the scenario.
     """
     sub = Subproblem(iterate, scenario)
-    return check_feasible(sub.program, sub.anchor_x(), tol=tol)
+    return check_feasible(sub.program, sub.anchor_x())
 
 
 def restriction_tightness(iterate: Iterate, scenario: Scenario) -> dict[str, float]:

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidTrajectoryError
+from .errors import FsoTrajError, InvalidTrajectoryError
 from .kinematics import (
     TrajectoryPlan,
     differentiate_trajectory,
@@ -37,7 +37,9 @@ def write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def read_csv(path: Path) -> tuple[list[str], np.ndarray]:
-    """Header plus a float array (object array if any column is textual)."""
+    """Header plus a float array of one row per line; an object array if any
+    cell is textual or a row's width differs from the header's (a ragged
+    file gives one list per row)."""
 
     def cell(v):
         try:
@@ -48,7 +50,7 @@ def read_csv(path: Path) -> tuple[list[str], np.ndarray]:
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         rows = [[cell(v) for v in line.strip().split(",")] for line in fh if line.strip()]
-    if rows and all(isinstance(v, float) for v in rows[0]):
+    if rows and all(len(row) == len(header) and all(isinstance(v, float) for v in row) for row in rows):
         return header, np.array(rows, dtype=float)
     return header, np.array(rows, dtype=object)
 
@@ -60,13 +62,15 @@ def read_plan(path: Path, delta: float, altitude: float) -> TrajectoryPlan:
     """The plan in a trajectory.csv written at slot ``delta`` and ``altitude``.
 
     InvalidTrajectoryError, naming the file, if its header is not
-    TRAJECTORY_HEADER, its t column is not arange(N) * delta or its z column
-    is not the altitude. Both are written at 17 digits, so they read back
-    exactly.
+    TRAJECTORY_HEADER, a row is not one number per column (or there is no
+    row), its t column is not arange(N) * delta or its z column is not the
+    altitude. Both are written at 17 digits, so they read back exactly.
     """
     header, data = read_csv(path)
     if header != TRAJECTORY_HEADER:
         raise InvalidTrajectoryError(f"{path}: header {header} is not {TRAJECTORY_HEADER}")
+    if data.dtype != float:
+        raise InvalidTrajectoryError(f"{path}: expected one row of {len(header)} numbers per slot")
     n = len(data)
     for column, expected in (("t", np.arange(n) * delta), ("z", np.full(n, altitude))):
         read = data[:, header.index(column)]
@@ -181,10 +185,10 @@ class RunReport:
 
 
 def write_outputs(report: RunReport, out_dir) -> list[str]:
-    """Write the deterministic file set, then the run's wall-clock time to
-    ``timings.json``; returns the manifest."""
+    """Write the deterministic file set into the existing directory
+    ``out_dir``, then the run's wall-clock time to ``timings.json``; returns
+    the manifest."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     manifest = []
 
     (out / "scenario.echo").write_text(report.scenario_echo, encoding="utf-8")
@@ -208,7 +212,17 @@ def write_outputs(report: RunReport, out_dir) -> list[str]:
 
 
 def read_report_value(out_dir, key: str) -> float:
-    for line in (Path(out_dir) / "report").read_text(encoding="utf-8").splitlines():
+    """The number on the ``key:`` line of the run's ``report``; FsoTrajError,
+    naming the file, if it cannot be read or holds no such number."""
+    path = Path(out_dir) / "report"
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except OSError as exc:
+        raise FsoTrajError(f"{path}: cannot read the run's report: {exc.strerror}") from exc
+    for line in lines:
         if line.startswith(key + ":"):
-            return float(line.split(":", 1)[1])
-    raise KeyError(f"{key} not found in report")
+            try:
+                return float(line.split(":", 1)[1])
+            except ValueError:
+                break
+    raise FsoTrajError(f"{path}: no '{key}: <number>' line")

@@ -304,17 +304,14 @@ def _defaults(cls) -> dict:
 
 
 def _read(path_or_text) -> dict[tuple[str, str], str]:
-    """Raw text of every key in a scenario file (path, text or open file)."""
+    """Raw text of every key in a scenario file (path or text)."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
+    text = str(path_or_text)
     try:
-        if hasattr(path_or_text, "read"):
-            parser.read_file(path_or_text)
-        else:
-            text = str(path_or_text)
-            if text == "" or "\n" in text:
-                parser.read_string(text)
-            elif not parser.read(text):
-                raise ScenarioParseError(text, "scenario file not found")
+        if text == "" or "\n" in text:
+            parser.read_string(text)
+        elif not parser.read(text):
+            raise ScenarioParseError(text, "scenario file not found")
     except configparser.Error as exc:  # no section header, a key given twice...
         raise ScenarioParseError("scenario", exc.message) from exc
     if parser.defaults():

@@ -60,12 +60,6 @@ class Subproblem:
         if np.any(speeds == 0.0):
             slot = int(np.argmin(speeds))
             raise DegenerateVelocityError(f"anchor velocity vanishes at slot {slot}")
-        # Degenerate-anchor guard: linearize around a point pushed back to the
-        # half-minimum-speed sphere; the kinematic values are untouched.
-        v_lin = iterate.v[:, :2].copy()
-        slow = speeds < craft.v_min / 2.0
-        if np.any(slow):
-            v_lin[slow] *= (craft.v_min / 2.0) / speeds[slow, None]
 
         self.iterate = iterate
         self.scenario = scenario
@@ -127,7 +121,7 @@ class Subproblem:
         # velocity extension identity) and the linearized speed floor.
         eye2 = np.eye(2)
         prog.add_soc("speed_cap", v_idx[:-1], eye2, 0.0, 0.0, craft.v_max)
-        vp = v_lin[:-1]
+        vp = iterate.v[:-1, :2]
         vp_sq = np.einsum("kc,kc->k", vp, vp)
         prog.add_linear_ineq("speed_floor_lin", v_idx[:-1], -2.0 * vp, craft.v_min**2 + vp_sq)
 
@@ -223,7 +217,6 @@ class Subproblem:
         self._p_cols = P_idx
         self._capacity_const = float(np.sum(grad * self.offset_const + bits * self.anchor.delta_l))
         self._fixed_power = scenario.n_slots * link.transmit_power + scenario.launch_cost / delta_t
-        self.tradeoff = None
         self.set_tradeoff(0.0)
 
     def census(self) -> dict[str, int]:
@@ -247,7 +240,7 @@ class Subproblem:
         """Point the objective at the anchor's surrogate efficiency lam = C / P
         and return lam; InfeasibleScenarioError if the anchor capacity C is
         not positive, where the fractional objective is ill-posed."""
-        c_anchor, p_anchor = self.surrogate_totals(self.space.unpack(self.anchor_x()))
+        c_anchor, p_anchor = self.surrogate_totals(self.anchor_values())
         if c_anchor <= 0.0:
             raise InfeasibleScenarioError(
                 f"anchor capacity {c_anchor:.3g} is not positive; the fractional objective is ill-posed"
@@ -256,21 +249,23 @@ class Subproblem:
         self.set_tradeoff(lam)
         return lam
 
-    def anchor_x(self) -> np.ndarray:
+    def anchor_values(self) -> dict[str, np.ndarray]:
+        """The anchor iterate as the restriction's named variables."""
         it = self.iterate
-        return self.space.pack(
-            {
-                "s": it.s[:, :2],
-                "v": it.v[:, :2],
-                "a": it.a[:, :2],
-                "S": it.S,
-                "U": it.U,
-                "V": it.V,
-                "P": it.P,
-                "Q": it.Q,
-                "R": it.R,
-            }
-        )
+        return {
+            "s": it.s[:, :2],
+            "v": it.v[:, :2],
+            "a": it.a[:, :2],
+            "S": it.S,
+            "U": it.U,
+            "V": it.V,
+            "P": it.P,
+            "Q": it.Q,
+            "R": it.R,
+        }
+
+    def anchor_x(self) -> np.ndarray:
+        return self.space.pack(self.anchor_values())
 
     def surrogate_totals(self, values: dict) -> tuple[float, float]:
         """(C_tot, P_tot) of the surrogate at a solution point, bits and watts."""

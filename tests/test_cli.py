@@ -232,6 +232,45 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "name, damage, message",
+        [
+            ("trajectory.csv", lambda text: text.split("\n", 1)[0] + "\n", "expected one row of 12 numbers per slot"),
+            (  # the first data row loses its last cell
+                "trajectory.csv",
+                lambda text: re.sub(r"^([^\n]*\n[^\n]*),[^,\n]*", r"\1", text),
+                "expected one row of 12 numbers per slot",
+            ),
+            ("report", None, "cannot read the run's report: No such file or directory"),
+            (
+                "report",
+                lambda text: re.sub(r"^efficiency: .*\n", "", text, flags=re.M),
+                "no 'efficiency: <number>' line",
+            ),
+            (
+                "report",
+                lambda text: re.sub(r"^efficiency: .*$", "efficiency: n/a", text, flags=re.M),
+                "no 'efficiency: <number>' line",
+            ),
+        ],
+        ids=["header_only", "ragged_row", "no_report", "no_efficiency_line", "efficiency_not_a_number"],
+    )
+    def test_validate_on_a_malformed_run_exits_2_before_any_work(
+        self, name, damage, message, tmp_path, capsys, monkeypatch
+    ):
+        scenario, out = write_scenario(tmp_path, TINY_MOVING), tmp_path / "run"
+        assert main(["optimize", "--scenario", scenario, "--out", str(out)]) == 0
+        validation = (out / "validation.csv").read_bytes()
+        if damage is None:
+            (out / name).unlink()
+        else:
+            (out / name).write_text(damage((out / name).read_text(encoding="utf-8")), encoding="utf-8")
+        capsys.readouterr()
+        monkeypatch.setattr("fsotraj.cli._sampled_law", lambda *a, **k: pytest.fail("Monte Carlo ran"))
+        assert main(["validate", "--scenario", scenario, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {out / name}: {message}\n"
+        assert (out / "validation.csv").read_bytes() == validation
+
     def test_validate_malformed_trajectory_exits_2(self, tmp_path, capsys):
         out = tmp_path / "run"
         out.mkdir()
@@ -453,11 +492,30 @@ class TestScripts:
         assert 1 <= int(outer) <= 2 and int(steps) == newton > 0 and stop == status
         assert float(efficiency) > 0.0
 
-    def test_profiler_runs_from_a_checkout(self, tmp_path):
-        script = Path(__file__).resolve().parents[1] / "scripts" / "profile_scenario.py"
+    @staticmethod
+    def usage_options(script, tmp_path) -> set[str]:
+        """The options on the usage line of ``script --help``, run from a checkout
+        without PYTHONPATH."""
+        path = Path(__file__).resolve().parents[1] / "scripts" / script
         env = {name: value for name, value in os.environ.items() if name != "PYTHONPATH"}
         run = subprocess.run(
-            [sys.executable, str(script), "--help"], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300
+            [sys.executable, str(path), "--help"], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300
         )
         assert run.returncode == 0, run.stderr
-        assert "--samples" in run.stdout and "--top" in run.stdout
+        usage = run.stdout.split("\n\n", 1)[0]
+        assert usage.startswith(f"usage: {script} ")
+        return set(re.findall(r"--[\w-]+", usage))
+
+    def test_profiler_runs_from_a_checkout(self, tmp_path):
+        assert self.usage_options("profile_scenario.py", tmp_path) == set()
+
+    @pytest.mark.parametrize(
+        "script, options",
+        [
+            ("bench_pairs.py", {"--first-seed", "--held-out-first-seed", "--out"}),
+            ("sweep_warm_start.py", {"--slack-floors", "--lam-floors"}),
+        ],
+        ids=["bench_pairs", "sweep_warm_start"],
+    )
+    def test_tool_runs_from_a_checkout(self, script, options, tmp_path):
+        assert self.usage_options(script, tmp_path) == options
