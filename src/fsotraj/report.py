@@ -64,7 +64,8 @@ def read_plan(path: Path, delta: float, altitude: float) -> TrajectoryPlan:
     InvalidTrajectoryError, naming the file, if its header is not
     TRAJECTORY_HEADER, a row is not one number per column (or there is no
     row), its t column is not arange(N) * delta or its z column is not the
-    altitude. Both are written at 17 digits, so they read back exactly.
+    altitude (both are written at 17 digits, so they read back exactly), or
+    its positions are not a valid TrajectoryPlan.
     """
     header, data = read_csv(path)
     if header != TRAJECTORY_HEADER:
@@ -81,7 +82,10 @@ def read_plan(path: Path, delta: float, altitude: float) -> TrajectoryPlan:
                 f"{path}: {column} = {float(read[k])!r} at slot {k}, but slot {delta!r} s "
                 f"and altitude {altitude!r} m put it at {float(expected[k])!r}"
             )
-    return TrajectoryPlan(positions=data[:, 1:4], delta=delta, altitude=altitude)
+    try:
+        return TrajectoryPlan(positions=data[:, 1:4], delta=delta, altitude=altitude)
+    except InvalidTrajectoryError as exc:  # one slot, a non-finite position...
+        raise InvalidTrajectoryError(f"{path}: {exc}") from None
 
 
 TRACE_HEADER = [  # IterationRecord's fields, in order

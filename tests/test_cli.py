@@ -241,6 +241,7 @@ class TestExitCodes:
                 lambda text: re.sub(r"^([^\n]*\n[^\n]*),[^,\n]*", r"\1", text),
                 "expected one row of 12 numbers per slot",
             ),
+            ("trajectory.csv", lambda text: "".join(text.splitlines(keepends=True)[:2]), "a plan needs at least 2 slots"),
             ("report", None, "cannot read the run's report: No such file or directory"),
             (
                 "report",
@@ -253,7 +254,7 @@ class TestExitCodes:
                 "no 'efficiency: <number>' line",
             ),
         ],
-        ids=["header_only", "ragged_row", "no_report", "no_efficiency_line", "efficiency_not_a_number"],
+        ids=["header_only", "ragged_row", "one_row", "no_report", "no_efficiency_line", "efficiency_not_a_number"],
     )
     def test_validate_on_a_malformed_run_exits_2_before_any_work(
         self, name, damage, message, tmp_path, capsys, monkeypatch
