@@ -26,7 +26,7 @@ from .jitter import (
 from .kinematics import flight_power, pointing_vector
 from .mission import initialize_iterate
 from .numerics import ks_distance
-from .optimizer import energy_efficiency, optimize
+from .optimizer import EFFICIENCY_MODES, energy_efficiency, optimize
 from .report import (
     RunReport,
     ValidationRow,
@@ -143,12 +143,13 @@ def cmd_validate(args) -> int:
     settings, out = _load(args)
     sc = settings.scenario
     traj = out / "trajectory.csv"
-    plan = reported = None
+    plan = reported = mode = None
     if traj.exists():
         plan = read_plan(traj, sc.delta, sc.altitude)
         reported = read_report_value(out, "efficiency")
+        mode = read_report_value(out, "efficiency_mode", EFFICIENCY_MODES)
     rng_seed = sc.seed
-    n = min(sc.mc_samples, 10**6)
+    n = sc.mc_samples
     params, samples, ks = _sampled_law(settings, n)
     rows = [ValidationRow("moment_mc_vs_trace", params.omega, float(np.mean(samples**2)), 0.01)]
 
@@ -179,7 +180,7 @@ def cmd_validate(args) -> int:
     )
 
     if plan is not None:
-        recomputed = energy_efficiency(plan, sc, mode="closed_form")
+        recomputed = energy_efficiency(plan, sc, mode=mode)
         rows.append(ValidationRow("efficiency_roundtrip", reported, recomputed.efficiency, 1e-9))
 
     write_validation(out / "validation.csv", rows)
@@ -236,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
         if mode:
             p.add_argument(
                 "--mode",
-                choices=("closed_form", "monte_carlo"),
+                choices=EFFICIENCY_MODES,
                 default="closed_form",
                 help="efficiency evaluation mode",
             )

@@ -22,7 +22,8 @@ from .linearize import delta_u_coefficients
 
 @dataclass(frozen=True)
 class CircularInit:
-    """Closed-loop initialization: a clockwise circle through the start point."""
+    """The start of a loop mission (`Scenario.loop`): a clockwise circle
+    through the start point about ``center_xy``. Transits ignore it."""
 
     center_xy: tuple[float, float] = (0.0, -60.0)
 
@@ -40,7 +41,7 @@ class Scenario:
     link: LinkParams = field(default_factory=LinkParams)
     aircraft: AircraftParams = field(default_factory=AircraftParams)
     jitter: JitterCovariance = field(default_factory=JitterCovariance)
-    initialization: str | CircularInit = "linear"
+    initialization: CircularInit = CircularInit()
     seed: int = 0
     mc_samples: int = 10**6
 
@@ -53,11 +54,18 @@ class Scenario:
             raise InfeasibleScenarioError("slot length must be positive")
         if self.launch_cost < 0.0:
             raise InfeasibleScenarioError("launch cost must be nonnegative")
+        if not isinstance(self.initialization, CircularInit):
+            raise TypeError(f"initialization must be a CircularInit, got {self.initialization!r}")
         for name, point in (("start", self.start), ("end", self.end)):
             if point.shape != (3,):
                 raise InfeasibleScenarioError(f"{name} must be a 3-vector")
             if point[2] != self.altitude:
                 raise InfeasibleScenarioError(f"{name} must sit at the mission altitude")
+
+    @property
+    def loop(self) -> bool:
+        """Whether the mission ends where it begins (a hover)."""
+        return bool(np.array_equal(self.start, self.end))
 
     @property
     def duration(self) -> float:
@@ -211,13 +219,12 @@ def worst_violation(scenario: Scenario, s, v, a) -> tuple[str, int, float]:
 
 
 def initialize_iterate(scenario: Scenario) -> Iterate:
-    """Initial trajectory: uniform linear motion, or a circular loop for
-    missions that start and end at the same point. Errors name the first
-    violated mission constraint."""
+    """Initial trajectory: the `CircularInit` circle for a loop mission,
+    uniform linear motion otherwise. Errors name the first violated mission
+    constraint."""
     n = scenario.n_slots
-    if isinstance(scenario.initialization, CircularInit):
-        init = scenario.initialization
-        center = np.array([*init.center_xy, scenario.altitude])
+    if scenario.loop:
+        center = np.array([*scenario.initialization.center_xy, scenario.altitude])
         radial = scenario.start - center
         radius = float(np.linalg.norm(radial[:2]))
         if radius <= 0.0:
@@ -232,17 +239,11 @@ def initialize_iterate(scenario: Scenario) -> Iterate:
             ]
         )
         positions[-1] = positions[0]  # exact closure
-        if not np.allclose(scenario.end, scenario.start):
-            raise InfeasibleScenarioError("circular initialization requires start == end")
     else:
         reach = float(np.linalg.norm(scenario.end - scenario.start))
         if reach > scenario.aircraft.v_max * (n - 1) * scenario.delta:
             raise InfeasibleScenarioError(
                 f"endpoints {reach:.1f} m apart are unreachable at v_max within the mission time"
-            )
-        if reach == 0.0:
-            raise InfeasibleScenarioError(
-                "linear initialization cannot hold a fixed point; use a circular initialization"
             )
         frac = np.linspace(0.0, 1.0, n)[:, None]
         positions = scenario.start[None, :] * (1.0 - frac) + scenario.end[None, :] * frac

@@ -49,6 +49,8 @@ PLATEAU_WINDOW = 5
 # Cap of each solve's forcing tolerance (`solve_tolerance`), as in inexact
 # Newton methods (Dembo, Eisenstat & Steihaug 1982).
 FORCING_TOL_CAP = 1e-5
+# The two ways `energy_efficiency` evaluates the capacity.
+EFFICIENCY_MODES = ("closed_form", "monte_carlo")
 
 
 @dataclass
@@ -256,7 +258,7 @@ def energy_efficiency(
     every slot of the bundled plans a smaller standard error than the plain
     mean of 20,000 samples.
     """
-    if mode not in ("closed_form", "monte_carlo"):
+    if mode not in EFFICIENCY_MODES:
         raise ValueError(f"unknown mode {mode!r}")
     v, a = differentiate_trajectory(plan)
     s = plan.positions

@@ -215,9 +215,10 @@ def write_outputs(report: RunReport, out_dir) -> list[str]:
     return manifest
 
 
-def read_report_value(out_dir, key: str) -> float:
-    """The number on the ``key:`` line of the run's ``report``; FsoTrajError,
-    naming the file, if it cannot be read or holds no such number."""
+def read_report_value(out_dir, key: str, choices: tuple[str, ...] = ()) -> float | str:
+    """The value on the ``key:`` line of the run's ``report``: one of
+    ``choices`` if given, else a number. FsoTrajError, naming the file, if it
+    cannot be read or holds no such value."""
     path = Path(out_dir) / "report"
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
@@ -225,8 +226,13 @@ def read_report_value(out_dir, key: str) -> float:
         raise FsoTrajError(f"{path}: cannot read the run's report: {exc.strerror}") from exc
     for line in lines:
         if line.startswith(key + ":"):
+            text = line.split(":", 1)[1].strip()
+            if choices:
+                if text in choices:
+                    return text
+                break
             try:
-                return float(line.split(":", 1)[1])
+                return float(text)
             except ValueError:
                 break
-    raise FsoTrajError(f"{path}: no '{key}: <number>' line")
+    raise FsoTrajError(f"{path}: no '{key}: {' or '.join(choices) or '<number>'}' line")

@@ -175,13 +175,14 @@ class _Field(NamedTuple):
     """One scenario key: how its text parses and where its value lands.
 
     The value lands on attribute ``attr`` (the key's own name by default) of
-    ``owner`` (the section by default; ``mission`` is the `Scenario`, ``circle``
-    the `CircularInit`), as component ``index`` of a tuple attribute if given.
-    ``derive(value, staged)`` maps the value to the attribute's value once
-    every other key has landed; ``get(owner)`` gives the echoed value when it
-    is not the attribute's. A derived key without ``get`` is an alternative
-    spelling and is not echoed. ``presets`` maps each mission preset to the
-    key's text, and the key that ``picks_preset`` lands nowhere.
+    ``owner`` (the section by default; ``mission`` is the `Scenario`,
+    ``initialization`` its `CircularInit`), as component ``index`` of a tuple
+    attribute if given. ``derive(value, staged)`` maps the value to the
+    attribute's value once every other key has landed; ``get(owner)`` gives
+    the echoed value when it is not the attribute's. A derived key without
+    ``get`` is an alternative spelling and is not echoed. ``presets`` maps
+    each mission preset to the key's text, and the key that ``picks_preset``
+    lands nowhere.
     """
 
     kind: _Kind
@@ -237,7 +238,7 @@ _FIELDS = {
     ("mission", "kind"): _Field(
         _choice(*_MISSIONS),
         picks_preset=True,
-        get=lambda sc: "hover" if np.allclose(sc.start, sc.end) else "moving",
+        get=lambda sc: "hover" if sc.loop else "moving",
     ),
     ("mission", "start"): _Field(
         _POINT,
@@ -261,14 +262,7 @@ _FIELDS = {
     ),
     ("mission", "slot"): _Field(_quantity("time"), "delta", presets=dict.fromkeys(_MISSIONS, "0.2 s")),
     ("mission", "launch_cost"): _Field(_quantity("energy"), presets={"moving": "1e5 J", "hover": "4e5 J"}),
-    ("mission", "init"): _Field(
-        _choice("linear", "circular"),
-        "initialization",
-        derive=lambda name, st: CircularInit(**vars(st.circle)) if name == "circular" else name,
-        get=lambda sc: "circular" if isinstance(sc.initialization, CircularInit) else "linear",
-        presets={"moving": "linear", "hover": "circular"},
-    ),
-    ("mission", "circle_center"): _Field(_POINT, "center_xy", owner="circle"),
+    ("mission", "circle_center"): _Field(_POINT, "center_xy", owner="initialization"),
     ("optimizer", "max_outer"): _Field(_integer(1)),
     ("optimizer", "solver_tol"): _Field(_quantity("dimensionless")),
     ("optimizer", "seed"): _Field(_integer(0), owner="mission"),
@@ -285,7 +279,7 @@ _OWNERS = {
     "link": LinkParams,
     "aircraft": AircraftParams,
     "jitter": JitterCovariance,
-    "circle": CircularInit,
+    "initialization": CircularInit,
     "mission": Scenario,
     "optimizer": OptimizerConfig,
     "pointing": PointingGeometry,
@@ -369,7 +363,7 @@ def load_scenario(path_or_text, overrides: dict[tuple[str, str], str] | None = N
             setattr(owner, attr, value)
     for owner, attr, derive, value in derived:
         setattr(owner, attr, derive(value, staged))
-    for part in ("link", "aircraft", "jitter"):
+    for part in ("link", "aircraft", "jitter", "initialization"):
         setattr(staged.mission, part, _make(staged, part))
     return RunSettings(_make(staged, "mission"), _make(staged, "optimizer"), _make(staged, "pointing"))
 
@@ -381,7 +375,7 @@ def dump_scenario(settings: RunSettings) -> str:
         "link": sc.link,
         "aircraft": sc.aircraft,
         "jitter": sc.jitter,
-        "circle": sc.initialization if isinstance(sc.initialization, CircularInit) else None,
+        "initialization": sc.initialization if sc.loop else None,
         "mission": sc,
         "optimizer": settings.optimizer,
         "pointing": settings.pointing,

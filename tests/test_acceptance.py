@@ -24,7 +24,6 @@ from fsotraj.jitter import (
 from fsotraj.kinematics import posture_from_motion, pointing_vector
 from fsotraj.linearize import delta_u_coefficients
 from fsotraj.mission import (
-    CircularInit,
     OptimizerConfig,
     Scenario,
     initialize_iterate,
@@ -232,7 +231,6 @@ def test_optimization_sanity_hover():
         delta=0.2,
         altitude=600.0,
         launch_cost=4e5,
-        initialization=CircularInit(),
         jitter=JitterCovariance.from_mrad((0.583, 0.583, 0.583)),
     )
     _mission_sanity(scenario, "hover, N=400", budget_s=600.0)
@@ -247,7 +245,6 @@ def test_dof_comparison_direction():
         delta=0.2,
         altitude=600.0,
         launch_cost=4e5,
-        initialization=CircularInit(),
         jitter=truth,
     )
     config = OptimizerConfig()

@@ -1,12 +1,17 @@
-"""The benchmark tracer (bench/tracer.py) installs on the current package.
+"""The benchmark (bench/run.py) and its tracer (bench/tracer.py) run on the
+current package.
 
 The tracer wraps module globals and class methods of fsotraj by name, so
 deleting or renaming one of them breaks ``bench/run.py --trace 1``. The
-test suite does not collect bench/, hence this check from here: enter and
+test suite does not collect bench/, hence these checks from here: enter and
 leave the tracer without solving anything, and compare every namespace it
-may touch before, during and after.
+may touch before, during and after; then run the benchmark's own command,
+briefly, on the two quicker workloads. Between them those load every bundled
+scenario file, evaluate in both modes and check the harness's pins.
 """
 import importlib.util
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -15,7 +20,8 @@ import pytest
 from fsotraj import optimizer
 from fsotraj.convex import solver
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACER_PATH = BENCH / "tracer.py"
 
 
 @pytest.fixture
@@ -63,3 +69,14 @@ def test_tracer_patches_and_restores_its_targets(tracer_module):
     assert ("fsotraj.subproblem.Subproblem", "__init__") in inside
     assert ("fsotraj.convex.program.Objective", "value") in inside
     assert changed(before, snapshot()) == set()
+
+
+@pytest.mark.parametrize("workload", ["evaluate", "moving"])
+def test_benchmark_command_runs_traced(workload):
+    argv = ["--workload", workload, "--seed", "3", "--seconds", "0.1", "--trace", "1"]
+    run = subprocess.run(
+        [sys.executable, str(BENCH / "run.py"), *argv], capture_output=True, text=True, timeout=600
+    )
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout.splitlines()[-1])
+    assert result["correct"] is True, result

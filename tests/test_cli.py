@@ -13,7 +13,7 @@ import pytest
 
 from fsotraj.channel import quadrature_ergodic_capacity
 from fsotraj.cli import main
-from fsotraj.errors import SolverError
+from fsotraj.errors import FsoTrajError, SolverError
 from fsotraj.jitter import hoyt_params
 from fsotraj.kinematics import differentiate_trajectory, flight_power, pointing_vector, roll_from_motion, yaw_from_velocity
 from fsotraj.mission import accel_slots, initialize_iterate
@@ -211,6 +211,29 @@ class TestOptimize:
         header, data = read_csv(out / "validation.csv")
         assert all(p == 1.0 for p in data[:, -1])
 
+    @pytest.mark.parametrize("text", [TINY_MOVING, TINY_HOVER], ids=["moving", "hover"])
+    def test_validate_roundtrip_of_a_monte_carlo_run(self, text, tmp_path, capsys):
+        # validate recomputes the efficiency in the mode the run recorded; the
+        # Monte Carlo draws from the scenario seed, as optimize's did.
+        scenario = write_scenario(tmp_path, text)
+        out = tmp_path / "run"
+        assert main(["optimize", "--scenario", scenario, "--out", str(out), "--mode", "monte_carlo"]) == 0
+        assert "efficiency_mode: monte_carlo" in (out / "report").read_text()
+        assert main(["validate", "--scenario", scenario, "--out", str(out)]) == 0
+        assert "[ok] efficiency_roundtrip" in capsys.readouterr().out
+
+    def test_validate_draws_the_samples_it_is_given(self, tmp_path, capsys, monkeypatch):
+        # --samples means the same to validate as to pointing: no cap.
+        drawn = []
+
+        def record(settings, n):
+            drawn.append(n)
+            raise FsoTrajError("stop after the draw count")
+
+        monkeypatch.setattr("fsotraj.cli._sampled_law", record)
+        assert main(["validate", "--out", str(tmp_path), "--samples", "1500000"]) == 2
+        assert drawn == [1_500_000]
+
 
 class TestExitCodes:
     def test_parse_error_exit_2(self, tmp_path, capsys):
@@ -253,8 +276,21 @@ class TestExitCodes:
                 lambda text: re.sub(r"^efficiency: .*$", "efficiency: n/a", text, flags=re.M),
                 "no 'efficiency: <number>' line",
             ),
+            (
+                "report",
+                lambda text: text.replace("efficiency_mode: closed_form", "efficiency_mode: exact"),
+                "no 'efficiency_mode: closed_form or monte_carlo' line",
+            ),
         ],
-        ids=["header_only", "ragged_row", "one_row", "no_report", "no_efficiency_line", "efficiency_not_a_number"],
+        ids=[
+            "header_only",
+            "ragged_row",
+            "one_row",
+            "no_report",
+            "no_efficiency_line",
+            "efficiency_not_a_number",
+            "unknown_efficiency_mode",
+        ],
     )
     def test_validate_on_a_malformed_run_exits_2_before_any_work(
         self, name, damage, message, tmp_path, capsys, monkeypatch
@@ -343,6 +379,38 @@ class TestExitCodes:
         scenario = write_scenario(tmp_path, text)
         assert main(["power", "--scenario", scenario, "--out", str(tmp_path / "x")]) == 2
         assert f"error: {path}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, text, code, message",
+        [
+            ("power", "[link]\naperture = 20 c m\n", 2, "link.aperture: cannot parse quantity '20 c m'"),
+            ("power", "[mission]\nkind = orbit\n", 2, "mission.kind: expected moving or hover, got 'orbit'"),
+            ("power", "[mission]\nstart = 54 m\n", 2, "mission.start: expected 'x, y <unit>', got '54 m'"),
+            ("power", "[link]\nlog_amplitude_std = -0.1\n", 2, "link: sigma_i must be nonnegative"),
+            ("power", "[mission]\nkind = hover\ninit = circular\n", 2, "mission.init: unknown key"),
+            (
+                "optimize",
+                "[mission]\nkind = hover\ncircle_center = 0, 0 m\n",
+                3,
+                "infeasible scenario: circular initialization needs start != center",
+            ),
+        ],
+        ids=["unit_with_a_space", "unknown_kind", "point_without_y", "negative_sigma_i", "init_key", "centre_on_start"],
+    )
+    def test_scenario_check_exits_with_its_message(self, command, text, code, message, tmp_path, capsys):
+        scenario = write_scenario(tmp_path, text)
+        assert main([command, "--scenario", scenario, "--out", str(tmp_path / "x")]) == code
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_missing_scenario_file_exits_2(self, tmp_path, capsys):
+        missing = tmp_path / "missing.ini"
+        assert main(["power", "--scenario", str(missing), "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == f"error: {missing}: scenario file not found\n"
+
+    def test_samples_in_exponent_form_are_accepted(self, tmp_path, capsys):
+        scenario = write_scenario(tmp_path, "[optimizer]\nsamples = 2e4\n")
+        assert main(["pointing", "--scenario", scenario, "--out", str(tmp_path / "x")]) == 0
+        assert "(n = 20000)" in capsys.readouterr().out
 
     @pytest.mark.parametrize("tol", ["0", "-1e-8"])
     def test_nonpositive_solver_tol_exits_2_before_any_solve(self, tol, tmp_path, capsys, monkeypatch):

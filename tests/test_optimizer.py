@@ -54,7 +54,6 @@ def hover_scenario(n=40, delta=2.0, **kw):
         delta=delta,
         altitude=H,
         launch_cost=4e5,
-        initialization=CircularInit(),
         **kw,
     )
 
@@ -79,6 +78,24 @@ class TestInitialization:
         assert np.allclose(speeds, expected_speed, rtol=1e-3)
         radii = np.linalg.norm(it.s[:, :2] - np.array([0.0, -60.0]), axis=1)
         assert np.allclose(radii, 60.0, atol=1e-9)
+
+    def test_the_endpoints_pick_the_start(self):
+        # A mission that ends where it begins starts on its circle; any other
+        # starts on the straight line, whatever its circle.
+        loop = hover_scenario(n=400, delta=0.2, initialization=CircularInit(center_xy=(0.0, 80.0)))
+        assert loop.loop
+        radii = np.linalg.norm(initialize_iterate(loop).s[:, :2] - np.array([0.0, 80.0]), axis=1)
+        assert np.allclose(radii, 80.0, atol=1e-9)
+        transit = replace(loop, end=np.array([300.0, 0.0, H]))
+        assert not transit.loop
+        s = initialize_iterate(transit).s
+        assert np.array_equal(s[:, 1], np.zeros(400))
+        assert np.allclose(s[:, 0], np.linspace(0.0, 300.0, 400))
+
+    @pytest.mark.parametrize("value", ["circular", "linear", None])
+    def test_initialization_holds_only_a_circle(self, value):
+        with pytest.raises(TypeError, match="initialization must be a CircularInit, got"):
+            moving_scenario(initialization=value)
 
     def test_infeasible_endpoints_reported(self):
         sc = moving_scenario(n=4, delta=0.2)  # 396 m in 0.6 s of motion
@@ -260,6 +277,12 @@ class TestOptimize:
         assert np.allclose(res.plan.positions[-1], sc.end, atol=1e-6)
         assert max(r.max_violation for r in res.history) <= 1e-6
         res.iterate.validate(sc.delta, sc.aircraft.g)
+
+    def test_violating_iterate_warns_naming_family_amount_and_slot(self, monkeypatch):
+        monkeypatch.setattr(optimizer_mod, "worst_violation", lambda *args: ("speed_max", 7, 0.25))
+        with pytest.warns(RuntimeWarning, match=r"^iterate 1 violates speed_max by 0\.25 at slot 7$"):
+            res = optimize(moving_scenario(), OptimizerConfig(max_outer=1))
+        assert [r.max_violation for r in res.history] == [0.25]
 
     def test_stop_reason(self, bundled_moving):
         sc, cfg, res = bundled_moving
