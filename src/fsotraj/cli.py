@@ -70,6 +70,20 @@ def _sampled_law(settings: RunSettings, n: int):
     return params, samples, ks_distance(samples, lambda x: hoyt_cdf(x, params))
 
 
+def _run_seed(out: Path) -> int:
+    """The seed the run in ``out`` drew from: ``optimizer.seed`` in its
+    scenario.echo. FsoTrajError, naming the file, if the echo cannot be read."""
+    echo = out / "scenario.echo"
+    try:
+        text = echo.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise FsoTrajError(f"{echo}: cannot read the run's scenario echo: {exc.strerror}") from exc
+    try:
+        return load_scenario(text).scenario.seed
+    except ScenarioParseError as exc:
+        raise FsoTrajError(f"{echo}: {exc}") from exc
+
+
 def cmd_pointing(args) -> int:
     settings, out = _load(args)
     n = settings.scenario.mc_samples
@@ -143,11 +157,12 @@ def cmd_validate(args) -> int:
     settings, out = _load(args)
     sc = settings.scenario
     traj = out / "trajectory.csv"
-    plan = reported = mode = None
+    plan = reported = mode = run_seed = None
     if traj.exists():
         plan = read_plan(traj, sc.delta, sc.altitude)
         reported = read_report_value(out, "efficiency")
         mode = read_report_value(out, "efficiency_mode", EFFICIENCY_MODES)
+        run_seed = _run_seed(out)
     rng_seed = sc.seed
     n = sc.mc_samples
     params, samples, ks = _sampled_law(settings, n)
@@ -180,7 +195,7 @@ def cmd_validate(args) -> int:
     )
 
     if plan is not None:
-        recomputed = energy_efficiency(plan, sc, mode=mode)
+        recomputed = energy_efficiency(plan, sc, mode=mode, seed=run_seed)
         rows.append(ValidationRow("efficiency_roundtrip", reported, recomputed.efficiency, 1e-9))
 
     write_validation(out / "validation.csv", rows)

@@ -128,13 +128,9 @@ class _Family:
     #       hess_at needs
     #   hess_at(aux, lam) -> (m, nloc, nloc) sum-weighted local Hessians at
     #       the point local's aux came from (zero for linear families)
-    #   violation(x) -> (m,) reported violation in natural units
 
     def hess_at(self, aux, lam):
         return np.zeros((self.m, self.nloc, self.nloc))
-
-    def violation(self, x):
-        return self.local(x)[0]
 
 
 class LinearFamily(_Family):
@@ -167,9 +163,6 @@ class _NormMixin:
 
     def _u(self, x_loc):
         return np.einsum("mrl,ml->mr", self.a_loc, x_loc) + self.b_loc
-
-    def _norm(self, u):
-        return np.sqrt(np.einsum("mr,mr->m", u, u))
 
     def _smoothed(self, u):
         """(r, A'u) with r = sqrt(|u|^2 + eps^2), the smoothed norm of u."""
@@ -217,13 +210,6 @@ class SocFamily(_Family, _NormMixin):
         if self.const_rhs:
             return (lam / self.d)[:, None, None] * self.ata
         return self._norm_hess(aux, lam)
-
-    def violation(self, x):
-        x_loc = self.gather(x)
-        u = self._u(x_loc)
-        if self.squared:
-            return np.einsum("mr,mr->m", u, u) - self._rhs(x_loc)
-        return self._norm(u) - (self.d if self.const_rhs else self._rhs(x_loc))
 
 
 class LogEpigraphFamily(_Family, _NormMixin):
@@ -388,11 +374,11 @@ class ConvexProgram:
         return out
 
     def violations(self, x: np.ndarray) -> dict[str, np.ndarray]:
-        """Signed violation per tag (<= 0 everywhere means feasible); an
-        equality row's is |a.x + b|."""
+        """Each row's internal value g(x) per tag, the one the solver drives
+        to <= 0 (feasible); an equality row's is |a.x + b|."""
         out: dict[str, np.ndarray] = {}
-        rows = [(f, f.violation(x)) for f in self.families]
-        rows += [(f, np.abs(f.violation(x))) for f in self.eq_families]
+        rows = [(f, f.local(x)[0]) for f in self.families]
+        rows += [(f, np.abs(f.local(x)[0])) for f in self.eq_families]
         for fam, v in rows:
             out[fam.tag] = np.concatenate([out[fam.tag], v]) if fam.tag in out else v
         return out
@@ -400,7 +386,7 @@ class ConvexProgram:
 
 @dataclass
 class FeasibilityReport:
-    """check_feasible output: per-tag signed violations."""
+    """check_feasible output: each row's internal value g(x) per tag."""
 
     per_tag: dict[str, np.ndarray]
     tol: float
@@ -423,6 +409,7 @@ class FeasibilityReport:
 
 
 def check_feasible(program: ConvexProgram, x: np.ndarray, tol: float = 1e-8) -> FeasibilityReport:
+    """Every row's internal value g(x) at x; feasible when none exceeds tol."""
     x = np.asarray(x, dtype=float)
     if x.shape != (program.space.dimension,):
         raise ValueError(f"point has dimension {x.shape}, expected {program.space.dimension}")

@@ -435,6 +435,8 @@ def solve(
     x_orig = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
     if x_orig.shape != (n,):
         raise ValueError(f"x0 has shape {x_orig.shape}; the program has {n} variables, expected ({n},)")
+    if not np.all(np.isfinite(x_orig)):
+        raise ValueError("x0 has non-finite entries")
     m = program.n_ineq
     if lam0 is not None:
         lam0 = np.asarray(lam0, dtype=float)

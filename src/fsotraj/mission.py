@@ -111,20 +111,6 @@ class Iterate:
     def n_slots(self) -> int:
         return self.s.shape[0]
 
-    def validate(self, delta: float, g: float, tol: float = 1e-6) -> None:
-        """Assert kinematic consistency and auxiliary-variable sanity."""
-        v_expected = (self.s[1:] - self.s[:-1]) / delta
-        if np.max(np.abs(self.v[:-1] - v_expected)) > tol:
-            raise ValueError("velocities are not the forward differences of positions")
-        if np.max(np.abs(self.v[-1] - self.v[-2])) > tol:
-            raise ValueError("trailing velocity does not repeat the previous slot")
-        s_norm_sq = np.einsum("kc,kc->k", self.s, self.s)
-        if np.any(self.S**2 > s_norm_sq + tol * np.maximum(1.0, s_norm_sq)):
-            raise ValueError("range auxiliary exceeds the slot range")
-        acc_sq = np.einsum("kc,kc->k", self.a, self.a)
-        if np.any(self.Q * self.R < 1.0 + acc_sq / g**2 - tol):
-            raise ValueError("drag auxiliaries violate Q R >= 1 + |a|^2/g^2")
-
     def flat_original(self) -> np.ndarray:
         return np.concatenate([self.s.ravel(), self.v.ravel(), self.a.ravel(), self.u_hat.ravel()])
 

@@ -365,7 +365,10 @@ def load_scenario(path_or_text, overrides: dict[tuple[str, str], str] | None = N
         setattr(owner, attr, derive(value, staged))
     for part in ("link", "aircraft", "jitter", "initialization"):
         setattr(staged.mission, part, _make(staged, part))
-    return RunSettings(_make(staged, "mission"), _make(staged, "optimizer"), _make(staged, "pointing"))
+    scenario = _make(staged, "mission")
+    if ("mission", "circle_center") in given and not scenario.loop:
+        raise ScenarioParseError("mission.circle_center", "only a loop (start = end) starts on a circle")
+    return RunSettings(scenario, _make(staged, "optimizer"), _make(staged, "pointing"))
 
 
 def dump_scenario(settings: RunSettings) -> str:

@@ -211,16 +211,23 @@ class TestOptimize:
         header, data = read_csv(out / "validation.csv")
         assert all(p == 1.0 for p in data[:, -1])
 
-    @pytest.mark.parametrize("text", [TINY_MOVING, TINY_HOVER], ids=["moving", "hover"])
-    def test_validate_roundtrip_of_a_monte_carlo_run(self, text, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "text, seed_flags",
+        [(TINY_MOVING, []), (TINY_HOVER, []), (TINY_HOVER, ["--seed", "5"])],
+        ids=["moving", "hover", "hover_seed_5"],
+    )
+    def test_validate_roundtrip_of_a_monte_carlo_run(self, text, seed_flags, tmp_path, capsys):
         # validate recomputes the efficiency in the mode the run recorded; the
-        # Monte Carlo draws from the scenario seed, as optimize's did.
+        # Monte Carlo draws from the seed in the run's scenario.echo, as
+        # optimize's did, not from the seed validate is given.
         scenario = write_scenario(tmp_path, text)
         out = tmp_path / "run"
-        assert main(["optimize", "--scenario", scenario, "--out", str(out), "--mode", "monte_carlo"]) == 0
+        assert main(["optimize", "--scenario", scenario, "--out", str(out), "--mode", "monte_carlo", *seed_flags]) == 0
         assert "efficiency_mode: monte_carlo" in (out / "report").read_text()
+        capsys.readouterr()
         assert main(["validate", "--scenario", scenario, "--out", str(out)]) == 0
-        assert "[ok] efficiency_roundtrip" in capsys.readouterr().out
+        row = re.search(r"^\[(\w+)\] efficiency_roundtrip: reference=(\S+) estimate=(\S+)$", capsys.readouterr().out, re.M)
+        assert row.groups() == ("ok", row.group(2), row.group(2))
 
     def test_validate_draws_the_samples_it_is_given(self, tmp_path, capsys, monkeypatch):
         # --samples means the same to validate as to pointing: no cap.
@@ -281,6 +288,12 @@ class TestExitCodes:
                 lambda text: text.replace("efficiency_mode: closed_form", "efficiency_mode: exact"),
                 "no 'efficiency_mode: closed_form or monte_carlo' line",
             ),
+            ("scenario.echo", None, "cannot read the run's scenario echo: No such file or directory"),
+            (
+                "scenario.echo",
+                lambda text: text.replace("seed = 0", "seed = zero"),
+                "optimizer.seed: bad number 'zero'",
+            ),
         ],
         ids=[
             "header_only",
@@ -290,6 +303,8 @@ class TestExitCodes:
             "no_efficiency_line",
             "efficiency_not_a_number",
             "unknown_efficiency_mode",
+            "no_echo",
+            "echo_seed_not_an_integer",
         ],
     )
     def test_validate_on_a_malformed_run_exits_2_before_any_work(
@@ -389,13 +404,27 @@ class TestExitCodes:
             ("power", "[link]\nlog_amplitude_std = -0.1\n", 2, "link: sigma_i must be nonnegative"),
             ("power", "[mission]\nkind = hover\ninit = circular\n", 2, "mission.init: unknown key"),
             (
+                "power",
+                "[mission]\nkind = moving\ncircle_center = 5, 5 m\n",
+                2,
+                "mission.circle_center: only a loop (start = end) starts on a circle",
+            ),
+            (
                 "optimize",
                 "[mission]\nkind = hover\ncircle_center = 0, 0 m\n",
                 3,
                 "infeasible scenario: circular initialization needs start != center",
             ),
         ],
-        ids=["unit_with_a_space", "unknown_kind", "point_without_y", "negative_sigma_i", "init_key", "centre_on_start"],
+        ids=[
+            "unit_with_a_space",
+            "unknown_kind",
+            "point_without_y",
+            "negative_sigma_i",
+            "init_key",
+            "centre_of_a_transit",
+            "centre_on_start",
+        ],
     )
     def test_scenario_check_exits_with_its_message(self, command, text, code, message, tmp_path, capsys):
         scenario = write_scenario(tmp_path, text)

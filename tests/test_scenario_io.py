@@ -124,6 +124,21 @@ def test_hover_defaults():
     assert np.allclose(sc.start, [0.0, 0.0, 600.0])
 
 
+@pytest.mark.parametrize(
+    "text, overrides",
+    [
+        ("[mission]\nkind = moving\ncircle_center = 5, 5 m\n", None),
+        ("[mission]\nkind = moving\n", {("mission", "circle_center"): "5, 5 m"}),
+        ("[mission]\nkind = hover\ncircle_center = 5, 5 m\n", {("mission", "end"): "9, 0 m"}),
+    ],
+    ids=["in_the_file", "in_an_override", "loop_made_a_transit"],
+)
+def test_circle_center_of_a_transit_rejected(text, overrides):
+    with pytest.raises(ScenarioParseError, match="only a loop") as err:
+        load_scenario(text, overrides)
+    assert err.value.field == "mission.circle_center"
+
+
 def test_angles_accept_degrees():
     settings = load_scenario("[pointing]\npitch = -10 deg\nyaw = 90 deg\n")
     assert settings.pointing.pitch == pytest.approx(math.radians(-10.0))

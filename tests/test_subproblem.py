@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fsotraj.channel import log_bound_params
-from fsotraj.convex import solve
+from fsotraj.convex import check_feasible, solve
 from fsotraj.convex.program import _as_block
 from fsotraj.errors import DegenerateVelocityError, InfeasibleScenarioError
 from fsotraj.jitter import JitterCovariance
@@ -145,6 +145,23 @@ class TestAnchorConsistency:
         nxt = sub.solution_iterate(sol.values)
         report = anchored_feasibility(nxt, sc)
         assert report.max_violation <= 1e-8
+
+    @pytest.mark.parametrize("perturbed", [False, True], ids=["anchor", "perturbed"])
+    def test_feasibility_report_holds_the_rows_the_solver_solves(self, perturbed):
+        # check_feasible reports each row's internal value g(x), the one the
+        # solver drives to <= 0, bit for bit; an equality row's is |g(x)|.
+        sc = load_scenario(SCENARIOS / "hover_pitch_jitter.ini").scenario
+        sub = Subproblem(initialize_iterate(sc), sc)
+        prog, x = sub.program, sub.anchor_x()
+        if perturbed:
+            x = x + 1e-3 * (1.0 + np.abs(x)) * np.random.default_rng(40).standard_normal(x.size)
+        per_tag = check_feasible(prog, x).per_tag
+        rows = [(fam, fam.local(x)[0]) for fam in prog.families]
+        rows += [(fam, np.abs(fam.local(x)[0])) for fam in prog.eq_families]
+        assert sorted(per_tag) == sorted(fam.tag for fam, _ in rows)
+        for fam, value in rows:
+            assert per_tag[fam.tag].tobytes() == value.tobytes(), fam.tag
+        assert {fam.kind for fam, _ in rows} == {"linear", "soc", "log_epigraph", "cubic_epigraph"}
 
     def test_tightness_fifty_random_iterates(self, rng):
         sc = moving_scenario(n=14)
