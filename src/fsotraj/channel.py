@@ -56,14 +56,13 @@ import functools
 import itertools
 import math
 import threading
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateGeometryError, NearFieldWarning, slot_suffix
+from .errors import DegenerateGeometryError, slot_suffix
 from .jitter import HoytParams
 
 _REFERENCE_WAVELENGTH = 550e-9  # meters, anchor of the visibility scattering law
@@ -134,41 +133,6 @@ def attenuation_coefficient(visibility: float, wavelength: float) -> float:
     else:
         q_sca = 0.585 * v_km ** (1.0 / 3.0)
     return (3.91 / visibility) * (wavelength / _REFERENCE_WAVELENGTH) ** (-q_sca)
-
-
-def atmospheric_loss(sigma_b: float, z: float) -> float:
-    """Exponential clear-air power decay exp(-sigma_b z)."""
-    if z < 0.0:
-        raise ValueError("propagation distance must be nonnegative")
-    return math.exp(-sigma_b * z)
-
-
-def max_pointing_gain(z: float, link: LinkParams) -> float:
-    """On-axis pointing gain A0 = a^2 / (2 z sigma_div), far-field approximation."""
-    if z <= 0.0:
-        raise ValueError("propagation distance must be positive")
-    return link.aperture**2 / (2.0 * z * link.sigma_div)
-
-
-def pointing_loss(theta_p, z: float, link: LinkParams):
-    """Gaussian-beam pointing gain A0 exp(-theta_p^2 / (2 sigma_div^2)).
-
-    Warns when the beam footprint is within 10 aperture diameters (the
-    far-field gain approximation degrades there).
-    """
-    th = np.asarray(theta_p, dtype=float)
-    if np.any(th < 0.0):
-        raise ValueError("pointing error angle must be nonnegative")
-    footprint = 2.0 * z * link.sigma_div
-    if footprint <= 10.0 * link.aperture:
-        warnings.warn(
-            f"beam footprint {footprint:.3g} m is within 10 apertures; "
-            "far-field gain approximation is doubtful",
-            NearFieldWarning,
-            stacklevel=2,
-        )
-    out = max_pointing_gain(z, link) * np.exp(-th * th / (2.0 * link.sigma_div**2))
-    return float(out) if np.ndim(theta_p) == 0 else out
 
 
 def gamma_from_gains(h_a, h_l, h_p, link: LinkParams):

@@ -36,7 +36,7 @@ from .report import (
     write_outputs,
     write_validation,
 )
-from .scenario import RunSettings, dump_scenario, load_scenario
+from .scenario import RunSettings, dump_scenario, echo_seed, load_scenario
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -66,20 +66,21 @@ def _sampled_law(settings: RunSettings, n: int):
     params = hoyt_params(sc.jitter, u_hat)
     if params.omega == 0.0:
         raise FsoTrajError("zero jitter: the pointing error at this geometry is identically 0 and has no density")
-    samples = sample_error_angles(sc.jitter, u_hat, n, seed=sc.seed, mode="exact")
+    samples = sample_error_angles(sc.jitter, u_hat, n, seed=sc.seed)
     return params, samples, ks_distance(samples, lambda x: hoyt_cdf(x, params))
 
 
 def _run_seed(out: Path) -> int:
     """The seed the run in ``out`` drew from: ``optimizer.seed`` in its
-    scenario.echo. FsoTrajError, naming the file, if the echo cannot be read."""
+    scenario.echo. FsoTrajError, naming the file, if the echo cannot be read,
+    does not load or gives no seed."""
     echo = out / "scenario.echo"
     try:
         text = echo.read_text(encoding="utf-8")
     except OSError as exc:
         raise FsoTrajError(f"{echo}: cannot read the run's scenario echo: {exc.strerror}") from exc
     try:
-        return load_scenario(text).scenario.seed
+        return echo_seed(text)
     except ScenarioParseError as exc:
         raise FsoTrajError(f"{echo}: {exc}") from exc
 

@@ -367,12 +367,6 @@ class ConvexProgram:
     def n_eq(self) -> int:
         return sum(f.m for f in self.eq_families)
 
-    def family_census(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for fam in [*self.families, *self.eq_families]:
-            out[fam.tag] = out.get(fam.tag, 0) + fam.m
-        return out
-
     def violations(self, x: np.ndarray) -> dict[str, np.ndarray]:
         """Each row's internal value g(x) per tag, the one the solver drives
         to <= 0 (feasible); an equality row's is |a.x + b|."""

@@ -10,6 +10,9 @@ every slot of a trajectory at once from the projected 2x2 matrix
 is its one-direction case. Both the closed-form capacity and the Monte Carlo
 capacity take the law from these eigenvalues: the quadrature integrates over
 them and the sampler scales two error-plane normals by their square roots.
+`sample_error_angles` draws the angle itself through the exact perturbation
+rotation, with no small-angle approximation: the samples the Hoyt law is
+checked against.
 
 Pure functions throughout; the sampler takes an explicit seed or Generator,
 so parallel Monte Carlo runs on independently seeded streams merge
@@ -20,7 +23,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -31,7 +33,6 @@ from .errors import (
     UnsupportedReductionError,
     slot_suffix,
 )
-from .kinematics import rotation_matrix
 
 # Below this axis ratio the Hoyt density is evaluated in its folded-normal
 # limit to dodge overflow in the Bessel argument.
@@ -105,36 +106,6 @@ class HoytParams:
         object.__setattr__(self, "omega", self.lam1 + self.lam2)
 
 
-class JitterSample(NamedTuple):
-    """One draw of the attitude perturbation (roll, pitch, yaw), radians."""
-
-    alpha: float
-    beta: float
-    gamma: float
-
-
-class JitterMatrices(NamedTuple):
-    exact: np.ndarray
-    linearized: np.ndarray
-
-
-def jitter_matrix(sample: JitterSample) -> JitterMatrices:
-    """Attitude-perturbation rotation, both the exact product and its small-angle form."""
-    a, b, g = sample
-    exact = rotation_matrix("x", a) @ rotation_matrix("y", b) @ rotation_matrix("z", g)
-    linearized = np.array([[1.0, -g, b], [g, 1.0, -a], [-b, a, 1.0]])
-    return JitterMatrices(exact, linearized)
-
-
-def error_projection_matrix(u_hat: np.ndarray) -> np.ndarray:
-    """Projector onto the plane orthogonal to the pointing direction: I - u u^T / |u|^2."""
-    u = np.asarray(u_hat, dtype=float)
-    z_sq = float(np.dot(u, u))
-    if z_sq == 0.0:
-        raise DegenerateGeometryError("pointing vector has zero norm")
-    return np.eye(3) - np.outer(u, u) / z_sq
-
-
 def hoyt_eigenvalues(cov: JitterCovariance, u_hat: np.ndarray) -> np.ndarray:
     """Hoyt semi-axis variances (lam1, lam2) for every pointing direction, shape (N, 2).
 
@@ -178,23 +149,6 @@ def _plane_basis(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     np.put_along_axis(e1, order, np.column_stack([b / h, -a / h, zero]), axis=1)
     np.put_along_axis(e2, order, np.column_stack([c * a / h, c * b / h, -h]), axis=1)
     return e1, e2
-
-
-def _error_plane_factor(factor: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """The (N, 3, 2) matrices F_k = factor^T [e1_k e2_k] for the (N, 3) unit rows of n.
-
-    e1_k, e2_k (`_plane_basis`) span the plane orthogonal to n_k, and
-    A = I - n n^T = E E^T, so an attitude draw x = factor d has the small-angle
-    pointing-error angle sqrt(x^T A x) = |d F_k|, without the cancellation of
-    |x|^2 - (x.n)^2. Each entry is an elementwise sum of three products, so a
-    row's matrix does not depend on the other rows.
-    """
-    basis = np.stack(_plane_basis(n), axis=2)  # basis[k, m, j]: component m of e1_k (j = 0) or e2_k (j = 1)
-    return (
-        factor[0, :, None] * basis[:, None, 0, :]
-        + factor[1, :, None] * basis[:, None, 1, :]
-        + factor[2, :, None] * basis[:, None, 2, :]
-    )
 
 
 def hoyt_params(cov: JitterCovariance, u_hat: np.ndarray) -> HoytParams:
@@ -284,41 +238,26 @@ def psd_factor(mat: np.ndarray) -> np.ndarray:
         return (vecs * np.sqrt(np.maximum(evals, 0.0))) @ vecs.T
 
 
-def sample_error_angles(
-    cov: JitterCovariance,
-    u_hat: np.ndarray,
-    n: int,
-    seed=0,
-    mode: str = "exact",
-) -> np.ndarray:
+def sample_error_angles(cov: JitterCovariance, u_hat: np.ndarray, n: int, seed=0) -> np.ndarray:
     """Monte Carlo draws of the pointing-error angle theta_p (radians).
 
-    ``exact`` applies the full perturbation rotation to the pointing vector and
-    measures the resulting angle; ``small_angle`` evaluates sqrt(x^T A x) as the
-    length |d F| of the normals d projected onto the error plane
-    (`_error_plane_factor`). The Monte Carlo capacity draws the same law from
-    two error-plane normals w as sqrt(lam1 w1^2 + lam2 w2^2), with lam1, lam2
-    from `hoyt_eigenvalues`. Both modes here draw three attitude normals per
-    sample, so the two are paired sample by sample. Deterministic for a given
-    seed (an int or a numpy Generator).
+    Each sample draws three attitude normals d, takes the jitter x = L d for a
+    factor L L^T = Sigma (`psd_factor`), applies the full perturbation
+    rotation R_x(alpha) R_y(beta) R_z(gamma) to the pointing vector and
+    measures the angle it turns through, with no small-angle approximation.
+    The Monte Carlo capacity draws the small-angle law instead, from two
+    error-plane normals w as sqrt(lam1 w1^2 + lam2 w2^2), with lam1, lam2 from
+    `hoyt_eigenvalues`. Deterministic for a given seed (an int or a numpy
+    Generator).
     """
     if n < 1:
         raise ValueError("need at least one sample")
-    if mode not in ("exact", "small_angle"):
-        raise ValueError(f"unknown mode {mode!r}")
     u = np.asarray(u_hat, dtype=float)
-    z_sq = float(np.dot(u, u))
-    if z_sq == 0.0:
+    if float(np.dot(u, u)) == 0.0:
         raise DegenerateGeometryError("pointing vector has zero norm")
     rng = np.random.default_rng(seed)
     d = rng.standard_normal((n, 3))
-    factor = psd_factor(cov.matrix)
-
-    if mode == "small_angle":
-        y = d @ _error_plane_factor(factor, u[None, :] / math.sqrt(z_sq))[0]
-        return np.hypot(y[:, 0], y[:, 1])
-
-    x = d @ factor.T
+    x = d @ psd_factor(cov.matrix).T
 
     ca, sa = np.cos(x[:, 0]), np.sin(x[:, 0])
     cb, sb = np.cos(x[:, 1]), np.sin(x[:, 1])

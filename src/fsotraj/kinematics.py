@@ -155,11 +155,6 @@ def pointing_vector(s, posture: Posture):
     return -(s @ posture_rotation(posture).T)
 
 
-def posture_from_motion(v: Vec3, a: Vec3, g: float) -> Posture:
-    """Level-flight posture implied by velocity and acceleration (pitch = 0)."""
-    return Posture(roll=roll_from_motion(v, a, g), pitch=0.0, yaw=yaw_from_velocity(v))
-
-
 def flight_power(v, a, params: AircraftParams):
     """Fixed-wing propulsion power c1 |v|^3 + (c2/|v|) (1 + |a|^2/g^2), watts."""
     v = np.asarray(v, dtype=float)

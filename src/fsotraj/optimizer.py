@@ -24,7 +24,7 @@ from .convex.solver import require_optimal
 from .errors import InfeasibleScenarioError, SolverError, slot_suffix
 # hoyt_params stays bound here because bench/tracer.py installs its
 # jitter.hoyt_params span on this name; the evaluation uses hoyt_eigenvalues.
-from .jitter import hoyt_eigenvalues, hoyt_params, pointing_weight_matrix, weighted_pointing_norm  # noqa: F401
+from .jitter import hoyt_eigenvalues, hoyt_params  # noqa: F401
 from .kinematics import TrajectoryPlan, differentiate_trajectory, flight_power
 from .mission import (
     Iterate,
@@ -298,41 +298,3 @@ def anchored_feasibility(iterate: Iterate, scenario: Scenario, config=None):
     """
     sub = Subproblem(iterate, scenario)
     return check_feasible(sub.program, sub.anchor_x())
-
-
-def restriction_tightness(iterate: Iterate, scenario: Scenario) -> dict[str, float]:
-    """Max |restriction - original| gap at the anchor for every restricted family.
-
-    At the anchor every linearized/conic restriction must coincide with the
-    original nonconvex constraint expression.
-    """
-    sub = Subproblem(iterate, scenario)
-    x = sub.anchor_x()
-    report = sub.program.violations(x)
-    craft = scenario.aircraft
-    speeds = np.linalg.norm(iterate.v[:-1, :2], axis=1)
-    gaps = {}
-    # speed floor: restriction value must equal v_min^2 - |v|^2 at the anchor.
-    gaps["speed_floor_lin"] = float(
-        np.max(np.abs(report["speed_floor_lin"] - (craft.v_min**2 - speeds**2)))
-    )
-    # range linearization: S^2 - (2 s_p.s - |s_p|^2) == S^2 - |s|^2 at anchor.
-    s_norm_sq = np.einsum("kc,kc->k", iterate.s, iterate.s)
-    gaps["range_lin"] = float(np.max(np.abs(report["range_lin"] - (iterate.S**2 - s_norm_sq))))
-    gaps["speed_sq_floor"] = float(
-        np.max(np.abs(report["speed_sq_floor"] - (iterate.R**2 - speeds**2)))
-    )
-    # jitter restrictions: both forms reduce to sqrt(u' D u) - S U at anchor.
-    w = weighted_pointing_norm(iterate.u_hat, pointing_weight_matrix(scenario.jitter))[0]
-    target = w - iterate.S * iterate.U
-    gaps["jitter_cone"] = float(np.max(np.abs(report["jitter_cone"] - target)))
-    gaps["jitter_lin"] = float(np.max(np.abs(report["jitter_lin"] - target)))
-    # drag cone: exact form is active iff Q R = 1 + |a|^2/g^2 at the anchor.
-    acc_sq = np.einsum("kc,kc->k", iterate.a, iterate.a)
-    qr_gap = iterate.Q * iterate.R - (1.0 + acc_sq / craft.g**2)
-    gaps["drag_cone_anchor_gap"] = float(np.max(np.abs(qr_gap)))
-    gaps["drag_cone"] = float(np.max(np.abs(report["drag_cone"])))
-    # power and log epigraphs hold with equality at tight auxiliaries.
-    gaps["power_epi"] = float(np.max(np.abs(report["power_epi"])))
-    gaps["logdist"] = float(np.max(np.abs(report["logdist"])))
-    return gaps

@@ -5,9 +5,10 @@ Sections are ``link``, ``aircraft``, ``jitter``, ``mission``, ``optimizer``
 is one entry of ``_FIELDS``: its kind (a quantity of one dimension, an
 integer, a choice, a 2-D point or a 3-D position) and the attribute its
 value lands on. ``load_scenario`` and ``dump_scenario`` both walk that table.
-Unknown sections and keys are rejected; quantities and coordinates must be
-finite, in a unit of the key's dimension, and unit tokens are case-sensitive
-as SI prefixes are (``mW``, never ``MW``). Every failure raises
+Unknown sections and keys are rejected, in a file and in the overrides
+alike; quantities and coordinates must be finite, in a unit of the key's
+dimension, and unit tokens are case-sensitive as SI prefixes are (``mW``,
+never ``MW``). Every failure raises
 `ScenarioParseError` with the dotted field path. A key a file leaves out
 takes its dataclass's default, and a mission key the preset that
 ``mission.kind`` names. The echo writes each value in its SI unit.
@@ -299,26 +300,39 @@ def _defaults(cls) -> dict:
 
 def _read(path_or_text) -> dict[tuple[str, str], str]:
     """Raw text of every key in a scenario file (path or text)."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     text = str(path_or_text)
+    if text == "" or "\n" in text:
+        return _parse(text)
     try:
-        if text == "" or "\n" in text:
-            parser.read_string(text)
-        elif not parser.read(text):
-            raise ScenarioParseError(text, "scenario file not found")
+        with open(text, encoding="utf-8") as f:
+            return _parse(f.read(), text)
+    except OSError:
+        raise ScenarioParseError(text, "scenario file not found") from None
+
+
+def _parse(text: str, source: str = "<string>") -> dict[tuple[str, str], str]:
+    """Raw text of every key in scenario text, read from ``source``."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
+    try:
+        parser.read_string(text, source)
     except configparser.Error as exc:  # no section header, a key given twice...
         raise ScenarioParseError("scenario", exc.message) from exc
     if parser.defaults():
         raise ScenarioParseError(parser.default_section, "unknown section")
     given = {}
     for section in parser.sections():
-        if section not in _SECTIONS:
-            raise ScenarioParseError(section, "unknown section")
-        for key, raw in parser[section].items():
-            if (section, key) not in _FIELDS:
-                raise ScenarioParseError(f"{section}.{key}", "unknown key")
-            given[section, key] = raw
+        _check(section, parser[section])
+        given.update(((section, key), raw) for key, raw in parser[section].items())
     return given
+
+
+def _check(section: str, keys) -> None:
+    """ScenarioParseError unless ``section`` and each of ``keys`` are in the field table."""
+    if section not in _SECTIONS:
+        raise ScenarioParseError(section, "unknown section")
+    for key in keys:
+        if (section, key) not in _FIELDS:
+            raise ScenarioParseError(f"{section}.{key}", "unknown key")
 
 
 def _make(staged, owner: str):
@@ -333,10 +347,30 @@ def load_scenario(path_or_text, overrides: dict[tuple[str, str], str] | None = N
 
     A string is scenario text when it is empty or holds a newline, else a path.
 
-    ``overrides`` maps (section, key) to raw text that replaces the file's.
+    ``overrides`` maps (section, key) to raw text that replaces the file's;
+    its keys are checked as the file's are.
     """
     given = _read(path_or_text)
+    for section, key in overrides or {}:
+        _check(section, [key])
     given.update(overrides or {})
+    return _settings(given)
+
+
+def echo_seed(text: str) -> int:
+    """The ``optimizer.seed`` of a run's scenario echo, from the echo's text.
+
+    The text is scenario text, never a path, and must load as a scenario and
+    give the seed; ScenarioParseError otherwise.
+    """
+    given = _parse(text)
+    if ("optimizer", "seed") not in given:
+        raise ScenarioParseError("optimizer.seed", "not given")
+    return _settings(given).scenario.seed
+
+
+def _settings(given: dict[tuple[str, str], str]) -> RunSettings:
+    """The settings of the raw key texts ``given``; every key left out takes its default."""
     staged = SimpleNamespace(**{owner: SimpleNamespace(**_defaults(cls)) for owner, cls in _OWNERS.items()})
     mission = _MISSIONS[0]
     landed, derived = {}, []

@@ -6,8 +6,8 @@ for a fixed trade-off weight, the convex program
     minimize  -C_tot + lambda * P_tot
 
 whose constraint set restricts the original mission constraints around the
-anchor iterate. Every family is tagged so the census and tightness checks can
-address constraints by name.
+anchor iterate. Every family is tagged, so feasibility reports name
+constraints by family.
 """
 from __future__ import annotations
 
@@ -218,15 +218,6 @@ class Subproblem:
         self._capacity_const = float(np.sum(grad * self.offset_const + bits * self.anchor.delta_l))
         self._fixed_power = scenario.n_slots * link.transmit_power + scenario.launch_cost / delta_t
         self.set_tradeoff(0.0)
-
-    def census(self) -> dict[str, int]:
-        """Constraint-family counts in the complexity-analysis convention:
-        vector kinematic equalities count once per slot, endpoint components
-        individually. Totals 13 N - 3."""
-        counts = dict(self.program.family_census())
-        for tag in ("kin_velocity", "kin_velocity_ext", "kin_accel"):
-            counts[tag] //= 2
-        return counts
 
     # -- objective manipulation for the fractional outer loop ---------------
 

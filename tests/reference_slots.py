@@ -4,16 +4,131 @@ Each function evaluates one slot with scalar Python and small dense matrices,
 the way the package did before its slot loops became array expressions. They
 are slow, straightforward oracles for the batched code in `fsotraj`, and are
 used only by the tests.
+
+The module also holds the model's scalar pieces that the package no longer
+needs on its own, each the oracle of a check:
+- the Beer-Lambert loss and the Gaussian-beam pointing gain, which the
+  package's kernels take as the -2 sigma_b z + 2 log A0(z) terms of their
+  log-SNR constant;
+- the attitude-jitter rotation with its small-angle form, and the projector
+  onto the error plane;
+- the level-flight posture implied by a velocity and an acceleration;
+- the small-angle sampler of the pointing-error angle, paired sample by
+  sample with `fsotraj.jitter.sample_error_angles`.
 """
 from __future__ import annotations
 
 import math
+import warnings
+from typing import NamedTuple
 
 import numpy as np
 
-from fsotraj.channel import capacity_offset
-from fsotraj.errors import DegenerateVelocityError
-from fsotraj.jitter import error_projection_matrix
+from fsotraj.channel import LinkParams, capacity_offset
+from fsotraj.errors import DegenerateGeometryError, DegenerateVelocityError, NearFieldWarning
+from fsotraj.jitter import _plane_basis, psd_factor
+from fsotraj.kinematics import Posture, roll_from_motion, rotation_matrix, yaw_from_velocity
+
+
+def atmospheric_loss(sigma_b: float, z: float) -> float:
+    """Exponential clear-air power decay exp(-sigma_b z)."""
+    if z < 0.0:
+        raise ValueError("propagation distance must be nonnegative")
+    return math.exp(-sigma_b * z)
+
+
+def max_pointing_gain(z: float, link: LinkParams) -> float:
+    """On-axis pointing gain A0 = a^2 / (2 z sigma_div), far-field approximation."""
+    if z <= 0.0:
+        raise ValueError("propagation distance must be positive")
+    return link.aperture**2 / (2.0 * z * link.sigma_div)
+
+
+def pointing_loss(theta_p, z: float, link: LinkParams):
+    """Gaussian-beam pointing gain A0 exp(-theta_p^2 / (2 sigma_div^2)).
+
+    Warns when the beam footprint is within 10 aperture diameters (the
+    far-field gain approximation degrades there).
+    """
+    th = np.asarray(theta_p, dtype=float)
+    if np.any(th < 0.0):
+        raise ValueError("pointing error angle must be nonnegative")
+    footprint = 2.0 * z * link.sigma_div
+    if footprint <= 10.0 * link.aperture:
+        warnings.warn(
+            f"beam footprint {footprint:.3g} m is within 10 apertures; "
+            "far-field gain approximation is doubtful",
+            NearFieldWarning,
+            stacklevel=2,
+        )
+    out = max_pointing_gain(z, link) * np.exp(-th * th / (2.0 * link.sigma_div**2))
+    return float(out) if np.ndim(theta_p) == 0 else out
+
+
+class JitterSample(NamedTuple):
+    """One draw of the attitude perturbation (roll, pitch, yaw), radians."""
+
+    alpha: float
+    beta: float
+    gamma: float
+
+
+class JitterMatrices(NamedTuple):
+    exact: np.ndarray
+    linearized: np.ndarray
+
+
+def jitter_matrix(sample: JitterSample) -> JitterMatrices:
+    """Attitude-perturbation rotation, both the exact product and its small-angle form."""
+    a, b, g = sample
+    exact = rotation_matrix("x", a) @ rotation_matrix("y", b) @ rotation_matrix("z", g)
+    linearized = np.array([[1.0, -g, b], [g, 1.0, -a], [-b, a, 1.0]])
+    return JitterMatrices(exact, linearized)
+
+
+def error_projection_matrix(u_hat: np.ndarray) -> np.ndarray:
+    """Projector onto the plane orthogonal to the pointing direction: I - u u^T / |u|^2."""
+    u = np.asarray(u_hat, dtype=float)
+    z_sq = float(np.dot(u, u))
+    if z_sq == 0.0:
+        raise DegenerateGeometryError("pointing vector has zero norm")
+    return np.eye(3) - np.outer(u, u) / z_sq
+
+
+def posture_from_motion(v, a, g: float) -> Posture:
+    """Level-flight posture implied by velocity and acceleration (pitch = 0)."""
+    return Posture(roll=roll_from_motion(v, a, g), pitch=0.0, yaw=yaw_from_velocity(v))
+
+
+def error_plane_factor(factor: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """The (N, 3, 2) matrices F_k = factor^T [e1_k e2_k] for the (N, 3) unit rows of n.
+
+    e1_k, e2_k (`fsotraj.jitter._plane_basis`) span the plane orthogonal to
+    n_k, and A = I - n n^T = E E^T, so an attitude draw x = factor d has the
+    small-angle pointing-error angle sqrt(x^T A x) = |d F_k|, without the
+    cancellation of |x|^2 - (x.n)^2. Each entry is an elementwise sum of three
+    products, so a row's matrix does not depend on the other rows.
+    """
+    basis = np.stack(_plane_basis(n), axis=2)  # basis[k, m, j]: component m of e1_k (j = 0) or e2_k (j = 1)
+    return (
+        factor[0, :, None] * basis[:, None, 0, :]
+        + factor[1, :, None] * basis[:, None, 1, :]
+        + factor[2, :, None] * basis[:, None, 2, :]
+    )
+
+
+def small_angle_error_angles(cov, u_hat, n: int, seed=0) -> np.ndarray:
+    """Small-angle draws of the pointing-error angle theta_p (radians).
+
+    Draws the same (n, 3) attitude normals d from ``seed`` as
+    `fsotraj.jitter.sample_error_angles`, so the two are paired sample by
+    sample, and evaluates sqrt(x^T A x) as the length |d F| of the normals
+    projected onto the error plane (`error_plane_factor`).
+    """
+    u = np.asarray(u_hat, dtype=float)
+    d = np.random.default_rng(seed).standard_normal((n, 3))
+    y = d @ error_plane_factor(psd_factor(cov.matrix), u[None, :] / math.sqrt(float(np.dot(u, u))))[0]
+    return np.hypot(y[:, 0], y[:, 1])
 
 
 def delta_u_coefficients_slot(s, v, a, g: float) -> tuple[np.ndarray, np.ndarray]:

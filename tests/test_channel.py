@@ -8,7 +8,6 @@ from conftest import analysis_geometry
 from fsotraj import channel
 from fsotraj.channel import (
     LinkParams,
-    atmospheric_loss,
     attenuation_coefficient,
     capacity_offset,
     ergodic_capacity,
@@ -16,24 +15,27 @@ from fsotraj.channel import (
     gamma_from_gains,
     instantaneous_capacity,
     log_bound_params,
-    max_pointing_gain,
     mc_ergodic_capacity,
     mc_log_gamma,
-    pointing_loss,
     quadrature_ergodic_capacity,
 )
 from fsotraj.errors import NearFieldWarning
 from fsotraj.jitter import (
     HoytParams,
     JitterCovariance,
-    _error_plane_factor,
     hoyt_eigenvalues,
     hoyt_params,
     psd_factor,
-    sample_error_angles,
 )
 from fsotraj.numerics import ks_distance
-from reference_slots import quadrature_unfolded
+from reference_slots import (
+    atmospheric_loss,
+    error_plane_factor,
+    max_pointing_gain,
+    pointing_loss,
+    quadrature_unfolded,
+    small_angle_error_angles,
+)
 
 
 def kernel_samples(link, z, theta, e):
@@ -375,7 +377,7 @@ class TestErrorPlaneDraw:
         z = np.linalg.norm(u, axis=1)
         _, scale = channel._slot_constants(link, z, hoyt_eigenvalues(cov, u))
         factor = scale[:, :, None] * np.eye(2)
-        proj = _error_plane_factor(psd_factor(cov.matrix) / link.sigma_div, u / z[:, None])
+        proj = error_plane_factor(psd_factor(cov.matrix) / link.sigma_div, u / z[:, None])
         want = np.linalg.eigvalsh(np.swapaxes(proj, 1, 2) @ proj)[:, ::-1]
         gram = np.linalg.eigvalsh(np.swapaxes(factor, 1, 2) @ factor)[:, ::-1]
         lam = hoyt_eigenvalues(cov, u) / link.sigma_div**2
@@ -407,5 +409,5 @@ class TestErrorPlaneDraw:
         cov, u = analysis_geometry(rho=0.3)
         _, scale = channel._slot_constants(link, [np.linalg.norm(u)], hoyt_eigenvalues(cov, u[None, :]))
         plane = np.linalg.norm(np.random.default_rng(31).standard_normal((n, 2)) * scale, axis=1)
-        attitude = np.sort(sample_error_angles(cov, u, n, seed=32, mode="small_angle") / link.sigma_div)
+        attitude = np.sort(small_angle_error_angles(cov, u, n, seed=32) / link.sigma_div)
         assert ks_distance(plane, lambda x: np.searchsorted(attitude, x, side="right") / n) < 0.01

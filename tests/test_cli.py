@@ -294,6 +294,8 @@ class TestExitCodes:
                 lambda text: text.replace("seed = 0", "seed = zero"),
                 "optimizer.seed: bad number 'zero'",
             ),
+            ("scenario.echo", lambda text: "", "optimizer.seed: not given"),
+            ("scenario.echo", lambda text: "[optimizer]", "optimizer.seed: not given"),
         ],
         ids=[
             "header_only",
@@ -305,6 +307,8 @@ class TestExitCodes:
             "unknown_efficiency_mode",
             "no_echo",
             "echo_seed_not_an_integer",
+            "empty_echo",
+            "one_line_echo",
         ],
     )
     def test_validate_on_a_malformed_run_exits_2_before_any_work(

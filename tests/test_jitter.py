@@ -11,20 +11,23 @@ from fsotraj.errors import DegenerateHoytWarning, InvalidCovarianceError, Unsupp
 from fsotraj.jitter import (
     HoytParams,
     JitterCovariance,
-    JitterSample,
-    _error_plane_factor,
-    error_projection_matrix,
     hoyt_cdf,
     hoyt_eigenvalues,
     hoyt_params,
     hoyt_pdf,
-    jitter_matrix,
     pointing_weight_matrix,
     psd_factor,
     reduce_jitter_dof,
     sample_error_angles,
 )
 from fsotraj.numerics import ks_distance
+from reference_slots import (
+    JitterSample,
+    error_plane_factor,
+    error_projection_matrix,
+    jitter_matrix,
+    small_angle_error_angles,
+)
 
 MRAD2 = 1e-6  # rad^2 per mrad^2
 
@@ -245,8 +248,8 @@ class TestSampling:
 
     def test_exact_vs_small_angle_paired(self):
         cov, u = analysis_geometry()
-        exact = sample_error_angles(cov, u, 20_000, seed=11, mode="exact")
-        small = sample_error_angles(cov, u, 20_000, seed=11, mode="small_angle")
+        exact = sample_error_angles(cov, u, 20_000, seed=11)
+        small = small_angle_error_angles(cov, u, 20_000, seed=11)
         assert np.max(np.abs(exact - small)) < 1e-6
 
     def test_plane_projection_is_the_small_angle_formula(self, rng):
@@ -263,9 +266,9 @@ class TestSampling:
             norm_sq = np.einsum("ni,ni->n", x, x)
             keep = along < 0.5 * norm_sq
             want = np.sqrt(norm_sq - along)
-            y = d @ _error_plane_factor(factor, (u / np.linalg.norm(u))[None, :])[0]
+            y = d @ error_plane_factor(factor, (u / np.linalg.norm(u))[None, :])[0]
             np.testing.assert_allclose(np.hypot(y[:, 0], y[:, 1])[keep], want[keep], rtol=1e-12, atol=0.0)
-            sampled = sample_error_angles(cov, u, 2000, seed=trial, mode="small_angle")
+            sampled = small_angle_error_angles(cov, u, 2000, seed=trial)
             np.testing.assert_allclose(sampled[keep], want[keep], rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("yaw,rho", [(0.0, 0.0), (0.0, 0.5), (math.pi / 2, 0.0), (math.pi / 2, 0.5)])
@@ -274,7 +277,7 @@ class TestSampling:
         # must pass at the alpha = 0.01 critical value 1.628/sqrt(n).
         cov, u = analysis_geometry(yaw=yaw, rho=rho)
         hp = hoyt_params(cov, u)
-        th = sample_error_angles(cov, u, 10**6, seed=5, mode="small_angle")
+        th = small_angle_error_angles(cov, u, 10**6, seed=5)
         assert ks_distance(th, lambda x: hoyt_cdf(x, hp)) < 1.628e-3
 
     def test_singular_covariance_sampling(self):
@@ -288,11 +291,6 @@ class TestSampling:
             assert np.allclose(factor @ factor.T, cov.matrix, rtol=0.0, atol=1e-12 * np.max(cov.matrix))
             th = sample_error_angles(cov, np.array([0.0, 0.0, 50.0]), 1000, seed=2)
             assert np.all(np.isfinite(th))
-
-    def test_bad_mode(self):
-        cov, u = analysis_geometry()
-        with pytest.raises(ValueError):
-            sample_error_angles(cov, u, 10, mode="bogus")
 
 
 class TestDofReduction:

@@ -6,8 +6,9 @@ import pytest
 from fsotraj.channel import capacity_offset, expected_log_gamma
 from fsotraj.errors import DegenerateVelocityError
 from fsotraj.jitter import JitterCovariance, hoyt_params
-from fsotraj.kinematics import posture_from_motion, pointing_vector
+from fsotraj.kinematics import pointing_vector
 from fsotraj.linearize import anchor_log_gamma, delta_u_coefficients
+from reference_slots import posture_from_motion
 
 
 def pointing_from_motion(s, v, a, g=9.8):

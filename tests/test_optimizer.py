@@ -25,10 +25,10 @@ from fsotraj.optimizer import (
     dinkelbach_solve,
     energy_efficiency,
     optimize,
-    restriction_tightness,
 )
 from fsotraj.scenario import load_scenario
 from fsotraj.subproblem import Subproblem
+from reference_assembly import restriction_tightness
 
 H = 600.0
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"

@@ -97,6 +97,22 @@ def test_unknown_section_rejected():
         load_scenario("[warp]\nfactor = 9\n")
 
 
+@pytest.mark.parametrize(
+    "overrides, field, message",
+    [
+        ({("jitter", "sigma_ptich"): "3 mrad"}, "jitter.sigma_ptich", "unknown key"),
+        ({("mision", "altitude"): "900 m"}, "mision", "unknown section"),
+    ],
+    ids=["key", "section"],
+)
+def test_unknown_override_rejected(overrides, field, message):
+    # Scripts build their case grids from overrides: a misspelt one fails as
+    # it would in the file instead of running the bundled case.
+    with pytest.raises(ScenarioParseError, match=message) as err:
+        load_scenario(str(ROOT / "scenarios" / "moving.ini"), overrides)
+    assert err.value.field == field
+
+
 def test_wrong_unit_dimension_rejected():
     with pytest.raises(ScenarioParseError, match="expected a length"):
         load_scenario("[link]\naperture = 20 s\n")

@@ -888,4 +888,4 @@ class TestConvexityOfEpigraphFamilies:
 
 def test_family_census():
     vs, prog = build_projection_problem()
-    assert prog.family_census() == {"dist": 1}
+    assert reference_assembly.census(prog) == {"dist": 1}

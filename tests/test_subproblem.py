@@ -15,9 +15,10 @@ from fsotraj.mission import (
     physical_violations,
     tight_iterate,
 )
-from fsotraj.optimizer import anchored_feasibility, restriction_tightness
+from fsotraj.optimizer import anchored_feasibility
 from fsotraj.scenario import load_scenario
 from fsotraj.subproblem import Subproblem, log_anchor
+from reference_assembly import census, restriction_tightness
 
 H = 600.0
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -60,20 +61,20 @@ class TestCensus:
     def test_family_count_is_13n_minus_3(self, n):
         sc = moving_scenario(n=n, delta=0.2 if n > 20 else 2.0)
         sub = Subproblem(initialize_iterate(sc), sc)
-        census = sub.census()
-        assert sum(census.values()) == 13 * n - 3
-        assert census["endpoints"] == 4
-        assert census["kin_velocity"] == n - 1
-        assert census["kin_velocity_ext"] == 1
-        assert census["kin_accel"] == n - 1
-        assert census["jitter_cone"] == n
-        assert census["jitter_lin"] == n
-        assert census["logdist"] == n
-        assert census["elevation"] == n
-        assert census["range_lin"] == n
+        counts = census(sub.program)
+        assert sum(counts.values()) == 13 * n - 3
+        assert counts["endpoints"] == 4
+        assert counts["kin_velocity"] == n - 1
+        assert counts["kin_velocity_ext"] == 1
+        assert counts["kin_accel"] == n - 1
+        assert counts["jitter_cone"] == n
+        assert counts["jitter_lin"] == n
+        assert counts["logdist"] == n
+        assert counts["elevation"] == n
+        assert counts["range_lin"] == n
         for tag in ("speed_cap", "speed_floor_lin", "accel_cap", "power_epi",
                     "speed_sq_floor", "drag_cone"):
-            assert census[tag] == n - 1
+            assert counts[tag] == n - 1
 
     def test_constraint_kinds_present(self):
         sc = moving_scenario()
